@@ -228,7 +228,7 @@ def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dic
         if outcome.attacker_registered:
             flags.append("attacker_registered")
         status = ",".join(flags) if flags else "no_compromise"
-        lines.append(f"{outcome.scenario:<44}{outcome.defense:<16}{status}")
+        lines.append(f"{outcome.scenario:<44} {outcome.defense:<16} {status}")
     text = "\n".join(lines) + "\n"
     payload = {
         "kind": "scenarios",

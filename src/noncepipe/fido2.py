@@ -298,8 +298,7 @@ def make_dummy_request(kind: str, rp_id: str, rng: Random) -> Fido2Request:
 
 
 def _dummy_signature(rng: Random) -> bytes:
-    n = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
-    r, s = rng.randrange(1, n), rng.randrange(1, n)
+    r, s = rng.randrange(1, es256.N), rng.randrange(1, es256.N)
     return es256.der_signature(r, s)
 
 

@@ -246,6 +246,26 @@ def test_scenario_report_text_ordering(tmp_path, capsys):
     assert lines[5].startswith("zeta")
 
 
+def test_scenario_report_rows_split_into_three_columns(tmp_path, capsys):
+    # a 16-character defense name and an over-long scenario name must not
+    # run into the next column
+    long_name = "n" * 50
+    path = tmp_path / "scenarios.tsv"
+    path.write_text(
+        "late\tdom_observer\tdesign5\t-\n"
+        f"{long_name}\tdom_observer\tbaseline\t-\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "reports"
+    rc = main(["matrix", "--seed", "7", "--scenarios", str(path), "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = (out / "scenarios.txt").read_text(encoding="utf-8").splitlines()[2:]
+    assert [row.split() for row in rows] == [
+        ["late", "design5_api_late", "no_compromise"],
+        [long_name, "baseline", "leaked"],
+    ]
+
+
 def test_parse_scenarios_skips_comments_and_blanks(tmp_path):
     rows = parse_scenarios(scenario_file(tmp_path))
     assert [row[0] for row in rows] == ["zeta", "alpha", "mirror", "fkey"]

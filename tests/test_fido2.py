@@ -3,6 +3,8 @@
 import base64
 import hashlib
 import json
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -57,13 +59,93 @@ RP_HASH = hashlib.sha256(RP_ID.encode()).digest()
 # ---------------------------------------------------------------------------
 
 
+def oracle_public_key(private: int) -> bytes:
+    numbers = ec.derive_private_key(private, ec.SECP256R1()).public_key().public_numbers()
+    return b"\x04" + numbers.x.to_bytes(32, "big") + numbers.y.to_bytes(32, "big")
+
+
 def test_public_key_matches_cryptography_derivation():
     private = es256.generate_private_key(Random(11))
-    ours = es256.public_key_bytes(private)
-    oracle = ec.derive_private_key(private, ec.SECP256R1()).public_key()
-    numbers = oracle.public_numbers()
-    expected = b"\x04" + numbers.x.to_bytes(32, "big") + numbers.y.to_bytes(32, "big")
-    assert ours == expected
+    assert es256.public_key_bytes(private) == oracle_public_key(private)
+
+
+# scalars at the 4-bit window boundaries and in the top window
+EDGE_SCALARS = [1, 2, 15, 16, 2**255, 15 * 16**63, es256.N - 2, es256.N - 1]
+
+
+@pytest.mark.parametrize("private", EDGE_SCALARS)
+def test_public_key_matches_cryptography_at_edges(private):
+    assert es256.public_key_bytes(private) == oracle_public_key(private)
+
+
+@given(st.integers(min_value=1, max_value=es256.N - 1))
+@settings(max_examples=50, deadline=None)
+def test_public_key_matches_cryptography_over_range(private):
+    assert es256.public_key_bytes(private) == oracle_public_key(private)
+
+
+@pytest.mark.parametrize("private", [0, es256.N, 3 * es256.N])
+def test_public_key_rejects_multiples_of_the_order(private):
+    with pytest.raises(ValueError):
+        es256.public_key_bytes(private)
+
+
+def test_generator_table_is_not_built_at_import():
+    # every CLI command imports es256; the table is paid for by the first
+    # key or signature, not by start-up
+    code = (
+        "import noncepipe.cli, noncepipe.es256 as e\n"
+        "assert e._g_table.cache_info().currsize == 0\n"
+        "e.public_key_bytes(1)\n"
+        "assert e._g_table.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# Frozen bytes of the signer: a changed byte for a fixed seed is a regression
+# even when OpenSSL still accepts the new output.
+FROZEN_PUBLIC_KEYS = {
+    1: "04696d724d9ca18306d21e5849dd0b45cdbdad0a5878e8ee1f9679d49d1b524d54"
+    "bfc64470f942da1519a5fb5dc6ad02f74ef14871c50069c912356f661336fac7",
+    7: "0414b8a2c95626f164e38703bd976b200e0650503e4b701ecbf29f96abf786d31f"
+    "9b978f67b1ea482736e63b98c445745a521135bf468d6d0c168ef66a4163f46f",
+    2025: "045ed744806412e4fd47432424c64c631c445f7890326e6986ab5c648d70728f2d"
+    "519dbf3bd86e9c26ed29da7519fcfb9715cd80193d5c7acbcf3ade5baf156812",
+}
+
+FROZEN_SIGNATURES = [
+    (
+        3,
+        b"webauthn",
+        "304502206d2721ffffa3d7a489944b455753af22cd3c1bfdb4c5851a8b90ada6bca969e6"
+        "022100fb433900380cf52aea3e2a187b49b5b5d0ef3947ee591a651d2fd9c9f368c1a8",
+    ),
+    (
+        11,
+        b"",
+        "3044022061a3fb03b5d645cf2294481c41f334a670f1cf3815052e02c6ee5cf803692eeb"
+        "02204d2ce97e050819f695eed82a01b42bf30cb42a7fd01dc5039c9ae965f7a3c9c3",
+    ),
+    (
+        42,
+        b"\x00" * 37 + b"clientDataJSON",
+        "3045022065c06930a60443dc65205bf7d0d6947e6be07df42d2767d47518a5fdb059e1fb"
+        "022100ad4cb1c643d3327330d0e964f573e836abd81b4a130c3c73f6992dfc6ef9c106",
+    ),
+]
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_PUBLIC_KEYS))
+def test_public_key_frozen_bytes(seed):
+    private = es256.generate_private_key(Random(seed))
+    assert es256.public_key_bytes(private).hex() == FROZEN_PUBLIC_KEYS[seed]
+
+
+@pytest.mark.parametrize("seed,message,expected", FROZEN_SIGNATURES)
+def test_signature_frozen_bytes(seed, message, expected):
+    rng = Random(seed)
+    private = es256.generate_private_key(rng)
+    assert es256.sign(private, message, rng).hex() == expected
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.binary(min_size=1, max_size=64))
