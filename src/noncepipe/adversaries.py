@@ -21,7 +21,9 @@ from the pipeline. Both try to hijack a registration and a login.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from random import Random
 from typing import Optional, Sequence
 
@@ -37,6 +39,7 @@ from .dom import (
     SubmitHook,
     DuplicateField,
     attach_script,
+    build_request,
     read_rendered_text,
     script_read_field,
     script_mutate,
@@ -52,17 +55,7 @@ from .fido2 import (
     RelyingParty,
     response_from_json,
 )
-from .http_model import (
-    MalformedBody,
-    Origin,
-    RequestBody,
-    Url,
-    WebRequestRecord,
-    ChannelSecurity,
-    decode_urlencoded,
-    sha256_hex,
-    urlencode_entries,
-)
+from .http_model import MalformedBody, Origin, Url, decode_urlencoded, sha256_hex, urlencode_entries
 from .pipeline import Cancel, DefenseMode, Redirect, Stage, StageView
 from .rng import derive_seed, substream
 from .session import BrowserSession, FlowResult
@@ -73,12 +66,14 @@ __all__ = [
     "AttackScenario",
     "EXPECTED_MATRIX",
     "FIDO2_ADVERSARIES",
+    "GoldenFormatError",
     "MatrixCell",
     "MatrixReport",
     "PASSWORD_ADVERSARIES",
     "evaluate_fido2_cells",
     "evaluate_matrix",
     "find_leaks",
+    "load_expected_matrix",
     "run_fido2_scenario",
     "run_reflection_attack",
     "run_scenario",
@@ -87,34 +82,40 @@ __all__ = [
 PASSWORD_ADVERSARIES = ("dom_observer", "dom_exfiltrator", "webrequest_exfiltrator")
 FIDO2_ADVERSARIES = ("fido2_dom", "fido2_request")
 
+
+class GoldenFormatError(ValueError):
+    """A golden matrix file cannot be read or lacks a valid verdict for a cell."""
+
+
+def load_expected_matrix(path: str | Path) -> dict[str, dict[str, str]]:
+    """Read a golden `matrix.json`: {"cells": {defense: {adversary: verdict}}}.
+
+    Every DefenseMode x PASSWORD_ADVERSARIES cell must hold "protected" or
+    "unprotected"; other keys are ignored.
+    """
+    try:
+        cells = json.loads(Path(path).read_text(encoding="utf-8"))["cells"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise GoldenFormatError(f"unreadable golden matrix {path}: {exc}") from exc
+    expected: dict[str, dict[str, str]] = {}
+    for mode in DefenseMode:
+        for adversary in PASSWORD_ADVERSARIES:
+            try:
+                verdict = cells[mode.value][adversary]
+            except (KeyError, TypeError):
+                verdict = None
+            if verdict not in ("protected", "unprotected"):
+                found = "missing" if verdict is None else repr(verdict)
+                raise GoldenFormatError(
+                    f"golden matrix {path}: cell {mode.value}/{adversary} is {found},"
+                    " want protected|unprotected"
+                )
+            expected.setdefault(mode.value, {})[adversary] = verdict
+    return expected
+
+
 # cell verdicts the design is expected to produce
-EXPECTED_MATRIX: dict[str, dict[str, str]] = {
-    "baseline": {
-        "dom_observer": "unprotected",
-        "dom_exfiltrator": "unprotected",
-        "webrequest_exfiltrator": "unprotected",
-    },
-    "design3_dom": {
-        "dom_observer": "protected",
-        "dom_exfiltrator": "unprotected",
-        "webrequest_exfiltrator": "unprotected",
-    },
-    "design4_api_early": {
-        "dom_observer": "protected",
-        "dom_exfiltrator": "protected",
-        "webrequest_exfiltrator": "unprotected",
-    },
-    "design5_api_late": {
-        "dom_observer": "protected",
-        "dom_exfiltrator": "protected",
-        "webrequest_exfiltrator": "protected",
-    },
-    "manifest_v3": {
-        "dom_observer": "protected",
-        "dom_exfiltrator": "protected",
-        "webrequest_exfiltrator": "protected",
-    },
-}
+EXPECTED_MATRIX = load_expected_matrix(Path(__file__).parent / "golden" / "matrix.json")
 
 EXPECTED_FIDO2_CELLS: dict[str, dict[str, str]] = {
     "legacy": {"fido2_dom": "unprotected", "fido2_request": "unprotected"},
@@ -669,35 +670,17 @@ class _AssertHijack:
 
 def _out_of_band_finish(farm: ServerFarm, origin: Origin, payload_json: str) -> str:
     """The attacker submits a finish from its own machine, not the browser."""
-    body = RequestBody.urlencoded((("webauthn", payload_json),))
-    request = WebRequestRecord(
-        request_id=990_000,
-        method="POST",
-        url=Url(origin.scheme, origin.host, origin.port, "/webauthn/finish"),
-        headers=(("Host", origin.host), ("Content-Type", body.content_type)),
-        body=body,
-        channel_security=ChannelSecurity.GOOD_TLS,
-    )
-    _, verdict = farm.serve(request)
+    url = Url(origin.scheme, origin.host, origin.port, "/webauthn/finish")
+    entries = (("webauthn", payload_json),)
+    _, verdict = farm.serve(build_request(None, "POST", url, entries, 990_000))
     return verdict
 
 
 def _out_of_band_begin(farm: ServerFarm, origin: Origin, kind: str, username: str) -> str:
     """Fetch a begin payload directly; header stripping never happens here."""
-    request = WebRequestRecord(
-        request_id=990_001,
-        method="GET",
-        url=Url(
-            origin.scheme,
-            origin.host,
-            origin.port,
-            "/webauthn/begin",
-            query=(("kind", kind), ("username", username)),
-        ),
-        headers=(("Host", origin.host),),
-        channel_security=ChannelSecurity.GOOD_TLS,
-    )
-    response, _ = farm.serve(request)
+    url = Url(origin.scheme, origin.host, origin.port, "/webauthn/begin")
+    query = (("kind", kind), ("username", username))
+    response, _ = farm.serve(build_request(None, "GET", url, query, 990_001))
     header = response.header(HEADER_REQUEST)
     return header if header is not None else response.body.decode("utf-8")
 

@@ -19,19 +19,21 @@ from .adversaries import (
     AttackScenario,
     FIDO2_ADVERSARIES,
     PASSWORD_ADVERSARIES,
+    GoldenFormatError,
     evaluate_matrix,
+    load_expected_matrix,
     run_fido2_scenario,
     run_reflection_attack,
     run_scenario,
 )
-from .adversaries import _out_of_band_finish
+from .adversaries import _out_of_band_begin, _out_of_band_finish
 from .fido2 import AUTHENTICATION, Fido2Request
 from .http_model import Origin
 from .pipeline import DefenseMode
 from .rng import derive_seed, substream
 from .session import BrowserSession
 from .sites import (
-    CATEGORIES,
+    LOGIN_CATEGORIES,
     CorpusFormatError,
     ServerFarm,
     SiteProfile,
@@ -40,6 +42,7 @@ from .sites import (
     compat_evaluate,
     parse_corpus,
 )
+from .tsv import TsvFormatError, parse_options, read_rows
 
 __all__ = ["EXIT_DATA", "EXIT_MISMATCH", "EXIT_OK", "EXIT_USAGE", "console_main", "main"]
 
@@ -59,10 +62,8 @@ DEFENSE_TOKENS = {
 }
 
 
-class ScenarioFormatError(ValueError):
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"scenario line {line_number}: {message}")
-        self.line_number = line_number
+class ScenarioFormatError(TsvFormatError):
+    kind = "scenario"
 
 
 class _UsageError(Exception):
@@ -133,36 +134,26 @@ def _emit(
 # ---------------------------------------------------------------------------
 
 
-def _parse_options(text: str, line_number: int) -> dict[str, str]:
-    options: dict[str, str] = {}
-    if text == "-":
-        return options
-    for item in text.split(","):
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise ScenarioFormatError(line_number, f"bad option {item!r} (want key=value)")
-        options[key] = value
-    return options
+# allowed values of each scenario option; strategy takes an integer >= 0
+SCENARIO_OPTIONS = {
+    "category": LOGIN_CATEGORIES,
+    "variant": ("retarget", "rename"),
+    "pinning": ("on", "off"),
+}
 
 
 def parse_scenarios(path: Path) -> list[tuple[str, str, str, dict[str, str]]]:
     """Parse a scenario file: name <TAB> adversary <TAB> defense <TAB> options.
 
     The defense column takes the matrix tokens for password adversaries and
-    on/off for the FIDO2 ones. Options are '-' or comma-separated key=value.
+    on/off for the FIDO2 ones. Options are '-' or comma-separated key=value,
+    with keys and values from SCENARIO_OPTIONS or strategy=<n>.
     """
     rows: list[tuple[str, str, str, dict[str, str]]] = []
     known = set(PASSWORD_ADVERSARIES) | set(FIDO2_ADVERSARIES) | {"reflection"}
-    for number, raw_line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw_line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != 4:
-            raise ScenarioFormatError(
-                number, f"expected 4 tab-separated columns, got {len(columns)}"
-            )
-        name, adversary, defense, options_text = columns
+    for number, (name, adversary, defense, options_text) in read_rows(
+        path, (4,), ScenarioFormatError
+    ):
         if adversary not in known:
             raise ScenarioFormatError(number, f"unknown adversary {adversary!r}")
         if adversary in FIDO2_ADVERSARIES:
@@ -170,10 +161,17 @@ def parse_scenarios(path: Path) -> list[tuple[str, str, str, dict[str, str]]]:
                 raise ScenarioFormatError(number, "FIDO2 scenarios take defense on|off")
         elif defense not in DEFENSE_TOKENS:
             raise ScenarioFormatError(number, f"unknown defense {defense!r}")
-        options = _parse_options(options_text, number)
-        category = options.get("category", "plain_post")
-        if category not in CATEGORIES:
-            raise ScenarioFormatError(number, f"unknown category {category!r}")
+        options = dict(parse_options(options_text, number, ScenarioFormatError))
+        for key, value in options.items():
+            if key == "strategy":
+                if not (value.isascii() and value.isdigit()):
+                    raise ScenarioFormatError(
+                        number, f"strategy must be an integer >= 0, got {value!r}"
+                    )
+            elif key not in SCENARIO_OPTIONS:
+                raise ScenarioFormatError(number, f"unknown option {key!r}")
+            elif value not in SCENARIO_OPTIONS[key]:
+                raise ScenarioFormatError(number, f"unknown {key} {value!r}")
         rows.append((name, adversary, defense, options))
     return rows
 
@@ -255,31 +253,20 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         _emit(args, "scenarios", text, payload)
         return EXIT_OK
 
-    modes = (
-        [DEFENSE_TOKENS[args.defense]] if args.defense else list(DefenseMode)
-    )
+    try:
+        expected = load_expected_matrix(golden_dir() / "matrix.json")
+    except GoldenFormatError as exc:
+        print(f"noncepipe: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    modes = [DEFENSE_TOKENS[args.defense]] if args.defense else list(DefenseMode)
     report = evaluate_matrix(args.seed, strategies_per_cell=args.strategies, modes=modes)
     _emit(args, "matrix", report.render_text(), report.to_json())
 
-    golden_path = golden_dir() / "matrix.json"
-    try:
-        golden = json.loads(golden_path.read_text(encoding="utf-8"))["cells"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"noncepipe: unreadable golden matrix {golden_path}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    mismatches = []
-    for defense, row in report.verdicts().items():
-        for adversary, verdict in row.items():
-            expected = golden.get(defense, {}).get(adversary)
-            if expected != verdict:
-                mismatches.append(
-                    f"{defense}/{adversary}: golden {expected}, computed {verdict}"
-                )
-    if mismatches:
-        for line in sorted(mismatches):
-            print(f"noncepipe: matrix mismatch: {line}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    ran = {mode.value for mode in modes}
+    mismatches = report.mismatches({d: row for d, row in expected.items() if d in ran})
+    for line in sorted(mismatches):
+        print(f"noncepipe: matrix mismatch: {line}", file=sys.stderr)
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def cmd_compat(args: argparse.Namespace) -> int:
@@ -320,18 +307,14 @@ def _replay_demo(seed: int, defense_on: bool) -> str:
     """A cloned authenticator reuses a stale counter; the server notices."""
     farm = ServerFarm(seed)
     profile = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
-    state = farm.add_site(profile, "unused-password", fido2_defense=defense_on)
+    farm.add_site(profile, "unused-password", fido2_defense=defense_on)
     session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, [], farm.serve, name="demo")
     page, _ = build_login_page(session, profile)
     session.fido2_register(page, profile.origin, "alice")
     clone = session.device.clone("cloned-device", substream(seed, "clone"))
     session.fido2_authenticate(page, profile.origin, "alice")
 
-    rp = state.rp
-    assert rp is not None
-    begin = rp.begin(AUTHENTICATION, "alice", 990_100)
-    header = begin.header("webauthn_request")
-    request_json = header if header is not None else begin.body.decode("utf-8")
+    request_json = _out_of_band_begin(farm, profile.origin, AUTHENTICATION, "alice")
     stale = clone.get_assertion(Fido2Request.from_json(request_json))
     return _out_of_band_finish(farm, profile.origin, stale.to_json())
 

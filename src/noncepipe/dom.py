@@ -23,6 +23,7 @@ from .http_model import (
     RequestBody,
     Url,
     WebRequestRecord,
+    channel_for,
 )
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "SetFormAction",
     "SubmitHook",
     "attach_script",
+    "build_request",
     "read_rendered_text",
     "script_mutate",
     "script_read_field",
@@ -361,10 +363,38 @@ def script_mutate(script: ScriptHandle, page: Page, mutation: Mutation) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _channel_for(page: Page, action: Url) -> ChannelSecurity:
-    if action.scheme == "http":
-        return ChannelSecurity.PLAIN_HTTP
-    return page.tls_overrides.get(action.origin, ChannelSecurity.GOOD_TLS)
+def build_request(
+    page: Optional[Page],
+    method: str,
+    action: Url,
+    entries: FormEntries,
+    request_id: int,
+    enctype: str = "urlencoded",
+) -> WebRequestRecord:
+    """The request a page sends (or, with no page, a client outside any
+    browser): GET entries join the query, POST entries form the body; the
+    channel comes from the action and the page's TLS."""
+    headers: list[tuple[str, str]] = [("Host", action.host)]
+    if method == "GET":
+        url = action.with_query(action.query + entries)
+        body = None
+    else:
+        url = action
+        if enctype == "multipart":
+            body = RequestBody.multipart(entries, request_id)
+        else:
+            body = RequestBody.urlencoded(entries)
+        headers.append(("Content-Type", body.content_type))
+
+    return WebRequestRecord(
+        request_id=request_id,
+        method=method,
+        url=url,
+        headers=tuple(headers),
+        body=body,
+        channel_security=channel_for(action, page.tls_overrides if page else {}),
+        source_page=page,
+    )
 
 
 def submit_form(page: Page, form_id: str, request_id: int = 0) -> WebRequestRecord:
@@ -377,25 +407,4 @@ def submit_form(page: Page, form_id: str, request_id: int = 0) -> WebRequestReco
     entries: FormEntries = tuple((f.name, f.value) for f in form.fields)
     for hook in form.submit_hooks:
         entries = hook.apply(entries, action=form.action)
-
-    headers: list[tuple[str, str]] = [("Host", form.action.host)]
-    if form.method == "GET":
-        url = form.action.with_query(form.action.query + entries)
-        body = None
-    else:
-        url = form.action
-        if form.enctype == "multipart":
-            body = RequestBody.multipart(entries, request_id)
-        else:
-            body = RequestBody.urlencoded(entries)
-        headers.append(("Content-Type", body.content_type))
-
-    return WebRequestRecord(
-        request_id=request_id,
-        method=form.method,
-        url=url,
-        headers=tuple(headers),
-        body=body,
-        channel_security=_channel_for(page, form.action),
-        source_page=page,
-    )
+    return build_request(page, form.method, form.action, entries, request_id, form.enctype)

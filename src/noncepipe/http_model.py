@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "ChannelSecurity",
@@ -23,11 +23,11 @@ __all__ = [
     "Url",
     "WebRequestRecord",
     "WebResponseRecord",
+    "channel_for",
     "decode_multipart",
     "decode_urlencoded",
     "encode_multipart",
     "multipart_boundary",
-    "origin_of",
     "sha256_hex",
     "urlencode_entries",
 ]
@@ -280,13 +280,6 @@ class Url:
         return self.to_string()
 
 
-def origin_of(url: Url | str) -> Origin:
-    """Origin (scheme, host, port) of a URL; string inputs are parsed first."""
-    if isinstance(url, str):
-        url = Url.parse(url)
-    return url.origin
-
-
 # ---------------------------------------------------------------------------
 # bodies and records
 # ---------------------------------------------------------------------------
@@ -340,6 +333,16 @@ class ChannelSecurity(Enum):
     PLAIN_HTTP = "plain_http"
     GOOD_TLS = "good_tls"
     BAD_TLS = "bad_tls"
+
+
+def channel_for(
+    url: Url, tls_overrides: Mapping[Origin, ChannelSecurity]
+) -> ChannelSecurity:
+    """Transport of a request to `url`: plain for http, else the page's TLS
+    override for the origin, else good TLS."""
+    if url.scheme == "http":
+        return ChannelSecurity.PLAIN_HTTP
+    return tls_overrides.get(url.origin, ChannelSecurity.GOOD_TLS)
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,6 +40,7 @@ from .pipeline import (
     StageView,
     SubstitutionRequest,
 )
+from .tsv import TsvFormatError, read_rows
 
 __all__ = [
     "CHECK_NAMES",
@@ -85,10 +86,8 @@ class PinConflict(ValueError):
     """An entry is already pinned to a different submit URL."""
 
 
-class VaultFormatError(ValueError):
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"vault line {line_number}: {message}")
-        self.line_number = line_number
+class VaultFormatError(TsvFormatError):
+    kind = "vault"
 
 
 @dataclass(eq=False, repr=False)
@@ -156,13 +155,7 @@ def load_vault(path: str | Path) -> list[VaultEntry]:
     Blank lines and lines starting with '#' are skipped.
     """
     entries: list[VaultEntry] = []
-    for number, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw_line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) not in (3, 4):
-            raise VaultFormatError(number, f"expected 3 or 4 tab-separated columns, got {len(columns)}")
+    for number, columns in read_rows(path, (3, 4), VaultFormatError):
         origin_text, username, password = columns[0], columns[1], columns[2]
         try:
             origin = Origin.parse(origin_text)

@@ -35,6 +35,7 @@ from .http_model import (
     Url,
     WebRequestRecord,
     WebResponseRecord,
+    channel_for,
     sha256_hex,
 )
 
@@ -110,13 +111,21 @@ class BodyView(Enum):
     ABSENT = "absent"
 
 
+# The request-side walk of each mode: the one place that says where the
+# credential stage sits. design5 and manifest_v3 put it after the last stage
+# whose listeners can read the body.
+REQUEST_WALK: dict[DefenseMode, tuple[Stage, ...]] = {
+    DefenseMode.BASELINE: REQUEST_STAGES,
+    DefenseMode.DESIGN3_DOM: REQUEST_STAGES,
+    DefenseMode.DESIGN4_API_EARLY: (Stage.ON_REQUEST_CREDENTIALS,) + REQUEST_STAGES,
+    DefenseMode.DESIGN5_API_LATE: REQUEST_STAGES + (Stage.ON_REQUEST_CREDENTIALS,),
+    DefenseMode.MANIFEST_V3: REQUEST_STAGES + (Stage.ON_REQUEST_CREDENTIALS,),
+}
+
+
 def stage_order(mode: DefenseMode) -> tuple[Stage, ...]:
     """Canonical stage order for a defense mode (credential stage moves)."""
-    if mode is DefenseMode.DESIGN4_API_EARLY:
-        return (Stage.ON_REQUEST_CREDENTIALS,) + REQUEST_STAGES + RESPONSE_STAGES
-    if mode in (DefenseMode.DESIGN5_API_LATE, DefenseMode.MANIFEST_V3):
-        return REQUEST_STAGES + (Stage.ON_REQUEST_CREDENTIALS,) + RESPONSE_STAGES
-    return REQUEST_STAGES + RESPONSE_STAGES
+    return REQUEST_WALK[mode] + RESPONSE_STAGES
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +378,6 @@ class PipelineConfig:
     nonce_registry: Optional[object] = None  # duck-typed .for_page(page_id)
 
 
-def _has_credential_stage(config: PipelineConfig) -> bool:
-    return config.credential_stage_enabled and config.defense_mode in (
-        DefenseMode.DESIGN4_API_EARLY,
-        DefenseMode.DESIGN5_API_LATE,
-        DefenseMode.MANIFEST_V3,
-    )
-
-
 # ---------------------------------------------------------------------------
 # views
 # ---------------------------------------------------------------------------
@@ -500,16 +501,11 @@ def _run_credential_phase(
 
 
 def _reissue(request: WebRequestRecord, url: Url, new_id: int) -> WebRequestRecord:
-    if url.scheme == "http":
-        channel = ChannelSecurity.PLAIN_HTTP
-    else:
-        overrides = getattr(request.source_page, "tls_overrides", None) or {}
-        channel = overrides.get(url.origin, ChannelSecurity.GOOD_TLS)
     return replace(
         request,
         request_id=new_id,
         url=url,
-        channel_security=channel,
+        channel_security=channel_for(url, getattr(request.source_page, "tls_overrides", {})),
         parent_request_id=request.request_id,
     )
 
@@ -530,6 +526,7 @@ def dispatch(
     see the new destination.
     """
     transcript = transcript if transcript is not None else StageTranscript()
+    walk = REQUEST_WALK[config.defense_mode] if config.credential_stage_enabled else REQUEST_STAGES
     hops = 0
     current = request
 
@@ -537,12 +534,12 @@ def dispatch(
         pre_substitution_body = current.body_bytes()
         redirected_to: Optional[Url] = None
 
-        if config.defense_mode is DefenseMode.DESIGN4_API_EARLY and _has_credential_stage(config):
-            current = _run_credential_phase(
-                current, listeners, config, transcript, pre_substitution_body
-            )
-
-        for stage in REQUEST_STAGES:
+        for stage in walk:
+            if stage is Stage.ON_REQUEST_CREDENTIALS:
+                current = _run_credential_phase(
+                    current, listeners, config, transcript, pre_substitution_body
+                )
+                continue
             for reg in listeners.at(stage):
                 view = _request_view(current, stage, pre_substitution_body, config)
                 transcript.record_delivery(view, reg.listener_id)
@@ -569,14 +566,6 @@ def dispatch(
             new_id = id_allocator() if id_allocator else current.request_id * 1000 + hops
             current = _reissue(current, redirected_to, new_id)
             continue
-
-        if (
-            config.defense_mode is not DefenseMode.DESIGN4_API_EARLY
-            and _has_credential_stage(config)
-        ):
-            current = _run_credential_phase(
-                current, listeners, config, transcript, pre_substitution_body
-            )
 
         if fido2_store is not None:
             injected = fido2_store.inject(current)

@@ -11,17 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .dom import Page, submit_form
+from .dom import Page, build_request, submit_form
 from .extensions import ExtensionHost, NonceRegistry
 from .fido2 import REGISTRATION, AUTHENTICATION, AuthenticatorDevice, BrowserWebAuthn, SecureStore
-from .http_model import (
-    ChannelSecurity,
-    Origin,
-    RequestBody,
-    Url,
-    WebRequestRecord,
-    WebResponseRecord,
-)
+from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
 from .manager import PasswordManager, VaultEntry
 from .pipeline import (
     Cancelled,
@@ -157,25 +150,8 @@ class BrowserSession:
         method: str = "GET",
         body_entries: Optional[Sequence[tuple[str, str]]] = None,
     ) -> FlowResult:
-        request_id = self._allocate_request_id()
-        body = None
-        headers: list[tuple[str, str]] = [("Host", url.host)]
-        if method == "POST":
-            body = RequestBody.urlencoded(tuple(body_entries or ()))
-            headers.append(("Content-Type", body.content_type))
-        channel = (
-            ChannelSecurity.PLAIN_HTTP
-            if url.scheme == "http"
-            else page.tls_overrides.get(url.origin, ChannelSecurity.GOOD_TLS)
-        )
-        request = WebRequestRecord(
-            request_id=request_id,
-            method=method,
-            url=url,
-            headers=tuple(headers),
-            body=body,
-            channel_security=channel,
-            source_page=page,
+        request = build_request(
+            page, method, url, tuple(body_entries or ()), self._allocate_request_id()
         )
         return self._run(request, page, f"{page.page_id}/fetch")
 

@@ -26,6 +26,7 @@ from .manager import VaultEntry
 from .pipeline import DefenseMode
 from .rng import substream
 from .session import BrowserSession
+from .tsv import TsvFormatError, parse_options, read_rows
 
 __all__ = [
     "CATEGORIES",
@@ -33,6 +34,7 @@ __all__ = [
     "CompatReport",
     "CorpusFormatError",
     "FIXTURE_COUNTS",
+    "LOGIN_CATEGORIES",
     "ServerFarm",
     "SiteProfile",
     "UnknownEndpoint",
@@ -54,6 +56,8 @@ CATEGORIES = (
     "reflecting",
     "fido2",
 )
+# the categories that serve a password login form
+LOGIN_CATEGORIES = tuple(c for c in CATEGORIES if c != "fido2")
 
 # fixture corpus proportions: 554 + 11 + 8 = 573 login flows
 FIXTURE_COUNTS = {"plain_post": 554, "hashes_password": 11, "transforms_password": 8}
@@ -69,10 +73,8 @@ class UnknownEndpoint(LookupError):
     """A request reached an origin nothing in the farm serves."""
 
 
-class CorpusFormatError(ValueError):
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"corpus line {line_number}: {message}")
-        self.line_number = line_number
+class CorpusFormatError(TsvFormatError):
+    kind = "corpus"
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,13 @@ def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:
 # ---------------------------------------------------------------------------
 
 
+def _submit_origin(profile: SiteProfile) -> Origin:
+    """Where the site's login form posts: http_submit sites use plain HTTP."""
+    if profile.category == "http_submit":
+        return Origin("http", profile.origin.host, 80)
+    return profile.origin
+
+
 def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Page, str]:
     """Create the site's login page inside a session; returns (page, form_id)."""
     page = session.new_page(
@@ -121,15 +130,10 @@ def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Pag
     if profile.category == "fido2":
         return page, ""
 
-    if profile.category == "http_submit":
-        action = Url("http", profile.origin.host, 80, "/login")
-    else:
-        action = Url(
-            profile.origin.scheme, profile.origin.host, profile.origin.port, "/login"
-        )
+    submit = _submit_origin(profile)
     form = Form(
         form_id="login",
-        action=action,
+        action=Url(submit.scheme, submit.host, submit.port, "/login"),
         method="GET" if profile.category == "get_submit" else "POST",
         fields=[
             Field("username", FieldKind.TEXT),
@@ -190,6 +194,7 @@ class ServerFarm:
                 defense_enabled=fido2_defense,
             )
         self._sites[str(profile.origin)] = state
+        self._sites[str(_submit_origin(profile))] = state
         return state
 
     def add_capture_origin(self, origin: Origin, sink: list[str]) -> None:
@@ -330,35 +335,24 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
 
     Line format: category <TAB> origin <TAB> options, where options is '-'
     or comma-separated key=value pairs. Blank lines and '#' comments skip.
+    `fido2` is not a corpus category: the survey compares password logins.
     """
     profiles: list[SiteProfile] = []
-    for number, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw_line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != 3:
-            raise CorpusFormatError(number, f"expected 3 tab-separated columns, got {len(columns)}")
-        category, origin_text, options_text = columns
-        if category not in CATEGORIES:
+    for number, (category, origin_text, options_text) in read_rows(
+        path, (3,), CorpusFormatError
+    ):
+        if category not in LOGIN_CATEGORIES:
             raise CorpusFormatError(number, f"unknown category {category!r}")
         try:
             origin = Origin.parse(origin_text)
         except ValueError as exc:
             raise CorpusFormatError(number, f"bad origin {origin_text!r}: {exc}") from exc
-        options: list[tuple[str, str]] = []
-        if options_text != "-":
-            for item in options_text.split(","):
-                key, sep, value = item.partition("=")
-                if not sep or not key:
-                    raise CorpusFormatError(number, f"bad option {item!r} (want key=value)")
-                options.append((key, value))
         profiles.append(
             SiteProfile(
                 site_id=f"line{number}-{origin.host}",
                 category=category,
                 origin=origin,
-                options=tuple(options),
+                options=parse_options(options_text, number, CorpusFormatError),
             )
         )
     return profiles

@@ -8,6 +8,7 @@ import pytest
 
 from noncepipe.adversaries import PASSWORD_ADVERSARIES
 from noncepipe.cli import (
+    DEFENSE_TOKENS,
     EXIT_DATA,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -101,6 +102,20 @@ def test_matrix_doctored_golden_exits_mismatch(tmp_path, monkeypatch, capsys):
     assert "baseline/dom_observer" in err
 
 
+def test_matrix_golden_missing_a_cell_is_data_error(tmp_path, monkeypatch, capsys):
+    golden = json.loads((REAL_GOLDEN / "matrix.json").read_text(encoding="utf-8"))
+    del golden["cells"]["manifest_v3"]["dom_exfiltrator"]
+    (tmp_path / "matrix.json").write_text(json.dumps(golden), encoding="utf-8")
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+
+    # the missing cell is outside the one defense run, and still a data error
+    rc = main(["matrix", "--seed", "9", "--defense", "baseline", "--strategies", "1"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "manifest_v3/dom_exfiltrator is missing" in err
+
+
 def test_matrix_unreadable_golden_is_data_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))  # no matrix.json inside
     rc = main(["matrix", "--seed", "9", "--defense", "baseline", "--strategies", "1"])
@@ -136,6 +151,16 @@ def test_compat_custom_corpus(tmp_path, capsys):
     data = json.loads((out / "compat.json").read_text(encoding="utf-8"))
     assert data["kind"] == "compat"
     assert data["included"] == 3
+
+
+def test_compat_http_submit_row_is_incompatible_under_design5(tmp_path, capsys):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("http_submit\ta.example\t-\n", encoding="utf-8")
+    rc = main(["compat", "--seed", "3", "--corpus", str(path), "--format", "json"])
+    assert rc == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    # baseline logs in over plain HTTP; design5's check 2 refuses the swap
+    assert data["counts"] == {"http_submit": {"incompatible": 1}}
 
 
 def test_compat_bad_corpus_line_is_data_error(tmp_path, capsys):
@@ -282,11 +307,18 @@ def test_parse_scenarios_skips_comments_and_blanks(tmp_path):
         ("one\tdom_observer\tultra\t-", "unknown defense"),
         ("one\tdom_observer\tbaseline\tnoequals", "bad option"),
         ("one\tdom_observer\tbaseline\tcategory=bogus", "unknown category"),
+        ("one\tdom_observer\tbaseline\tcategory=fido2", "unknown category"),
+        ("one\tdom_observer\tbaseline\tstrategy=abc", "strategy must be"),
+        ("one\tdom_observer\tbaseline\tstrategy=-1", "strategy must be"),
+        ("one\treflection\tdesign5\tvariant=zzz", "unknown variant"),
+        ("one\treflection\tdesign5\tpinning=maybe", "unknown pinning"),
+        ("one\tdom_observer\tbaseline\tpining=off", "unknown option"),
+        ("caf\udce9\tdom_observer\tbaseline\t-", "not valid UTF-8"),  # Latin-1 byte
     ],
 )
 def test_parse_scenarios_errors(tmp_path, line, fragment):
     path = tmp_path / "bad.tsv"
-    path.write_text("# header\n" + line + "\n", encoding="utf-8")
+    path.write_bytes(("# header\n" + line + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(ScenarioFormatError) as exc_info:
         parse_scenarios(path)
     assert exc_info.value.line_number == 2
@@ -299,6 +331,44 @@ def test_bad_scenario_file_via_cli(tmp_path, capsys):
     rc = main(["matrix", "--seed", "7", "--scenarios", str(path)])
     assert rc == EXIT_DATA
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("matrix", "one\tdom_observer\tbaseline\tstrategy=abc"),
+        ("matrix", "one\treflection\tdesign5\tvariant=zzz"),
+        ("matrix", "one\tdom_observer\tbaseline\tcategory=fido2"),
+        ("matrix", "one\tdom_observer\tbaseline\t\udcff"),
+        ("compat", "fido2\ta.example\t-"),
+        ("compat", "plain_post\ta.example\tpassword=\udcff"),
+    ],
+)
+def test_bad_input_line_exits_data_error_with_one_line(tmp_path, capsys, command, line):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(("# header\n" + line + "\n").encode("utf-8", "surrogateescape"))
+    flag = "--scenarios" if command == "matrix" else "--corpus"
+    assert main([command, "--seed", "7", flag, str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("noncepipe: ") and "line 2" in err
+    assert err.count("\n") == 1
+
+
+def test_http_submit_scenario_runs_in_every_defense_mode(tmp_path, capsys):
+    path = tmp_path / "scenarios.tsv"
+    path.write_text(
+        "".join(
+            f"{token}\twebrequest_exfiltrator\t{token}\tcategory=http_submit\n"
+            for token in DEFENSE_TOKENS
+        ),
+        encoding="utf-8",
+    )
+    rc = main(["matrix", "--seed", "7", "--scenarios", str(path), "--format", "json"])
+    assert rc == EXIT_OK
+    outcomes = json.loads(capsys.readouterr().out)["outcomes"]
+    leaked = {o["scenario"]: o["secret_leaked"] for o in outcomes}
+    # the password reaches a plain-HTTP wire only when nothing defends it
+    assert leaked == {token: token == "baseline" for token in DEFENSE_TOKENS}
 
 
 # ---------------------------------------------------------------------------

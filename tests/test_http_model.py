@@ -26,7 +26,6 @@ from noncepipe.http_model import (
     decode_urlencoded,
     encode_multipart,
     multipart_boundary,
-    origin_of,
     sha256_hex,
     urlencode_entries,
 )
@@ -221,13 +220,6 @@ def test_url_requires_absolute_path():
 def test_url_query_round_trip(entries):
     url = Url("https", "site.example", 443, "/q").with_query(entries)
     assert Url.parse(str(url)) == url
-
-
-def test_origin_of_accepts_strings_and_urls():
-    url = Url.parse("https://site.example/a/b?c=d")
-    expected = Origin("https", "site.example", 443)
-    assert origin_of(url) == expected
-    assert origin_of("https://site.example/a/b?c=d") == expected
 
 
 # ---------------------------------------------------------------------------

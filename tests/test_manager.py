@@ -106,11 +106,13 @@ def test_load_vault_happy_path(tmp_path):
         ("https://x.example\tonly-two", 3),
         ("ftp://x.example\tu\tp", 3),
         ("https://x.example\tu\t", 3),
+        ("https://x.example\tu\tp\udce9", 3),  # a Latin-1 byte, not UTF-8
     ],
 )
 def test_load_vault_errors_carry_line_numbers(tmp_path, line, expected_lineno):
     path = tmp_path / "vault.tsv"
-    path.write_text("# header\nhttps://ok.example\tu\tp\n" + line + "\n")
+    text = "# header\nhttps://ok.example\tu\tp\n" + line + "\n"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(VaultFormatError) as exc:
         load_vault(path)
     assert exc.value.line_number == expected_lineno

@@ -468,6 +468,54 @@ def test_substitution_happens_after_final_redirect_destination_is_known():
 
 
 # ---------------------------------------------------------------------------
+# dispatch walks the stage_order table
+# ---------------------------------------------------------------------------
+
+REQUEST_SIDE = BODY_VISIBLE_STAGES + (Stage.ON_REQUEST_CREDENTIALS,)
+
+
+@pytest.mark.parametrize(
+    "mode, stage_enabled",
+    [(mode, True) for mode in DefenseMode] + [(DefenseMode.DESIGN5_API_LATE, False)],
+)
+def test_dispatch_walks_the_request_part_of_stage_order(mode, stage_enabled):
+    regs = observing_registry(list(Stage), [])
+    config = PipelineConfig(defense_mode=mode, credential_stage_enabled=stage_enabled)
+    _, transcript = dispatch(post(), regs, config)
+    expected = [s.value for s in stage_order(mode) if s in REQUEST_SIDE]
+    if mode is DefenseMode.MANIFEST_V3 or not stage_enabled:
+        # the registry-driven stage and a compiled-out one deliver nothing
+        expected.remove(Stage.ON_REQUEST_CREDENTIALS.value)
+    assert [e.label for e in transcript.deliveries()] == expected  # request side only
+
+
+@pytest.mark.parametrize(
+    "mode, credential_ids",
+    [(DefenseMode.DESIGN4_API_EARLY, [7, 8]), (DefenseMode.DESIGN5_API_LATE, [8])],
+)
+def test_redirect_restarts_the_walk_at_each_hop(mode, credential_ids):
+    target = Url.parse("https://elsewhere.example/hop")  # no source page, no override
+    regs = observing_registry(REQUEST_SIDE, [])
+    regs.add(
+        listener(
+            Stage.ON_BEFORE_REQUEST,
+            lambda view: Redirect(target) if view.request_id == 7 else None,
+            blocking=True,
+            lid="r",
+        )
+    )
+    config = PipelineConfig(defense_mode=mode)
+    final, transcript = dispatch(post(), regs, config, id_allocator=lambda: 8)
+    reached = [
+        e.request_id
+        for e in transcript.deliveries()
+        if e.label == Stage.ON_REQUEST_CREDENTIALS.value
+    ]
+    assert reached == credential_ids
+    assert final.channel_security is ChannelSecurity.GOOD_TLS
+
+
+# ---------------------------------------------------------------------------
 # transcripts
 # ---------------------------------------------------------------------------
 

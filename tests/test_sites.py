@@ -326,11 +326,13 @@ def test_parse_corpus_happy_path(tmp_path):
         ("mystery\thttps://a.example\t-", 2),
         ("plain_post\tnot a url\t-", 2),
         ("plain_post\thttps://a.example\tnoequals", 2),
+        ("fido2\thttps://a.example\t-", 2),  # no password form to survey
+        ("plain_post\thttps://a.example\tpassword=\udcff", 2),  # not UTF-8
     ],
 )
 def test_parse_corpus_errors_carry_line_numbers(tmp_path, line, lineno):
     path = tmp_path / "corpus.tsv"
-    path.write_text("# header\n" + line + "\n")
+    path.write_bytes(("# header\n" + line + "\n").encode("utf-8", "surrogateescape"))
     with pytest.raises(CorpusFormatError) as exc:
         parse_corpus(path)
     assert exc.value.line_number == lineno
