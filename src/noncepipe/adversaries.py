@@ -707,21 +707,23 @@ class _Fido2Setup:
     page: object
     rp: RelyingParty
     origin: Origin
-    secrets: list[str]
 
 
-def _fido2_setup(defense_on: bool, seed: int, secrets: list[str]) -> _Fido2Setup:
+def _fido2_setup(
+    defense_on: bool, seed: int, name: str, secrets: Optional[list[str]] = None
+) -> _Fido2Setup:
+    """The rp.example FIDO2 site on a new farm, a design5 session called
+    `name`, and its login page. `secrets`, when given, becomes the witness
+    list of both the relying party and the session's authenticator."""
     profile = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
     farm = ServerFarm(seed)
     state = farm.add_site(profile, "unused-password", fido2_defense=defense_on)
     assert state.rp is not None
     state.rp.witness = secrets
-    session = BrowserSession(
-        seed, DefenseMode.DESIGN5_API_LATE, [], farm.serve, name="victim"
-    )
+    session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, [], farm.serve, name=name)
     session.device.witness = secrets
     page, _ = build_login_page(session, profile)
-    return _Fido2Setup(farm, session, page, state.rp, profile.origin, secrets)
+    return _Fido2Setup(farm, session, page, state.rp, profile.origin)
 
 
 def _grab_and_cancel(session: BrowserSession, captured: list[str]):
@@ -747,7 +749,7 @@ def _grab_and_cancel(session: BrowserSession, captured: list[str]):
 def _registration_hijack(
     adversary: str, defense_on: bool, seed: int, secrets: list[str], observations: list[str]
 ) -> tuple[bool, list[str]]:
-    setup = _fido2_setup(defense_on, seed, secrets)
+    setup = _fido2_setup(defense_on, seed, "victim", secrets)
     attacker_device = AuthenticatorDevice("attacker-device", substream(seed, "attacker-device"))
     notes: list[str] = []
 
@@ -791,7 +793,7 @@ def _registration_hijack(
 def _authentication_hijack(
     adversary: str, defense_on: bool, seed: int, secrets: list[str], observations: list[str]
 ) -> tuple[bool, list[str]]:
-    setup = _fido2_setup(defense_on, seed, secrets)
+    setup = _fido2_setup(defense_on, seed, "victim", secrets)
     notes: list[str] = []
 
     honest = setup.session.fido2_register(setup.page, setup.origin, "victim")

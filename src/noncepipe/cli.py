@@ -26,19 +26,14 @@ from .adversaries import (
     run_reflection_attack,
     run_scenario,
 )
-from .adversaries import _out_of_band_begin, _out_of_band_finish
+from .adversaries import _fido2_setup, _out_of_band_begin, _out_of_band_finish
 from .fido2 import AUTHENTICATION, Fido2Request
-from .http_model import Origin
 from .pipeline import DefenseMode
 from .rng import derive_seed, substream
-from .session import BrowserSession
 from .sites import (
     LOGIN_CATEGORIES,
     CorpusFormatError,
-    ServerFarm,
-    SiteProfile,
     build_fixture_corpus,
-    build_login_page,
     compat_evaluate,
     parse_corpus,
 )
@@ -288,15 +283,9 @@ def cmd_compat(args: argparse.Namespace) -> int:
 
 def _honest_fido2_flows(seed: int, defense_on: bool) -> dict[str, str]:
     """Register then authenticate with no attacker present."""
-    farm = ServerFarm(seed)
-    profile = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
-    farm.add_site(profile, "unused-password", fido2_defense=defense_on)
-    session = BrowserSession(
-        seed, DefenseMode.DESIGN5_API_LATE, [], farm.serve, name="demo"
-    )
-    page, _ = build_login_page(session, profile)
-    register = session.fido2_register(page, profile.origin, "alice")
-    authenticate = session.fido2_authenticate(page, profile.origin, "alice")
+    setup = _fido2_setup(defense_on, seed, "demo")
+    register = setup.session.fido2_register(setup.page, setup.origin, "alice")
+    authenticate = setup.session.fido2_authenticate(setup.page, setup.origin, "alice")
     return {
         "register": register.verdict or "cancelled",
         "authenticate": authenticate.verdict or "cancelled",
@@ -305,18 +294,14 @@ def _honest_fido2_flows(seed: int, defense_on: bool) -> dict[str, str]:
 
 def _replay_demo(seed: int, defense_on: bool) -> str:
     """A cloned authenticator reuses a stale counter; the server notices."""
-    farm = ServerFarm(seed)
-    profile = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
-    farm.add_site(profile, "unused-password", fido2_defense=defense_on)
-    session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, [], farm.serve, name="demo")
-    page, _ = build_login_page(session, profile)
-    session.fido2_register(page, profile.origin, "alice")
-    clone = session.device.clone("cloned-device", substream(seed, "clone"))
-    session.fido2_authenticate(page, profile.origin, "alice")
+    setup = _fido2_setup(defense_on, seed, "demo")
+    setup.session.fido2_register(setup.page, setup.origin, "alice")
+    clone = setup.session.device.clone("cloned-device", substream(seed, "clone"))
+    setup.session.fido2_authenticate(setup.page, setup.origin, "alice")
 
-    request_json = _out_of_band_begin(farm, profile.origin, AUTHENTICATION, "alice")
+    request_json = _out_of_band_begin(setup.farm, setup.origin, AUTHENTICATION, "alice")
     stale = clone.get_assertion(Fido2Request.from_json(request_json))
-    return _out_of_band_finish(farm, profile.origin, stale.to_json())
+    return _out_of_band_finish(setup.farm, setup.origin, stale.to_json())
 
 
 def cmd_fido2_demo(args: argparse.Namespace) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .dom import Page, Provenance, ScriptHandle, attach_script
 from .pipeline import (

@@ -9,6 +9,7 @@ password managers, or the pipeline.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -27,6 +28,7 @@ __all__ = [
     "decode_multipart",
     "decode_urlencoded",
     "encode_multipart",
+    "header_value",
     "multipart_boundary",
     "sha256_hex",
     "urlencode_entries",
@@ -49,6 +51,15 @@ class InvalidUrl(ValueError):
     """A URL string violates the simulator's structural constraints."""
 
 
+def header_value(headers: Iterable[tuple[str, str]], name: str) -> Optional[str]:
+    """The value of the first header called `name`, in any case, or None."""
+    wanted = name.lower()
+    for key, value in headers:
+        if key.lower() == wanted:
+            return value
+    return None
+
+
 def sha256_hex(data: bytes | str) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -63,40 +74,49 @@ def sha256_hex(data: bytes | str) -> str:
 # escaped here, unlike urllib.parse.quote_plus.
 # ---------------------------------------------------------------------------
 
-_FORM_SAFE = frozenset(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789*-._"
-)
-_HEX_DIGITS = "0123456789abcdefABCDEF"
+_FORM_SAFE = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789*-._"
+_ALL_SAFE = re.compile(f"[{re.escape(_FORM_SAFE.decode('ascii'))}]*")
+
+
+def _quote_table(plus_for_space: bool) -> tuple[str, ...]:
+    """What each UTF-8 byte encodes as: itself if safe, else %XX."""
+    table = [f"%{byte:02X}" for byte in range(256)]
+    for byte in _FORM_SAFE:
+        table[byte] = chr(byte)
+    if plus_for_space:
+        table[0x20] = "+"
+    return tuple(table)
+
+
+_QUOTE = {True: _quote_table(True), False: _quote_table(False)}
+# every two-hex-digit escape body, in any mix of case, to its byte
+_UNHEX = {
+    f"{hi}{lo}": int(hi + lo, 16)
+    for hi in "0123456789abcdefABCDEF"
+    for lo in "0123456789abcdefABCDEF"
+}
 
 
 def _quote_form(text: str, *, plus_for_space: bool) -> str:
-    out: list[str] = []
-    for byte in text.encode("utf-8"):
-        if byte in _FORM_SAFE:
-            out.append(chr(byte))
-        elif byte == 0x20 and plus_for_space:
-            out.append("+")
-        else:
-            out.append(f"%{byte:02X}")
-    return "".join(out)
+    if _ALL_SAFE.fullmatch(text):  # most names and values: skips the byte walk
+        return text
+    table = _QUOTE[plus_for_space]
+    return "".join([table[byte] for byte in text.encode("utf-8")])
 
 
 def _unquote_form(text: str, *, plus_for_space: bool) -> str:
-    raw = bytearray()
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "%":
-            if i + 3 > len(text) or text[i + 1] not in _HEX_DIGITS or text[i + 2] not in _HEX_DIGITS:
-                raise MalformedBody(f"truncated or invalid percent escape at offset {i}")
-            raw.append(int(text[i + 1 : i + 3], 16))
-            i += 3
-        elif ch == "+" and plus_for_space:
-            raw.append(0x20)
-            i += 1
-        else:
-            raw.extend(ch.encode("utf-8"))
-            i += 1
+    if plus_for_space:
+        text = text.replace("+", " ")
+    head, *escaped = text.split("%")
+    raw = bytearray(head.encode("utf-8"))
+    offset = len(head)  # of the '%' that starts the next chunk
+    for chunk in escaped:
+        byte = _UNHEX.get(chunk[:2])
+        if byte is None:
+            raise MalformedBody(f"truncated or invalid percent escape at offset {offset}")
+        raw.append(byte)
+        raw += chunk[2:].encode("utf-8")
+        offset += 1 + len(chunk)
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -208,7 +228,7 @@ class Origin:
     def __post_init__(self) -> None:
         if self.scheme not in DEFAULT_PORTS:
             raise InvalidUrl(f"unsupported scheme {self.scheme!r}")
-        if not self.host or any(c.isspace() for c in self.host):
+        if self.host.split() != [self.host]:  # empty or holds whitespace
             raise InvalidUrl(f"bad host {self.host!r}")
         if not 1 <= self.port <= 65535:
             raise InvalidUrl(f"port out of range: {self.port}")
@@ -234,17 +254,16 @@ class Url:
     port: int
     path: str = "/"
     query: FormEntries = ()
+    # derived from scheme/host/port, which equality and hashing already cover
+    origin: Origin = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        Origin(self.scheme, self.host, self.port)  # reuse validation
-        object.__setattr__(self, "host", self.host.lower())
+        origin = Origin(self.scheme, self.host, self.port)  # validates them
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "host", origin.host)
         if not self.path.startswith("/"):
             raise InvalidUrl(f"path must be absolute, got {self.path!r}")
         object.__setattr__(self, "query", tuple((str(n), str(v)) for n, v in self.query))
-
-    @property
-    def origin(self) -> Origin:
-        return Origin(self.scheme, self.host, self.port)
 
     @classmethod
     def parse(cls, text: str) -> "Url":
@@ -371,11 +390,7 @@ class WebRequestRecord:
         object.__setattr__(self, "headers", tuple((str(n), str(v)) for n, v in self.headers))
 
     def header(self, name: str) -> Optional[str]:
-        wanted = name.lower()
-        for key, value in self.headers:
-            if key.lower() == wanted:
-                return value
-        return None
+        return header_value(self.headers, name)
 
     def body_bytes(self) -> Optional[bytes]:
         return self.body.raw if self.body is not None else None
@@ -394,11 +409,7 @@ class WebResponseRecord:
         object.__setattr__(self, "headers", tuple((str(n), str(v)) for n, v in self.headers))
 
     def header(self, name: str) -> Optional[str]:
-        wanted = name.lower()
-        for key, value in self.headers:
-            if key.lower() == wanted:
-                return value
-        return None
+        return header_value(self.headers, name)
 
     def without_headers(self, names: Iterable[str]) -> "WebResponseRecord":
         drop = {n.lower() for n in names}

@@ -17,7 +17,7 @@ Check 5  every field holding the nonce bears the autofilled field's name
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Optional, Sequence

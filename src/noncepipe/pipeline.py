@@ -24,9 +24,9 @@ is either stripped (implementation behavior) or a pre-substitution snapshot
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .http_model import (
     ChannelSecurity,
@@ -36,6 +36,7 @@ from .http_model import (
     WebRequestRecord,
     WebResponseRecord,
     channel_for,
+    header_value,
     sha256_hex,
 )
 
@@ -212,11 +213,7 @@ class StageView:
     status: Optional[int] = None
 
     def header(self, name: str) -> Optional[str]:
-        wanted = name.lower()
-        for key, value in self.headers:
-            if key.lower() == wanted:
-                return value
-        return None
+        return header_value(self.headers, name)
 
     def visible_strings(self) -> tuple[str, ...]:
         """Everything a listener could copy out of this view, as strings."""
@@ -274,22 +271,21 @@ class ListenerRegistration:
 
 
 class ListenerRegistry:
-    """Listeners in registration order (registration order settles conflicts)."""
+    """Listeners by stage, each stage in registration order (registration
+    order settles conflicts)."""
 
     def __init__(self) -> None:
-        self._listeners: list[ListenerRegistration] = []
+        self._by_stage: dict[Stage, tuple[ListenerRegistration, ...]] = {}
 
     def add(self, registration: ListenerRegistration) -> None:
-        self._listeners.append(registration)
+        stage = registration.stage
+        self._by_stage[stage] = self._by_stage.get(stage, ()) + (registration,)
 
     def at(self, stage: Stage) -> tuple[ListenerRegistration, ...]:
-        return tuple(reg for reg in self._listeners if reg.stage is stage)
-
-    def __iter__(self):
-        return iter(self._listeners)
+        return self._by_stage.get(stage, ())
 
     def __len__(self) -> int:
-        return len(self._listeners)
+        return sum(map(len, self._by_stage.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ forms; reports say so explicitly.
 from __future__ import annotations
 
 import base64
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -330,12 +329,22 @@ def build_fixture_corpus() -> list[SiteProfile]:
     return profiles
 
 
+# corpus option key -> its allowed values, or None when any value goes
+# (password: the site's password; reflect: 'all' or names joined by '+')
+CORPUS_OPTIONS: dict[str, Optional[tuple[str, ...]]] = {
+    "password": None,
+    "bad_tls": ("0", "1"),
+    "reflect": None,
+}
+
+
 def parse_corpus(path: str | Path) -> list[SiteProfile]:
     """Parse a tab-separated corpus file.
 
     Line format: category <TAB> origin <TAB> options, where options is '-'
-    or comma-separated key=value pairs. Blank lines and '#' comments skip.
-    `fido2` is not a corpus category: the survey compares password logins.
+    or comma-separated key=value pairs with keys from CORPUS_OPTIONS.
+    Blank lines and '#' comments skip. `fido2` is not a corpus category:
+    the survey compares password logins.
     """
     profiles: list[SiteProfile] = []
     for number, (category, origin_text, options_text) in read_rows(
@@ -347,12 +356,19 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
             origin = Origin.parse(origin_text)
         except ValueError as exc:
             raise CorpusFormatError(number, f"bad origin {origin_text!r}: {exc}") from exc
+        options = parse_options(options_text, number, CorpusFormatError)
+        for key, value in options:
+            if key not in CORPUS_OPTIONS:
+                raise CorpusFormatError(number, f"unknown option {key!r}")
+            allowed = CORPUS_OPTIONS[key]
+            if allowed is not None and value not in allowed:
+                raise CorpusFormatError(number, f"unknown {key} {value!r}")
         profiles.append(
             SiteProfile(
                 site_id=f"line{number}-{origin.host}",
                 category=category,
                 origin=origin,
-                options=parse_options(options_text, number, CorpusFormatError),
+                options=options,
             )
         )
     return profiles

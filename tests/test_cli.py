@@ -342,6 +342,7 @@ def test_bad_scenario_file_via_cli(tmp_path, capsys):
         ("matrix", "one\tdom_observer\tbaseline\t\udcff"),
         ("compat", "fido2\ta.example\t-"),
         ("compat", "plain_post\ta.example\tpassword=\udcff"),
+        ("compat", "plain_post\thttps://a.example\tbad_tls=yes,colour=red"),
     ],
 )
 def test_bad_input_line_exits_data_error_with_one_line(tmp_path, capsys, command, line):

@@ -6,6 +6,7 @@ this codec escapes it, quote_plus does not), plus frozen byte vectors.
 """
 
 import hashlib
+from dataclasses import replace
 from urllib.parse import quote_plus, urlencode
 
 import pytest
@@ -22,6 +23,8 @@ from noncepipe.http_model import (
     Url,
     WebRequestRecord,
     WebResponseRecord,
+    _quote_form,
+    _unquote_form,
     decode_multipart,
     decode_urlencoded,
     encode_multipart,
@@ -97,6 +100,96 @@ def test_decode_urlencoded_non_ascii_bytes():
 
 def test_decode_urlencoded_accepts_ascii_bytes():
     assert decode_urlencoded(b"a=b+c") == (("a", "b c"),)
+
+
+# ---------------------------------------------------------------------------
+# the table-driven codec against the per-byte reference loops
+# ---------------------------------------------------------------------------
+
+_REFERENCE_SAFE = frozenset(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789*-._"
+)
+_REFERENCE_HEX = "0123456789abcdefABCDEF"
+
+
+def reference_quote_form(text: str, *, plus_for_space: bool) -> str:
+    out: list[str] = []
+    for byte in text.encode("utf-8"):
+        if byte in _REFERENCE_SAFE:
+            out.append(chr(byte))
+        elif byte == 0x20 and plus_for_space:
+            out.append("+")
+        else:
+            out.append(f"%{byte:02X}")
+    return "".join(out)
+
+
+def reference_unquote_form(text: str, *, plus_for_space: bool) -> str:
+    raw = bytearray()
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "%":
+            if (
+                i + 3 > len(text)
+                or text[i + 1] not in _REFERENCE_HEX
+                or text[i + 2] not in _REFERENCE_HEX
+            ):
+                raise MalformedBody(f"truncated or invalid percent escape at offset {i}")
+            raw.append(int(text[i + 1 : i + 3], 16))
+            i += 3
+        elif ch == "+" and plus_for_space:
+            raw.append(0x20)
+            i += 1
+        else:
+            raw.extend(ch.encode("utf-8"))
+            i += 1
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedBody(f"percent-decoded bytes are not valid UTF-8: {exc}") from exc
+
+
+def _outcome(codec, text: str, plus_for_space: bool) -> tuple[str, str]:
+    try:
+        return "ok", codec(text, plus_for_space=plus_for_space)
+    except MalformedBody as exc:
+        return "MalformedBody", str(exc)
+
+
+# Lone surrogates are left out: both codecs raise UnicodeEncodeError on them,
+# but the position in its message differs (see the test after these).
+_CODEC_PIECES = st.one_of(
+    st.sampled_from(
+        ["~", " ", "+", "%", "%2", "%G1", "%g1", "%ZZ", "%%", "%+1", "%41", "%7e",
+         "%7E", "%20", "%2B", "%C3%A9", "%C3", "%FF", "%E2%82", "%F0%9F%98%80",
+         "é", "€", "😀", "\x00", "\x1f", "\x7f", "\n", "\r", "\t", "&", "="]
+    ),
+    st.characters(blacklist_categories=("Cs",)),
+)
+codec_text = st.lists(_CODEC_PIECES, max_size=24).map("".join)
+
+
+@given(codec_text, st.booleans())
+def test_quote_form_matches_reference(text, plus_for_space):
+    assert _quote_form(text, plus_for_space=plus_for_space) == reference_quote_form(
+        text, plus_for_space=plus_for_space
+    )
+
+
+@given(codec_text, st.booleans())
+def test_unquote_form_matches_reference(text, plus_for_space):
+    assert _outcome(_unquote_form, text, plus_for_space) == _outcome(
+        reference_unquote_form, text, plus_for_space
+    )
+
+
+@pytest.mark.parametrize("text", ["\ud800", "ab\udfff", "%41\ud83d", "+\udc80%20"])
+@pytest.mark.parametrize("plus_for_space", [True, False])
+def test_codec_lone_surrogate_raises_like_reference(text, plus_for_space):
+    for codec in (_quote_form, reference_quote_form, _unquote_form, reference_unquote_form):
+        with pytest.raises(UnicodeEncodeError):
+            codec(text, plus_for_space=plus_for_space)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +270,8 @@ def test_origin_parse_bare_host_defaults_https():
         ("ftp", "x.example", 21),
         ("https", "", 443),
         ("https", "ho st", 443),
+        ("https", " x.example", 443),
+        ("https", "x.example\u2003", 443),
         ("https", "x.example", 0),
         ("https", "x.example", 70000),
     ],
@@ -214,6 +309,35 @@ def test_url_parse_rejects(text):
 def test_url_requires_absolute_path():
     with pytest.raises(InvalidUrl):
         Url("https", "x.example", 443, path="relative")
+
+
+def _origin_matches(url: Url) -> bool:
+    return url.origin == Origin(url.scheme, url.host, url.port) and url.origin.host == url.host
+
+
+def test_url_origin_follows_every_construction():
+    url = Url("https", "Bank.Example", 8443, "/login")
+    assert _origin_matches(url)
+    assert url.origin == Origin("https", "bank.example", 8443)
+    parsed = Url.parse("http://Site.Example:81/a?b=c")
+    assert _origin_matches(parsed)
+    assert parsed.origin == Origin("http", "site.example", 81)
+    moved = replace(url, scheme="http", host="Other.Example", port=80)
+    assert _origin_matches(moved)
+    assert moved.origin == Origin("http", "other.example", 80)
+    queried = parsed.with_query([("x", "1")])
+    assert _origin_matches(queried)
+    assert queried.origin == parsed.origin
+
+
+def test_url_origin_is_not_in_repr_eq_or_hash():
+    url = Url("https", "bank.example", 443, "/login", (("a", "b"),))
+    assert "origin" not in repr(url)
+    twin = Url.parse("https://bank.example/login?a=b")
+    # a different origin on one of two equal URLs changes neither == nor hash
+    object.__setattr__(twin, "origin", Origin("http", "elsewhere.example", 8080))
+    assert url == twin
+    assert hash(url) == hash(twin)
 
 
 @given(st.lists(st.tuples(form_text, form_text), max_size=5))

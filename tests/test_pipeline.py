@@ -90,6 +90,17 @@ def test_stage_values_are_camel_case():
     ]
 
 
+def test_registry_at_keeps_registration_order_across_interleaved_stages():
+    stages = [Stage.ON_BEFORE_REQUEST, Stage.ON_COMPLETED, Stage.ON_REQUEST_CREDENTIALS]
+    regs = [listener(stages[i % 3], lid=f"l{i}") for i in range(9)]
+    reg = registry(*regs)
+    for stage in Stage:
+        assert reg.at(stage) == tuple(r for r in regs if r.stage is stage)
+    assert [r.listener_id for r in reg.at(Stage.ON_COMPLETED)] == ["l1", "l4", "l7"]
+    assert reg.at(Stage.ON_SEND_HEADERS) == ()
+    assert len(reg) == 9
+
+
 def test_blocking_and_body_visible_stage_sets():
     assert BLOCKING_STAGES == (Stage.ON_BEFORE_REQUEST, Stage.ON_BEFORE_SEND_HEADERS)
     assert BODY_VISIBLE_STAGES == (

@@ -309,13 +309,13 @@ def test_parse_corpus_happy_path(tmp_path):
         "# comment\n"
         "\n"
         "plain_post\thttps://a.example\t-\n"
-        "reflecting\thttps://b.example\treflect=username+password,pinning=1\n"
+        "reflecting\thttps://b.example\treflect=username+password,bad_tls=1\n"
     )
     profiles = parse_corpus(path)
     assert len(profiles) == 2
     assert profiles[0].category == "plain_post"
     assert profiles[0].options == ()
-    assert profiles[1].options == (("reflect", "username+password"), ("pinning", "1"))
+    assert profiles[1].options == (("reflect", "username+password"), ("bad_tls", "1"))
     assert profiles[1].site_id == "line4-b.example"
 
 
@@ -328,6 +328,10 @@ def test_parse_corpus_happy_path(tmp_path):
         ("plain_post\thttps://a.example\tnoequals", 2),
         ("fido2\thttps://a.example\t-", 2),  # no password form to survey
         ("plain_post\thttps://a.example\tpassword=\udcff", 2),  # not UTF-8
+        ("plain_post\thttps://a.example\tbad_tls=yes,colour=red", 2),
+        ("plain_post\thttps://a.example\tcolour=red", 2),  # unknown key
+        ("plain_post\thttps://a.example\tbad_tls=2", 2),  # bad_tls is 0 or 1
+        ("reflecting\thttps://a.example\tpinning=1", 2),  # a scenario key
     ],
 )
 def test_parse_corpus_errors_carry_line_numbers(tmp_path, line, lineno):
