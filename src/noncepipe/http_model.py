@@ -310,7 +310,9 @@ class RequestBody:
 
     `raw` is always derivable from `entries` and `content_type`; the pair is
     kept together so substitution can edit entries and re-encode without
-    drifting from what a byte-level observer would have seen.
+    drifting from what a byte-level observer would have seen. A body built
+    directly is checked by encoding its entries again; the factories below
+    encode once and have nothing to check.
     """
 
     content_type: str
@@ -323,19 +325,26 @@ class RequestBody:
             raise MalformedBody("raw bytes do not match the encoded entry list")
 
     @classmethod
-    def urlencoded(cls, entries: Sequence[tuple[str, str]]) -> "RequestBody":
+    def _encoded(cls, content_type: str, entries: Sequence[tuple[str, str]]) -> "RequestBody":
+        """The body of `entries`, with `raw` encoded here and so not re-checked."""
         entries = tuple(entries)
-        return cls(URLENCODED, entries, urlencode_entries(entries).encode("ascii"))
+        raw = _encode_for(content_type, entries)
+        body = object.__new__(cls)
+        object.__setattr__(body, "content_type", content_type)
+        object.__setattr__(body, "entries", tuple((str(n), str(v)) for n, v in entries))
+        object.__setattr__(body, "raw", raw)
+        return body
+
+    @classmethod
+    def urlencoded(cls, entries: Sequence[tuple[str, str]]) -> "RequestBody":
+        return cls._encoded(URLENCODED, entries)
 
     @classmethod
     def multipart(cls, entries: Sequence[tuple[str, str]], request_id: int) -> "RequestBody":
-        entries = tuple(entries)
-        content_type = MULTIPART_PREFIX + multipart_boundary(request_id)
-        return cls(content_type, entries, _encode_for(content_type, entries))
+        return cls._encoded(MULTIPART_PREFIX + multipart_boundary(request_id), entries)
 
     def with_entries(self, entries: Sequence[tuple[str, str]]) -> "RequestBody":
-        entries = tuple(entries)
-        return RequestBody(self.content_type, entries, _encode_for(self.content_type, entries))
+        return self._encoded(self.content_type, entries)
 
 
 def _encode_for(content_type: str, entries: FormEntries) -> bytes:

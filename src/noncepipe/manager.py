@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .dom import FieldKind, Form, HookKind, Page, SubmitHook
 from .extensions import ExtensionHost, ExtensionManifest, NonceRegistry, Permission
@@ -134,9 +134,12 @@ class PendingReplacement:
     decision: SafetyDecision
 
 
-def generate_nonce(rng: Random, used: Sequence[str] | frozenset[str] = frozenset()) -> str:
-    """Draw a 16-char [A-Za-z0-9] nonce by rejection sampling, avoiding `used`."""
-    taken = set(used)
+def generate_nonce(rng: Random, used: Container[str] = frozenset()) -> str:
+    """Draw a 16-char [A-Za-z0-9] nonce by rejection sampling, avoiding `used`.
+
+    `used` is only tested for membership, so a caller can pass its own
+    mapping or set without copying it.
+    """
     while True:
         chars: list[str] = []
         while len(chars) < NONCE_LENGTH:
@@ -144,7 +147,7 @@ def generate_nonce(rng: Random, used: Sequence[str] | frozenset[str] = frozenset
             if v < len(NONCE_ALPHABET):
                 chars.append(NONCE_ALPHABET[v])
         nonce = "".join(chars)
-        if nonce not in taken:
+        if nonce not in used:
             return nonce
 
 
@@ -205,6 +208,9 @@ class PasswordManager:
         self.decisions: list[tuple[int, SafetyDecision]] = []
         self._records: dict[str, NonceRecord] = {}
         self._pending: dict[int, PendingReplacement] = {}
+        # the last view decoded and its body entries: a callback and the
+        # safety check it runs read the same view, which is decoded once
+        self._decoded: tuple[Optional[StageView], FormEntries] = (None, ())
 
     # -- vault ------------------------------------------------------------
 
@@ -256,7 +262,7 @@ class PasswordManager:
             page.audit.append(f"manager autofilled {form_id}.{password_field.name} (baseline)")
             return None
 
-        nonce = generate_nonce(self.rng, frozenset(self._records))
+        nonce = generate_nonce(self.rng, self._records)
         password_field.value = nonce
         record = NonceRecord(
             nonce=nonce,
@@ -323,6 +329,14 @@ class PasswordManager:
     # -- request inspection --------------------------------------------------
 
     def _body_entries(self, view: StageView) -> FormEntries:
+        seen, entries = self._decoded
+        if seen is not view:  # views are frozen, so identity means same body
+            entries = self._decode_body(view)
+            self._decoded = (view, entries)
+        return entries
+
+    @staticmethod
+    def _decode_body(view: StageView) -> FormEntries:
         if view.body is None:
             return ()
         content_type = view.header("Content-Type") or ""

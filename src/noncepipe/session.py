@@ -83,7 +83,7 @@ class BrowserSession:
         self.secure_store = SecureStore(substream(seed, name, "browser.dummies"))
         self.device = AuthenticatorDevice("user-device", substream(seed, name, "device"))
         self.transcripts: list[tuple[str, StageTranscript]] = []
-        self._pages: dict[str, Page] = {}
+        self._page_count = 0  # pages are not kept: ids only need the count
         self._next_request_id = 0
 
     # -- pages -------------------------------------------------------------
@@ -96,12 +96,12 @@ class BrowserSession:
         is_iframe: bool = False,
         bad_tls: bool = False,
     ) -> Page:
-        page_id = page_id or f"page-{len(self._pages) + 1}"
+        self._page_count += 1
+        page_id = page_id or f"page-{self._page_count}"
         page = Page(page_id=page_id, origin=origin, is_iframe=is_iframe)
         if bad_tls:
             page.tls_overrides[origin] = ChannelSecurity.BAD_TLS
         page.webauthn = BrowserWebAuthn(page_id, self.secure_store, self.device)
-        self._pages[page_id] = page
         return page
 
     def autofill(self, page: Page, form_id: str):

@@ -23,6 +23,7 @@ from noncepipe.http_model import (
     Url,
     WebRequestRecord,
     WebResponseRecord,
+    _encode_for,
     _quote_form,
     _unquote_form,
     decode_multipart,
@@ -379,6 +380,23 @@ def test_request_body_with_entries_reencodes():
 def test_request_body_raw_always_consistent(entries):
     body = RequestBody.urlencoded(entries)
     assert decode_urlencoded(body.raw) == tuple(entries)
+
+
+@given(entry_lists, entry_lists, st.integers(0, 10**6))
+def test_request_body_factories_equal_a_checked_body(entries, swapped, request_id):
+    """The factories encode once and skip the re-encoding check; what they
+    build must equal `_encode_for` output and the directly built, checked body."""
+    boundary_type = MULTIPART_PREFIX + multipart_boundary(request_id)
+    for content_type, body in (
+        (URLENCODED, RequestBody.urlencoded(entries)),
+        (boundary_type, RequestBody.multipart(entries, request_id)),
+    ):
+        assert body.raw == _encode_for(content_type, tuple(entries))
+        assert body == RequestBody(content_type, entries, body.raw)
+        edited = body.with_entries(swapped)
+        assert edited.raw == _encode_for(content_type, tuple(swapped))
+        assert edited == RequestBody(content_type, swapped, edited.raw)
+        assert type(edited.entries) is tuple and type(body.entries) is tuple
 
 
 # ---------------------------------------------------------------------------

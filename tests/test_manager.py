@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from noncepipe import manager as manager_module
 from noncepipe.dom import Field, FieldKind, Form, HookKind, Page, submit_form
 from noncepipe.extensions import ExtensionHost, NonceRegistry
 from noncepipe.http_model import (
@@ -76,6 +77,26 @@ def test_generate_nonce_stream_unique():
     rng = Random(1)
     seen = {generate_nonce(rng) for _ in range(200)}
     assert len(seen) == 200
+
+
+class MembershipOnly:
+    """A `used` that can only answer `in`: generate_nonce must not copy it."""
+
+    def __init__(self, values):
+        self._values = dict.fromkeys(values)
+
+    def __contains__(self, value):
+        return value in self._values
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=3))
+def test_generate_nonce_tests_membership_without_copying(seed, burned):
+    # burn the first few nonces the stream would draw, so some draws are rejected
+    stream = Random(seed)
+    first = [generate_nonce(stream) for _ in range(burned)]
+    expected = generate_nonce(Random(seed), frozenset(first))
+    assert generate_nonce(Random(seed), MembershipOnly(first)) == expected
+    assert generate_nonce(Random(seed), dict.fromkeys(first)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +408,32 @@ def test_checks_run_in_order_first_failure_wins():
     assert decision.reason == 2
 
 
+def counted_decodes(monkeypatch):
+    calls = []
+    decode = manager_module.decode_urlencoded
+
+    def counting(body):
+        calls.append(body)
+        return decode(body)
+
+    monkeypatch.setattr(manager_module, "decode_urlencoded", counting)
+    return calls
+
+
+def test_safety_check_decodes_each_view_once(monkeypatch):
+    decodes = counted_decodes(monkeypatch)
+    manager = make_manager()
+    view = view_for()
+    assert manager.safety_check(make_record(), view).approved is True
+    assert manager.safety_check(make_record(), view).approved is True
+    assert len(decodes) == 1
+    # a different view is decoded afresh, never answered from the last one
+    renamed = view_for(entries=(("username", "alice"), ("creds", NONCE)))
+    assert manager.safety_check(make_record(), renamed).reason == 5
+    assert manager.safety_check(make_record(), view).approved is True
+    assert len(decodes) == 3
+
+
 def test_refusal_requires_check_number():
     with pytest.raises(ValueError):
         SafetyDecision(approved=False, reason=None)
@@ -419,6 +466,18 @@ def test_dispatch_substitutes_real_password(mode):
     assert record.nonce not in final.body.raw.decode()
     assert manager.decisions[-1][1].approved is True
     assert any(e.label == "substitution" for e in transcript.events)
+
+
+@pytest.mark.parametrize(
+    "mode", [DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE]
+)
+def test_one_login_decodes_its_body_once(monkeypatch, mode):
+    decodes = counted_decodes(monkeypatch)
+    manager, host, record, request = wired(mode)
+    dispatch(request, host.registry, PipelineConfig(defense_mode=mode))
+    # the callback that associates the nonce decodes; its safety check reuses that
+    assert len(decodes) == 1
+    assert len(manager.decisions) == 1 and manager.decisions[0][1].approved
 
 
 def test_dispatch_refusal_leaves_nonce_on_wire():

@@ -1,5 +1,6 @@
 """Browser session: end-to-end flows over a fake server, both auth channels."""
 
+import weakref
 from random import Random
 
 import pytest
@@ -172,6 +173,18 @@ def test_new_page_ids_and_webauthn_surface():
     assert first.page_id == "page-1"
     assert second.page_id == "named"
     assert first.webauthn is not None
+
+
+def test_session_keeps_no_page_its_caller_dropped():
+    session = make_session(mode=DefenseMode.BASELINE)
+    page = session.new_page(ORIGIN)
+    add_login_form(page)
+    session.autofill(page, "login")
+    assert session.submit(page, "login").verdict == "ok"
+    dropped = weakref.ref(page)
+    del page
+    assert dropped() is None  # freed at once: nothing in the session refers to it
+    assert session.new_page(ORIGIN).page_id == "page-2"
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from noncepipe.http_model import (
     sha256_hex,
 )
 from noncepipe.manager import VaultEntry
+from noncepipe import rng
 from noncepipe.pipeline import DefenseMode
 from noncepipe.session import BrowserSession
 from noncepipe.sites import (
@@ -412,3 +413,31 @@ def test_compat_plain_sample_from_fixture_corpus():
     report = compat_evaluate(sample, seed=11)
     assert all(r.classification == "compatible" for r in report.records)
     assert report.plain_differential_ok() is True
+
+
+@pytest.mark.parametrize(
+    "mode,extra_streams",
+    [
+        (DefenseMode.BASELINE, []),  # the manager fills the password itself
+        (DefenseMode.DESIGN5_API_LATE, [(11, "login", "manager")]),  # it draws a nonce
+    ],
+)
+def test_password_login_seeds_only_the_streams_it_draws(monkeypatch, mode, extra_streams):
+    seeded = []
+    derive_seed = rng.derive_seed
+
+    def recording(master_seed, *names):
+        seeded.append((master_seed, *names))
+        return derive_seed(master_seed, *names)
+
+    monkeypatch.setattr(rng, "derive_seed", recording)
+    site = profile()
+    entry = site_vault_entry(site, seed=11)
+    farm = ServerFarm(seed=11)
+    farm.add_site(site, entry.password)
+    session = BrowserSession(11, mode, [entry], farm.serve, name="login")
+    page, form_id = build_login_page(session, site)
+    session.autofill(page, form_id)
+    assert session.submit(page, form_id).verdict == "auth_ok"
+    # never drawn from: the FIDO2 dummies, the authenticator (and the manager in baseline)
+    assert seeded == [(11, "vault", "s1")] + extra_streams
