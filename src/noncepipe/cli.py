@@ -114,14 +114,16 @@ def _emit(
     args: argparse.Namespace, stem: str, text: str, payload: dict
 ) -> None:
     rendered_json = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.format == "json":
-        sys.stdout.write(rendered_json)
-    else:
-        sys.stdout.write(text)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / f"{stem}.txt").write_text(text, encoding="utf-8")
-        (args.out / f"{stem}.json").write_text(rendered_json, encoding="utf-8")
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            (args.out / f"{stem}.txt").write_text(text, encoding="utf-8")
+            (args.out / f"{stem}.json").write_text(rendered_json, encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(
+                f"cannot write report to {args.out}: {exc.strerror or exc}"
+            ) from exc
+    sys.stdout.write(rendered_json if args.format == "json" else text)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +239,8 @@ def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dic
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
+    if args.strategies < 1:
+        raise _UsageError(f"argument --strategies: must be at least 1, got {args.strategies}")
     if args.scenarios is not None:
         try:
             rows = parse_scenarios(args.scenarios)
@@ -362,17 +366,17 @@ def cmd_fido2_demo(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"noncepipe: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     handler = {
         "matrix": cmd_matrix,
         "compat": cmd_compat,
         "fido2-demo": cmd_fido2_demo,
-    }[args.command]
-    return handler(args)
+    }
+    try:
+        args = parser.parse_args(argv)
+        return handler[args.command](args)
+    except _UsageError as exc:  # from argparse, or a command that checks its own usage
+        print(f"noncepipe: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_main() -> None:

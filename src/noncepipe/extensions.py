@@ -18,6 +18,7 @@ from .pipeline import (
     ListenerRegistration,
     ListenerRegistry,
     Stage,
+    StageView,
     SubstitutionRequest,
 )
 
@@ -112,19 +113,25 @@ def can_inject(
 class Extension:
     """Installed extension: manifest plus isolated runtime state.
 
-    `observations` is filled by the pipeline with everything this
-    extension's listeners were shown; scripts it injected log their own
-    reads. Leak analysis later scans both.
+    The pipeline appends every view this extension's listeners were shown
+    to `views`; scripts it injected log their own reads. Leak analysis
+    later scans both.
     """
 
     manifest: ExtensionManifest
     store: dict[str, object] = field(default_factory=dict)
-    observations: list[str] = field(default_factory=list)
+    views: list[StageView] = field(default_factory=list)
     scripts: list[ScriptHandle] = field(default_factory=list)
 
     @property
     def extension_id(self) -> str:
         return self.manifest.extension_id
+
+    @property
+    def observations(self) -> list[str]:
+        """Everything the listeners could copy out of their views, in
+        delivery order; built when read, not as views arrive."""
+        return [text for view in self.views for text in view.visible_strings()]
 
 
 class ExtensionHost:
@@ -205,7 +212,7 @@ class ExtensionHost:
             stage=stage,
             blocking=blocking,
             callback=callback,
-            sink=ext.observations,
+            sink=ext.views,
         )
         self.registry.add(registration)
         return registration

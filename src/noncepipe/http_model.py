@@ -256,6 +256,8 @@ class Url:
     query: FormEntries = ()
     # derived from scheme/host/port, which equality and hashing already cover
     origin: Origin = field(init=False, repr=False, compare=False)
+    # to_string(), built on first use
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         origin = Origin(self.scheme, self.host, self.port)  # validates them
@@ -287,10 +289,14 @@ class Url:
         return cls(scheme=scheme, host=host, port=port, path=path or "/", query=query)
 
     def to_string(self) -> str:
-        base = f"{str(self.origin)}{self.path}"
-        if self.query:
-            return f"{base}?{urlencode_entries(self.query)}"
-        return base
+        try:
+            return self._text
+        except AttributeError:  # first use
+            text = f"{self.origin}{self.path}"
+            if self.query:
+                text = f"{text}?{urlencode_entries(self.query)}"
+            object.__setattr__(self, "_text", text)
+            return text
 
     def with_query(self, entries: Sequence[tuple[str, str]]) -> "Url":
         return replace(self, query=tuple(entries))
@@ -312,12 +318,15 @@ class RequestBody:
     kept together so substitution can edit entries and re-encode without
     drifting from what a byte-level observer would have seen. A body built
     directly is checked by encoding its entries again; the factories below
-    encode once and have nothing to check.
+    encode once and have nothing to check. So `entries` is always what
+    decoding `raw` gives, and readers may take either.
     """
 
     content_type: str
     entries: FormEntries
     raw: bytes
+    # digest(), hashed on first use: one hash per body, however many readers
+    _digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple((str(n), str(v)) for n, v in self.entries))
@@ -345,6 +354,15 @@ class RequestBody:
 
     def with_entries(self, entries: Sequence[tuple[str, str]]) -> "RequestBody":
         return self._encoded(self.content_type, entries)
+
+    def digest(self) -> str:
+        """sha256 hex of `raw`, as transcripts and server logs record it."""
+        try:
+            return self._digest
+        except AttributeError:  # first use
+            digest = sha256_hex(self.raw)
+            object.__setattr__(self, "_digest", digest)
+            return digest
 
 
 def _encode_for(content_type: str, entries: FormEntries) -> bytes:

@@ -208,8 +208,8 @@ class PasswordManager:
         self.decisions: list[tuple[int, SafetyDecision]] = []
         self._records: dict[str, NonceRecord] = {}
         self._pending: dict[int, PendingReplacement] = {}
-        # the last view decoded and its body entries: a callback and the
-        # safety check it runs read the same view, which is decoded once
+        # the last hand-built view decoded and its body entries: a callback
+        # and the safety check it runs read the same view, decoded once
         self._decoded: tuple[Optional[StageView], FormEntries] = (None, ())
 
     # -- vault ------------------------------------------------------------
@@ -329,6 +329,8 @@ class PasswordManager:
     # -- request inspection --------------------------------------------------
 
     def _body_entries(self, view: StageView) -> FormEntries:
+        if view.form is not None:  # the pipeline's view: entries come with it
+            return view.form.entries
         seen, entries = self._decoded
         if seen is not view:  # views are frozen, so identity means same body
             entries = self._decode_body(view)

@@ -16,7 +16,8 @@ it sits, and what a listener there may see, depends on the defense mode:
 * manifest_v3     - substitution happens at the design5 point but is driven
                     by a browser-held nonce registry; no callback fires.
 
-Listener views are immutable snapshots. The request body is visible (always
+Listener views are immutable snapshots, one per stage of a hop, shared by
+every listener at that stage. The request body is visible (always
 pre-substitution) only at the first three stages; at the credential stage it
 is either stripped (implementation behavior) or a pre-substitution snapshot
 (design behavior); response-side stages never expose a request body.
@@ -24,7 +25,7 @@ is either stripped (implementation behavior) or a pre-substitution snapshot
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
@@ -32,6 +33,7 @@ from .http_model import (
     ChannelSecurity,
     FormEntries,
     Origin,
+    RequestBody,
     Url,
     WebRequestRecord,
     WebResponseRecord,
@@ -199,7 +201,11 @@ def apply_substitutions(
 
 @dataclass(frozen=True, slots=True)
 class StageView:
-    """Read-only snapshot handed to one listener at one stage."""
+    """Read-only snapshot handed to every listener at one stage.
+
+    `form` is the RequestBody whose bytes `body` holds, when the pipeline
+    built the view, so readers get its entries and digest as they are.
+    """
 
     request_id: int
     stage: Stage
@@ -211,9 +217,16 @@ class StageView:
     body: Optional[bytes]
     channel: Optional[ChannelSecurity] = None
     status: Optional[int] = None
+    form: Optional[RequestBody] = field(default=None, repr=False, compare=False)
 
     def header(self, name: str) -> Optional[str]:
         return header_value(self.headers, name)
+
+    def body_digest(self) -> str:
+        """The transcript digest of the body: sha256 hex, or "-" for none."""
+        if self.form is not None:
+            return self.form.digest()
+        return sha256_hex(self.body) if self.body is not None else "-"
 
     def visible_strings(self) -> tuple[str, ...]:
         """Everything a listener could copy out of this view, as strings."""
@@ -258,7 +271,7 @@ class ListenerRegistration:
     """One listener of one extension at one stage.
 
     `sink` is the owning extension's observation log; the pipeline itself
-    appends everything the listener was shown, so leak analysis never has
+    appends every view the listener was shown, so leak analysis never has
     to trust listener code to self-report.
     """
 
@@ -267,7 +280,7 @@ class ListenerRegistration:
     stage: Stage
     blocking: bool
     callback: ListenerCallback
-    sink: Optional[list[str]] = None
+    sink: Optional[list[StageView]] = None
 
 
 class ListenerRegistry:
@@ -301,7 +314,7 @@ EVENT_CANCEL = "cancel"
 EVENT_REDIRECT = "redirect"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEvent:
     """One transcript line; listener deliveries also keep their view."""
 
@@ -323,14 +336,13 @@ class StageTranscript:
         self.events: list[TranscriptEvent] = []
 
     def record_delivery(self, view: StageView, listener_id: str) -> None:
-        digest = sha256_hex(view.body) if view.body is not None else "-"
         self.events.append(
             TranscriptEvent(
                 request_id=view.request_id,
                 label=view.stage.value,
                 listener_id=listener_id,
                 body_view=view.body_view.value,
-                digest=digest,
+                digest=view.body_digest(),
                 view=view,
             )
         )
@@ -382,23 +394,23 @@ class PipelineConfig:
 def _request_view(
     request: WebRequestRecord,
     stage: Stage,
-    pre_substitution_body: Optional[bytes],
+    pre_substitution_body: Optional[RequestBody],
     config: PipelineConfig,
 ) -> StageView:
     if stage in BODY_VISIBLE_STAGES:
-        body = request.body_bytes()
-        body_view = BodyView.FULL_PRE_SUBSTITUTION if body is not None else BodyView.ABSENT
+        form = request.body
+        body_view = BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT
     elif stage is Stage.ON_REQUEST_CREDENTIALS:
         if (
             config.defense_mode is DefenseMode.DESIGN4_API_EARLY
             or config.credential_body is CredentialBodyMode.DESIGN
         ):
-            body = pre_substitution_body
+            form = pre_substitution_body
             body_view = (
-                BodyView.FULL_PRE_SUBSTITUTION if body is not None else BodyView.ABSENT
+                BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT
             )
         else:
-            body = None
+            form = None
             body_view = BodyView.STRIPPED
     else:
         raise AssertionError(f"{stage} is not a request-side stage")
@@ -410,8 +422,9 @@ def _request_view(
         query=request.url.query,
         headers=request.headers,
         body_view=body_view,
-        body=body,
+        body=form.raw if form is not None else None,
         channel=request.channel_security,
+        form=form,
     )
 
 
@@ -431,9 +444,14 @@ def _response_view(
     )
 
 
-def _observe(reg: ListenerRegistration, view: StageView) -> None:
+def _deliver(
+    reg: ListenerRegistration, view: StageView, transcript: StageTranscript
+) -> ListenerResult:
+    """Hand a view to one listener: transcript line, sink, then the callback."""
+    transcript.record_delivery(view, reg.listener_id)
     if reg.sink is not None:
-        reg.sink.extend(view.visible_strings())
+        reg.sink.append(view)
+    return reg.callback(view)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +464,7 @@ def _collect_substitutions(
     listeners: ListenerRegistry,
     config: PipelineConfig,
     transcript: StageTranscript,
-    pre_substitution_body: Optional[bytes],
+    pre_substitution_body: Optional[RequestBody],
 ) -> list[SubstitutionRequest]:
     """Run the credential stage: callbacks for API modes, registry otherwise."""
     collected: list[SubstitutionRequest] = []
@@ -456,11 +474,12 @@ def _collect_substitutions(
             page_id = getattr(request.source_page, "page_id", None)
             collected.extend(registry.for_page(page_id))
         return collected
-    for reg in listeners.at(Stage.ON_REQUEST_CREDENTIALS):
-        view = _request_view(request, Stage.ON_REQUEST_CREDENTIALS, pre_substitution_body, config)
-        transcript.record_delivery(view, reg.listener_id)
-        _observe(reg, view)
-        result = reg.callback(view)
+    regs = listeners.at(Stage.ON_REQUEST_CREDENTIALS)
+    if not regs:
+        return collected
+    view = _request_view(request, Stage.ON_REQUEST_CREDENTIALS, pre_substitution_body, config)
+    for reg in regs:
+        result = _deliver(reg, view, transcript)
         if result is None:
             continue
         if isinstance(result, SubstitutionRequest):
@@ -477,7 +496,7 @@ def _run_credential_phase(
     listeners: ListenerRegistry,
     config: PipelineConfig,
     transcript: StageTranscript,
-    pre_substitution_body: Optional[bytes],
+    pre_substitution_body: Optional[RequestBody],
 ) -> WebRequestRecord:
     subs = _collect_substitutions(request, listeners, config, transcript, pre_substitution_body)
     if not subs:
@@ -527,7 +546,7 @@ def dispatch(
     current = request
 
     while True:
-        pre_substitution_body = current.body_bytes()
+        pre_substitution_body = current.body
         redirected_to: Optional[Url] = None
 
         for stage in walk:
@@ -536,11 +555,12 @@ def dispatch(
                     current, listeners, config, transcript, pre_substitution_body
                 )
                 continue
-            for reg in listeners.at(stage):
-                view = _request_view(current, stage, pre_substitution_body, config)
-                transcript.record_delivery(view, reg.listener_id)
-                _observe(reg, view)
-                result = reg.callback(view)
+            regs = listeners.at(stage)
+            if not regs:
+                continue
+            view = _request_view(current, stage, pre_substitution_body, config)
+            for reg in regs:
+                result = _deliver(reg, view, transcript)
                 if not reg.blocking:
                     continue
                 if isinstance(result, Cancel):
@@ -590,9 +610,10 @@ def process_response(
         if stripped:
             transcript.record_event(response.request_id, EVENT_FIDO2_STRIP)
     for stage in RESPONSE_STAGES:
-        for reg in listeners.at(stage):
-            view = _response_view(response.request_id, request_url, stage, response)
-            transcript.record_delivery(view, reg.listener_id)
-            _observe(reg, view)
-            reg.callback(view)
+        regs = listeners.at(stage)
+        if not regs:
+            continue
+        view = _response_view(response.request_id, request_url, stage, response)
+        for reg in regs:
+            _deliver(reg, view, transcript)
     return response, transcript

@@ -235,9 +235,7 @@ class ServerFarm:
         profile = state.profile
         path = request.url.path
         entries = self._request_entries(request)
-        body_digest = (
-            sha256_hex(request.body.raw) if request.body is not None else "-"
-        )
+        body_digest = request.body.digest() if request.body is not None else "-"
 
         if path == "/reflect" and profile.category == "reflecting":
             reflect = profile.option("reflect", "all")
@@ -295,7 +293,7 @@ class ServerFarm:
         if path == "/webauthn/finish" and request.method == "POST":
             result = rp.finish(request)
             verdict = "accepted" if result.accepted else f"rejected:{result.reason}"
-            digest = sha256_hex(request.body.raw) if request.body is not None else "-"
+            digest = request.body.digest() if request.body is not None else "-"
             state.received.append((digest, verdict))
             body = verdict.encode("ascii")
             return WebResponseRecord(request.request_id, 200 if result.accepted else 403, body=body), verdict

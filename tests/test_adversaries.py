@@ -1,6 +1,7 @@
 """Adversaries: leak detection, per-cell attack behavior, both matrices."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -47,6 +48,31 @@ def test_find_leaks_negative():
 
 def test_find_leaks_skips_empty_secret():
     assert find_leaks([""], ["anything"]) == ((), False)
+
+
+# sha256 of the JSON list of strings each attacker's leak scan read, frozen
+# when extension sinks still held strings: keeping views and building the
+# strings on read must give the same list, in the same order
+FROZEN_OBSERVATIONS = {
+    DefenseMode.BASELINE: "5419a8e104a5759480b8b90f20062bd928fa4950a163952ad7d17996423080af",
+    DefenseMode.DESIGN4_API_EARLY: "ad81a81491128494938eeb2b1cbc812d114eba426eb747a9db42cf9c1fe4a3cb",
+    DefenseMode.DESIGN5_API_LATE: "21362aa44929092f7263cf769110567f621677770b91c94b41fbeb30cf2256bd",
+}
+
+
+@pytest.mark.parametrize("mode", list(FROZEN_OBSERVATIONS), ids=lambda m: m.value)
+def test_attacker_observations_match_frozen_digest(mode, monkeypatch):
+    scanned: list[list[str]] = []
+
+    def scan(secrets, observations):
+        scanned.append(list(observations))
+        return find_leaks(secrets, observations)
+
+    monkeypatch.setattr("noncepipe.adversaries.find_leaks", scan)
+    run_scenario(AttackScenario("obs", "webrequest_exfiltrator", mode, seed=7))
+    (observations,) = scanned
+    digest = hashlib.sha256(json.dumps(observations).encode()).hexdigest()
+    assert digest == FROZEN_OBSERVATIONS[mode]
 
 
 def test_find_leaks_digests_sorted_and_deduplicated():

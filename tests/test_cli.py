@@ -52,6 +52,40 @@ def test_usage_errors(argv, capsys):
     assert capsys.readouterr().err.startswith("noncepipe:")
 
 
+@pytest.mark.parametrize("strategies", ["0", "-3"])
+def test_matrix_non_positive_strategies_is_usage_error(strategies, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the matrix ran")
+
+    monkeypatch.setattr("noncepipe.cli.evaluate_matrix", never)
+    assert main(["matrix", "--seed", "7", "--strategies", strategies]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("noncepipe: argument --strategies: must be at least 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--seed", "7", "--defense", "design5", "--strategies", "1"],
+        ["compat", "--seed", "7", "--corpus", None],
+        ["fido2-demo", "--seed", "7"],
+    ],
+    ids=["matrix", "compat", "fido2-demo"],
+)
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "reports"
+    argv = [str(small_corpus(tmp_path)) if arg is None else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no report is printed that was not also written
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"noncepipe: cannot write report to {out}: ")
+
+
 # ---------------------------------------------------------------------------
 # matrix command
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_listener_sink_is_extension_observation_log():
     host = ExtensionHost()
     ext = host.install(manifest(Permission.WEB_REQUEST))
     reg = host.register_listener("ext", Stage.ON_SEND_HEADERS, lambda v: None)
-    assert reg.sink is ext.observations
+    assert reg.sink is ext.views
     assert reg.blocking is False
     assert reg.extension_id == "ext"
 

@@ -399,6 +399,44 @@ def test_request_body_factories_equal_a_checked_body(entries, swapped, request_i
         assert type(edited.entries) is tuple and type(body.entries) is tuple
 
 
+# names and values from the characters each codec escapes, frames or splits on
+tricky_text = st.text(alphabet=st.sampled_from("=&%+~ \r\n\"a\u00e9\u20ac\U0001f600"), max_size=6)
+tricky_entries = st.lists(st.tuples(tricky_text, tricky_text), max_size=6)
+
+
+@given(tricky_entries, tricky_entries, st.integers(0, 10**6))
+def test_request_body_raw_decodes_to_its_entries(entries, swapped, request_id):
+    """Readers take `entries` instead of decoding `raw`; that is exact only
+    because decoding `raw` gives `entries` back, for every way a body is built."""
+    urlencoded = RequestBody.urlencoded(entries)
+    multipart = RequestBody.multipart(entries, request_id)
+    boundary = multipart_boundary(request_id)
+    for body in (urlencoded, urlencoded.with_entries(swapped)):
+        assert decode_urlencoded(body.raw) == body.entries
+    for body in (multipart, multipart.with_entries(swapped)):
+        assert decode_multipart(body.raw, boundary) == body.entries
+
+
+def test_request_body_digest_is_kept_and_not_in_repr_eq_or_hash():
+    body = RequestBody.urlencoded((("pw", "a b"),))
+    twin = RequestBody(URLENCODED, (("pw", "a b"),), b"pw=a+b")
+    assert body.digest() == sha256_hex(b"pw=a+b")
+    assert body.digest() is body.digest()  # hashed once, then kept
+    assert "digest" not in repr(body)
+    assert body == twin and hash(body) == hash(twin)  # twin has hashed nothing
+    assert body.with_entries((("pw", "x"),)).digest() == sha256_hex(b"pw=x")
+
+
+def test_url_to_string_is_kept_and_not_in_repr_eq_or_hash():
+    url = Url.parse("https://Bank.Example:8443/login?a=b+c")
+    twin = Url("https", "bank.example", 8443, "/login", (("a", "b c"),))
+    assert url.to_string() == "https://bank.example:8443/login?a=b+c"
+    assert url.to_string() is url.to_string()
+    assert "_text" not in repr(url)
+    assert url == twin and hash(url) == hash(twin)
+    assert str(url.with_query([("x", "1")])) == "https://bank.example:8443/login?x=1"
+
+
 # ---------------------------------------------------------------------------
 # request/response records
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from noncepipe.pipeline import (
     BodyView,
     Cancelled,
     DefenseMode,
+    ListenerRegistration,
+    ListenerRegistry,
     PipelineConfig,
     Stage,
     StageView,
@@ -409,14 +411,15 @@ def test_checks_run_in_order_first_failure_wins():
 
 
 def counted_decodes(monkeypatch):
+    """Count the manager's calls of either body decoder."""
     calls = []
-    decode = manager_module.decode_urlencoded
+    for name in ("decode_urlencoded", "decode_multipart"):
 
-    def counting(body):
-        calls.append(body)
-        return decode(body)
+        def counting(body, *rest, _decode=getattr(manager_module, name)):
+            calls.append(body)
+            return _decode(body, *rest)
 
-    monkeypatch.setattr(manager_module, "decode_urlencoded", counting)
+        monkeypatch.setattr(manager_module, name, counting)
     return calls
 
 
@@ -432,6 +435,67 @@ def test_safety_check_decodes_each_view_once(monkeypatch):
     assert manager.safety_check(make_record(), renamed).reason == 5
     assert manager.safety_check(make_record(), view).approved is True
     assert len(decodes) == 3
+
+
+def _multipart(page):
+    page.form("login").enctype = "multipart"
+
+
+def _bad_tls(page):
+    page.tls_overrides[ORIGIN] = ChannelSecurity.BAD_TLS
+
+
+def _get_submit(page):
+    page.form("login").method = "GET"
+
+
+def _rename_password(page):
+    page.form("login").field_named("password").name = "creds"
+
+
+@pytest.mark.parametrize(
+    "page_kwargs, mutate, reason",
+    [
+        ({}, None, None),
+        ({}, _multipart, None),
+        ({"is_iframe": True}, None, 1),
+        ({}, _bad_tls, 2),
+        ({"action": Url.parse("https://evil.example/steal")}, None, 3),
+        ({}, _get_submit, 4),
+        ({}, _rename_password, 5),
+    ],
+    ids=["clear", "clear_multipart", "iframe", "channel", "destination", "get", "field"],
+)
+def test_pipeline_view_and_hand_built_view_decide_alike(page_kwargs, mutate, reason):
+    manager = make_manager()
+    page = login_page(**page_kwargs)
+    record = manager.autofill(page, "login", DefenseMode.DESIGN5_API_LATE)
+    if mutate is not None:
+        mutate(page)
+    request = submit_form(page, "login", request_id=1)
+    seen = []
+    listeners = ListenerRegistry()
+    listeners.add(ListenerRegistration("l", "ext", Stage.ON_BEFORE_REQUEST, False, seen.append))
+    dispatch(request, listeners, PipelineConfig(defense_mode=DefenseMode.BASELINE))
+    (view,) = seen
+    hand = StageView(
+        request_id=view.request_id,
+        stage=view.stage,
+        method=view.method,
+        url=view.url,
+        query=view.query,
+        headers=view.headers,
+        body_view=view.body_view,
+        body=view.body,
+        channel=view.channel,
+    )
+    assert (view.form is None) == (request.body is None) and hand.form is None
+    entries = manager._body_entries(view)
+    assert entries == manager._body_entries(hand)
+    assert entries == (request.body.entries if request.body is not None else ())
+    decision = manager.safety_check(record, view)
+    assert decision == manager.safety_check(record, hand)
+    assert (decision.approved, decision.reason) == (reason is None, reason)
 
 
 def test_refusal_requires_check_number():
@@ -471,12 +535,12 @@ def test_dispatch_substitutes_real_password(mode):
 @pytest.mark.parametrize(
     "mode", [DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE]
 )
-def test_one_login_decodes_its_body_once(monkeypatch, mode):
+def test_one_login_decodes_no_body(monkeypatch, mode):
     decodes = counted_decodes(monkeypatch)
     manager, host, record, request = wired(mode)
     dispatch(request, host.registry, PipelineConfig(defense_mode=mode))
-    # the callback that associates the nonce decodes; its safety check reuses that
-    assert len(decodes) == 1
+    # the pipeline's views carry their body's entries, so nothing is decoded
+    assert decodes == []
     assert len(manager.decisions) == 1 and manager.decisions[0][1].approved
 
 

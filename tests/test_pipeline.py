@@ -35,6 +35,7 @@ from noncepipe.pipeline import (
     RedirectLoop,
     Stage,
     StageTranscript,
+    StageView,
     SubstitutionRequest,
     apply_substitutions,
     dispatch,
@@ -229,7 +230,7 @@ def observing_registry(stages, sink):
 
 
 def test_request_stages_see_full_pre_substitution_body():
-    sink: list[str] = []
+    sink: list[StageView] = []
     regs = observing_registry(BODY_VISIBLE_STAGES, sink)
     regs.add(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="manager"))
     final, transcript = dispatch(post(), regs, design5_config())
@@ -239,7 +240,7 @@ def test_request_stages_see_full_pre_substitution_body():
             assert event.view.body_view is BodyView.FULL_PRE_SUBSTITUTION
             assert event.view.body == b"user=alice&pw=" + NONCE.encode()
     # the secret never reached any extension-visible string
-    assert all(SECRET not in s for s in sink)
+    assert all(SECRET not in s for view in sink for s in view.visible_strings())
 
 
 def test_credential_stage_body_stripped_in_implementation_mode():
@@ -284,14 +285,14 @@ def test_design4_runs_credential_stage_before_validation_stages():
 
 
 def test_design5_views_never_contain_replacement():
-    sink: list[str] = []
+    sink: list[StageView] = []
     regs = observing_registry(BODY_VISIBLE_STAGES, sink)
     regs.add(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="manager", sink=sink))
     final, transcript = dispatch(post(), regs, design5_config())
     assert final.body.entries[1] == ("pw", SECRET)
     for event in transcript.deliveries():
         assert all(SECRET not in s for s in event.view.visible_strings())
-    assert all(SECRET not in s for s in sink)
+    assert all(SECRET not in s for view in sink for s in view.visible_strings())
 
 
 def test_credential_stage_skipped_when_disabled():
@@ -532,7 +533,7 @@ def test_redirect_restarts_the_walk_at_each_hop(mode, credential_ids):
 
 
 def test_transcript_line_format():
-    sink: list[str] = []
+    sink: list[StageView] = []
     regs = registry(listener(Stage.ON_BEFORE_REQUEST, lid="obs.obr", sink=sink))
     _, transcript = dispatch(post(), regs, design5_config())
     line = transcript.events[0].to_line()
@@ -540,6 +541,38 @@ def test_transcript_line_format():
     assert line == (
         f"7 onBeforeRequest obs.obr full_pre_substitution {hashlib.sha256(body).hexdigest()}"
     )
+
+
+def test_every_listener_at_a_stage_gets_the_same_view():
+    seen: list[StageView] = []
+    sink: list[StageView] = []
+
+    def watch(view):
+        seen.append(view)
+        return sub() if view.stage is Stage.ON_REQUEST_CREDENTIALS else None
+
+    regs = registry(
+        *(
+            listener(stage, watch, lid=f"{stage.value}.{i}", sink=sink)
+            for stage in Stage
+            for i in range(3)
+        )
+    )
+    config = design5_config(credential_body=CredentialBodyMode.DESIGN)
+    request = post()
+    final, transcript = dispatch(request, regs, config)
+    process_response(WebResponseRecord(7, 200), regs, request_url=final.url, transcript=transcript)
+    assert final.body.entries[1] == ("pw", SECRET)
+    assert [view.stage for view in seen[::3]] == list(stage_order(config.defense_mode))
+    for first in range(0, len(seen), 3):
+        assert seen[first] is seen[first + 1] is seen[first + 2]
+    assert len({id(view) for view in seen}) == len(Stage)  # one view per stage
+    deliveries = [event.view for event in transcript.deliveries()]
+    assert len(deliveries) == len(sink) == len(seen)
+    assert all(a is b is c for a, b, c in zip(deliveries, sink, seen))
+    # the request-side views carry the pre-substitution body they show
+    for view in seen[:12]:
+        assert view.form is request.body and view.body == request.body.raw
 
 
 def test_transcript_text_never_contains_body_bytes():
@@ -551,7 +584,7 @@ def test_transcript_text_never_contains_body_bytes():
 
 def test_golden_transcript_frozen():
     """End-to-end transcript for a fixed flow must match the frozen bytes."""
-    sink: list[str] = []
+    sink: list[StageView] = []
     regs = registry(
         listener(Stage.ON_BEFORE_REQUEST, lid="obs.obr", sink=sink),
         listener(Stage.ON_SEND_HEADERS, lid="obs.osh", sink=sink),

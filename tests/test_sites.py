@@ -5,7 +5,9 @@ import hashlib
 
 import pytest
 
+from noncepipe import http_model, pipeline, sites
 from noncepipe.dom import FieldKind, HookKind
+from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.http_model import (
     Origin,
     RequestBody,
@@ -15,7 +17,7 @@ from noncepipe.http_model import (
 )
 from noncepipe.manager import VaultEntry
 from noncepipe import rng
-from noncepipe.pipeline import DefenseMode
+from noncepipe.pipeline import DefenseMode, Stage
 from noncepipe.session import BrowserSession
 from noncepipe.sites import (
     CATEGORIES,
@@ -270,6 +272,36 @@ def test_server_log_stores_digests_not_secrets():
     assert digest == sha256_hex(request.body.raw)
     assert "hunter2-secret" not in digest
     assert state.password_digest == sha256_hex("hunter2-secret")
+
+
+@pytest.mark.parametrize("mode", [DefenseMode.BASELINE, DefenseMode.DESIGN4_API_EARLY])
+def test_server_digest_is_the_transcript_digest_hashed_once(mode, monkeypatch):
+    # baseline sends what listeners saw; design4 shows them the substituted body
+    hashed: list[bytes] = []
+    real = http_model.sha256_hex
+
+    def counting(data):
+        hashed.append(data)
+        return real(data)
+
+    for module in (http_model, pipeline, sites):
+        monkeypatch.setattr(module, "sha256_hex", counting)
+    site = profile()
+    entry = site_vault_entry(site, seed=3)
+    farm = ServerFarm(seed=3)
+    state = farm.add_site(site, entry.password)
+    session = BrowserSession(3, mode, [entry], farm.serve)
+    watcher = ExtensionManifest("watcher", frozenset({Permission.WEB_REQUEST}))
+    session.host.install(watcher)
+    session.host.register_listener("watcher", Stage.ON_SEND_HEADERS, lambda view: None)
+    page, form_id = build_login_page(session, site)
+    session.autofill(page, form_id)
+    result = session.submit(page, form_id)
+    assert result.verdict == "auth_ok"
+    (event,) = [e for e in result.transcript.deliveries() if e.label == "onSendHeaders"]
+    ((digest, verdict),) = state.received
+    assert digest == event.digest == real(result.wire.body.raw)
+    assert hashed.count(result.wire.body.raw) == 1
 
 
 def test_fido2_site_serves_begin_and_rejects_other_paths():
