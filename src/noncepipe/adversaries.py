@@ -55,8 +55,16 @@ from .fido2 import (
     RelyingParty,
     response_from_json,
 )
-from .http_model import MalformedBody, Origin, Url, decode_urlencoded, sha256_hex, urlencode_entries
-from .pipeline import Cancel, DefenseMode, Redirect, Stage, StageView
+from .http_model import Origin, Url, sha256_hex, urlencode_entries
+from .pipeline import (
+    EVENT_SUBSTITUTION,
+    EVENT_SUBSTITUTION_REFUSED,
+    Cancel,
+    DefenseMode,
+    Redirect,
+    Stage,
+    StageView,
+)
 from .rng import derive_seed, substream
 from .session import BrowserSession, FlowResult
 from .sites import ServerFarm, SiteProfile, build_login_page, site_vault_entry
@@ -552,14 +560,19 @@ def evaluate_matrix(
 
 
 def run_reflection_attack(
-    seed: int, *, pinning: bool, variant: str = "retarget"
+    seed: int,
+    *,
+    pinning: bool,
+    variant: str = "retarget",
+    defense: DefenseMode = DefenseMode.DESIGN5_API_LATE,
 ) -> AttackOutcome:
     """Retarget or rename a login form so the site reflects the secret back.
 
     `retarget` points the form at an echo endpoint on the same origin;
     `rename` additionally moves the nonce into a field name the endpoint
-    reflects. Submit-URL pinning decides the retarget case; the field-name
-    check decides the rename case regardless of pinning.
+    reflects. In every nonce mode, submit-URL pinning decides the retarget
+    case and the field-name check decides the rename case regardless of
+    pinning.
     """
     if variant not in ("retarget", "rename"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -574,12 +587,7 @@ def run_reflection_attack(
     farm = ServerFarm(seed)
     farm.add_site(profile, entry.password)
     session = BrowserSession(
-        seed,
-        DefenseMode.DESIGN5_API_LATE,
-        [entry],
-        farm.serve,
-        name="victim",
-        pinning_enabled=pinning,
+        seed, defense, [entry], farm.serve, name="victim", pinning_enabled=pinning
     )
 
     # an earlier honest login teaches the manager the submit URL
@@ -600,18 +608,23 @@ def run_reflection_attack(
     read_rendered_text(script, page2)
 
     leaked_digests, leaked = find_leaks([entry.password], list(script.log))
-    last_decision = session.manager.decisions[-1][1] if session.manager.decisions else None
     notes = [f"variant={variant}", f"pinning={'on' if pinning else 'off'}"]
-    if last_decision is not None and not last_decision.approved:
+    # the manager keeps its decisions (design4, design5); the browser writes
+    # its own to the transcript (manifest_v3)
+    events = {e.label: e.digest for e in result.transcript.events}
+    last_decision = session.manager.decisions[-1][1] if session.manager.decisions else None
+    if EVENT_SUBSTITUTION_REFUSED in events:
+        notes.append(f"refused_by_{events[EVENT_SUBSTITUTION_REFUSED]}")
+    elif last_decision is not None and not last_decision.approved:
         notes.append(f"refused_by_check={last_decision.reason}")
-    elif last_decision is not None:
+    elif last_decision is not None or EVENT_SUBSTITUTION in events:
         notes.append("substitution_approved")
     if result.verdict is not None:
         notes.append(f"verdict={result.verdict}")
     return AttackOutcome(
         scenario=f"reflection/{variant}/pinning_{'on' if pinning else 'off'}",
         adversary="reflection",
-        defense=DefenseMode.DESIGN5_API_LATE.value,
+        defense=defense.value,
         strategy_index=0,
         secret_leaked=leaked,
         leaked_digests=leaked_digests,
@@ -691,13 +704,9 @@ def _account_is_attackers(rp: RelyingParty, username: str, device: Authenticator
 
 
 def _finish_body_value(view: StageView) -> Optional[str]:
-    if view.body is None:
+    if view.form is None:
         return None
-    try:
-        entries = decode_urlencoded(view.body)
-    except MalformedBody:
-        return None
-    return next((v for n, v in entries if n == "webauthn"), None)
+    return next((v for n, v in view.form.entries if n == "webauthn"), None)
 
 
 @dataclass(eq=False)

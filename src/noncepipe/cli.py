@@ -185,6 +185,7 @@ def _run_scenario_row(
             seed,
             pinning=options.get("pinning", "on") == "on",
             variant=options.get("variant", "retarget"),
+            defense=DEFENSE_TOKENS[defense],
         )
     return run_scenario(
         AttackScenario(

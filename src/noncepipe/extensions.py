@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Mapping, Optional
 
 from .dom import Page, Provenance, ScriptHandle, attach_script
 from .pipeline import (
@@ -17,9 +17,9 @@ from .pipeline import (
     ListenerCallback,
     ListenerRegistration,
     ListenerRegistry,
+    NonceRecord,
     Stage,
     StageView,
-    SubstitutionRequest,
 )
 
 __all__ = [
@@ -232,27 +232,25 @@ class ExtensionHost:
 class NonceRegistry:
     """Browser-held substitution registry (the callback-free variant).
 
-    A manager extension holding the `secrets` permission registers the
-    nonce, the secret, and the policy up front; the browser alone applies
-    the substitution later, at the late credential-stage position.
+    A manager extension holding the `secrets` permission registers each
+    nonce's record up front: the secret and the policy that guards it. The
+    browser alone checks that policy and applies the substitution later, at
+    the late credential-stage position. Records are kept by page id, never
+    by page.
     """
 
     def __init__(self) -> None:
-        self._by_page: dict[str, list[SubstitutionRequest]] = {}
+        self._by_page: dict[str, dict[str, NonceRecord]] = {}
 
     def register_nonce(
-        self,
-        manifest: ExtensionManifest,
-        page: Page,
-        substitution: SubstitutionRequest,
+        self, manifest: ExtensionManifest, page: Page, record: NonceRecord
     ) -> None:
         if not manifest.has(Permission.SECRETS):
             raise PermissionDenied(
                 f"{manifest.extension_id} lacks the secrets permission"
             )
-        self._by_page.setdefault(page.page_id, []).append(substitution)
+        self._by_page.setdefault(page.page_id, {})[record.nonce] = record
 
-    def for_page(self, page_id: Optional[str]) -> tuple[SubstitutionRequest, ...]:
-        if page_id is None:
-            return ()
-        return tuple(self._by_page.get(page_id, ()))
+    def records_for(self, page_id: str) -> Mapping[str, NonceRecord]:
+        """The page's records by nonce; empty when it registered none."""
+        return self._by_page.get(page_id, {})

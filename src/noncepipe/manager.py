@@ -2,17 +2,8 @@
 
 Instead of autofilling the password, the manager fills a random 16-character
 alphanumeric nonce and asks the browser to swap it for the real password
-deep in the request pipeline. Before asking, it runs five ordered checks
-against the outgoing request; the first failing check wins, and a refusal
-means the request simply goes out still carrying the nonce.
-
-Check 1  the login form is not in an iframe
-Check 2  the connection is well-secured HTTPS (not HTTP, not broken TLS)
-Check 3  the destination origin matches the vault entry; if a submit URL is
-         pinned, the destination must equal it exactly
-Check 4  the nonce does not travel in GET parameters
-Check 5  every field holding the nonce bears the autofilled field's name
-         (and the entry's expected field name, when set)
+deep in the request pipeline, gated by the five checks of `pipeline.check`.
+A refusal means the request simply goes out still carrying the nonce.
 """
 
 from __future__ import annotations
@@ -24,21 +15,21 @@ from typing import Container, Optional, Sequence
 
 from .dom import FieldKind, Form, HookKind, Page, SubmitHook
 from .extensions import ExtensionHost, ExtensionManifest, NonceRegistry, Permission
-from .http_model import (
-    ChannelSecurity,
-    FormEntries,
-    MalformedBody,
-    Origin,
-    Url,
-    decode_multipart,
-    decode_urlencoded,
-)
+from .http_model import Origin
 from .pipeline import (
+    CHECK_NAMES,
     Cancel,
     DefenseMode,
+    NonceRecord,
+    PinConflict,
+    SafetyDecision,
     Stage,
     StageView,
     SubstitutionRequest,
+    VaultEntry,
+    approve,
+    check,
+    record_for,
 )
 from .tsv import TsvFormatError, read_rows
 
@@ -65,14 +56,6 @@ MANAGER_EXTENSION_ID = "noncepipe.manager"
 NONCE_LENGTH = 16
 NONCE_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
-CHECK_NAMES = {
-    1: "frame",
-    2: "channel",
-    3: "destination",
-    4: "get_params",
-    5: "field_name",
-}
-
 
 class OriginMismatch(LookupError):
     """No vault entry exists for the page origin being filled."""
@@ -82,49 +65,8 @@ class NoPasswordField(LookupError):
     """The form has no fillable password field (or the wrong name, strictly)."""
 
 
-class PinConflict(ValueError):
-    """An entry is already pinned to a different submit URL."""
-
-
 class VaultFormatError(TsvFormatError):
     kind = "vault"
-
-
-@dataclass(eq=False, repr=False)
-class VaultEntry:
-    """One stored credential. The repr masks the password."""
-
-    origin: Origin
-    username: str
-    password: str
-    pinned_submit_url: Optional[str] = None
-    expected_field_name: Optional[str] = None
-
-    def __repr__(self) -> str:
-        pin = f", pinned={self.pinned_submit_url!r}" if self.pinned_submit_url else ""
-        return f"VaultEntry({self.origin}, {self.username!r}, password=***{pin})"
-
-
-@dataclass(eq=False)
-class NonceRecord:
-    """Where one nonce was placed: which entry, page, form, and field."""
-
-    nonce: str
-    entry: VaultEntry
-    page: Page
-    form_id: str
-    field_name: str
-
-
-@dataclass(frozen=True)
-class SafetyDecision:
-    approved: bool
-    reason: Optional[int] = None  # 1..5, first failing check
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.approved and self.reason not in CHECK_NAMES:
-            raise ValueError("refusals must carry a check number 1..5")
 
 
 @dataclass(eq=False)
@@ -171,11 +113,6 @@ def load_vault(path: str | Path) -> list[VaultEntry]:
     return entries
 
 
-def _pin_of(url: Url) -> str:
-    # pins are query-free: scheme://host[:port]/path
-    return f"{url.origin}{url.path}"
-
-
 class PasswordManager:
     """The manager extension: fills nonces and gates their replacement.
 
@@ -208,9 +145,6 @@ class PasswordManager:
         self.decisions: list[tuple[int, SafetyDecision]] = []
         self._records: dict[str, NonceRecord] = {}
         self._pending: dict[int, PendingReplacement] = {}
-        # the last hand-built view decoded and its body entries: a callback
-        # and the safety check it runs read the same view, decoded once
-        self._decoded: tuple[Optional[StageView], FormEntries] = (None, ())
 
     # -- vault ------------------------------------------------------------
 
@@ -219,16 +153,6 @@ class PasswordManager:
             if entry.origin == origin:
                 return entry
         return None
-
-    def learn_submit_url(self, entry: VaultEntry, url: Url) -> None:
-        """Pin the submit URL on first use; later URLs must match exactly."""
-        pin = _pin_of(url)
-        if entry.pinned_submit_url is None:
-            entry.pinned_submit_url = pin
-        elif entry.pinned_submit_url != pin:
-            raise PinConflict(
-                f"entry for {entry.origin} is pinned to {entry.pinned_submit_url!r}, got {pin!r}"
-            )
 
     # -- autofill ----------------------------------------------------------
 
@@ -267,9 +191,10 @@ class PasswordManager:
         record = NonceRecord(
             nonce=nonce,
             entry=entry,
-            page=page,
             form_id=form_id,
             field_name=password_field.name,
+            in_iframe=page.is_iframe,
+            pinning_enabled=self.pinning_enabled,
         )
         self._records[nonce] = record
         page.audit.append(f"manager autofilled {form_id}.{password_field.name} ({mode.value})")
@@ -287,16 +212,7 @@ class PasswordManager:
         elif mode is DefenseMode.MANIFEST_V3:
             if self.registry is None:
                 raise RuntimeError("manifest_v3 autofill needs a browser nonce registry")
-            self.registry.register_nonce(
-                self.manifest,
-                page,
-                SubstitutionRequest(
-                    field_name=password_field.name,
-                    nonce=nonce,
-                    replacement=entry.password,
-                    expected_origin=entry.origin,
-                ),
-            )
+            self.registry.register_nonce(self.manifest, page, record)
         return record
 
     def _fill_username(self, form: Form, username: str) -> None:
@@ -326,86 +242,11 @@ class PasswordManager:
             )
         return ext
 
-    # -- request inspection --------------------------------------------------
-
-    def _body_entries(self, view: StageView) -> FormEntries:
-        if view.form is not None:  # the pipeline's view: entries come with it
-            return view.form.entries
-        seen, entries = self._decoded
-        if seen is not view:  # views are frozen, so identity means same body
-            entries = self._decode_body(view)
-            self._decoded = (view, entries)
-        return entries
-
-    @staticmethod
-    def _decode_body(view: StageView) -> FormEntries:
-        if view.body is None:
-            return ()
-        content_type = view.header("Content-Type") or ""
-        try:
-            if content_type.startswith("multipart/form-data; boundary="):
-                boundary = content_type.split("boundary=", 1)[1]
-                return decode_multipart(view.body, boundary)
-            return decode_urlencoded(view.body)
-        except MalformedBody:
-            return ()  # undecodable body: treat as nonce-free, never substitute
-
-    def _find_record(self, view: StageView, body_entries: FormEntries) -> Optional[NonceRecord]:
-        for _, value in view.query + body_entries:
-            record = self._records.get(value)
-            if record is not None:
-                return record
-        return None
-
     # -- the five checks -------------------------------------------------------
 
     def safety_check(self, record: NonceRecord, view: StageView) -> SafetyDecision:
-        """Run the five ordered checks; the first failure is the verdict."""
-        body_entries = self._body_entries(view)
-        entry = record.entry
-
-        if record.page.is_iframe:
-            return self._decide(view, False, 1, "login form is inside an iframe")
-
-        if view.channel is not ChannelSecurity.GOOD_TLS:
-            channel = view.channel.value if view.channel else "unknown"
-            return self._decide(view, False, 2, f"channel is {channel}")
-
-        destination = Url.parse(view.url)
-        if destination.origin != entry.origin:
-            return self._decide(
-                view, False, 3, f"destination {destination.origin} != entry {entry.origin}"
-            )
-        if self.pinning_enabled and entry.pinned_submit_url is not None:
-            pin = _pin_of(destination)
-            if pin != entry.pinned_submit_url:
-                return self._decide(
-                    view, False, 3, f"destination {pin!r} != pinned {entry.pinned_submit_url!r}"
-                )
-
-        if view.method == "GET" and any(v == record.nonce for _, v in view.query):
-            return self._decide(view, False, 4, "nonce travels in GET parameters")
-
-        holders = [name for name, value in body_entries if value == record.nonce]
-        if any(name != record.field_name for name in holders):
-            bad = next(name for name in holders if name != record.field_name)
-            return self._decide(
-                view, False, 5, f"nonce sits in field {bad!r}, autofilled {record.field_name!r}"
-            )
-        if entry.expected_field_name and record.field_name != entry.expected_field_name:
-            return self._decide(
-                view,
-                False,
-                5,
-                f"autofilled field {record.field_name!r} != expected {entry.expected_field_name!r}",
-            )
-
-        return self._decide(view, True, None, "all checks passed")
-
-    def _decide(
-        self, view: StageView, approved: bool, reason: Optional[int], detail: str
-    ) -> SafetyDecision:
-        decision = SafetyDecision(approved=approved, reason=reason, detail=detail)
+        """Run the five ordered checks and log the verdict in `decisions`."""
+        decision = check(record, view)
         self.decisions.append((view.request_id, decision))
         return decision
 
@@ -415,8 +256,7 @@ class PasswordManager:
         """Early validation: associate a nonce, run the checks, stash the verdict."""
         if view.request_id in self._pending:
             return None
-        body_entries = self._body_entries(view)
-        record = self._find_record(view, body_entries)
+        record = record_for(self._records, view)
         if record is None:
             return None
         decision = self.safety_check(record, view)
@@ -437,8 +277,7 @@ class PasswordManager:
         """
         pending = self._pending.get(view.request_id)
         if pending is None:
-            body_entries = self._body_entries(view)
-            record = self._find_record(view, body_entries)
+            record = record_for(self._records, view)
             if record is None:
                 return None
             decision = self.safety_check(record, view)
@@ -446,13 +285,4 @@ class PasswordManager:
             self._pending[view.request_id] = pending
         if not pending.decision.approved:
             return None
-        record = pending.record
-        entry = record.entry
-        if self.pinning_enabled:
-            self.learn_submit_url(entry, Url.parse(view.url))
-        return SubstitutionRequest(
-            field_name=record.field_name,
-            nonce=record.nonce,
-            replacement=entry.password,
-            expected_origin=entry.origin,
-        )
+        return approve(pending.record, view)

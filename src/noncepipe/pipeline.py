@@ -16,6 +16,11 @@ it sits, and what a listener there may see, depends on the defense mode:
 * manifest_v3     - substitution happens at the design5 point but is driven
                     by a browser-held nonce registry; no callback fires.
 
+Every nonce mode decides a swap by the same policy, written once below:
+`record_for` finds the nonce a request carries, `check` runs the five
+checks, `approve` learns the pin and builds the substitution. design4 and
+design5 run it in the manager's callbacks, manifest_v3 in `dispatch` itself.
+
 Listener views are immutable snapshots, one per stage of a hop, shared by
 every listener at that stage. The request body is visible (always
 pre-substitution) only at the first three stages; at the credential stage it
@@ -25,9 +30,9 @@ is either stripped (implementation behavior) or a pre-substitution snapshot
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .http_model import (
     ChannelSecurity,
@@ -39,10 +44,10 @@ from .http_model import (
     WebResponseRecord,
     channel_for,
     header_value,
-    sha256_hex,
 )
 
 __all__ = [
+    "CHECK_NAMES",
     "BodyView",
     "Cancel",
     "Cancelled",
@@ -50,17 +55,24 @@ __all__ = [
     "DefenseMode",
     "ListenerRegistration",
     "ListenerRegistry",
+    "NonceRecord",
+    "PinConflict",
     "PipelineConfig",
     "Redirect",
     "RedirectLoop",
+    "SafetyDecision",
     "Stage",
     "StageTranscript",
     "StageView",
     "SubstitutionRequest",
     "TranscriptEvent",
+    "VaultEntry",
     "apply_substitutions",
+    "approve",
+    "check",
     "dispatch",
     "process_response",
+    "record_for",
     "stage_order",
 ]
 
@@ -132,8 +144,138 @@ def stage_order(mode: DefenseMode) -> tuple[Stage, ...]:
 
 
 # ---------------------------------------------------------------------------
-# substitution requests and the browser-side guard
+# the substitution policy: records, the five checks, the browser-side guard
 # ---------------------------------------------------------------------------
+
+CHECK_NAMES = {1: "frame", 2: "channel", 3: "destination", 4: "get_params", 5: "field_name"}
+
+
+class PinConflict(ValueError):
+    """An entry is already pinned to a different submit URL."""
+
+
+@dataclass(eq=False, repr=False)
+class VaultEntry:
+    """One stored credential. The repr masks the password."""
+
+    origin: Origin
+    username: str
+    password: str
+    pinned_submit_url: Optional[str] = None
+    expected_field_name: Optional[str] = None
+
+    def __repr__(self) -> str:
+        pin = f", pinned={self.pinned_submit_url!r}" if self.pinned_submit_url else ""
+        return f"VaultEntry({self.origin}, {self.username!r}, password=***{pin})"
+
+    @staticmethod
+    def pin_of(url: Url) -> str:
+        """A submit URL's pin, query-free: scheme://host[:port]/path."""
+        return f"{url.origin}{url.path}"
+
+    def learn_submit_url(self, url: Url) -> None:
+        """Pin the submit URL on first use; later URLs must match exactly."""
+        pin = self.pin_of(url)
+        if self.pinned_submit_url is None:
+            self.pinned_submit_url = pin
+        elif self.pinned_submit_url != pin:
+            raise PinConflict(
+                f"entry for {self.origin} is pinned to {self.pinned_submit_url!r}, got {pin!r}"
+            )
+
+
+@dataclass(eq=False)
+class NonceRecord:
+    """The policy registered with one nonce: the entry and field it stands
+    for, whether the form sat in an iframe, and whether pins are enforced.
+    It keeps no page, so a dropped page is freed."""
+
+    nonce: str
+    entry: VaultEntry
+    form_id: str
+    field_name: str
+    in_iframe: bool
+    pinning_enabled: bool
+
+
+@dataclass(frozen=True)
+class SafetyDecision:
+    approved: bool
+    reason: Optional[int] = None  # 1..5, first failing check
+    detail: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.approved and self.reason not in CHECK_NAMES:
+            raise ValueError("refusals must carry a check number 1..5")
+
+
+def record_for(records: Mapping[str, NonceRecord], view: StageView) -> Optional[NonceRecord]:
+    """The record of the first registered nonce the request carries, in its
+    query or its body; None for a request that carries none."""
+    body = view.form.entries if view.form is not None else ()
+    for _, value in view.query + body:
+        record = records.get(value)
+        if record is not None:
+            return record
+    return None
+
+
+def check(record: NonceRecord, view: StageView) -> SafetyDecision:
+    """Run the five ordered checks on a full request view; the first
+    failure is the verdict. Pure: it changes neither argument.
+
+    Check 1  the login form is not in an iframe
+    Check 2  the connection is well-secured HTTPS (not HTTP, not broken TLS)
+    Check 3  the destination origin matches the vault entry; if a submit URL
+             is pinned and pinning is on, the destination must equal it
+    Check 4  the nonce does not travel in GET parameters
+    Check 5  every field holding the nonce bears the autofilled field's name
+             (and the entry's expected field name, when set)
+    """
+    entry = record.entry
+    if record.in_iframe:
+        return SafetyDecision(False, 1, "login form is inside an iframe")
+
+    if view.channel is not ChannelSecurity.GOOD_TLS:
+        channel = view.channel.value if view.channel else "unknown"
+        return SafetyDecision(False, 2, f"channel is {channel}")
+
+    url = Url.parse(view.url)
+    if url.origin != entry.origin:
+        return SafetyDecision(False, 3, f"destination {url.origin} != entry {entry.origin}")
+    if record.pinning_enabled and entry.pinned_submit_url is not None:
+        pin = VaultEntry.pin_of(url)
+        if pin != entry.pinned_submit_url:
+            return SafetyDecision(
+                False, 3, f"destination {pin!r} != pinned {entry.pinned_submit_url!r}"
+            )
+
+    if view.method == "GET" and any(v == record.nonce for _, v in view.query):
+        return SafetyDecision(False, 4, "nonce travels in GET parameters")
+
+    body = view.form.entries if view.form is not None else ()
+    for name, value in body:
+        if value == record.nonce and name != record.field_name:
+            return SafetyDecision(
+                False, 5, f"nonce sits in field {name!r}, autofilled {record.field_name!r}"
+            )
+    if entry.expected_field_name and record.field_name != entry.expected_field_name:
+        return SafetyDecision(
+            False,
+            5,
+            f"autofilled field {record.field_name!r} != expected {entry.expected_field_name!r}",
+        )
+
+    return SafetyDecision(True, None, "all checks passed")
+
+
+def approve(record: NonceRecord, view: StageView) -> SubstitutionRequest:
+    """The substitution an approved record asks for, pinning the submit URL
+    first when pinning is on."""
+    entry = record.entry
+    if record.pinning_enabled:
+        entry.learn_submit_url(Url.parse(view.url))
+    return SubstitutionRequest(record.field_name, record.nonce, entry.password, entry.origin)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,8 +345,8 @@ def apply_substitutions(
 class StageView:
     """Read-only snapshot handed to every listener at one stage.
 
-    `form` is the RequestBody whose bytes `body` holds, when the pipeline
-    built the view, so readers get its entries and digest as they are.
+    `form` is the RequestBody the view shows, or None when it shows none;
+    readers take its entries, bytes and digest as they are.
     """
 
     request_id: int
@@ -214,19 +356,20 @@ class StageView:
     query: FormEntries
     headers: tuple[tuple[str, str], ...]
     body_view: BodyView
-    body: Optional[bytes]
+    form: Optional[RequestBody]
     channel: Optional[ChannelSecurity] = None
     status: Optional[int] = None
-    form: Optional[RequestBody] = field(default=None, repr=False, compare=False)
+
+    @property
+    def body(self) -> Optional[bytes]:
+        return self.form.raw if self.form is not None else None
 
     def header(self, name: str) -> Optional[str]:
         return header_value(self.headers, name)
 
     def body_digest(self) -> str:
         """The transcript digest of the body: sha256 hex, or "-" for none."""
-        if self.form is not None:
-            return self.form.digest()
-        return sha256_hex(self.body) if self.body is not None else "-"
+        return self.form.digest() if self.form is not None else "-"
 
     def visible_strings(self) -> tuple[str, ...]:
         """Everything a listener could copy out of this view, as strings."""
@@ -308,6 +451,7 @@ class ListenerRegistry:
 EVENT_LISTENER = "!browser"
 EVENT_SUBSTITUTION = "substitution"
 EVENT_SUBSTITUTION_CONFLICT = "substitutionConflict"
+EVENT_SUBSTITUTION_REFUSED = "substitutionRefused"
 EVENT_FIDO2_STRIP = "fido2Strip"
 EVENT_FIDO2_INJECT = "fido2Inject"
 EVENT_CANCEL = "cancel"
@@ -383,7 +527,7 @@ class PipelineConfig:
     credential_body: CredentialBodyMode = CredentialBodyMode.IMPLEMENTATION
     credential_stage_enabled: bool = True
     max_redirect_hops: int = 8
-    nonce_registry: Optional[object] = None  # duck-typed .for_page(page_id)
+    nonce_registry: Optional[object] = None  # duck-typed .records_for(page_id)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +545,9 @@ def _request_view(
         form = request.body
         body_view = BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT
     elif stage is Stage.ON_REQUEST_CREDENTIALS:
+        # manifest_v3's view is the browser's own, for the policy check
         if (
-            config.defense_mode is DefenseMode.DESIGN4_API_EARLY
+            config.defense_mode is not DefenseMode.DESIGN5_API_LATE
             or config.credential_body is CredentialBodyMode.DESIGN
         ):
             form = pre_substitution_body
@@ -422,9 +567,8 @@ def _request_view(
         query=request.url.query,
         headers=request.headers,
         body_view=body_view,
-        body=form.raw if form is not None else None,
-        channel=request.channel_security,
         form=form,
+        channel=request.channel_security,
     )
 
 
@@ -439,7 +583,7 @@ def _response_view(
         query=(),
         headers=response.headers,
         body_view=BodyView.ABSENT,
-        body=None,
+        form=None,
         status=response.status,
     )
 
@@ -466,13 +610,25 @@ def _collect_substitutions(
     transcript: StageTranscript,
     pre_substitution_body: Optional[RequestBody],
 ) -> list[SubstitutionRequest]:
-    """Run the credential stage: callbacks for API modes, registry otherwise."""
+    """Run the credential stage: callbacks for API modes; in manifest_v3 the
+    browser runs the registered policy on a view no listener gets."""
     collected: list[SubstitutionRequest] = []
     if config.defense_mode is DefenseMode.MANIFEST_V3:
-        registry = config.nonce_registry
-        if registry is not None and request.source_page is not None:
-            page_id = getattr(request.source_page, "page_id", None)
-            collected.extend(registry.for_page(page_id))
+        registry, page = config.nonce_registry, request.source_page
+        records = registry.records_for(page.page_id) if registry and page else None
+        if not records:  # a nonce-free login pays for nothing more
+            return collected
+        view = _request_view(request, Stage.ON_REQUEST_CREDENTIALS, pre_substitution_body, config)
+        record = record_for(records, view)
+        if record is None:
+            return collected
+        decision = check(record, view)
+        if decision.approved:
+            collected.append(approve(record, view))
+        else:
+            transcript.record_event(
+                request.request_id, EVENT_SUBSTITUTION_REFUSED, detail=f"check={decision.reason}"
+            )
         return collected
     regs = listeners.at(Stage.ON_REQUEST_CREDENTIALS)
     if not regs:

@@ -20,7 +20,7 @@ from noncepipe.adversaries import (
     run_reflection_attack,
 )
 from noncepipe.cli import main as cli_main
-from noncepipe.dom import Page
+from noncepipe.dom import Field, FieldKind, Form
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.fido2 import (
     AUTHENTICATION,
@@ -41,7 +41,6 @@ from noncepipe.http_model import (
     WebRequestRecord,
     WebResponseRecord,
     decode_urlencoded,
-    urlencode_entries,
 )
 from noncepipe.manager import NonceRecord, PasswordManager, VaultEntry, generate_nonce
 from noncepipe.pipeline import (
@@ -161,11 +160,22 @@ ORIGIN = Origin("https", "bank.example", 443)
 NONCE = "Ab0Cd1Ef2Gh3Ij4K"
 
 
-def _record(*, is_iframe=False, field_name="password"):
+NONCE_MODES = (
+    DefenseMode.DESIGN4_API_EARLY,
+    DefenseMode.DESIGN5_API_LATE,
+    DefenseMode.MANIFEST_V3,
+)
+
+
+def _record(*, in_iframe=False, field_name="password"):
     entry = VaultEntry(ORIGIN, "alice", "correct-horse")
-    page = Page(page_id="p1", origin=ORIGIN, is_iframe=is_iframe)
     return NonceRecord(
-        nonce=NONCE, entry=entry, page=page, form_id="login", field_name=field_name
+        nonce=NONCE,
+        entry=entry,
+        form_id="login",
+        field_name=field_name,
+        in_iframe=in_iframe,
+        pinning_enabled=True,
     )
 
 
@@ -177,18 +187,67 @@ def _view(
     entries=(("username", "alice"), ("password", NONCE)),
     channel=ChannelSecurity.GOOD_TLS,
 ):
-    body = urlencode_entries(entries).encode("ascii") if method == "POST" else None
+    form = RequestBody.urlencoded(entries) if method == "POST" else None
     return StageView(
         request_id=1,
         stage=Stage.ON_BEFORE_REQUEST,
         method=method,
         url=url,
         query=tuple(query),
-        headers=(("Content-Type", URLENCODED),) if body is not None else (),
-        body_view=BodyView.FULL_PRE_SUBSTITUTION if body is not None else BodyView.ABSENT,
-        body=body,
+        headers=(("Content-Type", URLENCODED),) if form is not None else (),
+        body_view=BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT,
+        form=form,
         channel=channel,
     )
+
+
+def _rename_password(page):
+    page.form("login").field_named("password").name = "creds"
+
+
+def _get_submit(page):
+    page.form("login").method = "GET"
+
+
+# each refusal as a real login: page kwargs, form action, a mutation after
+# autofill, and the check expected to refuse (None: the all-clear login)
+E2E_REFUSALS = (
+    ({}, "https://bank.example/login", None, None),
+    ({"is_iframe": True}, "https://bank.example/login", None, 1),
+    ({"bad_tls": True}, "https://bank.example/login", None, 2),
+    ({}, "https://evil.example/login", None, 3),
+    ({}, "https://bank.example/login", _get_submit, 4),
+    ({}, "https://bank.example/login", _rename_password, 5),
+)
+
+
+def _e2e_refusal(mode, page_kwargs, action, mutate):
+    """Run one login through a BrowserSession; return the refusing check
+    (None if approved) and whether the password reached the wire."""
+
+    def serve(request):
+        return WebResponseRecord(request.request_id, 200, body=b"ok"), "ok"
+
+    session = BrowserSession(SEED, mode, [VaultEntry(ORIGIN, "alice", "correct-horse")], serve)
+    page = session.new_page(ORIGIN, **page_kwargs)
+    page.add_form(
+        Form(
+            form_id="login",
+            action=Url.parse(action),
+            fields=[Field("username", FieldKind.TEXT), Field("password", FieldKind.PASSWORD)],
+        )
+    )
+    session.autofill(page, "login")
+    if mutate is not None:
+        mutate(page)
+    result = session.submit(page, "login")
+    body = result.wire.body.raw.decode() if result.wire.body is not None else ""
+    sent = "correct-horse" in result.wire.url.to_string() + body
+    if mode is DefenseMode.MANIFEST_V3:  # the browser decides and logs it
+        refusals = [e.digest for e in result.transcript.events if e.label == "substitutionRefused"]
+        return (int(refusals[0].removeprefix("check=")) if refusals else None), sent
+    decision = session.manager.decisions[-1][1]
+    return decision.reason, sent
 
 
 def test_criterion_3_five_refusal_scenarios():
@@ -198,7 +257,7 @@ def test_criterion_3_five_refusal_scenarios():
         problems.append("the all-clear scenario was refused")
 
     scenarios = [
-        (1, _record(is_iframe=True), _view()),
+        (1, _record(in_iframe=True), _view()),
         (2, _record(), _view(channel=ChannelSecurity.PLAIN_HTTP)),
         (3, _record(), _view(url="https://evil.example/login")),
         (
@@ -225,7 +284,16 @@ def test_criterion_3_five_refusal_scenarios():
             refused.append(expected_reason)
     if refused != [1, 2, 3, 4, 5]:
         problems.append(f"refusals {refused} != [1, 2, 3, 4, 5]")
-    verdict(3, f"refusal scenarios {len(refused)}/5", problems)
+
+    # the same five refusals end to end, in every nonce mode, for one reason each
+    for mode in NONCE_MODES:
+        for page_kwargs, action, mutate, expected in E2E_REFUSALS:
+            reason, sent = _e2e_refusal(mode, page_kwargs, action, mutate)
+            if reason != expected:
+                problems.append(f"{mode.value}: expected check {expected}, got {reason}")
+            if sent is not (expected is None):
+                problems.append(f"{mode.value}: check {expected}: password on wire={sent}")
+    verdict(3, f"refusal scenarios {len(refused)}/5, end to end in 3 modes", problems)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +310,18 @@ def test_criterion_4_reflection_vs_pinning():
         ("rename", True, False),
     ]
     for variant, pinning, should_leak in cases:
-        outcome = run_reflection_attack(SEED, pinning=pinning, variant=variant)
-        if outcome.secret_leaked is not should_leak:
-            problems.append(
-                f"{variant}/pinning={'on' if pinning else 'off'}: "
-                f"leaked={outcome.secret_leaked}, expected {should_leak}"
-            )
-    verdict(4, "reflection blocked except retarget+no-pin", problems)
+        notes = set()
+        for mode in NONCE_MODES:
+            outcome = run_reflection_attack(SEED, pinning=pinning, variant=variant, defense=mode)
+            notes.add(outcome.notes)
+            if outcome.secret_leaked is not should_leak:
+                problems.append(
+                    f"{mode.value} {variant}/pinning={'on' if pinning else 'off'}: "
+                    f"leaked={outcome.secret_leaked}, expected {should_leak}"
+                )
+        if len(notes) != 1:  # the same refusing check in every nonce mode
+            problems.append(f"{variant}/pinning={pinning}: modes disagree: {sorted(notes)}")
+    verdict(4, "reflection blocked except retarget+no-pin, in 3 modes", problems)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,27 @@ def test_compat_http_submit_row_is_incompatible_under_design5(tmp_path, capsys):
     assert data["counts"] == {"http_submit": {"incompatible": 1}}
 
 
+def test_compat_probe_rows_agree_between_design5_and_manifest_v3(tmp_path, capsys):
+    # manifest_v3 runs the same five checks: the iframe and bad-TLS logins
+    # are refused in both modes, so the plain differential fails in both
+    path = tmp_path / "corpus.tsv"
+    path.write_text(
+        "iframe_login\thttps://frame.example\t-\n"
+        "plain_post\thttps://tls.example\tbad_tls=1\n"
+        "get_submit\thttps://get.example\t-\n"
+        "transforms_password\thttps://tx.example\t-\n",
+        encoding="utf-8",
+    )
+    counts = {}
+    for defense in ("design5", "manifest-v3"):
+        argv = ["compat", "--seed", "7", "--corpus", str(path), "--defense", defense]
+        assert main(argv + ["--format", "json"]) == EXIT_MISMATCH
+        counts[defense] = json.loads(capsys.readouterr().out)["counts"]
+    assert counts["manifest-v3"] == counts["design5"]
+    assert counts["design5"]["iframe_login"] == {"incompatible": 1}
+    assert counts["design5"]["plain_post"] == {"incompatible": 1}
+
+
 def test_compat_bad_corpus_line_is_data_error(tmp_path, capsys):
     path = tmp_path / "corpus.tsv"
     path.write_text("plain_post\ta.example\t-\nnot-a-category\tb.example\t-\n")
@@ -323,6 +344,29 @@ def test_scenario_report_rows_split_into_three_columns(tmp_path, capsys):
         ["late", "design5_api_late", "no_compromise"],
         [long_name, "baseline", "leaked"],
     ]
+
+
+def test_reflection_rows_run_under_their_own_defense(tmp_path, capsys):
+    path = tmp_path / "scenarios.tsv"
+    path.write_text(
+        "".join(
+            f"r-{defense}\treflection\t{defense}\tvariant=retarget,pinning=on\n"
+            for defense in ("design4", "design5", "manifest-v3", "baseline")
+        ),
+        encoding="utf-8",
+    )
+    assert main(["matrix", "--seed", "7", "--scenarios", str(path), "--format", "json"]) == EXIT_OK
+    outcomes = json.loads(capsys.readouterr().out)["outcomes"]
+    by_defense = {o["defense"]: o for o in outcomes}
+    assert sorted(by_defense) == sorted(
+        DEFENSE_TOKENS[d].value for d in ("design4", "design5", "manifest-v3", "baseline")
+    )
+    # the pin refuses the retargeted login in every nonce mode; baseline
+    # autofills the password itself, so the echo endpoint reflects it
+    for mode in ("design4_api_early", "design5_api_late", "manifest_v3"):
+        assert by_defense[mode]["secret_leaked"] is False
+        assert "refused_by_check=3" in by_defense[mode]["notes"]
+    assert by_defense["baseline"]["secret_leaked"] is True
 
 
 def test_parse_scenarios_skips_comments_and_blanks(tmp_path):

@@ -15,7 +15,7 @@ from noncepipe.extensions import (
     match_pattern,
 )
 from noncepipe.http_model import Origin
-from noncepipe.pipeline import Stage, SubstitutionRequest
+from noncepipe.pipeline import NonceRecord, Stage, VaultEntry
 
 ORIGIN = Origin("https", "bank.example", 443)
 
@@ -218,20 +218,23 @@ def test_extension_can_read_its_own_state():
 # ---------------------------------------------------------------------------
 
 
-def substitution() -> SubstitutionRequest:
-    return SubstitutionRequest("pw", "NONCE0123456789A", "real-secret", ORIGIN)
+def nonce_record() -> NonceRecord:
+    entry = VaultEntry(ORIGIN, "alice", "real-secret")
+    return NonceRecord(
+        "NONCE0123456789A", entry, "login", "pw", in_iframe=False, pinning_enabled=True
+    )
 
 
 def test_register_nonce_requires_secrets_permission():
     registry = NonceRegistry()
     with pytest.raises(PermissionDenied):
-        registry.register_nonce(manifest(Permission.WEB_REQUEST), page(), substitution())
+        registry.register_nonce(manifest(Permission.WEB_REQUEST), page(), nonce_record())
 
 
 def test_registry_scopes_substitutions_by_page():
     registry = NonceRegistry()
     m = manifest(Permission.SECRETS)
-    registry.register_nonce(m, page(page_id="p1"), substitution())
-    assert registry.for_page("p1") == (substitution(),)
-    assert registry.for_page("p2") == ()
-    assert registry.for_page(None) == ()
+    record = nonce_record()
+    registry.register_nonce(m, page(page_id="p1"), record)
+    assert registry.records_for("p1") == {"NONCE0123456789A": record}
+    assert registry.records_for("p2") == {}

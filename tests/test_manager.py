@@ -6,15 +6,15 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from noncepipe import manager as manager_module
+from noncepipe import http_model
 from noncepipe.dom import Field, FieldKind, Form, HookKind, Page, submit_form
 from noncepipe.extensions import ExtensionHost, NonceRegistry
 from noncepipe.http_model import (
     URLENCODED,
     ChannelSecurity,
     Origin,
+    RequestBody,
     Url,
-    urlencode_entries,
 )
 from noncepipe.manager import (
     NONCE_ALPHABET,
@@ -265,12 +265,12 @@ def test_autofill_manifest_v3_requires_registry():
 def test_autofill_manifest_v3_registers_with_browser():
     manager = make_manager()
     manager.registry = NonceRegistry()
-    page = login_page()
+    page = login_page(is_iframe=True)
     record = manager.autofill(page, "login", DefenseMode.MANIFEST_V3)
-    (substitution,) = manager.registry.for_page("p1")
-    assert substitution.nonce == record.nonce
-    assert substitution.replacement == PASSWORD
-    assert substitution.expected_origin == ORIGIN
+    assert manager.registry.records_for("p1") == {record.nonce: record}
+    assert record.entry.password == PASSWORD and record.entry.origin == ORIGIN
+    # the record is the registered policy: frame position and pinning setting
+    assert record.in_iframe is True and record.pinning_enabled is True
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +280,11 @@ def test_autofill_manifest_v3_registers_with_browser():
 
 def test_learn_submit_url_pins_then_enforces():
     entry = VaultEntry(ORIGIN, "alice", PASSWORD)
-    manager = make_manager(entries=[entry])
-    manager.learn_submit_url(entry, Url.parse("https://bank.example/login?next=%2F"))
+    entry.learn_submit_url(Url.parse("https://bank.example/login?next=%2F"))
     assert entry.pinned_submit_url == "https://bank.example/login"  # query-free pin
-    manager.learn_submit_url(entry, Url.parse("https://bank.example/login?other=1"))
+    entry.learn_submit_url(Url.parse("https://bank.example/login?other=1"))
     with pytest.raises(PinConflict):
-        manager.learn_submit_url(entry, Url.parse("https://bank.example/other"))
+        entry.learn_submit_url(Url.parse("https://bank.example/other"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +294,20 @@ def test_learn_submit_url_pins_then_enforces():
 NONCE = "Ab0Cd1Ef2Gh3Ij4K"
 
 
-def make_record(*, is_iframe=False, field_name="password", pinned=None, expected=None):
+def make_record(
+    *, in_iframe=False, field_name="password", pinned=None, expected=None, pinning_enabled=True
+):
     entry = VaultEntry(
         ORIGIN, "alice", PASSWORD, pinned_submit_url=pinned, expected_field_name=expected
     )
-    page = Page(page_id="p1", origin=ORIGIN, is_iframe=is_iframe)
-    return NonceRecord(nonce=NONCE, entry=entry, page=page, form_id="login", field_name=field_name)
+    return NonceRecord(
+        nonce=NONCE,
+        entry=entry,
+        form_id="login",
+        field_name=field_name,
+        in_iframe=in_iframe,
+        pinning_enabled=pinning_enabled,
+    )
 
 
 def view_for(
@@ -312,8 +319,8 @@ def view_for(
     channel=ChannelSecurity.GOOD_TLS,
     request_id=1,
 ):
-    body = urlencode_entries(entries).encode("ascii") if method == "POST" else None
-    headers = (("Content-Type", URLENCODED),) if body is not None else ()
+    form = RequestBody.urlencoded(entries) if method == "POST" else None
+    headers = (("Content-Type", URLENCODED),) if form is not None else ()
     return StageView(
         request_id=request_id,
         stage=Stage.ON_BEFORE_REQUEST,
@@ -321,8 +328,8 @@ def view_for(
         url=url,
         query=tuple(query),
         headers=headers,
-        body_view=BodyView.FULL_PRE_SUBSTITUTION if body is not None else BodyView.ABSENT,
-        body=body,
+        body_view=BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT,
+        form=form,
         channel=channel,
     )
 
@@ -335,7 +342,7 @@ def test_all_checks_pass():
 
 
 def test_check1_iframe_refused():
-    decision = make_manager().safety_check(make_record(is_iframe=True), view_for())
+    decision = make_manager().safety_check(make_record(in_iframe=True), view_for())
     assert (decision.approved, decision.reason) == (False, 1)
 
 
@@ -360,9 +367,9 @@ def test_check3_pin_mismatch_refused():
 
 
 def test_check3_pin_ignored_when_pinning_disabled():
-    record = make_record(pinned="https://bank.example/login")
+    record = make_record(pinned="https://bank.example/login", pinning_enabled=False)
     view = view_for(url="https://bank.example/changed-path")
-    decision = make_manager(pinning_enabled=False).safety_check(record, view)
+    decision = make_manager().safety_check(record, view)
     assert decision.approved is True
 
 
@@ -393,7 +400,7 @@ def test_check5_expected_field_name_refused():
 
 def test_checks_run_in_order_first_failure_wins():
     # iframe + bad channel + cross origin together: check 1 speaks first
-    record = make_record(is_iframe=True)
+    record = make_record(in_iframe=True)
     view = view_for(url="https://evil.example/login", channel=ChannelSecurity.PLAIN_HTTP)
     decision = make_manager().safety_check(record, view)
     assert decision.reason == 1
@@ -411,30 +418,16 @@ def test_checks_run_in_order_first_failure_wins():
 
 
 def counted_decodes(monkeypatch):
-    """Count the manager's calls of either body decoder."""
+    """Count calls of either body decoder in `http_model`, where they live."""
     calls = []
     for name in ("decode_urlencoded", "decode_multipart"):
 
-        def counting(body, *rest, _decode=getattr(manager_module, name)):
+        def counting(body, *rest, _decode=getattr(http_model, name)):
             calls.append(body)
             return _decode(body, *rest)
 
-        monkeypatch.setattr(manager_module, name, counting)
+        monkeypatch.setattr(http_model, name, counting)
     return calls
-
-
-def test_safety_check_decodes_each_view_once(monkeypatch):
-    decodes = counted_decodes(monkeypatch)
-    manager = make_manager()
-    view = view_for()
-    assert manager.safety_check(make_record(), view).approved is True
-    assert manager.safety_check(make_record(), view).approved is True
-    assert len(decodes) == 1
-    # a different view is decoded afresh, never answered from the last one
-    renamed = view_for(entries=(("username", "alice"), ("creds", NONCE)))
-    assert manager.safety_check(make_record(), renamed).reason == 5
-    assert manager.safety_check(make_record(), view).approved is True
-    assert len(decodes) == 3
 
 
 def _multipart(page):
@@ -486,13 +479,10 @@ def test_pipeline_view_and_hand_built_view_decide_alike(page_kwargs, mutate, rea
         query=view.query,
         headers=view.headers,
         body_view=view.body_view,
-        body=view.body,
+        form=request.body,
         channel=view.channel,
     )
-    assert (view.form is None) == (request.body is None) and hand.form is None
-    entries = manager._body_entries(view)
-    assert entries == manager._body_entries(hand)
-    assert entries == (request.body.entries if request.body is not None else ())
+    assert view.form is request.body
     decision = manager.safety_check(record, view)
     assert decision == manager.safety_check(record, hand)
     assert (decision.approved, decision.reason) == (reason is None, reason)

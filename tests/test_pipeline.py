@@ -30,6 +30,7 @@ from noncepipe.pipeline import (
     DefenseMode,
     ListenerRegistration,
     ListenerRegistry,
+    NonceRecord,
     PipelineConfig,
     Redirect,
     RedirectLoop,
@@ -37,6 +38,7 @@ from noncepipe.pipeline import (
     StageTranscript,
     StageView,
     SubstitutionRequest,
+    VaultEntry,
     apply_substitutions,
     dispatch,
     process_response,
@@ -315,22 +317,57 @@ def test_credential_stage_absent_in_baseline_and_dom_modes():
         assert final.body.entries == (("user", "alice"), ("pw", NONCE))
 
 
+def nonce_record(*, in_iframe=False) -> NonceRecord:
+    entry = VaultEntry(ORIGIN, "alice", SECRET)
+    return NonceRecord(NONCE, entry, "login", "pw", in_iframe=in_iframe, pinning_enabled=True)
+
+
+class OnePageRegistry:
+    """A nonce registry holding records for page p1 only."""
+
+    def __init__(self, *records):
+        self.records = {r.nonce: r for r in records}
+
+    def records_for(self, page_id):
+        return self.records if page_id == "p1" else {}
+
+
+class SourcePage:
+    page_id = "p1"
+    tls_overrides: dict = {}
+
+
 def test_manifest_v3_pulls_substitutions_from_registry_not_listeners():
-    class Registry:
-        def for_page(self, page_id):
-            assert page_id == "p1"
-            return [sub()]
-
-    class SourcePage:
-        page_id = "p1"
-        tls_overrides: dict = {}
-
+    record = nonce_record()
     called = []
     regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, called.append, lid="manager"))
-    config = PipelineConfig(defense_mode=DefenseMode.MANIFEST_V3, nonce_registry=Registry())
-    final, _ = dispatch(post(source_page=SourcePage()), regs, config)
+    config = PipelineConfig(
+        defense_mode=DefenseMode.MANIFEST_V3, nonce_registry=OnePageRegistry(record)
+    )
+    final, transcript = dispatch(post(source_page=SourcePage()), regs, config)
     assert called == []  # no callback interface in this mode
     assert final.body.entries == (("user", "alice"), ("pw", SECRET))
+    assert record.entry.pinned_submit_url == "https://site.example/login"  # approve pins
+    assert [e.to_line() for e in transcript.events] == ["7 substitution !browser - applied=1"]
+
+
+def test_manifest_v3_refusal_is_one_transcript_event():
+    config = PipelineConfig(
+        defense_mode=DefenseMode.MANIFEST_V3,
+        nonce_registry=OnePageRegistry(nonce_record(in_iframe=True)),
+    )
+    final, transcript = dispatch(post(source_page=SourcePage()), registry(), config)
+    assert final.body.entries == (("user", "alice"), ("pw", NONCE))
+    assert [e.to_line() for e in transcript.events] == ["7 substitutionRefused !browser - check=1"]
+
+
+def test_manifest_v3_request_without_a_registered_nonce_is_left_alone():
+    config = PipelineConfig(
+        defense_mode=DefenseMode.MANIFEST_V3, nonce_registry=OnePageRegistry(nonce_record())
+    )
+    plain = post(entries=(("user", "alice"), ("pw", "typed-by-hand")), source_page=SourcePage())
+    final, transcript = dispatch(plain, registry(), config)
+    assert final is plain and transcript.events == []
 
 
 def test_manifest_v3_without_registry_substitutes_nothing():

@@ -23,7 +23,7 @@ from noncepipe.http_model import (
     WebResponseRecord,
 )
 from noncepipe.manager import VaultEntry
-from noncepipe.pipeline import Cancel, DefenseMode, Stage
+from noncepipe.pipeline import EVENT_LISTENER, Cancel, DefenseMode, Stage
 from noncepipe.session import BrowserSession, FlowResult
 
 ORIGIN = Origin("https", "bank.example", 443)
@@ -175,8 +175,9 @@ def test_new_page_ids_and_webauthn_surface():
     assert first.webauthn is not None
 
 
-def test_session_keeps_no_page_its_caller_dropped():
-    session = make_session(mode=DefenseMode.BASELINE)
+@pytest.mark.parametrize("mode", list(DefenseMode))
+def test_session_keeps_no_page_its_caller_dropped(mode):
+    session = make_session(mode=mode)
     page = session.new_page(ORIGIN)
     add_login_form(page)
     session.autofill(page, "login")
@@ -185,6 +186,28 @@ def test_session_keeps_no_page_its_caller_dropped():
     del page
     assert dropped() is None  # freed at once: nothing in the session refers to it
     assert session.new_page(ORIGIN).page_id == "page-2"
+
+
+def browser_events(result: FlowResult) -> list[str]:
+    return [e.to_line() for e in result.transcript.events if e.listener_id == EVENT_LISTENER]
+
+
+def test_second_autofill_on_one_page_swaps_like_the_first_in_every_late_mode():
+    # autofill, submit, autofill again, submit again: the stale first nonce
+    # is not what the second request carries, so it plays no part
+    events = {}
+    for mode in (DefenseMode.DESIGN5_API_LATE, DefenseMode.MANIFEST_V3):
+        session = make_session(mode=mode)
+        page = session.new_page(ORIGIN)
+        add_login_form(page)
+        session.autofill(page, "login")
+        session.submit(page, "login")
+        session.autofill(page, "login")
+        second = session.submit(page, "login")
+        assert ("password", PASSWORD) in second.wire.body.entries
+        events[mode] = browser_events(second)
+    assert events[DefenseMode.MANIFEST_V3] == events[DefenseMode.DESIGN5_API_LATE]
+    assert events[DefenseMode.MANIFEST_V3] == ["2 substitution !browser - applied=1"]
 
 
 # ---------------------------------------------------------------------------

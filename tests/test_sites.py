@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from noncepipe import http_model, pipeline, sites
+from noncepipe import http_model, sites
 from noncepipe.dom import FieldKind, HookKind
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.http_model import (
@@ -284,7 +284,8 @@ def test_server_digest_is_the_transcript_digest_hashed_once(mode, monkeypatch):
         hashed.append(data)
         return real(data)
 
-    for module in (http_model, pipeline, sites):
+    # every module that binds the hash; views hash through RequestBody.digest
+    for module in (http_model, sites):
         monkeypatch.setattr(module, "sha256_hex", counting)
     site = profile()
     entry = site_vault_entry(site, seed=3)
