@@ -67,7 +67,7 @@ from .pipeline import (
 )
 from .rng import derive_seed, substream
 from .session import BrowserSession, FlowResult
-from .sites import ServerFarm, SiteProfile, build_login_page, site_vault_entry
+from .sites import LOGIN_CATEGORIES, ServerFarm, SiteProfile, build_login_page, site_vault_entry
 
 __all__ = [
     "AttackOutcome",
@@ -132,6 +132,10 @@ EXPECTED_FIDO2_CELLS: dict[str, dict[str, str]] = {
 
 ATTACKER_EXTENSION_ID = "evil.collector"
 CAPTURE_ORIGIN = Origin("https", "evil.example", 443)
+# the webRequest attacker's manifest (frozen, so shared)
+_ATTACKER_MANIFEST = ExtensionManifest(
+    ATTACKER_EXTENSION_ID, frozenset({Permission.WEB_REQUEST}), ("<all_urls>",)
+)
 
 
 @dataclass(frozen=True)
@@ -371,12 +375,7 @@ class _WebRequestExfiltratorAgent(_PasswordAgent):
 
     def pre_autofill(self, ctx: _ScenarioContext) -> None:
         host = ctx.session.host
-        manifest = ExtensionManifest(
-            ATTACKER_EXTENSION_ID,
-            frozenset({Permission.WEB_REQUEST}),
-            ("<all_urls>",),
-        )
-        self.extension = host.install(manifest)
+        self.extension = host.install(_ATTACKER_MANIFEST)
         for stage in self.stages:
             host.register_listener(ATTACKER_EXTENSION_ID, stage, lambda view: None)
         if self.blocking_move == "redirect":
@@ -408,13 +407,18 @@ _AGENTS = {
 }
 
 
+# the attacked site of each login category, built once
+_TARGETS = {
+    category: SiteProfile("target", category, Origin("https", "site.example", 443))
+    for category in LOGIN_CATEGORIES
+}
+
+
 def run_scenario(scenario: AttackScenario) -> AttackOutcome:
     """One login under attack; returns what the adversary got away with."""
-    profile = SiteProfile(
-        site_id="target",
-        category=scenario.site_category,
-        origin=Origin("https", "site.example", 443),
-    )
+    profile = _TARGETS.get(scenario.site_category)
+    if profile is None:
+        raise ValueError(f"not a login site category: {scenario.site_category!r}")
     entry = site_vault_entry(profile, scenario.seed)
     farm = ServerFarm(scenario.seed)
     farm.add_site(profile, entry.password)
@@ -736,10 +740,7 @@ def _fido2_setup(
 
 
 def _grab_and_cancel(session: BrowserSession, captured: list[str]):
-    manifest = ExtensionManifest(
-        ATTACKER_EXTENSION_ID, frozenset({Permission.WEB_REQUEST}), ("<all_urls>",)
-    )
-    extension = session.host.install(manifest)
+    extension = session.host.install(_ATTACKER_MANIFEST)
 
     def on_before_request(view: StageView):
         if view.url.endswith("/webauthn/finish") and view.method == "POST":

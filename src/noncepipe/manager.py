@@ -15,7 +15,7 @@ from typing import Container, Optional, Sequence
 
 from .dom import FieldKind, Form, HookKind, Page, SubmitHook
 from .extensions import ExtensionHost, ExtensionManifest, NonceRegistry, Permission
-from .http_model import Origin
+from .http_model import Origin, Url
 from .pipeline import (
     CHECK_NAMES,
     Cancel,
@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 MANAGER_EXTENSION_ID = "noncepipe.manager"
+# frozen, so every manager shares it
+_MANIFEST = ExtensionManifest(
+    MANAGER_EXTENSION_ID, frozenset({Permission.WEB_REQUEST, Permission.SECRETS})
+)
 
 NONCE_LENGTH = 16
 NONCE_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
@@ -74,6 +78,7 @@ class PendingReplacement:
     request_id: int
     record: NonceRecord
     decision: SafetyDecision
+    url: Url  # the request's destination, parsed once
 
 
 def generate_nonce(rng: Random, used: Container[str] = frozenset()) -> str:
@@ -137,10 +142,7 @@ class PasswordManager:
         self.pinning_enabled = pinning_enabled
         self.strict_field_names = strict_field_names
         self.cancel_on_get_nonce = cancel_on_get_nonce
-        self.manifest = manifest or ExtensionManifest(
-            MANAGER_EXTENSION_ID,
-            frozenset({Permission.WEB_REQUEST, Permission.SECRETS}),
-        )
+        self.manifest = manifest or _MANIFEST
         self.registry: Optional[NonceRegistry] = None
         self.decisions: list[tuple[int, SafetyDecision]] = []
         self._records: dict[str, NonceRecord] = {}
@@ -244,27 +246,36 @@ class PasswordManager:
 
     # -- the five checks -------------------------------------------------------
 
-    def safety_check(self, record: NonceRecord, view: StageView) -> SafetyDecision:
+    def safety_check(self, record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
         """Run the five ordered checks and log the verdict in `decisions`."""
-        decision = check(record, view)
+        decision = check(record, view, url)
         self.decisions.append((view.request_id, decision))
         return decision
 
     # -- pipeline callbacks -------------------------------------------------------
 
+    def _associate(self, view: StageView) -> Optional[PendingReplacement]:
+        """Find the nonce a new request carries, parse its destination once,
+        check it, and keep the verdict for the request's later stage."""
+        record = record_for(self._records, view)
+        if record is None:
+            return None
+        url = Url.parse(view.url)
+        decision = self.safety_check(record, view, url)
+        pending = PendingReplacement(view.request_id, record, decision, url)
+        self._pending[view.request_id] = pending
+        return pending
+
     def on_before_request(self, view: StageView) -> Optional[Cancel]:
         """Early validation: associate a nonce, run the checks, stash the verdict."""
         if view.request_id in self._pending:
             return None
-        record = record_for(self._records, view)
-        if record is None:
-            return None
-        decision = self.safety_check(record, view)
-        self._pending[view.request_id] = PendingReplacement(view.request_id, record, decision)
+        pending = self._associate(view)
         if (
-            self.cancel_on_get_nonce
-            and not decision.approved
-            and decision.reason == 4
+            pending is not None
+            and self.cancel_on_get_nonce
+            and not pending.decision.approved
+            and pending.decision.reason == 4
         ):
             return Cancel("nonce in GET parameters")
         return None
@@ -275,14 +286,7 @@ class PasswordManager:
         In the early-position mode this callback fires before validation
         had a chance to run, so it associates and checks on the spot.
         """
-        pending = self._pending.get(view.request_id)
-        if pending is None:
-            record = record_for(self._records, view)
-            if record is None:
-                return None
-            decision = self.safety_check(record, view)
-            pending = PendingReplacement(view.request_id, record, decision)
-            self._pending[view.request_id] = pending
-        if not pending.decision.approved:
+        pending = self._pending.get(view.request_id) or self._associate(view)
+        if pending is None or not pending.decision.approved:
             return None
-        return approve(pending.record, view)
+        return approve(pending.record, pending.url)

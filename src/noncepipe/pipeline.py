@@ -78,6 +78,10 @@ __all__ = [
 
 
 class Stage(Enum):
+    # members are singletons and compare by identity, so hash by identity too
+    # (C-level, unlike Enum.__hash__): listener lookups key on stages
+    __hash__ = object.__hash__
+
     ON_BEFORE_REQUEST = "onBeforeRequest"
     ON_BEFORE_SEND_HEADERS = "onBeforeSendHeaders"
     ON_SEND_HEADERS = "onSendHeaders"
@@ -220,9 +224,9 @@ def record_for(records: Mapping[str, NonceRecord], view: StageView) -> Optional[
     return None
 
 
-def check(record: NonceRecord, view: StageView) -> SafetyDecision:
-    """Run the five ordered checks on a full request view; the first
-    failure is the verdict. Pure: it changes neither argument.
+def check(record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
+    """Run the five ordered checks on a full request view whose destination
+    is `url`; the first failure is the verdict. Pure: it changes no argument.
 
     Check 1  the login form is not in an iframe
     Check 2  the connection is well-secured HTTPS (not HTTP, not broken TLS)
@@ -240,7 +244,6 @@ def check(record: NonceRecord, view: StageView) -> SafetyDecision:
         channel = view.channel.value if view.channel else "unknown"
         return SafetyDecision(False, 2, f"channel is {channel}")
 
-    url = Url.parse(view.url)
     if url.origin != entry.origin:
         return SafetyDecision(False, 3, f"destination {url.origin} != entry {entry.origin}")
     if record.pinning_enabled and entry.pinned_submit_url is not None:
@@ -269,12 +272,12 @@ def check(record: NonceRecord, view: StageView) -> SafetyDecision:
     return SafetyDecision(True, None, "all checks passed")
 
 
-def approve(record: NonceRecord, view: StageView) -> SubstitutionRequest:
+def approve(record: NonceRecord, url: Url) -> SubstitutionRequest:
     """The substitution an approved record asks for, pinning the submit URL
-    first when pinning is on."""
+    `url` first when pinning is on."""
     entry = record.entry
     if record.pinning_enabled:
-        entry.learn_submit_url(Url.parse(view.url))
+        entry.learn_submit_url(url)
     return SubstitutionRequest(record.field_name, record.nonce, entry.password, entry.origin)
 
 
@@ -622,9 +625,9 @@ def _collect_substitutions(
         record = record_for(records, view)
         if record is None:
             return collected
-        decision = check(record, view)
+        decision = check(record, view, request.url)
         if decision.approved:
-            collected.append(approve(record, view))
+            collected.append(approve(record, request.url))
         else:
             transcript.record_event(
                 request.request_id, EVENT_SUBSTITUTION_REFUSED, detail=f"check={decision.reason}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -95,6 +96,13 @@ class SiteProfile:
                 return value
         return default
 
+    @cached_property
+    def login_action(self) -> Url:
+        """Where the login form posts, built once and shared by every page
+        (a Url is frozen; a script retargets a form by replacing it)."""
+        submit = _submit_origin(self)
+        return Url(submit.scheme, submit.host, submit.port, "/login")
+
 
 def generate_password(seed: int, site_id: str) -> str:
     rng = substream(seed, "vault", site_id)
@@ -129,10 +137,9 @@ def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Pag
     if profile.category == "fido2":
         return page, ""
 
-    submit = _submit_origin(profile)
     form = Form(
         form_id="login",
-        action=Url(submit.scheme, submit.host, submit.port, "/login"),
+        action=profile.login_action,
         method="GET" if profile.category == "get_submit" else "POST",
         fields=[
             Field("username", FieldKind.TEXT),

@@ -253,7 +253,8 @@ def _e2e_refusal(mode, page_kwargs, action, mutate):
 def test_criterion_3_five_refusal_scenarios():
     problems = []
     manager = PasswordManager([], substream(SEED, "criterion3"))
-    if not manager.safety_check(_record(), _view()).approved:
+    view = _view()
+    if not manager.safety_check(_record(), view, Url.parse(view.url)).approved:
         problems.append("the all-clear scenario was refused")
 
     scenarios = [
@@ -273,7 +274,7 @@ def test_criterion_3_five_refusal_scenarios():
     ]
     refused = []
     for expected_reason, record, view in scenarios:
-        decision = manager.safety_check(record, view)
+        decision = manager.safety_check(record, view, Url.parse(view.url))
         if decision.approved:
             problems.append(f"scenario {expected_reason} was not refused")
         elif decision.reason != expected_reason:

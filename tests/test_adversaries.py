@@ -136,6 +136,13 @@ def test_outcome_reports_digests_never_the_secret():
     assert all(password not in note for note in outcome.notes)
 
 
+@pytest.mark.parametrize("category", ["fido2", "bogus"])
+def test_run_scenario_rejects_a_category_with_no_login_form(category):
+    scenario = AttackScenario("s", "dom_observer", DefenseMode.BASELINE, 1, 0, category)
+    with pytest.raises(ValueError, match=f"not a login site category: '{category}'"):
+        run_scenario(scenario)
+
+
 def test_unknown_adversary_rejected():
     with pytest.raises(KeyError):
         outcome_for("quantum_eavesdropper", DefenseMode.BASELINE)

@@ -173,6 +173,10 @@ def make_manager(entries=None, seed=7, **kwargs) -> PasswordManager:
     return PasswordManager(entries, Random(seed), **kwargs)
 
 
+def test_managers_share_one_default_manifest():
+    assert make_manager().manifest is make_manager(seed=8).manifest
+
+
 def test_autofill_baseline_fills_real_password():
     manager = make_manager()
     page = login_page()
@@ -336,40 +340,44 @@ def view_for(
 
 def test_all_checks_pass():
     manager = make_manager()
-    decision = manager.safety_check(make_record(), view_for())
+    view = view_for()
+    decision = manager.safety_check(make_record(), view, Url.parse(view.url))
     assert decision == SafetyDecision(True, None, "all checks passed")
     assert manager.decisions == [(1, decision)]
 
 
 def test_check1_iframe_refused():
-    decision = make_manager().safety_check(make_record(in_iframe=True), view_for())
+    view = view_for()
+    record = make_record(in_iframe=True)
+    decision = make_manager().safety_check(record, view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 1)
 
 
 @pytest.mark.parametrize("channel", [ChannelSecurity.PLAIN_HTTP, ChannelSecurity.BAD_TLS])
 def test_check2_channel_refused(channel):
-    decision = make_manager().safety_check(make_record(), view_for(channel=channel))
+    view = view_for(channel=channel)
+    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 2)
     assert channel.value in decision.detail
 
 
 def test_check3_cross_origin_refused():
     view = view_for(url="https://evil.example/login")
-    decision = make_manager().safety_check(make_record(), view)
+    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 3)
 
 
 def test_check3_pin_mismatch_refused():
     record = make_record(pinned="https://bank.example/login")
     view = view_for(url="https://bank.example/changed-path")
-    decision = make_manager().safety_check(record, view)
+    decision = make_manager().safety_check(record, view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 3)
 
 
 def test_check3_pin_ignored_when_pinning_disabled():
     record = make_record(pinned="https://bank.example/login", pinning_enabled=False)
     view = view_for(url="https://bank.example/changed-path")
-    decision = make_manager().safety_check(record, view)
+    decision = make_manager().safety_check(record, view, Url.parse(view.url))
     assert decision.approved is True
 
 
@@ -380,13 +388,13 @@ def test_check4_nonce_in_get_params_refused():
         query=(("password", NONCE),),
         entries=(),
     )
-    decision = make_manager().safety_check(make_record(), view)
+    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 4)
 
 
 def test_check5_renamed_field_refused():
     view = view_for(entries=(("username", "alice"), ("creds", NONCE)))
-    decision = make_manager().safety_check(make_record(), view)
+    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 5)
     assert "'creds'" in decision.detail
 
@@ -394,7 +402,7 @@ def test_check5_renamed_field_refused():
 def test_check5_expected_field_name_refused():
     record = make_record(field_name="pw", expected="password")
     view = view_for(entries=(("pw", NONCE),))
-    decision = make_manager().safety_check(record, view)
+    decision = make_manager().safety_check(record, view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 5)
 
 
@@ -402,7 +410,7 @@ def test_checks_run_in_order_first_failure_wins():
     # iframe + bad channel + cross origin together: check 1 speaks first
     record = make_record(in_iframe=True)
     view = view_for(url="https://evil.example/login", channel=ChannelSecurity.PLAIN_HTTP)
-    decision = make_manager().safety_check(record, view)
+    decision = make_manager().safety_check(record, view, Url.parse(view.url))
     assert decision.reason == 1
 
     # bad channel + GET leak: check 2 beats check 4
@@ -413,7 +421,7 @@ def test_checks_run_in_order_first_failure_wins():
         entries=(),
         channel=ChannelSecurity.BAD_TLS,
     )
-    decision = make_manager().safety_check(make_record(), view)
+    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
     assert decision.reason == 2
 
 
@@ -483,8 +491,8 @@ def test_pipeline_view_and_hand_built_view_decide_alike(page_kwargs, mutate, rea
         channel=view.channel,
     )
     assert view.form is request.body
-    decision = manager.safety_check(record, view)
-    assert decision == manager.safety_check(record, hand)
+    decision = manager.safety_check(record, view, Url.parse(view.url))
+    assert decision == manager.safety_check(record, hand, Url.parse(hand.url))
     assert (decision.approved, decision.reason) == (reason is None, reason)
 
 

@@ -93,6 +93,14 @@ def test_stage_values_are_camel_case():
     ]
 
 
+def test_stages_hash_by_identity_and_still_look_up_by_value():
+    for stage in Stage:
+        assert hash(stage) == object.__hash__(stage)
+        assert Stage(stage.value) is stage and Stage[stage.name] is stage
+        assert {stage: 1}[Stage(stage.value)] == 1
+    assert len(set(Stage) | set(Stage)) == len(Stage) == 7
+
+
 def test_registry_at_keeps_registration_order_across_interleaved_stages():
     stages = [Stage.ON_BEFORE_REQUEST, Stage.ON_COMPLETED, Stage.ON_REQUEST_CREDENTIALS]
     regs = [listener(stages[i % 3], lid=f"l{i}") for i in range(9)]

@@ -215,6 +215,28 @@ def test_second_autofill_on_one_page_swaps_like_the_first_in_every_late_mode():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "mode, parses",
+    [
+        (DefenseMode.DESIGN4_API_EARLY, 1),
+        (DefenseMode.DESIGN5_API_LATE, 1),
+        (DefenseMode.MANIFEST_V3, 0),  # the browser checks the request's own Url
+    ],
+)
+def test_nonce_login_parses_its_destination_at_most_once(monkeypatch, mode, parses):
+    session = make_session(mode)
+    page = session.new_page(ORIGIN)
+    add_login_form(page)
+    session.autofill(page, "login")
+    parsed = []
+    parse = Url.parse
+    counting = classmethod(lambda cls, text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(Url, "parse", counting)
+    result = session.submit(page, "login")
+    assert ("password", PASSWORD) in result.wire.body.entries
+    assert parsed == ["https://bank.example/login"] * parses
+
+
 def test_same_seed_replays_identical_wire_bytes():
     a = login_flow(make_session(seed=123))
     b = login_flow(make_session(seed=123))

@@ -6,7 +6,8 @@ import hashlib
 import pytest
 
 from noncepipe import http_model, sites
-from noncepipe.dom import FieldKind, HookKind
+from noncepipe.dom import FieldKind, HookKind, Provenance, ScriptHandle, SetFormAction
+from noncepipe.dom import attach_script, script_mutate
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.http_model import (
     Origin,
@@ -167,6 +168,30 @@ def test_build_page_bad_tls_option():
     p = profile(options=(("bad_tls", "1"),))
     page, _ = build_login_page(session_for(p), p)
     assert page.tls_overrides  # channel downgraded for the page origin
+
+
+def test_pages_of_one_profile_share_its_login_action():
+    p = profile()
+    session = session_for(p)
+    (page1, form1), (page2, form2) = build_login_page(session, p), build_login_page(session, p)
+    assert page1.form(form1) is not page2.form(form2)
+    assert page1.form(form1).action is page2.form(form2).action is p.login_action
+    assert p.login_action == Url.parse("https://site.example/login")
+    assert profile(category="http_submit").login_action == Url.parse("http://site.example/login")
+
+
+def test_script_retarget_leaves_other_pages_and_the_profile_alone():
+    p = profile()
+    session = session_for(p)
+    (page1, form1), (page2, form2) = build_login_page(session, p), build_login_page(session, p)
+    action = p.login_action
+    script = ScriptHandle("s1", Provenance.XSS)
+    attach_script(page1, script)
+    evil = Url.parse("https://evil.example/sink")
+    script_mutate(script, page1, SetFormAction(form1, evil))
+    assert page1.form(form1).action == evil
+    assert page2.form(form2).action is action and p.login_action is action
+    assert action == Url.parse("https://site.example/login")
 
 
 # ---------------------------------------------------------------------------
