@@ -162,6 +162,11 @@ class AttackOutcome:
     attacker_registered: bool = False
     notes: tuple[str, ...] = ()
 
+    @property
+    def compromised(self) -> bool:
+        """The attacker leaked the secret or logged in or registered as the user."""
+        return self.secret_leaked or self.attacker_login or self.attacker_registered
+
 
 def find_leaks(
     secrets: Sequence[str], observations: Sequence[str]
@@ -881,9 +886,6 @@ def evaluate_fido2_cells(seed: int) -> dict[str, dict[str, str]]:
                 defense_on=defense_on,
                 seed=derive_seed(seed, "fido2-cell", label, adversary),
             )
-            compromised = (
-                outcome.secret_leaked or outcome.attacker_login or outcome.attacker_registered
-            )
-            row[adversary] = "unprotected" if compromised else "protected"
+            row[adversary] = "unprotected" if outcome.compromised else "protected"
         out[label] = row
     return out

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .adversaries import (
     AttackOutcome,
     AttackScenario,
+    EXPECTED_FIDO2_CELLS,
     FIDO2_ADVERSARIES,
     PASSWORD_ADVERSARIES,
     GoldenFormatError,
@@ -312,9 +313,10 @@ def _replay_demo(seed: int, defense_on: bool) -> str:
 def cmd_fido2_demo(args: argparse.Namespace) -> int:
     defense_on = args.defense == "on"
     honest = _honest_fido2_flows(derive_seed(args.seed, "honest"), defense_on)
+    outcomes: dict[str, AttackOutcome] = {}
     cells: dict[str, dict[str, bool]] = {}
     for adversary in FIDO2_ADVERSARIES:
-        outcome = run_fido2_scenario(
+        outcome = outcomes[adversary] = run_fido2_scenario(
             adversary, defense_on=defense_on, seed=derive_seed(args.seed, "demo", adversary)
         )
         cells[adversary] = {
@@ -352,12 +354,11 @@ def cmd_fido2_demo(args: argparse.Namespace) -> int:
     problems = []
     if honest["register"] != "accepted" or honest["authenticate"] != "accepted":
         problems.append("honest flow failed")
-    for adversary, cell in cells.items():
-        hijacked = cell["registration_hijack"] or cell["login_hijack"] or cell["secret_leaked"]
-        if defense_on and hijacked:
-            problems.append(f"{adversary} succeeded under defense")
-        if not defense_on and not hijacked:
-            problems.append(f"{adversary} failed against the legacy flow")
+    expected = EXPECTED_FIDO2_CELLS["header_channel" if defense_on else "legacy"]
+    for adversary, outcome in outcomes.items():
+        verdict = "unprotected" if outcome.compromised else "protected"
+        if verdict != expected[adversary]:
+            problems.append(f"{adversary} {verdict}, expected {expected[adversary]}")
     if replay_verdict is not None and replay_verdict != "rejected:counter_replay":
         problems.append(f"replay verdict {replay_verdict}")
     for problem in problems:

@@ -432,7 +432,6 @@ class Fido2SecureEntry:
     real_request: Fido2Request
     url_resp: str
     real_response: Optional[str] = None
-    used: bool = False
 
     def __repr__(self) -> str:  # the real payloads stay out of reprs
         return f"Fido2SecureEntry(session={self.session_id!r}, url_resp={self.url_resp!r})"
@@ -475,7 +474,7 @@ class SecureStore:
 
     def pending(self, session_id: str) -> Optional[Fido2SecureEntry]:
         entry = self._by_session.get(session_id)
-        if entry is not None and entry.real_response is None and not entry.used:
+        if entry is not None and entry.real_response is None:
             return entry
         return None
 
@@ -505,19 +504,18 @@ class SecureStore:
     def inject(self, request: WebRequestRecord) -> Optional[WebRequestRecord]:
         """Attach the real response header when the destination matches.
 
-        Runs after onSendHeaders; the match is an exact URL comparison and
-        the entry is consumed either way once used.
+        Runs after onSendHeaders; the match is an exact URL comparison, and
+        a matching entry is consumed, so each real response goes out once.
         """
         page = request.source_page
         session_id = getattr(page, "page_id", None)
         if session_id is None:
             return None
         entry = self._by_session.get(session_id)
-        if entry is None or entry.real_response is None or entry.used:
+        if entry is None or entry.real_response is None:
             return None
         if request.url.to_string() != entry.url_resp:
             return None
-        entry.used = True
         del self._by_session[session_id]
         return replace(
             request, headers=request.headers + ((HEADER_RESPONSE, entry.real_response),)

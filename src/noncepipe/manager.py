@@ -18,7 +18,6 @@ from .extensions import ExtensionHost, ExtensionManifest, NonceRegistry, Permiss
 from .http_model import Origin, Url
 from .pipeline import (
     CHECK_NAMES,
-    Cancel,
     DefenseMode,
     NonceRecord,
     PinConflict,
@@ -66,7 +65,7 @@ class OriginMismatch(LookupError):
 
 
 class NoPasswordField(LookupError):
-    """The form has no fillable password field (or the wrong name, strictly)."""
+    """The form has no fillable password field."""
 
 
 class VaultFormatError(TsvFormatError):
@@ -133,16 +132,11 @@ class PasswordManager:
         rng: Random,
         *,
         pinning_enabled: bool = True,
-        strict_field_names: bool = False,
-        cancel_on_get_nonce: bool = False,
-        manifest: Optional[ExtensionManifest] = None,
     ) -> None:
         self.vault = list(vault)
         self.rng = rng
         self.pinning_enabled = pinning_enabled
-        self.strict_field_names = strict_field_names
-        self.cancel_on_get_nonce = cancel_on_get_nonce
-        self.manifest = manifest or _MANIFEST
+        self.manifest = _MANIFEST
         self.registry: Optional[NonceRegistry] = None
         self.decisions: list[tuple[int, SafetyDecision]] = []
         self._records: dict[str, NonceRecord] = {}
@@ -172,15 +166,6 @@ class PasswordManager:
         password_field = form.first_of_kind(FieldKind.PASSWORD)
         if password_field is None:
             raise NoPasswordField(f"form {form_id!r} has no password field")
-        if (
-            self.strict_field_names
-            and entry.expected_field_name
-            and password_field.name != entry.expected_field_name
-        ):
-            raise NoPasswordField(
-                f"password field is named {password_field.name!r}, "
-                f"entry expects {entry.expected_field_name!r}"
-            )
         self._fill_username(form, entry.username)
 
         if mode is DefenseMode.BASELINE:
@@ -233,7 +218,6 @@ class PasswordManager:
                 self.manifest.extension_id,
                 Stage.ON_BEFORE_REQUEST,
                 self.on_before_request,
-                blocking=self.cancel_on_get_nonce,
                 listener_id="manager.validate",
             )
             host.register_listener(
@@ -266,19 +250,10 @@ class PasswordManager:
         self._pending[view.request_id] = pending
         return pending
 
-    def on_before_request(self, view: StageView) -> Optional[Cancel]:
+    def on_before_request(self, view: StageView) -> None:
         """Early validation: associate a nonce, run the checks, stash the verdict."""
-        if view.request_id in self._pending:
-            return None
-        pending = self._associate(view)
-        if (
-            pending is not None
-            and self.cancel_on_get_nonce
-            and not pending.decision.approved
-            and pending.decision.reason == 4
-        ):
-            return Cancel("nonce in GET parameters")
-        return None
+        if view.request_id not in self._pending:
+            self._associate(view)
 
     def on_request_credentials(self, view: StageView) -> Optional[SubstitutionRequest]:
         """Credential-stage provider: emit the substitution if approved.

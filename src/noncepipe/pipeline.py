@@ -23,9 +23,10 @@ design5 run it in the manager's callbacks, manifest_v3 in `dispatch` itself.
 
 Listener views are immutable snapshots, one per stage of a hop, shared by
 every listener at that stage. The request body is visible (always
-pre-substitution) only at the first three stages; at the credential stage it
-is either stripped (implementation behavior) or a pre-substitution snapshot
-(design behavior); response-side stages never expose a request body.
+pre-substitution) only at the first three stages. At the credential stage
+design5 strips it (validation happened earlier), while design4's and
+manifest_v3's views show it pre-substitution; response-side stages never
+expose a request body.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ __all__ = [
     "BodyView",
     "Cancel",
     "Cancelled",
-    "CredentialBodyMode",
     "DefenseMode",
     "ListenerRegistration",
     "ListenerRegistry",
+    "MAX_REDIRECT_HOPS",
     "NonceRecord",
     "PinConflict",
     "PipelineConfig",
@@ -113,17 +114,6 @@ class DefenseMode(Enum):
     MANIFEST_V3 = "manifest_v3"
 
 
-class CredentialBodyMode(Enum):
-    """What a credential-stage listener may see of the body.
-
-    IMPLEMENTATION strips the body entirely (validation happened earlier);
-    DESIGN exposes a pre-substitution snapshot, never the substituted body.
-    """
-
-    IMPLEMENTATION = "implementation"
-    DESIGN = "design"
-
-
 class BodyView(Enum):
     FULL_PRE_SUBSTITUTION = "full_pre_substitution"
     STRIPPED = "stripped"
@@ -166,7 +156,6 @@ class VaultEntry:
     username: str
     password: str
     pinned_submit_url: Optional[str] = None
-    expected_field_name: Optional[str] = None
 
     def __repr__(self) -> str:
         pin = f", pinned={self.pinned_submit_url!r}" if self.pinned_submit_url else ""
@@ -234,7 +223,6 @@ def check(record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
              is pinned and pinning is on, the destination must equal it
     Check 4  the nonce does not travel in GET parameters
     Check 5  every field holding the nonce bears the autofilled field's name
-             (and the entry's expected field name, when set)
     """
     entry = record.entry
     if record.in_iframe:
@@ -262,12 +250,6 @@ def check(record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
             return SafetyDecision(
                 False, 5, f"nonce sits in field {name!r}, autofilled {record.field_name!r}"
             )
-    if entry.expected_field_name and record.field_name != entry.expected_field_name:
-        return SafetyDecision(
-            False,
-            5,
-            f"autofilled field {record.field_name!r} != expected {entry.expected_field_name!r}",
-        )
 
     return SafetyDecision(True, None, "all checks passed")
 
@@ -412,6 +394,9 @@ class RedirectLoop(RuntimeError):
     pass
 
 
+MAX_REDIRECT_HOPS = 8
+
+
 @dataclass(eq=False)
 class ListenerRegistration:
     """One listener of one extension at one stage.
@@ -527,9 +512,7 @@ class PipelineConfig:
     """
 
     defense_mode: DefenseMode = DefenseMode.DESIGN5_API_LATE
-    credential_body: CredentialBodyMode = CredentialBodyMode.IMPLEMENTATION
     credential_stage_enabled: bool = True
-    max_redirect_hops: int = 8
     nonce_registry: Optional[object] = None  # duck-typed .records_for(page_id)
 
 
@@ -549,17 +532,14 @@ def _request_view(
         body_view = BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT
     elif stage is Stage.ON_REQUEST_CREDENTIALS:
         # manifest_v3's view is the browser's own, for the policy check
-        if (
-            config.defense_mode is not DefenseMode.DESIGN5_API_LATE
-            or config.credential_body is CredentialBodyMode.DESIGN
-        ):
+        if config.defense_mode is DefenseMode.DESIGN5_API_LATE:
+            form = None
+            body_view = BodyView.STRIPPED
+        else:
             form = pre_substitution_body
             body_view = (
                 BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT
             )
-        else:
-            form = None
-            body_view = BodyView.STRIPPED
     else:
         raise AssertionError(f"{stage} is not a request-side stage")
     return StageView(
@@ -736,8 +716,8 @@ def dispatch(
 
         if redirected_to is not None:
             hops += 1
-            if hops > config.max_redirect_hops:
-                raise RedirectLoop(f"more than {config.max_redirect_hops} redirect hops")
+            if hops > MAX_REDIRECT_HOPS:
+                raise RedirectLoop(f"more than {MAX_REDIRECT_HOPS} redirect hops")
             new_id = id_allocator() if id_allocator else current.request_id * 1000 + hops
             current = _reissue(current, redirected_to, new_id)
             continue

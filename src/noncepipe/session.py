@@ -18,7 +18,6 @@ from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebRespo
 from .manager import PasswordManager, VaultEntry
 from .pipeline import (
     Cancelled,
-    CredentialBodyMode,
     DefenseMode,
     PipelineConfig,
     StageTranscript,
@@ -55,10 +54,8 @@ class BrowserSession:
         server: ServeFn,
         *,
         name: str = "session",
-        credential_body: CredentialBodyMode = CredentialBodyMode.IMPLEMENTATION,
         credential_stage_enabled: bool = True,
         pinning_enabled: bool = True,
-        strict_field_names: bool = False,
     ) -> None:
         self.seed = seed
         self.name = name
@@ -68,15 +65,11 @@ class BrowserSession:
         self.nonce_registry = NonceRegistry()
         self.config = PipelineConfig(
             defense_mode=defense_mode,
-            credential_body=credential_body,
             credential_stage_enabled=credential_stage_enabled,
             nonce_registry=self.nonce_registry,
         )
         self.manager = PasswordManager(
-            vault,
-            substream(seed, name, "manager"),
-            pinning_enabled=pinning_enabled,
-            strict_field_names=strict_field_names,
+            vault, substream(seed, name, "manager"), pinning_enabled=pinning_enabled
         )
         self.manager.registry = self.nonce_registry
         self.manager_extension = self.manager.register_with(self.host, defense_mode)

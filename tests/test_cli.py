@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from noncepipe.adversaries import PASSWORD_ADVERSARIES
+from noncepipe.adversaries import EXPECTED_FIDO2_CELLS, PASSWORD_ADVERSARIES
 from noncepipe.cli import (
     DEFENSE_TOKENS,
     EXIT_DATA,
@@ -264,6 +264,15 @@ def test_fido2_demo_legacy_attacks_succeed(capsys):
     assert data["honest"] == {"register": "accepted", "authenticate": "accepted"}
     assert data["cells"]["fido2_dom"]["login_hijack"] is True
     assert data["cells"]["fido2_request"]["login_hijack"] is True
+
+
+def test_fido2_demo_checks_cells_against_the_expected_table(monkeypatch, capsys):
+    monkeypatch.setitem(EXPECTED_FIDO2_CELLS["header_channel"], "fido2_dom", "unprotected")
+    rc = main(["fido2-demo", "--seed", "7"])
+    assert rc == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert "fido2_dom protected, expected unprotected" in err
+    assert "fido2_request" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from noncepipe.manager import (
 )
 from noncepipe.pipeline import (
     BodyView,
-    Cancelled,
     DefenseMode,
     ListenerRegistration,
     ListenerRegistry,
@@ -167,10 +166,8 @@ def login_page(*, is_iframe=False, action=ACTION, fields=None, page_origin=ORIGI
     return page
 
 
-def make_manager(entries=None, seed=7, **kwargs) -> PasswordManager:
-    if entries is None:
-        entries = [VaultEntry(ORIGIN, "alice", PASSWORD)]
-    return PasswordManager(entries, Random(seed), **kwargs)
+def make_manager(seed=7) -> PasswordManager:
+    return PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(seed))
 
 
 def test_managers_share_one_default_manifest():
@@ -242,13 +239,6 @@ def test_autofill_without_password_field_raises():
         make_manager().autofill(page, "login", DefenseMode.BASELINE)
 
 
-def test_autofill_strict_field_name_mismatch_raises():
-    entry = VaultEntry(ORIGIN, "alice", PASSWORD, expected_field_name="passwd")
-    manager = make_manager(entries=[entry], strict_field_names=True)
-    with pytest.raises(NoPasswordField):
-        manager.autofill(login_page(), "login", DefenseMode.DESIGN5_API_LATE)
-
-
 def test_autofill_design3_installs_guarded_swap_hook():
     manager = make_manager()
     page = login_page()
@@ -298,12 +288,8 @@ def test_learn_submit_url_pins_then_enforces():
 NONCE = "Ab0Cd1Ef2Gh3Ij4K"
 
 
-def make_record(
-    *, in_iframe=False, field_name="password", pinned=None, expected=None, pinning_enabled=True
-):
-    entry = VaultEntry(
-        ORIGIN, "alice", PASSWORD, pinned_submit_url=pinned, expected_field_name=expected
-    )
+def make_record(*, in_iframe=False, field_name="password", pinned=None, pinning_enabled=True):
+    entry = VaultEntry(ORIGIN, "alice", PASSWORD, pinned_submit_url=pinned)
     return NonceRecord(
         nonce=NONCE,
         entry=entry,
@@ -397,13 +383,6 @@ def test_check5_renamed_field_refused():
     decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
     assert (decision.approved, decision.reason) == (False, 5)
     assert "'creds'" in decision.detail
-
-
-def test_check5_expected_field_name_refused():
-    record = make_record(field_name="pw", expected="password")
-    view = view_for(entries=(("pw", NONCE),))
-    decision = make_manager().safety_check(record, view, Url.parse(view.url))
-    assert (decision.approved, decision.reason) == (False, 5)
 
 
 def test_checks_run_in_order_first_failure_wins():
@@ -508,8 +487,8 @@ def test_refusal_requires_check_number():
 # ---------------------------------------------------------------------------
 
 
-def wired(mode, *, form_kwargs=None, manager_kwargs=None):
-    manager = make_manager(**(manager_kwargs or {}))
+def wired(mode, *, form_kwargs=None):
+    manager = make_manager()
     host = ExtensionHost()
     manager.register_with(host, mode)
     page = login_page(**(form_kwargs or {}))
@@ -554,27 +533,6 @@ def test_dispatch_refusal_leaves_nonce_on_wire():
     assert ("password", record.nonce) in final.body.entries
     assert PASSWORD not in final.body.raw.decode()
     assert manager.decisions[-1][1].reason == 3
-
-
-def test_dispatch_get_cancel_when_enabled():
-    manager, host, record, request = wired(
-        DefenseMode.DESIGN5_API_LATE,
-        form_kwargs={"fields": [
-            Field("username", FieldKind.TEXT),
-            Field("password", FieldKind.PASSWORD),
-        ]},
-        manager_kwargs={"cancel_on_get_nonce": True},
-    )
-    # rebuild as a GET form so the nonce would ride in the query
-    page = login_page()
-    page.forms["login"].method = "GET"
-    record = manager.autofill(page, "login", DefenseMode.DESIGN5_API_LATE)
-    request = submit_form(page, "login", request_id=2)
-    with pytest.raises(Cancelled):
-        dispatch(
-            request, host.registry, PipelineConfig(defense_mode=DefenseMode.DESIGN5_API_LATE)
-        )
-    assert manager.decisions[-1][1].reason == 4
 
 
 def test_dispatch_manifest_v3_browser_applies_substitution():

@@ -26,10 +26,10 @@ from noncepipe.pipeline import (
     BodyView,
     Cancel,
     Cancelled,
-    CredentialBodyMode,
     DefenseMode,
     ListenerRegistration,
     ListenerRegistry,
+    MAX_REDIRECT_HOPS,
     NonceRecord,
     PipelineConfig,
     Redirect,
@@ -263,32 +263,27 @@ def test_credential_stage_body_stripped_in_implementation_mode():
     assert view.url == str(DEST)  # metadata still visible for validation
 
 
-def test_credential_stage_design_mode_shows_pre_substitution_snapshot():
-    seen = []
-
-    def manager(view):
-        seen.append(view)
-        return sub()
-
-    regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, manager, lid="manager"))
-    config = design5_config(credential_body=CredentialBodyMode.DESIGN)
-    final, _ = dispatch(post(), regs, config)
-    (view,) = seen
-    assert view.body_view is BodyView.FULL_PRE_SUBSTITUTION
-    assert NONCE.encode() in view.body
-    assert SECRET.encode() not in view.body
-    assert final.body.entries == (("user", "alice"), ("pw", SECRET))
-
-
 def test_design4_runs_credential_stage_before_validation_stages():
     order: list[str] = []
+    credential_views: list[StageView] = []
+
+    def manager(view):
+        order.append("orc")
+        credential_views.append(view)
+        return sub()
+
     regs = registry(
         listener(Stage.ON_BEFORE_REQUEST, lambda v: order.append("obr"), lid="obs"),
-        listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: order.append("orc") or sub(), lid="manager"),
+        listener(Stage.ON_REQUEST_CREDENTIALS, manager, lid="manager"),
     )
     config = PipelineConfig(defense_mode=DefenseMode.DESIGN4_API_EARLY)
     final, transcript = dispatch(post(), regs, config)
     assert order == ["orc", "obr"]
+    # the credential-stage view shows the body before substitution
+    (view,) = credential_views
+    assert view.body_view is BodyView.FULL_PRE_SUBSTITUTION
+    assert NONCE.encode() in view.body and SECRET.encode() not in view.body
+    assert final.body.entries == (("user", "alice"), ("pw", SECRET))
     # early position: the later body-visible stages witness the substituted body
     obr = next(e for e in transcript.deliveries() if e.label == "onBeforeRequest")
     assert SECRET.encode() in obr.view.body
@@ -492,16 +487,16 @@ def test_redirect_uses_id_allocator_when_given():
 
 
 def test_redirect_loop_raises():
-    regs = registry(
-        listener(
-            Stage.ON_BEFORE_REQUEST,
-            lambda v: Redirect(Url.parse("https://loop.example/")),
-            blocking=True,
-            lid="looper",
-        )
-    )
+    calls = []
+
+    def loop(view):
+        calls.append(view)
+        return Redirect(Url.parse("https://loop.example/"))
+
+    regs = registry(listener(Stage.ON_BEFORE_REQUEST, loop, blocking=True, lid="looper"))
     with pytest.raises(RedirectLoop):
-        dispatch(post(), regs, design5_config(max_redirect_hops=3))
+        dispatch(post(), regs, design5_config())
+    assert len(calls) == MAX_REDIRECT_HOPS + 1
 
 
 def test_substitution_happens_after_final_redirect_destination_is_known():
@@ -603,7 +598,7 @@ def test_every_listener_at_a_stage_gets_the_same_view():
             for i in range(3)
         )
     )
-    config = design5_config(credential_body=CredentialBodyMode.DESIGN)
+    config = design5_config()
     request = post()
     final, transcript = dispatch(request, regs, config)
     process_response(WebResponseRecord(7, 200), regs, request_url=final.url, transcript=transcript)
@@ -615,9 +610,11 @@ def test_every_listener_at_a_stage_gets_the_same_view():
     deliveries = [event.view for event in transcript.deliveries()]
     assert len(deliveries) == len(sink) == len(seen)
     assert all(a is b is c for a, b, c in zip(deliveries, sink, seen))
-    # the request-side views carry the pre-substitution body they show
-    for view in seen[:12]:
+    # the body-visible views carry the pre-substitution body they show;
+    # design5's credential-stage view is stripped
+    for view in seen[:9]:
         assert view.form is request.body and view.body == request.body.raw
+    assert all(view.form is None for view in seen[9:12])
 
 
 def test_transcript_text_never_contains_body_bytes():
