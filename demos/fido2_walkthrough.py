@@ -18,8 +18,14 @@ from random import Random
 
 from noncepipe.adversaries import run_fido2_scenario
 from noncepipe.extensions import ExtensionManifest, Permission
-from noncepipe.fido2 import HEADER_REQUEST, HEADER_RESPONSE, HEADER_URL_RESP, RelyingParty
-from noncepipe.http_model import Origin, WebResponseRecord
+from noncepipe.fido2 import (
+    HEADER_REQUEST,
+    HEADER_RESPONSE,
+    HEADER_URL_RESP,
+    REGISTRATION,
+    RelyingParty,
+)
+from noncepipe.http_model import Origin, Url, WebResponseRecord
 from noncepipe.pipeline import DefenseMode, Stage
 from noncepipe.session import BrowserSession
 
@@ -54,7 +60,11 @@ def main():
     page = session.new_page(SSO)
 
     print("--- registration ---")
-    result = session.fido2_register(page, SSO, "alice")
+    # fido2_register's three steps, so the begin flow's transcript is in hand
+    begin = session.fido2_begin(page, SSO, REGISTRATION, "alice")
+    response_json = page.webauthn.create(page.rendered_text)
+    finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
+    result = session.fido2_finish(page, finish_url, response_json)
     print(f"server verdict: {result.verdict}")
     print(f"consent prompts on the authenticator: {session.device.prompts}")
 
@@ -69,10 +79,9 @@ def main():
     print(f"  body 'webauthn' field:    sha256 {digest(body_payload)} (a dummy)")
     print(f"  header and body differ:   {header != body_payload}")
 
-    begin_transcript = next(t for label, t in session.transcripts if label.endswith("/fetch"))
-    labels = [e.label for e in begin_transcript.events]
+    labels = [e.label for e in begin.transcript.events]
     print("\nbegin-response transcript (note fido2Strip before onHeadersReceived):")
-    print(begin_transcript.to_text(), end="")
+    print(begin.transcript.to_text(), end="")
     print(f"strip ordered before listener views: "
           f"{labels.index('fido2Strip') < labels.index('onHeadersReceived')}")
     stripped = all(

@@ -8,7 +8,9 @@ reads 4-bit windows of k from a table of multiples d·16^i·G that is built
 on first use (not at import) and needs no doublings; the points, and so the
 key and signature bytes for a given seed, are the same as with plain
 double-and-add. Verification goes through the `cryptography` package
-(OpenSSL), which keeps checking independent of this signer.
+(OpenSSL), which keeps checking independent of this signer. That package
+is imported at the first `verify` call, not at import, so a run that never
+checks a signature (every password command) never loads it.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from __future__ import annotations
 import functools
 import hashlib
 from random import Random
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec
 
 __all__ = [
     "N",
@@ -168,10 +166,21 @@ def sign(private_key: int, message: bytes, rng: Random) -> bytes:
         return der_signature(r, s)
 
 
+@functools.cache
+def _openssl():
+    """The `cryptography` names `verify` uses, imported on first call."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    return InvalidSignature, hashes, ec
+
+
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """Check a DER signature against an uncompressed SEC1 public key."""
     if len(public_key) != 65 or public_key[0] != 0x04:
         return False
+    InvalidSignature, hashes, ec = _openssl()
     x = int.from_bytes(public_key[1:33], "big")
     y = int.from_bytes(public_key[33:65], "big")
     try:

@@ -468,12 +468,14 @@ class StageTranscript:
         self.events: list[TranscriptEvent] = []
 
     def record_delivery(self, view: StageView, listener_id: str) -> None:
+        # `_value_` is the documented member attribute behind Enum's
+        # Python-level `value` property, read here on every delivery
         self.events.append(
             TranscriptEvent(
                 request_id=view.request_id,
-                label=view.stage.value,
+                label=view.stage._value_,
                 listener_id=listener_id,
-                body_view=view.body_view.value,
+                body_view=view.body_view._value_,
                 digest=view.body_digest(),
                 view=view,
             )

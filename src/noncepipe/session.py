@@ -75,7 +75,6 @@ class BrowserSession:
         self.manager_extension = self.manager.register_with(self.host, defense_mode)
         self.secure_store = SecureStore(substream(seed, name, "browser.dummies"))
         self.device = AuthenticatorDevice("user-device", substream(seed, name, "device"))
-        self.transcripts: list[tuple[str, StageTranscript]] = []
         self._page_count = 0  # pages are not kept: ids only need the count
         self._next_request_id = 0
 
@@ -106,9 +105,9 @@ class BrowserSession:
         self._next_request_id += 1
         return self._next_request_id
 
-    def _run(self, request: WebRequestRecord, page: Page, label: str) -> FlowResult:
+    def _run(self, request: WebRequestRecord, page: Page) -> FlowResult:
+        """One flow; its transcript is kept only on the returned result."""
         transcript = StageTranscript()
-        self.transcripts.append((label, transcript))
         try:
             wire, transcript = dispatch(
                 request,
@@ -133,7 +132,7 @@ class BrowserSession:
 
     def submit(self, page: Page, form_id: str) -> FlowResult:
         request = submit_form(page, form_id, self._allocate_request_id())
-        return self._run(request, page, f"{page.page_id}/{form_id}")
+        return self._run(request, page)
 
     def fetch(
         self,
@@ -146,7 +145,7 @@ class BrowserSession:
         request = build_request(
             page, method, url, tuple(body_entries or ()), self._allocate_request_id()
         )
-        return self._run(request, page, f"{page.page_id}/fetch")
+        return self._run(request, page)
 
     # -- FIDO2 page flows -----------------------------------------------------
 

@@ -110,8 +110,11 @@ def generate_password(seed: int, site_id: str) -> str:
 
 
 def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:
-    """The user's stored credential for a site (password option overrides)."""
-    password = profile.option("password") or generate_password(seed, profile.site_id)
+    """The user's stored credential for a site (password option overrides,
+    even when empty: `compat_evaluate` then excludes the site)."""
+    password = dict(profile.options).get("password")
+    if password is None:
+        password = generate_password(seed, profile.site_id)
     return VaultEntry(origin=profile.origin, username="alice", password=password)
 
 

@@ -2,8 +2,9 @@
 
 A file is UTF-8 text; blank lines and lines starting with '#' are skipped;
 every other line splits on tabs into a fixed number of columns. An options
-column is '-' or comma-separated key=value pairs. Each reader raises its own
-subclass of `TsvFormatError`, so a message reads "<kind> line N: ...".
+column is '-' or comma-separated key=value pairs, each key at most once.
+Each reader raises its own subclass of `TsvFormatError`, so a message reads
+"<kind> line N: ...".
 """
 
 from __future__ import annotations
@@ -52,13 +53,15 @@ def read_rows(
 def parse_options(
     text: str, line_number: int, error: type[TsvFormatError]
 ) -> tuple[tuple[str, str], ...]:
-    """Split an options column into ordered (key, value) pairs."""
+    """Split an options column into ordered (key, value) pairs, each key once."""
     if text == "-":
         return ()
-    options = []
+    options: dict[str, str] = {}
     for item in text.split(","):
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise error(line_number, f"bad option {item!r} (want key=value)")
-        options.append((key, value))
-    return tuple(options)
+        if key in options:
+            raise error(line_number, f"repeated option {key!r}")
+        options[key] = value
+    return tuple(options.items())

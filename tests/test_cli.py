@@ -400,6 +400,8 @@ def test_parse_scenarios_skips_comments_and_blanks(tmp_path):
         ("one\treflection\tdesign5\tvariant=zzz", "unknown variant"),
         ("one\treflection\tdesign5\tpinning=maybe", "unknown pinning"),
         ("one\tdom_observer\tbaseline\tpining=off", "unknown option"),
+        ("one\tdom_observer\tbaseline\tcategory=iframe_login,category=plain_post", "repeated"),
+        ("one\treflection\tdesign5\tpinning=on,pinning=on", "repeated option 'pinning'"),
         ("caf\udce9\tdom_observer\tbaseline\t-", "not valid UTF-8"),  # Latin-1 byte
     ],
 )
@@ -440,6 +442,30 @@ def test_bad_input_line_exits_data_error_with_one_line(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.startswith("noncepipe: ") and "line 2" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        (
+            "matrix",
+            "one\tdom_observer\tbaseline\tcategory=iframe_login,category=plain_post",
+            "scenario line 2: repeated option 'category'",
+        ),
+        (
+            "compat",
+            "plain_post\thttps://a.example\tbad_tls=0,bad_tls=1",
+            "corpus line 2: repeated option 'bad_tls'",
+        ),
+    ],
+)
+def test_repeated_option_key_exits_data_error(tmp_path, capsys, command, line, message):
+    # read first-wins by a corpus and last-wins by a scenario file, so neither
+    path = tmp_path / "bad.tsv"
+    path.write_text("# header\n" + line + "\n", encoding="utf-8")
+    flag = "--scenarios" if command == "matrix" else "--corpus"
+    assert main([command, "--seed", "7", flag, str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"noncepipe: {message}\n"
 
 
 def test_http_submit_scenario_runs_in_every_defense_mode(tmp_path, capsys):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import textwrap
 from random import Random
 
 import pytest
@@ -98,6 +99,40 @@ def test_generator_table_is_not_built_at_import():
         "assert e._g_table.cache_info().currsize == 0\n"
         "e.public_key_bytes(1)\n"
         "assert e._g_table.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_password_commands_never_load_cryptography(tmp_path):
+    # only signature checks need OpenSSL; the first one loads it
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("plain_post\thttps://a.example\t-\n", encoding="utf-8")
+    matrix = ["matrix", "--seed", "7", "--strategies", "1", "--out", str(tmp_path / "m")]
+    compat = ["compat", "--seed", "7", "--corpus", str(corpus), "--out", str(tmp_path / "c")]
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from random import Random
+
+        def loaded():
+            return [m for m in sys.modules if m.split(".")[0] == "cryptography"]
+
+        import noncepipe.cli as cli
+        assert not loaded(), loaded()
+        assert cli.main({matrix!r}) == 0
+        assert not loaded(), loaded()
+        assert cli.main({compat!r}) == 0
+        assert not loaded(), loaded()
+
+        from noncepipe import es256
+        key = es256.generate_private_key(Random(1))
+        public = es256.public_key_bytes(key)
+        signature = es256.sign(key, b"message", Random(2))
+        assert es256.verify(public, b"message", signature)
+        assert "cryptography" in loaded(), loaded()
+        flipped = signature[:-1] + bytes([signature[-1] ^ 1])
+        assert not es256.verify(public, b"message", flipped)
+        """
     )
     subprocess.run([sys.executable, "-c", code], check=True)
 

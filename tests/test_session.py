@@ -1,5 +1,7 @@
 """Browser session: end-to-end flows over a fake server, both auth channels."""
 
+import gc
+import tracemalloc
 import weakref
 from random import Random
 
@@ -13,6 +15,7 @@ from noncepipe.fido2 import (
     HEADER_REQUEST,
     HEADER_RESPONSE,
     HEADER_URL_RESP,
+    REGISTRATION,
     Fido2Request,
     RelyingParty,
 )
@@ -96,12 +99,17 @@ def test_design5_pipeline_substitutes_after_submission():
     assert ("password", PASSWORD) in result.wire.body.entries
 
 
-def test_transcripts_are_labeled_per_flow():
-    session = make_session()
-    login_flow(session)
-    (label, transcript) = session.transcripts[0]
-    assert label == "page-1/login"
-    assert transcript.events
+@pytest.mark.parametrize("mode", list(DefenseMode))
+def test_session_keeps_no_transcript_it_returned(mode):
+    session = make_session(mode=mode)
+    session.host.install(ExtensionManifest("observer", frozenset({Permission.WEB_REQUEST})))
+    session.host.register_listener("observer", Stage.ON_BEFORE_REQUEST, lambda view: None)
+    result = login_flow(session)
+    assert result.verdict == "ok"
+    assert result.transcript.deliveries()  # the transcript holds views
+    dropped = weakref.ref(result.transcript)
+    del result
+    assert dropped() is None  # freed at once: the result held the only reference
 
 
 def test_request_ids_allocated_sequentially():
@@ -186,6 +194,32 @@ def test_session_keeps_no_page_its_caller_dropped(mode):
     del page
     assert dropped() is None  # freed at once: nothing in the session refers to it
     assert session.new_page(ORIGIN).page_id == "page-2"
+
+
+def typed_login(session) -> FlowResult:
+    page = session.new_page(ORIGIN)
+    add_login_form(page)
+    form = page.form("login")
+    form.field_named("username").value = "alice"
+    form.field_named("password").value = PASSWORD  # typed: no autofill, no nonce
+    return session.submit(page, "login")
+
+
+@pytest.mark.parametrize("mode", [DefenseMode.BASELINE, DefenseMode.MANIFEST_V3])
+def test_session_memory_stays_flat_over_nonce_free_logins(mode):
+    session = make_session(mode=mode)
+    tracemalloc.start()
+    try:
+        traced = []
+        for logins in (1000, 2000):
+            for _ in range(logins):
+                assert typed_login(session).verdict == "ok"
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # after 1,000 and after 3,000 logins: a kept transcript costs ~0.27 MB per 1,000
+    assert traced[1] - traced[0] < 50_000
 
 
 def browser_events(result: FlowResult) -> list[str]:
@@ -333,9 +367,12 @@ def test_strip_event_precedes_headers_received_in_session_flow():
         "observer", Stage.ON_HEADERS_RECEIVED, lambda v: None, listener_id="obs.ohr"
     )
     page = session.new_page(SSO)
-    session.fido2_register(page, SSO, "alice")
-    begin_transcript = next(t for label, t in session.transcripts if label.endswith("/fetch"))
-    labels = [e.label for e in begin_transcript.events]
+    # fido2_register's steps, so the begin transcript is in hand
+    begin = session.fido2_begin(page, SSO, REGISTRATION, "alice")
+    finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
+    response_json = page.webauthn.create(page.rendered_text)
+    assert session.fido2_finish(page, finish_url, response_json).verdict == "accepted"
+    labels = [e.label for e in begin.transcript.events]
     assert "fido2Strip" in labels
     assert labels.index("fido2Strip") < labels.index("onHeadersReceived")
     # nothing the observer saw names the channel headers

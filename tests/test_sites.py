@@ -391,6 +391,9 @@ def test_parse_corpus_happy_path(tmp_path):
         ("plain_post\thttps://a.example\tcolour=red", 2),  # unknown key
         ("plain_post\thttps://a.example\tbad_tls=2", 2),  # bad_tls is 0 or 1
         ("reflecting\thttps://a.example\tpinning=1", 2),  # a scenario key
+        ("plain_post\thttps://a.example\tbad_tls=0,bad_tls=1", 2),  # a key at most once
+        ("plain_post\thttps://a.example\tbad_tls=1,bad_tls=0", 2),
+        ("reflecting\thttps://a.example\treflect=username,password=x,reflect=username", 2),
     ],
 )
 def test_parse_corpus_errors_carry_line_numbers(tmp_path, line, lineno):
@@ -441,6 +444,21 @@ def test_compat_classifications_on_tiny_corpus():
     short = by_id["short-d"]
     assert short.classification == "excluded"
     assert short.wire_identical is None
+
+
+def test_explicit_empty_password_is_excluded_like_a_short_one(tmp_path):
+    # `password=` is the site's password, not a request for a generated one
+    path = tmp_path / "corpus.tsv"
+    path.write_text(
+        "plain_post\thttps://a.example\tpassword=\n"
+        "plain_post\thttps://b.example\tpassword=abc\n",
+        encoding="utf-8",
+    )
+    profiles = parse_corpus(path)
+    assert site_vault_entry(profiles[0], seed=11).password == ""
+    report = compat_evaluate(profiles, seed=11)
+    assert [r.classification for r in report.records] == ["excluded", "excluded"]
+    assert report.excluded() == [p.site_id for p in profiles]
 
 
 def test_compat_percentages_exclude_short_passwords():
