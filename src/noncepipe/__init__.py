@@ -20,8 +20,6 @@ from .extensions import (
     Extension,
     ExtensionHost,
     ExtensionManifest,
-    IsolationViolation,
-    NonceRegistry,
     Permission,
     PermissionDenied,
 )
@@ -39,7 +37,7 @@ from .http_model import (
     WebRequestRecord,
     WebResponseRecord,
 )
-from .manager import PasswordManager, VaultEntry, generate_nonce, load_vault
+from .manager import PasswordManager, VaultEntry, generate_nonce
 from .pipeline import (
     BodyView,
     Cancel,
@@ -100,9 +98,7 @@ __all__ = [
     "FlowResult",
     "Form",
     "HookKind",
-    "IsolationViolation",
     "MatrixReport",
-    "NonceRegistry",
     "Origin",
     "Page",
     "PasswordManager",
@@ -132,7 +128,6 @@ __all__ = [
     "dispatch",
     "evaluate_matrix",
     "generate_nonce",
-    "load_vault",
     "parse_corpus",
     "process_response",
     "run_fido2_scenario",

@@ -618,15 +618,11 @@ def run_reflection_attack(
 
     leaked_digests, leaked = find_leaks([entry.password], list(script.log))
     notes = [f"variant={variant}", f"pinning={'on' if pinning else 'off'}"]
-    # the manager keeps its decisions (design4, design5); the browser writes
-    # its own to the transcript (manifest_v3)
+    # every nonce mode writes its refusal to the transcript
     events = {e.label: e.digest for e in result.transcript.events}
-    last_decision = session.manager.decisions[-1][1] if session.manager.decisions else None
     if EVENT_SUBSTITUTION_REFUSED in events:
         notes.append(f"refused_by_{events[EVENT_SUBSTITUTION_REFUSED]}")
-    elif last_decision is not None and not last_decision.approved:
-        notes.append(f"refused_by_check={last_decision.reason}")
-    elif last_decision is not None or EVENT_SUBSTITUTION in events:
+    elif EVENT_SUBSTITUTION in events:
         notes.append("substitution_approved")
     if result.verdict is not None:
         notes.append(f"verdict={result.verdict}")

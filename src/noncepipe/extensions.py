@@ -1,15 +1,16 @@
 """Extension host: permissions, script injection, listener registration.
 
 Capabilities are pure functions of the manifest's permission set plus, for
-activeTab, whether the user invoked the extension on that page. Extension
-state is isolated: no extension can reach another's store, ever.
+activeTab, whether the user invoked the extension on that page. Only an
+extension holding `secrets` (the password manager) is handed the browser's
+nonce store, and the pipeline keeps no views for its listeners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Optional
 
 from .dom import Page, Provenance, ScriptHandle, attach_script
 from .pipeline import (
@@ -17,7 +18,7 @@ from .pipeline import (
     ListenerCallback,
     ListenerRegistration,
     ListenerRegistry,
-    NonceRecord,
+    NonceStore,
     Stage,
     StageView,
 )
@@ -27,8 +28,6 @@ __all__ = [
     "ExtensionHost",
     "ExtensionManifest",
     "InvalidBlockingStage",
-    "IsolationViolation",
-    "NonceRegistry",
     "Permission",
     "PermissionDenied",
     "can_inject",
@@ -50,10 +49,6 @@ class PermissionDenied(PermissionError):
 
 class InvalidBlockingStage(ValueError):
     """Blocking listeners exist only at the first two request stages."""
-
-
-class IsolationViolation(PermissionError):
-    """One extension touched another's private state."""
 
 
 @dataclass(frozen=True)
@@ -111,17 +106,18 @@ def can_inject(
 
 @dataclass(eq=False)
 class Extension:
-    """Installed extension: manifest plus isolated runtime state.
+    """Installed extension: manifest plus what it was shown.
 
     The pipeline appends every view this extension's listeners were shown
-    to `views`; scripts it injected log their own reads. Leak analysis
-    later scans both.
+    to `views`, unless it holds `secrets`; scripts it injected log their own
+    reads. Leak analysis later scans both. `nonces` is the browser's nonce
+    store, which only an extension holding `secrets` is handed.
     """
 
     manifest: ExtensionManifest
-    store: dict[str, object] = field(default_factory=dict)
     views: list[StageView] = field(default_factory=list)
     scripts: list[ScriptHandle] = field(default_factory=list)
+    nonces: Optional[NonceStore] = None
 
     @property
     def extension_id(self) -> str:
@@ -140,6 +136,7 @@ class ExtensionHost:
     def __init__(self) -> None:
         self.extensions: dict[str, Extension] = {}
         self.registry = ListenerRegistry()
+        self.nonces = NonceStore()
         self._active_tab_grants: set[tuple[str, str]] = set()
         self._listener_count = 0
 
@@ -148,7 +145,8 @@ class ExtensionHost:
     def install(self, manifest: ExtensionManifest) -> Extension:
         if manifest.extension_id in self.extensions:
             raise ValueError(f"extension {manifest.extension_id!r} already installed")
-        ext = Extension(manifest)
+        secrets = manifest.has(Permission.SECRETS)
+        ext = Extension(manifest, nonces=self.nonces if secrets else None)
         self.extensions[manifest.extension_id] = ext
         return ext
 
@@ -212,45 +210,8 @@ class ExtensionHost:
             stage=stage,
             blocking=blocking,
             callback=callback,
-            sink=ext.views,
+            # the trusted manager's views are read by no one
+            sink=None if ext.manifest.has(Permission.SECRETS) else ext.views,
         )
         self.registry.add(registration)
         return registration
-
-    # -- state isolation --------------------------------------------------
-
-    def cross_extension_access(self, requester_id: str, owner_id: str) -> dict[str, object]:
-        """Return an extension's store to itself; anyone else is refused."""
-        self.get(owner_id)
-        if requester_id != owner_id:
-            raise IsolationViolation(
-                f"{requester_id} attempted to read state of {owner_id}"
-            )
-        return self.get(owner_id).store
-
-
-class NonceRegistry:
-    """Browser-held substitution registry (the callback-free variant).
-
-    A manager extension holding the `secrets` permission registers each
-    nonce's record up front: the secret and the policy that guards it. The
-    browser alone checks that policy and applies the substitution later, at
-    the late credential-stage position. Records are kept by page id, never
-    by page.
-    """
-
-    def __init__(self) -> None:
-        self._by_page: dict[str, dict[str, NonceRecord]] = {}
-
-    def register_nonce(
-        self, manifest: ExtensionManifest, page: Page, record: NonceRecord
-    ) -> None:
-        if not manifest.has(Permission.SECRETS):
-            raise PermissionDenied(
-                f"{manifest.extension_id} lacks the secrets permission"
-            )
-        self._by_page.setdefault(page.page_id, {})[record.nonce] = record
-
-    def records_for(self, page_id: str) -> Mapping[str, NonceRecord]:
-        """The page's records by nonce; empty when it registered none."""
-        return self._by_page.get(page_id, {})

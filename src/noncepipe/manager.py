@@ -8,29 +8,28 @@ A refusal means the request simply goes out still carrying the nonce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
 from random import Random
-from typing import Container, Optional, Sequence
+from typing import Container, Optional, Sequence, Union
 
 from .dom import FieldKind, Form, HookKind, Page, SubmitHook
-from .extensions import ExtensionHost, ExtensionManifest, NonceRegistry, Permission
+from .extensions import ExtensionHost, ExtensionManifest, Permission
 from .http_model import Origin, Url
 from .pipeline import (
     CHECK_NAMES,
     DefenseMode,
     NonceRecord,
+    NonceStore,
     PinConflict,
     SafetyDecision,
     Stage,
     StageView,
     SubstitutionRequest,
     VaultEntry,
+    Verdict,
     approve,
     check,
     record_for,
 )
-from .tsv import TsvFormatError, read_rows
 
 __all__ = [
     "CHECK_NAMES",
@@ -41,13 +40,10 @@ __all__ = [
     "NonceRecord",
     "OriginMismatch",
     "PasswordManager",
-    "PendingReplacement",
     "PinConflict",
     "SafetyDecision",
     "VaultEntry",
-    "VaultFormatError",
     "generate_nonce",
-    "load_vault",
 ]
 
 MANAGER_EXTENSION_ID = "noncepipe.manager"
@@ -68,18 +64,6 @@ class NoPasswordField(LookupError):
     """The form has no fillable password field."""
 
 
-class VaultFormatError(TsvFormatError):
-    kind = "vault"
-
-
-@dataclass(eq=False)
-class PendingReplacement:
-    request_id: int
-    record: NonceRecord
-    decision: SafetyDecision
-    url: Url  # the request's destination, parsed once
-
-
 def generate_nonce(rng: Random, used: Container[str] = frozenset()) -> str:
     """Draw a 16-char [A-Za-z0-9] nonce by rejection sampling, avoiding `used`.
 
@@ -97,33 +81,13 @@ def generate_nonce(rng: Random, used: Container[str] = frozenset()) -> str:
             return nonce
 
 
-def load_vault(path: str | Path) -> list[VaultEntry]:
-    """Parse a tab-separated vault file.
-
-    Line format: origin <TAB> username <TAB> password [<TAB> pinned_url].
-    Blank lines and lines starting with '#' are skipped.
-    """
-    entries: list[VaultEntry] = []
-    for number, columns in read_rows(path, (3, 4), VaultFormatError):
-        origin_text, username, password = columns[0], columns[1], columns[2]
-        try:
-            origin = Origin.parse(origin_text)
-        except ValueError as exc:
-            raise VaultFormatError(number, f"bad origin {origin_text!r}: {exc}") from exc
-        if not password:
-            raise VaultFormatError(number, "empty password")
-        pinned = columns[3] if len(columns) == 4 and columns[3] else None
-        entries.append(VaultEntry(origin, username, password, pinned_submit_url=pinned))
-    return entries
-
-
 class PasswordManager:
     """The manager extension: fills nonces and gates their replacement.
 
-    One manager serves one browsing session. It registers two pipeline
-    callbacks in the API defense modes (validate early, substitute at the
-    credential stage) and uses the browser nonce registry in the
-    callback-free mode.
+    One manager serves one browsing session. It writes every nonce's record
+    to the browser's nonce store, and in the API defense modes registers two
+    pipeline callbacks (validate early, substitute at the credential stage)
+    that read the submitting page's records and keep their verdict there.
     """
 
     def __init__(
@@ -137,10 +101,9 @@ class PasswordManager:
         self.rng = rng
         self.pinning_enabled = pinning_enabled
         self.manifest = _MANIFEST
-        self.registry: Optional[NonceRegistry] = None
-        self.decisions: list[tuple[int, SafetyDecision]] = []
-        self._records: dict[str, NonceRecord] = {}
-        self._pending: dict[int, PendingReplacement] = {}
+        # the browser's store, handed over at install; the manager keeps no
+        # host, so a dropped session is freed without the cycle collector
+        self._nonces: Optional[NonceStore] = None
 
     # -- vault ------------------------------------------------------------
 
@@ -157,7 +120,8 @@ class PasswordManager:
 
         Returns the nonce record, or None in baseline mode. Raises
         OriginMismatch when the vault has nothing for the page origin and
-        NoPasswordField when there is nothing safe to fill.
+        NoPasswordField when there is nothing safe to fill. A nonce needs
+        the manager registered with a browser, whose store keeps the record.
         """
         entry = self.entry_for(page.origin)
         if entry is None:
@@ -173,7 +137,9 @@ class PasswordManager:
             page.audit.append(f"manager autofilled {form_id}.{password_field.name} (baseline)")
             return None
 
-        nonce = generate_nonce(self.rng, self._records)
+        if self._nonces is None:
+            raise RuntimeError("nonce autofill needs the manager registered with a browser")
+        nonce = generate_nonce(self.rng, self._nonces)
         password_field.value = nonce
         record = NonceRecord(
             nonce=nonce,
@@ -183,7 +149,7 @@ class PasswordManager:
             in_iframe=page.is_iframe,
             pinning_enabled=self.pinning_enabled,
         )
-        self._records[nonce] = record
+        self._nonces.add(page, record)
         page.audit.append(f"manager autofilled {form_id}.{password_field.name} ({mode.value})")
 
         if mode is DefenseMode.DESIGN3_DOM:
@@ -196,10 +162,6 @@ class PasswordManager:
                     guard_origin=entry.origin,
                 )
             )
-        elif mode is DefenseMode.MANIFEST_V3:
-            if self.registry is None:
-                raise RuntimeError("manifest_v3 autofill needs a browser nonce registry")
-            self.registry.register_nonce(self.manifest, page, record)
         return record
 
     def _fill_username(self, form: Form, username: str) -> None:
@@ -210,9 +172,9 @@ class PasswordManager:
 
     # -- pipeline wiring ----------------------------------------------------
 
-    def register_with(self, host: ExtensionHost, mode: DefenseMode):
+    def register_with(self, host: ExtensionHost, mode: DefenseMode) -> None:
         """Install the manager extension and its listeners for this mode."""
-        ext = host.install(self.manifest)
+        self._nonces = host.install(self.manifest).nonces
         if mode in (DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE):
             host.register_listener(
                 self.manifest.extension_id,
@@ -226,42 +188,49 @@ class PasswordManager:
                 self.on_request_credentials,
                 listener_id="manager.substitute",
             )
-        return ext
 
     # -- the five checks -------------------------------------------------------
 
     def safety_check(self, record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
-        """Run the five ordered checks and log the verdict in `decisions`."""
-        decision = check(record, view, url)
-        self.decisions.append((view.request_id, decision))
-        return decision
+        """Run the five ordered checks (`pipeline.check`); one method, so that
+        perfbench's tracer can count and time the checks the manager runs."""
+        return check(record, view, url)
 
     # -- pipeline callbacks -------------------------------------------------------
 
-    def _associate(self, view: StageView) -> Optional[PendingReplacement]:
-        """Find the nonce a new request carries, parse its destination once,
-        check it, and keep the verdict for the request's later stage."""
-        record = record_for(self._records, view)
-        if record is None:
+    def _verdict(self, view: StageView) -> Optional[Verdict]:
+        """The verdict on the nonce the request carries, looked up among the
+        submitting page's records only: the one the page keeps for this
+        request, else a new one, its destination parsed once, kept there."""
+        page = self._nonces.page(view.document_id)
+        if page is None:
             return None
-        url = Url.parse(view.url)
-        decision = self.safety_check(record, view, url)
-        pending = PendingReplacement(view.request_id, record, decision, url)
-        self._pending[view.request_id] = pending
-        return pending
+        verdict = page.verdict
+        if verdict is None or verdict.request_id != view.request_id:
+            record = record_for(page.records, view)
+            if record is None:
+                return None
+            url = Url.parse(view.url)
+            verdict = Verdict(view.request_id, record, self.safety_check(record, view, url), url)
+            page.verdict = verdict
+        return verdict
 
     def on_before_request(self, view: StageView) -> None:
-        """Early validation: associate a nonce, run the checks, stash the verdict."""
-        if view.request_id not in self._pending:
-            self._associate(view)
+        """Early validation: associate a nonce, run the checks, keep the verdict."""
+        self._verdict(view)
 
-    def on_request_credentials(self, view: StageView) -> Optional[SubstitutionRequest]:
-        """Credential-stage provider: emit the substitution if approved.
+    def on_request_credentials(
+        self, view: StageView
+    ) -> Union[None, SafetyDecision, SubstitutionRequest]:
+        """Credential-stage provider: the substitution if approved, else the
+        refusing decision, which the browser logs.
 
         In the early-position mode this callback fires before validation
         had a chance to run, so it associates and checks on the spot.
         """
-        pending = self._pending.get(view.request_id) or self._associate(view)
-        if pending is None or not pending.decision.approved:
+        verdict = self._verdict(view)
+        if verdict is None:
             return None
-        return approve(pending.record, pending.url)
+        if not verdict.decision.approved:
+            return verdict.decision
+        return approve(verdict.record, verdict.url)

@@ -14,12 +14,15 @@ it sits, and what a listener there may see, depends on the defense mode:
 * design5_api_late  - the credential stage fires after onSendHeaders; no
                     listener at any stage can observe the substituted body.
 * manifest_v3     - substitution happens at the design5 point but is driven
-                    by a browser-held nonce registry; no callback fires.
+                    by the browser's nonce store; no callback fires.
 
 Every nonce mode decides a swap by the same policy, written once below:
 `record_for` finds the nonce a request carries, `check` runs the five
-checks, `approve` learns the pin and builds the substitution. design4 and
-design5 run it in the manager's callbacks, manifest_v3 in `dispatch` itself.
+checks, `approve` learns the pin and builds the substitution. The records
+live in one `NonceStore`, by page id, and each reader takes only the
+submitting page's: design4 and design5 run the policy in the manager's
+callbacks, manifest_v3 in `dispatch` itself. A refusal is one
+`substitutionRefused` transcript event in every mode.
 
 Listener views are immutable snapshots, one per stage of a hop, shared by
 every listener at that stage. The request body is visible (always
@@ -31,7 +34,8 @@ expose a request body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -57,6 +61,8 @@ __all__ = [
     "ListenerRegistry",
     "MAX_REDIRECT_HOPS",
     "NonceRecord",
+    "NonceStore",
+    "PageNonces",
     "PinConflict",
     "PipelineConfig",
     "Redirect",
@@ -68,6 +74,7 @@ __all__ = [
     "SubstitutionRequest",
     "TranscriptEvent",
     "VaultEntry",
+    "Verdict",
     "apply_substitutions",
     "approve",
     "check",
@@ -138,7 +145,7 @@ def stage_order(mode: DefenseMode) -> tuple[Stage, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the substitution policy: records, the five checks, the browser-side guard
+# the substitution policy: records, the store, the five checks, the guard
 # ---------------------------------------------------------------------------
 
 CHECK_NAMES = {1: "frame", 2: "channel", 3: "destination", 4: "get_params", 5: "field_name"}
@@ -200,6 +207,69 @@ class SafetyDecision:
     def __post_init__(self) -> None:
         if not self.approved and self.reason not in CHECK_NAMES:
             raise ValueError("refusals must carry a check number 1..5")
+
+
+@dataclass(frozen=True, slots=True)
+class Verdict:
+    """The checks' answer for one request: what the design4/design5 manager
+    keeps between its two callbacks. `url` is the destination, parsed once."""
+
+    request_id: int
+    record: NonceRecord
+    decision: SafetyDecision
+    url: Url
+
+
+@dataclass(eq=False)
+class PageNonces:
+    """One page's entry in the store: its live records by nonce, the verdict
+    on the request it has in flight, if any, and a weak reference to the
+    page, whose callback drops the entry."""
+
+    page: weakref.ref
+    records: dict[str, NonceRecord] = field(default_factory=dict)
+    verdict: Optional[Verdict] = None
+
+
+class NonceStore:
+    """The browser's nonce records, keyed by page id (webRequest's documentId).
+
+    The manager writes each autofilled nonce here in every nonce mode; only an
+    extension holding `secrets` is handed the store (`Extension.nonces`). It
+    keeps no page: an entry goes when its
+    page is collected, a record when a new autofill of its form replaces it,
+    and a verdict when its request's flow ends (`BrowserSession`).
+    """
+
+    def __init__(self) -> None:
+        self._pages: dict[str, PageNonces] = {}
+
+    def add(self, page, record: NonceRecord) -> None:
+        entry = self._pages.get(page.page_id)
+        if entry is None:
+            pages, page_id = self._pages, page.page_id
+            entry = pages[page_id] = PageNonces(weakref.ref(page, lambda _: pages.pop(page_id)))
+        else:  # a new autofill of a form replaces that form's record
+            records = entry.records.items()
+            entry.records = {n: r for n, r in records if r.form_id != record.form_id}
+        entry.records[record.nonce] = record
+
+    def page(self, page_id: Optional[str]) -> Optional[PageNonces]:
+        """The page's entry; None for a page that was never autofilled."""
+        return self._pages.get(page_id)
+
+    def end_request(self, page_id: str) -> None:
+        """Forget the page's verdict: the request it was for has left."""
+        entry = self._pages.get(page_id)
+        if entry is not None:
+            entry.verdict = None
+
+    def __contains__(self, nonce: object) -> bool:
+        """Whether a live page holds `nonce` (what `generate_nonce` avoids)."""
+        for entry in self._pages.values():
+            if nonce in entry.records:
+                return True
+        return False
 
 
 def record_for(records: Mapping[str, NonceRecord], view: StageView) -> Optional[NonceRecord]:
@@ -331,7 +401,8 @@ class StageView:
     """Read-only snapshot handed to every listener at one stage.
 
     `form` is the RequestBody the view shows, or None when it shows none;
-    readers take its entries, bytes and digest as they are.
+    readers take its entries, bytes and digest as they are. `document_id` is
+    the submitting page's id (None on response stages).
     """
 
     request_id: int
@@ -344,6 +415,7 @@ class StageView:
     form: Optional[RequestBody]
     channel: Optional[ChannelSecurity] = None
     status: Optional[int] = None
+    document_id: Optional[str] = None
 
     @property
     def body(self) -> Optional[bytes]:
@@ -378,7 +450,7 @@ class Redirect:
 
 BlockingAction = Union[Cancel, Redirect]
 ListenerResult = Union[
-    None, Cancel, Redirect, SubstitutionRequest, Sequence[SubstitutionRequest]
+    None, Cancel, Redirect, SafetyDecision, SubstitutionRequest, Sequence[SubstitutionRequest]
 ]
 ListenerCallback = Callable[[StageView], ListenerResult]
 
@@ -515,7 +587,6 @@ class PipelineConfig:
 
     defense_mode: DefenseMode = DefenseMode.DESIGN5_API_LATE
     credential_stage_enabled: bool = True
-    nonce_registry: Optional[object] = None  # duck-typed .records_for(page_id)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +625,7 @@ def _request_view(
         body_view=body_view,
         form=form,
         channel=request.channel_security,
+        document_id=getattr(request.source_page, "page_id", None),
     )
 
 
@@ -588,32 +660,36 @@ def _deliver(
 # ---------------------------------------------------------------------------
 
 
+def _refuse(transcript: StageTranscript, request_id: int, decision: SafetyDecision) -> None:
+    transcript.record_event(request_id, EVENT_SUBSTITUTION_REFUSED, detail=f"check={decision.reason}")
+
+
 def _collect_substitutions(
     request: WebRequestRecord,
     listeners: ListenerRegistry,
     config: PipelineConfig,
     transcript: StageTranscript,
     pre_substitution_body: Optional[RequestBody],
+    nonce_store: Optional[NonceStore],
 ) -> list[SubstitutionRequest]:
-    """Run the credential stage: callbacks for API modes; in manifest_v3 the
-    browser runs the registered policy on a view no listener gets."""
+    """Run the credential stage: callbacks for API modes, which may answer
+    with a refusing SafetyDecision; in manifest_v3 the browser runs the policy
+    on the submitting page's records, on a view no listener gets."""
     collected: list[SubstitutionRequest] = []
     if config.defense_mode is DefenseMode.MANIFEST_V3:
-        registry, page = config.nonce_registry, request.source_page
-        records = registry.records_for(page.page_id) if registry and page else None
-        if not records:  # a nonce-free login pays for nothing more
+        page_id = getattr(request.source_page, "page_id", None)
+        entry = nonce_store.page(page_id) if nonce_store is not None else None
+        if entry is None:  # a nonce-free page pays for nothing more
             return collected
         view = _request_view(request, Stage.ON_REQUEST_CREDENTIALS, pre_substitution_body, config)
-        record = record_for(records, view)
+        record = record_for(entry.records, view)
         if record is None:
             return collected
         decision = check(record, view, request.url)
         if decision.approved:
             collected.append(approve(record, request.url))
         else:
-            transcript.record_event(
-                request.request_id, EVENT_SUBSTITUTION_REFUSED, detail=f"check={decision.reason}"
-            )
+            _refuse(transcript, request.request_id, decision)
         return collected
     regs = listeners.at(Stage.ON_REQUEST_CREDENTIALS)
     if not regs:
@@ -625,6 +701,9 @@ def _collect_substitutions(
             continue
         if isinstance(result, SubstitutionRequest):
             collected.append(result)
+        elif isinstance(result, SafetyDecision):
+            if not result.approved:
+                _refuse(transcript, request.request_id, result)
         elif isinstance(result, (Cancel, Redirect)):
             continue  # credential stage is not a blocking stage
         else:
@@ -638,8 +717,11 @@ def _run_credential_phase(
     config: PipelineConfig,
     transcript: StageTranscript,
     pre_substitution_body: Optional[RequestBody],
+    nonce_store: Optional[NonceStore],
 ) -> WebRequestRecord:
-    subs = _collect_substitutions(request, listeners, config, transcript, pre_substitution_body)
+    subs = _collect_substitutions(
+        request, listeners, config, transcript, pre_substitution_body, nonce_store
+    )
     if not subs:
         return request
     targeted = [s.field_name for s in subs]
@@ -672,6 +754,7 @@ def dispatch(
     config: PipelineConfig,
     *,
     transcript: Optional[StageTranscript] = None,
+    nonce_store: Optional[NonceStore] = None,
     fido2_store: Optional[object] = None,  # duck-typed .inject(request) hook
     id_allocator: Optional[Callable[[], int]] = None,
 ) -> tuple[WebRequestRecord, StageTranscript]:
@@ -693,7 +776,7 @@ def dispatch(
         for stage in walk:
             if stage is Stage.ON_REQUEST_CREDENTIALS:
                 current = _run_credential_phase(
-                    current, listeners, config, transcript, pre_substitution_body
+                    current, listeners, config, transcript, pre_substitution_body, nonce_store
                 )
                 continue
             regs = listeners.at(stage)

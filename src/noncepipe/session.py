@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .dom import Page, build_request, submit_form
-from .extensions import ExtensionHost, NonceRegistry
+from .extensions import ExtensionHost
 from .fido2 import REGISTRATION, AUTHENTICATION, AuthenticatorDevice, BrowserWebAuthn, SecureStore
 from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
 from .manager import PasswordManager, VaultEntry
@@ -62,17 +62,13 @@ class BrowserSession:
         self.defense_mode = defense_mode
         self.server = server
         self.host = ExtensionHost()
-        self.nonce_registry = NonceRegistry()
         self.config = PipelineConfig(
-            defense_mode=defense_mode,
-            credential_stage_enabled=credential_stage_enabled,
-            nonce_registry=self.nonce_registry,
+            defense_mode=defense_mode, credential_stage_enabled=credential_stage_enabled
         )
         self.manager = PasswordManager(
             vault, substream(seed, name, "manager"), pinning_enabled=pinning_enabled
         )
-        self.manager.registry = self.nonce_registry
-        self.manager_extension = self.manager.register_with(self.host, defense_mode)
+        self.manager.register_with(self.host, defense_mode)
         self.secure_store = SecureStore(substream(seed, name, "browser.dummies"))
         self.device = AuthenticatorDevice("user-device", substream(seed, name, "device"))
         self._page_count = 0  # pages are not kept: ids only need the count
@@ -80,16 +76,11 @@ class BrowserSession:
 
     # -- pages -------------------------------------------------------------
 
-    def new_page(
-        self,
-        origin: Origin,
-        *,
-        page_id: Optional[str] = None,
-        is_iframe: bool = False,
-        bad_tls: bool = False,
-    ) -> Page:
+    def new_page(self, origin: Origin, *, is_iframe: bool = False, bad_tls: bool = False) -> Page:
+        """A new page, its id `page-N` unique within the session (the nonce
+        store's key)."""
         self._page_count += 1
-        page_id = page_id or f"page-{self._page_count}"
+        page_id = f"page-{self._page_count}"
         page = Page(page_id=page_id, origin=origin, is_iframe=is_iframe)
         if bad_tls:
             page.tls_overrides[origin] = ChannelSecurity.BAD_TLS
@@ -106,7 +97,8 @@ class BrowserSession:
         return self._next_request_id
 
     def _run(self, request: WebRequestRecord, page: Page) -> FlowResult:
-        """One flow; its transcript is kept only on the returned result."""
+        """One flow; its transcript is kept only on the returned result, and
+        the page's nonce verdict goes when the request leaves the pipeline."""
         transcript = StageTranscript()
         try:
             wire, transcript = dispatch(
@@ -114,11 +106,14 @@ class BrowserSession:
                 self.host.registry,
                 self.config,
                 transcript=transcript,
+                nonce_store=self.host.nonces,
                 fido2_store=self.secure_store,
                 id_allocator=self._allocate_request_id,
             )
         except Cancelled:
             return FlowResult(request, None, None, None, transcript, cancelled=True)
+        finally:
+            self.host.nonces.end_request(page.page_id)
         response, verdict = self.server(wire)
         response, transcript = process_response(
             response,

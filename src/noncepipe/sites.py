@@ -14,7 +14,7 @@ forms; reports say so explicitly.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -173,12 +173,12 @@ class _SiteState:
     password_digest: str
     hash_digest: str
     transform_digest: str
-    received: list[tuple[str, str]] = field(default_factory=list)  # (body digest, verdict)
     rp: Optional[RelyingParty] = None
 
 
 class ServerFarm:
-    """All reachable servers, keyed by origin. Logs digests only."""
+    """All reachable servers, keyed by origin. A site keeps its password's
+    digests, never the password, and no log of what it was sent."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -245,7 +245,6 @@ class ServerFarm:
         profile = state.profile
         path = request.url.path
         entries = self._request_entries(request)
-        body_digest = request.body.digest() if request.body is not None else "-"
 
         if path == "/reflect" and profile.category == "reflecting":
             reflect = profile.option("reflect", "all")
@@ -255,16 +254,13 @@ class ServerFarm:
                 wanted = set(reflect.split("+"))
                 echoed = tuple((n, v) for n, v in entries if n in wanted)
             body = "\n".join(f"{n}={v}" for n, v in echoed).encode("utf-8")
-            state.received.append((body_digest, "reflected"))
             return WebResponseRecord(request.request_id, 200, body=body), "reflected"
 
         if path != "/login":
-            state.received.append((body_digest, "not_found"))
             return WebResponseRecord(request.request_id, 404, body=b"not found"), "not_found"
 
         password = next((v for n, v in entries if n == "password"), "")
         verdict = self._login_verdict(state, entries, password)
-        state.received.append((body_digest, verdict))
         body = {
             "auth_ok": b"welcome",
             "auth_fail": b"invalid credentials",
@@ -298,16 +294,12 @@ class ServerFarm:
             kind = next((v for n, v in request.url.query if n == "kind"), "")
             username = next((v for n, v in request.url.query if n == "username"), "")
             response = rp.begin(kind, username, request.request_id)
-            state.received.append(("-", f"begin:{kind}"))
             return response, f"begin:{kind}"
         if path == "/webauthn/finish" and request.method == "POST":
             result = rp.finish(request)
             verdict = "accepted" if result.accepted else f"rejected:{result.reason}"
-            digest = request.body.digest() if request.body is not None else "-"
-            state.received.append((digest, verdict))
             body = verdict.encode("ascii")
             return WebResponseRecord(request.request_id, 200 if result.accepted else 403, body=body), verdict
-        state.received.append(("-", "not_found"))
         return WebResponseRecord(request.request_id, 404, body=b"not found"), "not_found"
 
 

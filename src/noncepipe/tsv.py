@@ -1,4 +1,4 @@
-"""The tab-separated grammar shared by the vault, corpus and scenario files.
+"""The tab-separated grammar shared by the corpus and scenario files.
 
 A file is UTF-8 text; blank lines and lines starting with '#' are skipped;
 every other line splits on tabs into a fixed number of columns. An options

@@ -58,7 +58,14 @@ from noncepipe.pipeline import (
 )
 from noncepipe.rng import substream
 from noncepipe.session import BrowserSession
-from noncepipe.sites import build_fixture_corpus, compat_evaluate
+from noncepipe.sites import (
+    ServerFarm,
+    SiteProfile,
+    build_fixture_corpus,
+    build_login_page,
+    compat_evaluate,
+    site_vault_entry,
+)
 
 SEED = 2026
 SSO = Origin("https", "sso.example", 443)
@@ -223,8 +230,8 @@ E2E_REFUSALS = (
 
 
 def _e2e_refusal(mode, page_kwargs, action, mutate):
-    """Run one login through a BrowserSession; return the refusing check
-    (None if approved) and whether the password reached the wire."""
+    """Run one login through a BrowserSession; return its refusal line (None
+    if approved) and whether the password reached the wire."""
 
     def serve(request):
         return WebResponseRecord(request.request_id, 200, body=b"ok"), "ok"
@@ -244,11 +251,10 @@ def _e2e_refusal(mode, page_kwargs, action, mutate):
     result = session.submit(page, "login")
     body = result.wire.body.raw.decode() if result.wire.body is not None else ""
     sent = "correct-horse" in result.wire.url.to_string() + body
-    if mode is DefenseMode.MANIFEST_V3:  # the browser decides and logs it
-        refusals = [e.digest for e in result.transcript.events if e.label == "substitutionRefused"]
-        return (int(refusals[0].removeprefix("check=")) if refusals else None), sent
-    decision = session.manager.decisions[-1][1]
-    return decision.reason, sent
+    # every nonce mode writes its refusal to the transcript, and only there
+    refusals = [e.to_line() for e in result.transcript.events if e.label == "substitutionRefused"]
+    assert len(refusals) <= 1
+    return (refusals[0] if refusals else None), sent
 
 
 def test_criterion_3_five_refusal_scenarios():
@@ -287,12 +293,14 @@ def test_criterion_3_five_refusal_scenarios():
     if refused != [1, 2, 3, 4, 5]:
         problems.append(f"refusals {refused} != [1, 2, 3, 4, 5]")
 
-    # the same five refusals end to end, in every nonce mode, for one reason each
+    # the same five refusals end to end, in every nonce mode, for one reason
+    # each, written as the same transcript line
     for mode in NONCE_MODES:
         for page_kwargs, action, mutate, expected in E2E_REFUSALS:
-            reason, sent = _e2e_refusal(mode, page_kwargs, action, mutate)
-            if reason != expected:
-                problems.append(f"{mode.value}: expected check {expected}, got {reason}")
+            line, sent = _e2e_refusal(mode, page_kwargs, action, mutate)
+            wanted = None if expected is None else f"1 substitutionRefused !browser - check={expected}"
+            if line != wanted:
+                problems.append(f"{mode.value}: expected {wanted!r}, got {line!r}")
             if sent is not (expected is None):
                 problems.append(f"{mode.value}: check {expected}: password on wire={sent}")
     verdict(3, f"refusal scenarios {len(refused)}/5, end to end in 3 modes", problems)
@@ -640,3 +648,53 @@ def test_criterion_9_command_determinism(tmp_path, capsys):
             problems.append(f"{name}: same seed, different output bytes")
     capsys.readouterr()  # the reports themselves are not under test here
     verdict(9, "same seed, byte-identical outputs", problems)
+
+
+# ---------------------------------------------------------------------------
+# 10. a nonce moved to another page
+# ---------------------------------------------------------------------------
+
+
+def _cross_page_probe(mode, b_in_iframe):
+    """Autofill page A of one plain_post site, copy its username and nonce
+    into page B's login form, submit B; return the result, the nonce and
+    the password."""
+    profile = SiteProfile("bank", "plain_post", ORIGIN)
+    entry = site_vault_entry(profile, 7)
+    farm = ServerFarm(7)
+    farm.add_site(profile, entry.password)
+    session = BrowserSession(7, mode, [entry], farm.serve)
+    page_a, form_id = build_login_page(session, profile)
+    session.autofill(page_a, form_id)
+    page_b = session.new_page(ORIGIN, is_iframe=b_in_iframe)
+    page_b.add_form(
+        Form(
+            form_id="login",
+            action=profile.login_action,
+            fields=[Field("username", FieldKind.TEXT), Field("password", FieldKind.PASSWORD)],
+        )
+    )
+    for name in ("username", "password"):
+        value = page_a.form(form_id).field_named(name).value
+        page_b.form("login").field_named(name).value = value
+    nonce = page_a.form(form_id).field_named("password").value
+    return session.submit(page_b, "login"), nonce, entry.password
+
+
+def test_criterion_10_nonce_swapped_only_on_its_own_page():
+    # the records are the autofilled page's: B, same-origin iframe or a second
+    # top-level page, has none, so every nonce mode sends the nonce
+    problems = []
+    for mode in NONCE_MODES:
+        for b_in_iframe in (True, False):
+            result, nonce, password = _cross_page_probe(mode, b_in_iframe)
+            where = f"{mode.value} {'iframe' if b_in_iframe else 'top-level'} B"
+            if ("password", nonce) not in result.wire.body.entries:
+                problems.append(f"{where}: the nonce was not sent")
+            if password in result.wire.body.raw.decode():
+                problems.append(f"{where}: the password was sent")
+            if any(e.label == "substitution" for e in result.transcript.events):
+                problems.append(f"{where}: a substitution was applied")
+            if result.verdict != "auth_fail":
+                problems.append(f"{where}: verdict {result.verdict}")
+    verdict(10, "a nonce is swapped only on its own page, in 3 modes", problems)

