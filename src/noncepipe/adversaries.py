@@ -134,7 +134,7 @@ ATTACKER_EXTENSION_ID = "evil.collector"
 CAPTURE_ORIGIN = Origin("https", "evil.example", 443)
 # the webRequest attacker's manifest (frozen, so shared)
 _ATTACKER_MANIFEST = ExtensionManifest(
-    ATTACKER_EXTENSION_ID, frozenset({Permission.WEB_REQUEST}), ("<all_urls>",)
+    ATTACKER_EXTENSION_ID, frozenset({Permission.WEB_REQUEST})
 )
 
 
@@ -541,11 +541,10 @@ def evaluate_matrix(
     seed: int,
     strategies_per_cell: int = 100,
     modes: Sequence[DefenseMode] = tuple(DefenseMode),
-    adversaries: Sequence[str] = PASSWORD_ADVERSARIES,
 ) -> MatrixReport:
     report = MatrixReport(seed=seed, strategies_per_cell=strategies_per_cell)
     for mode in modes:
-        for adversary in adversaries:
+        for adversary in PASSWORD_ADVERSARIES:
             leaks = 0
             for index in range(strategies_per_cell):
                 scenario = AttackScenario(

@@ -38,7 +38,7 @@ from .sites import (
     compat_evaluate,
     parse_corpus,
 )
-from .tsv import TsvFormatError, parse_options, read_rows
+from .tsv import OptionTable, TsvFormatError, parse_options, read_rows
 
 __all__ = ["EXIT_DATA", "EXIT_MISMATCH", "EXIT_OK", "EXIT_USAGE", "console_main", "main"]
 
@@ -132,11 +132,13 @@ def _emit(
 # ---------------------------------------------------------------------------
 
 
-# allowed values of each scenario option; strategy takes an integer >= 0
-SCENARIO_OPTIONS = {
-    "category": LOGIN_CATEGORIES,
-    "variant": ("retarget", "rename"),
-    "pinning": ("on", "off"),
+# scenario option -> (the adversaries whose rows read it, its allowed values);
+# strategy takes an integer >= 0, and FIDO2 rows read no option
+SCENARIO_OPTIONS: OptionTable = {
+    "category": (PASSWORD_ADVERSARIES, LOGIN_CATEGORIES),
+    "strategy": (PASSWORD_ADVERSARIES, None),
+    "variant": (("reflection",), ("retarget", "rename")),
+    "pinning": (("reflection",), ("on", "off")),
 }
 
 
@@ -144,8 +146,8 @@ def parse_scenarios(path: Path) -> list[tuple[str, str, str, dict[str, str]]]:
     """Parse a scenario file: name <TAB> adversary <TAB> defense <TAB> options.
 
     The defense column takes the matrix tokens for password adversaries and
-    on/off for the FIDO2 ones. Options are '-' or comma-separated key=value,
-    with keys and values from SCENARIO_OPTIONS or strategy=<n>.
+    on/off for the FIDO2 ones. Options are '-' or comma-separated key=value
+    pairs from SCENARIO_OPTIONS that the row's adversary reads.
     """
     rows: list[tuple[str, str, str, dict[str, str]]] = []
     known = set(PASSWORD_ADVERSARIES) | set(FIDO2_ADVERSARIES) | {"reflection"}
@@ -159,17 +161,16 @@ def parse_scenarios(path: Path) -> list[tuple[str, str, str, dict[str, str]]]:
                 raise ScenarioFormatError(number, "FIDO2 scenarios take defense on|off")
         elif defense not in DEFENSE_TOKENS:
             raise ScenarioFormatError(number, f"unknown defense {defense!r}")
-        options = dict(parse_options(options_text, number, ScenarioFormatError))
-        for key, value in options.items():
-            if key == "strategy":
-                if not (value.isascii() and value.isdigit()):
-                    raise ScenarioFormatError(
-                        number, f"strategy must be an integer >= 0, got {value!r}"
-                    )
-            elif key not in SCENARIO_OPTIONS:
-                raise ScenarioFormatError(number, f"unknown option {key!r}")
-            elif value not in SCENARIO_OPTIONS[key]:
-                raise ScenarioFormatError(number, f"unknown {key} {value!r}")
+        options = dict(
+            parse_options(
+                options_text, SCENARIO_OPTIONS, adversary, number, ScenarioFormatError
+            )
+        )
+        strategy = options.get("strategy", "0")
+        if not (strategy.isascii() and strategy.isdigit()):
+            raise ScenarioFormatError(
+                number, f"strategy must be an integer >= 0, got {strategy!r}"
+            )
         rows.append((name, adversary, defense, options))
     return rows
 

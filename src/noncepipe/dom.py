@@ -78,7 +78,6 @@ class DuplicateField(ValueError):
 class Provenance(Enum):
     PAGE = "page"
     LIBRARY = "library"
-    EXTENSION = "injected_by_extension"
     XSS = "xss"
 
 
@@ -88,14 +87,7 @@ class ScriptHandle:
 
     script_id: str
     provenance: Provenance
-    extension_id: Optional[str] = None
     log: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.provenance is Provenance.EXTENSION and not self.extension_id:
-            raise ValueError("extension-injected scripts must name their extension")
-        if self.provenance is not Provenance.EXTENSION and self.extension_id:
-            raise ValueError("only extension-injected scripts carry an extension id")
 
     def observe(self, value: str) -> None:
         self.log.append(value)
@@ -252,11 +244,7 @@ class Page:
 
 
 def attach_script(page: Page, script: ScriptHandle) -> None:
-    """Give a script DOM access to a page.
-
-    Extension-injected scripts must come through the extension host, which
-    checks injection permission before calling this.
-    """
+    """Give a script DOM access to a page; attaching twice is a no-op."""
     if script not in page.scripts:
         page.scripts.append(script)
 

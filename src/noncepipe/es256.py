@@ -8,8 +8,9 @@ point of private scalar k, and the `cryptography` package (OpenSSL)
 computes it; r and s are then computed here from that point's x. A point is
 a fixed value, so which library computes it changes no byte. Verification
 also goes through OpenSSL, so the tests that keep this module honest do not
-compare it with OpenSSL alone: they check the RFC 6979 (appendix A.2.5)
-P-256 key and signature vectors and bytes frozen for fixed seeds.
+compare it with OpenSSL alone: they check its public keys against a
+pure-Python double-and-add k·G, and the RFC 6979 (appendix A.2.5) P-256 key
+and signature vectors and bytes frozen for fixed seeds.
 
 `cryptography` is imported at the first key, signature or check, not at
 import, so a run that never uses ES256 (every password command) never

@@ -50,7 +50,6 @@ __all__ = [
     "NoCredential",
     "RelyingParty",
     "SecureStore",
-    "UserDeclined",
     "make_dummy_request",
 ]
 
@@ -72,10 +71,6 @@ class MalformedPayload(ValueError):
 
 class MalformedHeader(ValueError):
     """One of the paired channel headers arrived without the other."""
-
-
-class UserDeclined(PermissionError):
-    """The user refused the authenticator consent prompt."""
 
 
 class NoCredential(LookupError):
@@ -337,14 +332,13 @@ class _StoredKey:
 class AuthenticatorDevice:
     """One roaming/platform authenticator with its own keys and counters.
 
-    Every operation records the consent prompt the user saw, including the
-    account name, so tests can assert what the user was told.
+    The user consents to every operation; each records the prompt the user
+    saw, account name included, in `prompts`.
     """
 
-    def __init__(self, name: str, rng: Random, *, decline_all: bool = False) -> None:
+    def __init__(self, name: str, rng: Random) -> None:
         self.name = name
         self.rng = rng
-        self.decline_all = decline_all
         self.credentials: dict[bytes, _StoredKey] = {}
         self.prompts: list[str] = []
         # harness hook: leak checkers register a list here to learn which
@@ -359,8 +353,6 @@ class AuthenticatorDevice:
 
     def _consent(self, action: str, account: str, rp_id: str) -> None:
         self.prompts.append(f"{action} as {account!r} at {rp_id}")
-        if self.decline_all:
-            raise UserDeclined(f"user declined {action} at {rp_id}")
 
     def make_credential(self, request: Fido2Request) -> AttestationObject:
         if request.kind != REGISTRATION:

@@ -26,7 +26,7 @@ from .manager import VaultEntry
 from .pipeline import DefenseMode
 from .rng import substream
 from .session import BrowserSession
-from .tsv import TsvFormatError, parse_options, read_rows
+from .tsv import OptionTable, TsvFormatError, parse_options, read_rows
 
 __all__ = [
     "CATEGORIES",
@@ -329,12 +329,12 @@ def build_fixture_corpus() -> list[SiteProfile]:
     return profiles
 
 
-# corpus option key -> its allowed values, or None when any value goes
-# (password: the site's password; reflect: 'all' or names joined by '+')
-CORPUS_OPTIONS: dict[str, Optional[tuple[str, ...]]] = {
-    "password": None,
-    "bad_tls": ("0", "1"),
-    "reflect": None,
+# corpus option key -> (the categories whose rows read it, its allowed
+# values); password: the site's password; reflect: 'all' or names joined by '+'
+CORPUS_OPTIONS: OptionTable = {
+    "password": (LOGIN_CATEGORIES, None),
+    "bad_tls": (LOGIN_CATEGORIES, ("0", "1")),
+    "reflect": (("reflecting",), None),
 }
 
 
@@ -342,9 +342,9 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
     """Parse a tab-separated corpus file.
 
     Line format: category <TAB> origin <TAB> options, where options is '-'
-    or comma-separated key=value pairs with keys from CORPUS_OPTIONS.
-    Blank lines and '#' comments skip. `fido2` is not a corpus category:
-    the survey compares password logins.
+    or comma-separated key=value pairs from CORPUS_OPTIONS that the row's
+    category reads. Blank lines and '#' comments skip. `fido2` is not a
+    corpus category: the survey compares password logins.
     """
     profiles: list[SiteProfile] = []
     for number, (category, origin_text, options_text) in read_rows(
@@ -356,13 +356,9 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
             origin = Origin.parse(origin_text)
         except ValueError as exc:
             raise CorpusFormatError(number, f"bad origin {origin_text!r}: {exc}") from exc
-        options = parse_options(options_text, number, CorpusFormatError)
-        for key, value in options:
-            if key not in CORPUS_OPTIONS:
-                raise CorpusFormatError(number, f"unknown option {key!r}")
-            allowed = CORPUS_OPTIONS[key]
-            if allowed is not None and value not in allowed:
-                raise CorpusFormatError(number, f"unknown {key} {value!r}")
+        options = parse_options(
+            options_text, CORPUS_OPTIONS, category, number, CorpusFormatError
+        )
         profiles.append(
             SiteProfile(
                 site_id=f"line{number}-{origin.host}",

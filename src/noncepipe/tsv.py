@@ -2,17 +2,20 @@
 
 A file is UTF-8 text; blank lines and lines starting with '#' are skipped;
 every other line splits on tabs into a fixed number of columns. An options
-column is '-' or comma-separated key=value pairs, each key at most once.
-Each reader raises its own subclass of `TsvFormatError`, so a message reads
+column is '-' or comma-separated key=value pairs, each key at most once and
+each read by the row it sits on. Each reader raises its own subclass of `TsvFormatError`, so a message reads
 "<kind> line N: ...".
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
-__all__ = ["TsvFormatError", "parse_options", "read_rows"]
+__all__ = ["OptionTable", "TsvFormatError", "parse_options", "read_rows"]
+
+# option key -> (the rows that read it, its allowed values or None for any)
+OptionTable = dict[str, tuple[tuple[str, ...], Optional[tuple[str, ...]]]]
 
 
 class TsvFormatError(ValueError):
@@ -51,9 +54,11 @@ def read_rows(
 
 
 def parse_options(
-    text: str, line_number: int, error: type[TsvFormatError]
+    text: str, table: OptionTable, row: str, line_number: int, error: type[TsvFormatError]
 ) -> tuple[tuple[str, str], ...]:
-    """Split an options column into ordered (key, value) pairs, each key once."""
+    """Split an options column into ordered (key, value) pairs: each key once,
+    in `table`, read by `row` (the line's category or adversary), and holding
+    one of the values the table lists, if it lists any."""
     if text == "-":
         return ()
     options: dict[str, str] = {}
@@ -63,5 +68,12 @@ def parse_options(
             raise error(line_number, f"bad option {item!r} (want key=value)")
         if key in options:
             raise error(line_number, f"repeated option {key!r}")
+        if key not in table:
+            raise error(line_number, f"unknown option {key!r}")
+        readers, allowed = table[key]
+        if row not in readers:
+            raise error(line_number, f"option {key!r} does not apply to {row}")
+        if allowed is not None and value not in allowed:
+            raise error(line_number, f"unknown {key} {value!r}")
         options[key] = value
     return tuple(options.items())

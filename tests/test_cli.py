@@ -402,6 +402,18 @@ def test_parse_scenarios_skips_comments_and_blanks(tmp_path):
         ("one\tdom_observer\tbaseline\tpining=off", "unknown option"),
         ("one\tdom_observer\tbaseline\tcategory=iframe_login,category=plain_post", "repeated"),
         ("one\treflection\tdesign5\tpinning=on,pinning=on", "repeated option 'pinning'"),
+        # an option the row's adversary never reads
+        ("one\treflection\tbaseline\tcategory=iframe_login", "option 'category' does not apply to reflection"),
+        ("one\treflection\tdesign5\tstrategy=3", "option 'strategy' does not apply to reflection"),
+        ("one\tfido2_dom\ton\tcategory=plain_post", "option 'category' does not apply to fido2_dom"),
+        ("one\tfido2_request\toff\tstrategy=1", "option 'strategy' does not apply to fido2_request"),
+        ("one\tdom_observer\tbaseline\tvariant=rename", "option 'variant' does not apply to dom_observer"),
+        (
+            "one\twebrequest_exfiltrator\tdesign5\tpinning=off",
+            "option 'pinning' does not apply to webrequest_exfiltrator",
+        ),
+        ("one\tfido2_dom\toff\tvariant=retarget", "option 'variant' does not apply to fido2_dom"),
+        ("one\tfido2_request\ton\tpinning=on", "option 'pinning' does not apply to fido2_request"),
         ("caf\udce9\tdom_observer\tbaseline\t-", "not valid UTF-8"),  # Latin-1 byte
     ],
 )
@@ -432,6 +444,10 @@ def test_bad_scenario_file_via_cli(tmp_path, capsys):
         ("compat", "fido2\ta.example\t-"),
         ("compat", "plain_post\ta.example\tpassword=\udcff"),
         ("compat", "plain_post\thttps://a.example\tbad_tls=yes,colour=red"),
+        ("matrix", "one\treflection\tbaseline\tcategory=iframe_login"),
+        ("matrix", "one\tfido2_dom\ton\tstrategy=2"),
+        ("matrix", "one\tdom_exfiltrator\tdesign5\tpinning=off"),
+        ("compat", "plain_post\thttps://a.example\treflect=all"),
     ],
 )
 def test_bad_input_line_exits_data_error_with_one_line(tmp_path, capsys, command, line):

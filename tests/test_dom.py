@@ -199,14 +199,6 @@ def test_page_form_lookup_and_duplicates():
 # ---------------------------------------------------------------------------
 
 
-def test_script_handle_provenance_rules():
-    ScriptHandle("ok", Provenance.EXTENSION, extension_id="ext")
-    with pytest.raises(ValueError):
-        ScriptHandle("bad", Provenance.EXTENSION)
-    with pytest.raises(ValueError):
-        ScriptHandle("bad", Provenance.PAGE, extension_id="ext")
-
-
 def test_script_repr_hides_observations():
     script = page_script()
     script.observe("hunter2")

@@ -1,4 +1,4 @@
-"""FIDO2 channel: ES256 against the OpenSSL oracle, payloads, store, RP."""
+"""FIDO2 channel: ES256 against OpenSSL and a pure-Python k·G, payloads, store, RP."""
 
 import base64
 import hashlib
@@ -37,7 +37,6 @@ from noncepipe.fido2 import (
     NoCredential,
     RelyingParty,
     SecureStore,
-    UserDeclined,
     make_dummy_request,
     make_dummy_response,
     response_from_json,
@@ -56,13 +55,48 @@ RP_HASH = hashlib.sha256(RP_ID.encode()).digest()
 
 
 # ---------------------------------------------------------------------------
-# ES256 against the cryptography oracle
+# ES256 keys against an independent k·G
 # ---------------------------------------------------------------------------
+
+# P-256 (SEC 2 / FIPS 186-4): field prime (the curve's a is -3) and generator
+P256_P = 2**256 - 2**224 + 2**192 + 2**96 - 1
+P256_G = (
+    0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
+    0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
+)
+
+
+def affine_add(p1, p2):
+    """Sum of two affine points on P-256; None is the point at infinity."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        if (y1 + y2) % P256_P == 0:
+            return None
+        slope = (3 * x1 * x1 - 3) * pow(2 * y1, -1, P256_P)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, P256_P)
+    x3 = (slope * slope - x1 - x2) % P256_P
+    return x3, (slope * (x1 - x3) - y1) % P256_P
+
+
+def reference_mul_g(k: int):
+    """k·G by double-and-add: the reference es256's OpenSSL points must equal."""
+    result, addend = None, P256_G
+    while k:
+        if k & 1:
+            result = affine_add(result, addend)
+        addend = affine_add(addend, addend)
+        k >>= 1
+    return result
 
 
 def oracle_public_key(private: int) -> bytes:
-    numbers = ec.derive_private_key(private, ec.SECP256R1()).public_key().public_numbers()
-    return b"\x04" + numbers.x.to_bytes(32, "big") + numbers.y.to_bytes(32, "big")
+    x, y = reference_mul_g(private)
+    return b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
 
 
 def test_public_key_matches_cryptography_derivation():
@@ -428,12 +462,6 @@ def test_kind_mismatch_rejected_by_device():
         device.make_credential(auth_request())
     with pytest.raises(MalformedPayload):
         device.get_assertion(reg_request())
-
-
-def test_decline_all_raises_user_declined():
-    device = AuthenticatorDevice("shy", Random(1), decline_all=True)
-    with pytest.raises(UserDeclined):
-        device.make_credential(reg_request())
 
 
 def test_clone_copies_keys_and_counters():

@@ -391,6 +391,8 @@ def test_parse_corpus_happy_path(tmp_path):
         ("plain_post\thttps://a.example\tbad_tls=0,bad_tls=1", 2),  # a key at most once
         ("plain_post\thttps://a.example\tbad_tls=1,bad_tls=0", 2),
         ("reflecting\thttps://a.example\treflect=username,password=x,reflect=username", 2),
+        ("plain_post\thttps://a.example\treflect=all", 2),  # only `reflecting` reads it
+        ("iframe_login\thttps://a.example\tbad_tls=1,reflect=username", 2),
     ],
 )
 def test_parse_corpus_errors_carry_line_numbers(tmp_path, line, lineno):
