@@ -4,8 +4,9 @@ The defense x adversary matrix, plus the reflection corner case.
 Run: python3 demos/attack_matrix_demo.py
 
 Three local adversaries (a passive page script, a DOM-controlling script,
-a webRequest extension) against five defense configurations. 25 seeded
-strategy variants per cell here; the acceptance suite runs 100.
+a webRequest extension) against five defense configurations. Each cell
+runs plans 0-24 of its adversary here; the CLI default and the acceptance
+suite run 381 per cell, every plan of every adversary.
 
 The reflection attack is the classic bypass attempt against substitution:
 lure the manager into approving a swap on a request the site will echo

@@ -8,11 +8,13 @@ Three password-stealing adversary classes run against five defense modes:
 - webrequest_exfiltrator: an extension holding webRequest, listening and
   optionally cancelling or redirecting
 
-Each (mode, adversary) cell runs one canonical strategy plus seeded random
-variations. The leak verdict never trusts attacker code: an independent
-checker scans everything the attacker's scripts observed, its extension
-saw in stage views, and its collection server received, for the real
-secrets. Outcomes carry sha256 digests of leaked values, never the values.
+Each adversary has a small, finite set of plans (8, 128 and 381).
+Strategy i of a (mode, adversary) cell runs plan i modulo that count, so
+DEFAULT_STRATEGIES, the largest count, runs every plan in every cell.
+Plan 0 is what a scenario row runs by default. The leak verdict never
+trusts attacker code: an independent checker scans everything the
+attacker's scripts observed, its extension saw in stage views, and its
+collection server received, for the real secrets. Outcomes carry sha256 digests of leaked values, never the values.
 
 Two FIDO2 adversaries are evaluated separately: fido2_dom overrides the
 page's WebAuthn entry points, fido2_request intercepts the finish request
@@ -24,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from random import Random
 from typing import Optional, Sequence
 
 from .dom import (
@@ -72,6 +73,7 @@ from .sites import LOGIN_CATEGORIES, ServerFarm, SiteProfile, build_login_page, 
 __all__ = [
     "AttackOutcome",
     "AttackScenario",
+    "DEFAULT_STRATEGIES",
     "EXPECTED_MATRIX",
     "FIDO2_ADVERSARIES",
     "GoldenFormatError",
@@ -155,7 +157,6 @@ class AttackOutcome:
     scenario: str
     adversary: str
     defense: str
-    strategy_index: int
     secret_leaked: bool
     leaked_digests: tuple[str, ...] = ()
     attacker_login: bool = False
@@ -198,19 +199,20 @@ class _ScenarioContext:
     session: BrowserSession
     page: object
     form_id: str
-    farm: ServerFarm
     capture_sink: list[str]
 
 
 class _PasswordAgent:
-    """Shared scaffolding: a plan of moves, executed around the login flow."""
+    """Shared scaffolding: a plan of moves, executed around the login flow.
 
-    def __init__(self, rng: Random, strategy_index: int) -> None:
-        self.rng = rng
-        self.canonical = strategy_index == 0
+    An agent has `plans` distinct plans; plan index i runs plan i % plans.
+    """
+
+    plans: int
+
+    def __init__(self) -> None:
         self.scripts: list[ScriptHandle] = []
         self.extension: Optional[Extension] = None
-        self.knowledge: list[str] = []  # out-of-band stash (replayed payloads etc.)
 
     def pre_autofill(self, ctx: _ScenarioContext) -> None:  # pragma: no cover - default
         pass
@@ -228,180 +230,149 @@ class _PasswordAgent:
         if self.extension is not None:
             out.extend(str(item) for item in self.extension.observations)
         out.extend(ctx.capture_sink)
-        out.extend(self.knowledge)
         return out
 
     # helpers ---------------------------------------------------------------
 
-    def _read(self, ctx: _ScenarioContext, script: ScriptHandle, field_name: str) -> None:
-        try:
-            script_read_field(script, ctx.page, ctx.form_id, field_name)
-        except KeyError:
-            pass
+    def _read_fields(self, ctx: _ScenarioContext, script: ScriptHandle) -> None:
+        for field_name in ("password", "username"):
+            try:
+                script_read_field(script, ctx.page, ctx.form_id, field_name)
+            except KeyError:
+                pass
 
 
-class _DomObserverAgent(_PasswordAgent):
+class _FlagAgent(_PasswordAgent):
+    """A plan is the set of MOVES the agent makes. Bit k of the plan index
+    flips MOVES[k] from how PLAN0 sets it, so plan 0 makes the PLAN0 moves."""
+
+    MOVES: tuple[str, ...]
+    PLAN0: frozenset[str]
+
+    def __init__(self, plan_index: int) -> None:
+        super().__init__()
+        bits = plan_index % self.plans
+        self.plan = frozenset(
+            move
+            for bit, move in enumerate(self.MOVES)
+            if (move in self.PLAN0) != bool(bits >> bit & 1)
+        )
+
+
+class _DomObserverAgent(_FlagAgent):
     """Passive page library: reads what the DOM will give it, nothing more."""
 
     adversary = "dom_observer"
-
-    def __init__(self, rng: Random, strategy_index: int) -> None:
-        super().__init__(rng, strategy_index)
-        if self.canonical:
-            self.plan = {"read_pre": True, "read_post": True, "read_rendered": True}
-        else:
-            self.plan = {
-                "read_pre": rng.random() < 0.5,
-                "read_post": rng.random() < 0.9,
-                "read_rendered": rng.random() < 0.5,
-            }
+    MOVES = ("read_pre", "read_post", "read_rendered")
+    PLAN0 = frozenset(MOVES)
+    plans = 1 << len(MOVES)
 
     def pre_autofill(self, ctx: _ScenarioContext) -> None:
         script = ScriptHandle("analytics.js", Provenance.LIBRARY)
         attach_script(ctx.page, script)
         self.scripts.append(script)
-        if self.plan["read_pre"]:
-            self._read(ctx, script, "password")
-            self._read(ctx, script, "username")
+        if "read_pre" in self.plan:
+            self._read_fields(ctx, script)
 
     def post_autofill(self, ctx: _ScenarioContext) -> None:
-        if self.plan["read_post"]:
-            self._read(ctx, self.scripts[0], "password")
-            self._read(ctx, self.scripts[0], "username")
+        if "read_post" in self.plan:
+            self._read_fields(ctx, self.scripts[0])
 
     def post_response(self, ctx: _ScenarioContext, result: FlowResult) -> None:
-        if self.plan["read_rendered"]:
+        if "read_rendered" in self.plan:
             read_rendered_text(self.scripts[0], ctx.page)
 
 
-class _DomExfiltratorAgent(_PasswordAgent):
+class _DomExfiltratorAgent(_FlagAgent):
     """Injected script with full DOM control over the login page."""
 
     adversary = "dom_exfiltrator"
-
-    def __init__(self, rng: Random, strategy_index: int) -> None:
-        super().__init__(rng, strategy_index)
-        if self.canonical:
-            # the late submit hook is the strongest move: it fires after any
-            # in-page value swap a defense may have installed
-            self.plan = {
-                "read_post": True,
-                "hook_pre": False,
-                "hook_post": True,
-                "rename": False,
-                "retarget": False,
-                "add_field": False,
-                "read_rendered": True,
-            }
-        else:
-            self.plan = {
-                "read_post": rng.random() < 0.8,
-                "hook_pre": rng.random() < 0.3,
-                "hook_post": rng.random() < 0.7,
-                "rename": rng.random() < 0.25,
-                "retarget": rng.random() < 0.3,
-                "add_field": rng.random() < 0.2,
-                "read_rendered": rng.random() < 0.6,
-            }
-
-    def _script(self, ctx: _ScenarioContext) -> ScriptHandle:
-        if not self.scripts:
-            script = ScriptHandle("xss-payload", Provenance.XSS)
-            attach_script(ctx.page, script)
-            self.scripts.append(script)
-        return self.scripts[0]
+    MOVES = (
+        "read_post", "hook_pre", "hook_post", "rename", "retarget", "add_field", "read_rendered"
+    )
+    # the late submit hook is the strongest move: it fires after any in-page
+    # value swap a defense may have installed
+    PLAN0 = frozenset({"read_post", "hook_post", "read_rendered"})
+    plans = 1 << len(MOVES)
 
     def _hook(self, ctx: _ScenarioContext) -> None:
-        script = self._script(ctx)
-        script_mutate(
-            script,
-            ctx.page,
-            RegisterSubmitHook(
-                ctx.form_id, SubmitHook(kind=HookKind.CAPTURE_FIELDS, sink=script)
-            ),
-        )
+        hook = SubmitHook(kind=HookKind.CAPTURE_FIELDS, sink=self.scripts[0])
+        script_mutate(self.scripts[0], ctx.page, RegisterSubmitHook(ctx.form_id, hook))
 
     def pre_autofill(self, ctx: _ScenarioContext) -> None:
-        script = self._script(ctx)
-        if self.plan["hook_pre"]:
+        script = ScriptHandle("xss-payload", Provenance.XSS)
+        attach_script(ctx.page, script)
+        self.scripts.append(script)
+        if "hook_pre" in self.plan:
             self._hook(ctx)
-        if self.plan["add_field"]:
+        if "add_field" in self.plan:
             try:
                 script_mutate(script, ctx.page, AddField(ctx.form_id, "tracker", FieldKind.HIDDEN, "1"))
             except DuplicateField:
                 pass
 
     def post_autofill(self, ctx: _ScenarioContext) -> None:
-        script = self._script(ctx)
-        if self.plan["read_post"]:
-            self._read(ctx, script, "password")
-            self._read(ctx, script, "username")
-        if self.plan["hook_post"]:
+        script = self.scripts[0]
+        if "read_post" in self.plan:
+            self._read_fields(ctx, script)
+        if "hook_post" in self.plan:
             self._hook(ctx)
-        if self.plan["rename"]:
+        if "rename" in self.plan:
             try:
                 script_mutate(script, ctx.page, RenameField(ctx.form_id, "password", "q"))
             except (DuplicateField, KeyError):
                 pass
-        if self.plan["retarget"]:
-            script_mutate(
-                script,
-                ctx.page,
-                SetFormAction(
-                    ctx.form_id,
-                    Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/collect"),
-                ),
-            )
+        if "retarget" in self.plan:
+            collect = Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/collect")
+            script_mutate(script, ctx.page, SetFormAction(ctx.form_id, collect))
 
     def post_response(self, ctx: _ScenarioContext, result: FlowResult) -> None:
-        if self.plan["read_rendered"]:
-            read_rendered_text(self._script(ctx), ctx.page)
+        if "read_rendered" in self.plan:
+            read_rendered_text(self.scripts[0], ctx.page)
+
+
+_STEAL_URL = Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/steal")
+
+# each blocking move of the webRequest attacker, and the blocking listener
+# it registers at onBeforeRequest; the redirect spares requests already
+# bound for the capture origin
+_BLOCKING_MOVES = {
+    "none": None,
+    "redirect": lambda view: (
+        None if view.url.startswith(str(CAPTURE_ORIGIN)) else Redirect(_STEAL_URL)
+    ),
+    "cancel": lambda view: Cancel("dropped"),
+}
 
 
 class _WebRequestExfiltratorAgent(_PasswordAgent):
-    """Extension with webRequest: listens everywhere, may cancel or redirect."""
+    """Extension with webRequest: listens everywhere, may cancel or redirect.
+
+    A plan is a non-empty set of stages to listen at and one blocking move.
+    Plan index i splits as (left_out, move) = divmod(i, 3): bit k of
+    `left_out` leaves list(Stage)[k] out, and `move` picks a key of
+    _BLOCKING_MOVES in order. Plan 0 listens at every stage and blocks
+    nothing; `left_out` stops short of leaving out all seven stages.
+    """
 
     adversary = "webrequest_exfiltrator"
+    plans = len(_BLOCKING_MOVES) * ((1 << len(Stage)) - 1)
 
-    def __init__(self, rng: Random, strategy_index: int) -> None:
-        super().__init__(rng, strategy_index)
-        all_stages = list(Stage)
-        if self.canonical:
-            self.stages = all_stages
-            self.blocking_move = "none"
-        else:
-            self.stages = sorted(
-                rng.sample(all_stages, rng.randint(1, len(all_stages))),
-                key=all_stages.index,
-            )
-            self.blocking_move = rng.choices(
-                ["none", "redirect", "cancel"], weights=[0.6, 0.25, 0.15]
-            )[0]
+    def __init__(self, plan_index: int) -> None:
+        super().__init__()
+        left_out, move = divmod(plan_index % self.plans, len(_BLOCKING_MOVES))
+        self.stages = tuple(s for bit, s in enumerate(Stage) if not left_out >> bit & 1)
+        self.blocking_move = list(_BLOCKING_MOVES)[move]
 
     def pre_autofill(self, ctx: _ScenarioContext) -> None:
         host = ctx.session.host
         self.extension = host.install(_ATTACKER_MANIFEST)
         for stage in self.stages:
             host.register_listener(ATTACKER_EXTENSION_ID, stage, lambda view: None)
-        if self.blocking_move == "redirect":
-            target = Url(
-                CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/steal"
-            )
-
-            def redirect_once(view: StageView) -> Optional[Redirect]:
-                if view.url.startswith(str(CAPTURE_ORIGIN)):
-                    return None
-                return Redirect(target)
-
+        blocking = _BLOCKING_MOVES[self.blocking_move]
+        if blocking is not None:
             host.register_listener(
-                ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, redirect_once, blocking=True
-            )
-        elif self.blocking_move == "cancel":
-            host.register_listener(
-                ATTACKER_EXTENSION_ID,
-                Stage.ON_BEFORE_REQUEST,
-                lambda view: Cancel("dropped"),
-                blocking=True,
+                ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, blocking, blocking=True
             )
 
 
@@ -410,6 +381,8 @@ _AGENTS = {
     "dom_exfiltrator": _DomExfiltratorAgent,
     "webrequest_exfiltrator": _WebRequestExfiltratorAgent,
 }
+# the largest plan count: this many strategies per cell run every plan
+DEFAULT_STRATEGIES = max(agent.plans for agent in _AGENTS.values())
 
 
 # the attacked site of each login category, built once
@@ -433,10 +406,8 @@ def run_scenario(scenario: AttackScenario) -> AttackOutcome:
         scenario.seed, scenario.defense_mode, [entry], farm.serve, name="victim"
     )
     page, form_id = build_login_page(session, profile)
-    ctx = _ScenarioContext(session, page, form_id, farm, capture_sink)
-    agent = _AGENTS[scenario.adversary](
-        substream(scenario.seed, "strategy"), scenario.strategy_index
-    )
+    ctx = _ScenarioContext(session, page, form_id, capture_sink)
+    agent = _AGENTS[scenario.adversary](scenario.strategy_index)
     agent.pre_autofill(ctx)
     session.autofill(page, form_id)
     agent.post_autofill(ctx)
@@ -447,7 +418,6 @@ def run_scenario(scenario: AttackScenario) -> AttackOutcome:
         scenario=scenario.name,
         adversary=scenario.adversary,
         defense=scenario.defense_mode.value,
-        strategy_index=scenario.strategy_index,
         secret_leaked=leaked,
         leaked_digests=leaked_digests,
         notes=("cancelled",) if result.cancelled else (),
@@ -539,7 +509,7 @@ class MatrixReport:
 
 def evaluate_matrix(
     seed: int,
-    strategies_per_cell: int = 100,
+    strategies_per_cell: int = DEFAULT_STRATEGIES,
     modes: Sequence[DefenseMode] = tuple(DefenseMode),
 ) -> MatrixReport:
     report = MatrixReport(seed=seed, strategies_per_cell=strategies_per_cell)
@@ -629,7 +599,6 @@ def run_reflection_attack(
         scenario=f"reflection/{variant}/pinning_{'on' if pinning else 'off'}",
         adversary="reflection",
         defense=defense.value,
-        strategy_index=0,
         secret_leaked=leaked,
         leaked_digests=leaked_digests,
         notes=tuple(notes),
@@ -861,7 +830,6 @@ def run_fido2_scenario(
         scenario=f"fido2/{adversary}/{'defended' if defense_on else 'legacy'}",
         adversary=adversary,
         defense="header_channel" if defense_on else "legacy",
-        strategy_index=0,
         secret_leaked=leaked,
         leaked_digests=leaked_digests,
         attacker_login=login,

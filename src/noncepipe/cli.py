@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .adversaries import (
     AttackOutcome,
     AttackScenario,
+    DEFAULT_STRATEGIES,
     EXPECTED_FIDO2_CELLS,
     FIDO2_ADVERSARIES,
     PASSWORD_ADVERSARIES,
@@ -87,7 +88,7 @@ def build_parser() -> _Parser:
     matrix.add_argument("--defense", choices=sorted(DEFENSE_TOKENS), default=None)
     matrix.add_argument("--scenarios", type=Path, default=None, help="custom scenario file")
     matrix.add_argument(
-        "--strategies", type=int, default=100, help="attack strategies per matrix cell"
+        "--strategies", type=int, default=None, help="strategies per cell (default: every plan)"
     )
 
     compat = commands.add_parser("compat", help="dual-run site compatibility survey")
@@ -242,9 +243,9 @@ def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dic
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    if args.strategies < 1:
-        raise _UsageError(f"argument --strategies: must be at least 1, got {args.strategies}")
     if args.scenarios is not None:
+        if args.defense is not None or args.strategies is not None:
+            raise _UsageError("argument --scenarios: not allowed with --defense or --strategies")
         try:
             rows = parse_scenarios(args.scenarios)
         except (ScenarioFormatError, OSError) as exc:
@@ -255,13 +256,16 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         _emit(args, "scenarios", text, payload)
         return EXIT_OK
 
+    strategies = DEFAULT_STRATEGIES if args.strategies is None else args.strategies
+    if strategies < 1:
+        raise _UsageError(f"argument --strategies: must be at least 1, got {strategies}")
     try:
         expected = load_expected_matrix(golden_dir() / "matrix.json")
     except GoldenFormatError as exc:
         print(f"noncepipe: {exc}", file=sys.stderr)
         return EXIT_DATA
     modes = [DEFENSE_TOKENS[args.defense]] if args.defense else list(DefenseMode)
-    report = evaluate_matrix(args.seed, strategies_per_cell=args.strategies, modes=modes)
+    report = evaluate_matrix(args.seed, strategies_per_cell=strategies, modes=modes)
     _emit(args, "matrix", report.render_text(), report.to_json())
 
     ran = {mode.value for mode in modes}

@@ -85,15 +85,15 @@ def verdict(number: int, name: str, problems: list[str]) -> None:
 def test_criterion_1_security_matrix():
     problems = []
     start = time.perf_counter()
-    report = evaluate_matrix(seed=SEED, strategies_per_cell=100)
+    report = evaluate_matrix(seed=SEED)  # the default runs every plan
     elapsed = time.perf_counter() - start
     if report.verdicts() != EXPECTED_MATRIX:
         problems.append(f"verdicts diverge: {report.mismatches()}")
-    if report.strategies_per_cell != 100:
+    if report.strategies_per_cell < 100:
         problems.append("fewer than 100 strategies per cell")
     if elapsed >= 30:
         problems.append(f"took {elapsed:.1f}s (budget 30s)")
-    verdict(1, "security matrix 100 strategies/cell", problems)
+    verdict(1, f"security matrix {report.strategies_per_cell} strategies/cell", problems)
 
 
 # ---------------------------------------------------------------------------

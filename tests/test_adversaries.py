@@ -6,6 +6,8 @@ import json
 import pytest
 
 from noncepipe.adversaries import (
+    _AGENTS,
+    DEFAULT_STRATEGIES,
     EXPECTED_FIDO2_CELLS,
     EXPECTED_MATRIX,
     FIDO2_ADVERSARIES,
@@ -18,7 +20,7 @@ from noncepipe.adversaries import (
     run_reflection_attack,
     run_scenario,
 )
-from noncepipe.pipeline import DefenseMode
+from noncepipe.pipeline import DefenseMode, Stage
 from noncepipe.sites import generate_password
 
 
@@ -85,7 +87,66 @@ def test_find_leaks_digests_sorted_and_deduplicated():
 
 
 # ---------------------------------------------------------------------------
-# password adversary cells (canonical strategies)
+# plans
+# ---------------------------------------------------------------------------
+
+
+PLAN_COUNTS = {"dom_observer": 8, "dom_exfiltrator": 128, "webrequest_exfiltrator": 381}
+
+# the canonical plan of each adversary, which plan index 0 must decode to
+CANONICAL_PLANS = {
+    "dom_observer": frozenset({"read_pre", "read_post", "read_rendered"}),
+    "dom_exfiltrator": frozenset({"read_post", "hook_post", "read_rendered"}),
+    "webrequest_exfiltrator": (
+        (
+            Stage.ON_BEFORE_REQUEST,
+            Stage.ON_BEFORE_SEND_HEADERS,
+            Stage.ON_SEND_HEADERS,
+            Stage.ON_REQUEST_CREDENTIALS,
+            Stage.ON_HEADERS_RECEIVED,
+            Stage.ON_RESPONSE_STARTED,
+            Stage.ON_COMPLETED,
+        ),
+        "none",
+    ),
+}
+
+
+def plan_of(adversary: str, index: int):
+    agent = _AGENTS[adversary](index)
+    if adversary == "webrequest_exfiltrator":
+        return agent.stages, agent.blocking_move
+    return agent.plan
+
+
+@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+def test_plan_indices_decode_to_distinct_plans(adversary):
+    count = PLAN_COUNTS[adversary]
+    assert _AGENTS[adversary].plans == count
+    plans = {plan_of(adversary, index) for index in range(count)}
+    assert len(plans) == count
+    if adversary == "webrequest_exfiltrator":
+        assert all(stages for stages, _ in plans)  # every plan listens somewhere
+
+
+@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+def test_plan_indices_wrap_at_the_plan_count(adversary):
+    count = PLAN_COUNTS[adversary]
+    assert plan_of(adversary, count) == plan_of(adversary, 0)
+    assert plan_of(adversary, 2 * count + 5) == plan_of(adversary, 5)
+
+
+@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+def test_plan_0_is_the_canonical_plan(adversary):
+    assert plan_of(adversary, 0) == CANONICAL_PLANS[adversary]
+
+
+def test_default_strategies_run_every_plan():
+    assert DEFAULT_STRATEGIES == max(PLAN_COUNTS.values())
+
+
+# ---------------------------------------------------------------------------
+# password adversary cells (plan 0)
 # ---------------------------------------------------------------------------
 
 
@@ -191,8 +252,9 @@ def test_matrix_json_and_text_shapes():
 
 
 def test_matrix_leak_counts_agree_with_verdicts():
-    # protected cells must show zero leaks across every strategy variant;
-    # unprotected cells need at least one (randomized variants may miss)
+    # protected cells must show zero leaks across every plan run; unprotected
+    # cells need at least one, from plan 0 (a weaker plan may miss, such as
+    # a dom_observer that never reads the filled field)
     report = evaluate_matrix(seed=9, strategies_per_cell=4)
     for cell in report.cells:
         expected = EXPECTED_MATRIX[cell.defense][cell.adversary]

@@ -45,11 +45,17 @@ def sha(text: str) -> str:
         ["matrix", "--seed", "notanint"],
         ["matrix", "--seed", "1", "--defense", "design9"],
         ["fido2-demo", "--seed", "1", "--defense", "design5"],  # takes on|off
+        # each scenario row names its own defense and strategy; the file is
+        # never read
+        ["matrix", "--seed", "1", "--scenarios", "rows.tsv", "--defense", "design5"],
+        ["matrix", "--seed", "1", "--scenarios", "rows.tsv", "--strategies", "9"],
     ],
 )
 def test_usage_errors(argv, capsys):
     assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("noncepipe:")
+    err = capsys.readouterr().err
+    assert err.startswith("noncepipe:")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("strategies", ["0", "-3"])
