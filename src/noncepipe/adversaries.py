@@ -65,6 +65,7 @@ from .pipeline import (
     Redirect,
     Stage,
     StageView,
+    TranscriptEvent,
 )
 from .rng import derive_seed, substream
 from .session import BrowserSession, FlowResult
@@ -587,8 +588,9 @@ def run_reflection_attack(
 
     leaked_digests, leaked = find_leaks([entry.password], list(script.log))
     notes = [f"variant={variant}", f"pinning={'on' if pinning else 'off'}"]
-    # every nonce mode writes its refusal to the transcript
-    events = {e.label: e.digest for e in result.transcript.events}
+    # every nonce mode writes its refusal to the transcript, as a browser
+    # event; deliveries are skipped, so no body is hashed for this
+    events = {e.label: e.digest for e in result.transcript.events if type(e) is TranscriptEvent}
     if EVENT_SUBSTITUTION_REFUSED in events:
         notes.append(f"refused_by_{events[EVENT_SUBSTITUTION_REFUSED]}")
     elif EVENT_SUBSTITUTION in events:

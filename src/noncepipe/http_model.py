@@ -356,7 +356,7 @@ class RequestBody:
         return self._encoded(self.content_type, entries)
 
     def digest(self) -> str:
-        """sha256 hex of `raw`, as transcripts and server logs record it."""
+        """sha256 hex of `raw`, as transcript lines record it."""
         try:
             return self._digest
         except AttributeError:  # first use

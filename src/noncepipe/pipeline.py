@@ -24,12 +24,17 @@ submitting page's: design4 and design5 run the policy in the manager's
 callbacks, manifest_v3 in `dispatch` itself. A refusal is one
 `substitutionRefused` transcript event in every mode.
 
-Listener views are immutable snapshots, one per stage of a hop, shared by
-every listener at that stage. The request body is visible (always
-pre-substitution) only at the first three stages. At the credential stage
-design5 strips it (validation happened earlier), while design4's and
-manifest_v3's views show it pre-substitution; response-side stages never
-expose a request body.
+Listener views are tuples (`StageView`), one per stage of a hop, shared by
+every listener at that stage; no listener can set a field. The request body
+is visible (always pre-substitution) only at the first three stages. At the
+credential stage design5 strips it (validation happened earlier), while
+design4's and manifest_v3's views show it pre-substitution; response-side
+stages never expose a request body.
+
+A delivery's transcript line (`Delivery`) holds only its listener id and its
+view, and reads the request id, stage, body view and digest from the view
+when the line is read. A view cannot change, so neither can the line, and a
+body is hashed only if someone reads the transcript.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .http_model import (
     ChannelSecurity,
@@ -57,6 +62,7 @@ __all__ = [
     "Cancel",
     "Cancelled",
     "DefenseMode",
+    "Delivery",
     "ListenerRegistration",
     "ListenerRegistry",
     "MAX_REDIRECT_HOPS",
@@ -396,9 +402,9 @@ def apply_substitutions(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class StageView:
-    """Read-only snapshot handed to every listener at one stage.
+class StageView(NamedTuple):
+    """Read-only snapshot handed to every listener at one stage: a tuple, so
+    it costs one allocation and no field can be set.
 
     `form` is the RequestBody the view shows, or None when it shows none;
     readers take its entries, bytes and digest as they are. `document_id` is
@@ -518,57 +524,63 @@ EVENT_CANCEL = "cancel"
 EVENT_REDIRECT = "redirect"
 
 
-@dataclass(frozen=True, slots=True)
-class TranscriptEvent:
-    """One transcript line; listener deliveries also keep their view."""
+class TranscriptEvent(NamedTuple):
+    """A browser event's transcript line, held as text."""
 
     request_id: int
-    label: str  # stage name for deliveries, event name for browser events
+    label: str
     listener_id: str
     body_view: str
-    digest: str
-    view: Optional[StageView] = None
+    digest: str  # the event's detail, or "-"
 
     def to_line(self) -> str:
         return f"{self.request_id} {self.label} {self.listener_id} {self.body_view} {self.digest}"
+
+
+class Delivery(NamedTuple):
+    """A listener delivery's transcript line. It keeps the listener and the
+    view; the rest of the line is read from the view, which cannot change,
+    so the line's bytes are fixed and a body is hashed only when read."""
+
+    listener_id: str
+    view: StageView
+
+    @property
+    def request_id(self) -> int:
+        return self.view.request_id
+
+    @property
+    def label(self) -> str:
+        return self.view.stage.value
+
+    @property
+    def body_view(self) -> str:
+        return self.view.body_view.value
+
+    @property
+    def digest(self) -> str:
+        return self.view.body_digest()
+
+    to_line = TranscriptEvent.to_line  # the same line, its fields read from the view
 
 
 class StageTranscript:
     """Ordered record of every delivery and browser event for one flow."""
 
     def __init__(self) -> None:
-        self.events: list[TranscriptEvent] = []
+        self.events: list[Union[Delivery, TranscriptEvent]] = []
 
     def record_delivery(self, view: StageView, listener_id: str) -> None:
-        # `_value_` is the documented member attribute behind Enum's
-        # Python-level `value` property, read here on every delivery
-        self.events.append(
-            TranscriptEvent(
-                request_id=view.request_id,
-                label=view.stage._value_,
-                listener_id=listener_id,
-                body_view=view.body_view._value_,
-                digest=view.body_digest(),
-                view=view,
-            )
-        )
+        self.events.append(Delivery(listener_id, view))
 
     def record_event(self, request_id: int, label: str, detail: str = "-") -> None:
-        self.events.append(
-            TranscriptEvent(
-                request_id=request_id,
-                label=label,
-                listener_id=EVENT_LISTENER,
-                body_view="-",
-                digest=detail,
-            )
-        )
+        self.events.append(TranscriptEvent(request_id, label, EVENT_LISTENER, "-", detail))
 
     def to_text(self) -> str:
         return "".join(event.to_line() + "\n" for event in self.events)
 
-    def deliveries(self) -> tuple[TranscriptEvent, ...]:
-        return tuple(e for e in self.events if e.listener_id != EVENT_LISTENER)
+    def deliveries(self) -> tuple[Delivery, ...]:
+        return tuple(e for e in self.events if type(e) is Delivery)
 
 
 # ---------------------------------------------------------------------------
@@ -615,17 +627,19 @@ def _request_view(
             )
     else:
         raise AssertionError(f"{stage} is not a request-side stage")
+    # positional: a keyword call to a NamedTuple costs about three times more
     return StageView(
-        request_id=request.request_id,
-        stage=stage,
-        method=request.method,
-        url=request.url.to_string(),
-        query=request.url.query,
-        headers=request.headers,
-        body_view=body_view,
-        form=form,
-        channel=request.channel_security,
-        document_id=getattr(request.source_page, "page_id", None),
+        request.request_id,
+        stage,
+        request.method,
+        request.url.to_string(),
+        request.url.query,
+        request.headers,
+        body_view,
+        form,
+        request.channel_security,
+        None,  # status
+        getattr(request.source_page, "page_id", None),
     )
 
 
@@ -633,15 +647,16 @@ def _response_view(
     request_id: int, url: Url, stage: Stage, response: WebResponseRecord
 ) -> StageView:
     return StageView(
-        request_id=request_id,
-        stage=stage,
-        method="-",
-        url=url.to_string(),
-        query=(),
-        headers=response.headers,
-        body_view=BodyView.ABSENT,
-        form=None,
-        status=response.status,
+        request_id,
+        stage,
+        "-",  # method
+        url.to_string(),
+        (),  # query
+        response.headers,
+        BodyView.ABSENT,
+        None,  # form
+        None,  # channel
+        response.status,
     )
 
 

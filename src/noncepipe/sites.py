@@ -330,7 +330,8 @@ def build_fixture_corpus() -> list[SiteProfile]:
 
 
 # corpus option key -> (the categories whose rows read it, its allowed
-# values); password: the site's password; reflect: 'all' or names joined by '+'
+# values); password: the site's password; reflect: 'all' or non-empty names
+# joined by '+'
 CORPUS_OPTIONS: OptionTable = {
     "password": (LOGIN_CATEGORIES, None),
     "bad_tls": (LOGIN_CATEGORIES, ("0", "1")),
@@ -359,6 +360,9 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
         options = parse_options(
             options_text, CORPUS_OPTIONS, category, number, CorpusFormatError
         )
+        reflect = dict(options).get("reflect", "all")
+        if reflect != "all" and "" in reflect.split("+"):
+            raise CorpusFormatError(number, f"bad reflect {reflect!r}: a field name is empty")
         profiles.append(
             SiteProfile(
                 site_id=f"line{number}-{origin.host}",

@@ -27,6 +27,7 @@ from noncepipe.pipeline import (
     Cancel,
     Cancelled,
     DefenseMode,
+    Delivery,
     ListenerRegistration,
     ListenerRegistry,
     MAX_REDIRECT_HOPS,
@@ -39,6 +40,7 @@ from noncepipe.pipeline import (
     StageTranscript,
     StageView,
     SubstitutionRequest,
+    TranscriptEvent,
     VaultEntry,
     apply_substitutions,
     dispatch,
@@ -646,6 +648,55 @@ def test_golden_transcript_frozen():
     process_response(response, regs, request_url=final.url, transcript=transcript)
     golden = (GOLDEN_DIR / "transcript_design5.txt").read_text()
     assert transcript.to_text() == golden
+
+
+def test_deliveries_are_told_from_browser_events_by_kind():
+    # a listener may take the browser's own listener id; it is still a delivery
+    regs = registry(
+        listener(Stage.ON_BEFORE_REQUEST, lid=EVENT_LISTENER),
+        listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="manager.substitute"),
+    )
+    _, transcript = dispatch(post(), regs, design5_config())
+    assert [(e.listener_id, e.label) for e in transcript.deliveries()] == [
+        (EVENT_LISTENER, "onBeforeRequest"),
+        ("manager.substitute", "onRequestCredentials"),
+    ]
+    assert [e.label for e in transcript.events] == [
+        "onBeforeRequest",
+        "onRequestCredentials",
+        "substitution",
+    ]
+
+
+def test_listeners_cannot_change_a_view_or_a_transcript_line():
+    blocked: list[tuple[Stage, str]] = []
+
+    def tamper(view):
+        for name in view._fields + ("extra",):
+            try:
+                setattr(view, name, None)
+            except AttributeError:
+                blocked.append((view.stage, name))
+
+    regs = registry(*(listener(stage, tamper, lid=stage.value) for stage in Stage))
+    final, transcript = dispatch(post(), regs, design5_config())
+    response = WebResponseRecord(7, 200, headers=(("Set-Cookie", "s=1"),))
+    # a strip hook that reports a strip adds a browser event among the deliveries
+    process_response(
+        response, regs, lambda r: (r, True), request_url=final.url, transcript=transcript
+    )
+    # request views and response views alike
+    names = StageView._fields + ("extra",)
+    stages = stage_order(DefenseMode.DESIGN5_API_LATE)
+    assert blocked == [(stage, name) for stage in stages for name in names]
+    lines = transcript.to_text()
+    assert {type(e) for e in transcript.events} == {Delivery, TranscriptEvent}
+    line_names = ("listener_id", "view", "request_id", "label", "body_view", "digest", "extra")
+    for event in transcript.events:
+        for name in line_names:
+            with pytest.raises(AttributeError):
+                setattr(event, name, None)
+    assert transcript.to_text() == lines
 
 
 # ---------------------------------------------------------------------------

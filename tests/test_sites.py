@@ -327,6 +327,56 @@ def test_server_digest_is_the_transcript_digest_hashed_once(mode, monkeypatch):
     assert hashed.count(result.wire.body.raw) == 1
 
 
+def test_unread_transcript_hashes_no_body(monkeypatch):
+    # a nonce-free design5 login: the manager's listeners and a watcher see
+    # the body, but no one reads the transcript until the flow is over
+    hashed: list[bytes | str] = []
+    real = http_model.sha256_hex
+
+    def counting(data):
+        hashed.append(data)
+        return real(data)
+
+    for module in (http_model, sites):
+        monkeypatch.setattr(module, "sha256_hex", counting)
+    site = profile()
+    farm = ServerFarm(seed=3)
+    farm.add_site(site, "hunter2-secret")
+    session = BrowserSession(3, DefenseMode.DESIGN5_API_LATE, [], farm.serve)
+    watcher = ExtensionManifest("watcher", frozenset({Permission.WEB_REQUEST}))
+    session.host.install(watcher)
+    for stage in (Stage.ON_SEND_HEADERS, Stage.ON_COMPLETED):
+        session.host.register_listener("watcher", stage, lambda view: None)
+    page, form_id = build_login_page(session, site)
+    page.form(form_id).field_named("username").value = "alice"
+    page.form(form_id).field_named("password").value = "hunter2-secret"
+    result = session.submit(page, form_id)
+    assert result.verdict == "auth_ok"
+    body = result.wire.body.raw
+    deliveries = result.transcript.deliveries()
+    assert any(event.view.body == body for event in deliveries)
+    assert not any(isinstance(data, bytes) for data in hashed)
+
+    lines = result.transcript.to_text().splitlines()
+    expected = []
+    for event in deliveries:
+        view = event.view
+        digest = real(view.body) if view.body is not None else "-"
+        expected.append(
+            f"{view.request_id} {view.stage.value} {event.listener_id} {view.body_view.value} {digest}"
+        )
+    assert lines == expected
+    assert [line.split()[1:3] for line in lines] == [
+        ["onBeforeRequest", "manager.validate"],
+        ["onSendHeaders", "watcher.L3"],
+        ["onRequestCredentials", "manager.substitute"],
+        ["onCompleted", "watcher.L4"],
+    ]
+    assert hashed.count(body) == 1  # hashed on the first read, then kept
+    assert result.transcript.to_text().splitlines() == lines
+    assert hashed.count(body) == 1
+
+
 def test_fido2_site_serves_begin_and_rejects_other_paths():
     p = profile(category="fido2", site_id="sso")
     farm, state = farm_with(p)
@@ -393,6 +443,10 @@ def test_parse_corpus_happy_path(tmp_path):
         ("reflecting\thttps://a.example\treflect=username,password=x,reflect=username", 2),
         ("plain_post\thttps://a.example\treflect=all", 2),  # only `reflecting` reads it
         ("iframe_login\thttps://a.example\tbad_tls=1,reflect=username", 2),
+        ("reflecting\thttps://a.example\treflect=", 2),  # each field name non-empty
+        ("reflecting\thttps://a.example\treflect=password+", 2),
+        ("reflecting\thttps://a.example\treflect=+username", 2),
+        ("reflecting\thttps://a.example\treflect=username++password", 2),
     ],
 )
 def test_parse_corpus_errors_carry_line_numbers(tmp_path, line, lineno):
