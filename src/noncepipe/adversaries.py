@@ -81,7 +81,6 @@ __all__ = [
     "MatrixCell",
     "MatrixReport",
     "PASSWORD_ADVERSARIES",
-    "evaluate_fido2_cells",
     "evaluate_matrix",
     "find_leaks",
     "load_expected_matrix",
@@ -838,19 +837,3 @@ def run_fido2_scenario(
         attacker_registered=registered,
         notes=tuple(notes_a + notes_b),
     )
-
-
-def evaluate_fido2_cells(seed: int) -> dict[str, dict[str, str]]:
-    """Verdicts for the four FIDO2 cells, shaped like EXPECTED_FIDO2_CELLS."""
-    out: dict[str, dict[str, str]] = {}
-    for defense_on, label in ((False, "legacy"), (True, "header_channel")):
-        row: dict[str, str] = {}
-        for adversary in FIDO2_ADVERSARIES:
-            outcome = run_fido2_scenario(
-                adversary,
-                defense_on=defense_on,
-                seed=derive_seed(seed, "fido2-cell", label, adversary),
-            )
-            row[adversary] = "unprotected" if outcome.compromised else "protected"
-        out[label] = row
-    return out

@@ -152,9 +152,7 @@ def parse_scenarios(path: Path) -> list[tuple[str, str, str, dict[str, str]]]:
     """
     rows: list[tuple[str, str, str, dict[str, str]]] = []
     known = set(PASSWORD_ADVERSARIES) | set(FIDO2_ADVERSARIES) | {"reflection"}
-    for number, (name, adversary, defense, options_text) in read_rows(
-        path, (4,), ScenarioFormatError
-    ):
+    for number, (name, adversary, defense, options_text) in read_rows(path, 4, ScenarioFormatError):
         if adversary not in known:
             raise ScenarioFormatError(number, f"unknown adversary {adversary!r}")
         if adversary in FIDO2_ADVERSARIES:

@@ -42,7 +42,6 @@ __all__ = [
     "RegisterSubmitHook",
     "RenameField",
     "ScriptHandle",
-    "SetFieldValue",
     "SetFormAction",
     "SubmitHook",
     "attach_script",
@@ -115,11 +114,9 @@ class Field:
 
 
 class HookKind(Enum):
-    IDENTITY = "identity"
     SHA256_FIELD = "sha256_field"
     BASE64_FIELD = "base64_field"
     COPY_FIELD = "copy_field"
-    DROP_FIELD = "drop_field"
     CAPTURE_FIELDS = "capture_fields"
     SWAP_VALUE = "swap_value"
 
@@ -145,8 +142,6 @@ class SubmitHook:
 
     def apply(self, entries: FormEntries, action: Optional[Url] = None) -> FormEntries:
         kind = self.kind
-        if kind is HookKind.IDENTITY:
-            return entries
         if kind is HookKind.SHA256_FIELD:
             return tuple(
                 (n, hashlib.sha256(v.encode("utf-8")).hexdigest() if n == self.field_name else v)
@@ -164,8 +159,6 @@ class SubmitHook:
             if any(n == self.target for n, _ in entries):
                 return tuple((n, source if n == self.target else v) for n, v in entries)
             return entries + ((str(self.target), source),)
-        if kind is HookKind.DROP_FIELD:
-            return tuple((n, v) for n, v in entries if n != self.field_name)
         if kind is HookKind.CAPTURE_FIELDS:
             if self.sink is not None:
                 for n, v in entries:
@@ -191,15 +184,12 @@ class Form:
     form_id: str
     action: Url
     method: str = "POST"
-    enctype: str = "urlencoded"
     fields: list[Field] = field(default_factory=list)
     submit_hooks: list[SubmitHook] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.method not in ("GET", "POST"):
             raise ValueError(f"unsupported form method {self.method!r}")
-        if self.enctype not in ("urlencoded", "multipart"):
-            raise ValueError(f"unsupported enctype {self.enctype!r}")
         names = [f.name for f in self.fields]
         if len(names) != len(set(names)):
             raise DuplicateField(f"duplicate field names in form {self.form_id!r}")
@@ -277,13 +267,6 @@ def read_rendered_text(script: ScriptHandle, page: Page) -> str:
 
 
 @dataclass(frozen=True)
-class SetFieldValue:
-    form_id: str
-    field_name: str
-    value: str
-
-
-@dataclass(frozen=True)
 class RenameField:
     form_id: str
     old_name: str
@@ -310,17 +293,14 @@ class RegisterSubmitHook:
     hook: SubmitHook
 
 
-Mutation = SetFieldValue | RenameField | SetFormAction | AddField | RegisterSubmitHook
+Mutation = RenameField | SetFormAction | AddField | RegisterSubmitHook
 
 
 def script_mutate(script: ScriptHandle, page: Page, mutation: Mutation) -> None:
     """Apply one DOM mutation; the page audit trail records who did what."""
     _require_access(script, page)
     form = page.form(mutation.form_id)
-    if isinstance(mutation, SetFieldValue):
-        form.field_named(mutation.field_name).value = mutation.value
-        page.audit.append(f"{script.script_id} set {mutation.form_id}.{mutation.field_name}")
-    elif isinstance(mutation, RenameField):
+    if isinstance(mutation, RenameField):
         target = form.field_named(mutation.old_name)
         if any(f.name == mutation.new_name for f in form.fields):
             raise DuplicateField(mutation.new_name)
@@ -357,7 +337,6 @@ def build_request(
     action: Url,
     entries: FormEntries,
     request_id: int,
-    enctype: str = "urlencoded",
 ) -> WebRequestRecord:
     """The request a page sends (or, with no page, a client outside any
     browser): GET entries join the query, POST entries form the body; the
@@ -368,10 +347,7 @@ def build_request(
         body = None
     else:
         url = action
-        if enctype == "multipart":
-            body = RequestBody.multipart(entries, request_id)
-        else:
-            body = RequestBody.urlencoded(entries)
+        body = RequestBody.urlencoded(entries)
         headers.append(("Content-Type", body.content_type))
 
     return WebRequestRecord(
@@ -395,4 +371,4 @@ def submit_form(page: Page, form_id: str, request_id: int = 0) -> WebRequestReco
     entries: FormEntries = tuple((f.name, f.value) for f in form.fields)
     for hook in form.submit_hooks:
         entries = hook.apply(entries, action=form.action)
-    return build_request(page, form.method, form.action, entries, request_id, form.enctype)
+    return build_request(page, form.method, form.action, entries, request_id)

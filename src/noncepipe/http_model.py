@@ -25,11 +25,8 @@ __all__ = [
     "WebRequestRecord",
     "WebResponseRecord",
     "channel_for",
-    "decode_multipart",
     "decode_urlencoded",
-    "encode_multipart",
     "header_value",
-    "multipart_boundary",
     "sha256_hex",
     "urlencode_entries",
 ]
@@ -40,7 +37,6 @@ FormEntries = tuple[tuple[str, str], ...]
 DEFAULT_PORTS = {"http": 80, "https": 443}
 
 URLENCODED = "application/x-www-form-urlencoded"
-MULTIPART_PREFIX = "multipart/form-data; boundary="
 
 
 class MalformedBody(ValueError):
@@ -78,17 +74,16 @@ _FORM_SAFE = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789*-.
 _ALL_SAFE = re.compile(f"[{re.escape(_FORM_SAFE.decode('ascii'))}]*")
 
 
-def _quote_table(plus_for_space: bool) -> tuple[str, ...]:
-    """What each UTF-8 byte encodes as: itself if safe, else %XX."""
+def _quote_table() -> tuple[str, ...]:
+    """What each UTF-8 byte encodes as: itself if safe, '+' if space, else %XX."""
     table = [f"%{byte:02X}" for byte in range(256)]
     for byte in _FORM_SAFE:
         table[byte] = chr(byte)
-    if plus_for_space:
-        table[0x20] = "+"
+    table[0x20] = "+"
     return tuple(table)
 
 
-_QUOTE = {True: _quote_table(True), False: _quote_table(False)}
+_QUOTE = _quote_table()
 # every two-hex-digit escape body, in any mix of case, to its byte
 _UNHEX = {
     f"{hi}{lo}": int(hi + lo, 16)
@@ -97,16 +92,14 @@ _UNHEX = {
 }
 
 
-def _quote_form(text: str, *, plus_for_space: bool) -> str:
+def _quote_form(text: str) -> str:
     if _ALL_SAFE.fullmatch(text):  # most names and values: skips the byte walk
         return text
-    table = _QUOTE[plus_for_space]
-    return "".join([table[byte] for byte in text.encode("utf-8")])
+    return "".join([_QUOTE[byte] for byte in text.encode("utf-8")])
 
 
-def _unquote_form(text: str, *, plus_for_space: bool) -> str:
-    if plus_for_space:
-        text = text.replace("+", " ")
+def _unquote_form(text: str) -> str:
+    text = text.replace("+", " ")
     head, *escaped = text.split("%")
     raw = bytearray(head.encode("utf-8"))
     offset = len(head)  # of the '%' that starts the next chunk
@@ -125,10 +118,7 @@ def _unquote_form(text: str, *, plus_for_space: bool) -> str:
 
 def urlencode_entries(entries: Sequence[tuple[str, str]]) -> str:
     """Encode ordered (name, value) pairs as application/x-www-form-urlencoded."""
-    return "&".join(
-        f"{_quote_form(name, plus_for_space=True)}={_quote_form(value, plus_for_space=True)}"
-        for name, value in entries
-    )
+    return "&".join(f"{_quote_form(name)}={_quote_form(value)}" for name, value in entries)
 
 
 def decode_urlencoded(text: str | bytes) -> FormEntries:
@@ -143,73 +133,8 @@ def decode_urlencoded(text: str | bytes) -> FormEntries:
     pairs: list[tuple[str, str]] = []
     for chunk in text.split("&"):
         name, sep, value = chunk.partition("=")
-        pairs.append(
-            (
-                _unquote_form(name, plus_for_space=True),
-                _unquote_form(value, plus_for_space=True) if sep else "",
-            )
-        )
+        pairs.append((_unquote_form(name), _unquote_form(value) if sep else ""))
     return tuple(pairs)
-
-
-# ---------------------------------------------------------------------------
-# multipart/form-data
-# ---------------------------------------------------------------------------
-
-
-def multipart_boundary(request_id: int) -> str:
-    return f"----noncepipe-{request_id}"
-
-
-def encode_multipart(entries: Sequence[tuple[str, str]], boundary: str) -> bytes:
-    """Encode entries as multipart/form-data with the given boundary.
-
-    Field names are percent-escaped inside the disposition header so that
-    arbitrary names round-trip. Values are raw UTF-8; a value that contains
-    the boundary delimiter itself cannot be framed and is rejected.
-    """
-    delim = ("--" + boundary).encode("ascii")
-    parts: list[bytes] = []
-    for name, value in entries:
-        value_bytes = value.encode("utf-8")
-        if delim in value_bytes or delim in name.encode("utf-8"):
-            raise MalformedBody("entry contains the multipart boundary delimiter")
-        parts.append(delim)
-        parts.append(b"\r\n")
-        disposition = f'Content-Disposition: form-data; name="{_quote_form(name, plus_for_space=False)}"'
-        parts.append(disposition.encode("ascii"))
-        parts.append(b"\r\n\r\n")
-        parts.append(value_bytes)
-        parts.append(b"\r\n")
-    parts.append(delim)
-    parts.append(b"--\r\n")
-    return b"".join(parts)
-
-
-def decode_multipart(raw: bytes, boundary: str) -> FormEntries:
-    """Inverse of encode_multipart for the same boundary."""
-    delim = ("--" + boundary).encode("ascii")
-    segments = raw.split(delim)
-    if len(segments) < 2 or segments[0] != b"" or segments[-1] != b"--\r\n":
-        raise MalformedBody("multipart body is not framed by the expected boundary")
-    entries: list[tuple[str, str]] = []
-    for segment in segments[1:-1]:
-        if not segment.startswith(b"\r\n") or not segment.endswith(b"\r\n"):
-            raise MalformedBody("multipart part is not CRLF framed")
-        head, sep, payload = segment[2:-2].partition(b"\r\n\r\n")
-        if not sep:
-            raise MalformedBody("multipart part lacks a blank line after headers")
-        header = head.decode("ascii", errors="strict")
-        marker = 'Content-Disposition: form-data; name="'
-        if not header.startswith(marker) or not header.endswith('"'):
-            raise MalformedBody("multipart part lacks a form-data disposition")
-        name = _unquote_form(header[len(marker) : -1], plus_for_space=False)
-        try:
-            value = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedBody(f"multipart value is not valid UTF-8: {exc}") from exc
-        entries.append((name, value))
-    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +273,6 @@ class RequestBody:
     def urlencoded(cls, entries: Sequence[tuple[str, str]]) -> "RequestBody":
         return cls._encoded(URLENCODED, entries)
 
-    @classmethod
-    def multipart(cls, entries: Sequence[tuple[str, str]], request_id: int) -> "RequestBody":
-        return cls._encoded(MULTIPART_PREFIX + multipart_boundary(request_id), entries)
-
     def with_entries(self, entries: Sequence[tuple[str, str]]) -> "RequestBody":
         return self._encoded(self.content_type, entries)
 
@@ -368,8 +289,6 @@ class RequestBody:
 def _encode_for(content_type: str, entries: FormEntries) -> bytes:
     if content_type == URLENCODED:
         return urlencode_entries(entries).encode("ascii")
-    if content_type.startswith(MULTIPART_PREFIX):
-        return encode_multipart(entries, content_type[len(MULTIPART_PREFIX) :])
     raise MalformedBody(f"unsupported content type {content_type!r}")
 
 

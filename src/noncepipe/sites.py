@@ -210,9 +210,6 @@ class ServerFarm:
         """An attacker-controlled server that records everything it receives."""
         self._captures[str(origin)] = sink
 
-    def site(self, origin: Origin) -> _SiteState:
-        return self._sites[str(origin)]
-
     # -- request handling ---------------------------------------------------
 
     def serve(self, request: WebRequestRecord) -> tuple[WebResponseRecord, str]:
@@ -348,9 +345,7 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
     corpus category: the survey compares password logins.
     """
     profiles: list[SiteProfile] = []
-    for number, (category, origin_text, options_text) in read_rows(
-        path, (3,), CorpusFormatError
-    ):
+    for number, (category, origin_text, options_text) in read_rows(path, 3, CorpusFormatError):
         if category not in LOGIN_CATEGORIES:
             raise CorpusFormatError(number, f"unknown category {category!r}")
         try:

@@ -29,12 +29,12 @@ class TsvFormatError(ValueError):
 
 
 def read_rows(
-    path: str | Path, columns: tuple[int, ...], error: type[TsvFormatError]
+    path: str | Path, columns: int, error: type[TsvFormatError]
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, columns) for each data line of a file.
 
-    `columns` lists the allowed column counts; any other count, and any byte
-    that is not UTF-8, raises `error` with the line number.
+    A line that does not have exactly `columns` columns, or any byte that is
+    not UTF-8, raises `error` with the line number.
     """
     # undecodable bytes become lone surrogates, so the check below can name
     # the line they sit on
@@ -47,9 +47,8 @@ def read_rows(
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) not in columns:
-            allowed = " or ".join(map(str, columns))
-            raise error(number, f"expected {allowed} tab-separated columns, got {len(fields)}")
+        if len(fields) != columns:
+            raise error(number, f"expected {columns} tab-separated columns, got {len(fields)}")
         yield number, fields
 
 

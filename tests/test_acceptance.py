@@ -13,9 +13,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from noncepipe.adversaries import (
-    EXPECTED_FIDO2_CELLS,
     EXPECTED_MATRIX,
-    evaluate_fido2_cells,
     evaluate_matrix,
     run_reflection_attack,
 )
@@ -469,7 +467,7 @@ def _finish_record(payload: str) -> WebRequestRecord:
     )
 
 
-def test_criterion_7_fido2_end_to_end():
+def test_criterion_7_fido2_end_to_end(capsys):
     problems = []
     start = time.perf_counter()
 
@@ -498,9 +496,13 @@ def test_criterion_7_fido2_end_to_end():
     except Exception as exc:  # InvalidSignature
         problems.append(f"independent signature check failed: {exc!r}")
 
-    # the four attack cells
-    if evaluate_fido2_cells(seed=SEED) != EXPECTED_FIDO2_CELLS:
-        problems.append("attack cells diverge from the expected table")
+    # the four attack cells: fido2-demo exits 0 only if they match the
+    # expected table
+    for defense in ("on", "off"):
+        code = cli_main(["fido2-demo", "--seed", str(SEED), "--defense", defense])
+        if code != 0:
+            problems.append(f"fido2-demo --defense {defense} exited {code}")
+    capsys.readouterr()  # the reports themselves are not under test here
 
     # counter replay: a cloned authenticator reuses a stale counter
     clone = session.device.clone("cloned", substream(SEED, "clone"))

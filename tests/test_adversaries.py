@@ -13,13 +13,13 @@ from noncepipe.adversaries import (
     FIDO2_ADVERSARIES,
     PASSWORD_ADVERSARIES,
     AttackScenario,
-    evaluate_fido2_cells,
     evaluate_matrix,
     find_leaks,
     run_fido2_scenario,
     run_reflection_attack,
     run_scenario,
 )
+from noncepipe.cli import main as cli_main
 from noncepipe.pipeline import DefenseMode, Stage
 from noncepipe.sites import generate_password
 
@@ -305,7 +305,10 @@ def test_reflection_unknown_variant():
 
 
 def test_fido2_cells_match_expected():
-    assert evaluate_fido2_cells(seed=5) == EXPECTED_FIDO2_CELLS
+    """fido2-demo checks its cells against EXPECTED_FIDO2_CELLS and exits 0
+    only if they match."""
+    for defense in ("on", "off"):
+        assert cli_main(["fido2-demo", "--seed", "5", "--defense", defense]) == 0
 
 
 def test_fido2_dom_hijack_legacy_wins_everything():

@@ -24,7 +24,6 @@ from noncepipe.dom import (
     RegisterSubmitHook,
     RenameField,
     ScriptHandle,
-    SetFieldValue,
     SetFormAction,
     SubmitHook,
     attach_script,
@@ -78,9 +77,18 @@ def test_base64_hook_matches_stdlib(value):
     assert out == (("password", expected), ("keep", "x"))
 
 
-def test_identity_hook_is_noop():
-    entries = (("a", "1"), ("b", "2"))
-    assert SubmitHook(HookKind.IDENTITY).apply(entries) == entries
+@pytest.mark.parametrize(
+    "hook",
+    [
+        SubmitHook(HookKind.SHA256_FIELD, field_name="password"),
+        SubmitHook(HookKind.BASE64_FIELD, field_name="password"),
+        SubmitHook(HookKind.SWAP_VALUE, match="absent", replacement="x"),
+    ],
+    ids=["sha256_field", "base64_field", "swap_value"],
+)
+def test_hook_without_a_target_in_the_form_leaves_entries_alone(hook):
+    entries = (("username", "alice"), ("pin", "1234"))
+    assert hook.apply(entries) == entries
 
 
 def test_copy_field_appends_when_target_missing():
@@ -97,11 +105,6 @@ def test_copy_field_overwrites_existing_target():
 def test_copy_field_noop_without_source():
     hook = SubmitHook(HookKind.COPY_FIELD, field_name="missing", target="t")
     assert hook.apply((("a", "1"),)) == (("a", "1"),)
-
-
-def test_drop_field_removes_only_named():
-    hook = SubmitHook(HookKind.DROP_FIELD, field_name="password")
-    assert hook.apply((("password", "pw"), ("user", "u"))) == (("user", "u"),)
 
 
 def test_capture_all_fields_logs_every_value():
@@ -168,10 +171,10 @@ def test_form_rejects_duplicate_field_names():
         Form("f", ACTION, fields=[Field("a"), Field("a")])
 
 
-@pytest.mark.parametrize("kwargs", [{"method": "DELETE"}, {"enctype": "json"}])
-def test_form_rejects_unsupported_transport(kwargs):
-    with pytest.raises(ValueError):
-        Form("f", ACTION, **kwargs)
+@pytest.mark.parametrize("method", ["DELETE", "PUT", "post", ""])
+def test_form_rejects_unsupported_method(method):
+    with pytest.raises(ValueError, match="unsupported form method"):
+        Form("f", ACTION, method=method)
 
 
 def test_form_field_lookup():
@@ -254,13 +257,6 @@ def mutating_page():
     return page, script
 
 
-def test_set_field_value_mutation():
-    page, script = mutating_page()
-    script_mutate(script, page, SetFieldValue("login", "password", "evil"))
-    assert page.form("login").field_named("password").value == "evil"
-    assert page.audit == ["s1 set login.password"]
-
-
 def test_rename_field_mutation():
     page, script = mutating_page()
     script_mutate(script, page, RenameField("login", "password", "p"))
@@ -288,17 +284,19 @@ def test_add_field_mutation():
 
 def test_register_submit_hook_mutation():
     page, script = mutating_page()
-    hook = SubmitHook(HookKind.DROP_FIELD, field_name="password")
+    hook = SubmitHook(HookKind.SHA256_FIELD, field_name="password")
     script_mutate(script, page, RegisterSubmitHook("login", hook))
     assert page.form("login").submit_hooks == [hook]
-    assert any("hooked" in line for line in page.audit)
+    assert page.audit == ["s1 hooked login (sha256_field)"]
 
 
 def test_mutation_requires_dom_access():
     page = make_page()
     page.add_form(login_form())
     with pytest.raises(DomAccessError):
-        script_mutate(page_script(), page, SetFieldValue("login", "password", "x"))
+        script_mutate(page_script(), page, RenameField("login", "password", "p"))
+    assert page.form("login").field_named("password").value == "hunter2"
+    assert page.audit == []
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +324,6 @@ def test_submit_get_puts_entries_in_query():
     assert record.method == "GET"
     assert record.body is None
     assert record.url.query == (("username", "alice"), ("password", "hunter2"))
-
-
-def test_submit_multipart_uses_request_id_boundary():
-    page = make_page()
-    page.add_form(login_form(enctype="multipart"))
-    record = submit_form(page, "login", request_id=42)
-    assert record.body.content_type.endswith("----noncepipe-42")
-    assert b"alice" in record.body.raw
 
 
 def test_submit_http_action_is_plain_channel():

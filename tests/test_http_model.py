@@ -1,4 +1,4 @@
-"""Wire-format primitives: form encoding, multipart framing, URLs, records.
+"""Wire-format primitives: form encoding, URLs, records.
 
 The urlencoder is checked against urllib.parse.urlencode as an independent
 oracle wherever the two agree ('~' is the single deliberate divergence:
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noncepipe.http_model import (
-    MULTIPART_PREFIX,
     URLENCODED,
     ChannelSecurity,
     InvalidUrl,
@@ -26,10 +25,7 @@ from noncepipe.http_model import (
     _encode_for,
     _quote_form,
     _unquote_form,
-    decode_multipart,
     decode_urlencoded,
-    encode_multipart,
-    multipart_boundary,
     sha256_hex,
     urlencode_entries,
 )
@@ -58,6 +54,10 @@ FROZEN_VECTORS = [
     ((("a", "b"), ("a", "c")), "a=b&a=c"),
     ((("weird name", "v&=+"),), "weird+name=v%26%3D%2B"),
     ((), ""),
+    ((("notes", "line one\r\n\r\nline two\r\n"),), "notes=line+one%0D%0A%0D%0Aline+two%0D%0A"),
+    ((("pw", "%41+"),), "pw=%2541%2B"),  # an escape-like value is escaped, not kept
+    ((("a", ""),), "a="),
+    ((("", ""),), "="),
 ]
 
 
@@ -113,19 +113,19 @@ _REFERENCE_SAFE = frozenset(
 _REFERENCE_HEX = "0123456789abcdefABCDEF"
 
 
-def reference_quote_form(text: str, *, plus_for_space: bool) -> str:
+def reference_quote_form(text: str) -> str:
     out: list[str] = []
     for byte in text.encode("utf-8"):
         if byte in _REFERENCE_SAFE:
             out.append(chr(byte))
-        elif byte == 0x20 and plus_for_space:
+        elif byte == 0x20:
             out.append("+")
         else:
             out.append(f"%{byte:02X}")
     return "".join(out)
 
 
-def reference_unquote_form(text: str, *, plus_for_space: bool) -> str:
+def reference_unquote_form(text: str) -> str:
     raw = bytearray()
     i = 0
     while i < len(text):
@@ -139,7 +139,7 @@ def reference_unquote_form(text: str, *, plus_for_space: bool) -> str:
                 raise MalformedBody(f"truncated or invalid percent escape at offset {i}")
             raw.append(int(text[i + 1 : i + 3], 16))
             i += 3
-        elif ch == "+" and plus_for_space:
+        elif ch == "+":
             raw.append(0x20)
             i += 1
         else:
@@ -151,9 +151,9 @@ def reference_unquote_form(text: str, *, plus_for_space: bool) -> str:
         raise MalformedBody(f"percent-decoded bytes are not valid UTF-8: {exc}") from exc
 
 
-def _outcome(codec, text: str, plus_for_space: bool) -> tuple[str, str]:
+def _outcome(codec, text: str) -> tuple[str, str]:
     try:
-        return "ok", codec(text, plus_for_space=plus_for_space)
+        return "ok", codec(text)
     except MalformedBody as exc:
         return "MalformedBody", str(exc)
 
@@ -171,79 +171,26 @@ _CODEC_PIECES = st.one_of(
 codec_text = st.lists(_CODEC_PIECES, max_size=24).map("".join)
 
 
-@given(codec_text, st.booleans())
-def test_quote_form_matches_reference(text, plus_for_space):
-    assert _quote_form(text, plus_for_space=plus_for_space) == reference_quote_form(
-        text, plus_for_space=plus_for_space
-    )
+@given(codec_text)
+def test_quote_form_matches_reference(text):
+    assert _quote_form(text) == reference_quote_form(text)
 
 
-@given(codec_text, st.booleans())
-def test_unquote_form_matches_reference(text, plus_for_space):
-    assert _outcome(_unquote_form, text, plus_for_space) == _outcome(
-        reference_unquote_form, text, plus_for_space
-    )
+@given(codec_text)
+def test_unquote_form_matches_reference(text):
+    assert _outcome(_unquote_form, text) == _outcome(reference_unquote_form, text)
 
 
 @pytest.mark.parametrize("text", ["\ud800", "ab\udfff", "%41\ud83d", "+\udc80%20"])
-@pytest.mark.parametrize("plus_for_space", [True, False])
-def test_codec_lone_surrogate_raises_like_reference(text, plus_for_space):
-    for codec in (_quote_form, reference_quote_form, _unquote_form, reference_unquote_form):
-        with pytest.raises(UnicodeEncodeError):
-            codec(text, plus_for_space=plus_for_space)
-
-
-# ---------------------------------------------------------------------------
-# multipart
-# ---------------------------------------------------------------------------
-
-
-def test_multipart_boundary_formula():
-    assert multipart_boundary(17) == "----noncepipe-17"
-    assert multipart_boundary(0) == "----noncepipe-0"
-
-
-def test_multipart_frozen_bytes():
-    raw = encode_multipart((("user", "alice"),), "----noncepipe-17")
-    assert raw == (
-        b"------noncepipe-17\r\n"
-        b'Content-Disposition: form-data; name="user"\r\n\r\n'
-        b"alice\r\n"
-        b"------noncepipe-17--\r\n"
-    )
-
-
-@given(entry_lists, st.integers(min_value=0, max_value=10_000))
-def test_multipart_round_trip(entries, request_id):
-    boundary = multipart_boundary(request_id)
-    delim = "--" + boundary
-    entries = [(n, v) for n, v in entries if delim not in n and delim not in v]
-    raw = encode_multipart(entries, boundary)
-    assert decode_multipart(raw, boundary) == tuple(entries)
-
-
-def test_multipart_rejects_boundary_in_value():
-    with pytest.raises(MalformedBody):
-        encode_multipart((("f", "x------noncepipe-3y"),), "----noncepipe-3")
-
-
-def test_multipart_value_with_crlf_round_trips():
-    boundary = multipart_boundary(9)
-    entries = (("notes", "line one\r\n\r\nline two\r\n"),)
-    assert decode_multipart(encode_multipart(entries, boundary), boundary) == entries
-
-
 @pytest.mark.parametrize(
-    "raw",
-    [
-        b"not multipart at all",
-        b"------noncepipe-1\r\nno blank line\r\n------noncepipe-1--\r\n",
-        b"------noncepipe-1\r\nX-Other: h\r\n\r\nv\r\n------noncepipe-1--\r\n",
-    ],
+    "codec, reference",
+    [(_quote_form, reference_quote_form), (_unquote_form, reference_unquote_form)],
+    ids=["quote", "unquote"],
 )
-def test_decode_multipart_malformed(raw):
-    with pytest.raises(MalformedBody):
-        decode_multipart(raw, "----noncepipe-1")
+def test_codec_lone_surrogate_raises_like_reference(codec, reference, text):
+    for fn in (codec, reference):
+        with pytest.raises(UnicodeEncodeError):
+            fn(text)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +305,36 @@ def test_request_body_urlencoded_raw_matches():
     assert body.raw == b"user=alice&pw=a+b"
 
 
-def test_request_body_multipart_content_type_carries_boundary():
-    body = RequestBody.multipart((("user", "alice"),), request_id=17)
-    assert body.content_type == MULTIPART_PREFIX + "----noncepipe-17"
-    assert decode_multipart(body.raw, "----noncepipe-17") == (("user", "alice"),)
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"a=c",
+        b"a=%62",  # decodes to the same entries, but is not the bytes they encode to
+        b"a=b&",
+        b"a=b\r\n",
+        b"",
+    ],
+)
+def test_request_body_rejects_mismatched_raw(raw):
+    with pytest.raises(MalformedBody, match="raw bytes do not match"):
+        RequestBody(URLENCODED, (("a", "b"),), raw)
 
 
-def test_request_body_rejects_mismatched_raw():
-    with pytest.raises(MalformedBody):
-        RequestBody(URLENCODED, (("a", "b"),), b"a=c")
+@pytest.mark.parametrize(
+    "content_type",
+    [
+        "multipart/form-data; boundary=x",
+        "multipart/form-data",
+        "text/plain",
+        "application/json",
+        URLENCODED + "; charset=utf-8",
+        URLENCODED.upper(),
+        "",
+    ],
+)
+def test_request_body_rejects_other_content_types(content_type):
+    with pytest.raises(MalformedBody, match="unsupported content type"):
+        RequestBody(content_type, (("a", "b"),), b"a=b")
 
 
 def test_request_body_with_entries_reencodes():
@@ -382,39 +350,32 @@ def test_request_body_raw_always_consistent(entries):
     assert decode_urlencoded(body.raw) == tuple(entries)
 
 
-@given(entry_lists, entry_lists, st.integers(0, 10**6))
-def test_request_body_factories_equal_a_checked_body(entries, swapped, request_id):
+@given(entry_lists, entry_lists)
+def test_request_body_factories_equal_a_checked_body(entries, swapped):
     """The factories encode once and skip the re-encoding check; what they
     build must equal `_encode_for` output and the directly built, checked body."""
-    boundary_type = MULTIPART_PREFIX + multipart_boundary(request_id)
-    for content_type, body in (
-        (URLENCODED, RequestBody.urlencoded(entries)),
-        (boundary_type, RequestBody.multipart(entries, request_id)),
-    ):
-        assert body.raw == _encode_for(content_type, tuple(entries))
-        assert body == RequestBody(content_type, entries, body.raw)
-        edited = body.with_entries(swapped)
-        assert edited.raw == _encode_for(content_type, tuple(swapped))
-        assert edited == RequestBody(content_type, swapped, edited.raw)
-        assert type(edited.entries) is tuple and type(body.entries) is tuple
+    body = RequestBody.urlencoded(entries)
+    assert body.raw == _encode_for(URLENCODED, tuple(entries))
+    assert body == RequestBody(URLENCODED, entries, body.raw)
+    edited = body.with_entries(swapped)
+    assert edited.raw == _encode_for(URLENCODED, tuple(swapped))
+    assert edited == RequestBody(URLENCODED, swapped, edited.raw)
+    assert type(edited.entries) is tuple and type(body.entries) is tuple
 
 
-# names and values from the characters each codec escapes, frames or splits on
+# names and values from the characters the codec escapes or splits on
 tricky_text = st.text(alphabet=st.sampled_from("=&%+~ \r\n\"a\u00e9\u20ac\U0001f600"), max_size=6)
 tricky_entries = st.lists(st.tuples(tricky_text, tricky_text), max_size=6)
 
 
-@given(tricky_entries, tricky_entries, st.integers(0, 10**6))
-def test_request_body_raw_decodes_to_its_entries(entries, swapped, request_id):
+@given(tricky_entries, tricky_entries)
+def test_request_body_raw_decodes_to_its_entries(entries, swapped):
     """Readers take `entries` instead of decoding `raw`; that is exact only
     because decoding `raw` gives `entries` back, for every way a body is built."""
-    urlencoded = RequestBody.urlencoded(entries)
-    multipart = RequestBody.multipart(entries, request_id)
-    boundary = multipart_boundary(request_id)
-    for body in (urlencoded, urlencoded.with_entries(swapped)):
-        assert decode_urlencoded(body.raw) == body.entries
-    for body in (multipart, multipart.with_entries(swapped)):
-        assert decode_multipart(body.raw, boundary) == body.entries
+    body = RequestBody.urlencoded(entries)
+    edited = body.with_entries(swapped)
+    assert decode_urlencoded(body.raw) == body.entries
+    assert decode_urlencoded(edited.raw) == edited.entries
 
 
 def test_request_body_digest_is_kept_and_not_in_repr_eq_or_hash():

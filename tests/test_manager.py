@@ -368,20 +368,16 @@ def test_checks_run_in_order_first_failure_wins():
 
 
 def counted_decodes(monkeypatch):
-    """Count calls of either body decoder in `http_model`, where they live."""
+    """Count calls of the body decoder in `http_model`, where it lives."""
     calls = []
-    for name in ("decode_urlencoded", "decode_multipart"):
+    decode = http_model.decode_urlencoded
 
-        def counting(body, *rest, _decode=getattr(http_model, name)):
-            calls.append(body)
-            return _decode(body, *rest)
+    def counting(body):
+        calls.append(body)
+        return decode(body)
 
-        monkeypatch.setattr(http_model, name, counting)
+    monkeypatch.setattr(http_model, "decode_urlencoded", counting)
     return calls
-
-
-def _multipart(page):
-    page.form("login").enctype = "multipart"
 
 
 def _bad_tls(page):
@@ -400,14 +396,13 @@ def _rename_password(page):
     "page_kwargs, mutate, reason",
     [
         ({}, None, None),
-        ({}, _multipart, None),
         ({"is_iframe": True}, None, 1),
         ({}, _bad_tls, 2),
         ({"action": Url.parse("https://evil.example/steal")}, None, 3),
         ({}, _get_submit, 4),
         ({}, _rename_password, 5),
     ],
-    ids=["clear", "clear_multipart", "iframe", "channel", "destination", "get", "field"],
+    ids=["clear", "iframe", "channel", "destination", "get", "field"],
 )
 def test_pipeline_view_and_hand_built_view_decide_alike(page_kwargs, mutate, reason):
     manager = make_manager()

@@ -407,15 +407,15 @@ def test_substitution_event_carries_applied_count():
     assert event.digest == "applied=1"
 
 
-def test_multipart_body_substitution_keeps_boundary():
-    body = RequestBody.multipart((("pw", NONCE),), request_id=9)
-    request = WebRequestRecord(
-        9, "POST", DEST, headers=(("Content-Type", body.content_type),), body=body
-    )
+def test_body_substitution_re_encodes_and_keeps_content_type():
+    request = post()
     regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="m"))
     final, _ = dispatch(request, regs, design5_config())
-    assert final.body.content_type == body.content_type
-    assert final.body.entries == (("pw", SECRET),)
+    assert final.body.content_type == request.body.content_type
+    assert final.header("Content-Type") == request.header("Content-Type")
+    assert final.body.entries == (("user", "alice"), ("pw", SECRET))
+    assert final.body.raw == b"user=alice&pw=" + SECRET.encode("ascii")
+    assert request.body.entries == (("user", "alice"), ("pw", NONCE))  # original untouched
 
 
 # ---------------------------------------------------------------------------
