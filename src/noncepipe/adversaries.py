@@ -24,9 +24,8 @@ from the pipeline. Both try to hijack a registration and a login.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .dom import (
     AddField,
@@ -140,8 +139,7 @@ _ATTACKER_MANIFEST = ExtensionManifest(
 )
 
 
-@dataclass(frozen=True)
-class AttackScenario:
+class AttackScenario(NamedTuple):
     name: str
     adversary: str
     defense_mode: DefenseMode
@@ -150,8 +148,7 @@ class AttackScenario:
     site_category: str = "plain_post"
 
 
-@dataclass(frozen=True)
-class AttackOutcome:
+class AttackOutcome(NamedTuple):
     """What one attack run achieved. Leaked values appear as digests only."""
 
     scenario: str
@@ -194,8 +191,7 @@ def find_leaks(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _ScenarioContext:
+class _ScenarioContext(NamedTuple):
     session: BrowserSession
     page: object
     form_id: str
@@ -429,8 +425,7 @@ def run_scenario(scenario: AttackScenario) -> AttackOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixCell:
+class MatrixCell(NamedTuple):
     defense: str
     adversary: str
     strategies: int
@@ -441,11 +436,10 @@ class MatrixCell:
         return "unprotected" if self.leaks else "protected"
 
 
-@dataclass
-class MatrixReport:
+class MatrixReport(NamedTuple):
     seed: int
     strategies_per_cell: int
-    cells: list[MatrixCell] = field(default_factory=list)
+    cells: list[MatrixCell]
 
     def verdict(self, defense: str, adversary: str) -> str:
         for cell in self.cells:
@@ -512,7 +506,7 @@ def evaluate_matrix(
     strategies_per_cell: int = DEFAULT_STRATEGIES,
     modes: Sequence[DefenseMode] = tuple(DefenseMode),
 ) -> MatrixReport:
-    report = MatrixReport(seed=seed, strategies_per_cell=strategies_per_cell)
+    report = MatrixReport(seed, strategies_per_cell, [])
     for mode in modes:
         for adversary in PASSWORD_ADVERSARIES:
             leaks = 0
@@ -648,7 +642,7 @@ class _AssertHijack:
     def get(self, payload_json: str) -> str:
         self.script.observe(payload_json)
         request = Fido2Request.from_json(payload_json)
-        forged = replace(request, challenge=self.attacker_challenge)
+        forged = request._replace(challenge=self.attacker_challenge)
         signed = self.original.get(forged.to_json())
         self.script.observe(signed)
         self.captured.append(signed)
@@ -683,8 +677,7 @@ def _finish_body_value(view: StageView) -> Optional[str]:
     return next((v for n, v in view.form.entries if n == "webauthn"), None)
 
 
-@dataclass(eq=False)
-class _Fido2Setup:
+class _Fido2Setup(NamedTuple):
     farm: ServerFarm
     session: BrowserSession
     page: object

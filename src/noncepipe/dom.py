@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .http_model import (
     ChannelSecurity,
@@ -80,13 +79,15 @@ class Provenance(Enum):
     XSS = "xss"
 
 
-@dataclass(eq=False)
 class ScriptHandle:
     """A script running in some page, with an append-only observation log."""
 
-    script_id: str
-    provenance: Provenance
-    log: list[str] = field(default_factory=list)
+    __slots__ = ("script_id", "provenance", "log")
+
+    def __init__(self, script_id: str, provenance: Provenance) -> None:
+        self.script_id = script_id
+        self.provenance = provenance
+        self.log: list[str] = []
 
     def observe(self, value: str) -> None:
         self.log.append(value)
@@ -106,11 +107,13 @@ class FieldKind(Enum):
     HIDDEN = "hidden"
 
 
-@dataclass
 class Field:
-    name: str
-    kind: FieldKind = FieldKind.TEXT
-    value: str = ""
+    __slots__ = ("name", "kind", "value")
+
+    def __init__(self, name: str, kind: FieldKind = FieldKind.TEXT, value: str = "") -> None:
+        self.name = name
+        self.kind = kind
+        self.value = value
 
 
 class HookKind(Enum):
@@ -121,7 +124,6 @@ class HookKind(Enum):
     SWAP_VALUE = "swap_value"
 
 
-@dataclass(repr=False)
 class SubmitHook:
     """Pure transformer over the outgoing entry list, applied at submit time.
 
@@ -132,13 +134,20 @@ class SubmitHook:
     `guard_origin` (if set); its repr never prints the replacement.
     """
 
-    kind: HookKind
-    field_name: Optional[str] = None
-    target: Optional[str] = None
-    match: Optional[str] = None
-    replacement: Optional[str] = None
-    sink: Optional[ScriptHandle] = None
-    guard_origin: Optional[Origin] = None
+    __slots__ = ("kind", "field_name", "target", "match", "replacement", "sink", "guard_origin")
+
+    def __init__(
+        self, kind: HookKind, field_name: Optional[str] = None, target: Optional[str] = None,
+        match: Optional[str] = None, replacement: Optional[str] = None,
+        sink: Optional[ScriptHandle] = None, guard_origin: Optional[Origin] = None,
+    ) -> None:
+        self.kind = kind
+        self.field_name = field_name
+        self.target = target
+        self.match = match
+        self.replacement = replacement
+        self.sink = sink
+        self.guard_origin = guard_origin
 
     def apply(self, entries: FormEntries, action: Optional[Url] = None) -> FormEntries:
         kind = self.kind
@@ -177,22 +186,25 @@ class SubmitHook:
         return f"SubmitHook({self.kind.value}, field={self.field_name!r})"
 
 
-@dataclass
 class Form:
     """A login form: unique field names, an action URL, ordered submit hooks."""
 
-    form_id: str
-    action: Url
-    method: str = "POST"
-    fields: list[Field] = field(default_factory=list)
-    submit_hooks: list[SubmitHook] = field(default_factory=list)
+    __slots__ = ("form_id", "action", "method", "fields", "submit_hooks")
 
-    def __post_init__(self) -> None:
-        if self.method not in ("GET", "POST"):
-            raise ValueError(f"unsupported form method {self.method!r}")
-        names = [f.name for f in self.fields]
+    def __init__(
+        self, form_id: str, action: Url, method: str = "POST", fields: Optional[list[Field]] = None
+    ) -> None:
+        fields = [] if fields is None else fields
+        if method not in ("GET", "POST"):
+            raise ValueError(f"unsupported form method {method!r}")
+        names = [f.name for f in fields]
         if len(names) != len(set(names)):
-            raise DuplicateField(f"duplicate field names in form {self.form_id!r}")
+            raise DuplicateField(f"duplicate field names in form {form_id!r}")
+        self.form_id = form_id
+        self.action = action
+        self.method = method
+        self.fields = fields
+        self.submit_hooks: list[SubmitHook] = []
 
     def field_named(self, name: str) -> Field:
         for f in self.fields:
@@ -207,19 +219,25 @@ class Form:
         return None
 
 
-@dataclass(eq=False)
 class Page:
-    """One document: origin, frame position, forms, attached scripts."""
+    """One document: origin, frame position, forms, attached scripts. The
+    nonce store holds it weakly, so it drops a page's records with the page."""
 
-    page_id: str
-    origin: Origin
-    is_iframe: bool = False
-    forms: dict[str, Form] = field(default_factory=dict)
-    scripts: list[ScriptHandle] = field(default_factory=list)
-    audit: list[str] = field(default_factory=list)
-    rendered_text: str = ""
-    tls_overrides: dict[Origin, ChannelSecurity] = field(default_factory=dict)
-    webauthn: Optional[object] = None
+    __slots__ = (
+        "page_id", "origin", "is_iframe", "forms", "scripts", "audit",
+        "rendered_text", "tls_overrides", "webauthn", "__weakref__",
+    )
+
+    def __init__(self, page_id: str, origin: Origin, is_iframe: bool = False) -> None:
+        self.page_id = page_id
+        self.origin = origin
+        self.is_iframe = is_iframe
+        self.forms: dict[str, Form] = {}
+        self.scripts: list[ScriptHandle] = []
+        self.audit: list[str] = []
+        self.rendered_text = ""
+        self.tls_overrides: dict[Origin, ChannelSecurity] = {}
+        self.webauthn: Optional[object] = None
 
     def form(self, form_id: str) -> Form:
         try:
@@ -266,29 +284,25 @@ def read_rendered_text(script: ScriptHandle, page: Page) -> str:
     return page.rendered_text
 
 
-@dataclass(frozen=True)
-class RenameField:
+class RenameField(NamedTuple):
     form_id: str
     old_name: str
     new_name: str
 
 
-@dataclass(frozen=True)
-class SetFormAction:
+class SetFormAction(NamedTuple):
     form_id: str
     action: Url
 
 
-@dataclass(frozen=True)
-class AddField:
+class AddField(NamedTuple):
     form_id: str
     field_name: str
     kind: FieldKind = FieldKind.HIDDEN
     value: str = ""
 
 
-@dataclass(frozen=True)
-class RegisterSubmitHook:
+class RegisterSubmitHook(NamedTuple):
     form_id: str
     hook: SubmitHook
 

@@ -8,9 +8,8 @@ pipeline keeps no views for its listeners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .pipeline import (
     BLOCKING_STAGES,
@@ -45,8 +44,7 @@ class InvalidBlockingStage(ValueError):
     """Blocking listeners exist only at the first two request stages."""
 
 
-@dataclass(frozen=True)
-class ExtensionManifest:
+class ExtensionManifest(NamedTuple):
     extension_id: str
     permissions: frozenset[Permission] = frozenset()
 
@@ -54,7 +52,6 @@ class ExtensionManifest:
         return permission in self.permissions
 
 
-@dataclass(eq=False)
 class Extension:
     """Installed extension: manifest plus what it was shown.
 
@@ -64,9 +61,12 @@ class Extension:
     `secrets` is handed.
     """
 
-    manifest: ExtensionManifest
-    views: list[StageView] = field(default_factory=list)
-    nonces: Optional[NonceStore] = None
+    __slots__ = ("manifest", "views", "nonces")
+
+    def __init__(self, manifest: ExtensionManifest, nonces: Optional[NonceStore] = None) -> None:
+        self.manifest = manifest
+        self.views: list[StageView] = []
+        self.nonces = nonces
 
     @property
     def observations(self) -> list[str]:

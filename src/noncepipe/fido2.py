@@ -26,12 +26,12 @@ import base64
 import binascii
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from random import Random
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import es256
-from .http_model import Origin, WebRequestRecord, WebResponseRecord
+from .http_model import Origin, WebRequestRecord, WebResponseRecord, checked_make
 
 __all__ = [
     "AssertionResponse",
@@ -113,26 +113,30 @@ def _counter_bytes(counter: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fido2Request:
+class Fido2Request(namedtuple("Fido2Request", "kind challenge rp_id user_id user_name algorithm")):
     """What a relying party asks an authenticator to do."""
 
-    kind: str  # registration | authentication
-    challenge: bytes
-    rp_id: str
-    user_id: Optional[bytes] = None
-    user_name: Optional[str] = None
-    algorithm: str = "ES256"
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if self.kind not in (REGISTRATION, AUTHENTICATION):
-            raise MalformedPayload(f"unknown request kind {self.kind!r}")
-        if len(self.challenge) != CHALLENGE_LEN:
+    def __new__(
+        cls,
+        kind: str,  # registration | authentication
+        challenge: bytes,
+        rp_id: str,
+        user_id: Optional[bytes] = None,
+        user_name: Optional[str] = None,
+        algorithm: str = "ES256",
+    ) -> "Fido2Request":
+        if kind not in (REGISTRATION, AUTHENTICATION):
+            raise MalformedPayload(f"unknown request kind {kind!r}")
+        if len(challenge) != CHALLENGE_LEN:
             raise MalformedPayload(f"challenge must be {CHALLENGE_LEN} bytes")
-        if self.kind == REGISTRATION and (self.user_id is None or not self.user_name):
+        if kind == REGISTRATION and (user_id is None or not user_name):
             raise MalformedPayload("registration requests must identify the user")
-        if self.algorithm != "ES256":
-            raise MalformedPayload(f"unsupported algorithm {self.algorithm!r}")
+        if algorithm != "ES256":
+            raise MalformedPayload(f"unsupported algorithm {algorithm!r}")
+        return tuple.__new__(cls, (kind, challenge, rp_id, user_id, user_name, algorithm))
 
     def rp_id_hash(self) -> bytes:
         return hashlib.sha256(self.rp_id.encode("utf-8")).digest()
@@ -165,31 +169,42 @@ class Fido2Request:
             raise MalformedPayload(f"request payload missing field: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class AttestationObject:
+def _check_response(
+    credential_id: bytes, rp_id_hash: bytes, counter: int, challenge: bytes
+) -> None:
+    """The shape checks that both response kinds make."""
+    if len(credential_id) != CREDENTIAL_ID_LEN:
+        raise MalformedPayload(f"credential_id must be {CREDENTIAL_ID_LEN} bytes")
+    if len(rp_id_hash) != 32:
+        raise MalformedPayload("rp_id_hash must be 32 bytes")
+    if len(challenge) != CHALLENGE_LEN:
+        raise MalformedPayload(f"challenge must be {CHALLENGE_LEN} bytes")
+    _counter_bytes(counter)
+
+
+class AttestationObject(
+    namedtuple("AttestationObject", "credential_id public_key rp_id_hash counter challenge signature")
+):
     """Registration response: a new credential and a proof of possession.
 
     The signature covers rp_id_hash || counter (4 bytes BE) || challenge ||
     public_key.
     """
 
-    credential_id: bytes
-    public_key: bytes
-    rp_id_hash: bytes
-    counter: int
-    challenge: bytes
-    signature: bytes
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if len(self.credential_id) != CREDENTIAL_ID_LEN:
+    def __new__(
+        cls, credential_id: bytes, public_key: bytes, rp_id_hash: bytes, counter: int,
+        challenge: bytes, signature: bytes,
+    ) -> "AttestationObject":
+        if len(credential_id) != CREDENTIAL_ID_LEN:
             raise MalformedPayload(f"credential_id must be {CREDENTIAL_ID_LEN} bytes")
-        if len(self.public_key) != 65:
+        if len(public_key) != 65:
             raise MalformedPayload("public_key must be a 65-byte uncompressed point")
-        if len(self.rp_id_hash) != 32:
-            raise MalformedPayload("rp_id_hash must be 32 bytes")
-        if len(self.challenge) != CHALLENGE_LEN:
-            raise MalformedPayload(f"challenge must be {CHALLENGE_LEN} bytes")
-        _counter_bytes(self.counter)
+        _check_response(credential_id, rp_id_hash, counter, challenge)
+        fields = (credential_id, public_key, rp_id_hash, counter, challenge, signature)
+        return tuple.__new__(cls, fields)
 
     def signed_payload(self) -> bytes:
         return self.rp_id_hash + _counter_bytes(self.counter) + self.challenge + self.public_key
@@ -208,25 +223,20 @@ class AttestationObject:
         )
 
 
-@dataclass(frozen=True)
-class AssertionResponse:
+class AssertionResponse(
+    namedtuple("AssertionResponse", "credential_id rp_id_hash counter challenge signature")
+):
     """Authentication response. Signature covers rp_id_hash || counter ||
     challenge."""
 
-    credential_id: bytes
-    rp_id_hash: bytes
-    counter: int
-    challenge: bytes
-    signature: bytes
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if len(self.credential_id) != CREDENTIAL_ID_LEN:
-            raise MalformedPayload(f"credential_id must be {CREDENTIAL_ID_LEN} bytes")
-        if len(self.rp_id_hash) != 32:
-            raise MalformedPayload("rp_id_hash must be 32 bytes")
-        if len(self.challenge) != CHALLENGE_LEN:
-            raise MalformedPayload(f"challenge must be {CHALLENGE_LEN} bytes")
-        _counter_bytes(self.counter)
+    def __new__(
+        cls, credential_id: bytes, rp_id_hash: bytes, counter: int, challenge: bytes, signature: bytes
+    ) -> "AssertionResponse":
+        _check_response(credential_id, rp_id_hash, counter, challenge)
+        return tuple.__new__(cls, (credential_id, rp_id_hash, counter, challenge, signature))
 
     def signed_payload(self) -> bytes:
         return self.rp_id_hash + _counter_bytes(self.counter) + self.challenge
@@ -321,12 +331,17 @@ def make_dummy_response(kind: str, rng: Random) -> Fido2Response:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class _StoredKey:
-    private_key: int
-    rp_id_hash: bytes
-    counter: int
-    user_name: str
+    """One credential's private key and counter; the default repr shows
+    neither."""
+
+    __slots__ = ("private_key", "rp_id_hash", "counter", "user_name")
+
+    def __init__(self, private_key: int, rp_id_hash: bytes, counter: int, user_name: str) -> None:
+        self.private_key = private_key
+        self.rp_id_hash = rp_id_hash
+        self.counter = counter
+        self.user_name = user_name
 
 
 class AuthenticatorDevice:
@@ -376,7 +391,7 @@ class AuthenticatorDevice:
             signature=b"\x00",  # placeholder, replaced below
         )
         signature = es256.sign(private_key, attestation.signed_payload(), self.rng)
-        attestation = replace(attestation, signature=signature)
+        attestation = attestation._replace(signature=signature)
         self._witness(attestation)
         return attestation
 
@@ -396,7 +411,7 @@ class AuthenticatorDevice:
                     signature=b"\x00",
                 )
                 signature = es256.sign(key.private_key, assertion.signed_payload(), self.rng)
-                assertion = replace(assertion, signature=signature)
+                assertion = assertion._replace(signature=signature)
                 self._witness(assertion)
                 return assertion
         raise NoCredential(f"{self.name} holds no credential for {request.rp_id}")
@@ -416,14 +431,16 @@ class AuthenticatorDevice:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
 class Fido2SecureEntry:
     """One stripped channel payload, single-use, keyed by session."""
 
-    session_id: str
-    real_request: Fido2Request
-    url_resp: str
-    real_response: Optional[str] = None
+    __slots__ = ("session_id", "real_request", "url_resp", "real_response")
+
+    def __init__(self, session_id: str, real_request: Fido2Request, url_resp: str) -> None:
+        self.session_id = session_id
+        self.real_request = real_request
+        self.url_resp = url_resp
+        self.real_response: Optional[str] = None
 
     def __repr__(self) -> str:  # the real payloads stay out of reprs
         return f"Fido2SecureEntry(session={self.session_id!r}, url_resp={self.url_resp!r})"
@@ -509,9 +526,7 @@ class SecureStore:
         if request.url.to_string() != entry.url_resp:
             return None
         del self._by_session[session_id]
-        return replace(
-            request, headers=request.headers + ((HEADER_RESPONSE, entry.real_response),)
-        )
+        return request._replace(headers=request.headers + ((HEADER_RESPONSE, entry.real_response),))
 
 
 class BrowserWebAuthn:
@@ -539,16 +554,17 @@ class BrowserWebAuthn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class _StoredCredential:
-    credential_id: bytes
-    public_key: bytes
-    counter: int
-    user_name: str
+    __slots__ = ("credential_id", "public_key", "counter", "user_name")
+
+    def __init__(self, credential_id: bytes, public_key: bytes, counter: int, user_name: str) -> None:
+        self.credential_id = credential_id
+        self.public_key = public_key
+        self.counter = counter
+        self.user_name = user_name
 
 
-@dataclass(frozen=True)
-class FinishResult:
+class FinishResult(NamedTuple):
     accepted: bool
     kind: str
     username: str

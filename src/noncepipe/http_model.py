@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -142,22 +142,38 @@ def decode_urlencoded(text: str | bytes) -> FormEntries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Origin:
+def checked_make(cls, fields):
+    """`_make`, and so `_replace`, of a checked record: through `cls`, whose
+    `__new__` checks every new value, instead of around it."""
+    return cls(*fields)
+
+
+def read_only(self, name: str, value: object = None) -> None:
+    """`__setattr__` and `__delattr__` of a record whose instance dict holds
+    caches: nothing outside it may set or delete an attribute."""
+    raise AttributeError(f"cannot set {name!r}: a {type(self).__name__} is read-only")
+
+
+class Origin(namedtuple("Origin", "scheme host port")):
     """Security origin: the (scheme, host, port) triple, all significant."""
 
-    scheme: str
-    host: str
-    port: int
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if self.scheme not in DEFAULT_PORTS:
-            raise InvalidUrl(f"unsupported scheme {self.scheme!r}")
-        if self.host.split() != [self.host]:  # empty or holds whitespace
-            raise InvalidUrl(f"bad host {self.host!r}")
-        if not 1 <= self.port <= 65535:
-            raise InvalidUrl(f"port out of range: {self.port}")
-        object.__setattr__(self, "host", self.host.lower())
+    def __new__(cls, scheme: str, host: str, port: int) -> "Origin":
+        return tuple.__new__(cls, (scheme, host, port)).__post_init__()
+
+    def __post_init__(self) -> "Origin":
+        """Check a new origin; returns it with its host in lower case."""
+        scheme, host, port = self
+        if scheme not in DEFAULT_PORTS:
+            raise InvalidUrl(f"unsupported scheme {scheme!r}")
+        if host.split() != [host]:  # empty or holds whitespace
+            raise InvalidUrl(f"bad host {host!r}")
+        if not 1 <= port <= 65535:
+            raise InvalidUrl(f"port out of range: {port}")
+        lowered = host.lower()
+        return self if lowered == host else tuple.__new__(type(self), (scheme, lowered, port))
 
     def __str__(self) -> str:
         if self.port == DEFAULT_PORTS[self.scheme]:
@@ -170,27 +186,33 @@ class Origin:
         return url.origin
 
 
-@dataclass(frozen=True, slots=True)
-class Url:
-    """Absolute http(s) URL with an ordered, already-decoded query."""
+class Url(namedtuple("Url", "scheme host port path query origin")):
+    """Absolute http(s) URL with an ordered, already-decoded query.
 
-    scheme: str
-    host: str
-    port: int
-    path: str = "/"
-    query: FormEntries = ()
-    # derived from scheme/host/port, which equality and hashing already cover
-    origin: Origin = field(init=False, repr=False, compare=False)
-    # to_string(), built on first use
-    _text: str = field(init=False, repr=False, compare=False)
+    `origin` is derived from scheme, host and port: one passed in, as a copy
+    (`_replace`) passes the old one, is ignored. No `__slots__`: the
+    instance dict keeps `to_string()`, built on first use, and no attribute
+    can be set from outside.
+    """
 
-    def __post_init__(self) -> None:
-        origin = Origin(self.scheme, self.host, self.port)  # validates them
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "host", origin.host)
-        if not self.path.startswith("/"):
-            raise InvalidUrl(f"path must be absolute, got {self.path!r}")
-        object.__setattr__(self, "query", tuple((str(n), str(v)) for n, v in self.query))
+    _make = classmethod(checked_make)
+    __setattr__ = __delattr__ = read_only
+
+    def __new__(
+        cls, scheme: str, host: str, port: int, path: str = "/", query: FormEntries = (),
+        origin: Optional[Origin] = None,
+    ) -> "Url":
+        origin = Origin(scheme, host, port)  # validates them
+        if not path.startswith("/"):
+            raise InvalidUrl(f"path must be absolute, got {path!r}")
+        query = tuple((str(n), str(v)) for n, v in query)
+        return tuple.__new__(cls, (scheme, origin.host, port, path, query, origin))
+
+    def __repr__(self) -> str:
+        return (
+            f"Url(scheme={self.scheme!r}, host={self.host!r}, port={self.port!r}, "
+            f"path={self.path!r}, query={self.query!r})"
+        )
 
     @classmethod
     def parse(cls, text: str) -> "Url":
@@ -211,7 +233,7 @@ class Url:
         else:
             port = DEFAULT_PORTS[scheme]
         query = decode_urlencoded(query_text) if qmark else ()
-        return cls(scheme=scheme, host=host, port=port, path=path or "/", query=query)
+        return cls(scheme, host, port, path or "/", query)
 
     def to_string(self) -> str:
         try:
@@ -224,7 +246,7 @@ class Url:
             return text
 
     def with_query(self, entries: Sequence[tuple[str, str]]) -> "Url":
-        return replace(self, query=tuple(entries))
+        return self._replace(query=tuple(entries))
 
     def __str__(self) -> str:
         return self.to_string()
@@ -235,8 +257,7 @@ class Url:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RequestBody:
+class RequestBody(namedtuple("RequestBody", "content_type entries raw")):
     """Entry list plus its exact wire bytes.
 
     `raw` is always derivable from `entries` and `content_type`; the pair is
@@ -244,30 +265,27 @@ class RequestBody:
     drifting from what a byte-level observer would have seen. A body built
     directly is checked by encoding its entries again; the factories below
     encode once and have nothing to check. So `entries` is always what
-    decoding `raw` gives, and readers may take either.
+    decoding `raw` gives, and readers may take either. No `__slots__`: the
+    instance dict keeps `digest()`, hashed on first use, and no attribute
+    can be set from outside.
     """
 
-    content_type: str
-    entries: FormEntries
-    raw: bytes
-    # digest(), hashed on first use: one hash per body, however many readers
-    _digest: str = field(init=False, repr=False, compare=False)
+    _make = classmethod(checked_make)
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((str(n), str(v)) for n, v in self.entries))
-        if self.raw != _encode_for(self.content_type, self.entries):
+    def __new__(cls, content_type: str, entries: FormEntries, raw: bytes) -> "RequestBody":
+        entries = tuple((str(n), str(v)) for n, v in entries)
+        if raw != _encode_for(content_type, entries):
             raise MalformedBody("raw bytes do not match the encoded entry list")
+        return tuple.__new__(cls, (content_type, entries, raw))
 
     @classmethod
     def _encoded(cls, content_type: str, entries: Sequence[tuple[str, str]]) -> "RequestBody":
         """The body of `entries`, with `raw` encoded here and so not re-checked."""
         entries = tuple(entries)
         raw = _encode_for(content_type, entries)
-        body = object.__new__(cls)
-        object.__setattr__(body, "content_type", content_type)
-        object.__setattr__(body, "entries", tuple((str(n), str(v)) for n, v in entries))
-        object.__setattr__(body, "raw", raw)
-        return body
+        entries = tuple((str(n), str(v)) for n, v in entries)
+        return tuple.__new__(cls, (content_type, entries, raw))
 
     @classmethod
     def urlencoded(cls, entries: Sequence[tuple[str, str]]) -> "RequestBody":
@@ -277,7 +295,8 @@ class RequestBody:
         return self._encoded(self.content_type, entries)
 
     def digest(self) -> str:
-        """sha256 hex of `raw`, as transcript lines record it."""
+        """sha256 hex of `raw`, as transcript lines record it: one hash per
+        body, however many readers."""
         try:
             return self._digest
         except AttributeError:  # first use
@@ -310,8 +329,10 @@ def channel_for(
     return tls_overrides.get(url.origin, ChannelSecurity.GOOD_TLS)
 
 
-@dataclass(frozen=True, slots=True)
-class WebRequestRecord:
+_REQUEST_FIELDS = "request_id method url headers body channel_security source_page parent_request_id"
+
+
+class WebRequestRecord(namedtuple("WebRequestRecord", _REQUEST_FIELDS)):
     """One outgoing request as the network layer sees it.
 
     Immutable; pipeline stages that change a request (substitution, header
@@ -319,21 +340,22 @@ class WebRequestRecord:
     redirect hops back to the request that spawned them.
     """
 
-    request_id: int
-    method: str
-    url: Url
-    headers: tuple[tuple[str, str], ...] = ()
-    body: Optional[RequestBody] = None
-    channel_security: ChannelSecurity = ChannelSecurity.GOOD_TLS
-    source_page: object = None
-    parent_request_id: Optional[int] = None
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        if self.method not in ("GET", "POST"):
-            raise ValueError(f"unsupported method {self.method!r}")
-        if self.method == "GET" and self.body is not None:
+    def __new__(
+        cls, request_id: int, method: str, url: Url, headers: tuple[tuple[str, str], ...] = (),
+        body: Optional[RequestBody] = None,
+        channel_security: ChannelSecurity = ChannelSecurity.GOOD_TLS,
+        source_page: object = None, parent_request_id: Optional[int] = None,
+    ) -> "WebRequestRecord":
+        if method not in ("GET", "POST"):
+            raise ValueError(f"unsupported method {method!r}")
+        if method == "GET" and body is not None:
             raise ValueError("GET requests carry entries in the query, not a body")
-        object.__setattr__(self, "headers", tuple((str(n), str(v)) for n, v in self.headers))
+        headers = tuple((str(n), str(v)) for n, v in headers)
+        fields = request_id, method, url, headers, body, channel_security, source_page, parent_request_id
+        return tuple.__new__(cls, fields)
 
     def header(self, name: str) -> Optional[str]:
         return header_value(self.headers, name)
@@ -342,17 +364,17 @@ class WebRequestRecord:
         return self.body.raw if self.body is not None else None
 
 
-@dataclass(frozen=True, slots=True)
-class WebResponseRecord:
+class WebResponseRecord(namedtuple("WebResponseRecord", "request_id status headers body")):
     """Server response heading back through the pipeline to the page."""
 
-    request_id: int
-    status: int
-    headers: tuple[tuple[str, str], ...] = ()
-    body: bytes = b""
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "headers", tuple((str(n), str(v)) for n, v in self.headers))
+    def __new__(
+        cls, request_id: int, status: int, headers: tuple[tuple[str, str], ...] = (), body: bytes = b""
+    ) -> "WebResponseRecord":
+        headers = tuple((str(n), str(v)) for n, v in headers)
+        return tuple.__new__(cls, (request_id, status, headers, body))
 
     def header(self, name: str) -> Optional[str]:
         return header_value(self.headers, name)
@@ -360,4 +382,4 @@ class WebResponseRecord:
     def without_headers(self, names: Iterable[str]) -> "WebResponseRecord":
         drop = {n.lower() for n in names}
         kept = tuple((k, v) for k, v in self.headers if k.lower() not in drop)
-        return replace(self, headers=kept)
+        return self._replace(headers=kept)

@@ -40,7 +40,7 @@ body is hashed only if someone reads the transcript.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -53,6 +53,7 @@ from .http_model import (
     WebRequestRecord,
     WebResponseRecord,
     channel_for,
+    checked_make,
     header_value,
 )
 
@@ -133,6 +134,16 @@ class BodyView(Enum):
     ABSENT = "absent"
 
 
+# the members that the per-request code reads, as module globals: on 3.11 a
+# read through the class (`Stage.ON_REQUEST_CREDENTIALS`) costs about ten
+# times a global's
+_CREDENTIALS = Stage.ON_REQUEST_CREDENTIALS
+_DESIGN5 = DefenseMode.DESIGN5_API_LATE
+_MANIFEST_V3 = DefenseMode.MANIFEST_V3
+_FULL = BodyView.FULL_PRE_SUBSTITUTION
+_STRIPPED = BodyView.STRIPPED
+_ABSENT = BodyView.ABSENT
+
 # The request-side walk of each mode: the one place that says where the
 # credential stage sits. design5 and manifest_v3 put it after the last stage
 # whose listeners can read the body.
@@ -161,14 +172,18 @@ class PinConflict(ValueError):
     """An entry is already pinned to a different submit URL."""
 
 
-@dataclass(eq=False, repr=False)
 class VaultEntry:
     """One stored credential. The repr masks the password."""
 
-    origin: Origin
-    username: str
-    password: str
-    pinned_submit_url: Optional[str] = None
+    __slots__ = ("origin", "username", "password", "pinned_submit_url")
+
+    def __init__(
+        self, origin: Origin, username: str, password: str, pinned_submit_url: Optional[str] = None
+    ) -> None:
+        self.origin = origin
+        self.username = username
+        self.password = password
+        self.pinned_submit_url = pinned_submit_url
 
     def __repr__(self) -> str:
         pin = f", pinned={self.pinned_submit_url!r}" if self.pinned_submit_url else ""
@@ -190,8 +205,7 @@ class VaultEntry:
             )
 
 
-@dataclass(eq=False)
-class NonceRecord:
+class NonceRecord(NamedTuple):
     """The policy registered with one nonce: the entry and field it stands
     for, whether the form sat in an iframe, and whether pins are enforced.
     It keeps no page, so a dropped page is freed."""
@@ -204,19 +218,21 @@ class NonceRecord:
     pinning_enabled: bool
 
 
-@dataclass(frozen=True)
-class SafetyDecision:
-    approved: bool
-    reason: Optional[int] = None  # 1..5, first failing check
-    detail: str = ""
+class SafetyDecision(namedtuple("SafetyDecision", "approved reason detail")):
+    """The checks' answer; a refusal's `reason` is its first failing check, 1..5."""
 
-    def __post_init__(self) -> None:
-        if not self.approved and self.reason not in CHECK_NAMES:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(
+        cls, approved: bool, reason: Optional[int] = None, detail: str = ""
+    ) -> "SafetyDecision":
+        if not approved and reason not in CHECK_NAMES:
             raise ValueError("refusals must carry a check number 1..5")
+        return tuple.__new__(cls, (approved, reason, detail))
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     """The checks' answer for one request: what the design4/design5 manager
     keeps between its two callbacks. `url` is the destination, parsed once."""
 
@@ -226,15 +242,17 @@ class Verdict:
     url: Url
 
 
-@dataclass(eq=False)
 class PageNonces:
     """One page's entry in the store: its live records by nonce, the verdict
     on the request it has in flight, if any, and a weak reference to the
     page, whose callback drops the entry."""
 
-    page: weakref.ref
-    records: dict[str, NonceRecord] = field(default_factory=dict)
-    verdict: Optional[Verdict] = None
+    __slots__ = ("page", "records", "verdict")
+
+    def __init__(self, page: weakref.ref) -> None:
+        self.page = page
+        self.records: dict[str, NonceRecord] = {}
+        self.verdict: Optional[Verdict] = None
 
 
 class NonceStore:
@@ -339,28 +357,36 @@ def approve(record: NonceRecord, url: Url) -> SubstitutionRequest:
     return SubstitutionRequest(record.field_name, record.nonce, entry.password, entry.origin)
 
 
-@dataclass(frozen=True, slots=True)
 class SubstitutionRequest:
     """One requested nonce-to-secret replacement, checked by the browser.
 
     The browser applies it only when all three of these hold for a body
     entry: the entry name equals `field_name` exactly, the entry value
     equals `nonce` exactly (no additional characters), and the request's
-    destination origin equals `expected_origin`.
+    destination origin equals `expected_origin`. It holds a secret, so it
+    is no tuple that a serializer would write out, and no field can be set
+    once it is checked.
     """
 
-    field_name: str
-    nonce: str
-    replacement: str
-    expected_origin: Origin
+    __slots__ = ("field_name", "nonce", "replacement", "expected_origin")
 
-    def __post_init__(self) -> None:
-        if not self.field_name:
+    def __init__(
+        self, field_name: str, nonce: str, replacement: str, expected_origin: Origin
+    ) -> None:
+        if not field_name:
             raise ValueError("field_name must be non-empty")
-        if not self.nonce:
+        if not nonce:
             raise ValueError("nonce must be non-empty")
-        if self.nonce == self.replacement:
+        if nonce == replacement:
             raise ValueError("replacement must differ from the nonce")
+        for name, value in zip(self.__slots__, (field_name, nonce, replacement, expected_origin)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: a substitution request is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        self.__setattr__(name, None)
 
     def __repr__(self) -> str:  # never print the replacement secret
         return (
@@ -444,13 +470,11 @@ class StageView(NamedTuple):
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Cancel:
+class Cancel(NamedTuple):
     reason: str = "cancelled by listener"
 
 
-@dataclass(frozen=True)
-class Redirect:
+class Redirect(NamedTuple):
     url: Url
 
 
@@ -475,8 +499,7 @@ class RedirectLoop(RuntimeError):
 MAX_REDIRECT_HOPS = 8
 
 
-@dataclass(eq=False)
-class ListenerRegistration:
+class ListenerRegistration(NamedTuple):
     """One listener of one extension at one stage.
 
     `sink` is the owning extension's observation log; the pipeline itself
@@ -582,14 +605,20 @@ class StageTranscript:
     def deliveries(self) -> tuple[Delivery, ...]:
         return tuple(e for e in self.events if type(e) is Delivery)
 
+    def refused_check(self) -> Optional[int]:
+        """The check number of the first `substitutionRefused` event, if any."""
+        for e in self.events:
+            if type(e) is TranscriptEvent and e.label == EVENT_SUBSTITUTION_REFUSED:
+                return int(e.digest.removeprefix("check="))
+        return None
+
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Per-browser pipeline behavior.
 
     `credential_stage_enabled=False` compiles the substitution machinery out
@@ -614,17 +643,15 @@ def _request_view(
 ) -> StageView:
     if stage in BODY_VISIBLE_STAGES:
         form = request.body
-        body_view = BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT
-    elif stage is Stage.ON_REQUEST_CREDENTIALS:
+        body_view = _FULL if form is not None else _ABSENT
+    elif stage is _CREDENTIALS:
         # manifest_v3's view is the browser's own, for the policy check
-        if config.defense_mode is DefenseMode.DESIGN5_API_LATE:
+        if config.defense_mode is _DESIGN5:
             form = None
-            body_view = BodyView.STRIPPED
+            body_view = _STRIPPED
         else:
             form = pre_substitution_body
-            body_view = (
-                BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT
-            )
+            body_view = _FULL if form is not None else _ABSENT
     else:
         raise AssertionError(f"{stage} is not a request-side stage")
     # positional: a keyword call to a NamedTuple costs about three times more
@@ -653,7 +680,7 @@ def _response_view(
         url.to_string(),
         (),  # query
         response.headers,
-        BodyView.ABSENT,
+        _ABSENT,
         None,  # form
         None,  # channel
         response.status,
@@ -691,12 +718,12 @@ def _collect_substitutions(
     with a refusing SafetyDecision; in manifest_v3 the browser runs the policy
     on the submitting page's records, on a view no listener gets."""
     collected: list[SubstitutionRequest] = []
-    if config.defense_mode is DefenseMode.MANIFEST_V3:
+    if config.defense_mode is _MANIFEST_V3:
         page_id = getattr(request.source_page, "page_id", None)
         entry = nonce_store.page(page_id) if nonce_store is not None else None
         if entry is None:  # a nonce-free page pays for nothing more
             return collected
-        view = _request_view(request, Stage.ON_REQUEST_CREDENTIALS, pre_substitution_body, config)
+        view = _request_view(request, _CREDENTIALS, pre_substitution_body, config)
         record = record_for(entry.records, view)
         if record is None:
             return collected
@@ -706,10 +733,10 @@ def _collect_substitutions(
         else:
             _refuse(transcript, request.request_id, decision)
         return collected
-    regs = listeners.at(Stage.ON_REQUEST_CREDENTIALS)
+    regs = listeners.at(_CREDENTIALS)
     if not regs:
         return collected
-    view = _request_view(request, Stage.ON_REQUEST_CREDENTIALS, pre_substitution_body, config)
+    view = _request_view(request, _CREDENTIALS, pre_substitution_body, config)
     for reg in regs:
         result = _deliver(reg, view, transcript)
         if result is None:
@@ -749,15 +776,14 @@ def _run_credential_phase(
         transcript.record_event(
             request.request_id, EVENT_SUBSTITUTION, detail=f"applied={len(applied)}"
         )
-        return replace(request, body=request.body.with_entries(new_entries))
+        return request._replace(body=request.body.with_entries(new_entries))
     return request
 
 
 def _reissue(
     request: WebRequestRecord, body: Optional[RequestBody], url: Url, new_id: int
 ) -> WebRequestRecord:
-    return replace(
-        request,
+    return request._replace(
         request_id=new_id,
         url=url,
         body=body,
@@ -794,7 +820,7 @@ def dispatch(
         redirected_to: Optional[Url] = None
 
         for stage in walk:
-            if stage is Stage.ON_REQUEST_CREDENTIALS:
+            if stage is _CREDENTIALS:
                 current = _run_credential_phase(
                     current, listeners, config, transcript, pre_substitution_body, nonce_store
                 )

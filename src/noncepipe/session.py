@@ -8,8 +8,7 @@ other exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dom import Page, build_request, submit_form
 from .extensions import ExtensionHost
@@ -31,8 +30,7 @@ __all__ = ["BrowserSession", "FlowResult"]
 ServeFn = Callable[[WebRequestRecord], tuple[WebResponseRecord, str]]
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     """Everything one submission produced, wire level and page level."""
 
     request: WebRequestRecord

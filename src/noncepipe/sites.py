@@ -14,16 +14,16 @@ forms; reports say so explicitly.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .dom import Field, FieldKind, Form, HookKind, Page, SubmitHook
 from .fido2 import RelyingParty
-from .http_model import Origin, Url, WebRequestRecord, WebResponseRecord, sha256_hex
+from .http_model import Origin, Url, WebRequestRecord, WebResponseRecord, checked_make, read_only, sha256_hex
 from .manager import VaultEntry
-from .pipeline import DefenseMode
+from .pipeline import CHECK_NAMES, DefenseMode
 from .rng import substream
 from .session import BrowserSession
 from .tsv import OptionTable, TsvFormatError, parse_options, read_rows
@@ -77,18 +77,20 @@ class CorpusFormatError(TsvFormatError):
     kind = "corpus"
 
 
-@dataclass(frozen=True)
-class SiteProfile:
-    """Static description of one site: category, origin, knobs."""
+class SiteProfile(namedtuple("SiteProfile", "site_id category origin options")):
+    """Static description of one site: category, origin, knobs. No
+    `__slots__`: the instance dict keeps `login_action`, and no attribute
+    can be set from outside."""
 
-    site_id: str
-    category: str
-    origin: Origin
-    options: tuple[tuple[str, str], ...] = ()
+    _make = classmethod(checked_make)
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self) -> None:
-        if self.category not in CATEGORIES:
-            raise ValueError(f"unknown site category {self.category!r}")
+    def __new__(
+        cls, site_id: str, category: str, origin: Origin, options: tuple[tuple[str, str], ...] = ()
+    ) -> "SiteProfile":
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown site category {category!r}")
+        return tuple.__new__(cls, (site_id, category, origin, options))
 
     def option(self, key: str, default: str = "") -> str:
         for name, value in self.options:
@@ -167,8 +169,7 @@ def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Pag
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _SiteState:
+class _SiteState(NamedTuple):
     profile: SiteProfile
     password_digest: str
     hash_digest: str
@@ -188,6 +189,13 @@ class ServerFarm:
     def add_site(
         self, profile: SiteProfile, password: str, *, fido2_defense: bool = True
     ) -> _SiteState:
+        rp = None
+        if profile.category == "fido2":
+            rp = RelyingParty(
+                profile.origin,
+                substream(self.seed, "rp", profile.site_id),
+                defense_enabled=fido2_defense,
+            )
         state = _SiteState(
             profile=profile,
             password_digest=sha256_hex(password),
@@ -195,13 +203,8 @@ class ServerFarm:
             transform_digest=sha256_hex(
                 base64.b64encode(password.encode("utf-8")).decode("ascii")
             ),
+            rp=rp,
         )
-        if profile.category == "fido2":
-            state.rp = RelyingParty(
-                profile.origin,
-                substream(self.seed, "rp", profile.site_id),
-                defense_enabled=fido2_defense,
-            )
         self._sites[str(profile.origin)] = state
         self._sites[str(_submit_origin(profile))] = state
         return state
@@ -374,20 +377,23 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompatRecord:
+class CompatRecord(NamedTuple):
     site_id: str
     category: str
     classification: str  # compatible | hash_broken | transform_broken |
-    # incompatible | excluded
+    # incompatible | refused | excluded
     wire_identical: Optional[bool]
     verdict_baseline: Optional[str]
     verdict_defended: Optional[str]
     password_on_wire: Optional[bool]
+    refused_check: Optional[int] = None  # the check that refused the swap
 
 
-@dataclass
-class CompatReport:
+class CompatReport(NamedTuple):
+    """The survey's records. A `refused` row is one whose defended login the
+    policy refused by design (say, a plain-HTTP or bad-TLS origin): it is
+    neither compatible nor in the plain-POST differential."""
+
     seed: int
     defense: DefenseMode
     records: list[CompatRecord]
@@ -405,6 +411,10 @@ class CompatReport:
     def excluded(self) -> list[str]:
         return [r.site_id for r in self.records if r.classification == "excluded"]
 
+    def refused(self) -> dict[str, int]:
+        """The refused rows' site ids, each with the check that refused it."""
+        return {r.site_id: r.refused_check for r in self.records if r.classification == "refused"}
+
     def percentage(self, classification: str) -> float:
         total = self.included_total()
         if total == 0:
@@ -416,11 +426,11 @@ class CompatReport:
         return all(
             r.wire_identical
             for r in self.records
-            if r.category == "plain_post" and r.classification != "excluded"
+            if r.category == "plain_post" and r.classification not in ("excluded", "refused")
         )
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "kind": "compat",
             "seed": self.seed,
             "defense": self.defense.value,
@@ -436,6 +446,11 @@ class CompatReport:
             },
             "plain_differential_ok": self.plain_differential_ok(),
         }
+        refused = self.refused()
+        if refused:  # only corpus rows the policy refuses add the keys
+            payload["percent"]["refused"] = self.percentage("refused")
+            payload["refused"] = refused
+        return payload
 
     def render_text(self) -> str:
         lines = [
@@ -450,16 +465,21 @@ class CompatReport:
             bucket = counts[category]
             sites = sum(bucket.values())
             compatible = bucket.get("compatible", 0)
-            broken = sites - compatible - bucket.get("excluded", 0)
+            broken = sites - compatible - bucket.get("excluded", 0) - bucket.get("refused", 0)
             lines.append(f"{category:<22}{sites:>6}{compatible:>12}{broken:>8}")
-        lines.append("")
-        lines.append(
+        shares = (
             f"compatible: {self.percentage('compatible'):.1f}%  "
             f"hash-broken: {self.percentage('hash_broken'):.1f}%  "
             f"transform-broken: {self.percentage('transform_broken'):.1f}%"
         )
+        refused = [f"{s} (check {c}, {CHECK_NAMES[c]})" for s, c in self.refused().items()]
+        if refused:
+            shares += f"  refused: {self.percentage('refused'):.1f}%"
+        lines += ["", shares]
         if self.excluded():
             lines.append(f"excluded (password too short): {', '.join(self.excluded())}")
+        if refused:
+            lines.append(f"refused by the policy: {', '.join(refused)}")
         lines.append(
             "plain differential: "
             + ("byte-identical" if self.plain_differential_ok() else "MISMATCH")
@@ -469,8 +489,9 @@ class CompatReport:
 
 def _login_once(
     profile: SiteProfile, entry: VaultEntry, seed: int, mode: DefenseMode
-) -> tuple[Optional[bytes], Optional[str]]:
-    """One isolated login against one site; returns (wire body, verdict)."""
+) -> tuple[Optional[bytes], Optional[str], Optional[int]]:
+    """One isolated login against one site; returns (wire body, verdict,
+    refusing check)."""
     farm = ServerFarm(seed)
     farm.add_site(profile, entry.password)
     session = BrowserSession(
@@ -480,7 +501,7 @@ def _login_once(
     session.autofill(page, form_id)
     result = session.submit(page, form_id)
     wire_body = result.wire.body.raw if result.wire is not None and result.wire.body else None
-    return wire_body, result.verdict
+    return wire_body, result.verdict, result.transcript.refused_check()
 
 
 def compat_evaluate(
@@ -509,8 +530,8 @@ def compat_evaluate(
                 )
             )
             continue
-        body_a, verdict_a = _login_once(profile, entry, seed, DefenseMode.BASELINE)
-        body_b, verdict_b = _login_once(profile, entry, seed, defense)
+        body_a, verdict_a, _ = _login_once(profile, entry, seed, DefenseMode.BASELINE)
+        body_b, verdict_b, refused_check = _login_once(profile, entry, seed, defense)
         wire_identical = body_a == body_b
         password_on_wire = (
             body_b is not None and entry.password.encode("utf-8") in body_b
@@ -520,12 +541,18 @@ def compat_evaluate(
                 site_id=profile.site_id,
                 category=profile.category,
                 classification=_classify(
-                    profile.category, wire_identical, verdict_a, verdict_b, password_on_wire
+                    profile.category,
+                    wire_identical,
+                    verdict_a,
+                    verdict_b,
+                    password_on_wire,
+                    refused_check,
                 ),
                 wire_identical=wire_identical,
                 verdict_baseline=verdict_a,
                 verdict_defended=verdict_b,
                 password_on_wire=password_on_wire,
+                refused_check=refused_check,
             )
         )
     return CompatReport(seed=seed, defense=defense, records=records)
@@ -537,7 +564,10 @@ def _classify(
     verdict_a: Optional[str],
     verdict_b: Optional[str],
     password_on_wire: bool,
+    refused_check: Optional[int],
 ) -> str:
+    if refused_check is not None:  # the policy refused the swap by design
+        return "refused"
     if category == "plain_post":
         return "compatible" if wire_identical and verdict_b == "auth_ok" else "incompatible"
     if category == "hashes_password":

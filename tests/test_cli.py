@@ -193,19 +193,20 @@ def test_compat_custom_corpus(tmp_path, capsys):
     assert data["included"] == 3
 
 
-def test_compat_http_submit_row_is_incompatible_under_design5(tmp_path, capsys):
+def test_compat_http_submit_row_is_refused_under_design5(tmp_path, capsys):
     path = tmp_path / "corpus.tsv"
     path.write_text("http_submit\ta.example\t-\n", encoding="utf-8")
     rc = main(["compat", "--seed", "3", "--corpus", str(path), "--format", "json"])
     assert rc == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     # baseline logs in over plain HTTP; design5's check 2 refuses the swap
-    assert data["counts"] == {"http_submit": {"incompatible": 1}}
+    assert data["counts"] == {"http_submit": {"refused": 1}}
+    assert data["refused"] == {"line1-a.example": 2}
 
 
 def test_compat_probe_rows_agree_between_design5_and_manifest_v3(tmp_path, capsys):
     # manifest_v3 runs the same five checks: the iframe and bad-TLS logins
-    # are refused in both modes, so the plain differential fails in both
+    # are refused in both modes, and so stay out of the plain differential
     path = tmp_path / "corpus.tsv"
     path.write_text(
         "iframe_login\thttps://frame.example\t-\n"
@@ -217,11 +218,51 @@ def test_compat_probe_rows_agree_between_design5_and_manifest_v3(tmp_path, capsy
     counts = {}
     for defense in ("design5", "manifest-v3"):
         argv = ["compat", "--seed", "7", "--corpus", str(path), "--defense", defense]
-        assert main(argv + ["--format", "json"]) == EXIT_MISMATCH
-        counts[defense] = json.loads(capsys.readouterr().out)["counts"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        counts[defense] = data["counts"]
+        # check 1: an iframe; 2: bad TLS; 4: the nonce in GET parameters
+        refused = {"line1-frame.example": 1, "line2-tls.example": 2, "line3-get.example": 4}
+        assert data["refused"] == refused
     assert counts["manifest-v3"] == counts["design5"]
-    assert counts["design5"]["iframe_login"] == {"incompatible": 1}
-    assert counts["design5"]["plain_post"] == {"incompatible": 1}
+    assert counts["design5"]["iframe_login"] == {"refused": 1}
+    assert counts["design5"]["plain_post"] == {"refused": 1}
+
+
+@pytest.mark.parametrize("defense", sorted(DEFENSE_TOKENS))
+def test_compat_rows_the_policy_refuses_exit_zero_under_every_defense(tmp_path, capsys, defense):
+    # bad TLS and a plain-HTTP origin: the nonce modes refuse both by design
+    # (check 2), so both stay out of the plain differential; design3 guards
+    # by origin only and sends the password over either channel
+    path = tmp_path / "corpus.tsv"
+    path.write_text(
+        "plain_post\thttps://a.example\tbad_tls=1\n"
+        "plain_post\thttp://b.example\t-\n"
+        "plain_post\thttps://c.example\t-\n",
+        encoding="utf-8",
+    )
+    argv = ["compat", "--seed", "7", "--corpus", str(path), "--defense", defense]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["plain_differential_ok"] is True
+    nonce_mode = defense in ("design4", "design5", "manifest-v3")
+    refused = {"line1-a.example": 2, "line2-b.example": 2} if nonce_mode else None
+    assert data.get("refused") == refused
+    expected = {"refused": 2, "compatible": 1} if nonce_mode else {"compatible": 3}
+    assert data["counts"] == {"plain_post": expected}
+    # every included row has a share: refused rows count in no other one
+    assert ("refused" in data["percent"]) is nonce_mode
+    assert sum(data["percent"].values()) == pytest.approx(100.0, abs=0.2)
+
+
+def test_compat_text_names_each_refused_row_and_its_check(tmp_path, capsys):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("plain_post\thttp://b.example\t-\n", encoding="utf-8")
+    assert main(["compat", "--seed", "7", "--corpus", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "transform-broken: 0.0%  refused: 100.0%\n" in out
+    assert "refused by the policy: line1-b.example (check 2, channel)\n" in out
+    assert "plain differential: byte-identical" in out
 
 
 def test_compat_bad_corpus_line_is_data_error(tmp_path, capsys):

@@ -229,7 +229,8 @@ def test_script_read_field_logs_value():
 
 
 def test_read_rendered_text_logs():
-    page = make_page(rendered_text="echo: hunter2")
+    page = make_page()
+    page.rendered_text = "echo: hunter2"
     script = page_script()
     attach_script(page, script)
     assert read_rendered_text(script, page) == "echo: hunter2"
@@ -334,7 +335,8 @@ def test_submit_http_action_is_plain_channel():
 
 def test_submit_respects_tls_override():
     action = Url.parse("https://sloppy.example/login")
-    page = make_page(tls_overrides={action.origin: ChannelSecurity.BAD_TLS})
+    page = make_page()
+    page.tls_overrides[action.origin] = ChannelSecurity.BAD_TLS
     page.add_form(login_form(action=action))
     assert submit_form(page, "login").channel_security is ChannelSecurity.BAD_TLS
 

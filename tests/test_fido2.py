@@ -582,9 +582,12 @@ def test_browser_webauthn_surface_delegates_to_store():
     assert attestation.credential_id == assertion.credential_id
 
 
-def finish_request(url: str, *, headers=(), body=None, request_id=9) -> WebRequestRecord:
+def finish_request(
+    url: str, *, headers=(), body=None, request_id=9, source_page=None
+) -> WebRequestRecord:
     return WebRequestRecord(
-        request_id, "POST", Url.parse(url), headers=tuple(headers), body=body
+        request_id, "POST", Url.parse(url), headers=tuple(headers), body=body,
+        source_page=source_page,
     )
 
 
@@ -599,18 +602,15 @@ def test_inject_appends_header_on_exact_url_match():
     class SourcePage:
         page_id = "page-1"
 
-    wrong_url = finish_request("https://sso.example/other")
-    object.__setattr__(wrong_url, "source_page", SourcePage())
+    wrong_url = finish_request("https://sso.example/other", source_page=SourcePage())
     assert store.inject(wrong_url) is None
 
-    match = finish_request(f"{ORIGIN}/webauthn/finish")
-    object.__setattr__(match, "source_page", SourcePage())
+    match = finish_request(f"{ORIGIN}/webauthn/finish", source_page=SourcePage())
     injected = store.inject(match)
     assert injected is not None
     assert injected.header(HEADER_RESPONSE) is not None
     # single use: a second matching request gets nothing
-    again = finish_request(f"{ORIGIN}/webauthn/finish")
-    object.__setattr__(again, "source_page", SourcePage())
+    again = finish_request(f"{ORIGIN}/webauthn/finish", source_page=SourcePage())
     assert store.inject(again) is None
 
 
@@ -843,8 +843,9 @@ def channel_login(defense: bool) -> tuple[RelyingParty, bool]:
             stripped, _ = store.strip_and_store(begin, "page-1")
             page_payload = stripped.body.decode()  # the dummy
             page_result = store.call("page-1", device, page_payload)
-            request = finish_request(f"{ORIGIN}/webauthn/finish", request_id=request_id)
-            object.__setattr__(request, "source_page", SourcePage())
+            request = finish_request(
+                f"{ORIGIN}/webauthn/finish", request_id=request_id, source_page=SourcePage()
+            )
             request = store.inject(request)
             assert request is not None
         else:

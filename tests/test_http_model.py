@@ -6,7 +6,6 @@ this codec escapes it, quote_plus does not), plus frozen byte vectors.
 """
 
 import hashlib
-from dataclasses import replace
 from urllib.parse import quote_plus, urlencode
 
 import pytest
@@ -270,7 +269,7 @@ def test_url_origin_follows_every_construction():
     parsed = Url.parse("http://Site.Example:81/a?b=c")
     assert _origin_matches(parsed)
     assert parsed.origin == Origin("http", "site.example", 81)
-    moved = replace(url, scheme="http", host="Other.Example", port=80)
+    moved = url._replace(scheme="http", host="Other.Example", port=80)
     assert _origin_matches(moved)
     assert moved.origin == Origin("http", "other.example", 80)
     queried = parsed.with_query([("x", "1")])
@@ -278,14 +277,15 @@ def test_url_origin_follows_every_construction():
     assert queried.origin == parsed.origin
 
 
-def test_url_origin_is_not_in_repr_eq_or_hash():
+def test_url_origin_is_derived_and_kept_out_of_repr():
     url = Url("https", "bank.example", 443, "/login", (("a", "b"),))
     assert "origin" not in repr(url)
     twin = Url.parse("https://bank.example/login?a=b")
-    # a different origin on one of two equal URLs changes neither == nor hash
-    object.__setattr__(twin, "origin", Origin("http", "elsewhere.example", 8080))
-    assert url == twin
-    assert hash(url) == hash(twin)
+    assert url == twin and hash(url) == hash(twin)
+    # no origin can be set, and a copy derives its own from scheme/host/port
+    with pytest.raises(AttributeError):
+        url.origin = Origin("http", "elsewhere.example", 8080)
+    assert url._replace(origin=Origin("http", "elsewhere.example", 8080)) == url
 
 
 @given(st.lists(st.tuples(form_text, form_text), max_size=5))

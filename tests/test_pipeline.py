@@ -161,9 +161,10 @@ def test_substitution_request_repr_hides_replacement():
 
 
 def test_guard_applies_when_all_three_checks_pass():
-    out, applied = apply_substitutions((("pw", NONCE),), [sub()], DEST)
+    request = sub()
+    out, applied = apply_substitutions((("pw", NONCE),), [request], DEST)
     assert out == (("pw", SECRET),)
-    assert applied == (sub(),)
+    assert applied == (request,)
 
 
 @pytest.mark.parametrize(
@@ -670,6 +671,8 @@ def test_deliveries_are_told_from_browser_events_by_kind():
 
 def test_listeners_cannot_change_a_view_or_a_transcript_line():
     blocked: list[tuple[Stage, str]] = []
+    form_tries: list[tuple[Stage, str]] = []
+    form_blocked: list[tuple[Stage, str]] = []
 
     def tamper(view):
         for name in view._fields + ("extra",):
@@ -677,6 +680,17 @@ def test_listeners_cannot_change_a_view_or_a_transcript_line():
                 setattr(view, name, None)
             except AttributeError:
                 blocked.append((view.stage, name))
+        if view.form is None:
+            return
+        # the body is shared with every view and line: its digest cache too
+        view.form.digest()
+        for name in view.form._fields + ("_digest", "extra"):
+            for change in (lambda: setattr(view.form, name, "forged"), lambda: delattr(view.form, name)):
+                form_tries.append((view.stage, name))
+                try:
+                    change()
+                except AttributeError:
+                    form_blocked.append((view.stage, name))
 
     regs = registry(*(listener(stage, tamper, lid=stage.value) for stage in Stage))
     final, transcript = dispatch(post(), regs, design5_config())
@@ -689,7 +703,9 @@ def test_listeners_cannot_change_a_view_or_a_transcript_line():
     names = StageView._fields + ("extra",)
     stages = stage_order(DefenseMode.DESIGN5_API_LATE)
     assert blocked == [(stage, name) for stage in stages for name in names]
+    assert form_tries and form_blocked == form_tries
     lines = transcript.to_text()
+    assert "forged" not in lines
     assert {type(e) for e in transcript.events} == {Delivery, TranscriptEvent}
     line_names = ("listener_id", "view", "request_id", "label", "body_view", "digest", "extra")
     for event in transcript.events:
