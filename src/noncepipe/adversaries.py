@@ -47,6 +47,8 @@ from .dom import (
 from .extensions import Extension, ExtensionManifest, Permission
 from .fido2 import (
     AUTHENTICATION,
+    BEGIN_PATH,
+    FINISH_PATH,
     HEADER_REQUEST,
     REGISTRATION,
     AuthenticatorDevice,
@@ -606,10 +608,9 @@ def run_reflection_attack(
 
 
 class _CreateHijack:
-    """Wraps the page WebAuthn surface; registrations run the attacker's key."""
+    """Replaces the page's WebAuthn create: registrations run the attacker's key."""
 
-    def __init__(self, original, attacker_device: AuthenticatorDevice, script: ScriptHandle):
-        self.original = original
+    def __init__(self, attacker_device: AuthenticatorDevice, script: ScriptHandle):
         self.attacker_device = attacker_device
         self.script = script
 
@@ -621,10 +622,6 @@ class _CreateHijack:
         self.script.observe(out)
         return out
 
-    def get(self, payload_json: str) -> str:
-        self.script.observe(payload_json)
-        return self.original.get(payload_json)
-
 
 class _AssertHijack:
     """Swaps the attacker's challenge into whatever the page hands the API."""
@@ -634,10 +631,6 @@ class _AssertHijack:
         self.attacker_challenge = attacker_challenge
         self.script = script
         self.captured: list[str] = []
-
-    def create(self, payload_json: str) -> str:
-        self.script.observe(payload_json)
-        return self.original.create(payload_json)
 
     def get(self, payload_json: str) -> str:
         self.script.observe(payload_json)
@@ -651,7 +644,7 @@ class _AssertHijack:
 
 def _out_of_band_finish(farm: ServerFarm, origin: Origin, payload_json: str) -> str:
     """The attacker submits a finish from its own machine, not the browser."""
-    url = Url(origin.scheme, origin.host, origin.port, "/webauthn/finish")
+    url = Url(origin.scheme, origin.host, origin.port, FINISH_PATH)
     entries = (("webauthn", payload_json),)
     _, verdict = farm.serve(build_request(None, "POST", url, entries, 990_000))
     return verdict
@@ -659,7 +652,7 @@ def _out_of_band_finish(farm: ServerFarm, origin: Origin, payload_json: str) -> 
 
 def _out_of_band_begin(farm: ServerFarm, origin: Origin, kind: str, username: str) -> str:
     """Fetch a begin payload directly; header stripping never happens here."""
-    url = Url(origin.scheme, origin.host, origin.port, "/webauthn/begin")
+    url = Url(origin.scheme, origin.host, origin.port, BEGIN_PATH)
     query = (("kind", kind), ("username", username))
     response, _ = farm.serve(build_request(None, "GET", url, query, 990_001))
     header = response.header(HEADER_REQUEST)
@@ -706,7 +699,7 @@ def _grab_and_cancel(session: BrowserSession, captured: list[str]):
     extension = session.host.install(_ATTACKER_MANIFEST)
 
     def on_before_request(view: StageView):
-        if view.url.endswith("/webauthn/finish") and view.method == "POST":
+        if view.url.endswith(FINISH_PATH) and view.method == "POST":
             value = _finish_body_value(view)
             if value is not None:
                 captured.append(value)
@@ -729,7 +722,7 @@ def _registration_hijack(
     if adversary == "fido2_dom":
         script = ScriptHandle("xss-payload", Provenance.XSS)
         attach_script(setup.page, script)
-        setup.page.webauthn = _CreateHijack(setup.page.webauthn, attacker_device, script)
+        setup.page.webauthn = _CreateHijack(attacker_device, script)
         result = setup.session.fido2_register(setup.page, setup.origin, "victim")
         observations.extend(script.log)
         notes.append(f"victim_finish={result.verdict}")

@@ -200,19 +200,6 @@ def _run_scenario_row(
     )
 
 
-def _outcome_payload(outcome: AttackOutcome) -> dict:
-    return {
-        "scenario": outcome.scenario,
-        "adversary": outcome.adversary,
-        "defense": outcome.defense,
-        "secret_leaked": outcome.secret_leaked,
-        "leaked_digests": list(outcome.leaked_digests),
-        "attacker_login": outcome.attacker_login,
-        "attacker_registered": outcome.attacker_registered,
-        "notes": list(outcome.notes),
-    }
-
-
 def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dict]:
     outcomes = sorted(outcomes, key=lambda o: o.scenario)
     lines = [f"scenario run (seed={seed})", ""]
@@ -230,7 +217,7 @@ def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dic
     payload = {
         "kind": "scenarios",
         "seed": seed,
-        "outcomes": [_outcome_payload(o) for o in outcomes],
+        "outcomes": [o._asdict() for o in outcomes],  # tuples write as arrays
     }
     return text, payload
 
@@ -316,54 +303,44 @@ def _replay_demo(seed: int, defense_on: bool) -> str:
 def cmd_fido2_demo(args: argparse.Namespace) -> int:
     defense_on = args.defense == "on"
     honest = _honest_fido2_flows(derive_seed(args.seed, "honest"), defense_on)
-    outcomes: dict[str, AttackOutcome] = {}
+    lines = [
+        f"fido2 demo (defense={args.defense}, seed={args.seed})",
+        "",
+        f"honest register:      {honest['register']}",
+        f"honest authenticate:  {honest['authenticate']}",
+    ]
+    problems = []
+    if honest["register"] != "accepted" or honest["authenticate"] != "accepted":
+        problems.append("honest flow failed")
     cells: dict[str, dict[str, bool]] = {}
     for adversary in FIDO2_ADVERSARIES:
-        outcome = outcomes[adversary] = run_fido2_scenario(
+        outcome = run_fido2_scenario(
             adversary, defense_on=defense_on, seed=derive_seed(args.seed, "demo", adversary)
         )
-        cells[adversary] = {
+        cell = cells[adversary] = {
             "registration_hijack": outcome.attacker_registered,
             "login_hijack": outcome.attacker_login,
             "secret_leaked": outcome.secret_leaked,
         }
-    replay_verdict = _replay_demo(derive_seed(args.seed, "replay"), defense_on) if args.replay else None
-
-    label = "on" if defense_on else "off"
-    lines = [f"fido2 demo (defense={label}, seed={args.seed})", ""]
-    lines.append(f"honest register:      {honest['register']}")
-    lines.append(f"honest authenticate:  {honest['authenticate']}")
-    for adversary in FIDO2_ADVERSARIES:
-        cell = cells[adversary]
-        lines.append(
-            f"{adversary:<16} registration_hijack={'yes' if cell['registration_hijack'] else 'no'}"
-            f" login_hijack={'yes' if cell['login_hijack'] else 'no'}"
-            f" secret_leaked={'yes' if cell['secret_leaked'] else 'no'}"
-        )
-    if replay_verdict is not None:
-        lines.append(f"cloned-device replay: {replay_verdict}")
-    text = "\n".join(lines) + "\n"
+        flags = " ".join(f"{name}={'yes' if hit else 'no'}" for name, hit in cell.items())
+        lines.append(f"{adversary:<16} {flags}")
+        verdict = "unprotected" if outcome.compromised else "protected"
+        expected = EXPECTED_FIDO2_CELLS[outcome.defense][adversary]
+        if verdict != expected:
+            problems.append(f"{adversary} {verdict}, expected {expected}")
     payload = {
         "kind": "fido2-demo",
         "seed": args.seed,
-        "defense": label,
+        "defense": args.defense,
         "honest": honest,
         "cells": cells,
     }
-    if replay_verdict is not None:
-        payload["replay"] = replay_verdict
-    _emit(args, "fido2", text, payload)
-
-    problems = []
-    if honest["register"] != "accepted" or honest["authenticate"] != "accepted":
-        problems.append("honest flow failed")
-    expected = EXPECTED_FIDO2_CELLS["header_channel" if defense_on else "legacy"]
-    for adversary, outcome in outcomes.items():
-        verdict = "unprotected" if outcome.compromised else "protected"
-        if verdict != expected[adversary]:
-            problems.append(f"{adversary} {verdict}, expected {expected[adversary]}")
-    if replay_verdict is not None and replay_verdict != "rejected:counter_replay":
-        problems.append(f"replay verdict {replay_verdict}")
+    if args.replay:
+        replay = payload["replay"] = _replay_demo(derive_seed(args.seed, "replay"), defense_on)
+        lines.append(f"cloned-device replay: {replay}")
+        if replay != "rejected:counter_replay":
+            problems.append(f"replay verdict {replay}")
+    _emit(args, "fido2", "\n".join(lines) + "\n", payload)
     for problem in problems:
         print(f"noncepipe: unexpected verdict: {problem}", file=sys.stderr)
     return EXIT_MISMATCH if problems else EXIT_OK

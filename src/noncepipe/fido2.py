@@ -37,9 +37,11 @@ __all__ = [
     "AssertionResponse",
     "AttestationObject",
     "AuthenticatorDevice",
+    "BEGIN_PATH",
     "BrowserWebAuthn",
     "Fido2Request",
     "Fido2SecureEntry",
+    "FINISH_PATH",
     "FinishResult",
     "HEADER_REQUEST",
     "HEADER_REQUEST_SHORT",
@@ -57,6 +59,10 @@ HEADER_REQUEST = "webauthn_request"
 HEADER_REQUEST_SHORT = "webauthn_req"
 HEADER_URL_RESP = "URL_resp"
 HEADER_RESPONSE = "webauthn_response"
+
+# the relying party's two endpoints, on its own origin
+BEGIN_PATH = "/webauthn/begin"
+FINISH_PATH = "/webauthn/finish"
 
 CHALLENGE_LEN = 32
 CREDENTIAL_ID_LEN = 16
@@ -169,12 +175,35 @@ class Fido2Request(namedtuple("Fido2Request", "kind challenge rp_id user_id user
             raise MalformedPayload(f"request payload missing field: {exc}") from exc
 
 
+def _signed_payload(
+    rp_id_hash: bytes, counter: int, challenge: bytes, public_key: bytes = b""
+) -> bytes:
+    """What an authenticator signs: rp_id_hash || counter (4 bytes BE) ||
+    challenge, then the public key for a registration."""
+    return rp_id_hash + _counter_bytes(counter) + challenge + public_key
+
+
+def _response_json(response: "Fido2Response") -> str:
+    """Both response kinds on the wire: the kind's type tag, the counter as a
+    JSON number and every other field base64url."""
+    payload: dict[str, object] = {
+        name: value if name == "counter" else _b64(value)
+        for name, value in zip(response._fields, response)
+    }
+    payload["type"] = response.TYPE
+    return _canonical(payload)
+
+
 def _check_response(
-    credential_id: bytes, rp_id_hash: bytes, counter: int, challenge: bytes
+    credential_id: bytes, rp_id_hash: bytes, counter: int, challenge: bytes,
+    public_key: Optional[bytes] = None,
 ) -> None:
-    """The shape checks that both response kinds make."""
+    """The shape checks of both response kinds; an attestation also brings
+    its public key."""
     if len(credential_id) != CREDENTIAL_ID_LEN:
         raise MalformedPayload(f"credential_id must be {CREDENTIAL_ID_LEN} bytes")
+    if public_key is not None and len(public_key) != 65:
+        raise MalformedPayload("public_key must be a 65-byte uncompressed point")
     if len(rp_id_hash) != 32:
         raise MalformedPayload("rp_id_hash must be 32 bytes")
     if len(challenge) != CHALLENGE_LEN:
@@ -193,34 +222,19 @@ class AttestationObject(
 
     __slots__ = ()
     _make = classmethod(checked_make)
+    TYPE = "attestation"
+    to_json = _response_json
 
     def __new__(
         cls, credential_id: bytes, public_key: bytes, rp_id_hash: bytes, counter: int,
         challenge: bytes, signature: bytes,
     ) -> "AttestationObject":
-        if len(credential_id) != CREDENTIAL_ID_LEN:
-            raise MalformedPayload(f"credential_id must be {CREDENTIAL_ID_LEN} bytes")
-        if len(public_key) != 65:
-            raise MalformedPayload("public_key must be a 65-byte uncompressed point")
-        _check_response(credential_id, rp_id_hash, counter, challenge)
+        _check_response(credential_id, rp_id_hash, counter, challenge, public_key)
         fields = (credential_id, public_key, rp_id_hash, counter, challenge, signature)
         return tuple.__new__(cls, fields)
 
     def signed_payload(self) -> bytes:
-        return self.rp_id_hash + _counter_bytes(self.counter) + self.challenge + self.public_key
-
-    def to_json(self) -> str:
-        return _canonical(
-            {
-                "type": "attestation",
-                "credential_id": _b64(self.credential_id),
-                "public_key": _b64(self.public_key),
-                "rp_id_hash": _b64(self.rp_id_hash),
-                "counter": self.counter,
-                "challenge": _b64(self.challenge),
-                "signature": _b64(self.signature),
-            }
-        )
+        return _signed_payload(self.rp_id_hash, self.counter, self.challenge, self.public_key)
 
 
 class AssertionResponse(
@@ -231,6 +245,8 @@ class AssertionResponse(
 
     __slots__ = ()
     _make = classmethod(checked_make)
+    TYPE = "assertion"
+    to_json = _response_json
 
     def __new__(
         cls, credential_id: bytes, rp_id_hash: bytes, counter: int, challenge: bytes, signature: bytes
@@ -239,50 +255,31 @@ class AssertionResponse(
         return tuple.__new__(cls, (credential_id, rp_id_hash, counter, challenge, signature))
 
     def signed_payload(self) -> bytes:
-        return self.rp_id_hash + _counter_bytes(self.counter) + self.challenge
-
-    def to_json(self) -> str:
-        return _canonical(
-            {
-                "type": "assertion",
-                "credential_id": _b64(self.credential_id),
-                "rp_id_hash": _b64(self.rp_id_hash),
-                "counter": self.counter,
-                "challenge": _b64(self.challenge),
-                "signature": _b64(self.signature),
-            }
-        )
+        return _signed_payload(self.rp_id_hash, self.counter, self.challenge)
 
 
 Fido2Response = Union[AttestationObject, AssertionResponse]
+_RESPONSE_TYPES = {cls.TYPE: cls for cls in (AttestationObject, AssertionResponse)}
 
 
 def response_from_json(text: str) -> Fido2Response:
+    """The inverse of `to_json`: the type tag picks the kind, whose fields
+    are read in order."""
     data = _parse_json(text)
     kind = data.get("type")
+    cls = _RESPONSE_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise MalformedPayload(f"unknown response type {kind!r}")
     try:
-        if kind == "attestation":
-            return AttestationObject(
-                credential_id=_unb64(str(data["credential_id"])),
-                public_key=_unb64(str(data["public_key"])),
-                rp_id_hash=_unb64(str(data["rp_id_hash"])),
-                counter=int(data["counter"]),
-                challenge=_unb64(str(data["challenge"])),
-                signature=_unb64(str(data["signature"])),
-            )
-        if kind == "assertion":
-            return AssertionResponse(
-                credential_id=_unb64(str(data["credential_id"])),
-                rp_id_hash=_unb64(str(data["rp_id_hash"])),
-                counter=int(data["counter"]),
-                challenge=_unb64(str(data["challenge"])),
-                signature=_unb64(str(data["signature"])),
-            )
+        fields = [
+            int(data[name]) if name == "counter" else _unb64(str(data[name]))
+            for name in cls._fields
+        ]
+        return cls(*fields)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, MalformedPayload):
             raise
         raise MalformedPayload(f"response payload malformed: {exc}") from exc
-    raise MalformedPayload(f"unknown response type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +374,14 @@ class AuthenticatorDevice:
         credential_id = self.rng.randbytes(CREDENTIAL_ID_LEN)
         rp_id_hash = request.rp_id_hash()
         self.credentials[credential_id] = _StoredKey(
-            private_key=private_key,
-            rp_id_hash=rp_id_hash,
-            counter=0,
-            user_name=request.user_name or "?",
+            private_key, rp_id_hash, 0, request.user_name or "?"
         )
+        public_key = es256.public_key_bytes(private_key)
+        signed = _signed_payload(rp_id_hash, 0, request.challenge, public_key)
+        signature = es256.sign(private_key, signed, self.rng)
         attestation = AttestationObject(
-            credential_id=credential_id,
-            public_key=es256.public_key_bytes(private_key),
-            rp_id_hash=rp_id_hash,
-            counter=0,
-            challenge=request.challenge,
-            signature=b"\x00",  # placeholder, replaced below
+            credential_id, public_key, rp_id_hash, 0, request.challenge, signature
         )
-        signature = es256.sign(private_key, attestation.signed_payload(), self.rng)
-        attestation = attestation._replace(signature=signature)
         self._witness(attestation)
         return attestation
 
@@ -403,15 +393,11 @@ class AuthenticatorDevice:
             if key.rp_id_hash == rp_id_hash:
                 self._consent("sign in", key.user_name, request.rp_id)
                 key.counter += 1
+                signed = _signed_payload(rp_id_hash, key.counter, request.challenge)
+                signature = es256.sign(key.private_key, signed, self.rng)
                 assertion = AssertionResponse(
-                    credential_id=credential_id,
-                    rp_id_hash=rp_id_hash,
-                    counter=key.counter,
-                    challenge=request.challenge,
-                    signature=b"\x00",
+                    credential_id, rp_id_hash, key.counter, request.challenge, signature
                 )
-                signature = es256.sign(key.private_key, assertion.signed_payload(), self.rng)
-                assertion = assertion._replace(signature=signature)
                 self._witness(assertion)
                 return assertion
         raise NoCredential(f"{self.name} holds no credential for {request.rp_id}")
@@ -545,8 +531,7 @@ class BrowserWebAuthn:
     def create(self, payload_json: str) -> str:
         return self._store.call(self._session_id, self._device, payload_json)
 
-    def get(self, payload_json: str) -> str:
-        return self._store.call(self._session_id, self._device, payload_json)
+    get = create  # the store runs whichever kind the request names
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +570,7 @@ class RelyingParty:
         self.rp_id = origin.host
         self.rng = rng
         self.defense_enabled = defense_enabled
-        self.url_resp = f"{origin}/webauthn/finish"
+        self.url_resp = f"{origin}{FINISH_PATH}"
         self.accounts: dict[str, _StoredCredential] = {}
         self.outstanding: dict[str, tuple[str, str]] = {}  # challenge b64 -> (kind, user)
         self.log: list[str] = []  # digests and verdicts only
@@ -595,39 +580,29 @@ class RelyingParty:
     # -- begin -----------------------------------------------------------
 
     def begin(self, kind: str, username: str, request_id: int) -> WebResponseRecord:
-        if kind == REGISTRATION:
-            real = Fido2Request(
-                kind=REGISTRATION,
-                challenge=self.rng.randbytes(CHALLENGE_LEN),
-                rp_id=self.rp_id,
-                user_id=hashlib.sha256(username.encode("utf-8")).digest()[:8],
-                user_name=username,
-            )
-        elif kind == AUTHENTICATION:
-            real = Fido2Request(
-                kind=AUTHENTICATION,
-                challenge=self.rng.randbytes(CHALLENGE_LEN),
-                rp_id=self.rp_id,
-            )
-        else:
+        if kind not in (REGISTRATION, AUTHENTICATION):
             raise MalformedPayload(f"unknown begin kind {kind!r}")
+        registration = kind == REGISTRATION
+        user_id = hashlib.sha256(username.encode("utf-8")).digest()[:8] if registration else None
+        real = Fido2Request(
+            kind=kind,
+            challenge=self.rng.randbytes(CHALLENGE_LEN),
+            rp_id=self.rp_id,
+            user_id=user_id,
+            user_name=username if registration else None,
+        )
+        real_json = real.to_json()
         self.outstanding[_b64(real.challenge)] = (kind, username)
         self.log.append(f"begin {kind} {username} challenge#{_b64(real.challenge)[:8]}")
         if self.witness is not None:
-            self.witness.append(real.to_json())
+            self.witness.append(real_json)
             self.witness.append(_b64(real.challenge).rstrip("="))
 
         if not self.defense_enabled:
-            return WebResponseRecord(
-                request_id=request_id, status=200, body=real.to_json().encode("utf-8")
-            )
-        dummy = make_dummy_request(kind, self.rp_id, self.rng)
-        return WebResponseRecord(
-            request_id=request_id,
-            status=200,
-            headers=((HEADER_REQUEST, real.to_json()), (HEADER_URL_RESP, self.url_resp)),
-            body=dummy.to_json().encode("utf-8"),
-        )
+            return WebResponseRecord(request_id, 200, body=real_json.encode("utf-8"))
+        headers = ((HEADER_REQUEST, real_json), (HEADER_URL_RESP, self.url_resp))
+        dummy = make_dummy_request(kind, self.rp_id, self.rng).to_json().encode("utf-8")
+        return WebResponseRecord(request_id, 200, headers=headers, body=dummy)
 
     # -- finish ----------------------------------------------------------
 
@@ -654,30 +629,25 @@ class RelyingParty:
             return self._verdict(False, kind, "?", "challenge_mismatch")
         username = pending[1]
 
-        expected_rp_hash = hashlib.sha256(self.rp_id.encode("utf-8")).digest()
-        if isinstance(response, AttestationObject):
-            if response.rp_id_hash != expected_rp_hash:
-                return self._verdict(False, kind, username, "bad_signature")
-            if not es256.verify(
-                response.public_key, response.signed_payload(), response.signature
-            ):
-                return self._verdict(False, kind, username, "bad_signature")
-            self.accounts[username] = _StoredCredential(
-                credential_id=response.credential_id,
-                public_key=response.public_key,
-                counter=response.counter,
-                user_name=username,
+        # a registration verifies against the key it brings, an assertion
+        # against the key the account holds
+        if kind == REGISTRATION:
+            stored = _StoredCredential(
+                response.credential_id, response.public_key, response.counter, username
             )
         else:
             stored = self.accounts.get(username)
             if stored is None or stored.credential_id != response.credential_id:
                 return self._verdict(False, kind, username, "unknown_credential")
-            if response.rp_id_hash != expected_rp_hash:
-                return self._verdict(False, kind, username, "bad_signature")
-            if not es256.verify(stored.public_key, response.signed_payload(), response.signature):
-                return self._verdict(False, kind, username, "bad_signature")
-            if response.counter <= stored.counter:
-                return self._verdict(False, kind, username, "counter_replay")
+        if response.rp_id_hash != hashlib.sha256(self.rp_id.encode("utf-8")).digest():
+            return self._verdict(False, kind, username, "bad_signature")
+        if not es256.verify(stored.public_key, response.signed_payload(), response.signature):
+            return self._verdict(False, kind, username, "bad_signature")
+        if kind == REGISTRATION:
+            self.accounts[username] = stored
+        elif response.counter <= stored.counter:
+            return self._verdict(False, kind, username, "counter_replay")
+        else:
             stored.counter = response.counter
 
         del self.outstanding[_b64(response.challenge)]
@@ -686,8 +656,6 @@ class RelyingParty:
     def _verdict(
         self, accepted: bool, kind: str, username: str, reason: Optional[str]
     ) -> FinishResult:
-        result = FinishResult(accepted=accepted, kind=kind, username=username, reason=reason)
-        self.log.append(
-            f"finish {kind} {username} -> {'accepted' if accepted else f'rejected({reason})'}"
-        )
-        return result
+        outcome = "accepted" if accepted else f"rejected({reason})"
+        self.log.append(f"finish {kind} {username} -> {outcome}")
+        return FinishResult(accepted, kind, username, reason)

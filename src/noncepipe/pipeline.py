@@ -479,9 +479,7 @@ class Redirect(NamedTuple):
 
 
 BlockingAction = Union[Cancel, Redirect]
-ListenerResult = Union[
-    None, Cancel, Redirect, SafetyDecision, SubstitutionRequest, Sequence[SubstitutionRequest]
-]
+ListenerResult = Union[None, Cancel, Redirect, SafetyDecision, SubstitutionRequest]
 ListenerCallback = Callable[[StageView], ListenerResult]
 
 
@@ -716,7 +714,8 @@ def _collect_substitutions(
 ) -> list[SubstitutionRequest]:
     """Run the credential stage: callbacks for API modes, which may answer
     with a refusing SafetyDecision; in manifest_v3 the browser runs the policy
-    on the submitting page's records, on a view no listener gets."""
+    on the submitting page's records, on a view no listener gets. Any other
+    result is ignored: the credential stage is not a blocking stage."""
     collected: list[SubstitutionRequest] = []
     if config.defense_mode is _MANIFEST_V3:
         page_id = getattr(request.source_page, "page_id", None)
@@ -739,17 +738,12 @@ def _collect_substitutions(
     view = _request_view(request, _CREDENTIALS, pre_substitution_body, config)
     for reg in regs:
         result = _deliver(reg, view, transcript)
-        if result is None:
+        if result is None:  # an idle listener's answer: skip the type tests
             continue
         if isinstance(result, SubstitutionRequest):
             collected.append(result)
-        elif isinstance(result, SafetyDecision):
-            if not result.approved:
-                _refuse(transcript, request.request_id, result)
-        elif isinstance(result, (Cancel, Redirect)):
-            continue  # credential stage is not a blocking stage
-        else:
-            collected.extend(result)
+        elif isinstance(result, SafetyDecision) and not result.approved:
+            _refuse(transcript, request.request_id, result)
     return collected
 
 

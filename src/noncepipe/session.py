@@ -12,7 +12,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dom import Page, build_request, submit_form
 from .extensions import ExtensionHost
-from .fido2 import REGISTRATION, AUTHENTICATION, AuthenticatorDevice, BrowserWebAuthn, SecureStore
+from .fido2 import AUTHENTICATION, BEGIN_PATH, FINISH_PATH, REGISTRATION
+from .fido2 import AuthenticatorDevice, BrowserWebAuthn, SecureStore
 from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
 from .manager import PasswordManager, VaultEntry
 from .pipeline import (
@@ -147,7 +148,7 @@ class BrowserSession:
             scheme=rp_origin.scheme,
             host=rp_origin.host,
             port=rp_origin.port,
-            path="/webauthn/begin",
+            path=BEGIN_PATH,
             query=(("kind", kind), ("username", username)),
         )
         return self.fetch(page, url)
@@ -161,11 +162,11 @@ class BrowserSession:
         """The honest page flow: begin, WebAuthn create, finish."""
         self.fido2_begin(page, rp_origin, REGISTRATION, username)
         response_json = page.webauthn.create(page.rendered_text)
-        finish_url = Url(rp_origin.scheme, rp_origin.host, rp_origin.port, "/webauthn/finish")
+        finish_url = Url(rp_origin.scheme, rp_origin.host, rp_origin.port, FINISH_PATH)
         return self.fido2_finish(page, finish_url, response_json)
 
     def fido2_authenticate(self, page: Page, rp_origin: Origin, username: str) -> FlowResult:
         self.fido2_begin(page, rp_origin, AUTHENTICATION, username)
         response_json = page.webauthn.get(page.rendered_text)
-        finish_url = Url(rp_origin.scheme, rp_origin.host, rp_origin.port, "/webauthn/finish")
+        finish_url = Url(rp_origin.scheme, rp_origin.host, rp_origin.port, FINISH_PATH)
         return self.fido2_finish(page, finish_url, response_json)

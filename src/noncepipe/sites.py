@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .dom import Field, FieldKind, Form, HookKind, Page, SubmitHook
-from .fido2 import RelyingParty
+from .fido2 import BEGIN_PATH, FINISH_PATH, RelyingParty
 from .http_model import Origin, Url, WebRequestRecord, WebResponseRecord, checked_make, read_only, sha256_hex
 from .manager import VaultEntry
 from .pipeline import CHECK_NAMES, DefenseMode
@@ -170,10 +170,13 @@ def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Pag
 
 
 class _SiteState(NamedTuple):
+    """A site's stored credential digests, each only if its login reads it."""
+
     profile: SiteProfile
+    # the digest of what the password field must carry: the password, or
+    # its base64 form on a transforms_password site ("" on a fido2 site)
     password_digest: str
-    hash_digest: str
-    transform_digest: str
+    hash_digest: str  # of password_digest, on a hashes_password site ("" else)
     rp: Optional[RelyingParty] = None
 
 
@@ -189,20 +192,21 @@ class ServerFarm:
     def add_site(
         self, profile: SiteProfile, password: str, *, fido2_defense: bool = True
     ) -> _SiteState:
+        category = profile.category
         rp = None
-        if profile.category == "fido2":
+        if category == "fido2":
             rp = RelyingParty(
                 profile.origin,
                 substream(self.seed, "rp", profile.site_id),
                 defense_enabled=fido2_defense,
             )
+        elif category == "transforms_password":
+            password = base64.b64encode(password.encode("utf-8")).decode("ascii")
+        password_digest = "" if rp is not None else sha256_hex(password)
         state = _SiteState(
             profile=profile,
-            password_digest=sha256_hex(password),
-            hash_digest=sha256_hex(sha256_hex(password)),
-            transform_digest=sha256_hex(
-                base64.b64encode(password.encode("utf-8")).decode("ascii")
-            ),
+            password_digest=password_digest,
+            hash_digest=sha256_hex(password_digest) if category == "hashes_password" else "",
             rp=rp,
         )
         self._sites[str(profile.origin)] = state
@@ -272,16 +276,10 @@ class ServerFarm:
     def _login_verdict(
         self, state: _SiteState, entries: tuple[tuple[str, str], ...], password: str
     ) -> str:
-        profile = state.profile
-        if profile.category == "hashes_password":
+        if state.profile.category == "hashes_password":
             pw_hash = next((v for n, v in entries if n == "pw_hash"), "")
             if sha256_hex(pw_hash) != state.hash_digest:
                 return "integrity_fail"
-            return "auth_ok" if sha256_hex(password) == state.password_digest else "auth_fail"
-        if profile.category == "transforms_password":
-            return (
-                "auth_ok" if sha256_hex(password) == state.transform_digest else "auth_fail"
-            )
         return "auth_ok" if sha256_hex(password) == state.password_digest else "auth_fail"
 
     def _serve_fido2(
@@ -290,12 +288,12 @@ class ServerFarm:
         rp = state.rp
         assert rp is not None
         path = request.url.path
-        if path == "/webauthn/begin" and request.method == "GET":
+        if path == BEGIN_PATH and request.method == "GET":
             kind = next((v for n, v in request.url.query if n == "kind"), "")
             username = next((v for n, v in request.url.query if n == "username"), "")
             response = rp.begin(kind, username, request.request_id)
             return response, f"begin:{kind}"
-        if path == "/webauthn/finish" and request.method == "POST":
+        if path == FINISH_PATH and request.method == "POST":
             result = rp.finish(request)
             verdict = "accepted" if result.accepted else f"rejected:{result.reason}"
             body = verdict.encode("ascii")

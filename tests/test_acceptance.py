@@ -382,13 +382,14 @@ def _login_request(entries) -> WebRequestRecord:
     )
 
 
-def _credential_listener(subs):
+def _credential_listener(sub):
+    """A credential-stage listener that asks for `sub`, or for nothing."""
     return ListenerRegistration(
         listener_id="mgr.substitute",
         extension_id="mgr",
         stage=Stage.ON_REQUEST_CREDENTIALS,
         blocking=False,
-        callback=lambda view: list(subs),
+        callback=lambda view: sub,
     )
 
 
@@ -400,7 +401,7 @@ def test_criterion_6_zero_overhead_and_single_pair_diff():
     # no replacement requested: wire bytes identical to a pipeline with the
     # credential stage compiled out entirely
     registry = ListenerRegistry()
-    registry.add(_credential_listener([]))
+    registry.add(_credential_listener(None))
     with_stage, _ = dispatch(
         _login_request(entries),
         registry,
@@ -421,7 +422,7 @@ def test_criterion_6_zero_overhead_and_single_pair_diff():
         "password", nonce, "real-password-9", Origin("https", "site.example", 443)
     )
     registry = ListenerRegistry()
-    registry.add(_credential_listener([sub]))
+    registry.add(_credential_listener(sub))
     substituted, _ = dispatch(
         _login_request(entries),
         registry,

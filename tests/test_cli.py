@@ -322,6 +322,25 @@ def test_fido2_demo_checks_cells_against_the_expected_table(monkeypatch, capsys)
     assert "fido2_request" not in err
 
 
+def test_fido2_demo_problem_lines_keep_their_order(monkeypatch, capsys):
+    from noncepipe import cli
+
+    failed = {"register": "rejected:bad_signature", "authenticate": "accepted"}
+    monkeypatch.setattr(cli, "_honest_fido2_flows", lambda seed, defense_on: failed)
+    monkeypatch.setattr(cli, "_replay_demo", lambda seed, defense_on: "accepted")
+    for adversary in EXPECTED_FIDO2_CELLS["header_channel"]:
+        monkeypatch.setitem(EXPECTED_FIDO2_CELLS["header_channel"], adversary, "unprotected")
+    rc = main(["fido2-demo", "--seed", "7", "--replay"])
+    assert rc == EXIT_MISMATCH
+    prefix = "noncepipe: unexpected verdict: "
+    assert capsys.readouterr().err.splitlines() == [
+        prefix + "honest flow failed",
+        prefix + "fido2_dom protected, expected unprotected",
+        prefix + "fido2_request protected, expected unprotected",
+        prefix + "replay verdict accepted",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 # ---------------------------------------------------------------------------

@@ -374,6 +374,71 @@ def test_response_from_json_malformed(text):
         response_from_json(text)
 
 
+def test_response_json_frozen_bytes():
+    # the wire bytes of both response kinds, and the device's draw order
+    # (private key, credential id, then k)
+    def digest(response) -> str:
+        return hashlib.sha256(response.to_json().encode("utf-8")).hexdigest()
+
+    assert digest(make_dummy_response(REGISTRATION, Random(6))) == (
+        "8c054309f5cfce160f09f0ee89415d5c6a4bd50e63acf93f439e3015525a6565"
+    )
+    assert digest(make_dummy_response(AUTHENTICATION, Random(6))) == (
+        "272d407a9c87df28cd0f91f84ff7eaaae4070a843018d5af033bc2d0cbcccd30"
+    )
+    device = AuthenticatorDevice("key-1", Random(10))
+    assert digest(device.make_credential(reg_request())) == (
+        "53c85bab42f30b08f820f8b2cac3fe09681d09d8f20a821560ac2ae0e21c62a1"
+    )
+    assert digest(device.get_assertion(auth_request())) == (
+        "15ff5acfb0e1bcc1343ade7ed3c161b13ca28fbbcaa3811a1fc58040da360bba"
+    )
+    assert make_dummy_response(AUTHENTICATION, Random(6)).to_json() == (
+        '{"challenge":"Jiws9-y0fcLBOh68MXCHX1BCw1F54ifF4ZGaBaSKz0U=","counter":30819,'
+        '"credential_id":"_lUYy-jf5ZKWlGvSaTWgFA==",'
+        '"rp_id_hash":"vjorfHOkIMM5oPlCNzdtCYiaHQDHmUQlNHquqc_XI5Y=",'
+        '"signature":"MEYCIQCJzl736RtK0Wn8U2DfXKMuutXMwjK3Io_NSlVXfSSzlwIhAM4cnBezE_x-jbm5LJA8K'
+        'skxZ3T-GB4pCq6a8WmKDFEB","type":"assertion"}'
+    )
+
+
+def _attestation_fields(**changes) -> str:
+    fields = json.loads(make_dummy_response(REGISTRATION, Random(6)).to_json())
+    fields.update(changes)
+    return json.dumps({k: v for k, v in fields.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{}", "unknown response type None"),
+        ('{"type":["assertion"]}', "unknown response type ['assertion']"),
+        ('{"type":"pkcs7"}', "unknown response type 'pkcs7'"),
+        ('{"type":"attestation"}', "response payload malformed: 'credential_id'"),
+        # the first missing field in the record's field order is named
+        (_attestation_fields(public_key=None, counter=None), "response payload malformed: 'public_key'"),
+        (_attestation_fields(type="assertion", signature=None), "response payload malformed: 'signature'"),
+        (
+            _attestation_fields(counter="x"),
+            "response payload malformed: invalid literal for int() with base 10: 'x'",
+        ),
+        ('{"type":"assertion","credential_id":"A"}', "bad base64url field: "),
+        (_attestation_fields(counter=2**32), "counter out of range: 4294967296"),
+    ],
+)
+def test_response_from_json_error_messages(text, message):
+    with pytest.raises(MalformedPayload) as raised:
+        response_from_json(text)
+    assert str(raised.value).startswith(message)
+
+
+def test_response_type_tag_picks_the_fields_read():
+    # an attestation relabelled as an assertion reads the assertion fields only
+    parsed = response_from_json(_attestation_fields(type="assertion"))
+    assert type(parsed) is AssertionResponse
+    assert parsed.counter == 0
+
+
 def test_signed_payload_layouts_frozen():
     rp_hash = bytes(range(32))
     challenge = bytes(range(32, 64))
@@ -788,6 +853,76 @@ def test_finish_counter_replay_rejected():
         )
     )
     assert (replay.accepted, replay.reason) == (False, "counter_replay")
+
+
+def _broken_finish(kind: str, breaks: set[str]) -> tuple[RelyingParty, WebRequestRecord]:
+    """After an honest registration of alice, a finish of `kind` signed by
+    her key that breaks each named check; the signed layout is built here."""
+    rp = RelyingParty(ORIGIN, Random(30))
+    device = AuthenticatorDevice("key-1", Random(31))
+    registered = honest_registration(rp, device)
+    header = ((HEADER_RESPONSE, registered.to_json()),)
+    assert rp.finish(finish_request(f"{ORIGIN}/webauthn/finish", headers=header)).accepted
+
+    other_kind = AUTHENTICATION if kind == REGISTRATION else REGISTRATION
+    begin = rp.begin(other_kind if "kind" in breaks else kind, "alice", 2)
+    challenge = Fido2Request.from_json(begin.header(HEADER_REQUEST)).challenge
+    if "challenge" in breaks:
+        challenge = bytes(CHALLENGE_LEN)
+    rp_hash = bytes(32) if "rp_hash" in breaks else RP_HASH
+    credential_id = b"x" * CREDENTIAL_ID_LEN if "credential" in breaks else registered.credential_id
+    counter = 0 if "counter" in breaks else 1
+    signed = rp_hash + counter.to_bytes(4, "big") + challenge
+    if kind == REGISTRATION:
+        signed += registered.public_key
+    if "signature" in breaks:
+        signed += b"!"
+    signature = es256.sign(device.credentials[registered.credential_id].private_key, signed, Random(0))
+    if kind == REGISTRATION:
+        response = AttestationObject(
+            credential_id, registered.public_key, rp_hash, counter, challenge, signature
+        )
+    else:
+        response = AssertionResponse(credential_id, rp_hash, counter, challenge, signature)
+    header = ((HEADER_RESPONSE, response.to_json()),)
+    return rp, finish_request(f"{ORIGIN}/webauthn/finish", headers=header, request_id=3)
+
+
+# each row breaks two checks, and the one finish makes first names the
+# rejection; the signature check is the only one that calls es256.verify,
+# so its call count tells the hash check's bad_signature from its own
+FINISH_REJECTIONS = [
+    (REGISTRATION, {"challenge", "rp_hash"}, "challenge_mismatch", 0),
+    (REGISTRATION, {"kind", "signature"}, "challenge_mismatch", 0),
+    (REGISTRATION, {"rp_hash", "signature"}, "bad_signature", 0),
+    (REGISTRATION, {"signature"}, "bad_signature", 1),
+    (AUTHENTICATION, {"challenge", "credential"}, "challenge_mismatch", 0),
+    (AUTHENTICATION, {"kind", "credential"}, "challenge_mismatch", 0),
+    (AUTHENTICATION, {"credential", "rp_hash"}, "unknown_credential", 0),
+    (AUTHENTICATION, {"rp_hash", "signature"}, "bad_signature", 0),
+    (AUTHENTICATION, {"signature", "counter"}, "bad_signature", 1),
+    (AUTHENTICATION, {"counter"}, "counter_replay", 1),
+    (AUTHENTICATION, set(), None, 1),
+]
+
+
+@pytest.mark.parametrize("kind, breaks, reason, verify_calls", FINISH_REJECTIONS)
+def test_finish_rejection_order(kind, breaks, reason, verify_calls, monkeypatch):
+    rp, request = _broken_finish(kind, breaks)
+    calls = []
+    real_verify = es256.verify
+
+    def counting(*args):
+        calls.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(es256, "verify", counting)
+    result = rp.finish(request)
+    assert (result.accepted, result.reason, result.kind) == (reason is None, reason, kind)
+    assert len(calls) == verify_calls
+    assert rp.log[-1] == f"finish {kind} {result.username} -> " + (
+        "accepted" if reason is None else f"rejected({reason})"
+    )
 
 
 def test_challenge_is_single_use():

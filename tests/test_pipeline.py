@@ -400,6 +400,15 @@ def test_substitution_conflict_event_logged():
     assert final.body.entries[1] == ("pw", "one")  # first registration wins
 
 
+def test_credential_stage_ignores_a_sequence_of_substitutions():
+    # only a SubstitutionRequest or a refusing SafetyDecision is read
+    regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: [sub()], lid="m"))
+    request = post()
+    final, transcript = dispatch(request, regs, design5_config())
+    assert final.body.raw == request.body.raw == b"user=alice&pw=" + NONCE.encode()
+    assert not [e for e in transcript.events if e.label == "substitution"]
+
+
 def test_substitution_event_carries_applied_count():
     regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="m"))
     _, transcript = dispatch(post(), regs, design5_config())

@@ -327,6 +327,25 @@ def test_server_digest_is_the_transcript_digest_hashed_once(mode, monkeypatch):
     assert hashed.count(result.wire.body.raw) == 1
 
 
+@pytest.mark.parametrize(
+    "category, hashes",
+    [("plain_post", 1), ("get_submit", 1), ("hashes_password", 2), ("transforms_password", 1), ("fido2", 0)],
+)
+def test_add_site_hashes_only_the_digests_its_login_reads(category, hashes, monkeypatch):
+    hashed: list[str] = []
+    real = http_model.sha256_hex
+
+    def counting(data):
+        hashed.append(data)
+        return real(data)
+
+    for module in (http_model, sites):
+        monkeypatch.setattr(module, "sha256_hex", counting)
+    farm, _ = farm_with(profile(category=category))
+    assert len(hashed) == hashes
+    assert "hunter2-secret" not in hashed[1:]  # a second digest hashes the first
+
+
 def test_unread_transcript_hashes_no_body(monkeypatch):
     # a nonce-free design5 login: the manager's listeners and a watcher see
     # the body, but no one reads the transcript until the flow is over
