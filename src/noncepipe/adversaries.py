@@ -48,6 +48,7 @@ from .extensions import Extension, ExtensionManifest, Permission
 from .fido2 import (
     AUTHENTICATION,
     BEGIN_PATH,
+    FINISH_FIELD,
     FINISH_PATH,
     HEADER_REQUEST,
     REGISTRATION,
@@ -645,7 +646,7 @@ class _AssertHijack:
 def _out_of_band_finish(farm: ServerFarm, origin: Origin, payload_json: str) -> str:
     """The attacker submits a finish from its own machine, not the browser."""
     url = Url(origin.scheme, origin.host, origin.port, FINISH_PATH)
-    entries = (("webauthn", payload_json),)
+    entries = ((FINISH_FIELD, payload_json),)
     _, verdict = farm.serve(build_request(None, "POST", url, entries, 990_000))
     return verdict
 
@@ -667,7 +668,7 @@ def _account_is_attackers(rp: RelyingParty, username: str, device: Authenticator
 def _finish_body_value(view: StageView) -> Optional[str]:
     if view.form is None:
         return None
-    return next((v for n, v in view.form.entries if n == "webauthn"), None)
+    return next((v for n, v in view.form.entries if n == FINISH_FIELD), None)
 
 
 class _Fido2Setup(NamedTuple):

@@ -14,7 +14,11 @@ and signature vectors and bytes frozen for fixed seeds.
 
 `cryptography` is imported at the first key, signature or check, not at
 import, so a run that never uses ES256 (every password command) never
-loads it.
+loads it. A FIDO2 run loads its Rust bindings and the `ec` and `hashes`
+modules, and not the OpenSSL backend module
+(`cryptography.hazmat.backends.openssl`): `ec.ECDSA.__init__` imports that
+only to ask whether deterministic signing is supported, so every check
+hands OpenSSL one `ECDSA` subclass object that skips it.
 """
 
 from __future__ import annotations
@@ -38,12 +42,22 @@ N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 @functools.cache
 def _openssl():
-    """The `cryptography` names this module uses, imported on first call."""
+    """The `cryptography` names this module uses, imported on first call,
+    and the one SHA-256 ECDSA object every check hands OpenSSL."""
     from cryptography.exceptions import InvalidSignature
     from cryptography.hazmat.primitives import hashes
     from cryptography.hazmat.primitives.asymmetric import ec
 
-    return InvalidSignature, hashes, ec
+    class ECDSASHA256(ec.ECDSA):
+        # OpenSSL's check reads the isinstance test and `algorithm`; the
+        # base `__init__` would load the backend module for a signing answer
+        algorithm = hashes.SHA256()
+        deterministic_signing = False
+
+        def __init__(self) -> None:
+            pass
+
+    return InvalidSignature, ec, ECDSASHA256()
 
 
 def _mul_g(k: int) -> tuple[int, int]:
@@ -51,7 +65,7 @@ def _mul_g(k: int) -> tuple[int, int]:
     k %= N
     if k == 0:
         raise ValueError("scalar is a multiple of the group order")
-    _, _, ec = _openssl()
+    _, ec, _ = _openssl()
     point = ec.derive_private_key(k, ec.SECP256R1()).public_key().public_numbers()
     return point.x, point.y
 
@@ -96,7 +110,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """Check a DER signature against an uncompressed SEC1 public key."""
     if len(public_key) != 65 or public_key[0] != 0x04:
         return False
-    InvalidSignature, hashes, ec = _openssl()
+    InvalidSignature, ec, ecdsa_sha256 = _openssl()
     x = int.from_bytes(public_key[1:33], "big")
     y = int.from_bytes(public_key[33:65], "big")
     try:
@@ -104,7 +118,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     except ValueError:
         return False
     try:
-        key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
+        key.verify(signature, message, ecdsa_sha256)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -41,6 +41,7 @@ __all__ = [
     "BrowserWebAuthn",
     "Fido2Request",
     "Fido2SecureEntry",
+    "FINISH_FIELD",
     "FINISH_PATH",
     "FinishResult",
     "HEADER_REQUEST",
@@ -60,9 +61,11 @@ HEADER_REQUEST_SHORT = "webauthn_req"
 HEADER_URL_RESP = "URL_resp"
 HEADER_RESPONSE = "webauthn_response"
 
-# the relying party's two endpoints, on its own origin
+# the relying party's two endpoints, on its own origin, and the form field
+# a finish body carries the serialized response in
 BEGIN_PATH = "/webauthn/begin"
 FINISH_PATH = "/webauthn/finish"
+FINISH_FIELD = "webauthn"
 
 CHALLENGE_LEN = 32
 CREDENTIAL_ID_LEN = 16
@@ -87,11 +90,30 @@ def _b64(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).decode("ascii")
 
 
-def _unb64(text: str) -> bytes:
+def _unb64(value: object) -> bytes:
+    """A bytes field off the wire: a string that decodes and re-encodes to
+    itself, so no dropped character or stray padding bit reads as data."""
+    if not isinstance(value, str):
+        raise MalformedPayload("bad base64url field: not a string")
     try:
-        return base64.urlsafe_b64decode(text.encode("ascii"))
+        raw = base64.urlsafe_b64decode(value.encode("ascii"))
     except (binascii.Error, ValueError, UnicodeEncodeError) as exc:
         raise MalformedPayload(f"bad base64url field: {exc}") from exc
+    if _b64(raw) != value:
+        raise MalformedPayload("bad base64url field: does not re-encode to itself")
+    return raw
+
+
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise MalformedPayload("text field is not a string")
+    return value
+
+
+def _counter(value: object) -> int:
+    if type(value) is not int:  # a JSON true is an int to Python
+        raise MalformedPayload("counter is not a JSON integer")
+    return value
 
 
 def _canonical(obj: object) -> str:
@@ -162,14 +184,16 @@ class Fido2Request(namedtuple("Fido2Request", "kind challenge rp_id user_id user
     def from_json(cls, text: str) -> "Fido2Request":
         data = _parse_json(text)
         try:
-            user = data.get("user")
+            user_id = user_name = None
+            if "user" in data:
+                user_id, user_name = _unb64(data["user"]["id"]), _text(data["user"]["name"])
             return cls(
-                kind=str(data["kind"]),
-                challenge=_unb64(str(data["challenge"])),
-                rp_id=str(data["rp_id"]),
-                user_id=_unb64(str(user["id"])) if user else None,
-                user_name=str(user["name"]) if user else None,
-                algorithm=str(data.get("algorithm", "ES256")),
+                kind=_text(data["kind"]),
+                challenge=_unb64(data["challenge"]),
+                rp_id=_text(data["rp_id"]),
+                user_id=user_id,
+                user_name=user_name,
+                algorithm=_text(data.get("algorithm", "ES256")),
             )
         except (KeyError, TypeError) as exc:
             raise MalformedPayload(f"request payload missing field: {exc}") from exc
@@ -272,14 +296,12 @@ def response_from_json(text: str) -> Fido2Response:
         raise MalformedPayload(f"unknown response type {kind!r}")
     try:
         fields = [
-            int(data[name]) if name == "counter" else _unb64(str(data[name]))
+            _counter(data[name]) if name == "counter" else _unb64(data[name])
             for name in cls._fields
         ]
-        return cls(*fields)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, MalformedPayload):
-            raise
+    except KeyError as exc:
         raise MalformedPayload(f"response payload malformed: {exc}") from exc
+    return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +635,7 @@ class RelyingParty:
         elif request.body is not None:
             # legacy path: pages post the serialized response as a form field
             payload = next(
-                (v for n, v in request.body.entries if n == "webauthn"),
+                (v for n, v in request.body.entries if n == FINISH_FIELD),
                 request.body.raw.decode("utf-8", errors="replace"),
             )
         else:

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dom import Page, build_request, submit_form
 from .extensions import ExtensionHost
-from .fido2 import AUTHENTICATION, BEGIN_PATH, FINISH_PATH, REGISTRATION
+from .fido2 import AUTHENTICATION, BEGIN_PATH, FINISH_FIELD, FINISH_PATH, REGISTRATION
 from .fido2 import AuthenticatorDevice, BrowserWebAuthn, SecureStore
 from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
 from .manager import PasswordManager, VaultEntry
@@ -155,7 +155,7 @@ class BrowserSession:
 
     def fido2_finish(self, page: Page, finish_url: Url, response_json: str) -> FlowResult:
         return self.fetch(
-            page, finish_url, method="POST", body_entries=(("webauthn", response_json),)
+            page, finish_url, method="POST", body_entries=((FINISH_FIELD, response_json),)
         )
 
     def fido2_register(self, page: Page, rp_origin: Origin, username: str) -> FlowResult:
