@@ -58,7 +58,7 @@ from .fido2 import (
     RelyingParty,
     response_from_json,
 )
-from .http_model import Origin, Url, sha256_hex, urlencode_entries
+from .http_model import Origin, Url, _quote_form, sha256_hex
 from .pipeline import (
     EVENT_SUBSTITUTION,
     EVENT_SUBSTITUTION_REFUSED,
@@ -181,7 +181,7 @@ def find_leaks(
     for secret in secrets:
         if not secret:
             continue
-        encoded = urlencode_entries((("k", secret),))[2:]
+        encoded = _quote_form(secret)
         for text in observations:
             if secret in text or encoded in text:
                 leaked.add(secret)
@@ -335,13 +335,16 @@ _STEAL_URL = Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port
 # each blocking move of the webRequest attacker, and the blocking listener
 # it registers at onBeforeRequest; the redirect spares requests already
 # bound for the capture origin
-_BLOCKING_MOVES = {
-    "none": None,
-    "redirect": lambda view: (
-        None if view.url.startswith(str(CAPTURE_ORIGIN)) else Redirect(_STEAL_URL)
+_BLOCKING_MOVES = (
+    ("none", None),
+    (
+        "redirect",
+        lambda view: None if view.url.startswith(str(CAPTURE_ORIGIN)) else Redirect(_STEAL_URL),
     ),
-    "cancel": lambda view: Cancel("dropped"),
-}
+    ("cancel", lambda view: Cancel("dropped")),
+)
+# the stages a plan's bits index, in Stage order, decoded without walking Stage
+_STAGES = tuple(Stage)
 
 
 class _WebRequestExfiltratorAgent(_PasswordAgent):
@@ -349,26 +352,26 @@ class _WebRequestExfiltratorAgent(_PasswordAgent):
 
     A plan is a non-empty set of stages to listen at and one blocking move.
     Plan index i splits as (left_out, move) = divmod(i, 3): bit k of
-    `left_out` leaves list(Stage)[k] out, and `move` picks a key of
+    `left_out` leaves _STAGES[k] out, and `move` picks an entry of
     _BLOCKING_MOVES in order. Plan 0 listens at every stage and blocks
     nothing; `left_out` stops short of leaving out all seven stages.
     """
 
     adversary = "webrequest_exfiltrator"
-    plans = len(_BLOCKING_MOVES) * ((1 << len(Stage)) - 1)
+    plans = len(_BLOCKING_MOVES) * ((1 << len(_STAGES)) - 1)
 
     def __init__(self, plan_index: int) -> None:
         super().__init__()
         left_out, move = divmod(plan_index % self.plans, len(_BLOCKING_MOVES))
-        self.stages = tuple(s for bit, s in enumerate(Stage) if not left_out >> bit & 1)
-        self.blocking_move = list(_BLOCKING_MOVES)[move]
+        self.stages = tuple(s for bit, s in enumerate(_STAGES) if not left_out >> bit & 1)
+        self.blocking_move, self.blocking = _BLOCKING_MOVES[move]
 
     def pre_autofill(self, ctx: _ScenarioContext) -> None:
         host = ctx.session.host
         self.extension = host.install(_ATTACKER_MANIFEST)
         for stage in self.stages:
             host.register_listener(ATTACKER_EXTENSION_ID, stage, lambda view: None)
-        blocking = _BLOCKING_MOVES[self.blocking_move]
+        blocking = self.blocking
         if blocking is not None:
             host.register_listener(
                 ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, blocking, blocking=True
@@ -413,13 +416,16 @@ def run_scenario(scenario: AttackScenario) -> AttackOutcome:
     result = session.submit(page, form_id)
     agent.post_response(ctx, result)
     leaked_digests, leaked = find_leaks([entry.password], agent.observations(ctx))
+    # positional: a keyword call to a NamedTuple costs about three times more
     return AttackOutcome(
-        scenario=scenario.name,
-        adversary=scenario.adversary,
-        defense=scenario.defense_mode.value,
-        secret_leaked=leaked,
-        leaked_digests=leaked_digests,
-        notes=("cancelled",) if result.cancelled else (),
+        scenario.name,
+        scenario.adversary,
+        scenario.defense_mode.value,
+        leaked,
+        leaked_digests,
+        False,  # attacker_login
+        False,  # attacker_registered
+        ("cancelled",) if result.cancelled else (),
     )
 
 
@@ -511,21 +517,20 @@ def evaluate_matrix(
 ) -> MatrixReport:
     report = MatrixReport(seed, strategies_per_cell, [])
     for mode in modes:
+        defense = mode.value
         for adversary in PASSWORD_ADVERSARIES:
             leaks = 0
             for index in range(strategies_per_cell):
                 scenario = AttackScenario(
-                    name=f"{mode.value}/{adversary}/{index}",
-                    adversary=adversary,
-                    defense_mode=mode,
-                    seed=derive_seed(seed, "matrix", mode.value, adversary, str(index)),
-                    strategy_index=index,
+                    f"{defense}/{adversary}/{index}",
+                    adversary,
+                    mode,
+                    derive_seed(seed, "matrix", defense, adversary, str(index)),
+                    index,
                 )
                 if run_scenario(scenario).secret_leaked:
                     leaks += 1
-            report.cells.append(
-                MatrixCell(mode.value, adversary, strategies_per_cell, leaks)
-            )
+            report.cells.append(MatrixCell(defense, adversary, strategies_per_cell, leaks))
     return report
 
 

@@ -74,6 +74,8 @@ class DuplicateField(ValueError):
 
 
 class Provenance(Enum):
+    __hash__ = object.__hash__  # by identity: see pipeline.Stage
+
     PAGE = "page"
     LIBRARY = "library"
     XSS = "xss"
@@ -102,6 +104,8 @@ class ScriptHandle:
 
 
 class FieldKind(Enum):
+    __hash__ = object.__hash__  # by identity: see pipeline.Stage
+
     TEXT = "text"
     PASSWORD = "password"
     HIDDEN = "hidden"
@@ -117,6 +121,8 @@ class Field:
 
 
 class HookKind(Enum):
+    __hash__ = object.__hash__  # by identity: see pipeline.Stage
+
     SHA256_FIELD = "sha256_field"
     BASE64_FIELD = "base64_field"
     COPY_FIELD = "copy_field"

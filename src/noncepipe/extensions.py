@@ -32,6 +32,8 @@ __all__ = [
 
 
 class Permission(Enum):
+    __hash__ = object.__hash__  # by identity: see pipeline.Stage
+
     WEB_REQUEST = "webRequest"
     SECRETS = "secrets"
 
@@ -120,14 +122,15 @@ class ExtensionHost:
                 f"{[s.value for s in BLOCKING_STAGES]}, got {stage.value}"
             )
         self._listener_count += 1
+        # positional: a keyword call to a NamedTuple costs about three times more
         registration = ListenerRegistration(
-            listener_id=listener_id or f"{extension_id}.L{self._listener_count}",
-            extension_id=extension_id,
-            stage=stage,
-            blocking=blocking,
-            callback=callback,
-            # the trusted manager's views are read by no one
-            sink=None if ext.manifest.has(Permission.SECRETS) else ext.views,
+            listener_id or f"{extension_id}.L{self._listener_count}",
+            extension_id,
+            stage,
+            blocking,
+            callback,
+            # the sink: the trusted manager's views are read by no one
+            None if ext.manifest.has(Permission.SECRETS) else ext.views,
         )
         self.registry.add(registration)
         return registration

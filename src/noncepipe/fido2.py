@@ -130,6 +130,17 @@ def _parse_json(text: str) -> dict:
     return parsed
 
 
+def _only_keys(record: object, allowed: frozenset[str], what: str) -> dict:
+    """`record`, a JSON object holding no key that the codec would not write
+    back, so that every accepted payload re-encodes to itself."""
+    if not isinstance(record, dict):
+        raise MalformedPayload(f"{what} is not a JSON object")
+    extra = record.keys() - allowed
+    if extra:
+        raise MalformedPayload(f"{what} has unexpected keys {sorted(extra)}")
+    return record
+
+
 def _counter_bytes(counter: int) -> bytes:
     if not 0 <= counter < 2**32:
         raise MalformedPayload(f"counter out of range: {counter}")
@@ -139,6 +150,11 @@ def _counter_bytes(counter: int) -> bytes:
 # ---------------------------------------------------------------------------
 # payloads
 # ---------------------------------------------------------------------------
+
+
+# the keys a serialized request holds ("user" only when it names one)
+_REQUEST_KEYS = frozenset({"kind", "challenge", "rp_id", "algorithm", "user"})
+_USER_KEYS = frozenset({"id", "name"})
 
 
 class Fido2Request(namedtuple("Fido2Request", "kind challenge rp_id user_id user_name algorithm")):
@@ -182,20 +198,24 @@ class Fido2Request(namedtuple("Fido2Request", "kind challenge rp_id user_id user
 
     @classmethod
     def from_json(cls, text: str) -> "Fido2Request":
+        """The inverse of `to_json`: every key it writes, `algorithm`
+        included, and no other."""
         data = _parse_json(text)
+        _only_keys(data, _REQUEST_KEYS, "request payload")
         try:
             user_id = user_name = None
             if "user" in data:
-                user_id, user_name = _unb64(data["user"]["id"]), _text(data["user"]["name"])
+                user = _only_keys(data["user"], _USER_KEYS, "request user")
+                user_id, user_name = _unb64(user["id"]), _text(user["name"])
             return cls(
                 kind=_text(data["kind"]),
                 challenge=_unb64(data["challenge"]),
                 rp_id=_text(data["rp_id"]),
                 user_id=user_id,
                 user_name=user_name,
-                algorithm=_text(data.get("algorithm", "ES256")),
+                algorithm=_text(data["algorithm"]),
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise MalformedPayload(f"request payload missing field: {exc}") from exc
 
 
@@ -284,11 +304,12 @@ class AssertionResponse(
 
 Fido2Response = Union[AttestationObject, AssertionResponse]
 _RESPONSE_TYPES = {cls.TYPE: cls for cls in (AttestationObject, AssertionResponse)}
+_RESPONSE_KEYS = {cls: frozenset({"type", *cls._fields}) for cls in _RESPONSE_TYPES.values()}
 
 
 def response_from_json(text: str) -> Fido2Response:
     """The inverse of `to_json`: the type tag picks the kind, whose fields
-    are read in order."""
+    are read in order; then the payload must hold no other key."""
     data = _parse_json(text)
     kind = data.get("type")
     cls = _RESPONSE_TYPES.get(kind) if isinstance(kind, str) else None
@@ -301,6 +322,7 @@ def response_from_json(text: str) -> Fido2Response:
         ]
     except KeyError as exc:
         raise MalformedPayload(f"response payload malformed: {exc}") from exc
+    _only_keys(data, _RESPONSE_KEYS[cls], f"{kind} payload")
     return cls(*fields)
 
 

@@ -314,6 +314,8 @@ def _encode_for(content_type: str, entries: FormEntries) -> bytes:
 class ChannelSecurity(Enum):
     """Transport quality of the connection carrying a request."""
 
+    __hash__ = object.__hash__  # by identity: see pipeline.Stage
+
     PLAIN_HTTP = "plain_http"
     GOOD_TLS = "good_tls"
     BAD_TLS = "bad_tls"

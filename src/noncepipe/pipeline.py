@@ -94,7 +94,9 @@ __all__ = [
 
 class Stage(Enum):
     # members are singletons and compare by identity, so hash by identity too
-    # (C-level, unlike Enum.__hash__): listener lookups key on stages
+    # (C-level, unlike Enum.__hash__): listener lookups key on stages. Every
+    # noncepipe enum does the same, so no report may iterate a set of enum
+    # members: that order would then follow memory addresses.
     __hash__ = object.__hash__
 
     ON_BEFORE_REQUEST = "onBeforeRequest"
@@ -121,6 +123,8 @@ BODY_VISIBLE_STAGES = REQUEST_STAGES
 
 
 class DefenseMode(Enum):
+    __hash__ = object.__hash__  # by identity, as Stage
+
     BASELINE = "baseline"
     DESIGN3_DOM = "design3_dom"
     DESIGN4_API_EARLY = "design4_api_early"
@@ -129,6 +133,8 @@ class DefenseMode(Enum):
 
 
 class BodyView(Enum):
+    __hash__ = object.__hash__  # by identity, as Stage
+
     FULL_PRE_SUBSTITUTION = "full_pre_substitution"
     STRIPPED = "stripped"
     ABSENT = "absent"

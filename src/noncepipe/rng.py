@@ -19,17 +19,12 @@ import random
 
 __all__ = ["Substream", "derive_seed", "substream"]
 
-_SEP = b"\x1f"
-
 
 def derive_seed(master_seed: int, *names: object) -> int:
-    """Collapse a master seed plus a name path into a 128-bit stream seed."""
-    h = hashlib.sha256()
-    h.update(str(int(master_seed)).encode("ascii"))
-    for name in names:
-        h.update(_SEP)
-        h.update(str(name).encode("utf-8"))
-    return int.from_bytes(h.digest()[:16], "big")
+    """Collapse a master seed plus a name path into a 128-bit stream seed:
+    SHA-256 of the seed and each name, joined by 0x1F, in UTF-8."""
+    path = "\x1f".join([str(int(master_seed)), *map(str, names)])
+    return int.from_bytes(hashlib.sha256(path.encode("utf-8")).digest()[:16], "big")
 
 
 class Substream:

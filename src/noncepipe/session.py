@@ -61,9 +61,7 @@ class BrowserSession:
         self.defense_mode = defense_mode
         self.server = server
         self.host = ExtensionHost()
-        self.config = PipelineConfig(
-            defense_mode=defense_mode, credential_stage_enabled=credential_stage_enabled
-        )
+        self.config = PipelineConfig(defense_mode, credential_stage_enabled)
         self.manager = PasswordManager(
             vault, substream(seed, name, "manager"), pinning_enabled=pinning_enabled
         )

@@ -107,8 +107,15 @@ class SiteProfile(namedtuple("SiteProfile", "site_id category origin options")):
 
 
 def generate_password(seed: int, site_id: str) -> str:
-    rng = substream(seed, "vault", site_id)
-    return "".join(rng.choice(_PASSWORD_ALPHABET) for _ in range(12))
+    """12 characters, each what `choice(_PASSWORD_ALPHABET)` would draw:
+    `getrandbits(7)` until it falls below 77, which is `choice`'s own rule."""
+    getrandbits = substream(seed, "vault", site_id).getrandbits
+    chars: list[str] = []
+    while len(chars) < 12:
+        v = getrandbits(7)
+        if v < len(_PASSWORD_ALPHABET):
+            chars.append(_PASSWORD_ALPHABET[v])
+    return "".join(chars)
 
 
 def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:
@@ -181,13 +188,14 @@ class _SiteState(NamedTuple):
 
 
 class ServerFarm:
-    """All reachable servers, keyed by origin. A site keeps its password's
-    digests, never the password, and no log of what it was sent."""
+    """All reachable servers, keyed by origin (two origins are equal exactly
+    when their strings are). A site keeps its password's digests, never the
+    password, and no log of what it was sent."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._sites: dict[str, _SiteState] = {}
-        self._captures: dict[str, list[str]] = {}
+        self._sites: dict[Origin, _SiteState] = {}
+        self._captures: dict[Origin, list[str]] = {}
 
     def add_site(
         self, profile: SiteProfile, password: str, *, fido2_defense: bool = True
@@ -209,20 +217,20 @@ class ServerFarm:
             hash_digest=sha256_hex(password_digest) if category == "hashes_password" else "",
             rp=rp,
         )
-        self._sites[str(profile.origin)] = state
-        self._sites[str(_submit_origin(profile))] = state
+        self._sites[profile.origin] = state
+        self._sites[_submit_origin(profile)] = state
         return state
 
     def add_capture_origin(self, origin: Origin, sink: list[str]) -> None:
         """An attacker-controlled server that records everything it receives."""
-        self._captures[str(origin)] = sink
+        self._captures[origin] = sink
 
     # -- request handling ---------------------------------------------------
 
     def serve(self, request: WebRequestRecord) -> tuple[WebResponseRecord, str]:
-        origin_key = str(request.url.origin)
-        if origin_key in self._captures:
-            sink = self._captures[origin_key]
+        origin = request.url.origin
+        sink = self._captures.get(origin)
+        if sink is not None:
             sink.append(request.url.to_string())
             if request.body is not None:
                 sink.append(request.body.raw.decode("utf-8", errors="replace"))
@@ -230,9 +238,9 @@ class ServerFarm:
                 WebResponseRecord(request.request_id, 200, body=b"captured"),
                 "captured",
             )
-        state = self._sites.get(origin_key)
+        state = self._sites.get(origin)
         if state is None:
-            raise UnknownEndpoint(f"no server at {origin_key}")
+            raise UnknownEndpoint(f"no server at {origin}")
         if state.profile.category == "fido2":
             return self._serve_fido2(state, request)
         return self._serve_login(state, request)

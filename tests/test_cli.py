@@ -588,6 +588,30 @@ def test_same_seed_same_bytes(tmp_path, capsys):
     assert tree_bytes(tmp_path / "first") == tree_bytes(tmp_path / "second")
 
 
+# sha256 of report files, frozen. The golden matrix holds verdicts only;
+# these also pin every per-cell leak count and compat tally, on each
+# interpreter the suite runs on, not only across two runs of one.
+@pytest.mark.parametrize(
+    "argv, report, digest",
+    [
+        (
+            ["matrix", "--seed", "7", "--strategies", "5"],
+            "matrix.json",
+            "05503eb25eac07b2a67f18eeea06a5ab7c4e42d32b7493b9326f83aa579b0ce9",
+        ),
+        (
+            ["compat", "--seed", "7"],
+            "compat.json",
+            "fa3ca4a9d1575d8bc7b3d1acaeb5bb111e586c4e7e552d01b6789592e1b45a51",
+        ),
+    ],
+    ids=["matrix", "compat"],
+)
+def test_report_matches_frozen_digest(tmp_path, capsys, argv, report, digest):
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / report).read_bytes()).hexdigest() == digest
+
+
 def test_different_seeds_still_agree_on_verdicts(tmp_path):
     reports = []
     for seed in ("5", "6"):

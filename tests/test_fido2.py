@@ -475,10 +475,13 @@ def test_response_from_json_error_messages(text, message):
 
 
 def test_response_type_tag_picks_the_fields_read():
-    # an attestation relabelled as an assertion reads the assertion fields only
-    parsed = response_from_json(_attestation_fields(type="assertion"))
-    assert type(parsed) is AssertionResponse
-    assert parsed.counter == 0
+    # an attestation relabelled as an assertion reads the assertion fields,
+    # and its public_key is then a key that an assertion never writes
+    unexpected = r"assertion payload has unexpected keys \['public_key'\]"
+    with pytest.raises(MalformedPayload, match=unexpected):
+        response_from_json(_attestation_fields(type="assertion"))
+    # the same fields tagged as what they are parse
+    assert type(response_from_json(_attestation_fields())) is AttestationObject
 
 
 def _assertion_fields(**changes) -> dict:
@@ -498,8 +501,9 @@ _CREDENTIAL_ID = _assertion_fields()["credential_id"]
         {"credential_id": "!" + _CREDENTIAL_ID},
         {"credential_id": _CREDENTIAL_ID[:8] + "\n" + _CREDENTIAL_ID[8:]},
         {"credential_id": [_CREDENTIAL_ID]},
+        {"extra": 1},
     ],
-    ids=["float_counter", "string_counter", "bool_counter", "bang", "newline", "list"],
+    ids=["float_counter", "string_counter", "bool_counter", "bang", "newline", "list", "extra_key"],
 )
 def test_response_that_does_not_re_encode_is_malformed(changes):
     # each once parsed as the Random(6) dummy assertion (counter 30819)
@@ -519,14 +523,27 @@ def test_response_that_does_not_re_encode_is_malformed(changes):
         {"user": {"id": ["dXNlcg=="], "name": "alice"}},
         {"user": {"id": "dXNlcg==", "name": 5}},
         {"user": None},
+        {"extra": 1},
+        {"user": {"id": "dXNlcg==", "name": "alice", "display": "Alice"}},
     ],
-    ids=["bang_challenge", "number_rp_id", "list_user_id", "number_user_name", "null_user"],
+    ids=[
+        "bang_challenge", "number_rp_id", "list_user_id", "number_user_name", "null_user",
+        "extra_key", "extra_user_key",
+    ],
 )
 def test_request_that_does_not_re_encode_is_malformed(changes):
     # each once parsed as an authentication request
     text = json.dumps({**json.loads(auth_request().to_json()), **changes})
     with pytest.raises(MalformedPayload):
         Fido2Request.from_json(text)
+
+
+def test_request_without_algorithm_is_malformed():
+    # to_json always writes the algorithm, so no payload without it re-encodes to itself
+    payload = json.loads(auth_request().to_json())
+    del payload["algorithm"]
+    with pytest.raises(MalformedPayload, match="request payload missing field: 'algorithm'"):
+        Fido2Request.from_json(json.dumps(payload))
 
 
 _WIRE_TEXT = st.one_of(
@@ -553,13 +570,27 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _edit(data, record: dict, fixed: frozenset = frozenset()) -> None:
+    """Change one value of `record`, add a key to it, or drop one of its
+    keys; `fixed` keys are left as they are."""
+    names = sorted(set(record) - fixed)
+    edit = data.draw(st.sampled_from(["change", "add", "drop"]), label="edit")
+    if edit == "change":
+        name = data.draw(st.sampled_from(names), label="changed")
+        record[name] = data.draw(_wire_values(record[name]), label=name)
+    elif edit == "add":
+        name = data.draw(st.text(max_size=10).filter(lambda n: n not in record), label="added")
+        record[name] = data.draw(_wire_values(""), label=name)
+    else:
+        del record[data.draw(st.sampled_from(names), label="dropped")]
+
+
 @given(st.data())
 @settings(max_examples=500, deadline=None)
 def test_every_accepted_response_re_encodes_to_itself(data):
     kind = data.draw(st.sampled_from([REGISTRATION, AUTHENTICATION]))
     payload = json.loads(make_dummy_response(kind, Random(6)).to_json())
-    name = data.draw(st.sampled_from(sorted(set(payload) - {"type"})), label="changed")
-    payload[name] = data.draw(_wire_values(payload[name]), label=name)
+    _edit(data, payload, fixed=frozenset({"type"}))
     try:
         parsed = response_from_json(json.dumps(payload))
     except MalformedPayload:
@@ -570,11 +601,10 @@ def test_every_accepted_response_re_encodes_to_itself(data):
 @given(st.data())
 @settings(max_examples=500, deadline=None)
 def test_every_accepted_request_re_encodes_to_itself(data):
+    # an edit of the payload itself (which may drop "algorithm") or of its user
     payload = json.loads(data.draw(st.sampled_from([reg_request(), auth_request()])).to_json())
-    records = {"": payload, "user": payload.get("user", {})}
-    fields = sorted((path, name) for path, record in records.items() for name in record)
-    path, name = data.draw(st.sampled_from(fields), label="changed")
-    records[path][name] = data.draw(_wire_values(records[path][name]), label=name)
+    records = [payload] + ([payload["user"]] if "user" in payload else [])
+    _edit(data, data.draw(st.sampled_from(records), label="record"))
     try:
         parsed = Fido2Request.from_json(json.dumps(payload))
     except MalformedPayload:

@@ -2,8 +2,10 @@
 
 import base64
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from noncepipe import http_model, sites
 from noncepipe.dom import FieldKind, HookKind, Provenance, ScriptHandle, SetFormAction
@@ -80,6 +82,14 @@ def test_generate_password_deterministic():
     assert generate_password(1, "s1") != generate_password(1, "s2")
     assert generate_password(1, "s1") != generate_password(2, "s1")
     assert len(generate_password(1, "s1")) == 12
+
+
+@given(st.integers(0, 2**128), st.text(max_size=12))
+def test_generate_password_draws_what_choice_draws(seed, site_id):
+    # the inline getrandbits rule is Random.choice's own, on this interpreter
+    r = random.Random(rng.derive_seed(seed, "vault", site_id))
+    expected = "".join(r.choice(sites._PASSWORD_ALPHABET) for _ in range(12))
+    assert generate_password(seed, site_id) == expected
 
 
 def test_site_vault_entry_option_overrides_generated():
