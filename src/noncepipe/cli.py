@@ -28,8 +28,8 @@ from .adversaries import (
     run_reflection_attack,
     run_scenario,
 )
-from .adversaries import _fido2_setup, _out_of_band_begin, _out_of_band_finish
-from .fido2 import AUTHENTICATION, Fido2Request
+from .adversaries import _Fido2Setup, _fido2_setup, _out_of_band_begin, _out_of_band_finish
+from .fido2 import AUTHENTICATION, AuthenticatorDevice, Fido2Request
 from .pipeline import DefenseMode
 from .rng import derive_seed, substream
 from .sites import (
@@ -277,24 +277,25 @@ def cmd_compat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _honest_fido2_flows(seed: int, defense_on: bool) -> dict[str, str]:
-    """Register then authenticate with no attacker present."""
+def _honest_fido2_flows(
+    seed: int, defense_on: bool, replay: bool
+) -> tuple[dict[str, str], Optional[str]]:
+    """Register then authenticate with no attacker present. With `replay`,
+    clone the authenticator in between and return the clone's verdict too."""
     setup = _fido2_setup(defense_on, seed, "demo")
     register = setup.session.fido2_register(setup.page, setup.origin, "alice")
+    clone = setup.session.device.clone("cloned-device", substream(seed, "clone")) if replay else None
     authenticate = setup.session.fido2_authenticate(setup.page, setup.origin, "alice")
-    return {
+    honest = {
         "register": register.verdict or "cancelled",
         "authenticate": authenticate.verdict or "cancelled",
     }
+    return honest, None if clone is None else _replay_demo(setup, clone)
 
 
-def _replay_demo(seed: int, defense_on: bool) -> str:
-    """A cloned authenticator reuses a stale counter; the server notices."""
-    setup = _fido2_setup(defense_on, seed, "demo")
-    setup.session.fido2_register(setup.page, setup.origin, "alice")
-    clone = setup.session.device.clone("cloned-device", substream(seed, "clone"))
-    setup.session.fido2_authenticate(setup.page, setup.origin, "alice")
-
+def _replay_demo(setup: _Fido2Setup, clone: AuthenticatorDevice) -> str:
+    """The clone, taken before the last login, reuses a stale counter; the
+    server notices."""
     request_json = _out_of_band_begin(setup.farm, setup.origin, AUTHENTICATION, "alice")
     stale = clone.get_assertion(Fido2Request.from_json(request_json))
     return _out_of_band_finish(setup.farm, setup.origin, stale.to_json())
@@ -302,7 +303,7 @@ def _replay_demo(seed: int, defense_on: bool) -> str:
 
 def cmd_fido2_demo(args: argparse.Namespace) -> int:
     defense_on = args.defense == "on"
-    honest = _honest_fido2_flows(derive_seed(args.seed, "honest"), defense_on)
+    honest, replay = _honest_fido2_flows(derive_seed(args.seed, "honest"), defense_on, args.replay)
     lines = [
         f"fido2 demo (defense={args.defense}, seed={args.seed})",
         "",
@@ -335,8 +336,8 @@ def cmd_fido2_demo(args: argparse.Namespace) -> int:
         "honest": honest,
         "cells": cells,
     }
-    if args.replay:
-        replay = payload["replay"] = _replay_demo(derive_seed(args.seed, "replay"), defense_on)
+    if replay is not None:
+        payload["replay"] = replay
         lines.append(f"cloned-device replay: {replay}")
         if replay != "rejected:counter_replay":
             problems.append(f"replay verdict {replay}")

@@ -176,6 +176,8 @@ class Fido2Request(namedtuple("Fido2Request", "kind challenge rp_id user_id user
             raise MalformedPayload(f"unknown request kind {kind!r}")
         if len(challenge) != CHALLENGE_LEN:
             raise MalformedPayload(f"challenge must be {CHALLENGE_LEN} bytes")
+        if (user_id is None) != (user_name is None):
+            raise MalformedPayload("a request user needs both an id and a name")
         if kind == REGISTRATION and (user_id is None or not user_name):
             raise MalformedPayload("registration requests must identify the user")
         if algorithm != "ES256":

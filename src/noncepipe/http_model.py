@@ -27,6 +27,7 @@ __all__ = [
     "channel_for",
     "decode_urlencoded",
     "header_value",
+    "holds_secret",
     "sha256_hex",
     "urlencode_entries",
 ]
@@ -114,6 +115,13 @@ def _unquote_form(text: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedBody(f"percent-decoded bytes are not valid UTF-8: {exc}") from exc
+
+
+def holds_secret(texts: Iterable[str], secret: str) -> bool:
+    """Whether some text holds `secret` verbatim or form-encoded, the shape it
+    takes in a urlencoded body: the leak oracle's rule."""
+    encoded = _quote_form(secret)
+    return any(secret in text or encoded in text for text in texts)
 
 
 def urlencode_entries(entries: Sequence[tuple[str, str]]) -> str:

@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .dom import Field, FieldKind, Form, HookKind, Page, SubmitHook
 from .fido2 import BEGIN_PATH, FINISH_PATH, RelyingParty
 from .http_model import Origin, Url, WebRequestRecord, WebResponseRecord, checked_make, read_only, sha256_hex
+from .http_model import holds_secret
 from .manager import VaultEntry
 from .pipeline import CHECK_NAMES, DefenseMode
 from .rng import substream
@@ -35,6 +36,8 @@ __all__ = [
     "CorpusFormatError",
     "FIXTURE_COUNTS",
     "LOGIN_CATEGORIES",
+    "LOGIN_PATH",
+    "REFLECT_PATH",
     "ServerFarm",
     "SiteProfile",
     "UnknownEndpoint",
@@ -58,6 +61,10 @@ CATEGORIES = (
 )
 # the categories that serve a password login form
 LOGIN_CATEGORIES = tuple(c for c in CATEGORIES if c != "fido2")
+
+# where a login form posts, and where a reflecting site echoes what it gets
+LOGIN_PATH = "/login"
+REFLECT_PATH = "/reflect"
 
 # fixture corpus proportions: 554 + 11 + 8 = 573 login flows
 FIXTURE_COUNTS = {"plain_post": 554, "hashes_password": 11, "transforms_password": 8}
@@ -103,7 +110,7 @@ class SiteProfile(namedtuple("SiteProfile", "site_id category origin options")):
         """Where the login form posts, built once and shared by every page
         (a Url is frozen; a script retargets a form by replacing it)."""
         submit = _submit_origin(self)
-        return Url(submit.scheme, submit.host, submit.port, "/login")
+        return Url(submit.scheme, submit.host, submit.port, LOGIN_PATH)
 
 
 def generate_password(seed: int, site_id: str) -> str:
@@ -258,7 +265,7 @@ class ServerFarm:
         path = request.url.path
         entries = self._request_entries(request)
 
-        if path == "/reflect" and profile.category == "reflecting":
+        if path == REFLECT_PATH and profile.category == "reflecting":
             reflect = profile.option("reflect", "all")
             if reflect == "all":
                 echoed = entries
@@ -268,7 +275,7 @@ class ServerFarm:
             body = "\n".join(f"{n}={v}" for n, v in echoed).encode("utf-8")
             return WebResponseRecord(request.request_id, 200, body=body), "reflected"
 
-        if path != "/login":
+        if path != LOGIN_PATH:
             return WebResponseRecord(request.request_id, 404, body=b"not found"), "not_found"
 
         password = next((v for n, v in entries if n == "password"), "")
@@ -539,8 +546,8 @@ def compat_evaluate(
         body_a, verdict_a, _ = _login_once(profile, entry, seed, DefenseMode.BASELINE)
         body_b, verdict_b, refused_check = _login_once(profile, entry, seed, defense)
         wire_identical = body_a == body_b
-        password_on_wire = (
-            body_b is not None and entry.password.encode("utf-8") in body_b
+        password_on_wire = body_b is not None and holds_secret(
+            (body_b.decode("utf-8", errors="replace"),), entry.password
         )
         records.append(
             CompatRecord(

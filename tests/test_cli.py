@@ -23,6 +23,9 @@ from noncepipe.rng import derive_seed
 from noncepipe.sites import generate_password
 
 REAL_GOLDEN = Path(__file__).parent.parent / "src" / "noncepipe" / "golden"
+# every scenario kind: each password cell at every login category and two
+# plans, every reflection variant, both FIDO2 adversaries on and off
+SCENARIOS_ALL = Path(__file__).parent / "golden" / "scenarios_all.tsv"
 
 
 def sha(text: str) -> str:
@@ -303,6 +306,18 @@ def test_fido2_demo_defended(tmp_path, capsys):
         }
 
 
+def test_fido2_demo_replay_adds_only_its_verdict(tmp_path):
+    # the clone is taken in the honest world, between its two ceremonies,
+    # and changes none of the honest verdicts or attack cells
+    reports = {}
+    for flags in ([], ["--replay"]):
+        out = tmp_path / str(len(flags))
+        assert main(["fido2-demo", "--seed", "4", *flags, "--out", str(out)]) == EXIT_OK
+        reports[bool(flags)] = json.loads((out / "fido2.json").read_text(encoding="utf-8"))
+    assert reports[True].pop("replay") == "rejected:counter_replay"
+    assert reports[True] == reports[False]
+
+
 def test_fido2_demo_legacy_attacks_succeed(capsys):
     rc = main(["fido2-demo", "--seed", "4", "--defense", "off", "--format", "json"])
     assert rc == EXIT_OK
@@ -326,8 +341,9 @@ def test_fido2_demo_problem_lines_keep_their_order(monkeypatch, capsys):
     from noncepipe import cli
 
     failed = {"register": "rejected:bad_signature", "authenticate": "accepted"}
-    monkeypatch.setattr(cli, "_honest_fido2_flows", lambda seed, defense_on: failed)
-    monkeypatch.setattr(cli, "_replay_demo", lambda seed, defense_on: "accepted")
+    monkeypatch.setattr(
+        cli, "_honest_fido2_flows", lambda seed, defense_on, replay: (failed, "accepted")
+    )
     for adversary in EXPECTED_FIDO2_CELLS["header_channel"]:
         monkeypatch.setitem(EXPECTED_FIDO2_CELLS["header_channel"], adversary, "unprotected")
     rc = main(["fido2-demo", "--seed", "7", "--replay"])
@@ -589,8 +605,9 @@ def test_same_seed_same_bytes(tmp_path, capsys):
 
 
 # sha256 of report files, frozen. The golden matrix holds verdicts only;
-# these also pin every per-cell leak count and compat tally, on each
-# interpreter the suite runs on, not only across two runs of one.
+# these also pin every per-cell leak count and compat tally, and each
+# scenario's notes, leak digests and attacker flags, on each interpreter
+# the suite runs on, not only across two runs of one.
 @pytest.mark.parametrize(
     "argv, report, digest",
     [
@@ -604,8 +621,13 @@ def test_same_seed_same_bytes(tmp_path, capsys):
             "compat.json",
             "fa3ca4a9d1575d8bc7b3d1acaeb5bb111e586c4e7e552d01b6789592e1b45a51",
         ),
+        (
+            ["matrix", "--seed", "7", "--scenarios", str(SCENARIOS_ALL)],
+            "scenarios.json",
+            "b347e91f5ef993b1c08bc419172ebbc66a94e7c8b92419cd51417b11c0fdad44",
+        ),
     ],
-    ids=["matrix", "compat"],
+    ids=["matrix", "compat", "scenarios_all"],
 )
 def test_report_matches_frozen_digest(tmp_path, capsys, argv, report, digest):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK

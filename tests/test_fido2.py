@@ -364,8 +364,12 @@ def reg_request(rng=None) -> Fido2Request:
     )
 
 
+def auth_request_with_user() -> Fido2Request:
+    return reg_request()._replace(kind=AUTHENTICATION)
+
+
 def test_request_json_round_trip():
-    for request in (auth_request(), reg_request()):
+    for request in (auth_request(), reg_request(), auth_request_with_user()):
         assert Fido2Request.from_json(request.to_json()) == request
 
 
@@ -391,6 +395,15 @@ def test_request_validation(kwargs):
 def test_registration_request_requires_user():
     with pytest.raises(MalformedPayload):
         Fido2Request(REGISTRATION, b"c" * CHALLENGE_LEN, RP_ID)
+
+
+@pytest.mark.parametrize(
+    "user", [{"user_id": b"abc"}, {"user_name": "bob"}], ids=["id_only", "name_only"]
+)
+def test_half_a_request_user_is_refused(user):
+    # to_json would write the missing half as null, or drop the name
+    with pytest.raises(MalformedPayload, match="both an id and a name"):
+        Fido2Request(AUTHENTICATION, b"x" * CHALLENGE_LEN, RP_ID, **user)
 
 
 def test_rp_id_hash_is_sha256_of_rp_id():
@@ -602,7 +615,8 @@ def test_every_accepted_response_re_encodes_to_itself(data):
 @settings(max_examples=500, deadline=None)
 def test_every_accepted_request_re_encodes_to_itself(data):
     # an edit of the payload itself (which may drop "algorithm") or of its user
-    payload = json.loads(data.draw(st.sampled_from([reg_request(), auth_request()])).to_json())
+    requests = [reg_request(), auth_request(), auth_request_with_user()]
+    payload = json.loads(data.draw(st.sampled_from(requests)).to_json())
     records = [payload] + ([payload["user"]] if "user" in payload else [])
     _edit(data, data.draw(st.sampled_from(records), label="record"))
     try:

@@ -23,6 +23,7 @@ from noncepipe.adversaries import (
     AttackScenario,
     MatrixCell,
     MatrixReport,
+    _AGENTS,
     _AssertHijack,
     _Fido2Setup,
     _ScenarioContext,
@@ -128,6 +129,7 @@ IMMUTABLE = [
     MatrixCell("baseline", "dom_observer", 1, 0),
     MatrixReport(7, 1, []),
     _ScenarioContext(None, None, "login", []),
+    _AGENTS["dom_observer"],
     _Fido2Setup(None, None, None, None, ORIGIN),
     FIDO2_REQUEST,
     ATTESTATION,
@@ -283,7 +285,7 @@ def test_redirect_reissue_checks_the_new_hop():
 
 def test_forged_challenge_copy_is_checked():
     script = ScriptHandle("xss-payload", Provenance.XSS)
-    hijack = _AssertHijack(original=None, attacker_challenge=b"short", script=script)
+    hijack = _AssertHijack(original=None, attacker_challenge=b"short", script=script, captured=[])
     with pytest.raises(MalformedPayload, match="challenge must be 32 bytes"):
         hijack.get(FIDO2_REQUEST.to_json())
 

@@ -25,6 +25,8 @@ from noncepipe.session import BrowserSession
 from noncepipe.sites import (
     CATEGORIES,
     FIXTURE_COUNTS,
+    LOGIN_PATH,
+    REFLECT_PATH,
     CorpusFormatError,
     ServerFarm,
     SiteProfile,
@@ -564,6 +566,22 @@ def test_compat_report_rendering_and_json():
     assert data["included"] == 3
     assert data["percent"]["compatible"] == 33.3
     assert "fixture" in data["note"]
+
+
+@pytest.mark.parametrize("mode", [DefenseMode.BASELINE, DefenseMode.DESIGN5_API_LATE])
+def test_compat_finds_a_form_encoded_password_on_the_wire(mode):
+    # '!' is percent-encoded in the body, so a raw byte scan misses it
+    site = profile(site_id="bang", options=[("password", "hunter2!secret")])
+    (record,) = compat_evaluate([site], seed=11, defense=mode).records
+    assert record.verdict_defended == "auth_ok"
+    assert record.password_on_wire is True
+
+
+def test_login_and_reflect_paths_are_the_served_endpoints():
+    assert profile().login_action.path == LOGIN_PATH
+    farm, _ = farm_with(profile("reflecting"))
+    assert farm.serve(login_post([("q", "x")], path=REFLECT_PATH))[1] == "reflected"
+    assert farm.serve(login_post([("password", "hunter2-secret")]))[1] == "auth_ok"
 
 
 def test_compat_plain_sample_from_fixture_corpus():
