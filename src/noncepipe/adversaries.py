@@ -371,21 +371,34 @@ _TARGETS = {
 }
 
 
-def run_scenario(scenario: AttackScenario) -> AttackOutcome:
-    """One login under attack; returns what the adversary got away with."""
+class _World:
+    """A matrix cell's farm, capture sink and victim session; a scenario resets what it owns."""
+
+    def __init__(self) -> None:
+        self.session: Optional[BrowserSession] = None
+        self.capture_sink: list[str] = []
+        self.farm = ServerFarm()  # no relying party, so its seed is never drawn from
+        self.farm.add_capture_origin(CAPTURE_ORIGIN, self.capture_sink)
+
+
+def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> AttackOutcome:
+    """One login under attack, in its cell's world or a new one; what the adversary got."""
     profile = _TARGETS.get(scenario.site_category)
     if profile is None:
         raise ValueError(f"not a login site category: {scenario.site_category!r}")
     entry = site_vault_entry(profile, scenario.seed)
-    farm = ServerFarm(scenario.seed)
-    farm.add_site(profile, entry.password)
-    capture_sink: list[str] = []
-    farm.add_capture_origin(CAPTURE_ORIGIN, capture_sink)
-    session = BrowserSession(
-        scenario.seed, scenario.defense_mode, [entry], farm.serve, name="victim"
-    )
+    world = world or _World()
+    world.farm.add_site(profile, entry.password)  # the digests are this scenario's
+    world.capture_sink.clear()
+    session = world.session
+    if session is None:
+        session = world.session = BrowserSession(
+            scenario.seed, scenario.defense_mode, [entry], world.farm.serve, name="victim"
+        )
+    else:
+        session.reset(scenario.seed, [entry], name="victim")
     page, form_id = build_login_page(session, profile)
-    ctx = _ScenarioContext(session, page, form_id, capture_sink)
+    ctx = _ScenarioContext(session, page, form_id, world.capture_sink)
     agent = _AGENTS[scenario.adversary](scenario.strategy_index)
     agent.play(0, ctx)
     session.autofill(page, form_id)
@@ -487,6 +500,7 @@ def evaluate_matrix(
     for mode in modes:
         defense = mode.value
         for adversary in PASSWORD_ADVERSARIES:
+            world = _World()
             leaks = 0
             for index in range(strategies_per_cell):
                 scenario = AttackScenario(
@@ -496,7 +510,7 @@ def evaluate_matrix(
                     derive_seed(seed, "matrix", defense, adversary, str(index)),
                     index,
                 )
-                if run_scenario(scenario).secret_leaked:
+                if run_scenario(scenario, world).secret_leaked:
                     leaks += 1
             report.cells.append(MatrixCell(defense, adversary, strategies_per_cell, leaks))
     return report

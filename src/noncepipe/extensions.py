@@ -84,7 +84,7 @@ class ExtensionHost:
         self.extensions: dict[str, Extension] = {}
         self.registry = ListenerRegistry()
         self.nonces = NonceStore()
-        self._listener_count = 0
+        self._numbered: list[str] = []  # each numbered listener's extension, in order
 
     # -- installation ----------------------------------------------------
 
@@ -95,6 +95,14 @@ class ExtensionHost:
         ext = Extension(manifest, nonces=self.nonces if secrets else None)
         self.extensions[manifest.extension_id] = ext
         return ext
+
+    def uninstall(self, extension_id: str) -> None:
+        """Drop an extension and its listeners, as WebExtensions'
+        `management.uninstall` does; its numbers after every kept one are reused."""
+        del self.extensions[extension_id]
+        self.registry.remove(extension_id)
+        while self._numbered and self._numbered[-1] == extension_id:
+            self._numbered.pop()
 
     def get(self, extension_id: str) -> Extension:
         try:
@@ -121,10 +129,10 @@ class ExtensionHost:
                 f"blocking listeners are limited to "
                 f"{[s.value for s in BLOCKING_STAGES]}, got {stage.value}"
             )
-        self._listener_count += 1
+        self._numbered.append(extension_id)
         # positional: a keyword call to a NamedTuple costs about three times more
         registration = ListenerRegistration(
-            listener_id or f"{extension_id}.L{self._listener_count}",
+            listener_id or f"{extension_id}.L{len(self._numbered)}",
             extension_id,
             stage,
             blocking,

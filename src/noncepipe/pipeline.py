@@ -288,6 +288,10 @@ class NonceStore:
         """The page's entry; None for a page that was never autofilled."""
         return self._pages.get(page_id)
 
+    def clear(self) -> None:
+        """Forget every page; a page still alive no longer counts either."""
+        self._pages.clear()
+
     def end_request(self, page_id: str) -> None:
         """Forget the page's verdict: the request it was for has left."""
         entry = self._pages.get(page_id)
@@ -529,6 +533,11 @@ class ListenerRegistry:
     def add(self, registration: ListenerRegistration) -> None:
         stage = registration.stage
         self._by_stage[stage] = self._by_stage.get(stage, ()) + (registration,)
+
+    def remove(self, extension_id: str) -> None:
+        """Drop every listener of one extension."""
+        for stage, registrations in self._by_stage.items():
+            self._by_stage[stage] = tuple(r for r in registrations if r.extension_id != extension_id)
 
     def at(self, stage: Stage) -> tuple[ListenerRegistration, ...]:
         return self._by_stage.get(stage, ())

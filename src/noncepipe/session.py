@@ -15,7 +15,7 @@ from .extensions import ExtensionHost
 from .fido2 import AUTHENTICATION, BEGIN_PATH, FINISH_FIELD, FINISH_PATH, REGISTRATION
 from .fido2 import AuthenticatorDevice, BrowserWebAuthn, SecureStore
 from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
-from .manager import PasswordManager, VaultEntry
+from .manager import MANAGER_EXTENSION_ID, PasswordManager, VaultEntry
 from .pipeline import (
     Cancelled,
     DefenseMode,
@@ -43,7 +43,9 @@ class FlowResult(NamedTuple):
 
 
 class BrowserSession:
-    """A browser profile plus its trusted manager and authenticator."""
+    """A browser profile plus its trusted manager and authenticator. A run keeps
+    the host with the manager installed, the pipeline config and the server;
+    `reset` sets what a login owns, so a reset session acts as a new one."""
 
     def __init__(
         self,
@@ -56,16 +58,25 @@ class BrowserSession:
         credential_stage_enabled: bool = True,
         pinning_enabled: bool = True,
     ) -> None:
-        self.seed = seed
-        self.name = name
         self.defense_mode = defense_mode
         self.server = server
         self.host = ExtensionHost()
         self.config = PipelineConfig(defense_mode, credential_stage_enabled)
-        self.manager = PasswordManager(
-            vault, substream(seed, name, "manager"), pinning_enabled=pinning_enabled
-        )
+        # its vault and stream belong to a login: `reset` sets them
+        self.manager = PasswordManager((), None, pinning_enabled=pinning_enabled)
         self.manager.register_with(self.host, defense_mode)
+        self.reset(seed, vault, name=name)
+
+    def reset(self, seed: int, vault: Sequence[VaultEntry], *, name: str = "session") -> None:
+        """Start a login: its streams drawn from (seed, name), its vault, and
+        no nonce, page, request id or extension but the manager before it."""
+        self.seed = seed
+        self.name = name
+        for extension_id in [e for e in self.host.extensions if e != MANAGER_EXTENSION_ID]:
+            self.host.uninstall(extension_id)
+        self.host.nonces.clear()
+        self.manager.vault = list(vault)
+        self.manager.rng = substream(seed, name, "manager")
         self.secure_store = SecureStore(substream(seed, name, "browser.dummies"))
         self.device = AuthenticatorDevice("user-device", substream(seed, name, "device"))
         self._page_count = 0  # pages are not kept: ids only need the count

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .dom import Field, FieldKind, Form, HookKind, Page, SubmitHook
 from .fido2 import BEGIN_PATH, FINISH_PATH, RelyingParty
 from .http_model import Origin, Url, WebRequestRecord, WebResponseRecord, checked_make, read_only, sha256_hex
-from .http_model import holds_secret
+from .http_model import holds_secret, urlencode_entries
 from .manager import VaultEntry
 from .pipeline import CHECK_NAMES, DefenseMode
 from .rng import substream
@@ -394,11 +394,11 @@ class CompatRecord(NamedTuple):
     site_id: str
     category: str
     classification: str  # compatible | hash_broken | transform_broken |
-    # incompatible | refused | excluded
-    wire_identical: Optional[bool]
-    verdict_baseline: Optional[str]
-    verdict_defended: Optional[str]
-    password_on_wire: Optional[bool]
+    # incompatible | refused | excluded; an excluded site has no other field
+    wire_identical: Optional[bool] = None
+    verdict_baseline: Optional[str] = None
+    verdict_defended: Optional[str] = None
+    password_on_wire: Optional[bool] = None
     refused_check: Optional[int] = None  # the check that refused the swap
 
 
@@ -501,20 +501,26 @@ class CompatReport(NamedTuple):
 
 
 def _login_once(
-    profile: SiteProfile, entry: VaultEntry, seed: int, mode: DefenseMode
+    sessions: dict[DefenseMode, BrowserSession], farm: ServerFarm, profile: SiteProfile,
+    entry: VaultEntry, seed: int, mode: DefenseMode,
 ) -> tuple[Optional[bytes], Optional[str], Optional[int]]:
-    """One isolated login against one site; returns (wire body, verdict,
-    refusing check)."""
-    farm = ServerFarm(seed)
-    farm.add_site(profile, entry.password)
-    session = BrowserSession(
-        seed, mode, [entry], farm.serve, name=f"compat-{profile.site_id}-{mode.value}"
-    )
+    """One login in the mode's session, built at its first login and reset after; returns the
+    bytes the credentials rode in (a POST's body, a GET's query), verdict, refusing check."""
+    name = f"compat-{profile.site_id}-{mode.value}"
+    if mode in sessions:
+        sessions[mode].reset(seed, [entry], name=name)
+    else:
+        sessions[mode] = BrowserSession(seed, mode, [entry], farm.serve, name=name)
+    session = sessions[mode]
     page, form_id = build_login_page(session, profile)
     session.autofill(page, form_id)
     result = session.submit(page, form_id)
-    wire_body = result.wire.body.raw if result.wire is not None and result.wire.body else None
-    return wire_body, result.verdict, result.transcript.refused_check()
+    wire = result.wire
+    if wire is not None and wire.method == "GET":
+        sent = urlencode_entries(wire.url.query).encode("utf-8")
+    else:
+        sent = wire.body_bytes() if wire is not None else None
+    return sent, result.verdict, result.transcript.refused_check()
 
 
 def compat_evaluate(
@@ -524,30 +530,22 @@ def compat_evaluate(
 ) -> CompatReport:
     """Dual-run differential: baseline vs defended, per site.
 
-    Sites with empty or shorter-than-4-character passwords are flagged and
-    excluded from percentages rather than evaluated.
+    One farm serves every site. Sites with empty or shorter-than-4-character
+    passwords are flagged and excluded from percentages rather than evaluated.
     """
+    farm, sessions = ServerFarm(seed), {}
     records: list[CompatRecord] = []
     for profile in profiles:
         entry = site_vault_entry(profile, seed)
         if len(entry.password) < MIN_PASSWORD_LEN:
-            records.append(
-                CompatRecord(
-                    site_id=profile.site_id,
-                    category=profile.category,
-                    classification="excluded",
-                    wire_identical=None,
-                    verdict_baseline=None,
-                    verdict_defended=None,
-                    password_on_wire=None,
-                )
-            )
+            records.append(CompatRecord(profile.site_id, profile.category, "excluded"))
             continue
-        body_a, verdict_a, _ = _login_once(profile, entry, seed, DefenseMode.BASELINE)
-        body_b, verdict_b, refused_check = _login_once(profile, entry, seed, defense)
-        wire_identical = body_a == body_b
-        password_on_wire = body_b is not None and holds_secret(
-            (body_b.decode("utf-8", errors="replace"),), entry.password
+        farm.add_site(profile, entry.password)
+        sent_a, verdict_a, _ = _login_once(sessions, farm, profile, entry, seed, DefenseMode.BASELINE)
+        sent_b, verdict_b, refused_check = _login_once(sessions, farm, profile, entry, seed, defense)
+        wire_identical = sent_a == sent_b
+        password_on_wire = sent_b is not None and holds_secret(
+            (sent_b.decode("utf-8", errors="replace"),), entry.password
         )
         records.append(
             CompatRecord(

@@ -7,6 +7,8 @@ import pytest
 
 from noncepipe.adversaries import (
     _AGENTS,
+    ATTACKER_EXTENSION_ID,
+    _World,
     DEFAULT_STRATEGIES,
     EXPECTED_FIDO2_CELLS,
     EXPECTED_MATRIX,
@@ -20,8 +22,11 @@ from noncepipe.adversaries import (
     run_scenario,
 )
 from noncepipe.cli import main as cli_main
+from noncepipe.manager import MANAGER_EXTENSION_ID
 from noncepipe.pipeline import DefenseMode, Stage
-from noncepipe.sites import generate_password
+from noncepipe.rng import derive_seed
+from noncepipe.session import BrowserSession
+from noncepipe.sites import LOGIN_CATEGORIES, build_login_page, generate_password
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +207,83 @@ def test_run_scenario_rejects_a_category_with_no_login_form(category):
     scenario = AttackScenario("s", "dom_observer", DefenseMode.BASELINE, 1, 0, category)
     with pytest.raises(ValueError, match=f"not a login site category: '{category}'"):
         run_scenario(scenario)
+
+
+# ---------------------------------------------------------------------------
+# a cell's shared world
+# ---------------------------------------------------------------------------
+
+
+def run_plans(mode, adversary, category, world_for):
+    """Every plan of one cell on one site category, each scenario in the
+    world `world_for()` gives; the outcomes, and every flow's transcript
+    with the server's verdict."""
+    transcripts: list[tuple[str, str]] = []
+    submit = BrowserSession.submit
+
+    def recording_submit(self, page, form_id):
+        result = submit(self, page, form_id)
+        transcripts.append((result.transcript.to_text(), result.verdict))
+        return result
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BrowserSession, "submit", recording_submit)
+        for index in range(PLAN_COUNTS[adversary]):
+            seed = derive_seed(5, mode.value, adversary, category, str(index))
+            scenario = AttackScenario(f"{index}", adversary, mode, seed, index, category)
+            outcomes.append(run_scenario(scenario, world_for()))
+    assert len(transcripts) == len(outcomes)
+    return outcomes, transcripts
+
+
+@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+@pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
+def test_a_reused_world_attacks_as_a_fresh_one(mode, adversary):
+    for category in LOGIN_CATEGORIES:
+        world = _World()
+        reused = run_plans(mode, adversary, category, lambda: world)
+        assert reused == run_plans(mode, adversary, category, lambda: None), category
+
+
+def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
+    mode = DefenseMode.DESIGN5_API_LATE
+    plan = 1  # listen at every stage, redirect at onBeforeRequest
+    assert _AGENTS["webrequest_exfiltrator"](plan).blocking_move == "redirect"
+    world = _World()
+    run_scenario(AttackScenario("r", "webrequest_exfiltrator", mode, 3, plan), world)
+    host = world.session.host
+    assert ATTACKER_EXTENSION_ID in host.extensions
+    assert any("/steal" in text for text in world.capture_sink)
+
+    # what the next scenario's session holds once reset, before its page
+    states = []
+
+    def state_then_page(session, profile):
+        registry = session.host.registry
+        listeners = [(r.listener_id, r.extension_id) for st in Stage for r in registry.at(st)]
+        states.append((
+            list(session.host.extensions),
+            listeners,
+            dict(session.host.nonces._pages),
+            (session._page_count, session._next_request_id),
+            session.manager.rng.getrandbits(64),
+        ))
+        return build_login_page(session, profile)
+
+    monkeypatch.setattr("noncepipe.adversaries.build_login_page", state_then_page)
+    nxt = AttackScenario("n", "webrequest_exfiltrator", mode, 4)
+    assert run_scenario(nxt, world) == run_scenario(nxt)
+    assert world.session.host is host
+    reused, fresh = states
+    assert reused == fresh
+    assert reused[:4] == (
+        [MANAGER_EXTENSION_ID],
+        [("manager.validate", MANAGER_EXTENSION_ID), ("manager.substitute", MANAGER_EXTENSION_ID)],
+        {},
+        (0, 0),
+    )
+    assert world.capture_sink == []  # plan 0 blocks nothing, so nothing was captured
 
 
 def test_unknown_adversary_rejected():

@@ -90,6 +90,35 @@ def test_listener_ids_default_to_counter():
     assert len(host.registry) == 2
 
 
+def test_uninstall_removes_exactly_the_named_extensions_listeners():
+    host = ExtensionHost()
+    host.install(manifest(Permission.WEB_REQUEST, ext_id="a"))
+    host.install(manifest(Permission.WEB_REQUEST, ext_id="b"))
+    kept = [
+        host.register_listener("b", Stage.ON_BEFORE_REQUEST, lambda v: None),
+        host.register_listener("b", Stage.ON_COMPLETED, lambda v: None),
+    ]
+    for stage in (Stage.ON_BEFORE_REQUEST, Stage.ON_SEND_HEADERS, Stage.ON_COMPLETED):
+        host.register_listener("a", stage, lambda v: None)
+    kept.append(host.register_listener("b", Stage.ON_BEFORE_REQUEST, lambda v: None))
+
+    host.uninstall("a")
+
+    assert list(host.extensions) == ["b"]
+    assert [r for stage in Stage for r in host.registry.at(stage)] == [kept[0], kept[2], kept[1]]
+    assert host.registry.at(Stage.ON_SEND_HEADERS) == ()
+    with pytest.raises(KeyError):
+        host.get("a")
+    with pytest.raises(KeyError):
+        host.uninstall("a")
+    # a number below a kept listener's is never handed out again; the last ones are
+    assert host.register_listener("b", Stage.ON_SEND_HEADERS, lambda v: None).listener_id == "b.L7"
+    host.install(manifest(Permission.WEB_REQUEST, ext_id="c"))
+    host.register_listener("c", Stage.ON_COMPLETED, lambda v: None)
+    host.uninstall("c")
+    assert host.register_listener("b", Stage.ON_COMPLETED, lambda v: None).listener_id == "b.L8"
+
+
 # ---------------------------------------------------------------------------
 # nonce store
 # ---------------------------------------------------------------------------

@@ -385,6 +385,42 @@ def test_different_seeds_draw_different_nonces():
     assert a.request.body.raw != b.request.body.raw
 
 
+@pytest.mark.parametrize("mode", list(DefenseMode))
+def test_reset_session_replays_a_fresh_one(mode):
+    fresh = login_flow(make_session(mode, seed=124, name="b"))
+    session = make_session(mode, seed=123, name="a")
+    first = login_flow(session)
+    session.host.install(ExtensionManifest("spy", frozenset({Permission.WEB_REQUEST})))
+    session.host.register_listener("spy", Stage.ON_SEND_HEADERS, lambda view: None)
+    session.reset(124, vault(), name="b")
+    again = login_flow(session)
+    assert list(session.host.extensions) == ["noncepipe.manager"]
+    assert again.request == fresh.request._replace(source_page=again.request.source_page)
+    assert again.wire.body == fresh.wire.body
+    assert again.transcript.to_text() == fresh.transcript.to_text()
+    if mode not in (DefenseMode.BASELINE, DefenseMode.DESIGN3_DOM):
+        # the request carries a nonce, drawn from the new seed
+        assert again.request.body != first.request.body
+
+
+def test_reset_forgets_the_nonces_of_a_page_still_alive():
+    session = make_session()
+    old = session.new_page(ORIGIN)
+    add_login_form(old)
+    session.autofill(old, "login")
+    session.reset(7, vault())
+    assert session.host.nonces.page(old.page_id) is None
+    page = session.new_page(ORIGIN)
+    assert page.page_id == old.page_id
+    add_login_form(page)
+    record = session.autofill(page, "login")
+    del old
+    gc.collect()
+    # the old page's going drops nothing of the new page of the same id
+    assert session.host.nonces.page(page.page_id).records == {record.nonce: record}
+    assert session.submit(page, "login").wire.body.entries[1] == ("password", PASSWORD)
+
+
 # ---------------------------------------------------------------------------
 # FIDO2 flows
 # ---------------------------------------------------------------------------

@@ -577,6 +577,47 @@ def test_compat_finds_a_form_encoded_password_on_the_wire(mode):
     assert record.password_on_wire is True
 
 
+def test_compat_reads_a_get_logins_credentials_from_its_url():
+    site = SiteProfile("g", "get_submit", Origin("https", "get.example", 443))
+    (baseline,) = compat_evaluate([site], 7, DefenseMode.BASELINE).records
+    assert baseline.verdict_defended == "auth_ok"
+    assert baseline.password_on_wire is True
+    (defended,) = compat_evaluate([site], 7, DefenseMode.DESIGN5_API_LATE).records
+    assert defended.refused_check == 4  # the nonce stays in the query
+    assert defended.wire_identical is False
+    assert defended.password_on_wire is False
+
+
+# the seven-row corpus the CI workflow runs, one row per login category
+CI_CORPUS = (
+    "plain_post\thttps://plain.example\t-\n"
+    "hashes_password\thttps://hash.example\t-\n"
+    "transforms_password\thttps://transform.example\t-\n"
+    "get_submit\thttps://get.example\t-\n"
+    "iframe_login\thttps://iframe.example\t-\n"
+    "http_submit\thttps://http.example\t-\n"
+    "reflecting\thttps://reflect.example\treflect=username\n"
+)
+
+
+@pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
+def test_compat_records_equal_those_of_a_fresh_world_per_login(mode, tmp_path, monkeypatch):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(CI_CORPUS, encoding="utf-8")
+    corpora = [build_fixture_corpus(), parse_corpus(path)]
+    reused = [compat_evaluate(corpus, 7, mode).records for corpus in corpora]
+
+    login_once = sites._login_once
+
+    def fresh_world(sessions, farm, profile_, entry, seed, leg):
+        farm = ServerFarm(seed)
+        farm.add_site(profile_, entry.password)
+        return login_once({}, farm, profile_, entry, seed, leg)
+
+    monkeypatch.setattr(sites, "_login_once", fresh_world)
+    assert [compat_evaluate(corpus, 7, mode).records for corpus in corpora] == reused
+
+
 def test_login_and_reflect_paths_are_the_served_endpoints():
     assert profile().login_action.path == LOGIN_PATH
     farm, _ = farm_with(profile("reflecting"))
