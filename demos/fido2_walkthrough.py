@@ -19,6 +19,7 @@ from random import Random
 from noncepipe.adversaries import run_fido2_scenario
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.fido2 import (
+    AUTHENTICATION,
     HEADER_REQUEST,
     HEADER_RESPONSE,
     HEADER_URL_RESP,
@@ -60,7 +61,7 @@ def main():
     page = session.new_page(SSO)
 
     print("--- registration ---")
-    # fido2_register's three steps, so the begin flow's transcript is in hand
+    # fido2_ceremony's three steps, so the begin flow's transcript is in hand
     begin = session.fido2_begin(page, SSO, REGISTRATION, "alice")
     response_json = page.webauthn.create(page.rendered_text)
     finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
@@ -69,7 +70,7 @@ def main():
     print(f"consent prompts on the authenticator: {session.device.prompts}")
 
     print("\n--- authentication ---")
-    result = session.fido2_authenticate(page, SSO, "alice")
+    result = session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice")
     print(f"server verdict: {result.verdict}")
 
     header = result.wire.header(HEADER_RESPONSE)

@@ -297,7 +297,7 @@ _BLOCKING_MOVES = (
     ("none", None),
     (
         "redirect",
-        lambda view: None if view.url.startswith(str(CAPTURE_ORIGIN)) else Redirect(_STEAL_URL),
+        lambda view: None if view.url.origin == CAPTURE_ORIGIN else Redirect(_STEAL_URL),
     ),
     ("cancel", lambda view: Cancel("dropped")),
 )
@@ -372,13 +372,15 @@ _TARGETS = {
 
 
 class _World:
-    """A matrix cell's farm, capture sink and victim session; a scenario resets what it owns."""
+    """A matrix cell's farm, capture sink and victim session in the cell's
+    mode; a scenario resets what it owns."""
 
-    def __init__(self) -> None:
-        self.session: Optional[BrowserSession] = None
+    def __init__(self, mode: DefenseMode) -> None:
         self.capture_sink: list[str] = []
         self.farm = ServerFarm()  # no relying party, so its seed is never drawn from
         self.farm.add_capture_origin(CAPTURE_ORIGIN, self.capture_sink)
+        # each scenario's reset gives it its seed, vault and name
+        self.session = BrowserSession(0, mode, (), self.farm.serve)
 
 
 def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> AttackOutcome:
@@ -387,16 +389,11 @@ def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> At
     if profile is None:
         raise ValueError(f"not a login site category: {scenario.site_category!r}")
     entry = site_vault_entry(profile, scenario.seed)
-    world = world or _World()
+    world = world or _World(scenario.defense_mode)
     world.farm.add_site(profile, entry.password)  # the digests are this scenario's
     world.capture_sink.clear()
     session = world.session
-    if session is None:
-        session = world.session = BrowserSession(
-            scenario.seed, scenario.defense_mode, [entry], world.farm.serve, name="victim"
-        )
-    else:
-        session.reset(scenario.seed, [entry], name="victim")
+    session.reset(scenario.seed, [entry], name="victim")
     page, form_id = build_login_page(session, profile)
     ctx = _ScenarioContext(session, page, form_id, world.capture_sink)
     agent = _AGENTS[scenario.adversary](scenario.strategy_index)
@@ -500,7 +497,7 @@ def evaluate_matrix(
     for mode in modes:
         defense = mode.value
         for adversary in PASSWORD_ADVERSARIES:
-            world = _World()
+            world = _World(mode)
             leaks = 0
             for index in range(strategies_per_cell):
                 scenario = AttackScenario(
@@ -681,7 +678,7 @@ def _grab_and_cancel(session: BrowserSession, captured: list[str]) -> Extension:
     extension = session.host.install(_ATTACKER_MANIFEST)
 
     def on_before_request(view: StageView):
-        if view.url.endswith(FINISH_PATH) and view.method == "POST":
+        if view.url.path == FINISH_PATH and view.method == "POST":
             for name, value in view.form.entries if view.form is not None else ():
                 if name == FINISH_FIELD:
                     captured.append(value)
@@ -709,11 +706,10 @@ def _ceremony_hijack(
     account holds its key, and a login when its own finish is accepted."""
     seed = derive_seed(seed, "fido2", kind)
     setup = _fido2_setup(defense_on, seed, "victim", secrets)
-    ceremony = setup.session.fido2_register
+    ceremony = setup.session.fido2_ceremony
     if kind == AUTHENTICATION:
-        honest = ceremony(setup.page, setup.origin, "victim")
+        honest = ceremony(setup.page, setup.origin, REGISTRATION, "victim")
         notes.append(f"honest_registration={honest.verdict}")
-        ceremony = setup.session.fido2_authenticate
     attacker_device = None
     if kind == REGISTRATION:
         attacker_device = AuthenticatorDevice("attacker-device", substream(seed, "attacker-device"))
@@ -733,12 +729,12 @@ def _ceremony_hijack(
             hijack = _AssertHijack(setup.page.webauthn, attacker_challenge, script, captured)
         attach_script(setup.page, script)
         setup.page.webauthn = hijack
-        result = ceremony(setup.page, setup.origin, "victim")
+        result = ceremony(setup.page, setup.origin, kind, "victim")
         observations.extend(script.log)
         notes.append(f"victim_finish={result.verdict}")
     else:
         extension = _grab_and_cancel(setup.session, captured)
-        ceremony(setup.page, setup.origin, "victim")
+        ceremony(setup.page, setup.origin, kind, "victim")
         observations.extend(str(item) for item in extension.observations)
         observations.extend(captured)
         if captured and kind == REGISTRATION:

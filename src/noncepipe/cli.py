@@ -29,7 +29,7 @@ from .adversaries import (
     run_scenario,
 )
 from .adversaries import _Fido2Setup, _fido2_setup, _out_of_band_begin, _out_of_band_finish
-from .fido2 import AUTHENTICATION, AuthenticatorDevice, Fido2Request
+from .fido2 import AUTHENTICATION, REGISTRATION, AuthenticatorDevice, Fido2Request
 from .pipeline import DefenseMode
 from .rng import derive_seed, substream
 from .sites import (
@@ -283,9 +283,9 @@ def _honest_fido2_flows(
     """Register then authenticate with no attacker present. With `replay`,
     clone the authenticator in between and return the clone's verdict too."""
     setup = _fido2_setup(defense_on, seed, "demo")
-    register = setup.session.fido2_register(setup.page, setup.origin, "alice")
+    register = setup.session.fido2_ceremony(setup.page, setup.origin, REGISTRATION, "alice")
     clone = setup.session.device.clone("cloned-device", substream(seed, "clone")) if replay else None
-    authenticate = setup.session.fido2_authenticate(setup.page, setup.origin, "alice")
+    authenticate = setup.session.fido2_ceremony(setup.page, setup.origin, AUTHENTICATION, "alice")
     honest = {
         "register": register.verdict or "cancelled",
         "authenticate": authenticate.verdict or "cancelled",

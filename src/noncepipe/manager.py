@@ -13,7 +13,7 @@ from typing import Container, Optional, Sequence, Union
 
 from .dom import FieldKind, Form, HookKind, Page, SubmitHook
 from .extensions import ExtensionHost, ExtensionManifest, Permission
-from .http_model import Origin, Url
+from .http_model import Origin
 from .pipeline import (
     CHECK_NAMES,
     DefenseMode,
@@ -187,17 +187,17 @@ class PasswordManager:
 
     # -- the five checks -------------------------------------------------------
 
-    def safety_check(self, record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
+    def safety_check(self, record: NonceRecord, view: StageView) -> SafetyDecision:
         """Run the five ordered checks (`pipeline.check`); one method, so that
         perfbench's tracer can count and time the checks the manager runs."""
-        return check(record, view, url)
+        return check(record, view)
 
     # -- pipeline callbacks -------------------------------------------------------
 
     def _verdict(self, view: StageView) -> Optional[Verdict]:
         """The verdict on the nonce the request carries, looked up among the
         submitting page's records only: the one the page keeps for this
-        request, else a new one, its destination parsed once, kept there."""
+        request, else a new one, kept there."""
         page = self._nonces.page(view.document_id)
         if page is None:
             return None
@@ -206,8 +206,7 @@ class PasswordManager:
             record = record_for(page.records, view)
             if record is None:
                 return None
-            url = Url.parse(view.url)
-            verdict = Verdict(view.request_id, record, self.safety_check(record, view, url), url)
+            verdict = Verdict(view.request_id, record, self.safety_check(record, view))
             page.verdict = verdict
         return verdict
 
@@ -229,4 +228,4 @@ class PasswordManager:
             return None
         if not verdict.decision.approved:
             return verdict.decision
-        return approve(verdict.record, verdict.url)
+        return approve(verdict.record, view.url)

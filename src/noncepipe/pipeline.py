@@ -25,11 +25,11 @@ callbacks, manifest_v3 in `dispatch` itself. A refusal is one
 `substitutionRefused` transcript event in every mode.
 
 Listener views are tuples (`StageView`), one per stage of a hop, shared by
-every listener at that stage; no listener can set a field. The request body
-is visible (always pre-substitution) only at the first three stages. At the
-credential stage design5 strips it (validation happened earlier), while
-design4's and manifest_v3's views show it pre-substitution; response-side
-stages never expose a request body.
+every listener at that stage; no listener can set a field. A request-side
+view shows the hop's body as it stands, labelled pre- or post-substitution,
+with one exception: design5's credential view strips it (validation happened
+earlier). So design4's stages after an approved swap show the real secret,
+labelled post-substitution; response-side stages never expose a request body.
 
 A delivery's transcript line (`Delivery`) holds only its listener id and its
 view, and reads the request id, stage, body view and digest from the view
@@ -136,6 +136,7 @@ class BodyView(Enum):
     __hash__ = object.__hash__  # by identity, as Stage
 
     FULL_PRE_SUBSTITUTION = "full_pre_substitution"
+    FULL_POST_SUBSTITUTION = "full_post_substitution"
     STRIPPED = "stripped"
     ABSENT = "absent"
 
@@ -147,6 +148,7 @@ _CREDENTIALS = Stage.ON_REQUEST_CREDENTIALS
 _DESIGN5 = DefenseMode.DESIGN5_API_LATE
 _MANIFEST_V3 = DefenseMode.MANIFEST_V3
 _FULL = BodyView.FULL_PRE_SUBSTITUTION
+_FULL_POST = BodyView.FULL_POST_SUBSTITUTION
 _STRIPPED = BodyView.STRIPPED
 _ABSENT = BodyView.ABSENT
 
@@ -240,12 +242,11 @@ class SafetyDecision(namedtuple("SafetyDecision", "approved reason detail")):
 
 class Verdict(NamedTuple):
     """The checks' answer for one request: what the design4/design5 manager
-    keeps between its two callbacks. `url` is the destination, parsed once."""
+    keeps between its two callbacks."""
 
     request_id: int
     record: NonceRecord
     decision: SafetyDecision
-    url: Url
 
 
 class PageNonces:
@@ -317,9 +318,9 @@ def record_for(records: Mapping[str, NonceRecord], view: StageView) -> Optional[
     return None
 
 
-def check(record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
-    """Run the five ordered checks on a full request view whose destination
-    is `url`; the first failure is the verdict. Pure: it changes no argument.
+def check(record: NonceRecord, view: StageView) -> SafetyDecision:
+    """Run the five ordered checks on a request view; the first failure is
+    the verdict. Pure: it changes no argument.
 
     Check 1  the login form is not in an iframe
     Check 2  the connection is well-secured HTTPS (not HTTP, not broken TLS)
@@ -336,6 +337,7 @@ def check(record: NonceRecord, view: StageView, url: Url) -> SafetyDecision:
         channel = view.channel.value if view.channel else "unknown"
         return SafetyDecision(False, 2, f"channel is {channel}")
 
+    url = view.url
     if url.origin != entry.origin:
         return SafetyDecision(False, 3, f"destination {url.origin} != entry {entry.origin}")
     if record.pinning_enabled and entry.pinned_submit_url is not None:
@@ -443,14 +445,15 @@ class StageView(NamedTuple):
     it costs one allocation and no field can be set.
 
     `form` is the RequestBody the view shows, or None when it shows none;
-    readers take its entries, bytes and digest as they are. `document_id` is
-    the submitting page's id (None on response stages).
+    readers take its entries, bytes and digest as they are. `url` is the
+    request's destination. `document_id` is the submitting page's id (None on
+    response stages).
     """
 
     request_id: int
     stage: Stage
     method: str
-    url: str
+    url: Url
     query: FormEntries
     headers: tuple[tuple[str, str], ...]
     body_view: BodyView
@@ -472,7 +475,7 @@ class StageView(NamedTuple):
 
     def visible_strings(self) -> tuple[str, ...]:
         """Everything a listener could copy out of this view, as strings."""
-        out = [self.url]
+        out = [self.url.to_string()]
         out.extend(v for _, v in self.query)
         out.extend(f"{k}: {v}" for k, v in self.headers)
         if self.body is not None:
@@ -648,31 +651,21 @@ class PipelineConfig(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _request_view(
-    request: WebRequestRecord,
-    stage: Stage,
-    pre_substitution_body: Optional[RequestBody],
-    config: PipelineConfig,
-) -> StageView:
-    if stage in BODY_VISIBLE_STAGES:
-        form = request.body
-        body_view = _FULL if form is not None else _ABSENT
-    elif stage is _CREDENTIALS:
-        # manifest_v3's view is the browser's own, for the policy check
-        if config.defense_mode is _DESIGN5:
-            form = None
-            body_view = _STRIPPED
-        else:
-            form = pre_substitution_body
-            body_view = _FULL if form is not None else _ABSENT
+def _request_view(request: WebRequestRecord, stage: Stage, body_view: BodyView) -> StageView:
+    """A request-side view of the body as it stands, labelled `body_view`;
+    a STRIPPED view shows none, and a request without a body shows ABSENT."""
+    if body_view is _STRIPPED:
+        form = None
     else:
-        raise AssertionError(f"{stage} is not a request-side stage")
+        form = request.body
+        if form is None:
+            body_view = _ABSENT
     # positional: a keyword call to a NamedTuple costs about three times more
     return StageView(
         request.request_id,
         stage,
         request.method,
-        request.url.to_string(),
+        request.url,
         request.url.query,
         request.headers,
         body_view,
@@ -690,7 +683,7 @@ def _response_view(
         request_id,
         stage,
         "-",  # method
-        url.to_string(),
+        url,
         (),  # query
         response.headers,
         _ABSENT,
@@ -724,24 +717,23 @@ def _collect_substitutions(
     listeners: ListenerRegistry,
     config: PipelineConfig,
     transcript: StageTranscript,
-    pre_substitution_body: Optional[RequestBody],
     nonce_store: Optional[NonceStore],
 ) -> list[SubstitutionRequest]:
     """Run the credential stage: callbacks for API modes, which may answer
     with a refusing SafetyDecision; in manifest_v3 the browser runs the policy
-    on the submitting page's records, on a view no listener gets. Any other
-    result is ignored: the credential stage is not a blocking stage."""
+    on the submitting page's records, on a full view no listener gets. Any
+    other result is ignored: the credential stage is not a blocking stage."""
     collected: list[SubstitutionRequest] = []
     if config.defense_mode is _MANIFEST_V3:
         page_id = getattr(request.source_page, "page_id", None)
         entry = nonce_store.page(page_id) if nonce_store is not None else None
         if entry is None:  # a nonce-free page pays for nothing more
             return collected
-        view = _request_view(request, _CREDENTIALS, pre_substitution_body, config)
+        view = _request_view(request, _CREDENTIALS, _FULL)
         record = record_for(entry.records, view)
         if record is None:
             return collected
-        decision = check(record, view, request.url)
+        decision = check(record, view)
         if decision.approved:
             collected.append(approve(record, request.url))
         else:
@@ -750,7 +742,9 @@ def _collect_substitutions(
     regs = listeners.at(_CREDENTIALS)
     if not regs:
         return collected
-    view = _request_view(request, _CREDENTIALS, pre_substitution_body, config)
+    view = _request_view(
+        request, _CREDENTIALS, _STRIPPED if config.defense_mode is _DESIGN5 else _FULL
+    )
     for reg in regs:
         result = _deliver(reg, view, transcript)
         if result is None:  # an idle listener's answer: skip the type tests
@@ -767,12 +761,9 @@ def _run_credential_phase(
     listeners: ListenerRegistry,
     config: PipelineConfig,
     transcript: StageTranscript,
-    pre_substitution_body: Optional[RequestBody],
     nonce_store: Optional[NonceStore],
 ) -> WebRequestRecord:
-    subs = _collect_substitutions(
-        request, listeners, config, transcript, pre_substitution_body, nonce_store
-    )
+    subs = _collect_substitutions(request, listeners, config, transcript, nonce_store)
     if not subs:
         return request
     targeted = [s.field_name for s in subs]
@@ -825,19 +816,20 @@ def dispatch(
     current = request
 
     while True:
-        pre_substitution_body = current.body
+        sent = current.body  # the body the page sent: a redirect re-issues it
+        body_view = _FULL
         redirected_to: Optional[Url] = None
 
         for stage in walk:
             if stage is _CREDENTIALS:
-                current = _run_credential_phase(
-                    current, listeners, config, transcript, pre_substitution_body, nonce_store
-                )
+                current = _run_credential_phase(current, listeners, config, transcript, nonce_store)
+                if current.body is not sent:  # a swap was applied
+                    body_view = _FULL_POST
                 continue
             regs = listeners.at(stage)
             if not regs:
                 continue
-            view = _request_view(current, stage, pre_substitution_body, config)
+            view = _request_view(current, stage, body_view)
             for reg in regs:
                 result = _deliver(reg, view, transcript)
                 if not reg.blocking:
@@ -859,7 +851,7 @@ def dispatch(
             if hops > MAX_REDIRECT_HOPS:
                 raise RedirectLoop(f"more than {MAX_REDIRECT_HOPS} redirect hops")
             new_id = id_allocator() if id_allocator else current.request_id * 1000 + hops
-            current = _reissue(current, pre_substitution_body, redirected_to, new_id)
+            current = _reissue(current, sent, redirected_to, new_id)
             continue
 
         if fido2_store is not None:

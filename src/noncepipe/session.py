@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .dom import Page, build_request, submit_form
 from .extensions import ExtensionHost
-from .fido2 import AUTHENTICATION, BEGIN_PATH, FINISH_FIELD, FINISH_PATH, REGISTRATION
+from .fido2 import BEGIN_PATH, FINISH_FIELD, FINISH_PATH, REGISTRATION
 from .fido2 import AuthenticatorDevice, BrowserWebAuthn, SecureStore
 from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
 from .manager import MANAGER_EXTENSION_ID, PasswordManager, VaultEntry
@@ -167,15 +167,14 @@ class BrowserSession:
             page, finish_url, method="POST", body_entries=((FINISH_FIELD, response_json),)
         )
 
-    def fido2_register(self, page: Page, rp_origin: Origin, username: str) -> FlowResult:
-        """The honest page flow: begin, WebAuthn create, finish."""
-        self.fido2_begin(page, rp_origin, REGISTRATION, username)
-        response_json = page.webauthn.create(page.rendered_text)
-        finish_url = Url(rp_origin.scheme, rp_origin.host, rp_origin.port, FINISH_PATH)
-        return self.fido2_finish(page, finish_url, response_json)
-
-    def fido2_authenticate(self, page: Page, rp_origin: Origin, username: str) -> FlowResult:
-        self.fido2_begin(page, rp_origin, AUTHENTICATION, username)
-        response_json = page.webauthn.get(page.rendered_text)
+    def fido2_ceremony(
+        self, page: Page, rp_origin: Origin, kind: str, username: str
+    ) -> FlowResult:
+        """The honest page flow of a `kind` ceremony: begin, WebAuthn create
+        (a registration) or get (a login), finish."""
+        self.fido2_begin(page, rp_origin, kind, username)
+        webauthn = page.webauthn
+        call = webauthn.create if kind == REGISTRATION else webauthn.get
+        response_json = call(page.rendered_text)
         finish_url = Url(rp_origin.scheme, rp_origin.host, rp_origin.port, FINISH_PATH)
         return self.fido2_finish(page, finish_url, response_json)

@@ -501,17 +501,11 @@ class CompatReport(NamedTuple):
 
 
 def _login_once(
-    sessions: dict[DefenseMode, BrowserSession], farm: ServerFarm, profile: SiteProfile,
-    entry: VaultEntry, seed: int, mode: DefenseMode,
+    session: BrowserSession, profile: SiteProfile, entry: VaultEntry, seed: int
 ) -> tuple[Optional[bytes], Optional[str], Optional[int]]:
-    """One login in the mode's session, built at its first login and reset after; returns the
-    bytes the credentials rode in (a POST's body, a GET's query), verdict, refusing check."""
-    name = f"compat-{profile.site_id}-{mode.value}"
-    if mode in sessions:
-        sessions[mode].reset(seed, [entry], name=name)
-    else:
-        sessions[mode] = BrowserSession(seed, mode, [entry], farm.serve, name=name)
-    session = sessions[mode]
+    """One login in a leg's session, reset for it; returns the bytes the credentials
+    rode in (a POST's body, a GET's query), verdict, refusing check."""
+    session.reset(seed, [entry], name=f"compat-{profile.site_id}-{session.defense_mode.value}")
     page, form_id = build_login_page(session, profile)
     session.autofill(page, form_id)
     result = session.submit(page, form_id)
@@ -530,10 +524,14 @@ def compat_evaluate(
 ) -> CompatReport:
     """Dual-run differential: baseline vs defended, per site.
 
-    One farm serves every site. Sites with empty or shorter-than-4-character
-    passwords are flagged and excluded from percentages rather than evaluated.
+    One farm serves every site, and one session per leg, reset for each login.
+    Sites with empty or shorter-than-4-character passwords are flagged and
+    excluded from percentages rather than evaluated.
     """
-    farm, sessions = ServerFarm(seed), {}
+    farm = ServerFarm(seed)
+    baseline, defended = (
+        BrowserSession(seed, mode, (), farm.serve) for mode in (DefenseMode.BASELINE, defense)
+    )
     records: list[CompatRecord] = []
     for profile in profiles:
         entry = site_vault_entry(profile, seed)
@@ -541,8 +539,8 @@ def compat_evaluate(
             records.append(CompatRecord(profile.site_id, profile.category, "excluded"))
             continue
         farm.add_site(profile, entry.password)
-        sent_a, verdict_a, _ = _login_once(sessions, farm, profile, entry, seed, DefenseMode.BASELINE)
-        sent_b, verdict_b, refused_check = _login_once(sessions, farm, profile, entry, seed, defense)
+        sent_a, verdict_a, _ = _login_once(baseline, profile, entry, seed)
+        sent_b, verdict_b, refused_check = _login_once(defended, profile, entry, seed)
         wire_identical = sent_a == sent_b
         password_on_wire = sent_b is not None and holds_secret(
             (sent_b.decode("utf-8", errors="replace"),), entry.password

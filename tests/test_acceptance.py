@@ -198,7 +198,7 @@ def _view(
         request_id=1,
         stage=Stage.ON_BEFORE_REQUEST,
         method=method,
-        url=url,
+        url=Url.parse(url),
         query=tuple(query),
         headers=(("Content-Type", URLENCODED),) if form is not None else (),
         body_view=BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT,
@@ -259,7 +259,7 @@ def test_criterion_3_five_refusal_scenarios():
     problems = []
     manager = PasswordManager([], substream(SEED, "criterion3"))
     view = _view()
-    if not manager.safety_check(_record(), view, Url.parse(view.url)).approved:
+    if not manager.safety_check(_record(), view).approved:
         problems.append("the all-clear scenario was refused")
 
     scenarios = [
@@ -279,7 +279,7 @@ def test_criterion_3_five_refusal_scenarios():
     ]
     refused = []
     for expected_reason, record, view in scenarios:
-        decision = manager.safety_check(record, view, Url.parse(view.url))
+        decision = manager.safety_check(record, view)
         if decision.approved:
             problems.append(f"scenario {expected_reason} was not refused")
         elif decision.reason != expected_reason:
@@ -478,9 +478,9 @@ def test_criterion_7_fido2_end_to_end(capsys):
     )
     session.device.witness = witness = []
     page = session.new_page(SSO)
-    if session.fido2_register(page, SSO, "alice").verdict != "accepted":
+    if session.fido2_ceremony(page, SSO, REGISTRATION, "alice").verdict != "accepted":
         problems.append("honest registration refused")
-    if session.fido2_authenticate(page, SSO, "alice").verdict != "accepted":
+    if session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice").verdict != "accepted":
         problems.append("honest authentication refused")
 
     # independent verification: the assertion the device witnessed checks out
@@ -507,7 +507,7 @@ def test_criterion_7_fido2_end_to_end(capsys):
 
     # counter replay: a cloned authenticator reuses a stale counter
     clone = session.device.clone("cloned", substream(SEED, "clone"))
-    session.fido2_authenticate(page, SSO, "alice")  # real device moves ahead
+    session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice")  # real device moves ahead
     begin = rp.begin(AUTHENTICATION, "alice", 990_400)
     stale = clone.get_assertion(Fido2Request.from_json(begin.header(HEADER_REQUEST)))
     replay = rp.finish(_finish_record(stale.to_json()))
@@ -581,8 +581,7 @@ def test_criterion_8_strip_precedes_listener_views():
     page = session.new_page(SSO)
     finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
     transcripts = []
-    # the steps of fido2_register and fido2_authenticate, so the begin
-    # transcripts are in hand too
+    # the steps of fido2_ceremony, so the begin transcripts are in hand too
     ceremonies = ((REGISTRATION, page.webauthn.create), (AUTHENTICATION, page.webauthn.get))
     for kind, ceremony in ceremonies:
         begin = session.fido2_begin(page, SSO, kind, "alice")

@@ -23,7 +23,15 @@ from noncepipe.adversaries import (
 )
 from noncepipe.cli import main as cli_main
 from noncepipe.manager import MANAGER_EXTENSION_ID
-from noncepipe.pipeline import DefenseMode, Stage
+from noncepipe.http_model import Url, WebRequestRecord
+from noncepipe.pipeline import (
+    DefenseMode,
+    ListenerRegistration,
+    ListenerRegistry,
+    PipelineConfig,
+    Stage,
+    dispatch,
+)
 from noncepipe.rng import derive_seed
 from noncepipe.session import BrowserSession
 from noncepipe.sites import LOGIN_CATEGORIES, build_login_page, generate_password
@@ -241,7 +249,7 @@ def run_plans(mode, adversary, category, world_for):
 @pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
 def test_a_reused_world_attacks_as_a_fresh_one(mode, adversary):
     for category in LOGIN_CATEGORIES:
-        world = _World()
+        world = _World(mode)
         reused = run_plans(mode, adversary, category, lambda: world)
         assert reused == run_plans(mode, adversary, category, lambda: None), category
 
@@ -250,7 +258,7 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
     mode = DefenseMode.DESIGN5_API_LATE
     plan = 1  # listen at every stage, redirect at onBeforeRequest
     assert _AGENTS["webrequest_exfiltrator"](plan).blocking_move == "redirect"
-    world = _World()
+    world = _World(mode)
     run_scenario(AttackScenario("r", "webrequest_exfiltrator", mode, 3, plan), world)
     host = world.session.host
     assert ATTACKER_EXTENSION_ID in host.extensions
@@ -284,6 +292,22 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
         (0, 0),
     )
     assert world.capture_sink == []  # plan 0 blocks nothing, so nothing was captured
+
+
+def test_the_redirect_move_spares_only_the_capture_origin():
+    """A look-alike origin, whose text starts with the capture origin's, is redirected."""
+    plan = 1  # listen at every stage, redirect at onBeforeRequest
+    redirect = _AGENTS["webrequest_exfiltrator"](plan).blocking
+    regs = ListenerRegistry()
+    regs.add(ListenerRegistration("r", ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, True, redirect))
+    steal = Url.parse("https://evil.example/steal")
+    for text, lands in (
+        ("https://evil.example:8443/collect", steal),
+        ("https://evil.example/collect", None),  # already bound for the capture origin
+    ):
+        url = Url.parse(text)
+        wire, _ = dispatch(WebRequestRecord(1, "GET", url), regs, PipelineConfig())
+        assert wire.url == (lands or url), text
 
 
 def test_unknown_adversary_rejected():

@@ -279,7 +279,7 @@ def view_for(
         request_id=request_id,
         stage=Stage.ON_BEFORE_REQUEST,
         method=method,
-        url=url,
+        url=Url.parse(url),
         query=tuple(query),
         headers=headers,
         body_view=BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT,
@@ -291,42 +291,42 @@ def view_for(
 def test_all_checks_pass():
     manager = make_manager()
     view = view_for()
-    decision = manager.safety_check(make_record(), view, Url.parse(view.url))
+    decision = manager.safety_check(make_record(), view)
     assert decision == SafetyDecision(True, None, "all checks passed")
 
 
 def test_check1_iframe_refused():
     view = view_for()
     record = make_record(in_iframe=True)
-    decision = make_manager().safety_check(record, view, Url.parse(view.url))
+    decision = make_manager().safety_check(record, view)
     assert (decision.approved, decision.reason) == (False, 1)
 
 
 @pytest.mark.parametrize("channel", [ChannelSecurity.PLAIN_HTTP, ChannelSecurity.BAD_TLS])
 def test_check2_channel_refused(channel):
     view = view_for(channel=channel)
-    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
+    decision = make_manager().safety_check(make_record(), view)
     assert (decision.approved, decision.reason) == (False, 2)
     assert channel.value in decision.detail
 
 
 def test_check3_cross_origin_refused():
     view = view_for(url="https://evil.example/login")
-    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
+    decision = make_manager().safety_check(make_record(), view)
     assert (decision.approved, decision.reason) == (False, 3)
 
 
 def test_check3_pin_mismatch_refused():
     record = make_record(pinned="https://bank.example/login")
     view = view_for(url="https://bank.example/changed-path")
-    decision = make_manager().safety_check(record, view, Url.parse(view.url))
+    decision = make_manager().safety_check(record, view)
     assert (decision.approved, decision.reason) == (False, 3)
 
 
 def test_check3_pin_ignored_when_pinning_disabled():
     record = make_record(pinned="https://bank.example/login", pinning_enabled=False)
     view = view_for(url="https://bank.example/changed-path")
-    decision = make_manager().safety_check(record, view, Url.parse(view.url))
+    decision = make_manager().safety_check(record, view)
     assert decision.approved is True
 
 
@@ -337,13 +337,13 @@ def test_check4_nonce_in_get_params_refused():
         query=(("password", NONCE),),
         entries=(),
     )
-    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
+    decision = make_manager().safety_check(make_record(), view)
     assert (decision.approved, decision.reason) == (False, 4)
 
 
 def test_check5_renamed_field_refused():
     view = view_for(entries=(("username", "alice"), ("creds", NONCE)))
-    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
+    decision = make_manager().safety_check(make_record(), view)
     assert (decision.approved, decision.reason) == (False, 5)
     assert "'creds'" in decision.detail
 
@@ -352,7 +352,7 @@ def test_checks_run_in_order_first_failure_wins():
     # iframe + bad channel + cross origin together: check 1 speaks first
     record = make_record(in_iframe=True)
     view = view_for(url="https://evil.example/login", channel=ChannelSecurity.PLAIN_HTTP)
-    decision = make_manager().safety_check(record, view, Url.parse(view.url))
+    decision = make_manager().safety_check(record, view)
     assert decision.reason == 1
 
     # bad channel + GET leak: check 2 beats check 4
@@ -363,7 +363,7 @@ def test_checks_run_in_order_first_failure_wins():
         entries=(),
         channel=ChannelSecurity.BAD_TLS,
     )
-    decision = make_manager().safety_check(make_record(), view, Url.parse(view.url))
+    decision = make_manager().safety_check(make_record(), view)
     assert decision.reason == 2
 
 
@@ -428,8 +428,8 @@ def test_pipeline_view_and_hand_built_view_decide_alike(page_kwargs, mutate, rea
         channel=view.channel,
     )
     assert view.form is request.body
-    decision = manager.safety_check(record, view, Url.parse(view.url))
-    assert decision == manager.safety_check(record, hand, Url.parse(hand.url))
+    decision = manager.safety_check(record, view)
+    assert decision == manager.safety_check(record, hand)
     assert (decision.approved, decision.reason) == (reason is None, reason)
 
 

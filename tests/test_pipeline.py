@@ -264,7 +264,7 @@ def test_credential_stage_body_stripped_in_implementation_mode():
     (view,) = seen
     assert view.body_view is BodyView.STRIPPED
     assert view.body is None
-    assert view.url == str(DEST)  # metadata still visible for validation
+    assert view.url == DEST  # metadata still visible for validation
 
 
 def test_design4_runs_credential_stage_before_validation_stages():
@@ -291,6 +291,37 @@ def test_design4_runs_credential_stage_before_validation_stages():
     # early position: the later body-visible stages witness the substituted body
     obr = next(e for e in transcript.deliveries() if e.label == "onBeforeRequest")
     assert SECRET.encode() in obr.view.body
+
+
+def test_design4_labels_the_views_after_a_swap_post_substitution():
+    sink: list[StageView] = []
+    regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="manager", sink=sink))
+    for stage in BODY_VISIBLE_STAGES:
+        regs.add(listener(stage, lid=f"obs.{stage.value}", sink=sink))
+    # the next hop goes elsewhere, so its swap is refused and its body is the page's
+    target = Url.parse("https://elsewhere.example/hop")
+    regs.add(
+        listener(
+            Stage.ON_BEFORE_SEND_HEADERS,
+            lambda view: Redirect(target) if view.request_id == 7 else None,
+            blocking=True,
+            lid="r",
+        )
+    )
+    config = PipelineConfig(defense_mode=DefenseMode.DESIGN4_API_EARLY)
+    dispatch(post(), regs, config, id_allocator=lambda: 8)
+    pre, post_ = BodyView.FULL_PRE_SUBSTITUTION, BodyView.FULL_POST_SUBSTITUTION
+    assert [(v.request_id, v.stage.value, v.body_view) for v in sink] == [
+        (7, "onRequestCredentials", pre),
+        (7, "onBeforeRequest", post_),
+        (7, "onBeforeSendHeaders", post_),
+        (8, "onRequestCredentials", pre),
+        (8, "onBeforeRequest", pre),
+        (8, "onBeforeSendHeaders", pre),
+        (8, "onSendHeaders", pre),
+    ]
+    for view in sink:
+        assert (SECRET.encode() in view.body) is (view.body_view is post_)
 
 
 def test_design5_views_never_contain_replacement():

@@ -95,7 +95,7 @@ FIDO2_REQUEST = Fido2Request(AUTHENTICATION, CHALLENGE, "site.example")
 ATTESTATION = AttestationObject(bytes(16), b"\x04" + bytes(64), bytes(32), 0, CHALLENGE, b"\x00")
 ASSERTION = AssertionResponse(bytes(16), bytes(32), 1, CHALLENGE, b"\x00")
 PROFILE = SiteProfile("s", "plain_post", ORIGIN)
-VIEW = StageView(1, Stage.ON_SEND_HEADERS, "POST", str(URL), (), (), BodyView.ABSENT, None)
+VIEW = StageView(1, Stage.ON_SEND_HEADERS, "POST", URL, (), (), BodyView.ABSENT, None)
 
 # one instance of every immutable record in the program
 IMMUTABLE = [
@@ -106,7 +106,7 @@ IMMUTABLE = [
     RESPONSE,
     NONCE_RECORD,
     DECISION,
-    Verdict(1, NONCE_RECORD, DECISION, URL),
+    Verdict(1, NONCE_RECORD, DECISION),
     VIEW,
     Cancel(),
     Redirect(URL),

@@ -12,6 +12,7 @@ import base64
 from noncepipe.dom import Field, FieldKind, Form
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.fido2 import (
+    AUTHENTICATION,
     HEADER_REQUEST,
     HEADER_RESPONSE,
     HEADER_URL_RESP,
@@ -349,14 +350,11 @@ def test_second_autofill_on_one_page_swaps_like_the_first_in_every_late_mode():
 
 
 @pytest.mark.parametrize(
-    "mode, parses",
-    [
-        (DefenseMode.DESIGN4_API_EARLY, 1),
-        (DefenseMode.DESIGN5_API_LATE, 1),
-        (DefenseMode.MANIFEST_V3, 0),  # the browser checks the request's own Url
-    ],
+    "mode",
+    [DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE, DefenseMode.MANIFEST_V3],
 )
-def test_nonce_login_parses_its_destination_at_most_once(monkeypatch, mode, parses):
+def test_nonce_login_parses_no_url(monkeypatch, mode):
+    """The checks read the request's own Url off the view."""
     session = make_session(mode)
     page = session.new_page(ORIGIN)
     add_login_form(page)
@@ -367,7 +365,7 @@ def test_nonce_login_parses_its_destination_at_most_once(monkeypatch, mode, pars
     monkeypatch.setattr(Url, "parse", counting)
     result = session.submit(page, "login")
     assert ("password", PASSWORD) in result.wire.body.entries
-    assert parsed == ["https://bank.example/login"] * parses
+    assert parsed == []
 
 
 def test_same_seed_replays_identical_wire_bytes():
@@ -450,22 +448,22 @@ def fido2_session(defended: bool, seed=7):
 def test_defended_register_and_authenticate_succeed():
     session, rp = fido2_session(defended=True)
     page = session.new_page(SSO)
-    assert session.fido2_register(page, SSO, "alice").verdict == "accepted"
-    assert session.fido2_authenticate(page, SSO, "alice").verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, REGISTRATION, "alice").verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice").verdict == "accepted"
     assert rp.accounts["alice"].counter == 1
 
 
 def test_legacy_register_and_authenticate_succeed():
     session, rp = fido2_session(defended=False)
     page = session.new_page(SSO)
-    assert session.fido2_register(page, SSO, "alice").verdict == "accepted"
-    assert session.fido2_authenticate(page, SSO, "alice").verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, REGISTRATION, "alice").verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice").verdict == "accepted"
 
 
 def test_defended_finish_rides_in_injected_header():
     session, _ = fido2_session(defended=True)
     page = session.new_page(SSO)
-    result = session.fido2_register(page, SSO, "alice")
+    result = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
     assert result.wire.header(HEADER_RESPONSE) is not None
     # what the page posted in the body is a dummy, not the parked response
     body_payload = dict(result.wire.body.entries)["webauthn"]
@@ -476,7 +474,7 @@ def test_defended_finish_rides_in_injected_header():
 def test_legacy_finish_rides_in_body():
     session, _ = fido2_session(defended=False)
     page = session.new_page(SSO)
-    result = session.fido2_register(page, SSO, "alice")
+    result = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
     assert result.wire.header(HEADER_RESPONSE) is None
     assert any(n == "webauthn" for n, _ in result.wire.body.entries)
 
@@ -502,7 +500,7 @@ def test_strip_event_precedes_headers_received_in_session_flow():
         "observer", Stage.ON_HEADERS_RECEIVED, lambda v: None, listener_id="obs.ohr"
     )
     page = session.new_page(SSO)
-    # fido2_register's steps, so the begin transcript is in hand
+    # fido2_ceremony's steps, so the begin transcript is in hand
     begin = session.fido2_begin(page, SSO, REGISTRATION, "alice")
     finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
     response_json = page.webauthn.create(page.rendered_text)

@@ -609,10 +609,11 @@ def test_compat_records_equal_those_of_a_fresh_world_per_login(mode, tmp_path, m
 
     login_once = sites._login_once
 
-    def fresh_world(sessions, farm, profile_, entry, seed, leg):
+    def fresh_world(session, profile_, entry, seed):
         farm = ServerFarm(seed)
         farm.add_site(profile_, entry.password)
-        return login_once({}, farm, profile_, entry, seed, leg)
+        fresh = BrowserSession(seed, session.defense_mode, [entry], farm.serve)
+        return login_once(fresh, profile_, entry, seed)
 
     monkeypatch.setattr(sites, "_login_once", fresh_world)
     assert [compat_evaluate(corpus, 7, mode).records for corpus in corpora] == reused
