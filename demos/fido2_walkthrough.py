@@ -26,7 +26,7 @@ from noncepipe.fido2 import (
     REGISTRATION,
     RelyingParty,
 )
-from noncepipe.http_model import Origin, Url, WebResponseRecord
+from noncepipe.http_model import Origin, WebResponseRecord
 from noncepipe.pipeline import DefenseMode, Stage
 from noncepipe.session import BrowserSession
 
@@ -61,16 +61,12 @@ def main():
     page = session.new_page(SSO)
 
     print("--- registration ---")
-    # fido2_ceremony's three steps, so the begin flow's transcript is in hand
-    begin = session.fido2_begin(page, SSO, REGISTRATION, "alice")
-    response_json = page.webauthn.create(page.rendered_text)
-    finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
-    result = session.fido2_finish(page, finish_url, response_json)
+    begin, result = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
     print(f"server verdict: {result.verdict}")
     print(f"consent prompts on the authenticator: {session.device.prompts}")
 
     print("\n--- authentication ---")
-    result = session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice")
+    _, result = session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice")
     print(f"server verdict: {result.verdict}")
 
     header = result.wire.header(HEADER_RESPONSE)

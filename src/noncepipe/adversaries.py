@@ -708,7 +708,7 @@ def _ceremony_hijack(
     setup = _fido2_setup(defense_on, seed, "victim", secrets)
     ceremony = setup.session.fido2_ceremony
     if kind == AUTHENTICATION:
-        honest = ceremony(setup.page, setup.origin, REGISTRATION, "victim")
+        _, honest = ceremony(setup.page, setup.origin, REGISTRATION, "victim")
         notes.append(f"honest_registration={honest.verdict}")
     attacker_device = None
     if kind == REGISTRATION:
@@ -729,7 +729,7 @@ def _ceremony_hijack(
             hijack = _AssertHijack(setup.page.webauthn, attacker_challenge, script, captured)
         attach_script(setup.page, script)
         setup.page.webauthn = hijack
-        result = ceremony(setup.page, setup.origin, kind, "victim")
+        _, result = ceremony(setup.page, setup.origin, kind, "victim")
         observations.extend(script.log)
         notes.append(f"victim_finish={result.verdict}")
     else:

@@ -180,24 +180,27 @@ def _run_scenario_row(
     name, adversary, defense, options = row
     seed = derive_seed(master_seed, "scenario", name)
     if adversary in FIDO2_ADVERSARIES:
-        return run_fido2_scenario(adversary, defense_on=defense == "on", seed=seed)
-    if adversary == "reflection":
-        return run_reflection_attack(
+        outcome = run_fido2_scenario(adversary, defense_on=defense == "on", seed=seed)
+    elif adversary == "reflection":
+        outcome = run_reflection_attack(
             seed,
             pinning=options.get("pinning", "on") == "on",
             variant=options.get("variant", "retarget"),
             defense=DEFENSE_TOKENS[defense],
         )
-    return run_scenario(
-        AttackScenario(
-            name=name,
-            adversary=adversary,
-            defense_mode=DEFENSE_TOKENS[defense],
-            seed=seed,
-            strategy_index=int(options.get("strategy", "0")),
-            site_category=options.get("category", "plain_post"),
+    else:
+        return run_scenario(
+            AttackScenario(
+                name=name,
+                adversary=adversary,
+                defense_mode=DEFENSE_TOKENS[defense],
+                seed=seed,
+                strategy_index=int(options.get("strategy", "0")),
+                site_category=options.get("category", "plain_post"),
+            )
         )
-    )
+    # these outcomes are named by their kind; a report line names its row
+    return outcome._replace(scenario=name)
 
 
 def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dict]:
@@ -283,9 +286,9 @@ def _honest_fido2_flows(
     """Register then authenticate with no attacker present. With `replay`,
     clone the authenticator in between and return the clone's verdict too."""
     setup = _fido2_setup(defense_on, seed, "demo")
-    register = setup.session.fido2_ceremony(setup.page, setup.origin, REGISTRATION, "alice")
+    _, register = setup.session.fido2_ceremony(setup.page, setup.origin, REGISTRATION, "alice")
     clone = setup.session.device.clone("cloned-device", substream(seed, "clone")) if replay else None
-    authenticate = setup.session.fido2_ceremony(setup.page, setup.origin, AUTHENTICATION, "alice")
+    _, authenticate = setup.session.fido2_ceremony(setup.page, setup.origin, AUTHENTICATION, "alice")
     honest = {
         "register": register.verdict or "cancelled",
         "authenticate": authenticate.verdict or "cancelled",

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .http_model import (
+    URLENCODED,
     ChannelSecurity,
     FormEntries,
     Origin,
@@ -368,7 +369,7 @@ def build_request(
     else:
         url = action
         body = RequestBody.urlencoded(entries)
-        headers.append(("Content-Type", body.content_type))
+        headers.append(("Content-Type", URLENCODED))
 
     return WebRequestRecord(
         request_id=request_id,

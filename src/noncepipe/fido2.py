@@ -513,6 +513,10 @@ class SecureStore:
         )
         return stripped, True
 
+    def clear(self) -> None:
+        """Drop every parked payload, used or not."""
+        self._by_session.clear()
+
     def pending(self, session_id: str) -> Optional[Fido2SecureEntry]:
         entry = self._by_session.get(session_id)
         if entry is not None and entry.real_response is None:

@@ -265,42 +265,38 @@ class Url(namedtuple("Url", "scheme host port path query origin")):
 # ---------------------------------------------------------------------------
 
 
-class RequestBody(namedtuple("RequestBody", "content_type entries raw")):
-    """Entry list plus its exact wire bytes.
+class RequestBody(namedtuple("RequestBody", "entries raw")):
+    """An urlencoded entry list plus its exact wire bytes.
 
-    `raw` is always derivable from `entries` and `content_type`; the pair is
-    kept together so substitution can edit entries and re-encode without
-    drifting from what a byte-level observer would have seen. A body built
-    directly is checked by encoding its entries again; the factories below
-    encode once and have nothing to check. So `entries` is always what
-    decoding `raw` gives, and readers may take either. No `__slots__`: the
-    instance dict keeps `digest()`, hashed on first use, and no attribute
-    can be set from outside.
+    `raw` is always derivable from `entries`; the pair is kept together so
+    substitution can edit entries and re-encode without drifting from what
+    a byte-level observer would have seen. A body built directly is checked
+    by encoding its entries again; the factories below encode once and have
+    nothing to check. So `entries` is always what decoding `raw` gives, and
+    readers may take either. No `__slots__`: the instance dict keeps
+    `digest()`, hashed on first use, and no attribute can be set from
+    outside.
     """
 
     _make = classmethod(checked_make)
     __setattr__ = __delattr__ = read_only
 
-    def __new__(cls, content_type: str, entries: FormEntries, raw: bytes) -> "RequestBody":
+    def __new__(cls, entries: FormEntries, raw: bytes) -> "RequestBody":
         entries = tuple((str(n), str(v)) for n, v in entries)
-        if raw != _encode_for(content_type, entries):
+        if raw != urlencode_entries(entries).encode("ascii"):
             raise MalformedBody("raw bytes do not match the encoded entry list")
-        return tuple.__new__(cls, (content_type, entries, raw))
-
-    @classmethod
-    def _encoded(cls, content_type: str, entries: Sequence[tuple[str, str]]) -> "RequestBody":
-        """The body of `entries`, with `raw` encoded here and so not re-checked."""
-        entries = tuple(entries)
-        raw = _encode_for(content_type, entries)
-        entries = tuple((str(n), str(v)) for n, v in entries)
-        return tuple.__new__(cls, (content_type, entries, raw))
+        return tuple.__new__(cls, (entries, raw))
 
     @classmethod
     def urlencoded(cls, entries: Sequence[tuple[str, str]]) -> "RequestBody":
-        return cls._encoded(URLENCODED, entries)
+        """The body of `entries`, with `raw` encoded here and so not re-checked."""
+        entries = tuple(entries)
+        raw = urlencode_entries(entries).encode("ascii")
+        entries = tuple((str(n), str(v)) for n, v in entries)
+        return tuple.__new__(cls, (entries, raw))
 
     def with_entries(self, entries: Sequence[tuple[str, str]]) -> "RequestBody":
-        return self._encoded(self.content_type, entries)
+        return self.urlencoded(entries)
 
     def digest(self) -> str:
         """sha256 hex of `raw`, as transcript lines record it: one hash per
@@ -311,12 +307,6 @@ class RequestBody(namedtuple("RequestBody", "content_type entries raw")):
             digest = sha256_hex(self.raw)
             object.__setattr__(self, "_digest", digest)
             return digest
-
-
-def _encode_for(content_type: str, entries: FormEntries) -> bytes:
-    if content_type == URLENCODED:
-        return urlencode_entries(entries).encode("ascii")
-    raise MalformedBody(f"unsupported content type {content_type!r}")
 
 
 class ChannelSecurity(Enum):

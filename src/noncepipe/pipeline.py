@@ -311,7 +311,7 @@ def record_for(records: Mapping[str, NonceRecord], view: StageView) -> Optional[
     """The record of the first registered nonce the request carries, in its
     query or its body; None for a request that carries none."""
     body = view.form.entries if view.form is not None else ()
-    for _, value in view.query + body:
+    for _, value in view.url.query + body:
         record = records.get(value)
         if record is not None:
             return record
@@ -347,7 +347,7 @@ def check(record: NonceRecord, view: StageView) -> SafetyDecision:
                 False, 3, f"destination {pin!r} != pinned {entry.pinned_submit_url!r}"
             )
 
-    if view.method == "GET" and any(v == record.nonce for _, v in view.query):
+    if view.method == "GET" and any(v == record.nonce for _, v in view.url.query):
         return SafetyDecision(False, 4, "nonce travels in GET parameters")
 
     body = view.form.entries if view.form is not None else ()
@@ -446,15 +446,14 @@ class StageView(NamedTuple):
 
     `form` is the RequestBody the view shows, or None when it shows none;
     readers take its entries, bytes and digest as they are. `url` is the
-    request's destination. `document_id` is the submitting page's id (None on
-    response stages).
+    request's destination, query included. `document_id` is the submitting
+    page's id (None on response stages).
     """
 
     request_id: int
     stage: Stage
     method: str
     url: Url
-    query: FormEntries
     headers: tuple[tuple[str, str], ...]
     body_view: BodyView
     form: Optional[RequestBody]
@@ -476,7 +475,7 @@ class StageView(NamedTuple):
     def visible_strings(self) -> tuple[str, ...]:
         """Everything a listener could copy out of this view, as strings."""
         out = [self.url.to_string()]
-        out.extend(v for _, v in self.query)
+        out.extend(v for _, v in self.url.query)
         out.extend(f"{k}: {v}" for k, v in self.headers)
         if self.body is not None:
             out.append(self.body.decode("utf-8", errors="replace"))
@@ -666,7 +665,6 @@ def _request_view(request: WebRequestRecord, stage: Stage, body_view: BodyView) 
         stage,
         request.method,
         request.url,
-        request.url.query,
         request.headers,
         body_view,
         form,
@@ -684,7 +682,6 @@ def _response_view(
         stage,
         "-",  # method
         url,
-        (),  # query
         response.headers,
         _ABSENT,
         None,  # form
@@ -799,7 +796,6 @@ def dispatch(
     *,
     transcript: Optional[StageTranscript] = None,
     nonce_store: Optional[NonceStore] = None,
-    fido2_store: Optional[object] = None,  # duck-typed .inject(request) hook
     id_allocator: Optional[Callable[[], int]] = None,
 ) -> tuple[WebRequestRecord, StageTranscript]:
     """Run the request-side stages and return what actually hits the wire.
@@ -854,32 +850,18 @@ def dispatch(
             current = _reissue(current, sent, redirected_to, new_id)
             continue
 
-        if fido2_store is not None:
-            injected = fido2_store.inject(current)
-            if injected is not None:
-                current = injected
-                transcript.record_event(current.request_id, EVENT_FIDO2_INJECT)
         return current, transcript
 
 
 def process_response(
     response: WebResponseRecord,
     listeners: ListenerRegistry,
-    fido2_hook: Optional[Callable[[WebResponseRecord], tuple[WebResponseRecord, bool]]] = None,
     *,
     request_url: Url,
     transcript: Optional[StageTranscript] = None,
 ) -> tuple[WebResponseRecord, StageTranscript]:
-    """Run the response-side stages and return what the page receives.
-
-    The FIDO2 strip hook runs strictly before any onHeadersReceived
-    delivery, so stripped header values never reach a listener view.
-    """
+    """Run the response-side stages and return what the page receives."""
     transcript = transcript if transcript is not None else StageTranscript()
-    if fido2_hook is not None:
-        response, stripped = fido2_hook(response)
-        if stripped:
-            transcript.record_event(response.request_id, EVENT_FIDO2_STRIP)
     for stage in RESPONSE_STAGES:
         regs = listeners.at(stage)
         if not regs:

@@ -4,11 +4,12 @@ Every component that needs randomness asks for a substream by name. Streams
 are independent of each other and of registration order, so adding a new
 scenario or module never perturbs the values an existing one draws.
 
-A stream is seeded on its first draw. A session asks for three streams (its
-FIDO2 dummies, its authenticator, its manager), deriving and seeding them
-costs more than the rest of its set-up, and a password login never draws
-from the first two (nor, in baseline, from the third). The seed depends only
-on the name path, so a stream draws exactly what
+A stream is seeded on its first draw: deriving and seeding one costs more
+than the rest of a login's set-up. A session asks for its two FIDO2 streams
+(its dummies, its authenticator) once, when it is built, and for its
+manager's stream on every login; a password login never draws from the
+first two (nor, in baseline, from the third). The seed depends only on the
+name path, so a stream draws exactly what
 `random.Random(derive_seed(master_seed, *names))` would.
 """
 

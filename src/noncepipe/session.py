@@ -17,6 +17,8 @@ from .fido2 import AuthenticatorDevice, BrowserWebAuthn, SecureStore
 from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
 from .manager import MANAGER_EXTENSION_ID, PasswordManager, VaultEntry
 from .pipeline import (
+    EVENT_FIDO2_INJECT,
+    EVENT_FIDO2_STRIP,
     Cancelled,
     DefenseMode,
     PipelineConfig,
@@ -44,8 +46,10 @@ class FlowResult(NamedTuple):
 
 class BrowserSession:
     """A browser profile plus its trusted manager and authenticator. A run keeps
-    the host with the manager installed, the pipeline config and the server;
-    `reset` sets what a login owns, so a reset session acts as a new one."""
+    the host with the manager installed, the pipeline config, the server and
+    the FIDO2 side (secure store and authenticator, drawn from the first
+    seed and name); `reset` sets what a login owns, so a reset session acts
+    as a new one to a password login."""
 
     def __init__(
         self,
@@ -65,11 +69,15 @@ class BrowserSession:
         # its vault and stream belong to a login: `reset` sets them
         self.manager = PasswordManager((), None, pinning_enabled=pinning_enabled)
         self.manager.register_with(self.host, defense_mode)
+        self.secure_store = SecureStore(substream(seed, name, "browser.dummies"))
+        self.device = AuthenticatorDevice("user-device", substream(seed, name, "device"))
         self.reset(seed, vault, name=name)
 
     def reset(self, seed: int, vault: Sequence[VaultEntry], *, name: str = "session") -> None:
         """Start a login: its streams drawn from (seed, name), its vault, and
-        no nonce, page, request id or extension but the manager before it."""
+        no nonce, page, request id, parked FIDO2 payload or extension but the
+        manager before it. Page ids restart, so a payload parked for an old
+        `page-1` must not reach a new one; the authenticator keeps its keys."""
         self.seed = seed
         self.name = name
         for extension_id in [e for e in self.host.extensions if e != MANAGER_EXTENSION_ID]:
@@ -77,8 +85,7 @@ class BrowserSession:
         self.host.nonces.clear()
         self.manager.vault = list(vault)
         self.manager.rng = substream(seed, name, "manager")
-        self.secure_store = SecureStore(substream(seed, name, "browser.dummies"))
-        self.device = AuthenticatorDevice("user-device", substream(seed, name, "device"))
+        self.secure_store.clear()
         self._page_count = 0  # pages are not kept: ids only need the count
         self._next_request_id = 0
 
@@ -105,8 +112,10 @@ class BrowserSession:
         return self._next_request_id
 
     def _run(self, request: WebRequestRecord, page: Page) -> FlowResult:
-        """One flow; its transcript is kept only on the returned result, and
-        the page's nonce verdict goes when the request leaves the pipeline."""
+        """One flow: the request-side stages, the FIDO2 inject, the server,
+        the FIDO2 strip, the response-side stages. Its transcript is kept only
+        on the returned result, and the page's nonce verdict goes when the
+        request leaves the pipeline."""
         transcript = StageTranscript()
         try:
             wire, transcript = dispatch(
@@ -115,20 +124,23 @@ class BrowserSession:
                 self.config,
                 transcript=transcript,
                 nonce_store=self.host.nonces,
-                fido2_store=self.secure_store,
                 id_allocator=self._allocate_request_id,
             )
         except Cancelled:
             return FlowResult(request, None, None, None, transcript, cancelled=True)
         finally:
             self.host.nonces.end_request(page.page_id)
+        injected = self.secure_store.inject(wire)
+        if injected is not None:  # after the last listener stage: no view shows it
+            wire = injected
+            transcript.record_event(wire.request_id, EVENT_FIDO2_INJECT)
         response, verdict = self.server(wire)
+        # before the first listener stage, so no view shows a stripped header
+        response, stripped = self.secure_store.strip_and_store(response, page.page_id)
+        if stripped:
+            transcript.record_event(response.request_id, EVENT_FIDO2_STRIP)
         response, transcript = process_response(
-            response,
-            self.host.registry,
-            lambda resp: self.secure_store.strip_and_store(resp, page.page_id),
-            request_url=wire.url,
-            transcript=transcript,
+            response, self.host.registry, request_url=wire.url, transcript=transcript
         )
         page.rendered_text = response.body.decode("utf-8", errors="replace")
         return FlowResult(request, wire, response, verdict, transcript)
@@ -152,29 +164,22 @@ class BrowserSession:
 
     # -- FIDO2 page flows -----------------------------------------------------
 
-    def fido2_begin(self, page: Page, rp_origin: Origin, kind: str, username: str) -> FlowResult:
-        url = Url(
-            scheme=rp_origin.scheme,
-            host=rp_origin.host,
-            port=rp_origin.port,
-            path=BEGIN_PATH,
-            query=(("kind", kind), ("username", username)),
-        )
-        return self.fetch(page, url)
-
-    def fido2_finish(self, page: Page, finish_url: Url, response_json: str) -> FlowResult:
-        return self.fetch(
-            page, finish_url, method="POST", body_entries=((FINISH_FIELD, response_json),)
-        )
-
     def fido2_ceremony(
         self, page: Page, rp_origin: Origin, kind: str, username: str
-    ) -> FlowResult:
+    ) -> tuple[FlowResult, FlowResult]:
         """The honest page flow of a `kind` ceremony: begin, WebAuthn create
-        (a registration) or get (a login), finish."""
-        self.fido2_begin(page, rp_origin, kind, username)
+        (a registration) or get (a login), finish. Returns the begin and the
+        finish flows."""
+        origin = (rp_origin.scheme, rp_origin.host, rp_origin.port)
+        query = (("kind", kind), ("username", username))
+        begin = self.fetch(page, Url(*origin, BEGIN_PATH, query))
         webauthn = page.webauthn
         call = webauthn.create if kind == REGISTRATION else webauthn.get
         response_json = call(page.rendered_text)
-        finish_url = Url(rp_origin.scheme, rp_origin.host, rp_origin.port, FINISH_PATH)
-        return self.fido2_finish(page, finish_url, response_json)
+        finish = self.fetch(
+            page,
+            Url(*origin, FINISH_PATH),
+            method="POST",
+            body_entries=((FINISH_FIELD, response_json),),
+        )
+        return begin, finish

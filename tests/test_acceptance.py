@@ -189,7 +189,6 @@ def _view(
     *,
     method="POST",
     url="https://bank.example/login",
-    query=(),
     entries=(("username", "alice"), ("password", NONCE)),
     channel=ChannelSecurity.GOOD_TLS,
 ):
@@ -199,7 +198,6 @@ def _view(
         stage=Stage.ON_BEFORE_REQUEST,
         method=method,
         url=Url.parse(url),
-        query=tuple(query),
         headers=(("Content-Type", URLENCODED),) if form is not None else (),
         body_view=BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT,
         form=form,
@@ -272,8 +270,7 @@ def test_criterion_3_five_refusal_scenarios():
             _view(
                 method="GET",
                 url=f"https://bank.example/login?password={NONCE}",
-                query=(("password", NONCE),),
-            ),
+                    ),
         ),
         (5, _record(), _view(entries=(("username", "alice"), ("creds", NONCE)))),
     ]
@@ -376,7 +373,7 @@ def _login_request(entries) -> WebRequestRecord:
         request_id=7,
         method="POST",
         url=Url("https", "site.example", 443, "/login"),
-        headers=(("Host", "site.example"), ("Content-Type", body.content_type)),
+        headers=(("Host", "site.example"), ("Content-Type", URLENCODED)),
         body=body,
         channel_security=ChannelSecurity.GOOD_TLS,
     )
@@ -478,9 +475,9 @@ def test_criterion_7_fido2_end_to_end(capsys):
     )
     session.device.witness = witness = []
     page = session.new_page(SSO)
-    if session.fido2_ceremony(page, SSO, REGISTRATION, "alice").verdict != "accepted":
+    if session.fido2_ceremony(page, SSO, REGISTRATION, "alice")[1].verdict != "accepted":
         problems.append("honest registration refused")
-    if session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice").verdict != "accepted":
+    if session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice")[1].verdict != "accepted":
         problems.append("honest authentication refused")
 
     # independent verification: the assertion the device witnessed checks out
@@ -579,13 +576,9 @@ def test_criterion_8_strip_precedes_listener_views():
         session.host.register_listener("observer", stage, lambda view: None)
 
     page = session.new_page(SSO)
-    finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
     transcripts = []
-    # the steps of fido2_ceremony, so the begin transcripts are in hand too
-    ceremonies = ((REGISTRATION, page.webauthn.create), (AUTHENTICATION, page.webauthn.get))
-    for kind, ceremony in ceremonies:
-        begin = session.fido2_begin(page, SSO, kind, "alice")
-        finish = session.fido2_finish(page, finish_url, ceremony(page.rendered_text))
+    for kind in (REGISTRATION, AUTHENTICATION):
+        begin, finish = session.fido2_ceremony(page, SSO, kind, "alice")
         transcripts += [begin.transcript, finish.transcript]
 
     strips = 0

@@ -386,13 +386,8 @@ def test_scenario_file_runs_sorted(tmp_path, capsys):
     assert rc == EXIT_OK
     data = json.loads((out / "scenarios.json").read_text(encoding="utf-8"))
     names = [o["scenario"] for o in data["outcomes"]]
-    # reflection and FIDO2 runs report under their own canonical names
-    assert names == [
-        "alpha",
-        "fido2/fido2_request/defended",
-        "reflection/retarget/pinning_off",
-        "zeta",
-    ]
+    # every row reports under its own name, reflection and FIDO2 rows too
+    assert names == ["alpha", "fkey", "mirror", "zeta"]
     by_name = {o["scenario"]: o for o in data["outcomes"]}
 
     # per-row seeds derive from the master seed and the row name
@@ -401,11 +396,22 @@ def test_scenario_file_runs_sorted(tmp_path, capsys):
     assert by_name["alpha"]["leaked_digests"] == [sha(alpha_password)]
 
     assert by_name["zeta"]["secret_leaked"] is False
-    assert by_name["reflection/retarget/pinning_off"]["secret_leaked"] is True
-    assert by_name["fido2/fido2_request/defended"]["attacker_login"] is False
+    assert by_name["mirror"]["secret_leaked"] is True
+    assert by_name["fkey"]["attacker_login"] is False
 
     text = (out / "scenarios.txt").read_text(encoding="utf-8")
     assert "leaked" in text and "no_compromise" in text
+
+
+def test_rows_that_differ_only_in_name_report_two_lines(tmp_path, capsys):
+    path = tmp_path / "scenarios.tsv"
+    path.write_text(
+        "first\treflection\tdesign5\t-\nsecond\treflection\tdesign5\t-\n", encoding="utf-8"
+    )
+    assert main(["matrix", "--seed", "7", "--scenarios", str(path)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["first", "second"]
+    assert len(set(rows)) == 2
 
 
 def test_scenario_report_text_ordering(tmp_path, capsys):
@@ -624,7 +630,7 @@ def test_same_seed_same_bytes(tmp_path, capsys):
         (
             ["matrix", "--seed", "7", "--scenarios", str(SCENARIOS_ALL)],
             "scenarios.json",
-            "b347e91f5ef993b1c08bc419172ebbc66a94e7c8b92419cd51417b11c0fdad44",
+            "cca814e464175d7b5e0472365bbb289c0629f5fed924b63b17302348dbb67b17",
         ),
     ],
     ids=["matrix", "compat", "scenarios_all"],

@@ -27,12 +27,13 @@ from noncepipe.dom import (
     SetFormAction,
     SubmitHook,
     attach_script,
+    build_request,
     read_rendered_text,
     script_mutate,
     script_read_field,
     submit_form,
 )
-from noncepipe.http_model import ChannelSecurity, Origin, Url, decode_urlencoded
+from noncepipe.http_model import URLENCODED, ChannelSecurity, Origin, Url, decode_urlencoded
 
 ORIGIN = Origin("https", "site.example", 443)
 ACTION = Url.parse("https://site.example/login")
@@ -316,6 +317,15 @@ def test_submit_post_urlencoded():
     assert record.header("Host") == "site.example"
     assert record.channel_security is ChannelSecurity.GOOD_TLS
     assert record.source_page is page
+
+
+def test_a_post_outside_any_page_is_urlencoded_too():
+    record = build_request(None, "POST", ACTION, (("a", "b c"),), 5)
+    assert record.header("Content-Type") == URLENCODED
+    assert record.body.raw == b"a=b+c"
+    assert record.channel_security is ChannelSecurity.GOOD_TLS and record.source_page is None
+    get = build_request(None, "GET", ACTION, (("a", "b c"),), 6)
+    assert get.header("Content-Type") is None and get.url.query == (("a", "b c"),)
 
 
 def test_submit_get_puts_entries_in_query():

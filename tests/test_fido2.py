@@ -866,6 +866,23 @@ def test_inject_appends_header_on_exact_url_match():
     assert store.inject(again) is None
 
 
+def test_clear_drops_every_parked_payload():
+    rp = RelyingParty(ORIGIN, Random(20))
+    store = SecureStore(Random(21))
+    device = AuthenticatorDevice("key-1", Random(22))
+    device.make_credential(reg_request(Random(23)))
+    store.strip_and_store(rp.begin(AUTHENTICATION, "alice", 1), "page-1")
+    store.strip_and_store(rp.begin(AUTHENTICATION, "alice", 2), "page-2")
+    store.call("page-1", device, "{}")  # one used, one still pending
+    store.clear()
+    assert store.pending("page-1") is None and store.pending("page-2") is None
+
+    class SourcePage:
+        page_id = "page-1"
+
+    assert store.inject(finish_request(f"{ORIGIN}/webauthn/finish", source_page=SourcePage())) is None
+
+
 def test_inject_ignores_requests_without_source_page():
     store = SecureStore(Random(1))
     assert store.inject(finish_request("https://sso.example/webauthn/finish")) is None

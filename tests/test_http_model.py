@@ -21,7 +21,6 @@ from noncepipe.http_model import (
     Url,
     WebRequestRecord,
     WebResponseRecord,
-    _encode_for,
     _quote_form,
     _unquote_form,
     decode_urlencoded,
@@ -301,7 +300,6 @@ def test_url_query_round_trip(entries):
 
 def test_request_body_urlencoded_raw_matches():
     body = RequestBody.urlencoded((("user", "alice"), ("pw", "a b")))
-    assert body.content_type == URLENCODED
     assert body.raw == b"user=alice&pw=a+b"
 
 
@@ -317,24 +315,7 @@ def test_request_body_urlencoded_raw_matches():
 )
 def test_request_body_rejects_mismatched_raw(raw):
     with pytest.raises(MalformedBody, match="raw bytes do not match"):
-        RequestBody(URLENCODED, (("a", "b"),), raw)
-
-
-@pytest.mark.parametrize(
-    "content_type",
-    [
-        "multipart/form-data; boundary=x",
-        "multipart/form-data",
-        "text/plain",
-        "application/json",
-        URLENCODED + "; charset=utf-8",
-        URLENCODED.upper(),
-        "",
-    ],
-)
-def test_request_body_rejects_other_content_types(content_type):
-    with pytest.raises(MalformedBody, match="unsupported content type"):
-        RequestBody(content_type, (("a", "b"),), b"a=b")
+        RequestBody((("a", "b"),), raw)
 
 
 def test_request_body_with_entries_reencodes():
@@ -353,13 +334,13 @@ def test_request_body_raw_always_consistent(entries):
 @given(entry_lists, entry_lists)
 def test_request_body_factories_equal_a_checked_body(entries, swapped):
     """The factories encode once and skip the re-encoding check; what they
-    build must equal `_encode_for` output and the directly built, checked body."""
+    build must equal the encoded entries and the directly built, checked body."""
     body = RequestBody.urlencoded(entries)
-    assert body.raw == _encode_for(URLENCODED, tuple(entries))
-    assert body == RequestBody(URLENCODED, entries, body.raw)
+    assert body.raw == urlencode_entries(entries).encode("ascii")
+    assert body == RequestBody(entries, body.raw)
     edited = body.with_entries(swapped)
-    assert edited.raw == _encode_for(URLENCODED, tuple(swapped))
-    assert edited == RequestBody(URLENCODED, swapped, edited.raw)
+    assert edited.raw == urlencode_entries(swapped).encode("ascii")
+    assert edited == RequestBody(swapped, edited.raw)
     assert type(edited.entries) is tuple and type(body.entries) is tuple
 
 
@@ -380,7 +361,7 @@ def test_request_body_raw_decodes_to_its_entries(entries, swapped):
 
 def test_request_body_digest_is_kept_and_not_in_repr_eq_or_hash():
     body = RequestBody.urlencoded((("pw", "a b"),))
-    twin = RequestBody(URLENCODED, (("pw", "a b"),), b"pw=a+b")
+    twin = RequestBody((("pw", "a b"),), b"pw=a+b")
     assert body.digest() == sha256_hex(b"pw=a+b")
     assert body.digest() is body.digest()  # hashed once, then kept
     assert "digest" not in repr(body)

@@ -268,7 +268,6 @@ def view_for(
     *,
     method="POST",
     url="https://bank.example/login",
-    query=(),
     entries=(("username", "alice"), ("password", NONCE)),
     channel=ChannelSecurity.GOOD_TLS,
     request_id=1,
@@ -280,7 +279,6 @@ def view_for(
         stage=Stage.ON_BEFORE_REQUEST,
         method=method,
         url=Url.parse(url),
-        query=tuple(query),
         headers=headers,
         body_view=BodyView.FULL_PRE_SUBSTITUTION if form is not None else BodyView.ABSENT,
         form=form,
@@ -334,7 +332,6 @@ def test_check4_nonce_in_get_params_refused():
     view = view_for(
         method="GET",
         url=f"https://bank.example/login?password={NONCE}",
-        query=(("password", NONCE),),
         entries=(),
     )
     decision = make_manager().safety_check(make_record(), view)
@@ -359,7 +356,6 @@ def test_checks_run_in_order_first_failure_wins():
     view = view_for(
         method="GET",
         url=f"https://bank.example/login?password={NONCE}",
-        query=(("password", NONCE),),
         entries=(),
         channel=ChannelSecurity.BAD_TLS,
     )
@@ -421,7 +417,6 @@ def test_pipeline_view_and_hand_built_view_decide_alike(page_kwargs, mutate, rea
         stage=view.stage,
         method=view.method,
         url=view.url,
-        query=view.query,
         headers=view.headers,
         body_view=view.body_view,
         form=request.body,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noncepipe.http_model import (
+    URLENCODED,
     ChannelSecurity,
     Origin,
     RequestBody,
@@ -34,6 +35,8 @@ from noncepipe.pipeline import (
     NonceRecord,
     NonceStore,
     PipelineConfig,
+    REQUEST_STAGES,
+    RESPONSE_STAGES,
     Redirect,
     RedirectLoop,
     Stage,
@@ -62,7 +65,7 @@ def sub(field="pw", nonce=NONCE, replacement=SECRET, origin=ORIGIN) -> Substitut
 
 def post(request_id=7, entries=(("user", "alice"), ("pw", NONCE)), url=DEST, **kwargs):
     body = RequestBody.urlencoded(entries)
-    headers = (("Host", url.host), ("Content-Type", body.content_type))
+    headers = (("Host", url.host), ("Content-Type", URLENCODED))
     return WebRequestRecord(request_id, "POST", url, headers=headers, body=body, **kwargs)
 
 
@@ -255,6 +258,20 @@ def test_request_stages_see_full_pre_substitution_body():
             assert event.view.body == b"user=alice&pw=" + NONCE.encode()
     # the secret never reached any extension-visible string
     assert all(SECRET not in s for view in sink for s in view.visible_strings())
+
+
+def test_every_view_lists_its_url_query_values():
+    url = DEST.with_query((("q", "a b"),))
+    request = WebRequestRecord(7, "GET", url, headers=(("Host", url.host),))
+    sink: list[StageView] = []
+    regs = observing_registry(REQUEST_STAGES + RESPONSE_STAGES, sink)
+    final, transcript = dispatch(request, regs, design5_config())
+    process_response(WebResponseRecord(7, 200), regs, request_url=final.url, transcript=transcript)
+    assert len(sink) == 6
+    for view in sink:
+        # the URL string holds the value encoded; the query value is listed decoded
+        assert view.url.query == (("q", "a b"),)
+        assert "a b" in view.visible_strings()
 
 
 def test_credential_stage_body_stripped_in_implementation_mode():
@@ -452,7 +469,6 @@ def test_body_substitution_re_encodes_and_keeps_content_type():
     request = post()
     regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="m"))
     final, _ = dispatch(request, regs, design5_config())
-    assert final.body.content_type == request.body.content_type
     assert final.header("Content-Type") == request.header("Content-Type")
     assert final.body.entries == (("user", "alice"), ("pw", SECRET))
     assert final.body.raw == b"user=alice&pw=" + SECRET.encode("ascii")
@@ -732,13 +748,12 @@ def test_listeners_cannot_change_a_view_or_a_transcript_line():
                 except AttributeError:
                     form_blocked.append((view.stage, name))
 
-    regs = registry(*(listener(stage, tamper, lid=stage.value) for stage in Stage))
+    # the swap adds a browser event among the deliveries
+    swap = listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="m")
+    regs = registry(*(listener(stage, tamper, lid=stage.value) for stage in Stage), swap)
     final, transcript = dispatch(post(), regs, design5_config())
     response = WebResponseRecord(7, 200, headers=(("Set-Cookie", "s=1"),))
-    # a strip hook that reports a strip adds a browser event among the deliveries
-    process_response(
-        response, regs, lambda r: (r, True), request_url=final.url, transcript=transcript
-    )
+    process_response(response, regs, request_url=final.url, transcript=transcript)
     # request views and response views alike
     names = StageView._fields + ("extra",)
     stages = stage_order(DefenseMode.DESIGN5_API_LATE)
@@ -776,30 +791,3 @@ def test_response_views_have_no_body():
         assert view.body_view is BodyView.ABSENT
         assert view.status == 200
         assert view.header("Set-Cookie") == "s=1"
-
-
-def test_strip_hook_runs_before_any_headers_received_delivery():
-    order: list[str] = []
-
-    def strip(response):
-        order.append("strip")
-        return response.without_headers(["X-Secret"]), True
-
-    regs = registry(
-        listener(Stage.ON_HEADERS_RECEIVED, lambda v: order.append("ohr"), lid="obs.ohr")
-    )
-    response = WebResponseRecord(7, 200, headers=(("X-Secret", "v"), ("Keep", "1")))
-    final, transcript = process_response(response, regs, strip, request_url=DEST)
-    assert order == ["strip", "ohr"]
-    assert final.header("X-Secret") is None
-    labels = [e.label for e in transcript.events]
-    assert labels.index("fido2Strip") < labels.index("onHeadersReceived")
-
-
-def test_strip_hook_no_strip_records_no_event():
-    regs = registry(listener(Stage.ON_HEADERS_RECEIVED, lid="obs"))
-    response = WebResponseRecord(7, 200)
-    _, transcript = process_response(
-        response, regs, lambda r: (r, False), request_url=DEST
-    )
-    assert all(e.label != "fido2Strip" for e in transcript.events)

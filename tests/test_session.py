@@ -13,12 +13,16 @@ from noncepipe.dom import Field, FieldKind, Form
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.fido2 import (
     AUTHENTICATION,
+    BEGIN_PATH,
+    FINISH_PATH,
     HEADER_REQUEST,
     HEADER_RESPONSE,
     HEADER_URL_RESP,
     REGISTRATION,
+    AuthenticatorDevice,
     Fido2Request,
     RelyingParty,
+    SecureStore,
 )
 from noncepipe.http_model import (
     ChannelSecurity,
@@ -27,7 +31,15 @@ from noncepipe.http_model import (
     WebResponseRecord,
 )
 from noncepipe.manager import VaultEntry
-from noncepipe.pipeline import EVENT_LISTENER, Cancel, DefenseMode, Redirect, Stage
+from noncepipe.pipeline import (
+    EVENT_LISTENER,
+    Cancel,
+    DefenseMode,
+    Redirect,
+    Stage,
+    StageView,
+    TranscriptEvent,
+)
 from noncepipe.session import BrowserSession, FlowResult
 
 ORIGIN = Origin("https", "bank.example", 443)
@@ -439,6 +451,13 @@ def rp_server(rp: RelyingParty):
     return serve
 
 
+def begin_url(kind, username="alice"):
+    return Url(SSO.scheme, SSO.host, SSO.port, BEGIN_PATH, (("kind", kind), ("username", username)))
+
+
+FINISH_URL = Url(SSO.scheme, SSO.host, SSO.port, FINISH_PATH)
+
+
 def fido2_session(defended: bool, seed=7):
     rp = RelyingParty(SSO, Random(seed * 1000 + 1), defense_enabled=defended)
     session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, vault(), rp_server(rp))
@@ -448,22 +467,22 @@ def fido2_session(defended: bool, seed=7):
 def test_defended_register_and_authenticate_succeed():
     session, rp = fido2_session(defended=True)
     page = session.new_page(SSO)
-    assert session.fido2_ceremony(page, SSO, REGISTRATION, "alice").verdict == "accepted"
-    assert session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice").verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, REGISTRATION, "alice")[1].verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice")[1].verdict == "accepted"
     assert rp.accounts["alice"].counter == 1
 
 
 def test_legacy_register_and_authenticate_succeed():
     session, rp = fido2_session(defended=False)
     page = session.new_page(SSO)
-    assert session.fido2_ceremony(page, SSO, REGISTRATION, "alice").verdict == "accepted"
-    assert session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice").verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, REGISTRATION, "alice")[1].verdict == "accepted"
+    assert session.fido2_ceremony(page, SSO, AUTHENTICATION, "alice")[1].verdict == "accepted"
 
 
 def test_defended_finish_rides_in_injected_header():
     session, _ = fido2_session(defended=True)
     page = session.new_page(SSO)
-    result = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
+    _, result = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
     assert result.wire.header(HEADER_RESPONSE) is not None
     # what the page posted in the body is a dummy, not the parked response
     body_payload = dict(result.wire.body.entries)["webauthn"]
@@ -474,7 +493,7 @@ def test_defended_finish_rides_in_injected_header():
 def test_legacy_finish_rides_in_body():
     session, _ = fido2_session(defended=False)
     page = session.new_page(SSO)
-    result = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
+    _, result = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
     assert result.wire.header(HEADER_RESPONSE) is None
     assert any(n == "webauthn" for n, _ in result.wire.body.entries)
 
@@ -482,7 +501,7 @@ def test_legacy_finish_rides_in_body():
 def test_defended_page_sees_only_dummy_challenge():
     session, rp = fido2_session(defended=True)
     page = session.new_page(SSO)
-    begin = session.fido2_begin(page, SSO, "registration", "alice")
+    begin = session.fetch(page, begin_url(REGISTRATION))
     page_request = Fido2Request.from_json(page.rendered_text)
     page_b64 = base64.urlsafe_b64encode(page_request.challenge).decode()
     assert page_b64 not in rp.outstanding  # dummy, unknown to the server
@@ -500,13 +519,109 @@ def test_strip_event_precedes_headers_received_in_session_flow():
         "observer", Stage.ON_HEADERS_RECEIVED, lambda v: None, listener_id="obs.ohr"
     )
     page = session.new_page(SSO)
-    # fido2_ceremony's steps, so the begin transcript is in hand
-    begin = session.fido2_begin(page, SSO, REGISTRATION, "alice")
-    finish_url = Url(SSO.scheme, SSO.host, SSO.port, "/webauthn/finish")
-    response_json = page.webauthn.create(page.rendered_text)
-    assert session.fido2_finish(page, finish_url, response_json).verdict == "accepted"
+    begin, finish = session.fido2_ceremony(page, SSO, REGISTRATION, "alice")
+    assert finish.verdict == "accepted"
     labels = [e.label for e in begin.transcript.events]
     assert "fido2Strip" in labels
     assert labels.index("fido2Strip") < labels.index("onHeadersReceived")
     # nothing the observer saw names the channel headers
     assert all(not s.startswith(("webauthn_request:", "webauthn_req:", "URL_resp:")) for s in ext.observations)
+
+
+def test_strip_runs_before_any_headers_received_delivery():
+    session, _ = fido2_session(defended=True)
+    order: list[str] = []
+    store = session.secure_store
+    strip_and_store = store.strip_and_store
+
+    def strip(response, session_id):
+        order.append("strip")
+        return strip_and_store(response, session_id)
+
+    store.strip_and_store = strip
+    session.host.install(ExtensionManifest("observer", frozenset({Permission.WEB_REQUEST})))
+    session.host.register_listener(
+        "observer", Stage.ON_HEADERS_RECEIVED, lambda v: order.append("ohr"), listener_id="obs.ohr"
+    )
+    begin = session.fetch(session.new_page(SSO), begin_url(REGISTRATION))
+    assert order == ["strip", "ohr"]
+    assert begin.response.header(HEADER_REQUEST) is None
+    labels = [e.label for e in begin.transcript.events]
+    assert labels.index("fido2Strip") < labels.index("onHeadersReceived")
+
+
+def test_a_response_without_channel_headers_records_no_strip():
+    session, _ = fido2_session(defended=False)  # the legacy begin sends no channel headers
+    session.host.install(ExtensionManifest("observer", frozenset({Permission.WEB_REQUEST})))
+    session.host.register_listener("observer", Stage.ON_HEADERS_RECEIVED, lambda v: None)
+    begin = session.fetch(session.new_page(SSO), begin_url(REGISTRATION))
+    assert begin.verdict == "begin"
+    assert all(e.label != "fido2Strip" for e in begin.transcript.events)
+
+
+def test_listeners_cannot_change_a_strip_event_line():
+    session, _ = fido2_session(defended=True)
+    blocked: list[tuple[Stage, str]] = []
+
+    def tamper(view):
+        for name in view._fields + ("extra",):
+            try:
+                setattr(view, name, "forged")
+            except AttributeError:
+                blocked.append((view.stage, name))
+
+    session.host.install(ExtensionManifest("tamperer", frozenset({Permission.WEB_REQUEST})))
+    stages = [stage for stage in Stage if stage is not Stage.ON_REQUEST_CREDENTIALS]
+    for stage in stages:
+        session.host.register_listener("tamperer", stage, tamper)
+    begin = session.fetch(session.new_page(SSO), begin_url(REGISTRATION))
+    assert blocked == [(stage, name) for stage in stages for name in StageView._fields + ("extra",)]
+    (strip,) = [e for e in begin.transcript.events if e.label == "fido2Strip"]
+    lines = begin.transcript.to_text()
+    assert "forged" not in lines
+    for name in TranscriptEvent._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(strip, name, None)
+    assert begin.transcript.to_text() == lines
+
+
+def test_reset_builds_no_fido2_object(monkeypatch):
+    session = make_session()
+    built: list[str] = []
+    for cls in (SecureStore, AuthenticatorDevice):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    store, device = session.secure_store, session.device
+    for seed in range(50):
+        session.reset(seed, vault())
+        assert login_flow(session).wire.body.entries[1] == ("password", PASSWORD)
+    assert built == []
+    assert (session.secure_store, session.device) == (store, device)
+
+
+def test_reset_drops_a_payload_parked_for_an_old_page():
+    session, _ = fido2_session(defended=True)
+    page = session.new_page(SSO)
+    session.fetch(page, begin_url(REGISTRATION))
+    page.webauthn.create(page.rendered_text)  # the real response is parked for page-1
+    # the finish is never sent; after the reset a new page-1 posts to its URL
+    session.reset(7, vault())
+    new_page = session.new_page(SSO)
+    assert new_page.page_id == page.page_id
+    result = session.fetch(new_page, FINISH_URL, method="POST", body_entries=(("webauthn", "{}"),))
+    assert result.wire.header(HEADER_RESPONSE) is None
+    assert all(e.label != "fido2Inject" for e in result.transcript.events)
+
+
+def test_ceremony_returns_its_begin_and_finish_flows():
+    session, _ = fido2_session(defended=True)
+    begin, finish = session.fido2_ceremony(session.new_page(SSO), SSO, REGISTRATION, "alice")
+    assert begin.wire.url == begin_url(REGISTRATION) and begin.verdict == "begin"
+    assert finish.wire.url == FINISH_URL and finish.verdict == "accepted"
+    events = [[e.label for e in f.transcript.events if type(e) is TranscriptEvent] for f in (begin, finish)]
+    assert events == [["fido2Strip"], ["fido2Inject"]]

@@ -12,6 +12,7 @@ from noncepipe.dom import FieldKind, HookKind, Provenance, ScriptHandle, SetForm
 from noncepipe.dom import attach_script, script_mutate
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.http_model import (
+    URLENCODED,
     Origin,
     RequestBody,
     Url,
@@ -58,7 +59,7 @@ def login_post(entries, *, path="/login", request_id=1, origin=ORIGIN):
         request_id,
         "POST",
         Url(origin.scheme, origin.host, origin.port, path),
-        headers=(("Content-Type", body.content_type),),
+        headers=(("Content-Type", URLENCODED),),
         body=body,
     )
 
