@@ -14,7 +14,6 @@ Payload values are secret material; this demo prints digests.
 """
 
 import hashlib
-from random import Random
 
 from noncepipe.adversaries import run_fido2_scenario
 from noncepipe.extensions import ExtensionManifest, Permission
@@ -28,6 +27,7 @@ from noncepipe.fido2 import (
 )
 from noncepipe.http_model import Origin, WebResponseRecord
 from noncepipe.pipeline import DefenseMode, Stage
+from noncepipe.rng import substream
 from noncepipe.session import BrowserSession
 
 SSO = Origin("https", "sso.example", 443)
@@ -52,7 +52,7 @@ def rp_server(rp):
 
 
 def main():
-    rp = RelyingParty(SSO, Random(7), defense_enabled=True)
+    rp = RelyingParty(SSO, substream(7, "rp"), defense_enabled=True)
     session = BrowserSession(7, DefenseMode.DESIGN5_API_LATE, [], rp_server(rp))
     watcher = session.host.install(
         ExtensionManifest("watcher", frozenset({Permission.WEB_REQUEST}))

@@ -1,7 +1,7 @@
 """Minimal ES256: ECDSA over P-256 with SHA-256.
 
 Every private key and per-signature k is drawn from a caller-supplied
-seeded RNG, so a fixed seed yields byte-identical keys and signatures run
+seeded stream, so a fixed seed yields byte-identical keys and signatures run
 after run; that is a simulator property, not a production one. The one
 point operation signing needs, k·G for the fixed generator G, is the public
 point of private scalar k, and the `cryptography` package (OpenSSL)
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from random import Random
+
+from .rng import Substream
 
 __all__ = [
     "N",
@@ -82,8 +83,8 @@ def der_signature(r: int, s: int) -> bytes:
     return b"\x30" + bytes([len(body)]) + body
 
 
-def generate_private_key(rng: Random) -> int:
-    return rng.randrange(1, N)
+def generate_private_key(rng: Substream) -> int:
+    return 1 + rng.randbelow(N - 1)
 
 
 def public_key_bytes(private_key: int) -> bytes:
@@ -92,11 +93,11 @@ def public_key_bytes(private_key: int) -> bytes:
     return b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
 
 
-def sign(private_key: int, message: bytes, rng: Random) -> bytes:
+def sign(private_key: int, message: bytes, rng: Substream) -> bytes:
     """DER-encoded ECDSA signature over SHA-256(message)."""
     z = int.from_bytes(hashlib.sha256(message).digest(), "big")
     while True:
-        k = rng.randrange(1, N)
+        k = 1 + rng.randbelow(N - 1)
         r = _mul_g(k)[0] % N
         if r == 0:
             continue

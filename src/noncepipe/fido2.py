@@ -27,11 +27,11 @@ import binascii
 import hashlib
 import json
 from collections import namedtuple
-from random import Random
 from typing import NamedTuple, Optional, Union
 
 from . import es256
 from .http_model import Origin, WebRequestRecord, WebResponseRecord, checked_make
+from .rng import Substream
 
 __all__ = [
     "AssertionResponse",
@@ -333,9 +333,9 @@ def response_from_json(text: str) -> Fido2Response:
 # ---------------------------------------------------------------------------
 
 
-def make_dummy_request(kind: str, rp_id: str, rng: Random) -> Fido2Request:
+def make_dummy_request(kind: str, rp_id: str, rng: Substream) -> Fido2Request:
     user_id = rng.randbytes(8) if kind == REGISTRATION else None
-    user_name = f"user-{rng.randrange(16**6):06x}" if kind == REGISTRATION else None
+    user_name = f"user-{rng.randbytes(3).hex()}" if kind == REGISTRATION else None
     return Fido2Request(
         kind=kind,
         challenge=rng.randbytes(CHALLENGE_LEN),
@@ -345,12 +345,11 @@ def make_dummy_request(kind: str, rp_id: str, rng: Random) -> Fido2Request:
     )
 
 
-def _dummy_signature(rng: Random) -> bytes:
-    r, s = rng.randrange(1, es256.N), rng.randrange(1, es256.N)
-    return es256.der_signature(r, s)
+def _dummy_signature(rng: Substream) -> bytes:
+    return es256.der_signature(1 + rng.randbelow(es256.N - 1), 1 + rng.randbelow(es256.N - 1))
 
 
-def make_dummy_response(kind: str, rng: Random) -> Fido2Response:
+def make_dummy_response(kind: str, rng: Substream) -> Fido2Response:
     if kind == REGISTRATION:
         return AttestationObject(
             credential_id=rng.randbytes(CREDENTIAL_ID_LEN),
@@ -363,7 +362,7 @@ def make_dummy_response(kind: str, rng: Random) -> Fido2Response:
     return AssertionResponse(
         credential_id=rng.randbytes(CREDENTIAL_ID_LEN),
         rp_id_hash=rng.randbytes(32),
-        counter=rng.randrange(1, 2**16),
+        counter=1 + rng.randbelow(2**16 - 1),
         challenge=rng.randbytes(CHALLENGE_LEN),
         signature=_dummy_signature(rng),
     )
@@ -394,7 +393,7 @@ class AuthenticatorDevice:
     saw, account name included, in `prompts`.
     """
 
-    def __init__(self, name: str, rng: Random) -> None:
+    def __init__(self, name: str, rng: Substream) -> None:
         self.name = name
         self.rng = rng
         self.credentials: dict[bytes, _StoredKey] = {}
@@ -448,7 +447,7 @@ class AuthenticatorDevice:
                 return assertion
         raise NoCredential(f"{self.name} holds no credential for {request.rp_id}")
 
-    def clone(self, name: str, rng: Random) -> "AuthenticatorDevice":
+    def clone(self, name: str, rng: Substream) -> "AuthenticatorDevice":
         """Copy keys and counters; models a physically cloned authenticator."""
         twin = AuthenticatorDevice(name, rng)
         for credential_id, key in self.credentials.items():
@@ -481,7 +480,7 @@ class Fido2SecureEntry:
 class SecureStore:
     """Browser-internal parking spot for real FIDO2 payloads."""
 
-    def __init__(self, rng: Random) -> None:
+    def __init__(self, rng: Substream) -> None:
         self.rng = rng
         self._by_session: dict[str, Fido2SecureEntry] = {}
 
@@ -546,16 +545,12 @@ class SecureStore:
             return device.make_credential(request)
         return device.get_assertion(request)
 
-    def inject(self, request: WebRequestRecord) -> Optional[WebRequestRecord]:
+    def inject(self, request: WebRequestRecord, session_id: str) -> Optional[WebRequestRecord]:
         """Attach the real response header when the destination matches.
 
         Runs after onSendHeaders; the match is an exact URL comparison, and
         a matching entry is consumed, so each real response goes out once.
         """
-        page = request.source_page
-        session_id = getattr(page, "page_id", None)
-        if session_id is None:
-            return None
         entry = self._by_session.get(session_id)
         if entry is None or entry.real_response is None:
             return None
@@ -615,7 +610,7 @@ class RelyingParty:
     payload rides in the body like any legacy deployment.
     """
 
-    def __init__(self, origin: Origin, rng: Random, *, defense_enabled: bool = True) -> None:
+    def __init__(self, origin: Origin, rng: Substream, *, defense_enabled: bool = True) -> None:
         self.origin = origin
         self.rp_id = origin.host
         self.rng = rng

@@ -8,7 +8,6 @@ A refusal means the request simply goes out still carrying the nonce.
 
 from __future__ import annotations
 
-from random import Random
 from typing import Container, Optional, Sequence, Union
 
 from .dom import FieldKind, Form, HookKind, Page, SubmitHook
@@ -30,6 +29,7 @@ from .pipeline import (
     check,
     record_for,
 )
+from .rng import Substream
 
 __all__ = [
     "CHECK_NAMES",
@@ -64,19 +64,14 @@ class NoPasswordField(LookupError):
     """The form has no fillable password field."""
 
 
-def generate_nonce(rng: Random, used: Container[str] = frozenset()) -> str:
-    """Draw a 16-char [A-Za-z0-9] nonce by rejection sampling, avoiding `used`.
+def generate_nonce(rng: Substream, used: Container[str] = frozenset()) -> str:
+    """Draw a 16-char [A-Za-z0-9] nonce, drawing again while it is in `used`.
 
     `used` is only tested for membership, so a caller can pass its own
     mapping or set without copying it.
     """
     while True:
-        chars: list[str] = []
-        while len(chars) < NONCE_LENGTH:
-            v = rng.getrandbits(6)
-            if v < len(NONCE_ALPHABET):
-                chars.append(NONCE_ALPHABET[v])
-        nonce = "".join(chars)
+        nonce = rng.string(NONCE_ALPHABET, NONCE_LENGTH)
         if nonce not in used:
             return nonce
 
@@ -93,7 +88,7 @@ class PasswordManager:
     def __init__(
         self,
         vault: Sequence[VaultEntry],
-        rng: Random,
+        rng: Substream,
         *,
         pinning_enabled: bool = True,
     ) -> None:

@@ -130,7 +130,7 @@ class BrowserSession:
             return FlowResult(request, None, None, None, transcript, cancelled=True)
         finally:
             self.host.nonces.end_request(page.page_id)
-        injected = self.secure_store.inject(wire)
+        injected = self.secure_store.inject(wire, page.page_id)
         if injected is not None:  # after the last listener stage: no view shows it
             wire = injected
             transcript.record_event(wire.request_id, EVENT_FIDO2_INJECT)

@@ -114,15 +114,8 @@ class SiteProfile(namedtuple("SiteProfile", "site_id category origin options")):
 
 
 def generate_password(seed: int, site_id: str) -> str:
-    """12 characters, each what `choice(_PASSWORD_ALPHABET)` would draw:
-    `getrandbits(7)` until it falls below 77, which is `choice`'s own rule."""
-    getrandbits = substream(seed, "vault", site_id).getrandbits
-    chars: list[str] = []
-    while len(chars) < 12:
-        v = getrandbits(7)
-        if v < len(_PASSWORD_ALPHABET):
-            chars.append(_PASSWORD_ALPHABET[v])
-    return "".join(chars)
+    """12 characters of `_PASSWORD_ALPHABET` from the site's vault stream."""
+    return substream(seed, "vault", site_id).string(_PASSWORD_ALPHABET, 12)
 
 
 def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:

@@ -7,7 +7,6 @@ with budgets (wall time, trial counts) measure and enforce them here.
 
 import string
 import time
-from random import Random
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -126,18 +125,18 @@ def test_criterion_2_substitution_guard_triples():
     for _ in range(2500):
         if problems:
             break
-        field = "".join(rng.choice(letters) for _ in range(rng.randint(1, 10)))
+        field = rng.string(letters, 1 + rng.randbelow(10))
         nonce = generate_nonce(rng)
-        replacement = "pw-" + "".join(rng.choice(letters) for _ in range(8))
-        host = rng.choice(hosts)
+        replacement = "pw-" + rng.string(letters, 8)
+        host = hosts[rng.randbelow(len(hosts))]
         origin = Origin("https", host, 443)
         url = Url("https", host, 443, "/login")
         sub = SubstitutionRequest(field, nonce, replacement, origin)
 
         entries = [(field, nonce)]
-        for _ in range(rng.randint(0, 3)):
-            noise = "n_" + "".join(rng.choice(letters) for _ in range(6))
-            entries.insert(rng.randint(0, len(entries)), (noise, generate_nonce(rng)))
+        for _ in range(rng.randbelow(4)):
+            noise = "n_" + rng.string(letters, 6)
+            entries.insert(rng.randbelow(len(entries) + 1), (noise, generate_nonce(rng)))
         entries = tuple(entries)
 
         # all three checks hold
@@ -149,7 +148,8 @@ def test_criterion_2_substitution_guard_triples():
             for n, v in entries
         )
         check(wrong_value, sub, url, expect_applied=False)
-        other_host = rng.choice([h for h in hosts if h != host])
+        other_hosts = [h for h in hosts if h != host]
+        other_host = other_hosts[rng.randbelow(len(other_hosts))]
         check(entries, sub, Url("https", other_host, 443, "/login"), False)
 
     if triples < 10_000:
@@ -469,7 +469,7 @@ def test_criterion_7_fido2_end_to_end(capsys):
     problems = []
     start = time.perf_counter()
 
-    rp = RelyingParty(SSO, Random(SEED), defense_enabled=True)
+    rp = RelyingParty(SSO, substream(SEED, "rp"), defense_enabled=True)
     session = BrowserSession(
         SEED, DefenseMode.DESIGN5_API_LATE, [], _rp_server(rp), name="acceptance"
     )
@@ -522,8 +522,8 @@ def test_criterion_7_fido2_end_to_end(capsys):
     rejected = 0
     for _ in range(256):
         while True:
-            position = rng.randrange(len(raw))
-            replacement = rng.randrange(256)
+            position = rng.randbelow(len(raw))
+            replacement = rng.randbelow(256)
             if replacement == raw[position]:
                 continue
             mutated = raw[:position] + bytes([replacement]) + raw[position + 1 :]
@@ -556,7 +556,7 @@ def test_criterion_7_fido2_end_to_end(capsys):
 
 def test_criterion_8_strip_precedes_listener_views():
     problems = []
-    rp = RelyingParty(SSO, Random(SEED + 1), defense_enabled=True)
+    rp = RelyingParty(SSO, substream(SEED + 1, "rp"), defense_enabled=True)
     session = BrowserSession(
         SEED, DefenseMode.DESIGN5_API_LATE, [], _rp_server(rp), name="hygiene"
     )

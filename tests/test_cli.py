@@ -630,7 +630,7 @@ def test_same_seed_same_bytes(tmp_path, capsys):
         (
             ["matrix", "--seed", "7", "--scenarios", str(SCENARIOS_ALL)],
             "scenarios.json",
-            "cca814e464175d7b5e0472365bbb289c0629f5fed924b63b17302348dbb67b17",
+            "9e8bfb73a8e1785cccedddd87bb17ca15ca7dd4908962c51974c0993dff99e75",
         ),
     ],
     ids=["matrix", "compat", "scenarios_all"],

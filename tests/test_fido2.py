@@ -6,7 +6,6 @@ import json
 import subprocess
 import sys
 import textwrap
-from random import Random
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -48,6 +47,7 @@ from noncepipe.http_model import (
     WebRequestRecord,
     WebResponseRecord,
 )
+from noncepipe.rng import substream
 
 ORIGIN = Origin("https", "sso.example", 443)
 RP_ID = "sso.example"
@@ -100,7 +100,7 @@ def oracle_public_key(private: int) -> bytes:
 
 
 def test_public_key_matches_cryptography_derivation():
-    private = es256.generate_private_key(Random(11))
+    private = es256.generate_private_key(substream(11))
     assert es256.public_key_bytes(private) == oracle_public_key(private)
 
 
@@ -135,7 +135,7 @@ def test_password_commands_never_load_cryptography(tmp_path):
     code = textwrap.dedent(
         f"""
         import sys
-        from random import Random
+        from noncepipe.rng import substream
 
         def loaded():
             return [m for m in sys.modules if m.split(".")[0] == "cryptography"]
@@ -148,9 +148,9 @@ def test_password_commands_never_load_cryptography(tmp_path):
         assert not loaded(), loaded()
 
         from noncepipe import es256
-        key = es256.generate_private_key(Random(1))
+        key = es256.generate_private_key(substream(1))
         public = es256.public_key_bytes(key)
-        signature = es256.sign(key, b"message", Random(2))
+        signature = es256.sign(key, b"message", substream(2))
         assert es256.verify(public, b"message", signature)
         assert "cryptography" in loaded(), loaded()
         flipped = signature[:-1] + bytes([signature[-1] ^ 1])
@@ -167,7 +167,7 @@ def test_fido2_runs_never_load_the_openssl_backend_module(tmp_path):
     code = textwrap.dedent(
         f"""
         import sys
-        from random import Random
+        from noncepipe.rng import substream
         from cryptography.hazmat.primitives.asymmetric import ec
 
         def loaded():
@@ -179,9 +179,9 @@ def test_fido2_runs_never_load_the_openssl_backend_module(tmp_path):
 
         import noncepipe.cli as cli
         from noncepipe import es256
-        key = es256.generate_private_key(Random(1))
+        key = es256.generate_private_key(substream(1))
         public = es256.public_key_bytes(key)
-        signature = es256.sign(key, b"message", Random(2))
+        signature = es256.sign(key, b"message", substream(2))
         assert es256.verify(public, b"message", signature)
         flipped = signature[:-1] + bytes([signature[-1] ^ 1])
         assert not es256.verify(public, b"message", flipped)
@@ -220,14 +220,14 @@ RFC6979_SIGNATURES = [
 
 
 class FixedK:
-    """An RNG stand-in whose every draw is the given k."""
+    """A stream stand-in whose every scalar draw is the given k."""
 
     def __init__(self, k: int):
         self.k = k
 
-    def randrange(self, start: int, stop: int) -> int:
-        assert start <= self.k < stop
-        return self.k
+    def randbelow(self, n: int) -> int:
+        assert 0 <= self.k - 1 < n
+        return self.k - 1
 
 
 def test_rfc6979_public_key():
@@ -243,45 +243,45 @@ def test_rfc6979_signature(message, k, r, s):
 # Frozen bytes of the signer: a changed byte for a fixed seed is a regression
 # even when OpenSSL still accepts the new output.
 FROZEN_PUBLIC_KEYS = {
-    1: "04696d724d9ca18306d21e5849dd0b45cdbdad0a5878e8ee1f9679d49d1b524d54"
-    "bfc64470f942da1519a5fb5dc6ad02f74ef14871c50069c912356f661336fac7",
-    7: "0414b8a2c95626f164e38703bd976b200e0650503e4b701ecbf29f96abf786d31f"
-    "9b978f67b1ea482736e63b98c445745a521135bf468d6d0c168ef66a4163f46f",
-    2025: "045ed744806412e4fd47432424c64c631c445f7890326e6986ab5c648d70728f2d"
-    "519dbf3bd86e9c26ed29da7519fcfb9715cd80193d5c7acbcf3ade5baf156812",
+    1: "04c8a142c3ae3139f2af026d92d48c84c46201092157a3549ecb8cfcc35e6283e3"
+    "fd8262ddc049bd0244ef17f465503e02d254aacfb0311b9246d8b13cc0b60c3d",
+    7: "04b5425a22375ef09b6db7c92e11faaaf77342a10204468e8ca1cebb6056eb2ac6"
+    "5f1e82748a6179a4966334c62c004d58638a5c9e71a29eb94442b4981190b9d4",
+    2025: "04e38211e5e9896411107b0b1ebddaa8515e1beeed0886f74112228f6329f6e6eb"
+    "d824d9b5c2d296bc7b0b71aaa1bfb987dc58879b344959db1bf35ee3dc82ff69",
 }
 
 FROZEN_SIGNATURES = [
     (
         3,
         b"webauthn",
-        "304502206d2721ffffa3d7a489944b455753af22cd3c1bfdb4c5851a8b90ada6bca969e6"
-        "022100fb433900380cf52aea3e2a187b49b5b5d0ef3947ee591a651d2fd9c9f368c1a8",
+        "3044022010a0fa84b66a7fbc3b12bd1d0292169fa63d695d779bf688707fafaf586a3952"
+        "0220119752526e7720d5d740dd9aeb28b19f6f999107edc8b77f307d09a39912e2da",
     ),
     (
         11,
         b"",
-        "3044022061a3fb03b5d645cf2294481c41f334a670f1cf3815052e02c6ee5cf803692eeb"
-        "02204d2ce97e050819f695eed82a01b42bf30cb42a7fd01dc5039c9ae965f7a3c9c3",
+        "3045022100d5fa901224d18e8c4bde5357a18c96503ed452bc80d1278cce99159f07270993"
+        "022078c932655d139faece6fba006edd668d19ce94ffe99b08e895902a7968fea0b2",
     ),
     (
         42,
         b"\x00" * 37 + b"clientDataJSON",
-        "3045022065c06930a60443dc65205bf7d0d6947e6be07df42d2767d47518a5fdb059e1fb"
-        "022100ad4cb1c643d3327330d0e964f573e836abd81b4a130c3c73f6992dfc6ef9c106",
+        "304402206fc70c0d6cd8f0e4b47f51722564250878d502d65f5cd6d35ec37045006ece3d"
+        "02200b6c9384415984c38292def18de23eb062f6630488381e28f82604c4c0ebfaa5",
     ),
 ]
 
 
 @pytest.mark.parametrize("seed", sorted(FROZEN_PUBLIC_KEYS))
 def test_public_key_frozen_bytes(seed):
-    private = es256.generate_private_key(Random(seed))
+    private = es256.generate_private_key(substream(seed))
     assert es256.public_key_bytes(private).hex() == FROZEN_PUBLIC_KEYS[seed]
 
 
 @pytest.mark.parametrize("seed,message,expected", FROZEN_SIGNATURES)
 def test_signature_frozen_bytes(seed, message, expected):
-    rng = Random(seed)
+    rng = substream(seed)
     private = es256.generate_private_key(rng)
     assert es256.sign(private, message, rng).hex() == expected
 
@@ -289,7 +289,7 @@ def test_signature_frozen_bytes(seed, message, expected):
 @given(st.integers(min_value=0, max_value=2**32), st.binary(min_size=1, max_size=64))
 @settings(max_examples=20, deadline=None)
 def test_our_signature_verifies_under_openssl(seed, message):
-    rng = Random(seed)
+    rng = substream(seed)
     private = es256.generate_private_key(rng)
     signature = es256.sign(private, message, rng)
     key = ec.derive_private_key(private, ec.SECP256R1()).public_key()
@@ -317,7 +317,7 @@ def test_verify_hands_openssl_sha256():
 
 
 def test_tampered_signature_rejected():
-    rng = Random(3)
+    rng = substream(3)
     private = es256.generate_private_key(rng)
     public = es256.public_key_bytes(private)
     message = b"payload"
@@ -336,7 +336,7 @@ def test_signature_deterministic_per_seed():
     message = b"same message"
     sigs = []
     for _ in range(2):
-        rng = Random(99)
+        rng = substream(99)
         private = es256.generate_private_key(rng)
         sigs.append(es256.sign(private, message, rng))
     assert sigs[0] == sigs[1]
@@ -353,12 +353,12 @@ def test_verify_rejects_malformed_key_or_der():
 
 
 def auth_request(rng=None) -> Fido2Request:
-    rng = rng or Random(5)
+    rng = rng or substream(5)
     return Fido2Request(AUTHENTICATION, rng.randbytes(CHALLENGE_LEN), RP_ID)
 
 
 def reg_request(rng=None) -> Fido2Request:
-    rng = rng or Random(5)
+    rng = rng or substream(5)
     return Fido2Request(
         REGISTRATION, rng.randbytes(CHALLENGE_LEN), RP_ID, user_id=b"u" * 8, user_name="alice"
     )
@@ -411,7 +411,7 @@ def test_rp_id_hash_is_sha256_of_rp_id():
 
 
 def test_response_json_round_trip():
-    rng = Random(6)
+    rng = substream(6)
     for kind in (REGISTRATION, AUTHENTICATION):
         dummy = make_dummy_response(kind, rng)
         assert response_from_json(dummy.to_json()) == dummy
@@ -438,30 +438,30 @@ def test_response_json_frozen_bytes():
     def digest(response) -> str:
         return hashlib.sha256(response.to_json().encode("utf-8")).hexdigest()
 
-    assert digest(make_dummy_response(REGISTRATION, Random(6))) == (
-        "8c054309f5cfce160f09f0ee89415d5c6a4bd50e63acf93f439e3015525a6565"
+    assert digest(make_dummy_response(REGISTRATION, substream(6))) == (
+        "461c36dbb8ada857e4eb38a8d766c8634e2f885688fd69cfde7b281e0df32e76"
     )
-    assert digest(make_dummy_response(AUTHENTICATION, Random(6))) == (
-        "272d407a9c87df28cd0f91f84ff7eaaae4070a843018d5af033bc2d0cbcccd30"
+    assert digest(make_dummy_response(AUTHENTICATION, substream(6))) == (
+        "8baf94f5a565102ebb5aef5e7ba4bb683944b7deb48442519e8e21a4d41ea2b3"
     )
-    device = AuthenticatorDevice("key-1", Random(10))
+    device = AuthenticatorDevice("key-1", substream(10))
     assert digest(device.make_credential(reg_request())) == (
-        "53c85bab42f30b08f820f8b2cac3fe09681d09d8f20a821560ac2ae0e21c62a1"
+        "99983598d3cefdd95f796808a85b2805442823eb6b170b4fd00d7080b5ef9318"
     )
     assert digest(device.get_assertion(auth_request())) == (
-        "15ff5acfb0e1bcc1343ade7ed3c161b13ca28fbbcaa3811a1fc58040da360bba"
+        "7202c7418db68f9b6417f12d25f094426c2df479e063896c8f67af455a9ca9e0"
     )
-    assert make_dummy_response(AUTHENTICATION, Random(6)).to_json() == (
-        '{"challenge":"Jiws9-y0fcLBOh68MXCHX1BCw1F54ifF4ZGaBaSKz0U=","counter":30819,'
-        '"credential_id":"_lUYy-jf5ZKWlGvSaTWgFA==",'
-        '"rp_id_hash":"vjorfHOkIMM5oPlCNzdtCYiaHQDHmUQlNHquqc_XI5Y=",'
-        '"signature":"MEYCIQCJzl736RtK0Wn8U2DfXKMuutXMwjK3Io_NSlVXfSSzlwIhAM4cnBezE_x-jbm5LJA8K'
-        'skxZ3T-GB4pCq6a8WmKDFEB","type":"assertion"}'
+    assert make_dummy_response(AUTHENTICATION, substream(6)).to_json() == (
+        '{"challenge":"Vuxskl97Vh8JeW91SgZ7Zm_l2gVZWxxwexqTSmDSpXo=","counter":17298,'
+        '"credential_id":"yOpgErZR8bYbFCFYaZFT3w==",'
+        '"rp_id_hash":"aauOr1doUWz2xdNXveQHO2BRXZgwznusH6NklAeKd0g=",'
+        '"signature":"MEUCIQDrBrlKRYRVlngRNDCKsSv9CGrnaw3FtGT1hJVtBqkksgIgfYcYQ91nCibnpFZ96htCzAqG'
+        'mFu_NhL20RZCNeH39og=","type":"assertion"}'
     )
 
 
 def _attestation_fields(**changes) -> str:
-    fields = json.loads(make_dummy_response(REGISTRATION, Random(6)).to_json())
+    fields = json.loads(make_dummy_response(REGISTRATION, substream(6)).to_json())
     fields.update(changes)
     return json.dumps({k: v for k, v in fields.items() if v is not None})
 
@@ -498,7 +498,7 @@ def test_response_type_tag_picks_the_fields_read():
 
 
 def _assertion_fields(**changes) -> dict:
-    fields = json.loads(make_dummy_response(AUTHENTICATION, Random(6)).to_json())
+    fields = json.loads(make_dummy_response(AUTHENTICATION, substream(6)).to_json())
     return {**fields, **changes}
 
 
@@ -508,8 +508,8 @@ _CREDENTIAL_ID = _assertion_fields()["credential_id"]
 @pytest.mark.parametrize(
     "changes",
     [
-        {"counter": 30819.9},
-        {"counter": "30819"},
+        {"counter": 17298.9},
+        {"counter": "17298"},
         {"counter": True},
         {"credential_id": "!" + _CREDENTIAL_ID},
         {"credential_id": _CREDENTIAL_ID[:8] + "\n" + _CREDENTIAL_ID[8:]},
@@ -519,11 +519,11 @@ _CREDENTIAL_ID = _assertion_fields()["credential_id"]
     ids=["float_counter", "string_counter", "bool_counter", "bang", "newline", "list", "extra_key"],
 )
 def test_response_that_does_not_re_encode_is_malformed(changes):
-    # each once parsed as the Random(6) dummy assertion (counter 30819)
+    # each once parsed as the substream(6) dummy assertion (counter 17298)
     text = json.dumps(_assertion_fields(**changes))
     with pytest.raises(MalformedPayload):
         response_from_json(text)
-    rp = RelyingParty(ORIGIN, Random(30))
+    rp = RelyingParty(ORIGIN, substream(30))
     result = rp.finish(finish_request(f"{ORIGIN}/webauthn/finish", headers=((HEADER_RESPONSE, text),)))
     assert result.reason == "malformed"
 
@@ -602,7 +602,7 @@ def _edit(data, record: dict, fixed: frozenset = frozenset()) -> None:
 @settings(max_examples=500, deadline=None)
 def test_every_accepted_response_re_encodes_to_itself(data):
     kind = data.draw(st.sampled_from([REGISTRATION, AUTHENTICATION]))
-    payload = json.loads(make_dummy_response(kind, Random(6)).to_json())
+    payload = json.loads(make_dummy_response(kind, substream(6)).to_json())
     _edit(data, payload, fixed=frozenset({"type"}))
     try:
         parsed = response_from_json(json.dumps(payload))
@@ -666,14 +666,14 @@ def test_counter_range_validation():
 
 
 def test_dummy_request_is_structurally_valid_but_fresh():
-    rng = Random(8)
+    rng = substream(8)
     dummy = make_dummy_request(AUTHENTICATION, RP_ID, rng)
     assert Fido2Request.from_json(dummy.to_json()) == dummy
     assert dummy.rp_id == RP_ID
 
 
 def test_dummy_response_signature_never_verifies():
-    rng = Random(8)
+    rng = substream(8)
     dummy = make_dummy_response(REGISTRATION, rng)
     assert es256.verify(dummy.public_key, dummy.signed_payload(), dummy.signature) is False
 
@@ -684,7 +684,7 @@ def test_dummy_response_signature_never_verifies():
 
 
 def test_make_credential_signs_verifiably():
-    device = AuthenticatorDevice("key-1", Random(10))
+    device = AuthenticatorDevice("key-1", substream(10))
     attestation = device.make_credential(reg_request())
     assert attestation.rp_id_hash == RP_HASH
     assert attestation.counter == 0
@@ -693,11 +693,11 @@ def test_make_credential_signs_verifiably():
 
 
 def test_get_assertion_increments_counter():
-    rng = Random(10)
+    rng = substream(10)
     device = AuthenticatorDevice("key-1", rng)
     attestation = device.make_credential(reg_request(rng))
-    first = device.get_assertion(auth_request(Random(1)))
-    second = device.get_assertion(auth_request(Random(2)))
+    first = device.get_assertion(auth_request(substream(1)))
+    second = device.get_assertion(auth_request(substream(2)))
     assert (first.counter, second.counter) == (1, 2)
     assert first.credential_id == attestation.credential_id
     assert "sign in as 'alice' at sso.example" in device.prompts
@@ -705,11 +705,11 @@ def test_get_assertion_increments_counter():
 
 def test_get_assertion_without_credential():
     with pytest.raises(NoCredential):
-        AuthenticatorDevice("empty", Random(1)).get_assertion(auth_request())
+        AuthenticatorDevice("empty", substream(1)).get_assertion(auth_request())
 
 
 def test_kind_mismatch_rejected_by_device():
-    device = AuthenticatorDevice("key-1", Random(1))
+    device = AuthenticatorDevice("key-1", substream(1))
     with pytest.raises(MalformedPayload):
         device.make_credential(auth_request())
     with pytest.raises(MalformedPayload):
@@ -717,19 +717,19 @@ def test_kind_mismatch_rejected_by_device():
 
 
 def test_clone_copies_keys_and_counters():
-    rng = Random(10)
+    rng = substream(10)
     device = AuthenticatorDevice("orig", rng)
     device.make_credential(reg_request(rng))
-    device.get_assertion(auth_request(Random(1)))
-    twin = device.clone("twin", Random(77))
-    assertion = twin.get_assertion(auth_request(Random(2)))
+    device.get_assertion(auth_request(substream(1)))
+    twin = device.clone("twin", substream(77))
+    assertion = twin.get_assertion(auth_request(substream(2)))
     assert assertion.counter == 2  # counter state travels with the clone
     (credential_id,) = device.credentials
     assert twin.credentials[credential_id].private_key == device.credentials[credential_id].private_key
 
 
 def test_witness_hook_collects_real_payloads():
-    device = AuthenticatorDevice("key-1", Random(10))
+    device = AuthenticatorDevice("key-1", substream(10))
     device.witness = []
     attestation = device.make_credential(reg_request())
     assert attestation.to_json() in device.witness
@@ -745,8 +745,8 @@ def defended_begin_response(rp: RelyingParty, kind=AUTHENTICATION, request_id=1)
 
 
 def test_strip_and_store_removes_channel_headers():
-    rp = RelyingParty(ORIGIN, Random(20))
-    store = SecureStore(Random(21))
+    rp = RelyingParty(ORIGIN, substream(20))
+    store = SecureStore(substream(21))
     response = rp.begin(AUTHENTICATION, "alice", 1)
     assert response.header(HEADER_REQUEST) is not None
     stripped, did_strip = store.strip_and_store(response, "session-1")
@@ -765,13 +765,13 @@ def test_strip_accepts_short_header_form():
         200,
         headers=((HEADER_REQUEST_SHORT, real.to_json()), (HEADER_URL_RESP, "https://x/f")),
     )
-    stripped, did_strip = SecureStore(Random(1)).strip_and_store(response, "s")
+    stripped, did_strip = SecureStore(substream(1)).strip_and_store(response, "s")
     assert did_strip is True
     assert stripped.header(HEADER_REQUEST_SHORT) is None
 
 
 def test_strip_lone_header_is_malformed():
-    store = SecureStore(Random(1))
+    store = SecureStore(substream(1))
     only_request = WebResponseRecord(1, 200, headers=((HEADER_REQUEST, auth_request().to_json()),))
     with pytest.raises(MalformedHeader):
         store.strip_and_store(only_request, "s")
@@ -785,26 +785,26 @@ def test_strip_unparseable_request_header_is_malformed():
         1, 200, headers=((HEADER_REQUEST, "{broken"), (HEADER_URL_RESP, "https://x/f"))
     )
     with pytest.raises(MalformedHeader):
-        SecureStore(Random(1)).strip_and_store(response, "s")
+        SecureStore(substream(1)).strip_and_store(response, "s")
 
 
 def test_strip_without_channel_headers_is_passthrough():
     response = WebResponseRecord(1, 200, headers=(("Content-Type", "text/html"),))
-    stripped, did_strip = SecureStore(Random(1)).strip_and_store(response, "s")
+    stripped, did_strip = SecureStore(substream(1)).strip_and_store(response, "s")
     assert did_strip is False
     assert stripped is response
 
 
 def test_call_with_pending_entry_ignores_page_payload():
-    rp = RelyingParty(ORIGIN, Random(20))
-    store = SecureStore(Random(21))
-    device = AuthenticatorDevice("key-1", Random(22))
-    device.make_credential(reg_request(Random(23)))
+    rp = RelyingParty(ORIGIN, substream(20))
+    store = SecureStore(substream(21))
+    device = AuthenticatorDevice("key-1", substream(22))
+    device.make_credential(reg_request(substream(23)))
 
     store.strip_and_store(rp.begin(AUTHENTICATION, "alice", 1), "s")
     real_challenge = store._by_session["s"].real_request.challenge
 
-    attacker_payload = make_dummy_request(AUTHENTICATION, RP_ID, Random(99)).to_json()
+    attacker_payload = make_dummy_request(AUTHENTICATION, RP_ID, substream(99)).to_json()
     page_result = store.call("s", device, attacker_payload)
 
     returned = response_from_json(page_result)
@@ -816,8 +816,8 @@ def test_call_with_pending_entry_ignores_page_payload():
 
 
 def test_call_without_entry_is_legacy_passthrough():
-    store = SecureStore(Random(1))
-    device = AuthenticatorDevice("key-1", Random(2))
+    store = SecureStore(substream(1))
+    device = AuthenticatorDevice("key-1", substream(2))
     request = reg_request()
     result = store.call("s", device, request.to_json())
     attestation = response_from_json(result)
@@ -826,66 +826,55 @@ def test_call_without_entry_is_legacy_passthrough():
 
 
 def test_browser_webauthn_surface_delegates_to_store():
-    store = SecureStore(Random(1))
-    device = AuthenticatorDevice("key-1", Random(2))
+    store = SecureStore(substream(1))
+    device = AuthenticatorDevice("key-1", substream(2))
     surface = BrowserWebAuthn("s", store, device)
     attestation = response_from_json(surface.create(reg_request().to_json()))
     assertion = response_from_json(surface.get(auth_request().to_json()))
     assert attestation.credential_id == assertion.credential_id
 
 
-def finish_request(
-    url: str, *, headers=(), body=None, request_id=9, source_page=None
-) -> WebRequestRecord:
-    return WebRequestRecord(
-        request_id, "POST", Url.parse(url), headers=tuple(headers), body=body,
-        source_page=source_page,
-    )
+def finish_request(url: str, *, headers=(), body=None, request_id=9) -> WebRequestRecord:
+    return WebRequestRecord(request_id, "POST", Url.parse(url), headers=tuple(headers), body=body)
 
 
 def test_inject_appends_header_on_exact_url_match():
-    rp = RelyingParty(ORIGIN, Random(20))
-    store = SecureStore(Random(21))
-    device = AuthenticatorDevice("key-1", Random(22))
-    device.make_credential(reg_request(Random(23)))
+    rp = RelyingParty(ORIGIN, substream(20))
+    store = SecureStore(substream(21))
+    device = AuthenticatorDevice("key-1", substream(22))
+    device.make_credential(reg_request(substream(23)))
     store.strip_and_store(rp.begin(AUTHENTICATION, "alice", 1), "page-1")
     store.call("page-1", device, "{}")
 
-    class SourcePage:
-        page_id = "page-1"
+    wrong_url = finish_request("https://sso.example/other")
+    assert store.inject(wrong_url, "page-1") is None
 
-    wrong_url = finish_request("https://sso.example/other", source_page=SourcePage())
-    assert store.inject(wrong_url) is None
-
-    match = finish_request(f"{ORIGIN}/webauthn/finish", source_page=SourcePage())
-    injected = store.inject(match)
+    match = finish_request(f"{ORIGIN}/webauthn/finish")
+    assert store.inject(match, "page-2") is None  # the payload is page-1's
+    injected = store.inject(match, "page-1")
     assert injected is not None
     assert injected.header(HEADER_RESPONSE) is not None
     # single use: a second matching request gets nothing
-    again = finish_request(f"{ORIGIN}/webauthn/finish", source_page=SourcePage())
-    assert store.inject(again) is None
+    again = finish_request(f"{ORIGIN}/webauthn/finish")
+    assert store.inject(again, "page-1") is None
 
 
 def test_clear_drops_every_parked_payload():
-    rp = RelyingParty(ORIGIN, Random(20))
-    store = SecureStore(Random(21))
-    device = AuthenticatorDevice("key-1", Random(22))
-    device.make_credential(reg_request(Random(23)))
+    rp = RelyingParty(ORIGIN, substream(20))
+    store = SecureStore(substream(21))
+    device = AuthenticatorDevice("key-1", substream(22))
+    device.make_credential(reg_request(substream(23)))
     store.strip_and_store(rp.begin(AUTHENTICATION, "alice", 1), "page-1")
     store.strip_and_store(rp.begin(AUTHENTICATION, "alice", 2), "page-2")
     store.call("page-1", device, "{}")  # one used, one still pending
     store.clear()
     assert store.pending("page-1") is None and store.pending("page-2") is None
-
-    class SourcePage:
-        page_id = "page-1"
-
-    assert store.inject(finish_request(f"{ORIGIN}/webauthn/finish", source_page=SourcePage())) is None
+    assert store.inject(finish_request(f"{ORIGIN}/webauthn/finish"), "page-1") is None
 
 
-def test_inject_ignores_requests_without_source_page():
-    store = SecureStore(Random(1))
-    assert store.inject(finish_request("https://sso.example/webauthn/finish")) is None
+def test_inject_ignores_a_page_with_nothing_parked():
+    store = SecureStore(substream(1))
+    assert store.inject(finish_request("https://sso.example/webauthn/finish"), "page-1") is None
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +883,7 @@ def test_inject_ignores_requests_without_source_page():
 
 
 def test_begin_defended_headers_carry_real_body_carries_dummy():
-    rp = RelyingParty(ORIGIN, Random(30))
+    rp = RelyingParty(ORIGIN, substream(30))
     response = rp.begin(AUTHENTICATION, "alice", 1)
     real = Fido2Request.from_json(response.header(HEADER_REQUEST))
     body = Fido2Request.from_json(response.body.decode())
@@ -908,7 +897,7 @@ def test_begin_defended_headers_carry_real_body_carries_dummy():
 
 
 def test_begin_legacy_puts_real_request_in_body():
-    rp = RelyingParty(ORIGIN, Random(30), defense_enabled=False)
+    rp = RelyingParty(ORIGIN, substream(30), defense_enabled=False)
     response = rp.begin(REGISTRATION, "alice", 1)
     assert response.headers == ()
     body = Fido2Request.from_json(response.body.decode())
@@ -917,7 +906,7 @@ def test_begin_legacy_puts_real_request_in_body():
 
 def test_begin_unknown_kind():
     with pytest.raises(MalformedPayload):
-        RelyingParty(ORIGIN, Random(1)).begin("attest", "alice", 1)
+        RelyingParty(ORIGIN, substream(1)).begin("attest", "alice", 1)
 
 
 def honest_registration(rp: RelyingParty, device: AuthenticatorDevice):
@@ -929,10 +918,10 @@ def honest_registration(rp: RelyingParty, device: AuthenticatorDevice):
 
 
 def test_finish_header_takes_precedence_over_body():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
     attestation = honest_registration(rp, device)
-    decoy = make_dummy_response(REGISTRATION, Random(1))
+    decoy = make_dummy_response(REGISTRATION, substream(1))
     request = finish_request(
         f"{ORIGIN}/webauthn/finish",
         headers=((HEADER_RESPONSE, attestation.to_json()),),
@@ -944,8 +933,8 @@ def test_finish_header_takes_precedence_over_body():
 
 
 def test_finish_reads_webauthn_body_entry():
-    rp = RelyingParty(ORIGIN, Random(30), defense_enabled=False)
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30), defense_enabled=False)
+    device = AuthenticatorDevice("key-1", substream(31))
     attestation = honest_registration(rp, device)
     request = finish_request(
         f"{ORIGIN}/webauthn/finish",
@@ -955,8 +944,8 @@ def test_finish_reads_webauthn_body_entry():
 
 
 def test_finish_rejections():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
 
     # no payload anywhere
     assert rp.finish(finish_request(f"{ORIGIN}/webauthn/finish")).reason == "malformed"
@@ -968,7 +957,7 @@ def test_finish_rejections():
     assert rp.finish(bad).reason == "malformed"
 
     # structurally fine but unknown challenge
-    stray = make_dummy_response(REGISTRATION, Random(2))
+    stray = make_dummy_response(REGISTRATION, substream(2))
     request = finish_request(
         f"{ORIGIN}/webauthn/finish", headers=((HEADER_RESPONSE, stray.to_json()),)
     )
@@ -976,9 +965,9 @@ def test_finish_rejections():
 
 
 def test_finish_kind_must_match_challenge_kind():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
-    device.make_credential(reg_request(Random(32)))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
+    device.make_credential(reg_request(substream(32)))
     begin = rp.begin(AUTHENTICATION, "alice", 1)
     real = Fido2Request.from_json(begin.header(HEADER_REQUEST))
     # answer the authentication challenge with a registration response
@@ -992,8 +981,8 @@ def test_finish_kind_must_match_challenge_kind():
 
 
 def test_finish_bad_signature_detected():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
     attestation = honest_registration(rp, device)
     tampered = json.loads(attestation.to_json())
     tampered["counter"] = 7  # signature no longer covers the payload
@@ -1005,8 +994,8 @@ def test_finish_bad_signature_detected():
 
 
 def test_finish_unknown_credential():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
     # register, then answer a fresh auth challenge with a different device
     request = finish_request(
         f"{ORIGIN}/webauthn/finish",
@@ -1014,8 +1003,8 @@ def test_finish_unknown_credential():
     )
     assert rp.finish(request).accepted is True
 
-    stranger = AuthenticatorDevice("other", Random(40))
-    stranger.make_credential(reg_request(Random(41)))
+    stranger = AuthenticatorDevice("other", substream(40))
+    stranger.make_credential(reg_request(substream(41)))
     begin = rp.begin(AUTHENTICATION, "alice", 2)
     real = Fido2Request.from_json(begin.header(HEADER_REQUEST))
     assertion = stranger.get_assertion(real)
@@ -1026,15 +1015,15 @@ def test_finish_unknown_credential():
 
 
 def test_finish_counter_replay_rejected():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
     finish = finish_request(
         f"{ORIGIN}/webauthn/finish",
         headers=((HEADER_RESPONSE, honest_registration(rp, device).to_json()),),
     )
     assert rp.finish(finish).accepted is True
 
-    clone = device.clone("twin", Random(50))  # stale counter snapshot
+    clone = device.clone("twin", substream(50))  # stale counter snapshot
 
     # the genuine device authenticates once (counter 1 now recorded)
     begin = rp.begin(AUTHENTICATION, "alice", 2)
@@ -1062,8 +1051,8 @@ def test_finish_counter_replay_rejected():
 def _broken_finish(kind: str, breaks: set[str]) -> tuple[RelyingParty, WebRequestRecord]:
     """After an honest registration of alice, a finish of `kind` signed by
     her key that breaks each named check; the signed layout is built here."""
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
     registered = honest_registration(rp, device)
     header = ((HEADER_RESPONSE, registered.to_json()),)
     assert rp.finish(finish_request(f"{ORIGIN}/webauthn/finish", headers=header)).accepted
@@ -1081,7 +1070,7 @@ def _broken_finish(kind: str, breaks: set[str]) -> tuple[RelyingParty, WebReques
         signed += registered.public_key
     if "signature" in breaks:
         signed += b"!"
-    signature = es256.sign(device.credentials[registered.credential_id].private_key, signed, Random(0))
+    signature = es256.sign(device.credentials[registered.credential_id].private_key, signed, substream(0))
     if kind == REGISTRATION:
         response = AttestationObject(
             credential_id, registered.public_key, rp_hash, counter, challenge, signature
@@ -1130,8 +1119,8 @@ def test_finish_rejection_order(kind, breaks, reason, verify_calls, monkeypatch)
 
 
 def test_challenge_is_single_use():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
     attestation = honest_registration(rp, device)
     request = finish_request(
         f"{ORIGIN}/webauthn/finish", headers=((HEADER_RESPONSE, attestation.to_json()),)
@@ -1141,8 +1130,8 @@ def test_challenge_is_single_use():
 
 
 def test_rp_log_never_contains_payloads():
-    rp = RelyingParty(ORIGIN, Random(30))
-    device = AuthenticatorDevice("key-1", Random(31))
+    rp = RelyingParty(ORIGIN, substream(30))
+    device = AuthenticatorDevice("key-1", substream(31))
     attestation = honest_registration(rp, device)
     rp.finish(
         finish_request(
@@ -1156,7 +1145,7 @@ def test_rp_log_never_contains_payloads():
 
 
 def test_rp_witness_hook_records_begin_payloads():
-    rp = RelyingParty(ORIGIN, Random(30))
+    rp = RelyingParty(ORIGIN, substream(30))
     rp.witness = []
     response = rp.begin(AUTHENTICATION, "alice", 1)
     real_json = response.header(HEADER_REQUEST)
@@ -1169,12 +1158,9 @@ def test_rp_witness_hook_records_begin_payloads():
 
 
 def channel_login(defense: bool) -> tuple[RelyingParty, bool]:
-    rp = RelyingParty(ORIGIN, Random(60), defense_enabled=defense)
-    store = SecureStore(Random(61))
-    device = AuthenticatorDevice("key-1", Random(62))
-
-    class SourcePage:
-        page_id = "page-1"
+    rp = RelyingParty(ORIGIN, substream(60), defense_enabled=defense)
+    store = SecureStore(substream(61))
+    device = AuthenticatorDevice("key-1", substream(62))
 
     def run(kind: str, request_id: int) -> bool:
         begin = rp.begin(kind, "alice", request_id)
@@ -1182,10 +1168,8 @@ def channel_login(defense: bool) -> tuple[RelyingParty, bool]:
             stripped, _ = store.strip_and_store(begin, "page-1")
             page_payload = stripped.body.decode()  # the dummy
             page_result = store.call("page-1", device, page_payload)
-            request = finish_request(
-                f"{ORIGIN}/webauthn/finish", request_id=request_id, source_page=SourcePage()
-            )
-            request = store.inject(request)
+            request = finish_request(f"{ORIGIN}/webauthn/finish", request_id=request_id)
+            request = store.inject(request, "page-1")
             assert request is not None
         else:
             real = Fido2Request.from_json(begin.body.decode())

@@ -1,7 +1,6 @@
 """Password manager: nonce autofill, the five safety checks, wiring."""
 
 import string
-from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +37,7 @@ from noncepipe.pipeline import (
     StageView,
     dispatch,
 )
+from noncepipe.rng import substream
 
 ORIGIN = Origin("https", "bank.example", 443)
 ACTION = Url.parse("https://bank.example/login")
@@ -56,24 +56,24 @@ def test_nonce_alphabet_is_base62():
 
 @given(st.integers(min_value=0, max_value=2**32))
 def test_generate_nonce_shape(seed):
-    nonce = generate_nonce(Random(seed))
+    nonce = generate_nonce(substream(seed))
     assert len(nonce) == NONCE_LENGTH
     assert set(nonce) <= set(NONCE_ALPHABET)
 
 
 def test_generate_nonce_deterministic():
-    assert generate_nonce(Random(42)) == generate_nonce(Random(42))
-    assert generate_nonce(Random(42)) != generate_nonce(Random(43))
+    assert generate_nonce(substream(42)) == generate_nonce(substream(42))
+    assert generate_nonce(substream(42)) != generate_nonce(substream(43))
 
 
 def test_generate_nonce_avoids_used_values():
-    burned = generate_nonce(Random(42))
-    fresh = generate_nonce(Random(42), used=frozenset({burned}))
+    burned = generate_nonce(substream(42))
+    fresh = generate_nonce(substream(42), used=frozenset({burned}))
     assert fresh != burned
 
 
 def test_generate_nonce_stream_unique():
-    rng = Random(1)
+    rng = substream(1)
     seen = {generate_nonce(rng) for _ in range(200)}
     assert len(seen) == 200
 
@@ -91,11 +91,11 @@ class MembershipOnly:
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=3))
 def test_generate_nonce_tests_membership_without_copying(seed, burned):
     # burn the first few nonces the stream would draw, so some draws are rejected
-    stream = Random(seed)
+    stream = substream(seed)
     first = [generate_nonce(stream) for _ in range(burned)]
-    expected = generate_nonce(Random(seed), frozenset(first))
-    assert generate_nonce(Random(seed), MembershipOnly(first)) == expected
-    assert generate_nonce(Random(seed), dict.fromkeys(first)) == expected
+    expected = generate_nonce(substream(seed), frozenset(first))
+    assert generate_nonce(substream(seed), MembershipOnly(first)) == expected
+    assert generate_nonce(substream(seed), dict.fromkeys(first)) == expected
 
 
 def test_vault_entry_repr_masks_password():
@@ -125,7 +125,7 @@ def login_page(*, is_iframe=False, action=ACTION, fields=None, page_origin=ORIGI
 
 def make_manager(seed=7, mode=DefenseMode.DESIGN5_API_LATE) -> PasswordManager:
     """A manager registered with a browser, whose store keeps its nonces."""
-    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(seed))
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], substream(seed))
     manager.register_with(ExtensionHost(), mode)
     return manager
 
@@ -212,7 +212,7 @@ def test_autofill_design3_installs_guarded_swap_hook():
 
 def test_autofill_manifest_v3_requires_registry():
     # every nonce mode keeps its records in the browser's store
-    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(7))
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], substream(7))
     for mode in DefenseMode:
         if mode is not DefenseMode.BASELINE:
             with pytest.raises(RuntimeError):
@@ -220,7 +220,7 @@ def test_autofill_manifest_v3_requires_registry():
 
 
 def test_autofill_manifest_v3_registers_with_browser():
-    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(7))
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], substream(7))
     host = ExtensionHost()
     manager.register_with(host, DefenseMode.MANIFEST_V3)
     page = login_page(is_iframe=True)
@@ -441,7 +441,7 @@ def test_refusal_requires_check_number():
 
 
 def wired(mode, *, form_kwargs=None):
-    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], Random(7))
+    manager = PasswordManager([VaultEntry(ORIGIN, "alice", PASSWORD)], substream(7))
     host = ExtensionHost()
     manager.register_with(host, mode)
     page = login_page(**(form_kwargs or {}))

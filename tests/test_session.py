@@ -3,7 +3,6 @@
 import gc
 import tracemalloc
 import weakref
-from random import Random
 
 import pytest
 
@@ -40,6 +39,7 @@ from noncepipe.pipeline import (
     StageView,
     TranscriptEvent,
 )
+from noncepipe.rng import substream
 from noncepipe.session import BrowserSession, FlowResult
 
 ORIGIN = Origin("https", "bank.example", 443)
@@ -459,7 +459,7 @@ FINISH_URL = Url(SSO.scheme, SSO.host, SSO.port, FINISH_PATH)
 
 
 def fido2_session(defended: bool, seed=7):
-    rp = RelyingParty(SSO, Random(seed * 1000 + 1), defense_enabled=defended)
+    rp = RelyingParty(SSO, substream(seed, "rp"), defense_enabled=defended)
     session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, vault(), rp_server(rp))
     return session, rp
 

@@ -2,10 +2,8 @@
 
 import base64
 import hashlib
-import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from noncepipe import http_model, sites
 from noncepipe.dom import FieldKind, HookKind, Provenance, ScriptHandle, SetFormAction
@@ -87,12 +85,13 @@ def test_generate_password_deterministic():
     assert len(generate_password(1, "s1")) == 12
 
 
-@given(st.integers(0, 2**128), st.text(max_size=12))
-def test_generate_password_draws_what_choice_draws(seed, site_id):
-    # the inline getrandbits rule is Random.choice's own, on this interpreter
-    r = random.Random(rng.derive_seed(seed, "vault", site_id))
-    expected = "".join(r.choice(sites._PASSWORD_ALPHABET) for _ in range(12))
-    assert generate_password(seed, site_id) == expected
+@pytest.mark.parametrize(
+    "seed, site_id, password",
+    [(7, "s1", "pi94^UzSg)xy"), (7, "s2", "wFMcv-sttpj."), (2**128, "ünïcode", "8M_II$q*q8)Z")],
+)
+def test_generate_password_draws_the_spec_vectors(seed, site_id, password):
+    # the stream spec's vectors: README and the hashlib-only reference in test_rng
+    assert generate_password(seed, site_id) == password
 
 
 def test_site_vault_entry_option_overrides_generated():
@@ -638,18 +637,20 @@ def test_compat_plain_sample_from_fixture_corpus():
     "mode,extra_streams",
     [
         (DefenseMode.BASELINE, []),  # the manager fills the password itself
-        (DefenseMode.DESIGN5_API_LATE, [(11, "login", "manager")]),  # it draws a nonce
+        (DefenseMode.DESIGN5_API_LATE, [("11", "login", "manager")]),  # it draws a nonce
     ],
 )
 def test_password_login_seeds_only_the_streams_it_draws(monkeypatch, mode, extra_streams):
     seeded = []
-    derive_seed = rng.derive_seed
+    shake_256 = rng.shake_256
 
-    def recording(master_seed, *names):
-        seeded.append((master_seed, *names))
-        return derive_seed(master_seed, *names)
+    def recording(data):  # block 0 is hashed at a stream's first draw
+        *names, block = data.decode("utf-8").split("\x1f")
+        if block == "0":
+            seeded.append(tuple(names))
+        return shake_256(data)
 
-    monkeypatch.setattr(rng, "derive_seed", recording)
+    monkeypatch.setattr(rng, "shake_256", recording)
     site = profile()
     entry = site_vault_entry(site, seed=11)
     farm = ServerFarm(seed=11)
@@ -659,4 +660,4 @@ def test_password_login_seeds_only_the_streams_it_draws(monkeypatch, mode, extra
     session.autofill(page, form_id)
     assert session.submit(page, form_id).verdict == "auth_ok"
     # never drawn from: the FIDO2 dummies, the authenticator (and the manager in baseline)
-    assert seeded == [(11, "vault", "s1")] + extra_streams
+    assert seeded == [("11", "vault", "s1")] + extra_streams
