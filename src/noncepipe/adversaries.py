@@ -403,7 +403,6 @@ def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> At
     result = session.submit(page, form_id)
     agent.play(2, ctx)
     leaked_digests, leaked = find_leaks([entry.password], agent.observations(ctx))
-    # positional: a keyword call to a NamedTuple costs about three times more
     return AttackOutcome(
         scenario.name,
         scenario.adversary,

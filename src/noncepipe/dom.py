@@ -362,24 +362,16 @@ def build_request(
     """The request a page sends (or, with no page, a client outside any
     browser): GET entries join the query, POST entries form the body; the
     channel comes from the action and the page's TLS."""
-    headers: list[tuple[str, str]] = [("Host", action.host)]
     if method == "GET":
         url = action.with_query(action.query + entries)
+        headers = (("Host", action.host),)
         body = None
     else:
         url = action
+        headers = (("Host", action.host), ("Content-Type", URLENCODED))
         body = RequestBody.urlencoded(entries)
-        headers.append(("Content-Type", URLENCODED))
-
-    return WebRequestRecord(
-        request_id=request_id,
-        method=method,
-        url=url,
-        headers=tuple(headers),
-        body=body,
-        channel_security=channel_for(action, page.tls_overrides if page else {}),
-        source_page=page,
-    )
+    channel = channel_for(action, page.tls_overrides if page else {})
+    return WebRequestRecord(request_id, method, url, headers, body, channel, page)
 
 
 def submit_form(page: Page, form_id: str, request_id: int = 0) -> WebRequestRecord:
@@ -389,7 +381,7 @@ def submit_form(page: Page, form_id: str, request_id: int = 0) -> WebRequestReco
     fields themselves are not modified by submission.
     """
     form = page.form(form_id)
-    entries: FormEntries = tuple((f.name, f.value) for f in form.fields)
+    entries: FormEntries = tuple([(f.name, f.value) for f in form.fields])
     for hook in form.submit_hooks:
-        entries = hook.apply(entries, action=form.action)
+        entries = hook.apply(entries, form.action)
     return build_request(page, form.method, form.action, entries, request_id)

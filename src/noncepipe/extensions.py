@@ -130,7 +130,6 @@ class ExtensionHost:
                 f"{[s.value for s in BLOCKING_STAGES]}, got {stage.value}"
             )
         self._numbered.append(extension_id)
-        # positional: a keyword call to a NamedTuple costs about three times more
         registration = ListenerRegistration(
             listener_id or f"{extension_id}.L{len(self._numbered)}",
             extension_id,

@@ -491,9 +491,15 @@ class SecureStore:
 
         Returns the response as later pipeline stages may see it, plus
         whether anything was stripped. A lone header without its pair is an
-        error: the channel is all-or-nothing.
+        error: the channel is all-or-nothing. The short request header
+        stands in only when the long one is absent; an empty long one is
+        present, and fails to parse.
         """
-        request_json = response.header(HEADER_REQUEST) or response.header(HEADER_REQUEST_SHORT)
+        if not response.headers:  # every password login's response
+            return response, False
+        request_json = response.header(HEADER_REQUEST)
+        if request_json is None:
+            request_json = response.header(HEADER_REQUEST_SHORT)
         url_resp = response.header(HEADER_URL_RESP)
         if (request_json is None) != (url_resp is None):
             present = HEADER_URL_RESP if url_resp is not None else HEADER_REQUEST
@@ -644,10 +650,10 @@ class RelyingParty:
             self.witness.append(_b64(real.challenge).rstrip("="))
 
         if not self.defense_enabled:
-            return WebResponseRecord(request_id, 200, body=real_json.encode("utf-8"))
+            return WebResponseRecord(request_id, 200, (), real_json.encode("utf-8"))
         headers = ((HEADER_REQUEST, real_json), (HEADER_URL_RESP, self.url_resp))
         dummy = make_dummy_request(kind, self.rp_id, self.rng).to_json().encode("utf-8")
-        return WebResponseRecord(request_id, 200, headers=headers, body=dummy)
+        return WebResponseRecord(request_id, 200, headers, dummy)
 
     # -- finish ----------------------------------------------------------
 

@@ -126,7 +126,7 @@ def holds_secret(texts: Iterable[str], secret: str) -> bool:
 
 def urlencode_entries(entries: Sequence[tuple[str, str]]) -> str:
     """Encode ordered (name, value) pairs as application/x-www-form-urlencoded."""
-    return "&".join(f"{_quote_form(name)}={_quote_form(value)}" for name, value in entries)
+    return "&".join([f"{_quote_form(name)}={_quote_form(value)}" for name, value in entries])
 
 
 def decode_urlencoded(text: str | bytes) -> FormEntries:
@@ -213,7 +213,7 @@ class Url(namedtuple("Url", "scheme host port path query origin")):
         origin = Origin(scheme, host, port)  # validates them
         if not path.startswith("/"):
             raise InvalidUrl(f"path must be absolute, got {path!r}")
-        query = tuple((str(n), str(v)) for n, v in query)
+        query = tuple([(str(n), str(v)) for n, v in query])
         return tuple.__new__(cls, (scheme, origin.host, port, path, query, origin))
 
     def __repr__(self) -> str:
@@ -282,7 +282,7 @@ class RequestBody(namedtuple("RequestBody", "entries raw")):
     __setattr__ = __delattr__ = read_only
 
     def __new__(cls, entries: FormEntries, raw: bytes) -> "RequestBody":
-        entries = tuple((str(n), str(v)) for n, v in entries)
+        entries = tuple([(str(n), str(v)) for n, v in entries])
         if raw != urlencode_entries(entries).encode("ascii"):
             raise MalformedBody("raw bytes do not match the encoded entry list")
         return tuple.__new__(cls, (entries, raw))
@@ -290,10 +290,8 @@ class RequestBody(namedtuple("RequestBody", "entries raw")):
     @classmethod
     def urlencoded(cls, entries: Sequence[tuple[str, str]]) -> "RequestBody":
         """The body of `entries`, with `raw` encoded here and so not re-checked."""
-        entries = tuple(entries)
-        raw = urlencode_entries(entries).encode("ascii")
-        entries = tuple((str(n), str(v)) for n, v in entries)
-        return tuple.__new__(cls, (entries, raw))
+        entries = tuple([(str(n), str(v)) for n, v in entries])
+        return tuple.__new__(cls, (entries, urlencode_entries(entries).encode("ascii")))
 
     def with_entries(self, entries: Sequence[tuple[str, str]]) -> "RequestBody":
         return self.urlencoded(entries)
@@ -353,7 +351,7 @@ class WebRequestRecord(namedtuple("WebRequestRecord", _REQUEST_FIELDS)):
             raise ValueError(f"unsupported method {method!r}")
         if method == "GET" and body is not None:
             raise ValueError("GET requests carry entries in the query, not a body")
-        headers = tuple((str(n), str(v)) for n, v in headers)
+        headers = tuple([(str(n), str(v)) for n, v in headers])
         fields = request_id, method, url, headers, body, channel_security, source_page, parent_request_id
         return tuple.__new__(cls, fields)
 
@@ -373,7 +371,7 @@ class WebResponseRecord(namedtuple("WebResponseRecord", "request_id status heade
     def __new__(
         cls, request_id: int, status: int, headers: tuple[tuple[str, str], ...] = (), body: bytes = b""
     ) -> "WebResponseRecord":
-        headers = tuple((str(n), str(v)) for n, v in headers)
+        headers = tuple([(str(n), str(v)) for n, v in headers]) if headers else ()
         return tuple.__new__(cls, (request_id, status, headers, body))
 
     def header(self, name: str) -> Optional[str]:

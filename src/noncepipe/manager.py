@@ -136,7 +136,6 @@ class PasswordManager:
             raise RuntimeError("nonce autofill needs the manager registered with a browser")
         nonce = generate_nonce(self.rng, self._nonces)
         password_field.value = nonce
-        # positional: a keyword call to a NamedTuple costs about three times more
         record = NonceRecord(
             nonce, entry, form_id, password_field.name, page.is_iframe, self.pinning_enabled
         )

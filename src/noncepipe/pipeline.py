@@ -609,7 +609,7 @@ class StageTranscript:
         self.events: list[Union[Delivery, TranscriptEvent]] = []
 
     def record_delivery(self, view: StageView, listener_id: str) -> None:
-        self.events.append(Delivery(listener_id, view))
+        self.events.append(tuple.__new__(Delivery, (listener_id, view)))
 
     def record_event(self, request_id: int, label: str, detail: str = "-") -> None:
         self.events.append(TranscriptEvent(request_id, label, EVENT_LISTENER, "-", detail))
@@ -659,8 +659,8 @@ def _request_view(request: WebRequestRecord, stage: Stage, body_view: BodyView) 
         form = request.body
         if form is None:
             body_view = _ABSENT
-    # positional: a keyword call to a NamedTuple costs about three times more
-    return StageView(
+    # a view checks nothing, so it skips the generated `__new__`
+    return tuple.__new__(StageView, (
         request.request_id,
         stage,
         request.method,
@@ -671,13 +671,13 @@ def _request_view(request: WebRequestRecord, stage: Stage, body_view: BodyView) 
         request.channel_security,
         None,  # status
         getattr(request.source_page, "page_id", None),
-    )
+    ))
 
 
 def _response_view(
     request_id: int, url: Url, stage: Stage, response: WebResponseRecord
 ) -> StageView:
-    return StageView(
+    return tuple.__new__(StageView, (
         request_id,
         stage,
         "-",  # method
@@ -687,7 +687,8 @@ def _response_view(
         None,  # form
         None,  # channel
         response.status,
-    )
+        None,  # document_id
+    ))
 
 
 def _deliver(

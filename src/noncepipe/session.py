@@ -96,7 +96,7 @@ class BrowserSession:
         store's key)."""
         self._page_count += 1
         page_id = f"page-{self._page_count}"
-        page = Page(page_id=page_id, origin=origin, is_iframe=is_iframe)
+        page = Page(page_id, origin, is_iframe)
         if bad_tls:
             page.tls_overrides[origin] = ChannelSecurity.BAD_TLS
         page.webauthn = BrowserWebAuthn(page_id, self.secure_store, self.device)
@@ -127,7 +127,7 @@ class BrowserSession:
                 id_allocator=self._allocate_request_id,
             )
         except Cancelled:
-            return FlowResult(request, None, None, None, transcript, cancelled=True)
+            return FlowResult(request, None, None, None, transcript, True)
         finally:
             self.host.nonces.end_request(page.page_id)
         injected = self.secure_store.inject(wire, page.page_id)

@@ -75,6 +75,13 @@ _PASSWORD_ALPHABET = (
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789!@#$%^*()-_=+.,"
 )
 
+# a login verdict's response body
+_LOGIN_BODIES = {
+    "auth_ok": b"welcome",
+    "auth_fail": b"invalid credentials",
+    "integrity_fail": b"integrity failure",
+}
+
 
 class UnknownEndpoint(LookupError):
     """A request reached an origin nothing in the farm serves."""
@@ -124,7 +131,7 @@ def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:
     password = dict(profile.options).get("password")
     if password is None:
         password = generate_password(seed, profile.site_id)
-    return VaultEntry(origin=profile.origin, username="alice", password=password)
+    return VaultEntry(profile.origin, "alice", password)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +157,10 @@ def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Pag
         return page, ""
 
     form = Form(
-        form_id="login",
-        action=profile.login_action,
-        method="GET" if profile.category == "get_submit" else "POST",
-        fields=[
-            Field("username", FieldKind.TEXT),
-            Field("password", FieldKind.PASSWORD),
-        ],
+        "login",
+        profile.login_action,
+        "GET" if profile.category == "get_submit" else "POST",
+        [Field("username", FieldKind.TEXT), Field("password", FieldKind.PASSWORD)],
     )
     if profile.category == "hashes_password":
         # the site copies the password into a hidden integrity field and
@@ -211,12 +215,8 @@ class ServerFarm:
         elif category == "transforms_password":
             password = base64.b64encode(password.encode("utf-8")).decode("ascii")
         password_digest = "" if rp is not None else sha256_hex(password)
-        state = _SiteState(
-            profile=profile,
-            password_digest=password_digest,
-            hash_digest=sha256_hex(password_digest) if category == "hashes_password" else "",
-            rp=rp,
-        )
+        hash_digest = sha256_hex(password_digest) if category == "hashes_password" else ""
+        state = _SiteState(profile, password_digest, hash_digest, rp)
         self._sites[profile.origin] = state
         self._sites[_submit_origin(profile)] = state
         return state
@@ -235,7 +235,7 @@ class ServerFarm:
             if request.body is not None:
                 sink.append(request.body.raw.decode("utf-8", errors="replace"))
             return (
-                WebResponseRecord(request.request_id, 200, body=b"captured"),
+                WebResponseRecord(request.request_id, 200, (), b"captured"),
                 "captured",
             )
         state = self._sites.get(origin)
@@ -266,20 +266,15 @@ class ServerFarm:
                 wanted = set(reflect.split("+"))
                 echoed = tuple((n, v) for n, v in entries if n in wanted)
             body = "\n".join(f"{n}={v}" for n, v in echoed).encode("utf-8")
-            return WebResponseRecord(request.request_id, 200, body=body), "reflected"
+            return WebResponseRecord(request.request_id, 200, (), body), "reflected"
 
         if path != LOGIN_PATH:
-            return WebResponseRecord(request.request_id, 404, body=b"not found"), "not_found"
+            return WebResponseRecord(request.request_id, 404, (), b"not found"), "not_found"
 
         password = next((v for n, v in entries if n == "password"), "")
         verdict = self._login_verdict(state, entries, password)
-        body = {
-            "auth_ok": b"welcome",
-            "auth_fail": b"invalid credentials",
-            "integrity_fail": b"integrity failure",
-        }[verdict]
         status = 200 if verdict == "auth_ok" else 403
-        return WebResponseRecord(request.request_id, status, body=body), verdict
+        return WebResponseRecord(request.request_id, status, (), _LOGIN_BODIES[verdict]), verdict
 
     def _login_verdict(
         self, state: _SiteState, entries: tuple[tuple[str, str], ...], password: str
@@ -305,8 +300,8 @@ class ServerFarm:
             result = rp.finish(request)
             verdict = "accepted" if result.accepted else f"rejected:{result.reason}"
             body = verdict.encode("ascii")
-            return WebResponseRecord(request.request_id, 200 if result.accepted else 403, body=body), verdict
-        return WebResponseRecord(request.request_id, 404, body=b"not found"), "not_found"
+            return WebResponseRecord(request.request_id, 200 if result.accepted else 403, (), body), verdict
+        return WebResponseRecord(request.request_id, 404, (), b"not found"), "not_found"
 
 
 # ---------------------------------------------------------------------------

@@ -788,8 +788,49 @@ def test_strip_unparseable_request_header_is_malformed():
         SecureStore(substream(1)).strip_and_store(response, "s")
 
 
-def test_strip_without_channel_headers_is_passthrough():
-    response = WebResponseRecord(1, 200, headers=(("Content-Type", "text/html"),))
+def test_strip_prefers_the_long_header_and_strips_both_forms():
+    real, other = auth_request(), auth_request(substream(9))
+    response = WebResponseRecord(
+        1,
+        200,
+        headers=(
+            (HEADER_REQUEST, real.to_json()),
+            (HEADER_REQUEST_SHORT, other.to_json()),
+            (HEADER_URL_RESP, "https://x/f"),
+            ("Content-Type", "text/html"),
+        ),
+    )
+    store = SecureStore(substream(1))
+    stripped, did_strip = store.strip_and_store(response, "s")
+    assert did_strip is True
+    assert store.pending("s").real_request == real
+    assert stripped.headers == (("Content-Type", "text/html"),)
+
+
+@pytest.mark.parametrize(
+    "headers,message",
+    [
+        (((HEADER_REQUEST, ""), (HEADER_URL_RESP, "https://x/f")), f"unparseable {HEADER_REQUEST}"),
+        (((HEADER_REQUEST, ""),), f"{HEADER_REQUEST} present without its pair"),
+        (
+            (
+                (HEADER_REQUEST, ""),
+                (HEADER_REQUEST_SHORT, auth_request().to_json()),
+                (HEADER_URL_RESP, "https://x/f"),
+            ),
+            f"unparseable {HEADER_REQUEST}",
+        ),
+    ],
+)
+def test_strip_counts_an_empty_long_header_as_present(headers, message):
+    response = WebResponseRecord(1, 200, headers=headers)
+    with pytest.raises(MalformedHeader, match=message):
+        SecureStore(substream(1)).strip_and_store(response, "s")
+
+
+@pytest.mark.parametrize("headers", [(("Content-Type", "text/html"),), ()])
+def test_strip_without_channel_headers_is_passthrough(headers):
+    response = WebResponseRecord(1, 200, headers=headers)
     stripped, did_strip = SecureStore(substream(1)).strip_and_store(response, "s")
     assert did_strip is False
     assert stripped is response

@@ -303,6 +303,15 @@ def test_request_body_urlencoded_raw_matches():
     assert body.raw == b"user=alice&pw=a+b"
 
 
+def test_request_body_urlencoded_normalises_entries_as_construction_does():
+    # non-string entries become strings before they are encoded, so the
+    # factory and the checked constructor agree on every input
+    entries = (("a", 1), (2, None))
+    body = RequestBody.urlencoded(entries)
+    assert body == RequestBody((("a", "1"), ("2", "None")), b"a=1&2=None")
+    assert body == RequestBody(entries, b"a=1&2=None")
+
+
 @pytest.mark.parametrize(
     "raw",
     [

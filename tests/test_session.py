@@ -41,6 +41,7 @@ from noncepipe.pipeline import (
 )
 from noncepipe.rng import substream
 from noncepipe.session import BrowserSession, FlowResult
+from noncepipe.sites import ServerFarm, SiteProfile, build_login_page
 
 ORIGIN = Origin("https", "bank.example", 443)
 SSO = Origin("https", "sso.example", 443)
@@ -393,6 +394,46 @@ def test_different_seeds_draw_different_nonces():
     a = login_flow(make_session(seed=123))
     b = login_flow(make_session(seed=124))
     assert a.request.body.raw != b.request.body.raw
+
+
+def test_nonce_free_logins_are_the_same_in_every_leg_and_stage_off_lacks_one_delivery():
+    """The idle contract through real sessions: every mode, and design5 with
+    the credential stage compiled out, sends the same wire bytes and gets the
+    same verdict; design5's transcript adds only the idle substitute line."""
+    sites = [
+        SiteProfile(category, category, Origin("https", f"{category}.example", 443))
+        for category in ("plain_post", "hashes_password", "transforms_password")
+    ]
+    legs = [(mode, True) for mode in DefenseMode] + [(DefenseMode.DESIGN5_API_LATE, False)]
+    sessions = []
+    for mode, stage_enabled in legs:
+        farm = ServerFarm(7)
+        for profile in sites:
+            farm.add_site(profile, PASSWORD)
+        sessions.append(
+            BrowserSession(7, mode, [], farm.serve, credential_stage_enabled=stage_enabled)
+        )
+    design5 = legs.index((DefenseMode.DESIGN5_API_LATE, True))
+    for profile in sites:
+        for typed in (PASSWORD, "wrong-password"):
+            seen, transcripts = set(), []
+            for session in sessions:
+                page, form_id = build_login_page(session, profile)
+                form = page.form(form_id)
+                form.field_named("username").value = "alice"
+                form.field_named("password").value = typed
+                result = session.submit(page, form_id)
+                wire = result.wire
+                seen.add((wire.method, str(wire.url), wire.headers, wire.body_bytes(), result.verdict))
+                transcripts.append(result.transcript.to_text().splitlines())
+            if typed == PASSWORD:
+                expected = "auth_ok"
+            else:  # a hashing site checks its hash field first
+                expected = "integrity_fail" if profile.category == "hashes_password" else "auth_fail"
+            assert len(seen) == 1 and seen.pop()[-1] == expected, (profile.category, typed)
+            kept = [line for line in transcripts[design5] if " manager.substitute " not in line]
+            assert kept == transcripts[-1]
+            assert len(transcripts[design5]) == len(kept) + 1
 
 
 @pytest.mark.parametrize("mode", list(DefenseMode))
