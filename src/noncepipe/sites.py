@@ -1,21 +1,20 @@
 """Synthetic sites: login endpoints, reflectors, and FIDO2 relying parties.
 
-Eight site categories cover the behaviors that matter to nonce
-substitution: plain POST logins, sites that hash or otherwise transform the
-password before submitting, GET submitters, iframe logins, plain-HTTP
-submitters, reflectors, and FIDO2 sites. Servers store and log credential
-digests only, never raw secrets.
+Each login category is one `LoginShape` in `LOGIN_SHAPES`: the form's
+method and frame, whether it submits over plain HTTP, the submit hooks the
+page runs on the password (hash it into an integrity field, or encode it),
+and whether the site echoes what it gets. The page, the server's check, the
+corpus grammar and `compat`'s classification all read that table. A `fido2`
+site serves a relying party instead. Servers keep credential digests only.
 
-The compatibility corpus is a synthetic fixture whose category proportions
-(554 plain, 11 hash, 8 transform out of 573) mirror a survey of real login
-forms; reports say so explicitly.
+The fixture corpus's category proportions (`FIXTURE_COUNTS`) mirror a
+survey of real login forms; its reports say so.
 """
 
 from __future__ import annotations
 
-import base64
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -37,6 +36,8 @@ __all__ = [
     "FIXTURE_COUNTS",
     "LOGIN_CATEGORIES",
     "LOGIN_PATH",
+    "LOGIN_SHAPES",
+    "LoginShape",
     "REFLECT_PATH",
     "ServerFarm",
     "SiteProfile",
@@ -49,25 +50,41 @@ __all__ = [
     "site_vault_entry",
 ]
 
-CATEGORIES = (
-    "plain_post",
-    "hashes_password",
-    "transforms_password",
-    "get_submit",
-    "iframe_login",
-    "http_submit",
-    "reflecting",
-    "fido2",
-)
-# the categories that serve a password login form
-LOGIN_CATEGORIES = tuple(c for c in CATEGORIES if c != "fido2")
+
+class LoginShape(NamedTuple):
+    """How a login category's form sends the password."""
+
+    method: str = "POST"
+    in_iframe: bool = False
+    plain_http: bool = False  # the form posts to the site's host over plain HTTP
+    hooks: tuple[SubmitHook, ...] = ()  # run on the entries at submit, in order
+    reflects: bool = False  # the site echoes what REFLECT_PATH gets
+
+
+# login category -> its shape. A hook holds no state and a script only
+# appends hooks, so every page of a category shares its shape's hooks.
+LOGIN_SHAPES: dict[str, LoginShape] = {
+    "plain_post": LoginShape(),
+    "hashes_password": LoginShape(hooks=(
+        SubmitHook(HookKind.COPY_FIELD, "password", "pw_hash"),  # an integrity field
+        SubmitHook(HookKind.SHA256_FIELD, "pw_hash"),
+    )),
+    "transforms_password": LoginShape(hooks=(SubmitHook(HookKind.BASE64_FIELD, "password"),)),
+    "get_submit": LoginShape("GET"),
+    "iframe_login": LoginShape(in_iframe=True),
+    "http_submit": LoginShape(plain_http=True),
+    "reflecting": LoginShape(reflects=True),
+}
+LOGIN_CATEGORIES = tuple(LOGIN_SHAPES)
+CATEGORIES = LOGIN_CATEGORIES + ("fido2",)
 
 # where a login form posts, and where a reflecting site echoes what it gets
 LOGIN_PATH = "/login"
 REFLECT_PATH = "/reflect"
 
-# fixture corpus proportions: 554 + 11 + 8 = 573 login flows
+# the fixture corpus's login flows per category, and each one's site-id tag
 FIXTURE_COUNTS = {"plain_post": 554, "hashes_password": 11, "transforms_password": 8}
+_FIXTURE_TAGS = {"plain_post": "plain", "hashes_password": "hash", "transforms_password": "transform"}
 
 MIN_PASSWORD_LEN = 4
 
@@ -102,7 +119,7 @@ class SiteProfile(namedtuple("SiteProfile", "site_id category origin options")):
     def __new__(
         cls, site_id: str, category: str, origin: Origin, options: tuple[tuple[str, str], ...] = ()
     ) -> "SiteProfile":
-        if category not in CATEGORIES:
+        if category not in LOGIN_SHAPES and category != "fido2":
             raise ValueError(f"unknown site category {category!r}")
         return tuple.__new__(cls, (site_id, category, origin, options))
 
@@ -116,8 +133,9 @@ class SiteProfile(namedtuple("SiteProfile", "site_id category origin options")):
     def login_action(self) -> Url:
         """Where the login form posts, built once and shared by every page
         (a Url is frozen; a script retargets a form by replacing it)."""
-        submit = _submit_origin(self)
-        return Url(submit.scheme, submit.host, submit.port, LOGIN_PATH)
+        if LOGIN_SHAPES[self.category].plain_http:
+            return Url("http", self.origin.host, 80, LOGIN_PATH)
+        return Url(self.origin.scheme, self.origin.host, self.origin.port, LOGIN_PATH)
 
 
 def generate_password(seed: int, site_id: str) -> str:
@@ -139,38 +157,23 @@ def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:
 # ---------------------------------------------------------------------------
 
 
-def _submit_origin(profile: SiteProfile) -> Origin:
-    """Where the site's login form posts: http_submit sites use plain HTTP."""
-    if profile.category == "http_submit":
-        return Origin("http", profile.origin.host, 80)
-    return profile.origin
-
-
 def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Page, str]:
     """Create the site's login page inside a session; returns (page, form_id)."""
+    shape = LOGIN_SHAPES.get(profile.category)  # None: a fido2 site, which has no form
     page = session.new_page(
         profile.origin,
-        is_iframe=profile.category == "iframe_login",
+        is_iframe=shape is not None and shape.in_iframe,
         bad_tls=profile.option("bad_tls") == "1",
     )
-    if profile.category == "fido2":
+    if shape is None:
         return page, ""
-
     form = Form(
         "login",
         profile.login_action,
-        "GET" if profile.category == "get_submit" else "POST",
+        shape.method,
         [Field("username", FieldKind.TEXT), Field("password", FieldKind.PASSWORD)],
     )
-    if profile.category == "hashes_password":
-        # the site copies the password into a hidden integrity field and
-        # hashes it client-side before submitting
-        form.submit_hooks.append(
-            SubmitHook(kind=HookKind.COPY_FIELD, field_name="password", target="pw_hash")
-        )
-        form.submit_hooks.append(SubmitHook(kind=HookKind.SHA256_FIELD, field_name="pw_hash"))
-    elif profile.category == "transforms_password":
-        form.submit_hooks.append(SubmitHook(kind=HookKind.BASE64_FIELD, field_name="password"))
+    form.submit_hooks.extend(shape.hooks)
     page.add_form(form)
     return page, "login"
 
@@ -181,14 +184,19 @@ def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Pag
 
 
 class _SiteState(NamedTuple):
-    """A site's stored credential digests, each only if its login reads it."""
+    """A site's stored credential digests, or its relying party."""
 
     profile: SiteProfile
-    # the digest of what the password field must carry: the password, or
-    # its base64 form on a transforms_password site ("" on a fido2 site)
-    password_digest: str
-    hash_digest: str  # of password_digest, on a hashes_password site ("" else)
+    # (field, digest of the value it must carry) for what the shape's hooks
+    # make of the password: the password field first, then each field they
+    # add; () on a fido2 site
+    expected: tuple[tuple[str, str], ...]
     rp: Optional[RelyingParty] = None
+
+
+def _first(entries: tuple[tuple[str, str], ...], name: str) -> str:
+    """The first value sent under `name` ("" if none was)."""
+    return next((v for n, v in entries if n == name), "")
 
 
 class ServerFarm:
@@ -204,21 +212,21 @@ class ServerFarm:
     def add_site(
         self, profile: SiteProfile, password: str, *, fido2_defense: bool = True
     ) -> _SiteState:
-        category = profile.category
-        rp = None
-        if category == "fido2":
+        shape = LOGIN_SHAPES.get(profile.category)
+        if shape is None:  # a fido2 site
             rp = RelyingParty(
                 profile.origin,
                 substream(self.seed, "rp", profile.site_id),
                 defense_enabled=fido2_defense,
             )
-        elif category == "transforms_password":
-            password = base64.b64encode(password.encode("utf-8")).decode("ascii")
-        password_digest = "" if rp is not None else sha256_hex(password)
-        hash_digest = sha256_hex(password_digest) if category == "hashes_password" else ""
-        state = _SiteState(profile, password_digest, hash_digest, rp)
+            state = _SiteState(profile, (), rp)
+        else:
+            entries = (("password", password),)
+            for hook in shape.hooks:  # what the site's own page sends
+                entries = hook.apply(entries)
+            state = _SiteState(profile, tuple([(n, sha256_hex(v)) for n, v in entries]))
+            self._sites[profile.login_action.origin] = state
         self._sites[profile.origin] = state
-        self._sites[_submit_origin(profile)] = state
         return state
 
     def add_capture_origin(self, origin: Origin, sink: list[str]) -> None:
@@ -241,8 +249,8 @@ class ServerFarm:
         state = self._sites.get(origin)
         if state is None:
             raise UnknownEndpoint(f"no server at {origin}")
-        if state.profile.category == "fido2":
-            return self._serve_fido2(state, request)
+        if state.rp is not None:
+            return self._serve_fido2(state.rp, request)
         return self._serve_login(state, request)
 
     @staticmethod
@@ -258,7 +266,7 @@ class ServerFarm:
         path = request.url.path
         entries = self._request_entries(request)
 
-        if path == REFLECT_PATH and profile.category == "reflecting":
+        if path == REFLECT_PATH and LOGIN_SHAPES[profile.category].reflects:
             reflect = profile.option("reflect", "all")
             if reflect == "all":
                 echoed = entries
@@ -271,30 +279,28 @@ class ServerFarm:
         if path != LOGIN_PATH:
             return WebResponseRecord(request.request_id, 404, (), b"not found"), "not_found"
 
-        password = next((v for n, v in entries if n == "password"), "")
-        verdict = self._login_verdict(state, entries, password)
+        verdict = self._login_verdict(state.expected, entries)
         status = 200 if verdict == "auth_ok" else 403
         return WebResponseRecord(request.request_id, status, (), _LOGIN_BODIES[verdict]), verdict
 
+    @staticmethod
     def _login_verdict(
-        self, state: _SiteState, entries: tuple[tuple[str, str], ...], password: str
+        expected: tuple[tuple[str, str], ...], entries: tuple[tuple[str, str], ...]
     ) -> str:
-        if state.profile.category == "hashes_password":
-            pw_hash = next((v for n, v in entries if n == "pw_hash"), "")
-            if sha256_hex(pw_hash) != state.hash_digest:
+        """Each field the site's hooks add must match, then the password."""
+        for name, digest in expected[1:]:
+            if sha256_hex(_first(entries, name)) != digest:
                 return "integrity_fail"
-        return "auth_ok" if sha256_hex(password) == state.password_digest else "auth_fail"
+        name, digest = expected[0]
+        return "auth_ok" if sha256_hex(_first(entries, name)) == digest else "auth_fail"
 
     def _serve_fido2(
-        self, state: _SiteState, request: WebRequestRecord
+        self, rp: RelyingParty, request: WebRequestRecord
     ) -> tuple[WebResponseRecord, str]:
-        rp = state.rp
-        assert rp is not None
         path = request.url.path
         if path == BEGIN_PATH and request.method == "GET":
-            kind = next((v for n, v in request.url.query if n == "kind"), "")
-            username = next((v for n, v in request.url.query if n == "username"), "")
-            response = rp.begin(kind, username, request.request_id)
+            kind = _first(request.url.query, "kind")
+            response = rp.begin(kind, _first(request.url.query, "username"), request.request_id)
             return response, f"begin:{kind}"
         if path == FINISH_PATH and request.method == "POST":
             result = rp.finish(request)
@@ -310,24 +316,19 @@ class ServerFarm:
 
 
 def build_fixture_corpus() -> list[SiteProfile]:
-    """The default 573-site corpus: 554 plain, 11 hash, 8 transform."""
+    """The default corpus: `FIXTURE_COUNTS` sites of each category."""
+    return list(_fixture_corpus())
+
+
+@cache
+def _fixture_corpus() -> tuple[SiteProfile, ...]:
+    """Built once: a profile is frozen, so every fixture run shares it."""
     profiles: list[SiteProfile] = []
     for category, count in FIXTURE_COUNTS.items():
-        tag = {
-            "plain_post": "plain",
-            "hashes_password": "hash",
-            "transforms_password": "transform",
-        }[category]
         for index in range(count):
-            site_id = f"{tag}-{index:03d}"
-            profiles.append(
-                SiteProfile(
-                    site_id=site_id,
-                    category=category,
-                    origin=Origin("https", f"{site_id}.example", 443),
-                )
-            )
-    return profiles
+            site_id = f"{_FIXTURE_TAGS[category]}-{index:03d}"
+            profiles.append(SiteProfile(site_id, category, Origin("https", f"{site_id}.example", 443)))
+    return tuple(profiles)
 
 
 # corpus option key -> (the categories whose rows read it, its allowed
@@ -336,7 +337,7 @@ def build_fixture_corpus() -> list[SiteProfile]:
 CORPUS_OPTIONS: OptionTable = {
     "password": (LOGIN_CATEGORIES, None),
     "bad_tls": (LOGIN_CATEGORIES, ("0", "1")),
-    "reflect": (("reflecting",), None),
+    "reflect": (tuple(c for c, shape in LOGIN_SHAPES.items() if shape.reflects), None),
 }
 
 
@@ -398,6 +399,7 @@ class CompatReport(NamedTuple):
     seed: int
     defense: DefenseMode
     records: list[CompatRecord]
+    fixture: bool = False  # the records are of the built-in fixture corpus
 
     def counts(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}
@@ -435,7 +437,6 @@ class CompatReport(NamedTuple):
             "kind": "compat",
             "seed": self.seed,
             "defense": self.defense.value,
-            "note": "synthetic fixture corpus; proportions mirror a survey of real login flows",
             "included": self.included_total(),
             "excluded": self.excluded(),
             "counts": self.counts(),
@@ -447,6 +448,8 @@ class CompatReport(NamedTuple):
             },
             "plain_differential_ok": self.plain_differential_ok(),
         }
+        if self.fixture:
+            payload["note"] = "synthetic fixture corpus; proportions mirror a survey of real login flows"
         refused = self.refused()
         if refused:  # only corpus rows the policy refuses add the keys
             payload["percent"]["refused"] = self.percentage("refused")
@@ -454,13 +457,14 @@ class CompatReport(NamedTuple):
         return payload
 
     def render_text(self) -> str:
-        lines = [
-            f"compatibility survey (defense={self.defense.value}, seed={self.seed})",
-            "# corpus is a synthetic fixture; category proportions mirror a survey",
-            "# of real login flows (554 plain / 11 hash / 8 transform of 573)",
-            "",
-            f"{'category':<22}{'sites':>6}{'compatible':>12}{'broken':>8}",
-        ]
+        lines = [f"compatibility survey (defense={self.defense.value}, seed={self.seed})"]
+        if self.fixture:
+            shares = " / ".join(f"{n} {_FIXTURE_TAGS[c]}" for c, n in FIXTURE_COUNTS.items())
+            lines += [
+                "# corpus is a synthetic fixture; category proportions mirror a survey",
+                f"# of real login flows ({shares} of {sum(FIXTURE_COUNTS.values())})",
+            ]
+        lines += ["", f"{'category':<22}{'sites':>6}{'compatible':>12}{'broken':>8}"]
         counts = self.counts()
         for category in sorted(counts):
             bucket = counts[category]
@@ -510,7 +514,8 @@ def compat_evaluate(
     seed: int,
     defense: DefenseMode = DefenseMode.DESIGN5_API_LATE,
 ) -> CompatReport:
-    """Dual-run differential: baseline vs defended, per site.
+    """Dual-run differential: baseline vs defended, per site. The report
+    of the built-in fixture corpus says so.
 
     One farm serves every site, and one session per leg, reset for each login.
     Sites with empty or shorter-than-4-character passwords are flagged and
@@ -538,9 +543,8 @@ def compat_evaluate(
                 site_id=profile.site_id,
                 category=profile.category,
                 classification=_classify(
-                    profile.category,
+                    LOGIN_SHAPES[profile.category],
                     wire_identical,
-                    verdict_a,
                     verdict_b,
                     password_on_wire,
                     refused_check,
@@ -552,31 +556,25 @@ def compat_evaluate(
                 refused_check=refused_check,
             )
         )
-    return CompatReport(seed=seed, defense=defense, records=records)
+    return CompatReport(seed, defense, records, tuple(profiles) == _fixture_corpus())
 
 
 def _classify(
-    category: str,
+    shape: LoginShape,
     wire_identical: bool,
-    verdict_a: Optional[str],
     verdict_b: Optional[str],
     password_on_wire: bool,
     refused_check: Optional[int],
 ) -> str:
+    """A hook-free login must send the same bytes and log in. A hooked one
+    must log in; a failed integrity field breaks its hash, and a failed
+    password that kept the real one off the wire breaks its transform."""
     if refused_check is not None:  # the policy refused the swap by design
         return "refused"
-    if category == "plain_post":
+    if not shape.hooks:
         return "compatible" if wire_identical and verdict_b == "auth_ok" else "incompatible"
-    if category == "hashes_password":
-        if verdict_b == "auth_ok":
-            return "compatible"
-        return "hash_broken" if verdict_b == "integrity_fail" else "incompatible"
-    if category == "transforms_password":
-        if verdict_b == "auth_ok":
-            return "compatible"
-        return (
-            "transform_broken"
-            if verdict_b == "auth_fail" and not password_on_wire
-            else "incompatible"
-        )
-    return "compatible" if verdict_a == verdict_b else "incompatible"
+    if verdict_b == "auth_ok":
+        return "compatible"
+    if verdict_b == "integrity_fail":
+        return "hash_broken"
+    return "transform_broken" if verdict_b == "auth_fail" and not password_on_wire else "incompatible"

@@ -78,7 +78,7 @@ from noncepipe.pipeline import (
     _reissue,
 )
 from noncepipe.session import FlowResult
-from noncepipe.sites import CompatRecord, CompatReport, SiteProfile, _SiteState
+from noncepipe.sites import LOGIN_SHAPES, CompatRecord, CompatReport, SiteProfile, _SiteState
 
 ROOT = Path(__file__).parent.parent
 SECRET = "hunter2-secret"
@@ -121,7 +121,8 @@ IMMUTABLE = [
     RegisterSubmitHook("login", SubmitHook(HookKind.SHA256_FIELD, "pw")),
     FlowResult(REQUEST, REQUEST, RESPONSE, "auth_ok", StageTranscript()),
     PROFILE,
-    _SiteState(PROFILE, "d1", "d2", "d3"),
+    LOGIN_SHAPES["hashes_password"],
+    _SiteState(PROFILE, (("password", "d1"), ("pw_hash", "d2"))),
     CompatRecord("s", "plain_post", "compatible", True, "auth_ok", "auth_ok", False),
     CompatReport(7, DefenseMode.DESIGN5_API_LATE, []),
     AttackScenario("n", "dom_observer", DefenseMode.BASELINE, 7),

@@ -6,8 +6,8 @@ import hashlib
 import pytest
 
 from noncepipe import http_model, sites
-from noncepipe.dom import FieldKind, HookKind, Provenance, ScriptHandle, SetFormAction
-from noncepipe.dom import attach_script, script_mutate
+from noncepipe.dom import FieldKind, HookKind, Provenance, ScriptHandle, SetFormAction, SubmitHook
+from noncepipe.dom import attach_script, script_mutate, submit_form
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.http_model import (
     URLENCODED,
@@ -24,9 +24,13 @@ from noncepipe.session import BrowserSession
 from noncepipe.sites import (
     CATEGORIES,
     FIXTURE_COUNTS,
+    LOGIN_CATEGORIES,
     LOGIN_PATH,
+    LOGIN_SHAPES,
     REFLECT_PATH,
+    CompatReport,
     CorpusFormatError,
+    LoginShape,
     ServerFarm,
     SiteProfile,
     UnknownEndpoint,
@@ -305,7 +309,7 @@ def test_server_log_stores_digests_not_secrets():
     farm, state = farm_with(profile())
     request = login_post((("password", "hunter2-secret"),))
     farm.serve(request)
-    assert state.password_digest == sha256_hex("hunter2-secret")
+    assert state.expected == (("password", sha256_hex("hunter2-secret")),)
     assert "hunter2-secret" not in repr(state)
 
 
@@ -557,7 +561,8 @@ def test_compat_percentages_exclude_short_passwords():
 def test_compat_report_rendering_and_json():
     report = compat_evaluate(tiny_corpus(), seed=11)
     text = report.render_text()
-    assert "synthetic fixture" in text
+    assert "fixture" not in text  # only the built-in corpus claims its proportions
+    assert text.splitlines()[:2] == ["compatibility survey (defense=design5_api_late, seed=11)", ""]
     assert "excluded (password too short): short-d" in text
     assert "plain differential: byte-identical" in text
 
@@ -565,7 +570,18 @@ def test_compat_report_rendering_and_json():
     assert data["kind"] == "compat"
     assert data["included"] == 3
     assert data["percent"]["compatible"] == 33.3
-    assert "fixture" in data["note"]
+    assert "note" not in data
+
+
+def test_only_the_fixture_report_states_the_fixture_proportions():
+    assert "note" not in compat_evaluate(build_fixture_corpus()[:1], seed=11).to_json()
+    report = CompatReport(11, DefenseMode.DESIGN5_API_LATE, [], fixture=True)
+    assert report.render_text().splitlines()[1:4] == [
+        "# corpus is a synthetic fixture; category proportions mirror a survey",
+        "# of real login flows (554 plain / 11 hash / 8 transform of 573)",
+        "",
+    ]
+    assert "fixture" in report.to_json()["note"]
 
 
 @pytest.mark.parametrize("mode", [DefenseMode.BASELINE, DefenseMode.DESIGN5_API_LATE])
@@ -661,3 +677,88 @@ def test_password_login_seeds_only_the_streams_it_draws(monkeypatch, mode, extra
     assert session.submit(page, form_id).verdict == "auth_ok"
     # never drawn from: the FIDO2 dummies, the authenticator (and the manager in baseline)
     assert seeded == [("11", "vault", "s1")] + extra_streams
+
+
+# the classification grid: every login category over https and plain http,
+# each with no option, bad TLS, a long password, a short one, and bad TLS
+# with the long one
+GRID_OPTIONS = (
+    (),
+    (("bad_tls", "1"),),
+    (("password", "x" * 40),),
+    (("password", "abc"),),
+    (("bad_tls", "1"), ("password", "x" * 40)),
+)
+
+
+def grid_corpus():
+    return [
+        SiteProfile(
+            f"{category}-{scheme}-{index}",
+            category,
+            Origin(scheme, f"{category.replace('_', '-')}-{scheme}-{index}.example", port),
+            options,
+        )
+        for category in LOGIN_CATEGORIES
+        for scheme, port in (("https", 443), ("http", 80))
+        for index, options in enumerate(GRID_OPTIONS)
+    ]
+
+
+# the policy refuses a swap over plain http or bad TLS: of a category's ten
+# rows it lets through the two https ones with good TLS and a usable password
+_POLICY = {"compatible": 2, "refused": 6, "excluded": 2}
+GRID_COUNTS = {
+    DefenseMode.BASELINE: {c: {"compatible": 8, "excluded": 2} for c in LOGIN_CATEGORIES},
+    DefenseMode.DESIGN3_DOM: {
+        "plain_post": {"compatible": 8, "excluded": 2},
+        "hashes_password": {"hash_broken": 8, "excluded": 2},
+        "transforms_password": {"transform_broken": 8, "excluded": 2},
+        "get_submit": {"compatible": 8, "excluded": 2},
+        "iframe_login": {"compatible": 8, "excluded": 2},
+        # the DOM swap is guarded by the vault origin: an https site's nonce
+        # rides to its plain-http submit origin
+        "http_submit": {"compatible": 4, "incompatible": 4, "excluded": 2},
+        "reflecting": {"compatible": 8, "excluded": 2},
+    },
+    **{
+        mode: {
+            "plain_post": _POLICY,
+            "hashes_password": {"hash_broken": 2, "refused": 6, "excluded": 2},
+            # the page encodes the nonce, so the stage finds none to refuse
+            "transforms_password": {"transform_broken": 8, "excluded": 2},
+            "get_submit": {"refused": 8, "excluded": 2},
+            "iframe_login": {"refused": 8, "excluded": 2},
+            "http_submit": {"refused": 8, "excluded": 2},
+            "reflecting": _POLICY,
+        }
+        for mode in (DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE, DefenseMode.MANIFEST_V3)
+    },
+}
+
+
+@pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
+def test_compat_classification_grid(mode):
+    report = compat_evaluate(grid_corpus(), 7, mode)
+    assert report.counts() == GRID_COUNTS[mode]
+
+
+def test_a_new_login_shape_needs_no_new_branch(monkeypatch):
+    # a chain no category names: the page encodes the password, then hashes it
+    hooks = (SubmitHook(HookKind.BASE64_FIELD, "password"), SubmitHook(HookKind.SHA256_FIELD, "password"))
+    monkeypatch.setitem(LOGIN_SHAPES, "encodes_then_hashes", LoginShape(hooks=hooks))
+    site = profile(category="encodes_then_hashes", options=[("password", "hunter2-secret")])
+
+    page, form_id = build_login_page(session_for(site), site)
+    assert tuple(page.form(form_id).submit_hooks) == hooks
+    page.form(form_id).field_named("password").value = "hunter2-secret"
+    sent = submit_form(page, form_id).body.entries
+    encoded = base64.b64encode(b"hunter2-secret")
+    assert sent == (("username", ""), ("password", hashlib.sha256(encoded).hexdigest()))
+
+    (baseline,) = compat_evaluate([site], 7, DefenseMode.BASELINE).records
+    assert (baseline.verdict_defended, baseline.classification) == ("auth_ok", "compatible")
+    (defended,) = compat_evaluate([site], 7, DefenseMode.DESIGN5_API_LATE).records
+    assert defended.verdict_defended == "auth_fail"
+    assert defended.password_on_wire is False
+    assert defended.classification == "transform_broken"
