@@ -15,8 +15,7 @@ import hashlib
 from noncepipe.dom import Field, FieldKind, Form
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.http_model import Origin, Url, WebResponseRecord
-from noncepipe.manager import VaultEntry
-from noncepipe.pipeline import DefenseMode, Stage
+from noncepipe.pipeline import DefenseMode, Stage, VaultEntry
 from noncepipe.session import BrowserSession
 
 ORIGIN = Origin("https", "bank.example", 443)

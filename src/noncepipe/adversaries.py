@@ -82,8 +82,8 @@ __all__ = [
     "AttackOutcome",
     "AttackScenario",
     "DEFAULT_STRATEGIES",
-    "EXPECTED_MATRIX",
     "FIDO2_ADVERSARIES",
+    "FIDO2_DEFENSES",
     "GoldenFormatError",
     "MatrixCell",
     "MatrixReport",
@@ -98,6 +98,9 @@ __all__ = [
 
 PASSWORD_ADVERSARIES = ("dom_observer", "dom_exfiltrator", "webrequest_exfiltrator")
 FIDO2_ADVERSARIES = ("fido2_dom", "fido2_request")
+# the relying party's side of a FIDO2 cell, indexed by whether it runs the
+# header channel
+FIDO2_DEFENSES = ("legacy", "header_channel")
 
 
 class GoldenFormatError(ValueError):
@@ -107,37 +110,35 @@ class GoldenFormatError(ValueError):
 def load_expected_matrix(path: str | Path) -> dict[str, dict[str, str]]:
     """Read a golden `matrix.json`: {"cells": {defense: {adversary: verdict}}}.
 
-    Every DefenseMode x PASSWORD_ADVERSARIES cell must hold "protected" or
-    "unprotected"; other keys are ignored.
+    Every DefenseMode x PASSWORD_ADVERSARIES cell and every FIDO2_DEFENSES x
+    FIDO2_ADVERSARIES cell must hold "protected" or "unprotected"; other
+    keys are ignored.
     """
     try:
         cells = json.loads(Path(path).read_text(encoding="utf-8"))["cells"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise GoldenFormatError(f"unreadable golden matrix {path}: {exc}") from exc
     expected: dict[str, dict[str, str]] = {}
-    for mode in DefenseMode:
-        for adversary in PASSWORD_ADVERSARIES:
-            try:
-                verdict = cells[mode.value][adversary]
-            except (KeyError, TypeError):
-                verdict = None
-            if verdict not in ("protected", "unprotected"):
-                found = "missing" if verdict is None else repr(verdict)
-                raise GoldenFormatError(
-                    f"golden matrix {path}: cell {mode.value}/{adversary} is {found},"
-                    " want protected|unprotected"
-                )
-            expected.setdefault(mode.value, {})[adversary] = verdict
+    tables = (
+        ([mode.value for mode in DefenseMode], PASSWORD_ADVERSARIES),
+        (FIDO2_DEFENSES, FIDO2_ADVERSARIES),
+    )
+    for defenses, adversaries in tables:
+        for defense in defenses:
+            for adversary in adversaries:
+                try:
+                    verdict = cells[defense][adversary]
+                except (KeyError, TypeError):
+                    verdict = None
+                if verdict not in ("protected", "unprotected"):
+                    found = "missing" if verdict is None else repr(verdict)
+                    raise GoldenFormatError(
+                        f"golden matrix {path}: cell {defense}/{adversary} is {found},"
+                        " want protected|unprotected"
+                    )
+                expected.setdefault(defense, {})[adversary] = verdict
     return expected
 
-
-# cell verdicts the design is expected to produce
-EXPECTED_MATRIX = load_expected_matrix(Path(__file__).parent / "golden" / "matrix.json")
-
-EXPECTED_FIDO2_CELLS: dict[str, dict[str, str]] = {
-    "legacy": {"fido2_dom": "unprotected", "fido2_request": "unprotected"},
-    "header_channel": {"fido2_dom": "protected", "fido2_request": "protected"},
-}
 
 ATTACKER_EXTENSION_ID = "evil.collector"
 CAPTURE_ORIGIN = Origin("https", "evil.example", 443)
@@ -442,7 +443,7 @@ class MatrixReport(NamedTuple):
             out.setdefault(cell.defense, {})[cell.adversary] = cell.verdict
         return out
 
-    def mismatches(self, expected: dict[str, dict[str, str]] = EXPECTED_MATRIX) -> list[str]:
+    def mismatches(self, expected: dict[str, dict[str, str]]) -> list[str]:
         verdicts = self.verdicts()
         problems = []
         for defense, row in expected.items():
@@ -772,10 +773,11 @@ def run_fido2_scenario(
         for kind in (REGISTRATION, AUTHENTICATION)
     )
     leaked_digests, leaked = find_leaks(secrets, observations)
+    defense = FIDO2_DEFENSES[defense_on]
     return AttackOutcome(
-        scenario=f"fido2/{adversary}/{'defended' if defense_on else 'legacy'}",
+        scenario=f"fido2/{adversary}/{'defended' if defense_on else defense}",
         adversary=adversary,
-        defense="header_channel" if defense_on else "legacy",
+        defense=defense,
         secret_leaked=leaked,
         leaked_digests=leaked_digests,
         attacker_login=login,

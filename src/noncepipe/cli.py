@@ -18,7 +18,6 @@ from .adversaries import (
     AttackOutcome,
     AttackScenario,
     DEFAULT_STRATEGIES,
-    EXPECTED_FIDO2_CELLS,
     FIDO2_ADVERSARIES,
     PASSWORD_ADVERSARIES,
     GoldenFormatError,
@@ -32,13 +31,7 @@ from .adversaries import _Fido2Setup, _fido2_setup, _out_of_band_begin, _out_of_
 from .fido2 import AUTHENTICATION, REGISTRATION, AuthenticatorDevice, Fido2Request
 from .pipeline import DefenseMode
 from .rng import derive_seed, substream
-from .sites import (
-    LOGIN_CATEGORIES,
-    CorpusFormatError,
-    build_fixture_corpus,
-    compat_evaluate,
-    parse_corpus,
-)
+from .sites import LOGIN_CATEGORIES, build_fixture_corpus, compat_evaluate, parse_corpus
 from .tsv import OptionTable, TsvFormatError, parse_options, read_rows
 
 __all__ = ["EXIT_DATA", "EXIT_MISMATCH", "EXIT_OK", "EXIT_USAGE", "console_main", "main"]
@@ -234,11 +227,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if args.scenarios is not None:
         if args.defense is not None or args.strategies is not None:
             raise _UsageError("argument --scenarios: not allowed with --defense or --strategies")
-        try:
-            rows = parse_scenarios(args.scenarios)
-        except (ScenarioFormatError, OSError) as exc:
-            print(f"noncepipe: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        rows = parse_scenarios(args.scenarios)
         outcomes = [_run_scenario_row(row, args.seed) for row in rows]
         text, payload = _scenario_report(outcomes, args.seed)
         _emit(args, "scenarios", text, payload)
@@ -247,11 +236,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     strategies = DEFAULT_STRATEGIES if args.strategies is None else args.strategies
     if strategies < 1:
         raise _UsageError(f"argument --strategies: must be at least 1, got {strategies}")
-    try:
-        expected = load_expected_matrix(golden_dir() / "matrix.json")
-    except GoldenFormatError as exc:
-        print(f"noncepipe: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    expected = load_expected_matrix(golden_dir() / "matrix.json")
     modes = [DEFENSE_TOKENS[args.defense]] if args.defense else list(DefenseMode)
     report = evaluate_matrix(args.seed, strategies_per_cell=strategies, modes=modes)
     _emit(args, "matrix", report.render_text(), report.to_json())
@@ -264,14 +249,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_compat(args: argparse.Namespace) -> int:
-    if args.corpus is not None:
-        try:
-            profiles = parse_corpus(args.corpus)
-        except (CorpusFormatError, OSError) as exc:
-            print(f"noncepipe: {exc}", file=sys.stderr)
-            return EXIT_DATA
-    else:
-        profiles = build_fixture_corpus()
+    profiles = build_fixture_corpus() if args.corpus is None else parse_corpus(args.corpus)
     report = compat_evaluate(profiles, args.seed, DEFENSE_TOKENS[args.defense])
     _emit(args, "compat", report.render_text(), report.to_json())
     if not report.plain_differential_ok():
@@ -305,6 +283,7 @@ def _replay_demo(setup: _Fido2Setup, clone: AuthenticatorDevice) -> str:
 
 
 def cmd_fido2_demo(args: argparse.Namespace) -> int:
+    expected = load_expected_matrix(golden_dir() / "matrix.json")
     defense_on = args.defense == "on"
     honest, replay = _honest_fido2_flows(derive_seed(args.seed, "honest"), defense_on, args.replay)
     lines = [
@@ -329,9 +308,9 @@ def cmd_fido2_demo(args: argparse.Namespace) -> int:
         flags = " ".join(f"{name}={'yes' if hit else 'no'}" for name, hit in cell.items())
         lines.append(f"{adversary:<16} {flags}")
         verdict = "unprotected" if outcome.compromised else "protected"
-        expected = EXPECTED_FIDO2_CELLS[outcome.defense][adversary]
-        if verdict != expected:
-            problems.append(f"{adversary} {verdict}, expected {expected}")
+        want = expected[outcome.defense][adversary]
+        if verdict != want:
+            problems.append(f"{adversary} {verdict}, expected {want}")
     payload = {
         "kind": "fido2-demo",
         "seed": args.seed,
@@ -363,6 +342,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:  # from argparse, or a command that checks its own usage
         print(f"noncepipe: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (TsvFormatError, GoldenFormatError, OSError) as exc:  # an input file
+        print(f"noncepipe: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def console_main() -> None:

@@ -7,7 +7,7 @@ Honest flow with the defense enabled:
    (the serialized request; the short form `webauthn_req` is accepted) and
    `URL_resp` (the exact finish URL).
 2. The browser strips both headers before any onHeadersReceived listener
-   runs and parks the real request in a per-session secure store.
+   runs and parks the real request in its secure store, keyed by page id.
 3. When page script invokes WebAuthn, the browser ignores the page-supplied
    payload, runs the authenticator against the stored real request, keeps
    the real response, and hands the page freshly random dummy values.
@@ -463,18 +463,17 @@ class AuthenticatorDevice:
 
 
 class Fido2SecureEntry:
-    """One stripped channel payload, single-use, keyed by session."""
+    """One stripped channel payload, single-use, keyed by page id."""
 
-    __slots__ = ("session_id", "real_request", "url_resp", "real_response")
+    __slots__ = ("real_request", "url_resp", "real_response")
 
-    def __init__(self, session_id: str, real_request: Fido2Request, url_resp: str) -> None:
-        self.session_id = session_id
+    def __init__(self, real_request: Fido2Request, url_resp: str) -> None:
         self.real_request = real_request
         self.url_resp = url_resp
         self.real_response: Optional[str] = None
 
     def __repr__(self) -> str:  # the real payloads stay out of reprs
-        return f"Fido2SecureEntry(session={self.session_id!r}, url_resp={self.url_resp!r})"
+        return f"Fido2SecureEntry(url_resp={self.url_resp!r})"
 
 
 class SecureStore:
@@ -482,10 +481,10 @@ class SecureStore:
 
     def __init__(self, rng: Substream) -> None:
         self.rng = rng
-        self._by_session: dict[str, Fido2SecureEntry] = {}
+        self._by_page: dict[str, Fido2SecureEntry] = {}
 
     def strip_and_store(
-        self, response: WebResponseRecord, session_id: str
+        self, response: WebResponseRecord, page_id: str
     ) -> tuple[WebResponseRecord, bool]:
         """Remove the channel headers and park the real request.
 
@@ -510,9 +509,7 @@ class SecureStore:
             real_request = Fido2Request.from_json(request_json)
         except MalformedPayload as exc:
             raise MalformedHeader(f"unparseable {HEADER_REQUEST} header: {exc}") from exc
-        self._by_session[session_id] = Fido2SecureEntry(
-            session_id=session_id, real_request=real_request, url_resp=url_resp
-        )
+        self._by_page[page_id] = Fido2SecureEntry(real_request, url_resp)
         stripped = response.without_headers(
             [HEADER_REQUEST, HEADER_REQUEST_SHORT, HEADER_URL_RESP]
         )
@@ -520,15 +517,15 @@ class SecureStore:
 
     def clear(self) -> None:
         """Drop every parked payload, used or not."""
-        self._by_session.clear()
+        self._by_page.clear()
 
-    def pending(self, session_id: str) -> Optional[Fido2SecureEntry]:
-        entry = self._by_session.get(session_id)
+    def pending(self, page_id: str) -> Optional[Fido2SecureEntry]:
+        entry = self._by_page.get(page_id)
         if entry is not None and entry.real_response is None:
             return entry
         return None
 
-    def call(self, session_id: str, device: AuthenticatorDevice, payload_json: str) -> str:
+    def call(self, page_id: str, device: AuthenticatorDevice, payload_json: str) -> str:
         """The WebAuthn entry point as the browser runs it.
 
         With a pending entry the page-supplied payload is ignored: the
@@ -536,7 +533,7 @@ class SecureStore:
         and the page gets fresh dummies. With no entry this is a legacy
         pass-through of the page payload.
         """
-        entry = self.pending(session_id)
+        entry = self.pending(page_id)
         if entry is None:
             request = Fido2Request.from_json(payload_json)
             return self._run_device(device, request).to_json()
@@ -551,18 +548,18 @@ class SecureStore:
             return device.make_credential(request)
         return device.get_assertion(request)
 
-    def inject(self, request: WebRequestRecord, session_id: str) -> Optional[WebRequestRecord]:
+    def inject(self, request: WebRequestRecord, page_id: str) -> Optional[WebRequestRecord]:
         """Attach the real response header when the destination matches.
 
         Runs after onSendHeaders; the match is an exact URL comparison, and
         a matching entry is consumed, so each real response goes out once.
         """
-        entry = self._by_session.get(session_id)
+        entry = self._by_page.get(page_id)
         if entry is None or entry.real_response is None:
             return None
         if request.url.to_string() != entry.url_resp:
             return None
-        del self._by_session[session_id]
+        del self._by_page[page_id]
         return request._replace(headers=request.headers + ((HEADER_RESPONSE, entry.real_response),))
 
 
@@ -574,13 +571,13 @@ class BrowserWebAuthn:
     built-in credential-management entry points would.
     """
 
-    def __init__(self, session_id: str, store: SecureStore, device: AuthenticatorDevice) -> None:
-        self._session_id = session_id
+    def __init__(self, page_id: str, store: SecureStore, device: AuthenticatorDevice) -> None:
+        self._page_id = page_id
         self._store = store
         self._device = device
 
     def create(self, payload_json: str) -> str:
-        return self._store.call(self._session_id, self._device, payload_json)
+        return self._store.call(self._page_id, self._device, payload_json)
 
     get = create  # the store runs whichever kind the request names
 

@@ -14,11 +14,9 @@ from .dom import FieldKind, Form, HookKind, Page, SubmitHook
 from .extensions import ExtensionHost, ExtensionManifest, Permission
 from .http_model import Origin
 from .pipeline import (
-    CHECK_NAMES,
     DefenseMode,
     NonceRecord,
     NonceStore,
-    PinConflict,
     SafetyDecision,
     Stage,
     StageView,
@@ -32,17 +30,12 @@ from .pipeline import (
 from .rng import Substream
 
 __all__ = [
-    "CHECK_NAMES",
     "MANAGER_EXTENSION_ID",
     "NONCE_ALPHABET",
     "NONCE_LENGTH",
     "NoPasswordField",
-    "NonceRecord",
     "OriginMismatch",
     "PasswordManager",
-    "PinConflict",
-    "SafetyDecision",
-    "VaultEntry",
     "generate_nonce",
 ]
 

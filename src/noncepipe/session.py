@@ -15,7 +15,7 @@ from .extensions import ExtensionHost
 from .fido2 import BEGIN_PATH, FINISH_FIELD, FINISH_PATH, REGISTRATION
 from .fido2 import AuthenticatorDevice, BrowserWebAuthn, SecureStore
 from .http_model import ChannelSecurity, Origin, Url, WebRequestRecord, WebResponseRecord
-from .manager import MANAGER_EXTENSION_ID, PasswordManager, VaultEntry
+from .manager import MANAGER_EXTENSION_ID, PasswordManager
 from .pipeline import (
     EVENT_FIDO2_INJECT,
     EVENT_FIDO2_STRIP,
@@ -23,6 +23,7 @@ from .pipeline import (
     DefenseMode,
     PipelineConfig,
     StageTranscript,
+    VaultEntry,
     dispatch,
     process_response,
 )

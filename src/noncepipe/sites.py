@@ -22,8 +22,7 @@ from .dom import Field, FieldKind, Form, HookKind, Page, SubmitHook
 from .fido2 import BEGIN_PATH, FINISH_PATH, RelyingParty
 from .http_model import Origin, Url, WebRequestRecord, WebResponseRecord, checked_make, read_only, sha256_hex
 from .http_model import holds_secret, urlencode_entries
-from .manager import VaultEntry
-from .pipeline import CHECK_NAMES, DefenseMode
+from .pipeline import CHECK_NAMES, DefenseMode, VaultEntry
 from .rng import substream
 from .session import BrowserSession
 from .tsv import OptionTable, TsvFormatError, parse_options, read_rows

@@ -7,13 +7,14 @@ with budgets (wall time, trial counts) measure and enforce them here.
 
 import string
 import time
+from pathlib import Path
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from noncepipe.adversaries import (
-    EXPECTED_MATRIX,
     evaluate_matrix,
+    load_expected_matrix,
     run_reflection_attack,
 )
 from noncepipe.cli import main as cli_main
@@ -40,16 +41,18 @@ from noncepipe.http_model import (
     WebResponseRecord,
     decode_urlencoded,
 )
-from noncepipe.manager import NonceRecord, PasswordManager, VaultEntry, generate_nonce
+from noncepipe.manager import PasswordManager, generate_nonce
 from noncepipe.pipeline import (
     BodyView,
     DefenseMode,
     ListenerRegistration,
     ListenerRegistry,
+    NonceRecord,
     PipelineConfig,
     Stage,
     StageView,
     SubstitutionRequest,
+    VaultEntry,
     apply_substitutions,
     dispatch,
 )
@@ -84,8 +87,10 @@ def test_criterion_1_security_matrix():
     start = time.perf_counter()
     report = evaluate_matrix(seed=SEED)  # the default runs every plan
     elapsed = time.perf_counter() - start
-    if report.verdicts() != EXPECTED_MATRIX:
-        problems.append(f"verdicts diverge: {report.mismatches()}")
+    golden = load_expected_matrix(Path(__file__).parent.parent / "src/noncepipe/golden/matrix.json")
+    expected = {mode.value: golden[mode.value] for mode in DefenseMode}
+    if report.verdicts() != expected:
+        problems.append(f"verdicts diverge: {report.mismatches(expected)}")
     if report.strategies_per_cell < 100:
         problems.append("fewer than 100 strategies per cell")
     if elapsed >= 30:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +14,13 @@ from noncepipe.adversaries import (
     ATTACKER_EXTENSION_ID,
     _World,
     DEFAULT_STRATEGIES,
-    EXPECTED_FIDO2_CELLS,
-    EXPECTED_MATRIX,
     FIDO2_ADVERSARIES,
+    FIDO2_DEFENSES,
     PASSWORD_ADVERSARIES,
     AttackScenario,
     evaluate_matrix,
     find_leaks,
+    load_expected_matrix,
     run_fido2_scenario,
     run_reflection_attack,
     run_scenario,
@@ -35,6 +39,11 @@ from noncepipe.pipeline import (
 from noncepipe.rng import derive_seed
 from noncepipe.session import BrowserSession
 from noncepipe.sites import LOGIN_CATEGORIES, build_login_page, generate_password
+
+SRC = Path(__file__).parent.parent / "src"
+EXPECTED = load_expected_matrix(SRC / "noncepipe" / "golden" / "matrix.json")
+# the rows a password matrix run covers
+PASSWORD_ROWS = {mode.value: EXPECTED[mode.value] for mode in DefenseMode}
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +331,24 @@ def test_unknown_adversary_rejected():
 
 def test_matrix_matches_expected_verdicts():
     report = evaluate_matrix(seed=9, strategies_per_cell=3)
-    assert report.verdicts() == EXPECTED_MATRIX
-    assert report.mismatches() == []
+    assert report.verdicts() == PASSWORD_ROWS
+    assert report.mismatches(PASSWORD_ROWS) == []
+
+
+def test_importing_adversaries_reads_no_file():
+    code = (
+        "import sys; opened = []; "
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(args[0])); "
+        "import noncepipe.adversaries; "
+        "print([p for p in opened if str(p).endswith('.json')])"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_matrix_mismatch_reporting():
@@ -363,7 +388,7 @@ def test_matrix_leak_counts_agree_with_verdicts():
     # a dom_observer that never reads the filled field)
     report = evaluate_matrix(seed=9, strategies_per_cell=4)
     for cell in report.cells:
-        expected = EXPECTED_MATRIX[cell.defense][cell.adversary]
+        expected = EXPECTED[cell.defense][cell.adversary]
         if expected == "protected":
             assert cell.leaks == 0
         else:
@@ -411,8 +436,8 @@ def test_reflection_unknown_variant():
 
 
 def test_fido2_cells_match_expected():
-    """fido2-demo checks its cells against EXPECTED_FIDO2_CELLS and exits 0
-    only if they match."""
+    """fido2-demo checks its cells against the golden file's FIDO2 rows and
+    exits 0 only if they match."""
     for defense in ("on", "off"):
         assert cli_main(["fido2-demo", "--seed", "5", "--defense", defense]) == 0
 
@@ -455,4 +480,6 @@ def test_fido2_unknown_adversary():
 
 def test_fido2_adversary_roster():
     assert FIDO2_ADVERSARIES == ("fido2_dom", "fido2_request")
-    assert set(EXPECTED_FIDO2_CELLS) == {"legacy", "header_channel"}
+    assert FIDO2_DEFENSES == ("legacy", "header_channel")
+    for defense_on, defense in ((False, "legacy"), (True, "header_channel")):
+        assert run_fido2_scenario("fido2_dom", defense_on=defense_on, seed=5).defense == defense

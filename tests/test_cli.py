@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from noncepipe.adversaries import EXPECTED_FIDO2_CELLS, PASSWORD_ADVERSARIES
+from noncepipe.adversaries import FIDO2_ADVERSARIES, PASSWORD_ADVERSARIES
 from noncepipe.cli import (
     DEFENSE_TOKENS,
     EXIT_DATA,
@@ -26,6 +26,14 @@ REAL_GOLDEN = Path(__file__).parent.parent / "src" / "noncepipe" / "golden"
 # every scenario kind: each password cell at every login category and two
 # plans, every reflection variant, both FIDO2 adversaries on and off
 SCENARIOS_ALL = Path(__file__).parent / "golden" / "scenarios_all.tsv"
+
+
+def doctored_golden(tmp_path, monkeypatch, edit) -> None:
+    """Point the CLI at a copy of the golden matrix with `edit` applied to its cells."""
+    golden = json.loads((REAL_GOLDEN / "matrix.json").read_text(encoding="utf-8"))
+    edit(golden["cells"])
+    (tmp_path / "matrix.json").write_text(json.dumps(golden), encoding="utf-8")
+    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
 
 
 def sha(text: str) -> str:
@@ -133,10 +141,9 @@ def test_matrix_all_defenses_match_golden(capsys):
 
 
 def test_matrix_doctored_golden_exits_mismatch(tmp_path, monkeypatch, capsys):
-    golden = json.loads((REAL_GOLDEN / "matrix.json").read_text(encoding="utf-8"))
-    golden["cells"]["baseline"]["dom_observer"] = "protected"
-    (tmp_path / "matrix.json").write_text(json.dumps(golden), encoding="utf-8")
-    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    doctored_golden(
+        tmp_path, monkeypatch, lambda cells: cells["baseline"].update(dom_observer="protected")
+    )
 
     rc = main(["matrix", "--seed", "9", "--defense", "baseline", "--strategies", "1"])
     assert rc == EXIT_MISMATCH
@@ -146,10 +153,9 @@ def test_matrix_doctored_golden_exits_mismatch(tmp_path, monkeypatch, capsys):
 
 
 def test_matrix_golden_missing_a_cell_is_data_error(tmp_path, monkeypatch, capsys):
-    golden = json.loads((REAL_GOLDEN / "matrix.json").read_text(encoding="utf-8"))
-    del golden["cells"]["manifest_v3"]["dom_exfiltrator"]
-    (tmp_path / "matrix.json").write_text(json.dumps(golden), encoding="utf-8")
-    monkeypatch.setenv(GOLDEN_DIR_ENV, str(tmp_path))
+    doctored_golden(
+        tmp_path, monkeypatch, lambda cells: cells["manifest_v3"].pop("dom_exfiltrator")
+    )
 
     # the missing cell is outside the one defense run, and still a data error
     rc = main(["matrix", "--seed", "9", "--defense", "baseline", "--strategies", "1"])
@@ -164,6 +170,24 @@ def test_matrix_unreadable_golden_is_data_error(tmp_path, monkeypatch, capsys):
     rc = main(["matrix", "--seed", "9", "--defense", "baseline", "--strategies", "1"])
     assert rc == EXIT_DATA
     assert "unreadable golden" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fido2-demo", "--seed", "7"],
+        ["fido2-demo", "--seed", "7", "--defense", "off"],
+        ["matrix", "--seed", "9", "--defense", "baseline", "--strategies", "1"],
+    ],
+)
+def test_golden_missing_a_fido2_cell_is_data_error(tmp_path, monkeypatch, capsys, argv):
+    # both commands read the one file, and each checks every cell of it
+    doctored_golden(tmp_path, monkeypatch, lambda cells: cells["header_channel"].pop("fido2_dom"))
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert captured.err.count("\n") == 1
+    assert "cell header_channel/fido2_dom is missing" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +352,10 @@ def test_fido2_demo_legacy_attacks_succeed(capsys):
     assert data["cells"]["fido2_request"]["login_hijack"] is True
 
 
-def test_fido2_demo_checks_cells_against_the_expected_table(monkeypatch, capsys):
-    monkeypatch.setitem(EXPECTED_FIDO2_CELLS["header_channel"], "fido2_dom", "unprotected")
+def test_fido2_demo_checks_cells_against_the_expected_table(tmp_path, monkeypatch, capsys):
+    doctored_golden(
+        tmp_path, monkeypatch, lambda cells: cells["header_channel"].update(fido2_dom="unprotected")
+    )
     rc = main(["fido2-demo", "--seed", "7"])
     assert rc == EXIT_MISMATCH
     err = capsys.readouterr().err
@@ -337,15 +363,20 @@ def test_fido2_demo_checks_cells_against_the_expected_table(monkeypatch, capsys)
     assert "fido2_request" not in err
 
 
-def test_fido2_demo_problem_lines_keep_their_order(monkeypatch, capsys):
+def test_fido2_demo_problem_lines_keep_their_order(tmp_path, monkeypatch, capsys):
     from noncepipe import cli
 
     failed = {"register": "rejected:bad_signature", "authenticate": "accepted"}
     monkeypatch.setattr(
         cli, "_honest_fido2_flows", lambda seed, defense_on, replay: (failed, "accepted")
     )
-    for adversary in EXPECTED_FIDO2_CELLS["header_channel"]:
-        monkeypatch.setitem(EXPECTED_FIDO2_CELLS["header_channel"], adversary, "unprotected")
+    doctored_golden(
+        tmp_path,
+        monkeypatch,
+        lambda cells: cells["header_channel"].update(
+            dict.fromkeys(FIDO2_ADVERSARIES, "unprotected")
+        ),
+    )
     rc = main(["fido2-demo", "--seed", "7", "--replay"])
     assert rc == EXIT_MISMATCH
     prefix = "noncepipe: unexpected verdict: "

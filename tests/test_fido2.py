@@ -843,14 +843,14 @@ def test_call_with_pending_entry_ignores_page_payload():
     device.make_credential(reg_request(substream(23)))
 
     store.strip_and_store(rp.begin(AUTHENTICATION, "alice", 1), "s")
-    real_challenge = store._by_session["s"].real_request.challenge
+    real_challenge = store._by_page["s"].real_request.challenge
 
     attacker_payload = make_dummy_request(AUTHENTICATION, RP_ID, substream(99)).to_json()
     page_result = store.call("s", device, attacker_payload)
 
     returned = response_from_json(page_result)
     assert returned.challenge != real_challenge  # page got a dummy
-    parked = response_from_json(store._by_session["s"].real_response)
+    parked = response_from_json(store._by_page["s"].real_response)
     assert parked.challenge == real_challenge  # device signed the real one
     # exactly one consent prompt: the real request, not the attacker payload
     assert len(device.prompts) == 2  # register + the one sign-in

@@ -18,13 +18,9 @@ from noncepipe.http_model import (
 from noncepipe.manager import (
     NONCE_ALPHABET,
     NONCE_LENGTH,
-    NonceRecord,
     NoPasswordField,
     OriginMismatch,
     PasswordManager,
-    PinConflict,
-    SafetyDecision,
-    VaultEntry,
     generate_nonce,
 )
 from noncepipe.pipeline import (
@@ -32,9 +28,13 @@ from noncepipe.pipeline import (
     DefenseMode,
     ListenerRegistration,
     ListenerRegistry,
+    NonceRecord,
+    PinConflict,
     PipelineConfig,
+    SafetyDecision,
     Stage,
     StageView,
+    VaultEntry,
     dispatch,
 )
 from noncepipe.rng import substream

@@ -191,7 +191,7 @@ def test_no_field_of_a_substitution_request_can_be_set_or_deleted():
 
 
 PRIVATE_KEY = 0x1234567890ABCDEF1234567890ABCDEF
-SECURE_ENTRY = Fido2SecureEntry("page-1", FIDO2_REQUEST, "https://site.example/webauthn/finish")
+SECURE_ENTRY = Fido2SecureEntry(FIDO2_REQUEST, "https://site.example/webauthn/finish")
 SECURE_ENTRY.real_response = json.dumps({"signature": SECRET})
 # each state, and the strings its repr must not hold
 SECRET_BEARING = {

@@ -29,7 +29,6 @@ from noncepipe.http_model import (
     Url,
     WebResponseRecord,
 )
-from noncepipe.manager import VaultEntry
 from noncepipe.pipeline import (
     EVENT_LISTENER,
     Cancel,
@@ -38,6 +37,7 @@ from noncepipe.pipeline import (
     Stage,
     StageView,
     TranscriptEvent,
+    VaultEntry,
 )
 from noncepipe.rng import substream
 from noncepipe.session import BrowserSession, FlowResult
@@ -575,9 +575,9 @@ def test_strip_runs_before_any_headers_received_delivery():
     store = session.secure_store
     strip_and_store = store.strip_and_store
 
-    def strip(response, session_id):
+    def strip(response, page_id):
         order.append("strip")
-        return strip_and_store(response, session_id)
+        return strip_and_store(response, page_id)
 
     store.strip_and_store = strip
     session.host.install(ExtensionManifest("observer", frozenset({Permission.WEB_REQUEST})))

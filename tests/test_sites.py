@@ -17,9 +17,8 @@ from noncepipe.http_model import (
     WebRequestRecord,
     sha256_hex,
 )
-from noncepipe.manager import VaultEntry
 from noncepipe import rng
-from noncepipe.pipeline import DefenseMode, Stage
+from noncepipe.pipeline import DefenseMode, Stage, VaultEntry
 from noncepipe.session import BrowserSession
 from noncepipe.sites import (
     CATEGORIES,
