@@ -8,7 +8,9 @@ Three password-stealing adversary classes run against five defense modes:
 - webrequest_exfiltrator: an extension holding webRequest, listening and
   optionally cancelling or redirecting
 
-Each adversary has a small, finite set of plans (8, 128 and 381).
+Each adversary has a small, finite set of plans (8, 128 and 381), each a
+program of `_MOVES` steps in three phases, which one `_Attacker` runs, as
+it runs the reflection attack and the FIDO2 attackers' set-up.
 Strategy i of a (mode, adversary) cell runs plan i modulo that count, so
 DEFAULT_STRATEGIES, the largest count, runs every plan in every cell.
 Plan 0 is what a scenario row runs by default. The leak verdict never
@@ -23,6 +25,7 @@ from the pipeline. Both try to hijack a registration and a login.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -31,7 +34,6 @@ from .dom import (
     AddField,
     FieldKind,
     HookKind,
-    Provenance,
     RegisterSubmitHook,
     RenameField,
     ScriptHandle,
@@ -191,178 +193,203 @@ def find_leaks(
 
 
 # ---------------------------------------------------------------------------
-# password adversaries
+# the attacker and its programs
 # ---------------------------------------------------------------------------
 
 
-class _ScenarioContext(NamedTuple):
-    session: BrowserSession
-    page: object
-    form_id: str
-    capture_sink: list[str]
+class _Program(NamedTuple):
+    """What an attacker does, by phase: before autofill, after it, and after
+    the response. A step is (move, *args): a `_MOVES` key and hashable
+    args, so programs compare, hash and print."""
+
+    before: tuple[tuple, ...]
+    after: tuple[tuple, ...] = ()
+    response: tuple[tuple, ...] = ()
 
 
-# the moves a page script can make, each a function of (script, ctx)
-def _read_form(script: ScriptHandle, ctx: _ScenarioContext) -> None:
-    for field_name in ("password", "username"):
-        try:
-            script_read_field(script, ctx.page, ctx.form_id, field_name)
-        except KeyError:
-            pass
+class _Attacker:
+    """One scenario's attacker: the session and page it attacks, its capture
+    list, and the script and extension its steps create. Its moves are the
+    methods `_MOVES` names."""
 
+    __slots__ = ("session", "page", "form_id", "captured", "script", "extension")
 
-def _hook(script: ScriptHandle, ctx: _ScenarioContext) -> None:
-    hook = SubmitHook(kind=HookKind.CAPTURE_FIELDS, sink=script)
-    script_mutate(script, ctx.page, RegisterSubmitHook(ctx.form_id, hook))
-
-
-def _add_field(script: ScriptHandle, ctx: _ScenarioContext) -> None:
-    try:
-        script_mutate(script, ctx.page, AddField(ctx.form_id, "tracker", FieldKind.HIDDEN, "1"))
-    except DuplicateField:
-        pass
-
-
-def _rename(script: ScriptHandle, ctx: _ScenarioContext) -> None:
-    try:
-        script_mutate(script, ctx.page, RenameField(ctx.form_id, "password", "q"))
-    except (DuplicateField, KeyError):
-        pass
-
-
-def _retarget(script: ScriptHandle, ctx: _ScenarioContext) -> None:
-    script_mutate(script, ctx.page, SetFormAction(ctx.form_id, _COLLECT_URL))
-
-
-def _read_rendered(script: ScriptHandle, ctx: _ScenarioContext) -> None:
-    read_rendered_text(script, ctx.page)
-
-
-# every script move by the phase it runs in: before autofill, after it, and
-# after the response; within a phase, moves run in this order
-_PHASES = (
-    (("read_pre", _read_form), ("hook_pre", _hook), ("add_field", _add_field)),
-    (("read_post", _read_form), ("hook_post", _hook), ("rename", _rename), ("retarget", _retarget)),
-    (("read_rendered", _read_rendered),),
-)
-
-
-class _ScriptRow(NamedTuple):
-    """A page-script adversary: its script and the moves its plans choose
-    from. Bit k of a plan index flips moves[k] from how plan0 sets it, so
-    plan 0 makes the plan0 moves. Called with a plan index, a row gives the
-    agent that plays that plan."""
-
-    script_id: str
-    provenance: Provenance
-    moves: tuple[str, ...]
-    plan0: frozenset[str]
-
-    @property
-    def plans(self) -> int:
-        return 1 << len(self.moves)
-
-    def __call__(self, plan_index: int) -> "_ScriptAgent":
-        return _ScriptAgent(self, plan_index)
-
-
-class _ScriptAgent:
-    """One page script playing one plan of its row."""
-
-    __slots__ = ("plan", "script")
-
-    def __init__(self, row: _ScriptRow, plan_index: int) -> None:
-        bits = plan_index % row.plans
-        self.plan = frozenset(
-            move
-            for bit, move in enumerate(row.moves)
-            if (move in row.plan0) != bool(bits >> bit & 1)
-        )
-        self.script = ScriptHandle(row.script_id, row.provenance)
-
-    def play(self, phase: int, ctx: _ScenarioContext) -> None:
-        if phase == 0:
-            attach_script(ctx.page, self.script)
-        for move, act in _PHASES[phase]:
-            if move in self.plan:
-                act(self.script, ctx)
-
-    def observations(self, ctx: _ScenarioContext) -> list[str]:
-        return [*self.script.log, *ctx.capture_sink]
-
-
-# each blocking move of the webRequest attacker, and the blocking listener
-# it registers at onBeforeRequest; the redirect spares requests already
-# bound for the capture origin
-_BLOCKING_MOVES = (
-    ("none", None),
-    (
-        "redirect",
-        lambda view: None if view.url.origin == CAPTURE_ORIGIN else Redirect(_STEAL_URL),
-    ),
-    ("cancel", lambda view: Cancel("dropped")),
-)
-# the stages a plan's bits index, in Stage order, decoded without walking Stage
-_STAGES = tuple(Stage)
-
-
-class _WebRequestExfiltratorAgent:
-    """Extension with webRequest: listens everywhere, may cancel or redirect.
-
-    A plan is a non-empty set of stages to listen at and one blocking move.
-    Plan index i splits as (left_out, move) = divmod(i, 3): bit k of
-    `left_out` leaves _STAGES[k] out, and `move` picks an entry of
-    _BLOCKING_MOVES in order. Plan 0 listens at every stage and blocks
-    nothing; `left_out` stops short of leaving out all seven stages.
-    """
-
-    plans = len(_BLOCKING_MOVES) * ((1 << len(_STAGES)) - 1)
-
-    def __init__(self, plan_index: int) -> None:
-        left_out, move = divmod(plan_index % self.plans, len(_BLOCKING_MOVES))
-        self.stages = tuple(s for bit, s in enumerate(_STAGES) if not left_out >> bit & 1)
-        self.blocking_move, self.blocking = _BLOCKING_MOVES[move]
+    def __init__(self, session: BrowserSession, page, form_id, captured: list[str]) -> None:
+        self.session = session
+        self.page = page
+        self.form_id = form_id
+        self.captured = captured
+        self.script: Optional[ScriptHandle] = None
         self.extension: Optional[Extension] = None
 
-    def play(self, phase: int, ctx: _ScenarioContext) -> None:
-        """Install the extension and its listeners before autofill."""
-        if phase != 0:
-            return
-        host = ctx.session.host
-        self.extension = host.install(_ATTACKER_MANIFEST)
-        for stage in self.stages:
-            host.register_listener(ATTACKER_EXTENSION_ID, stage, lambda view: None)
-        blocking = self.blocking
-        if blocking is not None:
-            host.register_listener(
-                ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, blocking, blocking=True
-            )
+    def run(self, steps: Sequence[tuple]) -> None:
+        for move, *args in steps:
+            _MOVES[move](self, *args)
 
-    def observations(self, ctx: _ScenarioContext) -> list[str]:
-        return [*(str(item) for item in self.extension.observations), *ctx.capture_sink]
+    def observations(self) -> list[str]:
+        """What the leak check scans: the script's log, the extension's view
+        strings, then the capture list."""
+        seen = [] if self.script is None else list(self.script.log)
+        if self.extension is not None:
+            seen += self.extension.observations
+        return seen + self.captured
+
+    # -- a page script's moves ---------------------------------------------
+
+    def attach(self, script_id: str) -> None:
+        self.script = ScriptHandle(script_id)
+        attach_script(self.page, self.script)
+
+    def read_form(self) -> None:
+        for field_name in ("password", "username"):
+            try:
+                script_read_field(self.script, self.page, self.form_id, field_name)
+            except KeyError:
+                pass
+
+    def hook(self) -> None:
+        hook = SubmitHook(kind=HookKind.CAPTURE_FIELDS, sink=self.script)
+        script_mutate(self.script, self.page, RegisterSubmitHook(self.form_id, hook))
+
+    def add_field(self) -> None:
+        mutation = AddField(self.form_id, "tracker", FieldKind.HIDDEN, "1")
+        try:
+            script_mutate(self.script, self.page, mutation)
+        except DuplicateField:
+            pass
+
+    def rename(self, old: str, new: str) -> None:
+        try:
+            script_mutate(self.script, self.page, RenameField(self.form_id, old, new))
+        except (DuplicateField, KeyError):
+            pass
+
+    def retarget(self, url: Url) -> None:
+        script_mutate(self.script, self.page, SetFormAction(self.form_id, url))
+
+    def read_rendered(self) -> None:
+        read_rendered_text(self.script, self.page)
+
+    # -- an extension's moves ----------------------------------------------
+
+    def install(self) -> None:
+        self.extension = self.session.host.install(_ATTACKER_MANIFEST)
+
+    def listen(self, stage: Stage, blocker: Optional[str] = None) -> None:
+        """Listen at `stage`, blocking with the `_BLOCKERS` entry named, if any."""
+        listener = (lambda view: None) if blocker is None else _BLOCKERS[blocker](self)
+        self.session.host.register_listener(
+            ATTACKER_EXTENSION_ID, stage, listener, blocking=blocker is not None
+        )
 
 
-_AGENTS = {
+_MOVES = {
+    move: vars(_Attacker)[move]
+    for move in "attach read_form hook add_field rename retarget read_rendered install listen".split()
+}
+
+
+def _grab_finish(attacker: _Attacker):
+    """Cancels the FIDO2 finish POST before it leaves, keeping the finish
+    field of its body in the attacker's capture list."""
+
+    def on_before_request(view: StageView) -> Optional[Cancel]:
+        if view.url.path != FINISH_PATH or view.method != "POST":
+            return None
+        entries = view.form.entries if view.form is not None else ()
+        value = next((value for name, value in entries if name == FINISH_FIELD), None)
+        if value is not None:
+            attacker.captured.append(value)
+        return Cancel("intercepted")
+
+    return on_before_request
+
+
+# each blocking listener by name, made for one attacker; the redirect spares
+# requests already bound for the capture origin
+_BLOCKERS = {
+    "redirect": lambda attacker: lambda view: (
+        None if view.url.origin == CAPTURE_ORIGIN else Redirect(_STEAL_URL)
+    ),
+    "cancel": lambda attacker: lambda view: Cancel("dropped"),
+    "grab_finish": _grab_finish,
+}
+
+
+# each move a page script's plan bits choose from, and its step, by phase;
+# within a phase, steps run in this order
+_SCRIPT_STEPS = (
+    (("read_pre", ("read_form",)), ("hook_pre", ("hook",)), ("add_field", ("add_field",))),
+    (("read_post", ("read_form",)), ("hook_post", ("hook",)),
+     ("rename", ("rename", "password", "q")), ("retarget", ("retarget", _COLLECT_URL))),
+    (("read_rendered", ("read_rendered",)),),
+)
+
+
+def _script_plans(script_id: str, bits: tuple[str, ...], plan0: frozenset[str]):
+    """A page script's plan count and plan decoder. Bit k of a plan index
+    flips bits[k] from how plan0 sets it, so plan 0 makes the plan0 moves;
+    the script attaches first."""
+
+    def decode(plan: int) -> _Program:
+        chosen = {move for k, move in enumerate(bits) if (move in plan0) != bool(plan >> k & 1)}
+        before, after, response = (
+            tuple(step for move, step in phase if move in chosen) for phase in _SCRIPT_STEPS
+        )
+        return _Program((("attach", script_id), *before), after, response)
+
+    return 1 << len(bits), decode
+
+
+# the blocking listener a webRequest plan adds at onBeforeRequest, if any
+_WEBREQUEST_BLOCKERS = (None, "redirect", "cancel")
+
+
+def _webrequest_program(plan: int) -> _Program:
+    """Plan i of the webRequest attacker, (left_out, blocker) = divmod(i, 3):
+    install, listen at each Stage not left out by its bit in `left_out`,
+    then block with _WEBREQUEST_BLOCKERS[blocker]. Plan 0 listens everywhere
+    and blocks nothing; no plan leaves out all seven stages."""
+    left_out, blocker = divmod(plan, 3)
+    steps = [("install",)]
+    steps += [("listen", stage) for k, stage in enumerate(Stage) if not left_out >> k & 1]
+    if _WEBREQUEST_BLOCKERS[blocker] is not None:
+        steps.append(("listen", Stage.ON_BEFORE_REQUEST, _WEBREQUEST_BLOCKERS[blocker]))
+    return _Program(tuple(steps))
+
+
+# each password adversary's plan count and plan decoder
+_PLANS = {
     # passive page library: reads what the DOM will give it, nothing more
-    "dom_observer": _ScriptRow(
+    "dom_observer": _script_plans(
         "analytics.js",
-        Provenance.LIBRARY,
         ("read_pre", "read_post", "read_rendered"),
         frozenset({"read_pre", "read_post", "read_rendered"}),
     ),
     # injected script with full DOM control over the login page; plan 0's
     # late submit hook is its strongest move: it fires after any in-page
     # value swap a defense may have installed
-    "dom_exfiltrator": _ScriptRow(
+    "dom_exfiltrator": _script_plans(
         "xss-payload",
-        Provenance.XSS,
         ("read_post", "hook_pre", "hook_post", "rename", "retarget", "add_field", "read_rendered"),
         frozenset({"read_post", "hook_post", "read_rendered"}),
     ),
-    "webrequest_exfiltrator": _WebRequestExfiltratorAgent,
+    # an extension holding webRequest: listens, and may cancel or redirect
+    "webrequest_exfiltrator": (3 * ((1 << len(Stage)) - 1), _webrequest_program),
 }
 # the largest plan count: this many strategies per cell run every plan
-DEFAULT_STRATEGIES = max(agent.plans for agent in _AGENTS.values())
+DEFAULT_STRATEGIES = max(count for count, _ in _PLANS.values())
+
+
+@functools.cache
+def _decoded(adversary: str, plan: int) -> _Program:
+    return _PLANS[adversary][1](plan)
+
+
+def _program(adversary: str, strategy_index: int) -> _Program:
+    """The program strategy `strategy_index` of `adversary` runs: plan
+    `strategy_index` modulo the plan count, decoded once."""
+    return _decoded(adversary, strategy_index % _PLANS[adversary][0])
 
 
 # the attacked site of each login category, built once
@@ -396,14 +423,14 @@ def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> At
     session = world.session
     session.reset(scenario.seed, [entry], name="victim")
     page, form_id = build_login_page(session, profile)
-    ctx = _ScenarioContext(session, page, form_id, world.capture_sink)
-    agent = _AGENTS[scenario.adversary](scenario.strategy_index)
-    agent.play(0, ctx)
+    before, after, response = _program(scenario.adversary, scenario.strategy_index)
+    attacker = _Attacker(session, page, form_id, world.capture_sink)
+    attacker.run(before)
     session.autofill(page, form_id)
-    agent.play(1, ctx)
+    attacker.run(after)
     result = session.submit(page, form_id)
-    agent.play(2, ctx)
-    leaked_digests, leaked = find_leaks([entry.password], agent.observations(ctx))
+    attacker.run(response)
+    leaked_digests, leaked = find_leaks([entry.password], attacker.observations())
     return AttackOutcome(
         scenario.name,
         scenario.adversary,
@@ -556,17 +583,15 @@ def run_reflection_attack(
 
     page2, form2 = build_login_page(session, profile)
     session.autofill(page2, form2)
-    script = ScriptHandle("xss-payload", Provenance.XSS)
-    attach_script(page2, script)
+    attacker = _Attacker(session, page2, form2, [])
     reflect_url = Url(profile.origin.scheme, profile.origin.host, profile.origin.port, REFLECT_PATH)
-    script_mutate(script, page2, SetFormAction(form2, reflect_url))
+    attacker.run((("attach", "xss-payload"), ("retarget", reflect_url)))
     if variant == "rename":
-        script_mutate(script, page2, RenameField(form2, "username", "q"))
-        script_mutate(script, page2, RenameField(form2, "password", "username"))
+        attacker.run((("rename", "username", "q"), ("rename", "password", "username")))
     result = session.submit(page2, form2)
-    read_rendered_text(script, page2)
+    attacker.run((("read_rendered",),))
 
-    leaked_digests, leaked = find_leaks([entry.password], list(script.log))
+    leaked_digests, leaked = find_leaks([entry.password], attacker.observations())
     notes = [f"variant={variant}", f"pinning={'on' if pinning else 'off'}"]
     # every nonce mode writes its refusal or its swap to the transcript as a
     # browser event; a delivery's label is its stage, and no body is hashed
@@ -610,23 +635,22 @@ class _CreateHijack:
 
 class _AssertHijack:
     """Swaps the attacker's challenge into whatever the page hands the API;
-    the signature goes to `captured`, and the page gets junk."""
+    the attacker's script logs the signature, which also goes to its capture
+    list, and the page gets junk."""
 
-    def __init__(
-        self, original, attacker_challenge: bytes, script: ScriptHandle, captured: list[str]
-    ):
+    def __init__(self, original, attacker_challenge: bytes, attacker: _Attacker):
         self.original = original
         self.attacker_challenge = attacker_challenge
-        self.script = script
-        self.captured = captured
+        self.attacker = attacker
 
     def get(self, payload_json: str) -> str:
-        self.script.observe(payload_json)
+        script = self.attacker.script
+        script.observe(payload_json)
         request = Fido2Request.from_json(payload_json)
         forged = request._replace(challenge=self.attacker_challenge)
         signed = self.original.get(forged.to_json())
-        self.script.observe(signed)
-        self.captured.append(signed)
+        script.observe(signed)
+        self.attacker.captured.append(signed)
         return "{}"
 
 
@@ -672,24 +696,11 @@ def _fido2_setup(
     return _Fido2Setup(farm, session, page, state.rp, profile.origin)
 
 
-def _grab_and_cancel(session: BrowserSession, captured: list[str]) -> Extension:
-    """The attacker's extension cancels the finish POST before it leaves and
-    keeps the finish field of its body."""
-    extension = session.host.install(_ATTACKER_MANIFEST)
-
-    def on_before_request(view: StageView):
-        if view.url.path == FINISH_PATH and view.method == "POST":
-            for name, value in view.form.entries if view.form is not None else ():
-                if name == FINISH_FIELD:
-                    captured.append(value)
-                    break
-            return Cancel("intercepted")
-        return None
-
-    session.host.register_listener(
-        ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, on_before_request, blocking=True
-    )
-    return extension
+# how each FIDO2 attacker arms itself before the ceremony
+_FIDO2_SETUP = {
+    "fido2_dom": (("attach", "xss-payload"),),
+    "fido2_request": (("install",), ("listen", Stage.ON_BEFORE_REQUEST, "grab_finish")),
+}
 
 
 def _ceremony_hijack(
@@ -714,11 +725,12 @@ def _ceremony_hijack(
     if kind == REGISTRATION:
         attacker_device = AuthenticatorDevice("attacker-device", substream(seed, "attacker-device"))
     captured: list[str] = []  # what the attacker finishes out of band
+    attacker = _Attacker(setup.session, setup.page, None, captured)
+    attacker.run(_FIDO2_SETUP[adversary])
 
     if adversary == "fido2_dom":
-        script = ScriptHandle("xss-payload", Provenance.XSS)
         if kind == REGISTRATION:
-            hijack = _CreateHijack(attacker_device, script)
+            setup.page.webauthn = _CreateHijack(attacker_device, attacker.script)
         else:
             # the attacker opens its own login transaction directly with the
             # server; stripping only protects responses that cross the browser
@@ -726,28 +738,20 @@ def _ceremony_hijack(
             attacker_begin = _out_of_band_begin(setup.farm, setup.origin, AUTHENTICATION, "victim")
             setup.rp.witness = secrets
             attacker_challenge = Fido2Request.from_json(attacker_begin).challenge
-            hijack = _AssertHijack(setup.page.webauthn, attacker_challenge, script, captured)
-        attach_script(setup.page, script)
-        setup.page.webauthn = hijack
-        _, result = ceremony(setup.page, setup.origin, kind, "victim")
-        observations.extend(script.log)
+            setup.page.webauthn = _AssertHijack(setup.page.webauthn, attacker_challenge, attacker)
+    _, result = ceremony(setup.page, setup.origin, kind, "victim")
+    observations.extend(attacker.observations())
+    if adversary == "fido2_dom":
         notes.append(f"victim_finish={result.verdict}")
-    else:
-        extension = _grab_and_cancel(setup.session, captured)
-        ceremony(setup.page, setup.origin, kind, "victim")
-        observations.extend(str(item) for item in extension.observations)
-        observations.extend(captured)
-        if captured and kind == REGISTRATION:
-            # the attacker answers the victim's challenge with its own key
-            try:
-                challenge = response_from_json(captured[-1]).challenge
-            except MalformedPayload:
-                captured.clear()
-            else:
-                forged = Fido2Request(
-                    REGISTRATION, challenge, setup.origin.host, b"attacker", "victim"
-                )
-                captured.append(attacker_device.make_credential(forged).to_json())
+    elif captured and kind == REGISTRATION:
+        # the attacker answers the victim's challenge with its own key
+        try:
+            challenge = response_from_json(captured[-1]).challenge
+        except MalformedPayload:
+            captured.clear()
+        else:
+            forged = Fido2Request(REGISTRATION, challenge, setup.origin.host, b"attacker", "victim")
+            captured.append(attacker_device.make_credential(forged).to_json())
 
     verdict = None
     if captured:

@@ -2,7 +2,7 @@
 
 The DOM is the attacker-visible surface. Every script read is appended to
 the reading script's log so that leak analysis can later replay exactly what
-each actor observed; every mutation lands in the page audit trail. Submit
+each actor observed; what a script may touch is decided by attachment. Submit
 hooks transform the outgoing entry list in registration order, which is how
 both benign site behaviors (hash-before-submit, encode-before-submit) and
 submit-time observers are modeled.
@@ -38,7 +38,6 @@ __all__ = [
     "NoSuchField",
     "NoSuchForm",
     "Page",
-    "Provenance",
     "RegisterSubmitHook",
     "RenameField",
     "ScriptHandle",
@@ -54,7 +53,7 @@ __all__ = [
 
 
 class DomAccessError(PermissionError):
-    """A script acted on a page its provenance gives it no access to."""
+    """A script acted on a page it is not attached to."""
 
 
 class NoSuchForm(KeyError):
@@ -74,29 +73,20 @@ class DuplicateField(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Provenance(Enum):
-    __hash__ = object.__hash__  # by identity: see pipeline.Stage
-
-    PAGE = "page"
-    LIBRARY = "library"
-    XSS = "xss"
-
-
 class ScriptHandle:
     """A script running in some page, with an append-only observation log."""
 
-    __slots__ = ("script_id", "provenance", "log")
+    __slots__ = ("script_id", "log")
 
-    def __init__(self, script_id: str, provenance: Provenance) -> None:
+    def __init__(self, script_id: str) -> None:
         self.script_id = script_id
-        self.provenance = provenance
         self.log: list[str] = []
 
     def observe(self, value: str) -> None:
         self.log.append(value)
 
     def __repr__(self) -> str:  # keep observed values out of reprs
-        return f"ScriptHandle({self.script_id!r}, {self.provenance.value}, {len(self.log)} obs)"
+        return f"ScriptHandle({self.script_id!r}, {len(self.log)} obs)"
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +221,7 @@ class Page:
     nonce store holds it weakly, so it drops a page's records with the page."""
 
     __slots__ = (
-        "page_id", "origin", "is_iframe", "forms", "scripts", "audit",
+        "page_id", "origin", "is_iframe", "forms", "scripts",
         "rendered_text", "tls_overrides", "webauthn", "__weakref__",
     )
 
@@ -241,7 +231,6 @@ class Page:
         self.is_iframe = is_iframe
         self.forms: dict[str, Form] = {}
         self.scripts: list[ScriptHandle] = []
-        self.audit: list[str] = []
         self.rendered_text = ""
         self.tls_overrides: dict[Origin, ChannelSecurity] = {}
         self.webauthn: Optional[object] = None
@@ -318,7 +307,7 @@ Mutation = RenameField | SetFormAction | AddField | RegisterSubmitHook
 
 
 def script_mutate(script: ScriptHandle, page: Page, mutation: Mutation) -> None:
-    """Apply one DOM mutation; the page audit trail records who did what."""
+    """Apply one DOM mutation to a page the script is attached to."""
     _require_access(script, page)
     form = page.form(mutation.form_id)
     if isinstance(mutation, RenameField):
@@ -326,23 +315,14 @@ def script_mutate(script: ScriptHandle, page: Page, mutation: Mutation) -> None:
         if any(f.name == mutation.new_name for f in form.fields):
             raise DuplicateField(mutation.new_name)
         target.name = mutation.new_name
-        page.audit.append(
-            f"{script.script_id} renamed {mutation.form_id}.{mutation.old_name}"
-            f" -> {mutation.new_name}"
-        )
     elif isinstance(mutation, SetFormAction):
         form.action = mutation.action
-        page.audit.append(f"{script.script_id} retargeted {mutation.form_id} -> {mutation.action}")
     elif isinstance(mutation, AddField):
         if any(f.name == mutation.field_name for f in form.fields):
             raise DuplicateField(mutation.field_name)
         form.fields.append(Field(mutation.field_name, mutation.kind, mutation.value))
-        page.audit.append(f"{script.script_id} added {mutation.form_id}.{mutation.field_name}")
     elif isinstance(mutation, RegisterSubmitHook):
         form.submit_hooks.append(mutation.hook)
-        page.audit.append(
-            f"{script.script_id} hooked {mutation.form_id} ({mutation.hook.kind.value})"
-        )
     else:
         raise TypeError(f"unknown mutation {mutation!r}")
 

@@ -588,13 +588,12 @@ class BrowserWebAuthn:
 
 
 class _StoredCredential:
-    __slots__ = ("credential_id", "public_key", "counter", "user_name")
+    __slots__ = ("credential_id", "public_key", "counter")
 
-    def __init__(self, credential_id: bytes, public_key: bytes, counter: int, user_name: str) -> None:
+    def __init__(self, credential_id: bytes, public_key: bytes, counter: int) -> None:
         self.credential_id = credential_id
         self.public_key = public_key
         self.counter = counter
-        self.user_name = user_name
 
 
 class FinishResult(NamedTuple):
@@ -680,9 +679,7 @@ class RelyingParty:
         # a registration verifies against the key it brings, an assertion
         # against the key the account holds
         if kind == REGISTRATION:
-            stored = _StoredCredential(
-                response.credential_id, response.public_key, response.counter, username
-            )
+            stored = _StoredCredential(response.credential_id, response.public_key, response.counter)
         else:
             stored = self.accounts.get(username)
             if stored is None or stored.credential_id != response.credential_id:

@@ -122,7 +122,6 @@ class PasswordManager:
 
         if mode is DefenseMode.BASELINE:
             password_field.value = entry.password
-            page.audit.append(f"manager autofilled {form_id}.{password_field.name} (baseline)")
             return None
 
         if self._nonces is None:
@@ -133,7 +132,6 @@ class PasswordManager:
             nonce, entry, form_id, password_field.name, page.is_iframe, self.pinning_enabled
         )
         self._nonces.add(page, record)
-        page.audit.append(f"manager autofilled {form_id}.{password_field.name} ({mode.value})")
 
         if mode is DefenseMode.DESIGN3_DOM:
             # replacement happens in the DOM, immediately before submission

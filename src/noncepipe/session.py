@@ -79,8 +79,6 @@ class BrowserSession:
         no nonce, page, request id, parked FIDO2 payload or extension but the
         manager before it. Page ids restart, so a payload parked for an old
         `page-1` must not reach a new one; the authenticator keeps its keys."""
-        self.seed = seed
-        self.name = name
         for extension_id in [e for e in self.host.extensions if e != MANAGER_EXTENSION_ID]:
             self.host.uninstall(extension_id)
         self.host.nonces.clear()

@@ -10,9 +10,13 @@ from pathlib import Path
 import pytest
 
 from noncepipe.adversaries import (
-    _AGENTS,
+    _BLOCKERS,
+    _MOVES,
     ATTACKER_EXTENSION_ID,
+    _Program,
     _World,
+    _decoded,
+    _program,
     DEFAULT_STRATEGIES,
     FIDO2_ADVERSARIES,
     FIDO2_DEFENSES,
@@ -109,58 +113,58 @@ def test_find_leaks_digests_sorted_and_deduplicated():
 
 
 # ---------------------------------------------------------------------------
-# plans
+# plans, each a program
 # ---------------------------------------------------------------------------
 
 
 PLAN_COUNTS = {"dom_observer": 8, "dom_exfiltrator": 128, "webrequest_exfiltrator": 381}
 
-# the canonical plan of each adversary, which plan index 0 must decode to
-CANONICAL_PLANS = {
-    "dom_observer": frozenset({"read_pre", "read_post", "read_rendered"}),
-    "dom_exfiltrator": frozenset({"read_post", "hook_post", "read_rendered"}),
-    "webrequest_exfiltrator": (
-        (
-            Stage.ON_BEFORE_REQUEST,
-            Stage.ON_BEFORE_SEND_HEADERS,
-            Stage.ON_SEND_HEADERS,
-            Stage.ON_REQUEST_CREDENTIALS,
-            Stage.ON_HEADERS_RECEIVED,
-            Stage.ON_RESPONSE_STARTED,
-            Stage.ON_COMPLETED,
-        ),
-        "none",
+# the program plan index 0 of each adversary must decode to
+CANONICAL_PROGRAMS = {
+    "dom_observer": _Program(
+        (("attach", "analytics.js"), ("read_form",)), (("read_form",),), (("read_rendered",),)
     ),
+    "dom_exfiltrator": _Program(
+        (("attach", "xss-payload"),), (("read_form",), ("hook",)), (("read_rendered",),)
+    ),
+    "webrequest_exfiltrator": _Program((("install",), *(("listen", stage) for stage in Stage))),
 }
 
 
-def plan_of(adversary: str, index: int):
-    agent = _AGENTS[adversary](index)
-    if adversary == "webrequest_exfiltrator":
-        return agent.stages, agent.blocking_move
-    return agent.plan
+@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+def test_programs_are_hashable_data_over_the_move_table(adversary):
+    for index in range(PLAN_COUNTS[adversary]):
+        program = _program(adversary, index)
+        fresh = _decoded.__wrapped__(adversary, index)  # decoded again, not cached
+        assert program == fresh and hash(program) == hash(fresh)
+        for phase in program:
+            for move, *args in phase:
+                assert move in _MOVES, move
+                if move == "listen" and len(args) == 2:
+                    assert args[1] in _BLOCKERS
 
 
 @pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
-def test_plan_indices_decode_to_distinct_plans(adversary):
+def test_each_adversary_has_its_documented_number_of_programs(adversary):
     count = PLAN_COUNTS[adversary]
-    assert _AGENTS[adversary].plans == count
-    plans = {plan_of(adversary, index) for index in range(count)}
-    assert len(plans) == count
+    programs = {_program(adversary, index) for index in range(count)}
+    assert len(programs) == count
     if adversary == "webrequest_exfiltrator":
-        assert all(stages for stages, _ in plans)  # every plan listens somewhere
+        # every plan listens somewhere without blocking
+        assert all(any(step[0] == "listen" and len(step) == 2 for step in p.before) for p in programs)
 
 
 @pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
-def test_plan_indices_wrap_at_the_plan_count(adversary):
+def test_programs_wrap_at_the_plan_count(adversary):
     count = PLAN_COUNTS[adversary]
-    assert plan_of(adversary, count) == plan_of(adversary, 0)
-    assert plan_of(adversary, 2 * count + 5) == plan_of(adversary, 5)
+    assert _program(adversary, count) == _program(adversary, 0)
+    assert _program(adversary, 2 * count + 5) == _program(adversary, 5)
+    assert _decoded.cache_info().currsize <= sum(PLAN_COUNTS.values())
 
 
 @pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
-def test_plan_0_is_the_canonical_plan(adversary):
-    assert plan_of(adversary, 0) == CANONICAL_PLANS[adversary]
+def test_plan_0_is_the_canonical_program(adversary):
+    assert _program(adversary, 0) == CANONICAL_PROGRAMS[adversary]
 
 
 def test_default_strategies_run_every_plan():
@@ -266,7 +270,9 @@ def test_a_reused_world_attacks_as_a_fresh_one(mode, adversary):
 def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
     mode = DefenseMode.DESIGN5_API_LATE
     plan = 1  # listen at every stage, redirect at onBeforeRequest
-    assert _AGENTS["webrequest_exfiltrator"](plan).blocking_move == "redirect"
+    assert _program("webrequest_exfiltrator", plan).before[-1] == (
+        "listen", Stage.ON_BEFORE_REQUEST, "redirect"
+    )
     world = _World(mode)
     run_scenario(AttackScenario("r", "webrequest_exfiltrator", mode, 3, plan), world)
     host = world.session.host
@@ -305,8 +311,7 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
 
 def test_the_redirect_move_spares_only_the_capture_origin():
     """A look-alike origin, whose text starts with the capture origin's, is redirected."""
-    plan = 1  # listen at every stage, redirect at onBeforeRequest
-    redirect = _AGENTS["webrequest_exfiltrator"](plan).blocking
+    redirect = _BLOCKERS["redirect"](None)  # keeps nothing of its attacker
     regs = ListenerRegistry()
     regs.add(ListenerRegistration("r", ATTACKER_EXTENSION_ID, Stage.ON_BEFORE_REQUEST, True, redirect))
     steal = Url.parse("https://evil.example/steal")

@@ -663,8 +663,13 @@ def test_same_seed_same_bytes(tmp_path, capsys):
             "scenarios.json",
             "9e8bfb73a8e1785cccedddd87bb17ca15ca7dd4908962c51974c0993dff99e75",
         ),
+        (
+            ["matrix", "--seed", "7"],
+            "matrix.json",
+            "a4079c3e89685bcd62e3d3bd7455210cf01959b8d52411d808b8c5655e17970e",
+        ),
     ],
-    ids=["matrix", "compat", "scenarios_all"],
+    ids=["matrix", "compat", "scenarios_all", "matrix_every_plan"],
 )
 def test_report_matches_frozen_digest(tmp_path, capsys, argv, report, digest):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK

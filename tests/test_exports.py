@@ -1,9 +1,11 @@
-"""Every name a module exports resolves, so a deletion cannot leave a stale
-one; every enum hashes by identity."""
+"""Every name a module exports resolves, and every name it imports is used,
+so a deletion cannot leave a stale one; every enum hashes by identity."""
 
+import ast
 import enum
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,5 +33,28 @@ def test_every_enum_hashes_by_identity():
         if isinstance(value, type) and issubclass(value, enum.Enum)
         and value.__module__.startswith("noncepipe.")
     }
-    assert len(enums) >= 8  # the scan finds Stage, DefenseMode, Permission, ...
+    assert len(enums) >= 7  # the scan finds Stage, DefenseMode, Permission, ...
     assert [e.__qualname__ for e in enums if e.__hash__ is not object.__hash__] == []
+
+
+SOURCES = sorted(Path(noncepipe.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {  # a re-export is a use
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__"
+        for name in ast.literal_eval(node.value)
+    }
+    assert sorted(imported - used - exported) == []

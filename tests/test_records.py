@@ -23,15 +23,14 @@ from noncepipe.adversaries import (
     AttackScenario,
     MatrixCell,
     MatrixReport,
-    _AGENTS,
     _AssertHijack,
+    _Attacker,
     _Fido2Setup,
-    _ScenarioContext,
+    _program,
 )
 from noncepipe.dom import (
     AddField,
     HookKind,
-    Provenance,
     RegisterSubmitHook,
     RenameField,
     ScriptHandle,
@@ -129,8 +128,7 @@ IMMUTABLE = [
     AttackOutcome("n", "dom_observer", "baseline", False),
     MatrixCell("baseline", "dom_observer", 1, 0),
     MatrixReport(7, 1, []),
-    _ScenarioContext(None, None, "login", []),
-    _AGENTS["dom_observer"],
+    _program("dom_observer", 0),
     _Fido2Setup(None, None, None, None, ORIGIN),
     FIDO2_REQUEST,
     ATTESTATION,
@@ -284,8 +282,9 @@ def test_redirect_reissue_checks_the_new_hop():
 
 
 def test_forged_challenge_copy_is_checked():
-    script = ScriptHandle("xss-payload", Provenance.XSS)
-    hijack = _AssertHijack(original=None, attacker_challenge=b"short", script=script, captured=[])
+    attacker = _Attacker(None, None, None, [])
+    attacker.script = ScriptHandle("xss-payload")
+    hijack = _AssertHijack(original=None, attacker_challenge=b"short", attacker=attacker)
     with pytest.raises(MalformedPayload, match="challenge must be 32 bytes"):
         hijack.get(FIDO2_REQUEST.to_json())
 

@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from noncepipe import http_model, sites
-from noncepipe.dom import FieldKind, HookKind, Provenance, ScriptHandle, SetFormAction, SubmitHook
+from noncepipe.dom import FieldKind, HookKind, ScriptHandle, SetFormAction, SubmitHook
 from noncepipe.dom import attach_script, script_mutate, submit_form
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.http_model import (
@@ -200,7 +200,7 @@ def test_script_retarget_leaves_other_pages_and_the_profile_alone():
     session = session_for(p)
     (page1, form1), (page2, form2) = build_login_page(session, p), build_login_page(session, p)
     action = p.login_action
-    script = ScriptHandle("s1", Provenance.XSS)
+    script = ScriptHandle("s1")
     attach_script(page1, script)
     evil = Url.parse("https://evil.example/sink")
     script_mutate(script, page1, SetFormAction(form1, evil))
