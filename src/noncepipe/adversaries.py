@@ -60,7 +60,7 @@ from .fido2 import (
     RelyingParty,
     response_from_json,
 )
-from .http_model import Origin, Url, holds_secret, sha256_hex
+from .http_model import Origin, Url, held_secrets, sha256_hex
 from .pipeline import (
     EVENT_SUBSTITUTION,
     Cancel,
@@ -184,11 +184,11 @@ def find_leaks(
 ) -> tuple[tuple[str, ...], bool]:
     """Scan attacker-visible text for secrets; return digests of any hits.
 
-    Each secret is matched by `holds_secret`: verbatim and in its
+    Each secret is matched by `held_secrets`: verbatim and in its
     form-encoded shape, so secrets survive detection inside percent-encoded
-    request bodies.
+    request bodies. An empty secret is never a leak.
     """
-    leaked = {secret for secret in secrets if secret and holds_secret(observations, secret)}
+    leaked = held_secrets(observations, [secret for secret in secrets if secret])
     return tuple(sorted(sha256_hex(s) for s in leaked)), bool(leaked)
 
 
@@ -277,7 +277,7 @@ class _Attacker:
 
     def listen(self, stage: Stage, blocker: Optional[str] = None) -> None:
         """Listen at `stage`, blocking with the `_BLOCKERS` entry named, if any."""
-        listener = (lambda view: None) if blocker is None else _BLOCKERS[blocker](self)
+        listener = _idle if blocker is None else _BLOCKERS[blocker](self)
         self.session.host.register_listener(
             ATTACKER_EXTENSION_ID, stage, listener, blocking=blocker is not None
         )
@@ -287,6 +287,10 @@ _MOVES = {
     move: vars(_Attacker)[move]
     for move in "attach read_form hook add_field rename retarget read_rendered install listen".split()
 }
+
+
+def _idle(view: StageView) -> None:
+    """A listener that only looks: the pipeline keeps what it was shown."""
 
 
 def _grab_finish(attacker: _Attacker):

@@ -38,6 +38,11 @@ class Permission(Enum):
     SECRETS = "secrets"
 
 
+# read by every registration, as module globals (see pipeline's)
+_WEB_REQUEST = Permission.WEB_REQUEST
+_SECRETS = Permission.SECRETS
+
+
 class PermissionDenied(PermissionError):
     pass
 
@@ -49,9 +54,6 @@ class InvalidBlockingStage(ValueError):
 class ExtensionManifest(NamedTuple):
     extension_id: str
     permissions: frozenset[Permission] = frozenset()
-
-    def has(self, permission: Permission) -> bool:
-        return permission in self.permissions
 
 
 class Extension:
@@ -72,9 +74,17 @@ class Extension:
 
     @property
     def observations(self) -> list[str]:
-        """Everything the listeners could copy out of their views, in
-        delivery order; built when read, not as views arrive."""
-        return [text for view in self.views for text in view.visible_strings()]
+        """Everything the listeners could copy out of their views, in delivery
+        order, built when read; a run of views sharing url, headers and form
+        (a hop's stages, two listeners at one stage) builds its strings once."""
+        out: list[str] = []
+        shown = None  # the url, headers and form that `strings` were built from
+        for view in self.views:
+            if shown != (view.url, view.headers, view.form):
+                shown = (view.url, view.headers, view.form)
+                strings = view.visible_strings()
+            out += strings
+        return out
 
 
 class ExtensionHost:
@@ -91,7 +101,7 @@ class ExtensionHost:
     def install(self, manifest: ExtensionManifest) -> Extension:
         if manifest.extension_id in self.extensions:
             raise ValueError(f"extension {manifest.extension_id!r} already installed")
-        secrets = manifest.has(Permission.SECRETS)
+        secrets = _SECRETS in manifest.permissions
         ext = Extension(manifest, nonces=self.nonces if secrets else None)
         self.extensions[manifest.extension_id] = ext
         return ext
@@ -122,7 +132,8 @@ class ExtensionHost:
         listener_id: Optional[str] = None,
     ) -> ListenerRegistration:
         ext = self.get(extension_id)
-        if not ext.manifest.has(Permission.WEB_REQUEST):
+        permissions = ext.manifest.permissions
+        if _WEB_REQUEST not in permissions:
             raise PermissionDenied(f"{extension_id} lacks the webRequest permission")
         if blocking and stage not in BLOCKING_STAGES:
             raise InvalidBlockingStage(
@@ -130,14 +141,11 @@ class ExtensionHost:
                 f"{[s.value for s in BLOCKING_STAGES]}, got {stage.value}"
             )
         self._numbered.append(extension_id)
-        registration = ListenerRegistration(
-            listener_id or f"{extension_id}.L{len(self._numbered)}",
-            extension_id,
-            stage,
-            blocking,
-            callback,
-            # the sink: the trusted manager's views are read by no one
-            None if ext.manifest.has(Permission.SECRETS) else ext.views,
+        listener_id = listener_id or f"{extension_id}.L{len(self._numbered)}"
+        sink = None if _SECRETS in permissions else ext.views  # no one reads the manager's views
+        # a registration checks nothing, so it skips the generated `__new__`
+        registration = tuple.__new__(
+            ListenerRegistration, (listener_id, extension_id, stage, blocking, callback, sink)
         )
         self.registry.add(registration)
         return registration

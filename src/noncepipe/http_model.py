@@ -27,6 +27,7 @@ __all__ = [
     "channel_for",
     "decode_urlencoded",
     "header_value",
+    "held_secrets",
     "holds_secret",
     "sha256_hex",
     "urlencode_entries",
@@ -117,11 +118,26 @@ def _unquote_form(text: str) -> str:
         raise MalformedBody(f"percent-decoded bytes are not valid UTF-8: {exc}") from exc
 
 
-def holds_secret(texts: Iterable[str], secret: str) -> bool:
-    """Whether some text holds `secret` verbatim or form-encoded, the shape it
-    takes in a urlencoded body: the leak oracle's rule."""
-    encoded = _quote_form(secret)
-    return any(secret in text or encoded in text for text in texts)
+def held_secrets(texts: Sequence[str], secrets: Iterable[str]) -> set[str]:
+    """The secrets that some text holds verbatim or form-encoded (a urlencoded
+    body's shape): the leak oracle's rule. The texts are joined with NUL once;
+    a secret that is empty or holds a NUL is tested text by text, as the join
+    would answer it otherwise ("" is in the join of no texts; a NUL could span two)."""
+    joined = "\0".join(texts)
+    held = set()
+    for secret in secrets:
+        encoded = _quote_form(secret)  # escapes NUL, so it never spans two texts
+        if secret and "\0" not in secret:
+            if secret in joined or encoded in joined:
+                held.add(secret)
+        elif any(secret in text or encoded in text for text in texts):
+            held.add(secret)
+    return held
+
+
+def holds_secret(texts: Sequence[str], secret: str) -> bool:
+    """Whether some text holds `secret`, by `held_secrets`' rule."""
+    return bool(held_secrets(texts, (secret,)))
 
 
 def urlencode_entries(entries: Sequence[tuple[str, str]]) -> str:
@@ -234,10 +250,10 @@ class Url(namedtuple("Url", "scheme host port path query origin")):
         path, qmark, query_text = path_and_query.partition("?")
         host, colon, port_text = netloc.partition(":")
         if colon:
-            try:
-                port = int(port_text)
-            except ValueError as exc:
-                raise InvalidUrl(f"bad port in {text!r}") from exc
+            # ASCII digits only: int() also reads "4_43", " 443", "+443", "٤٤٣" as 443
+            if not (port_text.isascii() and port_text.isdigit()):
+                raise InvalidUrl(f"bad port in {text!r}")
+            port = int(port_text)
         else:
             port = DEFAULT_PORTS[scheme]
         query = decode_urlencoded(query_text) if qmark else ()

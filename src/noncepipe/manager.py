@@ -44,6 +44,11 @@ MANAGER_EXTENSION_ID = "noncepipe.manager"
 _MANIFEST = ExtensionManifest(
     MANAGER_EXTENSION_ID, frozenset({Permission.WEB_REQUEST, Permission.SECRETS})
 )
+# the members that each autofill reads, as module globals (see pipeline's)
+_BASELINE = DefenseMode.BASELINE
+_DESIGN3 = DefenseMode.DESIGN3_DOM
+_PASSWORD = FieldKind.PASSWORD
+_TEXT = FieldKind.TEXT
 
 NONCE_LENGTH = 16
 NONCE_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
@@ -115,12 +120,12 @@ class PasswordManager:
         if entry is None:
             raise OriginMismatch(f"no vault entry for {page.origin}")
         form = page.form(form_id)
-        password_field = form.first_of_kind(FieldKind.PASSWORD)
+        password_field = form.first_of_kind(_PASSWORD)
         if password_field is None:
             raise NoPasswordField(f"form {form_id!r} has no password field")
         self._fill_username(form, entry.username)
 
-        if mode is DefenseMode.BASELINE:
+        if mode is _BASELINE:
             password_field.value = entry.password
             return None
 
@@ -133,7 +138,7 @@ class PasswordManager:
         )
         self._nonces.add(page, record)
 
-        if mode is DefenseMode.DESIGN3_DOM:
+        if mode is _DESIGN3:
             # replacement happens in the DOM, immediately before submission
             form.submit_hooks.append(
                 SubmitHook(
@@ -146,8 +151,11 @@ class PasswordManager:
         return record
 
     def _fill_username(self, form: Form, username: str) -> None:
-        named = next((f for f in form.fields if f.name == "username"), None)
-        target = named or form.first_of_kind(FieldKind.TEXT)
+        for field in form.fields:
+            if field.name == "username":
+                field.value = username
+                return
+        target = form.first_of_kind(_TEXT)
         if target is not None:
             target.value = username
 

@@ -151,6 +151,7 @@ _FULL = BodyView.FULL_PRE_SUBSTITUTION
 _FULL_POST = BodyView.FULL_POST_SUBSTITUTION
 _STRIPPED = BodyView.STRIPPED
 _ABSENT = BodyView.ABSENT
+_GOOD_TLS = ChannelSecurity.GOOD_TLS
 
 # The request-side walk of each mode: the one place that says where the
 # credential stage sits. design5 and manifest_v3 put it after the last stage
@@ -199,8 +200,8 @@ class VaultEntry:
 
     @staticmethod
     def pin_of(url: Url) -> str:
-        """A submit URL's pin, query-free: scheme://host[:port]/path."""
-        return f"{url.origin}{url.path}"
+        """A submit URL's pin: scheme://host[:port]/path, a query-free URL's own text."""
+        return f"{url.origin}{url.path}" if url.query else url.to_string()
 
     def learn_submit_url(self, url: Url) -> None:
         """Pin the submit URL on first use; later URLs must match exactly."""
@@ -238,6 +239,10 @@ class SafetyDecision(namedtuple("SafetyDecision", "approved reason detail")):
         if not approved and reason not in CHECK_NAMES:
             raise ValueError("refusals must carry a check number 1..5")
         return tuple.__new__(cls, (approved, reason, detail))
+
+
+# every approval is this one decision: a tuple, so no reader can change it
+_APPROVED = SafetyDecision(True, None, "all checks passed")
 
 
 class Verdict(NamedTuple):
@@ -333,7 +338,7 @@ def check(record: NonceRecord, view: StageView) -> SafetyDecision:
     if record.in_iframe:
         return SafetyDecision(False, 1, "login form is inside an iframe")
 
-    if view.channel is not ChannelSecurity.GOOD_TLS:
+    if view.channel is not _GOOD_TLS:
         channel = view.channel.value if view.channel else "unknown"
         return SafetyDecision(False, 2, f"channel is {channel}")
 
@@ -357,7 +362,7 @@ def check(record: NonceRecord, view: StageView) -> SafetyDecision:
                 False, 5, f"nonce sits in field {name!r}, autofilled {record.field_name!r}"
             )
 
-    return SafetyDecision(True, None, "all checks passed")
+    return _APPROVED
 
 
 def approve(record: NonceRecord, url: Url) -> SubstitutionRequest:
@@ -391,8 +396,11 @@ class SubstitutionRequest:
             raise ValueError("nonce must be non-empty")
         if nonce == replacement:
             raise ValueError("replacement must differ from the nonce")
-        for name, value in zip(self.__slots__, (field_name, nonce, replacement, expected_origin)):
-            object.__setattr__(self, name, value)
+        set_slot = object.__setattr__  # this class's own refuses every field
+        set_slot(self, "field_name", field_name)
+        set_slot(self, "nonce", nonce)
+        set_slot(self, "replacement", replacement)
+        set_slot(self, "expected_origin", expected_origin)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot set {name!r}: a substitution request is read-only")
@@ -475,10 +483,10 @@ class StageView(NamedTuple):
     def visible_strings(self) -> tuple[str, ...]:
         """Everything a listener could copy out of this view, as strings."""
         out = [self.url.to_string()]
-        out.extend(v for _, v in self.url.query)
-        out.extend(f"{k}: {v}" for k, v in self.headers)
-        if self.body is not None:
-            out.append(self.body.decode("utf-8", errors="replace"))
+        out += [v for _, v in self.url.query]
+        out += [f"{k}: {v}" for k, v in self.headers]
+        if self.form is not None:
+            out.append(self.form.raw.decode("utf-8", "replace"))
         return tuple(out)
 
 
@@ -537,9 +545,11 @@ class ListenerRegistry:
         self._by_stage[stage] = self._by_stage.get(stage, ()) + (registration,)
 
     def remove(self, extension_id: str) -> None:
-        """Drop every listener of one extension."""
+        """Drop every listener of one extension; a stage it never listened at keeps its tuple."""
         for stage, registrations in self._by_stage.items():
-            self._by_stage[stage] = tuple(r for r in registrations if r.extension_id != extension_id)
+            kept = tuple([r for r in registrations if r.extension_id != extension_id])
+            if len(kept) < len(registrations):
+                self._by_stage[stage] = kept
 
     def at(self, stage: Stage) -> tuple[ListenerRegistration, ...]:
         return self._by_stage.get(stage, ())

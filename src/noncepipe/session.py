@@ -79,8 +79,9 @@ class BrowserSession:
         no nonce, page, request id, parked FIDO2 payload or extension but the
         manager before it. Page ids restart, so a payload parked for an old
         `page-1` must not reach a new one; the authenticator keeps its keys."""
-        for extension_id in [e for e in self.host.extensions if e != MANAGER_EXTENSION_ID]:
-            self.host.uninstall(extension_id)
+        if len(self.host.extensions) > 1:  # an attacker's, as well as the manager
+            for extension_id in [e for e in self.host.extensions if e != MANAGER_EXTENSION_ID]:
+                self.host.uninstall(extension_id)
         self.host.nonces.clear()
         self.manager.vault = list(vault)
         self.manager.rng = substream(seed, name, "manager")

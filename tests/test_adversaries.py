@@ -309,6 +309,37 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
     assert world.capture_sink == []  # plan 0 blocks nothing, so nothing was captured
 
 
+@pytest.mark.parametrize("category", ["plain_post", "reflecting"])
+@pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
+def test_extension_observations_are_every_views_strings_in_delivery_order(mode, category):
+    # observations build the strings once per run of views sharing a hop's
+    # url, headers and form; the list must be each view's strings in turn
+    world = _World(mode)
+    for index in range(PLAN_COUNTS["webrequest_exfiltrator"]):
+        scenario = AttackScenario(f"{index}", "webrequest_exfiltrator", mode, index, index, category)
+        run_scenario(scenario, world)
+        ext = world.session.host.get(ATTACKER_EXTENSION_ID)
+        assert ext.observations == [s for v in ext.views for s in v.visible_strings()], index
+
+
+def test_a_reinstalled_attacker_gets_the_listener_ids_of_a_fresh_host():
+    mode = DefenseMode.DESIGN5_API_LATE
+
+    def listener_ids(world):
+        registry = world.session.host.registry
+        return [(r.listener_id, r.extension_id) for st in Stage for r in registry.at(st)]
+
+    fresh = _World(mode)
+    run_scenario(AttackScenario("0", "webrequest_exfiltrator", mode, 3, 0), fresh)
+    reused = _World(mode)
+    for plan in (5, 1, 0):  # fewer stages, then a blocker, then every stage
+        run_scenario(AttackScenario(f"{plan}", "webrequest_exfiltrator", mode, 3, plan), reused)
+    assert listener_ids(reused) == listener_ids(fresh)
+    assert [i for i, ext in listener_ids(fresh) if ext == ATTACKER_EXTENSION_ID] == [
+        f"{ATTACKER_EXTENSION_ID}.L{n}" for n in range(3, 3 + len(Stage))
+    ]
+
+
 def test_the_redirect_move_spares_only_the_capture_origin():
     """A look-alike origin, whose text starts with the capture origin's, is redirected."""
     redirect = _BLOCKERS["redirect"](None)  # keeps nothing of its attacker

@@ -300,6 +300,15 @@ def test_compat_bad_corpus_line_is_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["4_43", " 443", "+443", "٤٤٣"])
+def test_compat_corpus_port_that_is_not_ascii_digits_is_data_error(tmp_path, capsys, port):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(f"plain_post\thttps://a.example:{port}\t-\n", encoding="utf-8")
+    assert main(["compat", "--seed", "7", "--corpus", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"corpus line 1: bad origin 'https://a.example:{port}': bad port in" in err
+
+
 def test_compat_missing_corpus_file_is_data_error(tmp_path, capsys):
     rc = main(["compat", "--seed", "3", "--corpus", str(tmp_path / "nope.tsv")])
     assert rc == EXIT_DATA

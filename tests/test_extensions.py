@@ -119,6 +119,26 @@ def test_uninstall_removes_exactly_the_named_extensions_listeners():
     assert host.register_listener("b", Stage.ON_COMPLETED, lambda v: None).listener_id == "b.L8"
 
 
+def test_uninstall_keeps_the_tuple_of_every_stage_the_extension_never_listened_at():
+    host = ExtensionHost()
+    host.install(manifest(Permission.WEB_REQUEST, ext_id="a"))
+    host.install(manifest(Permission.WEB_REQUEST, ext_id="b"))
+    for stage in Stage:
+        host.register_listener("b", stage, lambda v: None)
+    listened = (Stage.ON_BEFORE_REQUEST, Stage.ON_COMPLETED)
+    for stage in listened:
+        host.register_listener("a", stage, lambda v: None)
+    before = {stage: host.registry.at(stage) for stage in Stage}
+
+    host.uninstall("a")
+
+    for stage in Stage:
+        if stage in listened:
+            assert host.registry.at(stage) == before[stage][:-1]
+        else:
+            assert host.registry.at(stage) is before[stage], stage
+
+
 # ---------------------------------------------------------------------------
 # nonce store
 # ---------------------------------------------------------------------------

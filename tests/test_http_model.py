@@ -9,8 +9,9 @@ import hashlib
 from urllib.parse import quote_plus, urlencode
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from noncepipe.adversaries import find_leaks
 from noncepipe.http_model import (
     URLENCODED,
     ChannelSecurity,
@@ -24,6 +25,7 @@ from noncepipe.http_model import (
     _quote_form,
     _unquote_form,
     decode_urlencoded,
+    holds_secret,
     sha256_hex,
     urlencode_entries,
 )
@@ -252,6 +254,16 @@ def test_url_parse_rejects(text):
         Url.parse(text)
 
 
+@pytest.mark.parametrize("port", ["4_43", " 443", "+443", "\u0664\u0664\u0663"])
+def test_url_parse_rejects_a_port_that_int_reads_but_is_not_ascii_digits(port):
+    # int() reads each of these as 443
+    assert int(port) == 443
+    with pytest.raises(InvalidUrl, match="bad port in"):
+        Url.parse(f"https://a.example:{port}/login")
+    with pytest.raises(InvalidUrl, match="bad port in"):
+        Origin.parse(f"https://a.example:{port}")
+
+
 def test_url_requires_absolute_path():
     with pytest.raises(InvalidUrl):
         Url("https", "x.example", 443, path="relative")
@@ -445,3 +457,32 @@ def test_sha256_hex_matches_hashlib(data):
 
 def test_sha256_hex_str_is_utf8():
     assert sha256_hex("café") == hashlib.sha256("café".encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the leak oracle
+# ---------------------------------------------------------------------------
+
+# texts and secrets that reach every branch: NULs (the join's separator), the
+# characters `_quote_form` escapes, '+' and '%' that its escapes are made of
+oracle_text = st.text(alphabet=st.sampled_from("ab\0 %+~\u00e9"), max_size=6)
+oracle_texts = st.lists(oracle_text, max_size=4)
+
+
+def per_text_rule(texts, secret):
+    return any(secret in t or _quote_form(secret) in t for t in texts)
+
+
+@given(oracle_texts, oracle_text)
+@example([], "")
+@example([""], "")
+@example(["a", "b"], "a\0b")
+@example(["a\0b"], "a\0b")
+def test_holds_secret_gives_the_per_text_answer(texts, secret):
+    assert holds_secret(texts, secret) == per_text_rule(texts, secret)
+
+
+@given(oracle_texts, st.lists(oracle_text, max_size=4))
+def test_find_leaks_gives_the_per_text_answer_for_each_nonempty_secret(texts, secrets):
+    digests = sorted({sha256_hex(s) for s in secrets if s and per_text_rule(texts, s)})
+    assert find_leaks(secrets, texts) == (tuple(digests), bool(digests))
