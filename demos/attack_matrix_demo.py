@@ -11,9 +11,19 @@ suite run 381 per cell, every plan of every adversary.
 The reflection attack is the classic bypass attempt against substitution:
 lure the manager into approving a swap on a request the site will echo
 back into the page. Submit-URL pinning and the field-name check close it.
+Its two variants are the two plans of the "reflection" adversary, run by
+the same `run_scenario` as every matrix cell, in a world with pinning on
+or off.
 """
 
-from noncepipe.adversaries import evaluate_matrix, run_reflection_attack
+from noncepipe.adversaries import (
+    REFLECTION_VARIANTS,
+    AttackScenario,
+    _World,
+    evaluate_matrix,
+    run_scenario,
+)
+from noncepipe.pipeline import DefenseMode
 
 
 def main():
@@ -21,9 +31,11 @@ def main():
     print(report.render_text())
 
     print("reflection attack (site echoes the submitted form back)")
-    for variant in ("retarget", "rename"):
+    mode = DefenseMode.DESIGN5_API_LATE
+    for plan, variant in enumerate(REFLECTION_VARIANTS):
         for pinning in (False, True):
-            outcome = run_reflection_attack(42, pinning=pinning, variant=variant)
+            scenario = AttackScenario(variant, "reflection", mode, 42, plan)
+            outcome = run_scenario(scenario, _World(mode, pinning=pinning))
             state = "LEAKED" if outcome.secret_leaked else "blocked"
             print(
                 f"  variant={variant:<9} pinning={'on ' if pinning else 'off'}"

@@ -9,8 +9,8 @@ Three password-stealing adversary classes run against five defense modes:
   optionally cancelling or redirecting
 
 Each adversary has a small, finite set of plans (8, 128 and 381), each a
-program of `_MOVES` steps in three phases, which one `_Attacker` runs, as
-it runs the reflection attack and the FIDO2 attackers' set-up.
+flat program of `_MOVES` steps, the victim's autofill and submit among
+them, which one `_Attacker` runs.
 Strategy i of a (mode, adversary) cell runs plan i modulo that count, so
 DEFAULT_STRATEGIES, the largest count, runs every plan in every cell.
 Plan 0 is what a scenario row runs by default. The leak verdict never
@@ -18,9 +18,10 @@ trusts attacker code: an independent checker scans everything the
 attacker's scripts observed, its extension saw in stage views, and its
 collection server received, for the real secrets. Outcomes carry sha256 digests of leaked values, never the values.
 
-Two FIDO2 adversaries are evaluated separately: fido2_dom overrides the
-page's WebAuthn entry points, fido2_request intercepts the finish request
-from the pipeline. Both try to hijack a registration and a login.
+The reflection attack (a plan per variant) and two FIDO2 adversaries are
+programs too: fido2_dom overrides the page's WebAuthn entry points, and
+fido2_request intercepts the finish request from the pipeline; each hijacks
+a registration (plan 0), then a login (plan 1).
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .pipeline import (
     StageView,
 )
 from .rng import derive_seed, substream
-from .session import BrowserSession
+from .session import BrowserSession, FlowResult
 from .sites import (
     LOGIN_CATEGORIES,
     REFLECT_PATH,
@@ -90,11 +91,11 @@ __all__ = [
     "MatrixCell",
     "MatrixReport",
     "PASSWORD_ADVERSARIES",
+    "REFLECTION_VARIANTS",
     "evaluate_matrix",
     "find_leaks",
     "load_expected_matrix",
     "run_fido2_scenario",
-    "run_reflection_attack",
     "run_scenario",
 ]
 
@@ -197,30 +198,34 @@ def find_leaks(
 # ---------------------------------------------------------------------------
 
 
-class _Program(NamedTuple):
-    """What an attacker does, by phase: before autofill, after it, and after
-    the response. A step is (move, *args): a `_MOVES` key and hashable
-    args, so programs compare, hash and print."""
-
-    before: tuple[tuple, ...]
-    after: tuple[tuple, ...] = ()
-    response: tuple[tuple, ...] = ()
-
-
 class _Attacker:
-    """One scenario's attacker: the session and page it attacks, its capture
-    list, and the script and extension its steps create. Its moves are the
-    methods `_MOVES` names."""
+    """Runs a program: a tuple of (move, *args) steps, each a `_MOVES` key and
+    hashable args, so programs compare, hash and print. The victim's own
+    actions are moves too. It holds what the steps act on and what they make."""
 
-    __slots__ = ("session", "page", "form_id", "captured", "script", "extension")
+    __slots__ = (
+        "session", "profile", "page", "form_id", "captured", "rp", "seed",
+        "script", "extension", "device", "begin", "result", "notes", "logged_in",
+    )
 
-    def __init__(self, session: BrowserSession, page, form_id, captured: list[str]) -> None:
+    def __init__(
+        self, session: BrowserSession, profile: SiteProfile, page, form_id: str,
+        captured: list[str], rp: Optional[RelyingParty] = None, seed: int = 0,
+    ) -> None:
         self.session = session
+        self.profile = profile
         self.page = page
         self.form_id = form_id
         self.captured = captured
+        self.rp = rp
+        self.seed = seed
         self.script: Optional[ScriptHandle] = None
         self.extension: Optional[Extension] = None
+        self.device: Optional[AuthenticatorDevice] = None
+        self.begin: Optional[Fido2Request] = None
+        self.result: Optional[FlowResult] = None
+        self.notes: list[str] = []
+        self.logged_in = False
 
     def run(self, steps: Sequence[tuple]) -> None:
         for move, *args in steps:
@@ -233,6 +238,50 @@ class _Attacker:
         if self.extension is not None:
             seen += self.extension.observations
         return seen + self.captured
+
+    @property
+    def registered(self) -> bool:
+        """The victim's stored credential is one of the attacker device's."""
+        if self.device is None:
+            return False
+        stored = self.rp.accounts.get("victim")
+        return stored is not None and stored.credential_id in self.device.credentials
+
+    # -- the victim's moves --------------------------------------------------
+
+    def autofill(self) -> None:
+        self.session.autofill(self.page, self.form_id)
+
+    def submit(self) -> None:
+        self.result = self.session.submit(self.page, self.form_id)
+        if self.result.cancelled:
+            self.notes.append("cancelled")
+
+    def honest_login(self) -> None:
+        """Log in unattacked (this teaches the manager the submit URL), then reopen the page."""
+        self.session.autofill(self.page, self.form_id)
+        self.session.submit(self.page, self.form_id)
+        self.page, self.form_id = build_login_page(self.session, self.profile)
+
+    def ceremony(self, kind: str, label: Optional[str] = None) -> None:
+        """The page's honest `kind` ceremony, noting its finish's verdict as `label`, if given."""
+        _, finish = self.session.fido2_ceremony(self.page, self.profile.origin, kind, "victim")
+        if label is not None:
+            self.notes.append(f"{label}={finish.verdict}")
+
+    def note_reflection(self, variant: str) -> None:
+        """Note the variant, the pinning, the manager's refusal or swap (every
+        nonce mode writes either to the transcript), and the site's verdict."""
+        transcript, verdict = self.result.transcript, self.result.verdict
+        pinning = "on" if self.session.manager.pinning_enabled else "off"
+        self.notes += [f"variant={variant}", f"pinning={pinning}"]
+        refused_check = transcript.refused_check()
+        if refused_check is not None:
+            self.notes.append(f"refused_by_check={refused_check}")
+        elif any(e.label == EVENT_SUBSTITUTION for e in transcript.events):
+            self.notes.append("substitution_approved")
+        if verdict is not None:
+            self.notes.append(f"verdict={verdict}")
 
     # -- a page script's moves ---------------------------------------------
 
@@ -270,6 +319,39 @@ class _Attacker:
     def read_rendered(self) -> None:
         read_rendered_text(self.script, self.page)
 
+    def override_create(self) -> None:
+        """Replace the page's WebAuthn create: a registration runs the
+        attacker's key, and the script logs the request and the attestation."""
+
+        def create(payload_json: str) -> str:
+            self.script.observe(payload_json)
+            attestation = self.device.make_credential(Fido2Request.from_json(payload_json))
+            out = attestation.to_json()
+            self.script.observe(out)
+            return out
+
+        self.page.webauthn.create = create
+
+    def override_get(self) -> None:
+        """Wrap the page's WebAuthn get: the request it passes on carries the
+        challenge of the attacker's begin, the signature goes to the script's
+        log and the capture list, and the page gets junk."""
+        sign = self.page.webauthn.get
+
+        def get(payload_json: str) -> str:
+            self.script.observe(payload_json)
+            request = Fido2Request.from_json(payload_json)
+            signed = sign(request._replace(challenge=self.begin.challenge).to_json())
+            self.script.observe(signed)
+            self.captured.append(signed)
+            return "{}"
+
+        self.page.webauthn.get = get
+
+    def webauthn_get(self) -> None:
+        """Call the page's own WebAuthn get on the attacker's begin; keep what it returns."""
+        self.captured.append(self.page.webauthn.get(self.begin.to_json()))
+
     # -- an extension's moves ----------------------------------------------
 
     def install(self) -> None:
@@ -282,10 +364,53 @@ class _Attacker:
             ATTACKER_EXTENSION_ID, stage, listener, blocking=blocker is not None
         )
 
+    # -- the attacker's own machine ------------------------------------------
+
+    def own_device(self) -> None:
+        self.device = AuthenticatorDevice("attacker-device", substream(self.seed, "attacker-device"))
+
+    def begin_out_of_band(self) -> None:
+        """Open a login transaction with the server directly; stripping only
+        protects responses that cross the browser. Its challenge is the
+        attacker's, so the relying party's witness list skips it."""
+        witness, self.rp.witness = self.rp.witness, None
+        begin = _out_of_band_begin(self.session, self.profile.origin, AUTHENTICATION, "victim")
+        self.rp.witness = witness
+        self.begin = Fido2Request.from_json(begin)
+
+    def forge_registration(self) -> None:
+        """Answer the captured registration's challenge with the attacker's
+        key; a capture whose challenge cannot be read is dropped."""
+        if not self.captured:
+            return
+        try:
+            challenge = response_from_json(self.captured[-1]).challenge
+        except MalformedPayload:
+            self.captured.clear()
+        else:
+            host = self.profile.origin.host
+            forged = Fido2Request(REGISTRATION, challenge, host, b"attacker", "victim")
+            self.captured.append(self.device.make_credential(forged).to_json())
+
+    def finish_out_of_band(self, kind: str) -> None:
+        """Send the last capture as a `kind` finish; the attacker logs in as
+        the victim when a login finish is accepted."""
+        if not self.captured:
+            return
+        verdict = _out_of_band_finish(self.session, self.profile.origin, self.captured[-1])
+        self.notes.append(f"attacker_finish={verdict}")
+        if kind == AUTHENTICATION and verdict == "accepted":
+            self.logged_in = True
+
 
 _MOVES = {
     move: vars(_Attacker)[move]
-    for move in "attach read_form hook add_field rename retarget read_rendered install listen".split()
+    for move in (
+        "autofill submit honest_login ceremony note_reflection"
+        " attach read_form hook add_field rename retarget read_rendered"
+        " override_create override_get webauthn_get install listen"
+        " own_device begin_out_of_band forge_registration finish_out_of_band"
+    ).split()
 }
 
 
@@ -320,13 +445,33 @@ _BLOCKERS = {
 }
 
 
-# each move a page script's plan bits choose from, and its step, by phase;
-# within a phase, steps run in this order
+def _out_of_band_finish(session: BrowserSession, origin: Origin, payload_json: str) -> str:
+    """Submit a finish to the session's server from the attacker's own machine."""
+    url = Url(origin.scheme, origin.host, origin.port, FINISH_PATH)
+    entries = ((FINISH_FIELD, payload_json),)
+    _, verdict = session.server(build_request(None, "POST", url, entries, 990_000))
+    return verdict
+
+
+def _out_of_band_begin(session: BrowserSession, origin: Origin, kind: str, username: str) -> str:
+    """Fetch a begin payload from the session's server directly; header
+    stripping never happens here."""
+    url = Url(origin.scheme, origin.host, origin.port, BEGIN_PATH)
+    query = (("kind", kind), ("username", username))
+    response, _ = session.server(build_request(None, "GET", url, query, 990_001))
+    header = response.header(HEADER_REQUEST)
+    return header if header is not None else response.body.decode("utf-8")
+
+
+# each step a page script's plan may make, by the plan bit that chooses it,
+# in program order; the victim's autofill and submit (bit None) are always made
 _SCRIPT_STEPS = (
-    (("read_pre", ("read_form",)), ("hook_pre", ("hook",)), ("add_field", ("add_field",))),
-    (("read_post", ("read_form",)), ("hook_post", ("hook",)),
-     ("rename", ("rename", "password", "q")), ("retarget", ("retarget", _COLLECT_URL))),
-    (("read_rendered", ("read_rendered",)),),
+    ("read_pre", ("read_form",)), ("hook_pre", ("hook",)), ("add_field", ("add_field",)),
+    (None, ("autofill",)),
+    ("read_post", ("read_form",)), ("hook_post", ("hook",)),
+    ("rename", ("rename", "password", "q")), ("retarget", ("retarget", _COLLECT_URL)),
+    (None, ("submit",)),
+    ("read_rendered", ("read_rendered",)),
 )
 
 
@@ -335,12 +480,10 @@ def _script_plans(script_id: str, bits: tuple[str, ...], plan0: frozenset[str]):
     flips bits[k] from how plan0 sets it, so plan 0 makes the plan0 moves;
     the script attaches first."""
 
-    def decode(plan: int) -> _Program:
+    def decode(plan: int) -> tuple[tuple, ...]:
         chosen = {move for k, move in enumerate(bits) if (move in plan0) != bool(plan >> k & 1)}
-        before, after, response = (
-            tuple(step for move, step in phase if move in chosen) for phase in _SCRIPT_STEPS
-        )
-        return _Program((("attach", script_id), *before), after, response)
+        chosen.add(None)
+        return (("attach", script_id), *(step for move, step in _SCRIPT_STEPS if move in chosen))
 
     return 1 << len(bits), decode
 
@@ -349,20 +492,47 @@ def _script_plans(script_id: str, bits: tuple[str, ...], plan0: frozenset[str]):
 _WEBREQUEST_BLOCKERS = (None, "redirect", "cancel")
 
 
-def _webrequest_program(plan: int) -> _Program:
+def _webrequest_program(plan: int) -> tuple[tuple, ...]:
     """Plan i of the webRequest attacker, (left_out, blocker) = divmod(i, 3):
-    install, listen at each Stage not left out by its bit in `left_out`,
-    then block with _WEBREQUEST_BLOCKERS[blocker]. Plan 0 listens everywhere
-    and blocks nothing; no plan leaves out all seven stages."""
+    install, listen at each Stage not left out by its bit in `left_out`, block
+    with _WEBREQUEST_BLOCKERS[blocker], then the victim logs in. Plan 0 listens
+    everywhere and blocks nothing; no plan leaves out all seven stages."""
     left_out, blocker = divmod(plan, 3)
     steps = [("install",)]
     steps += [("listen", stage) for k, stage in enumerate(Stage) if not left_out >> k & 1]
     if _WEBREQUEST_BLOCKERS[blocker] is not None:
         steps.append(("listen", Stage.ON_BEFORE_REQUEST, _WEBREQUEST_BLOCKERS[blocker]))
-    return _Program(tuple(steps))
+    return (*steps, ("autofill",), ("submit",))
 
 
-# each password adversary's plan count and plan decoder
+def _listed(*programs: tuple[tuple, ...]):
+    """The plan count and plan decoder of an adversary whose plans are listed."""
+    return len(programs), programs.__getitem__
+
+
+# the reflection attack's plans, by name
+REFLECTION_VARIANTS = ("retarget", "rename")
+_REFLECT_URL = Url("https", "forum.example", 443, REFLECT_PATH)
+# the reflection attack's site, by plan: the forum echoes every field of the
+# retargeted form, and only the username field of the renamed one
+_FORUMS = tuple(
+    SiteProfile("forum", "reflecting", _REFLECT_URL.origin, (("reflect", echo),))
+    for echo in ("all", "username")
+)
+_INJECT = ("attach", "xss-payload")  # the reflection and fido2_dom script
+
+
+def _reflection_program(variant: str, *renames: tuple) -> tuple[tuple, ...]:
+    """After an honest login, a script points the filled form at the echo
+    endpoint; `renames` move the nonce into a field name it reflects."""
+    return (("honest_login",), ("autofill",), _INJECT, ("retarget", _REFLECT_URL), *renames,
+            ("submit",), ("read_rendered",), ("note_reflection", variant))
+
+
+_GRAB_FINISH = (("install",), ("listen", Stage.ON_BEFORE_REQUEST, "grab_finish"))
+_HONEST_REGISTRATION = ("ceremony", REGISTRATION, "honest_registration")
+
+# each adversary's plan count and plan decoder
 _PLANS = {
     # passive page library: reads what the DOM will give it, nothing more
     "dom_observer": _script_plans(
@@ -380,17 +550,41 @@ _PLANS = {
     ),
     # an extension holding webRequest: listens, and may cancel or redirect
     "webrequest_exfiltrator": (3 * ((1 << len(Stage)) - 1), _webrequest_program),
+    # the site echoes the form back: submit-URL pinning decides retarget, and
+    # the field-name check decides rename with or without pinning
+    "reflection": _listed(
+        _reflection_program("retarget"),
+        _reflection_program(
+            "rename", ("rename", "username", "q"), ("rename", "password", "username")
+        ),
+    ),
+    # a script that overrides the page's WebAuthn entry points; plan 0 hijacks
+    # a registration, plan 1 a login
+    "fido2_dom": _listed(
+        (("own_device",), _INJECT, ("override_create",),
+         ("ceremony", REGISTRATION, "victim_finish")),
+        (_HONEST_REGISTRATION, _INJECT, ("begin_out_of_band",), ("override_get",),
+         ("ceremony", AUTHENTICATION, "victim_finish"), ("finish_out_of_band", AUTHENTICATION)),
+    ),
+    # an extension that cancels the finish request and sends it itself,
+    # answering a registration's challenge with its own key
+    "fido2_request": _listed(
+        (("own_device",), *_GRAB_FINISH, ("ceremony", REGISTRATION), ("forge_registration",),
+         ("finish_out_of_band", REGISTRATION)),
+        (_HONEST_REGISTRATION, *_GRAB_FINISH, ("ceremony", AUTHENTICATION),
+         ("finish_out_of_band", AUTHENTICATION)),
+    ),
 }
 # the largest plan count: this many strategies per cell run every plan
 DEFAULT_STRATEGIES = max(count for count, _ in _PLANS.values())
 
 
 @functools.cache
-def _decoded(adversary: str, plan: int) -> _Program:
+def _decoded(adversary: str, plan: int) -> tuple[tuple, ...]:
     return _PLANS[adversary][1](plan)
 
 
-def _program(adversary: str, strategy_index: int) -> _Program:
+def _program(adversary: str, strategy_index: int) -> tuple[tuple, ...]:
     """The program strategy `strategy_index` of `adversary` runs: plan
     `strategy_index` modulo the plan count, decoded once."""
     return _decoded(adversary, strategy_index % _PLANS[adversary][0])
@@ -405,19 +599,23 @@ _TARGETS = {
 
 class _World:
     """A matrix cell's farm, capture sink and victim session in the cell's
-    mode; a scenario resets what it owns."""
+    mode, with submit-URL pinning on or off; a scenario resets what it owns."""
 
-    def __init__(self, mode: DefenseMode) -> None:
+    def __init__(self, mode: DefenseMode, *, pinning: bool = True) -> None:
         self.capture_sink: list[str] = []
         self.farm = ServerFarm()  # no relying party, so its seed is never drawn from
         self.farm.add_capture_origin(CAPTURE_ORIGIN, self.capture_sink)
         # each scenario's reset gives it its seed, vault and name
-        self.session = BrowserSession(0, mode, (), self.farm.serve)
+        self.session = BrowserSession(0, mode, (), self.farm.serve, pinning_enabled=pinning)
 
 
 def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> AttackOutcome:
-    """One login under attack, in its cell's world or a new one; what the adversary got."""
-    profile = _TARGETS.get(scenario.site_category)
+    """One attacked login, in its cell's world or a new one: build the page,
+    run the program, scan what the attacker saw."""
+    if scenario.adversary == "reflection":  # its plan's forum
+        profile: Optional[SiteProfile] = _FORUMS[scenario.strategy_index % len(_FORUMS)]
+    else:
+        profile = _TARGETS.get(scenario.site_category)
     if profile is None:
         raise ValueError(f"not a login site category: {scenario.site_category!r}")
     entry = site_vault_entry(profile, scenario.seed)
@@ -427,23 +625,12 @@ def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> At
     session = world.session
     session.reset(scenario.seed, [entry], name="victim")
     page, form_id = build_login_page(session, profile)
-    before, after, response = _program(scenario.adversary, scenario.strategy_index)
-    attacker = _Attacker(session, page, form_id, world.capture_sink)
-    attacker.run(before)
-    session.autofill(page, form_id)
-    attacker.run(after)
-    result = session.submit(page, form_id)
-    attacker.run(response)
+    attacker = _Attacker(session, profile, page, form_id, world.capture_sink)
+    attacker.run(_program(scenario.adversary, scenario.strategy_index))
     leaked_digests, leaked = find_leaks([entry.password], attacker.observations())
     return AttackOutcome(
-        scenario.name,
-        scenario.adversary,
-        scenario.defense_mode.value,
-        leaked,
-        leaked_digests,
-        False,  # attacker_login
-        False,  # attacker_registered
-        ("cancelled",) if result.cancelled else (),
+        scenario.name, scenario.adversary, scenario.defense_mode.value, leaked, leaked_digests,
+        notes=tuple(attacker.notes),
     )
 
 
@@ -545,241 +732,51 @@ def evaluate_matrix(
 
 
 # ---------------------------------------------------------------------------
-# the reflection attack
-# ---------------------------------------------------------------------------
-
-
-def run_reflection_attack(
-    seed: int,
-    *,
-    pinning: bool,
-    variant: str = "retarget",
-    defense: DefenseMode = DefenseMode.DESIGN5_API_LATE,
-) -> AttackOutcome:
-    """Retarget or rename a login form so the site reflects the secret back.
-
-    `retarget` points the form at an echo endpoint on the same origin;
-    `rename` additionally moves the nonce into a field name the endpoint
-    reflects. In every nonce mode, submit-URL pinning decides the retarget
-    case and the field-name check decides the rename case regardless of
-    pinning.
-    """
-    if variant not in ("retarget", "rename"):
-        raise ValueError(f"unknown variant {variant!r}")
-    reflect_option = ("reflect", "all" if variant == "retarget" else "username")
-    profile = SiteProfile(
-        site_id="forum",
-        category="reflecting",
-        origin=Origin("https", "forum.example", 443),
-        options=(reflect_option,),
-    )
-    entry = site_vault_entry(profile, seed)
-    farm = ServerFarm(seed)
-    farm.add_site(profile, entry.password)
-    session = BrowserSession(
-        seed, defense, [entry], farm.serve, name="victim", pinning_enabled=pinning
-    )
-
-    # an earlier honest login teaches the manager the submit URL
-    page1, form1 = build_login_page(session, profile)
-    session.autofill(page1, form1)
-    session.submit(page1, form1)
-
-    page2, form2 = build_login_page(session, profile)
-    session.autofill(page2, form2)
-    attacker = _Attacker(session, page2, form2, [])
-    reflect_url = Url(profile.origin.scheme, profile.origin.host, profile.origin.port, REFLECT_PATH)
-    attacker.run((("attach", "xss-payload"), ("retarget", reflect_url)))
-    if variant == "rename":
-        attacker.run((("rename", "username", "q"), ("rename", "password", "username")))
-    result = session.submit(page2, form2)
-    attacker.run((("read_rendered",),))
-
-    leaked_digests, leaked = find_leaks([entry.password], attacker.observations())
-    notes = [f"variant={variant}", f"pinning={'on' if pinning else 'off'}"]
-    # every nonce mode writes its refusal or its swap to the transcript as a
-    # browser event; a delivery's label is its stage, and no body is hashed
-    refused_check = result.transcript.refused_check()
-    if refused_check is not None:
-        notes.append(f"refused_by_check={refused_check}")
-    elif any(e.label == EVENT_SUBSTITUTION for e in result.transcript.events):
-        notes.append("substitution_approved")
-    if result.verdict is not None:
-        notes.append(f"verdict={result.verdict}")
-    return AttackOutcome(
-        scenario=f"reflection/{variant}/pinning_{'on' if pinning else 'off'}",
-        adversary="reflection",
-        defense=defense.value,
-        secret_leaked=leaked,
-        leaked_digests=leaked_digests,
-        notes=tuple(notes),
-    )
-
-
-# ---------------------------------------------------------------------------
 # FIDO2 adversaries
 # ---------------------------------------------------------------------------
 
 
-class _CreateHijack:
-    """Replaces the page's WebAuthn create: registrations run the attacker's key."""
-
-    def __init__(self, attacker_device: AuthenticatorDevice, script: ScriptHandle):
-        self.attacker_device = attacker_device
-        self.script = script
-
-    def create(self, payload_json: str) -> str:
-        self.script.observe(payload_json)
-        request = Fido2Request.from_json(payload_json)
-        attestation = self.attacker_device.make_credential(request)
-        out = attestation.to_json()
-        self.script.observe(out)
-        return out
-
-
-class _AssertHijack:
-    """Swaps the attacker's challenge into whatever the page hands the API;
-    the attacker's script logs the signature, which also goes to its capture
-    list, and the page gets junk."""
-
-    def __init__(self, original, attacker_challenge: bytes, attacker: _Attacker):
-        self.original = original
-        self.attacker_challenge = attacker_challenge
-        self.attacker = attacker
-
-    def get(self, payload_json: str) -> str:
-        script = self.attacker.script
-        script.observe(payload_json)
-        request = Fido2Request.from_json(payload_json)
-        forged = request._replace(challenge=self.attacker_challenge)
-        signed = self.original.get(forged.to_json())
-        script.observe(signed)
-        self.attacker.captured.append(signed)
-        return "{}"
-
-
-def _out_of_band_finish(farm: ServerFarm, origin: Origin, payload_json: str) -> str:
-    """The attacker submits a finish from its own machine, not the browser."""
-    url = Url(origin.scheme, origin.host, origin.port, FINISH_PATH)
-    entries = ((FINISH_FIELD, payload_json),)
-    _, verdict = farm.serve(build_request(None, "POST", url, entries, 990_000))
-    return verdict
-
-
-def _out_of_band_begin(farm: ServerFarm, origin: Origin, kind: str, username: str) -> str:
-    """Fetch a begin payload directly; header stripping never happens here."""
-    url = Url(origin.scheme, origin.host, origin.port, BEGIN_PATH)
-    query = (("kind", kind), ("username", username))
-    response, _ = farm.serve(build_request(None, "GET", url, query, 990_001))
-    header = response.header(HEADER_REQUEST)
-    return header if header is not None else response.body.decode("utf-8")
-
-
-class _Fido2Setup(NamedTuple):
-    farm: ServerFarm
-    session: BrowserSession
-    page: object
-    rp: RelyingParty
-    origin: Origin
+# the FIDO2 site every ceremony runs on
+_RP_SITE = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
 
 
 def _fido2_setup(
     defense_on: bool, seed: int, name: str, secrets: Optional[list[str]] = None
-) -> _Fido2Setup:
-    """The rp.example FIDO2 site on a new farm, a design5 session called
-    `name`, and its login page. `secrets`, when given, becomes the witness
-    list of both the relying party and the session's authenticator."""
-    profile = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
+) -> tuple[BrowserSession, object, RelyingParty]:
+    """A design5 session called `name` on the rp.example login page, served by
+    a new farm, and the site's relying party. `secrets`, when given, becomes
+    the witness list of both the relying party and the session's authenticator."""
     farm = ServerFarm(seed)
-    state = farm.add_site(profile, "unused-password", fido2_defense=defense_on)
+    state = farm.add_site(_RP_SITE, "unused-password", fido2_defense=defense_on)
     assert state.rp is not None
     state.rp.witness = secrets
     session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, [], farm.serve, name=name)
     session.device.witness = secrets
-    page, _ = build_login_page(session, profile)
-    return _Fido2Setup(farm, session, page, state.rp, profile.origin)
+    page, _ = build_login_page(session, _RP_SITE)
+    return session, page, state.rp
 
 
-# how each FIDO2 attacker arms itself before the ceremony
-_FIDO2_SETUP = {
-    "fido2_dom": (("attach", "xss-payload"),),
-    "fido2_request": (("install",), ("listen", Stage.ON_BEFORE_REQUEST, "grab_finish")),
-}
+def _fido2_attack(program: Sequence[tuple], defense_on: bool, seed: int, secrets: list[str]):
+    """Run a FIDO2 program on its own `_fido2_setup`, its real secrets going to `secrets`."""
+    session, page, rp = _fido2_setup(defense_on, seed, "victim", secrets)
+    attacker = _Attacker(session, _RP_SITE, page, "", [], rp, seed)
+    attacker.run(program)
+    return attacker
 
 
-def _ceremony_hijack(
-    kind: str,
-    adversary: str,
-    defense_on: bool,
-    seed: int,
-    secrets: list[str],
-    observations: list[str],
-    notes: list[str],
-) -> bool:
-    """One ceremony of `kind` under attack, after an honest registration if
-    it is a login. The attacker wins a registration when the victim's
-    account holds its key, and a login when its own finish is accepted."""
-    seed = derive_seed(seed, "fido2", kind)
-    setup = _fido2_setup(defense_on, seed, "victim", secrets)
-    ceremony = setup.session.fido2_ceremony
-    if kind == AUTHENTICATION:
-        _, honest = ceremony(setup.page, setup.origin, REGISTRATION, "victim")
-        notes.append(f"honest_registration={honest.verdict}")
-    attacker_device = None
-    if kind == REGISTRATION:
-        attacker_device = AuthenticatorDevice("attacker-device", substream(seed, "attacker-device"))
-    captured: list[str] = []  # what the attacker finishes out of band
-    attacker = _Attacker(setup.session, setup.page, None, captured)
-    attacker.run(_FIDO2_SETUP[adversary])
-
-    if adversary == "fido2_dom":
-        if kind == REGISTRATION:
-            setup.page.webauthn = _CreateHijack(attacker_device, attacker.script)
-        else:
-            # the attacker opens its own login transaction directly with the
-            # server; stripping only protects responses that cross the browser
-            setup.rp.witness = None
-            attacker_begin = _out_of_band_begin(setup.farm, setup.origin, AUTHENTICATION, "victim")
-            setup.rp.witness = secrets
-            attacker_challenge = Fido2Request.from_json(attacker_begin).challenge
-            setup.page.webauthn = _AssertHijack(setup.page.webauthn, attacker_challenge, attacker)
-    _, result = ceremony(setup.page, setup.origin, kind, "victim")
-    observations.extend(attacker.observations())
-    if adversary == "fido2_dom":
-        notes.append(f"victim_finish={result.verdict}")
-    elif captured and kind == REGISTRATION:
-        # the attacker answers the victim's challenge with its own key
-        try:
-            challenge = response_from_json(captured[-1]).challenge
-        except MalformedPayload:
-            captured.clear()
-        else:
-            forged = Fido2Request(REGISTRATION, challenge, setup.origin.host, b"attacker", "victim")
-            captured.append(attacker_device.make_credential(forged).to_json())
-
-    verdict = None
-    if captured:
-        verdict = _out_of_band_finish(setup.farm, setup.origin, captured[-1])
-        notes.append(f"attacker_finish={verdict}")
-    if kind == AUTHENTICATION:
-        return verdict == "accepted"
-    stored = setup.rp.accounts.get("victim")
-    return stored is not None and stored.credential_id in attacker_device.credentials
-
-
-def run_fido2_scenario(
-    adversary: str, *, defense_on: bool, seed: int
-) -> AttackOutcome:
-    """Registration plus authentication hijack attempts for one adversary."""
+def run_fido2_scenario(adversary: str, *, defense_on: bool, seed: int) -> AttackOutcome:
+    """One adversary's registration and login hijacks: plans 0 and 1, each on
+    its own relying party, and one leak scan over both. It registers when the
+    victim's account holds its key, and logs in when its login finish is accepted."""
     if adversary not in FIDO2_ADVERSARIES:
         raise ValueError(f"unknown FIDO2 adversary {adversary!r}")
     secrets: list[str] = []
-    observations: list[str] = []
-    notes: list[str] = []
-    registered, login = (
-        _ceremony_hijack(kind, adversary, defense_on, seed, secrets, observations, notes)
-        for kind in (REGISTRATION, AUTHENTICATION)
-    )
+    ceremony_seeds = (derive_seed(seed, "fido2", kind) for kind in (REGISTRATION, AUTHENTICATION))
+    attackers = [
+        _fido2_attack(_program(adversary, plan), defense_on, ceremony_seed, secrets)
+        for plan, ceremony_seed in enumerate(ceremony_seeds)
+    ]
+    observations = [text for attacker in attackers for text in attacker.observations()]
     leaked_digests, leaked = find_leaks(secrets, observations)
     defense = FIDO2_DEFENSES[defense_on]
     return AttackOutcome(
@@ -788,7 +785,7 @@ def run_fido2_scenario(
         defense=defense,
         secret_leaked=leaked,
         leaked_digests=leaked_digests,
-        attacker_login=login,
-        attacker_registered=registered,
-        notes=tuple(notes),
+        attacker_login=any(attacker.logged_in for attacker in attackers),
+        attacker_registered=any(attacker.registered for attacker in attackers),
+        notes=tuple(note for attacker in attackers for note in attacker.notes),
     )

@@ -20,17 +20,19 @@ from .adversaries import (
     DEFAULT_STRATEGIES,
     FIDO2_ADVERSARIES,
     PASSWORD_ADVERSARIES,
+    REFLECTION_VARIANTS,
     GoldenFormatError,
     evaluate_matrix,
     load_expected_matrix,
     run_fido2_scenario,
-    run_reflection_attack,
     run_scenario,
 )
-from .adversaries import _Fido2Setup, _fido2_setup, _out_of_band_begin, _out_of_band_finish
+from .adversaries import _World, _fido2_setup, _out_of_band_begin, _out_of_band_finish
 from .fido2 import AUTHENTICATION, REGISTRATION, AuthenticatorDevice, Fido2Request
+from .http_model import Origin
 from .pipeline import DefenseMode
 from .rng import derive_seed, substream
+from .session import BrowserSession
 from .sites import LOGIN_CATEGORIES, build_fixture_corpus, compat_evaluate, parse_corpus
 from .tsv import OptionTable, TsvFormatError, parse_options, read_rows
 
@@ -131,7 +133,7 @@ def _emit(
 SCENARIO_OPTIONS: OptionTable = {
     "category": (PASSWORD_ADVERSARIES, LOGIN_CATEGORIES),
     "strategy": (PASSWORD_ADVERSARIES, None),
-    "variant": (("reflection",), ("retarget", "rename")),
+    "variant": (("reflection",), REFLECTION_VARIANTS),
     "pinning": (("reflection",), ("on", "off")),
 }
 
@@ -139,13 +141,20 @@ SCENARIO_OPTIONS: OptionTable = {
 def parse_scenarios(path: Path) -> list[tuple[str, str, str, dict[str, str]]]:
     """Parse a scenario file: name <TAB> adversary <TAB> defense <TAB> options.
 
-    The defense column takes the matrix tokens for password adversaries and
-    on/off for the FIDO2 ones. Options are '-' or comma-separated key=value
-    pairs from SCENARIO_OPTIONS that the row's adversary reads.
+    A name is non-empty and unique: a row's seed derives from it. The defense
+    column takes the matrix tokens for password adversaries and on/off for
+    the FIDO2 ones. Options are '-' or comma-separated key=value pairs from
+    SCENARIO_OPTIONS that the row's adversary reads.
     """
     rows: list[tuple[str, str, str, dict[str, str]]] = []
+    first_lines: dict[str, int] = {}
     known = set(PASSWORD_ADVERSARIES) | set(FIDO2_ADVERSARIES) | {"reflection"}
     for number, (name, adversary, defense, options_text) in read_rows(path, 4, ScenarioFormatError):
+        if not name:
+            raise ScenarioFormatError(number, "empty scenario name")
+        first = first_lines.setdefault(name, number)
+        if first != number:
+            raise ScenarioFormatError(number, f"repeated name {name!r}, first on line {first}")
         if adversary not in known:
             raise ScenarioFormatError(number, f"unknown adversary {adversary!r}")
         if adversary in FIDO2_ADVERSARIES:
@@ -174,26 +183,16 @@ def _run_scenario_row(
     seed = derive_seed(master_seed, "scenario", name)
     if adversary in FIDO2_ADVERSARIES:
         outcome = run_fido2_scenario(adversary, defense_on=defense == "on", seed=seed)
-    elif adversary == "reflection":
-        outcome = run_reflection_attack(
-            seed,
-            pinning=options.get("pinning", "on") == "on",
-            variant=options.get("variant", "retarget"),
-            defense=DEFENSE_TOKENS[defense],
-        )
+        return outcome._replace(scenario=name)  # named by its kind; a report line names its row
+    # a reflection row names its plan by variant, a password row by strategy
+    if "variant" in options:
+        plan = REFLECTION_VARIANTS.index(options["variant"])
     else:
-        return run_scenario(
-            AttackScenario(
-                name=name,
-                adversary=adversary,
-                defense_mode=DEFENSE_TOKENS[defense],
-                seed=seed,
-                strategy_index=int(options.get("strategy", "0")),
-                site_category=options.get("category", "plain_post"),
-            )
-        )
-    # these outcomes are named by their kind; a report line names its row
-    return outcome._replace(scenario=name)
+        plan = int(options.get("strategy", "0"))
+    mode = DEFENSE_TOKENS[defense]
+    category = options.get("category", "plain_post")
+    scenario = AttackScenario(name, adversary, mode, seed, plan, category)
+    return run_scenario(scenario, _World(mode, pinning=options.get("pinning", "on") == "on"))
 
 
 def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dict]:
@@ -263,23 +262,23 @@ def _honest_fido2_flows(
 ) -> tuple[dict[str, str], Optional[str]]:
     """Register then authenticate with no attacker present. With `replay`,
     clone the authenticator in between and return the clone's verdict too."""
-    setup = _fido2_setup(defense_on, seed, "demo")
-    _, register = setup.session.fido2_ceremony(setup.page, setup.origin, REGISTRATION, "alice")
-    clone = setup.session.device.clone("cloned-device", substream(seed, "clone")) if replay else None
-    _, authenticate = setup.session.fido2_ceremony(setup.page, setup.origin, AUTHENTICATION, "alice")
+    session, page, _ = _fido2_setup(defense_on, seed, "demo")
+    _, register = session.fido2_ceremony(page, page.origin, REGISTRATION, "alice")
+    clone = session.device.clone("cloned-device", substream(seed, "clone")) if replay else None
+    _, authenticate = session.fido2_ceremony(page, page.origin, AUTHENTICATION, "alice")
     honest = {
         "register": register.verdict or "cancelled",
         "authenticate": authenticate.verdict or "cancelled",
     }
-    return honest, None if clone is None else _replay_demo(setup, clone)
+    return honest, None if clone is None else _replay_demo(session, page.origin, clone)
 
 
-def _replay_demo(setup: _Fido2Setup, clone: AuthenticatorDevice) -> str:
+def _replay_demo(session: BrowserSession, origin: Origin, clone: AuthenticatorDevice) -> str:
     """The clone, taken before the last login, reuses a stale counter; the
     server notices."""
-    request_json = _out_of_band_begin(setup.farm, setup.origin, AUTHENTICATION, "alice")
+    request_json = _out_of_band_begin(session, origin, AUTHENTICATION, "alice")
     stale = clone.get_assertion(Fido2Request.from_json(request_json))
-    return _out_of_band_finish(setup.farm, setup.origin, stale.to_json())
+    return _out_of_band_finish(session, origin, stale.to_json())
 
 
 def cmd_fido2_demo(args: argparse.Namespace) -> int:

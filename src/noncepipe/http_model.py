@@ -245,9 +245,11 @@ class Url(namedtuple("Url", "scheme host port path query origin")):
             raise InvalidUrl(f"missing scheme in {text!r}")
         if scheme not in DEFAULT_PORTS:
             raise InvalidUrl(f"unsupported scheme {scheme!r}")
-        netloc, slash, tail = rest.partition("/")
-        path_and_query = slash + tail if slash else "/"
-        path, qmark, query_text = path_and_query.partition("?")
+        rest = rest.partition("#")[0]  # a browser never sends the fragment
+        netloc = rest.split("/", 1)[0].split("?", 1)[0]
+        if "@" in netloc:
+            raise InvalidUrl(f"userinfo in {text!r}")
+        path, qmark, query_text = rest[len(netloc):].partition("?")
         host, colon, port_text = netloc.partition(":")
         if colon:
             # ASCII digits only: int() also reads "4_43", " 443", "+443", "٤٤٣" as 443

@@ -13,9 +13,12 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 
 from noncepipe.adversaries import (
+    REFLECTION_VARIANTS,
+    AttackScenario,
+    _World,
     evaluate_matrix,
     load_expected_matrix,
-    run_reflection_attack,
+    run_scenario,
 )
 from noncepipe.cli import main as cli_main
 from noncepipe.dom import Field, FieldKind, Form
@@ -322,7 +325,8 @@ def test_criterion_4_reflection_vs_pinning():
     for variant, pinning, should_leak in cases:
         notes = set()
         for mode in NONCE_MODES:
-            outcome = run_reflection_attack(SEED, pinning=pinning, variant=variant, defense=mode)
+            scenario = AttackScenario(variant, "reflection", mode, SEED, REFLECTION_VARIANTS.index(variant))
+            outcome = run_scenario(scenario, _World(mode, pinning=pinning))
             notes.add(outcome.notes)
             if outcome.secret_leaked is not should_leak:
                 problems.append(

@@ -12,25 +12,27 @@ import pytest
 from noncepipe.adversaries import (
     _BLOCKERS,
     _MOVES,
+    _REFLECT_URL,
     ATTACKER_EXTENSION_ID,
-    _Program,
     _World,
     _decoded,
+    _fido2_attack,
     _program,
     DEFAULT_STRATEGIES,
     FIDO2_ADVERSARIES,
     FIDO2_DEFENSES,
     PASSWORD_ADVERSARIES,
+    REFLECTION_VARIANTS,
     AttackScenario,
     evaluate_matrix,
     find_leaks,
     load_expected_matrix,
     run_fido2_scenario,
-    run_reflection_attack,
     run_scenario,
 )
 from noncepipe.cli import main as cli_main
 from noncepipe.manager import MANAGER_EXTENSION_ID
+from noncepipe.fido2 import AUTHENTICATION, REGISTRATION
 from noncepipe.http_model import Url, WebRequestRecord
 from noncepipe.pipeline import (
     DefenseMode,
@@ -117,58 +119,87 @@ def test_find_leaks_digests_sorted_and_deduplicated():
 # ---------------------------------------------------------------------------
 
 
-PLAN_COUNTS = {"dom_observer": 8, "dom_exfiltrator": 128, "webrequest_exfiltrator": 381}
+PLAN_COUNTS = {
+    "dom_observer": 8,
+    "dom_exfiltrator": 128,
+    "webrequest_exfiltrator": 381,
+    "reflection": 2,
+    "fido2_dom": 2,
+    "fido2_request": 2,
+}
 
-# the program plan index 0 of each adversary must decode to
+# the program plan index 0 of each adversary must decode to, step by step
 CANONICAL_PROGRAMS = {
-    "dom_observer": _Program(
-        (("attach", "analytics.js"), ("read_form",)), (("read_form",),), (("read_rendered",),)
+    "dom_observer": (
+        ("attach", "analytics.js"), ("read_form",), ("autofill",), ("read_form",), ("submit",),
+        ("read_rendered",),
     ),
-    "dom_exfiltrator": _Program(
-        (("attach", "xss-payload"),), (("read_form",), ("hook",)), (("read_rendered",),)
+    "dom_exfiltrator": (
+        ("attach", "xss-payload"), ("autofill",), ("read_form",), ("hook",), ("submit",),
+        ("read_rendered",),
     ),
-    "webrequest_exfiltrator": _Program((("install",), *(("listen", stage) for stage in Stage))),
+    "webrequest_exfiltrator": (
+        ("install",), *(("listen", stage) for stage in Stage), ("autofill",), ("submit",),
+    ),
+    "reflection": (
+        ("honest_login",), ("autofill",), ("attach", "xss-payload"), ("retarget", _REFLECT_URL),
+        ("submit",), ("read_rendered",), ("note_reflection", "retarget"),
+    ),
+    "fido2_dom": (
+        ("own_device",), ("attach", "xss-payload"), ("override_create",),
+        ("ceremony", REGISTRATION, "victim_finish"),
+    ),
+    "fido2_request": (
+        ("own_device",), ("install",), ("listen", Stage.ON_BEFORE_REQUEST, "grab_finish"),
+        ("ceremony", REGISTRATION), ("forge_registration",), ("finish_out_of_band", REGISTRATION),
+    ),
 }
 
 
-@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+@pytest.mark.parametrize("adversary", PLAN_COUNTS)
 def test_programs_are_hashable_data_over_the_move_table(adversary):
     for index in range(PLAN_COUNTS[adversary]):
         program = _program(adversary, index)
         fresh = _decoded.__wrapped__(adversary, index)  # decoded again, not cached
         assert program == fresh and hash(program) == hash(fresh)
-        for phase in program:
-            for move, *args in phase:
-                assert move in _MOVES, move
-                if move == "listen" and len(args) == 2:
-                    assert args[1] in _BLOCKERS
+        for move, *args in program:
+            assert move in _MOVES, move
+            if move == "listen" and len(args) == 2:
+                assert args[1] in _BLOCKERS
 
 
-@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+@pytest.mark.parametrize("adversary", PLAN_COUNTS)
 def test_each_adversary_has_its_documented_number_of_programs(adversary):
     count = PLAN_COUNTS[adversary]
     programs = {_program(adversary, index) for index in range(count)}
     assert len(programs) == count
     if adversary == "webrequest_exfiltrator":
         # every plan listens somewhere without blocking
-        assert all(any(step[0] == "listen" and len(step) == 2 for step in p.before) for p in programs)
+        assert all(any(step[0] == "listen" and len(step) == 2 for step in p) for p in programs)
 
 
 @pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+def test_the_victim_fills_then_submits_once_in_every_password_plan(adversary):
+    for index in range(PLAN_COUNTS[adversary]):
+        victim = [step for step in _program(adversary, index) if step[0] in ("autofill", "submit")]
+        assert victim == [("autofill",), ("submit",)], index
+
+
+@pytest.mark.parametrize("adversary", PLAN_COUNTS)
 def test_programs_wrap_at_the_plan_count(adversary):
     count = PLAN_COUNTS[adversary]
     assert _program(adversary, count) == _program(adversary, 0)
-    assert _program(adversary, 2 * count + 5) == _program(adversary, 5)
+    assert _program(adversary, 2 * count + 5) == _program(adversary, 5 % count)
     assert _decoded.cache_info().currsize <= sum(PLAN_COUNTS.values())
 
 
-@pytest.mark.parametrize("adversary", PASSWORD_ADVERSARIES)
+@pytest.mark.parametrize("adversary", PLAN_COUNTS)
 def test_plan_0_is_the_canonical_program(adversary):
     assert _program(adversary, 0) == CANONICAL_PROGRAMS[adversary]
 
 
 def test_default_strategies_run_every_plan():
-    assert DEFAULT_STRATEGIES == max(PLAN_COUNTS.values())
+    assert DEFAULT_STRATEGIES == max(PLAN_COUNTS.values()) == 381
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +301,8 @@ def test_a_reused_world_attacks_as_a_fresh_one(mode, adversary):
 def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
     mode = DefenseMode.DESIGN5_API_LATE
     plan = 1  # listen at every stage, redirect at onBeforeRequest
-    assert _program("webrequest_exfiltrator", plan).before[-1] == (
-        "listen", Stage.ON_BEFORE_REQUEST, "redirect"
+    assert _program("webrequest_exfiltrator", plan)[-3:] == (
+        ("listen", Stage.ON_BEFORE_REQUEST, "redirect"), ("autofill",), ("submit",)
     )
     world = _World(mode)
     run_scenario(AttackScenario("r", "webrequest_exfiltrator", mode, 3, plan), world)
@@ -436,34 +467,55 @@ def test_matrix_leak_counts_agree_with_verdicts():
 # ---------------------------------------------------------------------------
 
 
+def reflection(variant: str, pinning: bool, mode=DefenseMode.DESIGN5_API_LATE):
+    scenario = AttackScenario(variant, "reflection", mode, 11, REFLECTION_VARIANTS.index(variant))
+    return run_scenario(scenario, _World(mode, pinning=pinning))
+
+
 def test_reflection_retarget_without_pinning_leaks():
-    outcome = run_reflection_attack(11, pinning=False, variant="retarget")
+    outcome = reflection("retarget", pinning=False)
     assert outcome.secret_leaked is True
     assert "substitution_approved" in outcome.notes
     assert "verdict=reflected" in outcome.notes
 
 
 def test_reflection_retarget_with_pinning_blocked_by_check3():
-    outcome = run_reflection_attack(11, pinning=True, variant="retarget")
+    outcome = reflection("retarget", pinning=True)
     assert outcome.secret_leaked is False
     assert "refused_by_check=3" in outcome.notes
 
 
 def test_reflection_rename_blocked_by_field_check_without_pinning():
-    outcome = run_reflection_attack(11, pinning=False, variant="rename")
+    outcome = reflection("rename", pinning=False)
     assert outcome.secret_leaked is False
     assert "refused_by_check=5" in outcome.notes
 
 
 def test_reflection_rename_with_pinning_blocked_first_by_check3():
-    outcome = run_reflection_attack(11, pinning=True, variant="rename")
+    outcome = reflection("rename", pinning=True)
     assert outcome.secret_leaked is False
     assert "refused_by_check=3" in outcome.notes  # ordered checks: pin fires first
 
 
-def test_reflection_unknown_variant():
-    with pytest.raises(ValueError):
-        run_reflection_attack(11, pinning=True, variant="mirror")
+def test_reflection_notes_are_named_by_variant_and_pinning():
+    outcome = reflection("rename", pinning=False)
+    assert outcome.notes == (
+        "variant=rename", "pinning=off", "refused_by_check=5", "verdict=reflected"
+    )
+    assert (outcome.scenario, outcome.adversary, outcome.defense) == (
+        "rename", "reflection", "design5_api_late"
+    )
+
+
+def test_a_reused_world_reflects_as_a_fresh_one():
+    mode = DefenseMode.DESIGN4_API_EARLY
+    for pinning in (False, True):
+        world = _World(mode, pinning=pinning)
+        for plan, variant in (*enumerate(REFLECTION_VARIANTS), (0, "retarget")):
+            scenario = AttackScenario(variant, "reflection", mode, 11 + plan, plan)
+            assert run_scenario(scenario, world) == run_scenario(
+                scenario, _World(mode, pinning=pinning)
+            ), (variant, pinning)
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +571,39 @@ def test_fido2_adversary_roster():
     assert FIDO2_DEFENSES == ("legacy", "header_channel")
     for defense_on, defense in ((False, "legacy"), (True, "header_channel")):
         assert run_fido2_scenario("fido2_dom", defense_on=defense_on, seed=5).defense == defense
+
+
+# ROADMAP item 11: a page-initiated WebAuthn get, with no begin of the
+# victim's pending, signs the attacker's own challenge; one more program,
+# run by the same runner
+PAGE_INITIATED_GET = (
+    ("ceremony", REGISTRATION, "honest_registration"),
+    ("attach", "xss-payload"),
+    ("begin_out_of_band",),
+    ("webauthn_get",),
+    ("finish_out_of_band", AUTHENTICATION),
+)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_a_page_initiated_get_logs_in_on_a_legacy_rp(seed):
+    attacker = _fido2_attack(PAGE_INITIATED_GET, False, seed, [])
+    assert attacker.notes == ["honest_registration=accepted", "attacker_finish=accepted"]
+    assert attacker.logged_in is True
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+@pytest.mark.parametrize("seed", [7, 8])
+def test_a_page_initiated_get_is_refused_on_a_header_channel_rp(seed):
+    attacker = _fido2_attack(PAGE_INITIATED_GET, True, seed, [])
+    assert attacker.notes[0] == "honest_registration=accepted"
+    assert attacker.notes[1].startswith("attacker_finish=rejected")
+    assert attacker.logged_in is False
+
+
+def test_fido2_plans_hijack_a_registration_then_a_login():
+    for adversary in FIDO2_ADVERSARIES:
+        registration, login = (_program(adversary, plan) for plan in (0, 1))
+        assert ("ceremony", AUTHENTICATION) not in [step[:2] for step in registration]
+        assert login[0] == ("ceremony", REGISTRATION, "honest_registration")
+        assert login[-1] == ("finish_out_of_band", AUTHENTICATION)

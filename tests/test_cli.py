@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,15 @@ def test_compat_corpus_port_that_is_not_ascii_digits_is_data_error(tmp_path, cap
     assert f"corpus line 1: bad origin 'https://a.example:{port}': bad port in" in err
 
 
+@pytest.mark.parametrize("origin", ["https://user@a.example", "https://u:pw@a.example/login"])
+def test_compat_corpus_origin_with_userinfo_is_data_error(tmp_path, capsys, origin):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(f"plain_post\tb.example\t-\nplain_post\t{origin}\t-\n", encoding="utf-8")
+    assert main(["compat", "--seed", "7", "--corpus", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"noncepipe: corpus line 2: bad origin {origin!r}: userinfo in {origin!r}\n"
+
+
 def test_compat_missing_corpus_file_is_data_error(tmp_path, capsys):
     rc = main(["compat", "--seed", "3", "--corpus", str(tmp_path / "nope.tsv")])
     assert rc == EXIT_DATA
@@ -552,6 +562,27 @@ def test_parse_scenarios_errors(tmp_path, line, fragment):
         parse_scenarios(path)
     assert exc_info.value.line_number == 2
     assert fragment in str(exc_info.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "a\tdom_observer\tbaseline\t-\n# note\nb\tdom_observer\tbaseline\t-\n"
+            "a\treflection\tdesign5\t-\n",
+            "scenario line 4: repeated name 'a', first on line 1",
+        ),
+        ("a\tdom_observer\tbaseline\t-\n\tdom_observer\tbaseline\t-\n", "scenario line 2: empty scenario name"),
+    ],
+)
+def test_scenario_names_are_unique_and_not_empty(tmp_path, capsys, text, message):
+    # a row's seed derives from its name, so two rows named alike run alike
+    path = tmp_path / "scenarios.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+        parse_scenarios(path)
+    assert main(["matrix", "--seed", "7", "--scenarios", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"noncepipe: {message}\n"
 
 
 def test_bad_scenario_file_via_cli(tmp_path, capsys):

@@ -254,6 +254,32 @@ def test_url_parse_rejects(text):
         Url.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, path, query",
+    [
+        ("https://a.example?x=1", "/", (("x", "1"),)),
+        ("https://a.example#f", "/", ()),
+        ("https://a.example:8443?x=1#f", "/", (("x", "1"),)),
+        ("https://a.example/p?x=1#f?y=2", "/p", (("x", "1"),)),
+        ("https://a.example/p#f/q", "/p", ()),
+    ],
+)
+def test_url_parse_ends_the_host_at_a_query_or_fragment(text, path, query):
+    url = Url.parse(text)
+    assert (url.host, url.path, url.query) == ("a.example", path, query)
+    assert Origin.parse(text).host == "a.example"
+
+
+@pytest.mark.parametrize("text", ["https://user@a.example/x", "https://u:pw@a.example", "a@b.example"])
+def test_url_parse_rejects_userinfo(text):
+    with pytest.raises(InvalidUrl, match="userinfo in"):
+        Origin.parse(text)
+
+
+def test_url_parse_keeps_an_at_sign_after_the_host():
+    assert Url.parse("https://a.example/u@x?to=b@c").path == "/u@x"
+
+
 @pytest.mark.parametrize("port", ["4_43", " 443", "+443", "\u0664\u0664\u0663"])
 def test_url_parse_rejects_a_port_that_int_reads_but_is_not_ascii_digits(port):
     # int() reads each of these as 443

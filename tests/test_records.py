@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,10 +24,7 @@ from noncepipe.adversaries import (
     AttackScenario,
     MatrixCell,
     MatrixReport,
-    _AssertHijack,
     _Attacker,
-    _Fido2Setup,
-    _program,
 )
 from noncepipe.dom import (
     AddField,
@@ -128,8 +126,6 @@ IMMUTABLE = [
     AttackOutcome("n", "dom_observer", "baseline", False),
     MatrixCell("baseline", "dom_observer", 1, 0),
     MatrixReport(7, 1, []),
-    _program("dom_observer", 0),
-    _Fido2Setup(None, None, None, None, ORIGIN),
     FIDO2_REQUEST,
     ATTESTATION,
     ASSERTION,
@@ -282,11 +278,13 @@ def test_redirect_reissue_checks_the_new_hop():
 
 
 def test_forged_challenge_copy_is_checked():
-    attacker = _Attacker(None, None, None, [])
+    page = SimpleNamespace(webauthn=SimpleNamespace(get=None))
+    attacker = _Attacker(None, None, page, "", [])
     attacker.script = ScriptHandle("xss-payload")
-    hijack = _AssertHijack(original=None, attacker_challenge=b"short", attacker=attacker)
+    attacker.begin = SimpleNamespace(challenge=b"short")  # the request copy must catch it
+    attacker.run((("override_get",),))
     with pytest.raises(MalformedPayload, match="challenge must be 32 bytes"):
-        hijack.get(FIDO2_REQUEST.to_json())
+        page.webauthn.get(FIDO2_REQUEST.to_json())
 
 
 def test_origin_post_init_runs_once_per_origin_looked_up_on_the_class(monkeypatch):
