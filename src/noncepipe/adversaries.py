@@ -612,7 +612,9 @@ class _World:
 def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> AttackOutcome:
     """One attacked login, in its cell's world or a new one: build the page,
     run the program, scan what the attacker saw."""
-    if scenario.adversary == "reflection":  # its plan's forum
+    if scenario.adversary == "reflection":  # its plan's forum, and no other site
+        if scenario.site_category != AttackScenario._field_defaults["site_category"]:
+            raise ValueError(f"reflection attacks its forum, not a {scenario.site_category!r} site")
         profile: Optional[SiteProfile] = _FORUMS[scenario.strategy_index % len(_FORUMS)]
     else:
         profile = _TARGETS.get(scenario.site_category)

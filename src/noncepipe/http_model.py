@@ -311,8 +311,12 @@ class RequestBody(namedtuple("RequestBody", "entries raw")):
         entries = tuple([(str(n), str(v)) for n, v in entries])
         return tuple.__new__(cls, (entries, urlencode_entries(entries).encode("ascii")))
 
-    def with_entries(self, entries: Sequence[tuple[str, str]]) -> "RequestBody":
-        return self.urlencoded(entries)
+    @classmethod
+    def encoded(cls, entries: FormEntries) -> "RequestBody":
+        """The body of `entries`, already a tuple of string pairs: encoded once."""
+        return tuple.__new__(cls, (entries, urlencode_entries(entries).encode("ascii")))
+
+    with_entries = urlencoded  # a body's edit is a new body of the edited entries
 
     def digest(self) -> str:
         """sha256 hex of `raw`, as transcript lines record it: one hash per
@@ -345,6 +349,12 @@ def channel_for(
     return tls_overrides.get(url.origin, ChannelSecurity.GOOD_TLS)
 
 
+def _refuse_body(body: object) -> None:  # a body that is no RequestBody, else a GET's
+    if not isinstance(body, RequestBody):
+        raise TypeError(f"a request body is a RequestBody, not {type(body).__name__}")
+    raise ValueError("GET requests carry entries in the query, not a body")
+
+
 _REQUEST_FIELDS = "request_id method url headers body channel_security source_page parent_request_id"
 
 
@@ -367,11 +377,18 @@ class WebRequestRecord(namedtuple("WebRequestRecord", _REQUEST_FIELDS)):
     ) -> "WebRequestRecord":
         if method not in ("GET", "POST"):
             raise ValueError(f"unsupported method {method!r}")
-        if method == "GET" and body is not None:
-            raise ValueError("GET requests carry entries in the query, not a body")
+        if body is not None and (method == "GET" or not isinstance(body, RequestBody)):
+            _refuse_body(body)
         headers = tuple([(str(n), str(v)) for n, v in headers])
         fields = request_id, method, url, headers, body, channel_security, source_page, parent_request_id
         return tuple.__new__(cls, fields)
+
+    def with_body(self, body: RequestBody) -> "WebRequestRecord":
+        """This request carrying `body`: only the new value is checked."""
+        if self.method == "GET" or not isinstance(body, RequestBody):
+            _refuse_body(body)
+        request_id, method, url, headers, _, channel, page, parent = self
+        return tuple.__new__(type(self), (request_id, method, url, headers, body, channel, page, parent))
 
     def header(self, name: str) -> Optional[str]:
         return header_value(self.headers, name)

@@ -133,9 +133,8 @@ class PasswordManager:
             raise RuntimeError("nonce autofill needs the manager registered with a browser")
         nonce = generate_nonce(self.rng, self._nonces)
         password_field.value = nonce
-        record = NonceRecord(
-            nonce, entry, form_id, password_field.name, page.is_iframe, self.pinning_enabled
-        )
+        fields = nonce, entry, form_id, password_field.name, page.is_iframe, self.pinning_enabled
+        record = tuple.__new__(NonceRecord, fields)  # it checks nothing
         self._nonces.add(page, record)
 
         if mode is _DESIGN3:
@@ -199,7 +198,7 @@ class PasswordManager:
             record = record_for(page.records, view)
             if record is None:
                 return None
-            verdict = Verdict(view.request_id, record, self.safety_check(record, view))
+            verdict = tuple.__new__(Verdict, (view.request_id, record, self.safety_check(record, view)))
             page.verdict = verdict
         return verdict
 

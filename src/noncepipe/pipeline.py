@@ -436,7 +436,7 @@ def apply_substitutions(
         hit = False
         for i, (name, value) in enumerate(current):
             if name == sub.field_name and value == sub.nonce:
-                current[i] = (name, sub.replacement)
+                current[i] = (name, str(sub.replacement))  # a body holds strings
                 hit = True
         if hit:
             applied.append(sub)
@@ -622,7 +622,7 @@ class StageTranscript:
         self.events.append(tuple.__new__(Delivery, (listener_id, view)))
 
     def record_event(self, request_id: int, label: str, detail: str = "-") -> None:
-        self.events.append(TranscriptEvent(request_id, label, EVENT_LISTENER, "-", detail))
+        self.events.append(tuple.__new__(TranscriptEvent, (request_id, label, EVENT_LISTENER, "-", detail)))
 
     def to_text(self) -> str:
         return "".join(event.to_line() + "\n" for event in self.events)
@@ -743,9 +743,8 @@ def _collect_substitutions(
             return collected
         decision = check(record, view)
         if decision.approved:
-            collected.append(approve(record, request.url))
-        else:
-            _refuse(transcript, request.request_id, decision)
+            return [approve(record, request.url)]
+        _refuse(transcript, request.request_id, decision)
         return collected
     regs = listeners.at(_CREDENTIALS)
     if not regs:
@@ -771,21 +770,19 @@ def _run_credential_phase(
     transcript: StageTranscript,
     nonce_store: Optional[NonceStore],
 ) -> WebRequestRecord:
+    """Apply the approved swaps: one new body, encoded once, and one new record."""
     subs = _collect_substitutions(request, listeners, config, transcript, nonce_store)
     if not subs:
         return request
-    targeted = [s.field_name for s in subs]
-    if len(targeted) != len(set(targeted)):
+    if len(subs) > 1 and len({s.field_name for s in subs}) < len(subs):
         transcript.record_event(request.request_id, EVENT_SUBSTITUTION_CONFLICT)
     if request.body is None:
         return request
     new_entries, applied = apply_substitutions(request.body.entries, subs, request.url)
-    if applied:
-        transcript.record_event(
-            request.request_id, EVENT_SUBSTITUTION, detail=f"applied={len(applied)}"
-        )
-        return request._replace(body=request.body.with_entries(new_entries))
-    return request
+    if not applied:
+        return request
+    transcript.record_event(request.request_id, EVENT_SUBSTITUTION, f"applied={len(applied)}")
+    return request.with_body(RequestBody.encoded(new_entries))
 
 
 def _reissue(

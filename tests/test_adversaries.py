@@ -1,5 +1,6 @@
 """Adversaries: leak detection, per-cell attack behavior, both matrices."""
 
+import base64
 import hashlib
 import json
 import os
@@ -258,6 +259,13 @@ def test_outcome_reports_digests_never_the_secret():
 def test_run_scenario_rejects_a_category_with_no_login_form(category):
     scenario = AttackScenario("s", "dom_observer", DefenseMode.BASELINE, 1, 0, category)
     with pytest.raises(ValueError, match=f"not a login site category: '{category}'"):
+        run_scenario(scenario)
+
+
+@pytest.mark.parametrize("category", ["get_submit", "reflecting", "bogus"])
+def test_run_scenario_refuses_a_site_category_for_reflection(category):
+    scenario = AttackScenario("r", "reflection", DefenseMode.DESIGN5_API_LATE, 1, 0, category)
+    with pytest.raises(ValueError, match=f"reflection attacks its forum, not a '{category}' site"):
         run_scenario(scenario)
 
 
@@ -599,6 +607,18 @@ def test_a_page_initiated_get_is_refused_on_a_header_channel_rp(seed):
     assert attacker.notes[0] == "honest_registration=accepted"
     assert attacker.notes[1].startswith("attacker_finish=rejected")
     assert attacker.logged_in is False
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_fido2_attackers_own_begin_is_no_secret_of_the_victim(seed):
+    """The relying party's witness is off for the attacker's out-of-band
+    begin: the challenge it opened for itself is no secret it could leak."""
+    secrets: list[str] = []
+    attacker = _fido2_attack(_program("fido2_dom", 1), True, seed, secrets)
+    challenge = base64.urlsafe_b64encode(attacker.begin.challenge).decode("ascii").rstrip("=")
+    assert secrets  # the victim's registration and login were witnessed
+    assert challenge not in secrets
+    assert attacker.begin.to_json() not in secrets
 
 
 def test_fido2_plans_hijack_a_registration_then_a_login():

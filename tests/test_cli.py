@@ -699,6 +699,16 @@ def test_same_seed_same_bytes(tmp_path, capsys):
             "fa3ca4a9d1575d8bc7b3d1acaeb5bb111e586c4e7e552d01b6789592e1b45a51",
         ),
         (
+            ["compat", "--seed", "7", "--defense", "design4"],
+            "compat.json",
+            "2f08eea3cb4c391f72d6f1f9343149801e3350713e472851ecccd7d0e138d7ea",
+        ),
+        (
+            ["compat", "--seed", "7", "--defense", "manifest-v3"],
+            "compat.json",
+            "9bf2c83a3656a0e1460c0c58ff0d6dec2ad6a2d7b924797209545f2e3f0a4e58",
+        ),
+        (
             ["matrix", "--seed", "7", "--scenarios", str(SCENARIOS_ALL)],
             "scenarios.json",
             "9e8bfb73a8e1785cccedddd87bb17ca15ca7dd4908962c51974c0993dff99e75",
@@ -709,7 +719,10 @@ def test_same_seed_same_bytes(tmp_path, capsys):
             "a4079c3e89685bcd62e3d3bd7455210cf01959b8d52411d808b8c5655e17970e",
         ),
     ],
-    ids=["matrix", "compat", "scenarios_all", "matrix_every_plan"],
+    ids=[
+        "matrix", "compat", "compat_design4", "compat_manifest_v3", "scenarios_all",
+        "matrix_every_plan",
+    ],
 )
 def test_report_matches_frozen_digest(tmp_path, capsys, argv, report, digest):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK

@@ -389,6 +389,7 @@ def test_request_body_factories_equal_a_checked_body(entries, swapped):
     assert edited.raw == urlencode_entries(swapped).encode("ascii")
     assert edited == RequestBody(swapped, edited.raw)
     assert type(edited.entries) is tuple and type(body.entries) is tuple
+    assert RequestBody.encoded(edited.entries) == edited  # its entries are string pairs
 
 
 # names and values from the characters the codec escapes or splits on
@@ -438,6 +439,35 @@ def _url() -> Url:
 def test_web_request_get_with_body_forbidden():
     with pytest.raises(ValueError):
         WebRequestRecord(1, "GET", _url(), body=RequestBody.urlencoded((("a", "b"),)))
+
+
+@pytest.mark.parametrize("body", [b"a=b", (("a", "b"),), "a=b"])
+def test_web_request_body_must_be_a_request_body(body):
+    with pytest.raises(TypeError, match="a request body is a RequestBody"):
+        WebRequestRecord(1, "POST", _url(), body=body)
+    with pytest.raises(TypeError, match="a request body is a RequestBody"):
+        WebRequestRecord(1, "POST", _url()).with_body(body)
+
+
+def test_web_request_with_body_refuses_no_body_and_a_get_as_construction_does():
+    body = RequestBody.urlencoded((("a", "b"),))
+    with pytest.raises(TypeError, match="a request body is a RequestBody"):
+        WebRequestRecord(1, "POST", _url(), body=body).with_body(None)
+    with pytest.raises(ValueError, match="GET requests carry entries in the query"):
+        WebRequestRecord(1, "GET", _url()).with_body(body)
+
+
+def test_web_request_with_body_is_the_checked_copy():
+    page = object()
+    request = WebRequestRecord(
+        3, "POST", _url(), (("Host", "site.example"),), RequestBody.urlencoded((("a", "b"),)),
+        ChannelSecurity.BAD_TLS, page, 2,
+    )
+    body = RequestBody.urlencoded((("a", "c"),))
+    swapped = request.with_body(body)
+    assert swapped == request._replace(body=body)
+    assert type(swapped) is WebRequestRecord and swapped.body is body
+    assert swapped.source_page is page and request.body.raw == b"a=b"
 
 
 def test_web_request_rejects_other_methods():

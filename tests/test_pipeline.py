@@ -448,6 +448,31 @@ def test_substitution_conflict_event_logged():
     assert final.body.entries[1] == ("pw", "one")  # first registration wins
 
 
+def test_two_substitutions_on_different_fields_both_apply_with_no_conflict():
+    other = "NONCE9876543210B"
+    regs = registry(
+        listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(), lid="m1"),
+        listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub("pin", other, "4321"), lid="m2"),
+    )
+    request = post(entries=(("user", "alice"), ("pw", NONCE), ("pin", other)))
+    final, transcript = dispatch(request, regs, design5_config())
+    assert final.body.entries == (("user", "alice"), ("pw", SECRET), ("pin", "4321"))
+    assert final.body.raw == f"user=alice&pw={SECRET}&pin=4321".encode()
+    events = [(e.label, e.digest) for e in transcript.events if type(e) is TranscriptEvent]
+    assert events == [("substitution", "applied=2")]
+
+
+def test_a_swap_writes_a_replacement_that_is_no_string_as_its_text():
+    class Secret:  # a listener's replacement that is not a string
+        def __str__(self) -> str:
+            return SECRET
+
+    regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: sub(replacement=Secret())))
+    final, _ = dispatch(post(), regs, design5_config())
+    assert final.body == RequestBody((("user", "alice"), ("pw", SECRET)), final.body.raw)
+    assert all(type(value) is str for _, value in final.body.entries)
+
+
 def test_credential_stage_ignores_a_sequence_of_substitutions():
     # only a SubstitutionRequest or a refusing SafetyDecision is read
     regs = registry(listener(Stage.ON_REQUEST_CREDENTIALS, lambda v: [sub()], lid="m"))

@@ -226,6 +226,7 @@ BAD_COPIES = [
     (BODY, {"raw": b"pw=y"}, MalformedBody),
     (REQUEST, {"method": "PUT"}, ValueError),
     (REQUEST, {"method": "GET"}, ValueError),  # a GET with a body
+    (REQUEST, {"body": b"pw=x"}, TypeError),
     (RESPONSE, {"headers": (("X-A",),)}, ValueError),
     (DECISION, {"reason": 6}, ValueError),
     (PROFILE, {"category": "unknown"}, ValueError),
@@ -275,6 +276,63 @@ def test_redirect_reissue_checks_the_new_hop():
         _reissue(get, BODY, Url.parse("https://site.example/next"), 2)
     hop = _reissue(REQUEST, BODY, Url.parse("http://site.example/next"), 2)
     assert (hop.request_id, hop.parent_request_id, hop.url.scheme) == (2, 1, "http")
+
+
+def check_every_swap(monkeypatch) -> list[WebRequestRecord]:
+    """Have each login's `dispatch` checked: when its last hop swapped, the
+    record it returns must equal the checked copy that `_replace` builds from
+    the hop's request and the entries `apply_substitutions` gave. Returns the
+    list of the swapped records checked."""
+    checked: list[WebRequestRecord] = []
+    hop: dict = {}
+    apply, run_phase, run = pipeline.apply_substitutions, pipeline._run_credential_phase, session.dispatch
+
+    def recording_apply(entries, substitutions, destination):
+        hop["entries"], applied = apply(entries, substitutions, destination)
+        return hop["entries"], applied
+
+    def credential_phase(request, *args):
+        hop.clear()
+        swapped = run_phase(request, *args)
+        if swapped is not request:
+            hop["request"] = request
+        return swapped
+
+    def dispatch(*args, **kwargs):
+        hop.clear()
+        try:
+            wire, transcript = run(*args, **kwargs)
+            if "request" in hop:
+                request = hop["request"]
+                assert wire == request._replace(body=request.body.with_entries(hop["entries"]))
+                assert type(wire) is WebRequestRecord and type(wire.body) is RequestBody
+                checked.append(wire)
+            return wire, transcript
+        finally:
+            hop.clear()
+
+    monkeypatch.setattr(pipeline, "apply_substitutions", recording_apply)
+    monkeypatch.setattr(pipeline, "_run_credential_phase", credential_phase)
+    monkeypatch.setattr(session, "dispatch", dispatch)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [DefenseMode.DESIGN4_API_EARLY, DefenseMode.DESIGN5_API_LATE, DefenseMode.MANIFEST_V3],
+    ids=lambda m: m.value,
+)
+def test_every_compat_swap_is_the_checked_copy(monkeypatch, mode):
+    checked = check_every_swap(monkeypatch)
+    sites.compat_evaluate(sites.build_fixture_corpus(), 7, mode)
+    # the password field still holds the nonce at submit on these two
+    assert len(checked) == sites.FIXTURE_COUNTS["plain_post"] + sites.FIXTURE_COUNTS["hashes_password"]
+
+
+def test_every_matrix_plan_swap_is_the_checked_copy(monkeypatch):
+    checked = check_every_swap(monkeypatch)
+    adversaries.evaluate_matrix(7)
+    assert checked
 
 
 def test_forged_challenge_copy_is_checked():
