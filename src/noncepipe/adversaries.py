@@ -632,7 +632,7 @@ def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> At
     leaked_digests, leaked = find_leaks([entry.password], attacker.observations())
     return AttackOutcome(
         scenario.name, scenario.adversary, scenario.defense_mode.value, leaked, leaked_digests,
-        notes=tuple(attacker.notes),
+        False, False, tuple(attacker.notes),
     )
 
 
@@ -782,12 +782,12 @@ def run_fido2_scenario(adversary: str, *, defense_on: bool, seed: int) -> Attack
     leaked_digests, leaked = find_leaks(secrets, observations)
     defense = FIDO2_DEFENSES[defense_on]
     return AttackOutcome(
-        scenario=f"fido2/{adversary}/{'defended' if defense_on else defense}",
-        adversary=adversary,
-        defense=defense,
-        secret_leaked=leaked,
-        leaked_digests=leaked_digests,
-        attacker_login=any(attacker.logged_in for attacker in attackers),
-        attacker_registered=any(attacker.registered for attacker in attackers),
-        notes=tuple(note for attacker in attackers for note in attacker.notes),
+        f"fido2/{adversary}/{'defended' if defense_on else defense}",
+        adversary,
+        defense,
+        leaked,
+        leaked_digests,
+        any(attacker.logged_in for attacker in attackers),
+        any(attacker.registered for attacker in attackers),
+        tuple(note for attacker in attackers for note in attacker.notes),
     )

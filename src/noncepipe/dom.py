@@ -148,27 +148,32 @@ class SubmitHook:
 
     def apply(self, entries: FormEntries, action: Optional[Url] = None) -> FormEntries:
         kind = self.kind
+        name = self.field_name
         if kind is HookKind.SHA256_FIELD:
-            return tuple(
-                (n, hashlib.sha256(v.encode("utf-8")).hexdigest() if n == self.field_name else v)
+            return tuple([
+                (n, hashlib.sha256(v.encode("utf-8")).hexdigest() if n == name else v)
                 for n, v in entries
-            )
+            ])
         if kind is HookKind.BASE64_FIELD:
-            return tuple(
-                (n, base64.b64encode(v.encode("utf-8")).decode("ascii") if n == self.field_name else v)
+            return tuple([
+                (n, base64.b64encode(v.encode("utf-8")).decode("ascii") if n == name else v)
                 for n, v in entries
-            )
+            ])
         if kind is HookKind.COPY_FIELD:
-            source = next((v for n, v in entries if n == self.field_name), None)
-            if source is None:
+            for n, source in entries:
+                if n == name:
+                    break
+            else:
                 return entries
-            if any(n == self.target for n, _ in entries):
-                return tuple((n, source if n == self.target else v) for n, v in entries)
-            return entries + ((str(self.target), source),)
+            target = self.target
+            for n, _ in entries:
+                if n == target:
+                    return tuple([(n, source if n == target else v) for n, v in entries])
+            return entries + ((str(target), source),)
         if kind is HookKind.CAPTURE_FIELDS:
             if self.sink is not None:
                 for n, v in entries:
-                    if self.field_name in (None, n):
+                    if name in (None, n):
                         self.sink.observe(v)
             return entries
         if kind is HookKind.SWAP_VALUE:
@@ -176,7 +181,8 @@ class SubmitHook:
                 action is None or action.origin != self.guard_origin
             ):
                 return entries
-            return tuple((n, self.replacement if v == self.match else v) for n, v in entries)
+            match, replacement = self.match, self.replacement
+            return tuple([(n, replacement if v == match else v) for n, v in entries])
         raise AssertionError(f"unhandled hook kind {kind}")
 
     def __repr__(self) -> str:
@@ -341,17 +347,21 @@ def build_request(
 ) -> WebRequestRecord:
     """The request a page sends (or, with no page, a client outside any
     browser): GET entries join the query, POST entries form the body; the
-    channel comes from the action and the page's TLS."""
+    channel comes from the action and the page's TLS. Every field but the
+    method is made here, so only the method is checked, as the record's own
+    constructor would."""
     if method == "GET":
         url = action.with_query(action.query + entries)
         headers = (("Host", action.host),)
         body = None
-    else:
+    elif method == "POST":
         url = action
         headers = (("Host", action.host), ("Content-Type", URLENCODED))
         body = RequestBody.urlencoded(entries)
+    else:
+        raise ValueError(f"unsupported method {method!r}")
     channel = channel_for(action, page.tls_overrides if page else {})
-    return WebRequestRecord(request_id, method, url, headers, body, channel, page)
+    return tuple.__new__(WebRequestRecord, (request_id, method, url, headers, body, channel, page, None))
 
 
 def submit_form(page: Page, form_id: str, request_id: int = 0) -> WebRequestRecord:

@@ -645,11 +645,12 @@ class RelyingParty:
             self.witness.append(real_json)
             self.witness.append(_b64(real.challenge).rstrip("="))
 
+        # the channel headers are two strings made here: nothing to check
         if not self.defense_enabled:
-            return WebResponseRecord(request_id, 200, (), real_json.encode("utf-8"))
+            return tuple.__new__(WebResponseRecord, (request_id, 200, (), real_json.encode("utf-8")))
         headers = ((HEADER_REQUEST, real_json), (HEADER_URL_RESP, self.url_resp))
         dummy = make_dummy_request(kind, self.rp_id, self.rng).to_json().encode("utf-8")
-        return WebResponseRecord(request_id, 200, headers, dummy)
+        return tuple.__new__(WebResponseRecord, (request_id, 200, headers, dummy))
 
     # -- finish ----------------------------------------------------------
 

@@ -127,7 +127,7 @@ class BrowserSession:
                 id_allocator=self._allocate_request_id,
             )
         except Cancelled:
-            return FlowResult(request, None, None, None, transcript, True)
+            return tuple.__new__(FlowResult, (request, None, None, None, transcript, True))
         finally:
             self.host.nonces.end_request(page.page_id)
         injected = self.secure_store.inject(wire, page.page_id)
@@ -143,7 +143,7 @@ class BrowserSession:
             response, self.host.registry, request_url=wire.url, transcript=transcript
         )
         page.rendered_text = response.body.decode("utf-8", errors="replace")
-        return FlowResult(request, wire, response, verdict, transcript)
+        return tuple.__new__(FlowResult, (request, wire, response, verdict, transcript, False))
 
     def submit(self, page: Page, form_id: str) -> FlowResult:
         request = submit_form(page, form_id, self._allocate_request_id())

@@ -122,7 +122,7 @@ class SiteProfile(namedtuple("SiteProfile", "site_id category origin options")):
             raise ValueError(f"unknown site category {category!r}")
         return tuple.__new__(cls, (site_id, category, origin, options))
 
-    def option(self, key: str, default: str = "") -> str:
+    def option(self, key: str, default: Optional[str] = "") -> Optional[str]:
         for name, value in self.options:
             if name == key:
                 return value
@@ -145,7 +145,7 @@ def generate_password(seed: int, site_id: str) -> str:
 def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:
     """The user's stored credential for a site (password option overrides,
     even when empty: `compat_evaluate` then excludes the site)."""
-    password = dict(profile.options).get("password")
+    password = profile.option("password", None)
     if password is None:
         password = generate_password(seed, profile.site_id)
     return VaultEntry(profile.origin, "alice", password)
@@ -195,7 +195,10 @@ class _SiteState(NamedTuple):
 
 def _first(entries: tuple[tuple[str, str], ...], name: str) -> str:
     """The first value sent under `name` ("" if none was)."""
-    return next((v for n, v in entries if n == name), "")
+    for n, v in entries:
+        if n == name:
+            return v
+    return ""
 
 
 class ServerFarm:
@@ -241,10 +244,7 @@ class ServerFarm:
             sink.append(request.url.to_string())
             if request.body is not None:
                 sink.append(request.body.raw.decode("utf-8", errors="replace"))
-            return (
-                WebResponseRecord(request.request_id, 200, (), b"captured"),
-                "captured",
-            )
+            return tuple.__new__(WebResponseRecord, (request.request_id, 200, (), b"captured")), "captured"
         state = self._sites.get(origin)
         if state is None:
             raise UnknownEndpoint(f"no server at {origin}")
@@ -273,14 +273,15 @@ class ServerFarm:
                 wanted = set(reflect.split("+"))
                 echoed = tuple((n, v) for n, v in entries if n in wanted)
             body = "\n".join(f"{n}={v}" for n, v in echoed).encode("utf-8")
-            return WebResponseRecord(request.request_id, 200, (), body), "reflected"
+            return tuple.__new__(WebResponseRecord, (request.request_id, 200, (), body)), "reflected"
 
         if path != LOGIN_PATH:
-            return WebResponseRecord(request.request_id, 404, (), b"not found"), "not_found"
+            return tuple.__new__(WebResponseRecord, (request.request_id, 404, (), b"not found")), "not_found"
 
         verdict = self._login_verdict(state.expected, entries)
         status = 200 if verdict == "auth_ok" else 403
-        return WebResponseRecord(request.request_id, status, (), _LOGIN_BODIES[verdict]), verdict
+        response = tuple.__new__(WebResponseRecord, (request.request_id, status, (), _LOGIN_BODIES[verdict]))
+        return response, verdict
 
     @staticmethod
     def _login_verdict(
@@ -305,8 +306,9 @@ class ServerFarm:
             result = rp.finish(request)
             verdict = "accepted" if result.accepted else f"rejected:{result.reason}"
             body = verdict.encode("ascii")
-            return WebResponseRecord(request.request_id, 200 if result.accepted else 403, (), body), verdict
-        return WebResponseRecord(request.request_id, 404, (), b"not found"), "not_found"
+            status = 200 if result.accepted else 403
+            return tuple.__new__(WebResponseRecord, (request.request_id, status, (), body)), verdict
+        return tuple.__new__(WebResponseRecord, (request.request_id, 404, (), b"not found")), "not_found"
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +361,11 @@ def parse_corpus(path: str | Path) -> list[SiteProfile]:
         options = parse_options(
             options_text, CORPUS_OPTIONS, category, number, CorpusFormatError
         )
-        reflect = dict(options).get("reflect", "all")
+        profile = SiteProfile(f"line{number}-{origin.host}", category, origin, options)
+        reflect = profile.option("reflect", "all")
         if reflect != "all" and "" in reflect.split("+"):
             raise CorpusFormatError(number, f"bad reflect {reflect!r}: a field name is empty")
-        profiles.append(
-            SiteProfile(
-                site_id=f"line{number}-{origin.host}",
-                category=category,
-                origin=origin,
-                options=options,
-            )
-        )
+        profiles.append(profile)
     return profiles
 
 
@@ -537,22 +533,13 @@ def compat_evaluate(
         password_on_wire = sent_b is not None and holds_secret(
             (sent_b.decode("utf-8", errors="replace"),), entry.password
         )
+        classification = _classify(
+            LOGIN_SHAPES[profile.category], wire_identical, verdict_b, password_on_wire, refused_check
+        )
         records.append(
             CompatRecord(
-                site_id=profile.site_id,
-                category=profile.category,
-                classification=_classify(
-                    LOGIN_SHAPES[profile.category],
-                    wire_identical,
-                    verdict_b,
-                    password_on_wire,
-                    refused_check,
-                ),
-                wire_identical=wire_identical,
-                verdict_baseline=verdict_a,
-                verdict_defended=verdict_b,
-                password_on_wire=password_on_wire,
-                refused_check=refused_check,
+                profile.site_id, profile.category, classification, wire_identical,
+                verdict_a, verdict_b, password_on_wire, refused_check,
             )
         )
     return CompatReport(seed, defense, records, tuple(profiles) == _fixture_corpus())

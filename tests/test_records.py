@@ -8,17 +8,21 @@ secret. Importing the CLI loads neither `dataclasses` nor `inspect`, and no
 `cryptography` until a FIDO2 signature is needed.
 """
 
+import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 
-from noncepipe import adversaries, dom, extensions, fido2, http_model, pipeline, session, sites
+from noncepipe import adversaries, cli, dom, extensions, fido2, http_model, pipeline, session, sites
 from noncepipe.adversaries import (
     AttackOutcome,
     AttackScenario,
@@ -26,6 +30,7 @@ from noncepipe.adversaries import (
     MatrixReport,
     _Attacker,
 )
+from noncepipe.cli import DEFENSE_TOKENS
 from noncepipe.dom import (
     AddField,
     HookKind,
@@ -54,6 +59,7 @@ from noncepipe.http_model import (
     Url,
     WebRequestRecord,
     WebResponseRecord,
+    channel_for,
 )
 from noncepipe.pipeline import (
     BodyView,
@@ -333,6 +339,158 @@ def test_every_matrix_plan_swap_is_the_checked_copy(monkeypatch):
     checked = check_every_swap(monkeypatch)
     adversaries.evaluate_matrix(7)
     assert checked
+
+
+def _same(record, checked) -> None:
+    """`record` equals its checked construction, type for type in every field."""
+    assert type(record) is type(checked) and record == checked
+    assert [type(field) for field in record] == [type(field) for field in checked]
+
+
+def check_trusted_factories(monkeypatch) -> Counter:
+    """Have every record a trusted factory builds on a flow checked against
+    its checked construction: each request `build_request` returns against
+    `WebRequestRecord(*r)`, and its page and channel against the caller's page
+    and the channel of the action under that page's TLS; each server response
+    against `WebResponseRecord(*r)` and its request's id; each flow
+    `BrowserSession._run` returns against `FlowResult(*f)`, the request it was
+    given, which `build_request` built, and its wire and response records.
+    Returns how many of each were checked."""
+    counts: Counter = Counter()
+    built: dict[int, WebRequestRecord] = {}
+    build, serve, run = dom.build_request, sites.ServerFarm.serve, session.BrowserSession._run
+
+    def checked_build(page, method, action, entries, request_id):
+        request = build(page, method, action, entries, request_id)
+        _same(request, WebRequestRecord(*request))
+        assert request.source_page is page
+        assert request.channel_security is channel_for(action, page.tls_overrides if page else {})
+        built[id(request)] = request
+        counts["request"] += 1
+        return request
+
+    def checked_serve(farm, request):
+        response, verdict = serve(farm, request)
+        _same(response, WebResponseRecord(*response))
+        assert response.request_id == request.request_id
+        counts["response"] += 1
+        return response, verdict
+
+    def checked_run(browser, request, page):
+        flow = run(browser, request, page)
+        _same(flow, FlowResult(*flow))
+        assert built.pop(id(request)) is request and flow.request is request
+        assert flow.cancelled is (flow.wire is None)
+        if flow.wire is not None:
+            _same(flow.wire, WebRequestRecord(*flow.wire))
+            _same(flow.response, WebResponseRecord(*flow.response))
+        counts["flow"] += 1
+        counts["cancelled"] += flow.cancelled
+        return flow
+
+    for module in (dom, session, adversaries):  # each binds the factory by name
+        monkeypatch.setattr(module, "build_request", checked_build)
+    monkeypatch.setattr(sites.ServerFarm, "serve", checked_serve)
+    monkeypatch.setattr(session.BrowserSession, "_run", checked_run)
+    return counts
+
+
+# every login shape, and a bad-TLS origin: each channel a request can take
+SHAPES_CORPUS = "".join(
+    f"{category}\thttps://{category.replace('_', '-')}.example\t-\n" for category in LOGIN_SHAPES
+) + "plain_post\thttps://bad-tls.example\tbad_tls=1\n"
+
+
+@pytest.mark.parametrize("defense", sorted(DEFENSE_TOKENS))
+def test_every_compat_flow_is_built_as_checked(monkeypatch, tmp_path, defense):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(SHAPES_CORPUS, encoding="utf-8")
+    counts = check_trusted_factories(monkeypatch)
+    for extra in ([], ["--corpus", str(corpus)]):
+        argv = ["compat", "--seed", "7", "--defense", defense, "--out", str(tmp_path / "out")]
+        assert cli.main(argv + extra) == 0
+    logins = 2 * (len(sites.build_fixture_corpus()) + len(LOGIN_SHAPES) + 1)  # baseline, then defended
+    assert counts == {"request": logins, "response": logins, "flow": logins, "cancelled": 0}
+
+
+@pytest.mark.parametrize(
+    "argv", [["matrix"], ["fido2-demo", "--replay"], ["fido2-demo", "--replay", "--defense", "off"]]
+)
+def test_every_matrix_and_fido2_demo_flow_is_built_as_checked(monkeypatch, tmp_path, argv):
+    counts = check_trusted_factories(monkeypatch)
+    assert cli.main(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
+    assert counts["flow"] > 0 and counts["response"] > 0
+    if argv == ["matrix"]:  # every plan, the cancelling listeners' among them
+        assert counts["cancelled"] > 0
+
+
+def test_every_idle_flow_is_built_as_checked(monkeypatch):
+    """The nonce-free logins of each leg: every mode, and design5 with its
+    credential stage compiled out; the right password and a wrong one."""
+    counts = check_trusted_factories(monkeypatch)
+    legs = [(mode, True) for mode in DefenseMode] + [(DefenseMode.DESIGN5_API_LATE, False)]
+    profiles = [
+        SiteProfile(f"idle-{category}", category, Origin("https", f"idle-{index}.example", 443))
+        for index, category in enumerate(("plain_post", "hashes_password", "transforms_password"))
+    ]
+    for mode, stage_enabled in legs:
+        farm = sites.ServerFarm(7)
+        for profile in profiles:
+            farm.add_site(profile, "idle-password")
+        browser = session.BrowserSession(7, mode, [], farm.serve, credential_stage_enabled=stage_enabled)
+        for profile in profiles:
+            for typed in ("idle-password", "wrong"):
+                page, form_id = sites.build_login_page(browser, profile)
+                form = page.form(form_id)
+                form.field_named("username").value = "alice"
+                form.field_named("password").value = typed
+                result = browser.submit(page, form_id)
+                assert (result.verdict == "auth_ok") is (typed == "idle-password")
+    logins = len(legs) * len(profiles) * 2
+    assert counts == {"request": logins, "response": logins, "flow": logins, "cancelled": 0}
+
+
+def _record_builds(path: Path) -> set[tuple[str, str, str]]:
+    """(module, function, record) of each `tuple.__new__(<record>, …)` call in
+    a module; `cls` and `type(self)` name the enclosing class."""
+    found: set[tuple[str, str, str]] = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...], owner: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), owner)
+            else:
+                if isinstance(child, ast.Call) and ast.unparse(child.func) == "tuple.__new__":
+                    record = ast.unparse(child.args[0])
+                    record = owner if record in ("cls", "type(self)") else record
+                    found.add((path.stem, ".".join(scope), record))
+                visit(child, scope, owner)
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    visit(tree, (), None)
+    calls = sum(isinstance(n, ast.Call) and ast.unparse(n.func) == "tuple.__new__" for n in ast.walk(tree))
+    uses = sum(isinstance(n, ast.Attribute) and ast.unparse(n) == "tuple.__new__" for n in ast.walk(tree))
+    assert uses == calls, f"{path.name} names tuple.__new__ other than in a call"
+    return found
+
+
+def test_every_tuple_new_record_build_is_in_the_readme_table():
+    """A record built without its checks is one the README lists: trusted
+    construction cannot spread unseen."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| module | record | built with `tuple.__new__` in |") + 2
+    listed: set[tuple[str, str, str]] = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        module, record, functions = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        listed |= {(module, function, record) for function in re.findall(r"[\w.]+", functions)}
+    sources = sorted(Path(http_model.__file__).parent.glob("*.py"))
+    found = set().union(*(_record_builds(path) for path in sources))
+    assert len(listed) >= 25  # the table was read
+    assert sorted(found - listed) == [] and sorted(listed - found) == []
 
 
 def test_forged_challenge_copy_is_checked():

@@ -1,6 +1,7 @@
 """Browser session: end-to-end flows over a fake server, both auth channels."""
 
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -8,7 +9,7 @@ import pytest
 
 import base64
 
-from noncepipe.dom import Field, FieldKind, Form
+from noncepipe.dom import Field, FieldKind, Form, build_request
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.fido2 import (
     AUTHENTICATION,
@@ -174,6 +175,25 @@ def test_fetch_builds_get_and_post():
     )
     assert post.wire.body.entries == (("a", "1"),)
     assert post.wire.header("Content-Type") == "application/x-www-form-urlencoded"
+
+
+@pytest.mark.parametrize("method", ["PUT", "post", ""])
+def test_a_request_of_an_unsupported_method_is_refused(method):
+    """The method is the one part of a request its caller picks: a client, a
+    page's fetch, or a form whose method slot was reassigned after it was
+    built."""
+    message = re.escape(f"unsupported method {method!r}")
+    url = Url.parse("https://bank.example/q")
+    with pytest.raises(ValueError, match=message):
+        build_request(None, method, url, (("a", "1"),), 1)
+    session = make_session()
+    page = session.new_page(ORIGIN)
+    with pytest.raises(ValueError, match=message):
+        session.fetch(page, url, method=method, body_entries=(("a", "1"),))
+    add_login_form(page)
+    page.form("login").method = method
+    with pytest.raises(ValueError, match=message):
+        session.submit(page, "login")
 
 
 def test_page_channel_overrides():

@@ -9,6 +9,7 @@ from noncepipe import http_model, sites
 from noncepipe.dom import FieldKind, HookKind, ScriptHandle, SetFormAction, SubmitHook
 from noncepipe.dom import attach_script, script_mutate, submit_form
 from noncepipe.extensions import ExtensionManifest, Permission
+from noncepipe.fido2 import MalformedPayload
 from noncepipe.http_model import (
     URLENCODED,
     Origin,
@@ -262,6 +263,39 @@ def test_login_get_reads_query():
     )
     _, verdict = farm.serve(request)
     assert verdict == "auth_ok"
+
+
+def test_login_verdict_reads_the_first_of_a_repeated_field():
+    farm, _ = farm_with(profile())
+    sent = (("password", "hunter2-secret"), ("password", "wrong"))
+    assert farm.serve(login_post(sent))[1] == "auth_ok"
+    assert farm.serve(login_post(sent[::-1]))[1] == "auth_fail"
+    farm, _ = farm_with(profile(category="hashes_password"))
+    pw_hash = hashlib.sha256(b"hunter2-secret").hexdigest()
+    sent = (("password", "hunter2-secret"), ("pw_hash", pw_hash), ("pw_hash", "0" * 64))
+    assert farm.serve(login_post(sent))[1] == "auth_ok"
+    assert farm.serve(login_post((sent[0], sent[2], sent[1])))[1] == "integrity_fail"
+
+
+def test_login_verdict_reads_a_missing_field_as_empty():
+    farm, _ = farm_with(profile(), password="")
+    assert farm.serve(login_post((("username", "alice"),)))[1] == "auth_ok"
+    assert farm.serve(login_post((("password", "x"),)))[1] == "auth_fail"
+
+
+def test_fido2_begin_reads_the_first_kind_and_username():
+    farm, state = farm_with(profile(category="fido2", site_id="sso"), fido2_defense=False)
+    query = (("kind", "registration"), ("username", "alice"), ("kind", "authentication"), ("username", "eve"))
+    response, verdict = farm.serve(
+        WebRequestRecord(1, "GET", Url("https", "site.example", 443, "/webauthn/begin", query))
+    )
+    assert verdict == "begin:registration"
+    assert list(state.rp.outstanding.values()) == [("registration", "alice")]
+    # a begin with no kind reads it as "", which the relying party refuses
+    with pytest.raises(MalformedPayload, match="unknown begin kind ''"):
+        farm.serve(
+            WebRequestRecord(1, "GET", Url("https", "site.example", 443, "/webauthn/begin", query[1:2]))
+        )
 
 
 def test_unknown_path_is_404():
