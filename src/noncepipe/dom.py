@@ -121,6 +121,16 @@ class HookKind(Enum):
     SWAP_VALUE = "swap_value"
 
 
+# the arguments each hook kind reads and cannot do without
+_HOOK_NEEDS = {
+    HookKind.SHA256_FIELD: ("field_name",),
+    HookKind.BASE64_FIELD: ("field_name",),
+    HookKind.COPY_FIELD: ("field_name", "target"),
+    HookKind.CAPTURE_FIELDS: ("sink",),
+    HookKind.SWAP_VALUE: ("match", "replacement"),
+}
+
+
 class SubmitHook:
     """Pure transformer over the outgoing entry list, applied at submit time.
 
@@ -128,7 +138,8 @@ class SubmitHook:
     script's log, modeling code that fires between value replacement and the
     actual submission. `swap_value` replaces values equal to `match` with
     `replacement`, but only when the form's destination origin equals
-    `guard_origin` (if set); its repr never prints the replacement.
+    `guard_origin` (if set); its repr never prints the replacement. A hook
+    without an argument its kind reads raises `ValueError`.
     """
 
     __slots__ = ("kind", "field_name", "target", "match", "replacement", "sink", "guard_origin")
@@ -145,6 +156,9 @@ class SubmitHook:
         self.replacement = replacement
         self.sink = sink
         self.guard_origin = guard_origin
+        for needed in _HOOK_NEEDS[kind]:
+            if getattr(self, needed) is None:
+                raise ValueError(f"a {kind.value} hook needs a {needed}")
 
     def apply(self, entries: FormEntries, action: Optional[Url] = None) -> FormEntries:
         kind = self.kind
@@ -169,12 +183,11 @@ class SubmitHook:
             for n, _ in entries:
                 if n == target:
                     return tuple([(n, source if n == target else v) for n, v in entries])
-            return entries + ((str(target), source),)
+            return entries + ((target, source),)
         if kind is HookKind.CAPTURE_FIELDS:
-            if self.sink is not None:
-                for n, v in entries:
-                    if name in (None, n):
-                        self.sink.observe(v)
+            for n, v in entries:
+                if name in (None, n):
+                    self.sink.observe(v)
             return entries
         if kind is HookKind.SWAP_VALUE:
             if self.guard_origin is not None and (
@@ -190,14 +203,15 @@ class SubmitHook:
 
 
 class Form:
-    """A login form: unique field names, an action URL, ordered submit hooks."""
+    """A login form: unique field names (its own list), an action URL,
+    ordered submit hooks."""
 
     __slots__ = ("form_id", "action", "method", "fields", "submit_hooks")
 
     def __init__(
         self, form_id: str, action: Url, method: str = "POST", fields: Optional[list[Field]] = None
     ) -> None:
-        fields = [] if fields is None else fields
+        fields = [] if fields is None else list(fields)
         if method not in ("GET", "POST"):
             raise ValueError(f"unsupported form method {method!r}")
         names = [f.name for f in fields]
@@ -208,6 +222,23 @@ class Form:
         self.method = method
         self.fields = fields
         self.submit_hooks: list[SubmitHook] = []
+
+    @classmethod
+    def trusted(
+        cls, form_id: str, action: Url, method: str, fields: list[Field], hooks: tuple[SubmitHook, ...]
+    ) -> "Form":
+        """A form in one step, for a caller that made `fields` itself with
+        unique names: it checks only the method, an input. The form takes
+        `fields` as its own list and starts a fresh list of `hooks`."""
+        if method not in ("GET", "POST"):
+            raise ValueError(f"unsupported form method {method!r}")
+        form = cls.__new__(cls)
+        form.form_id = form_id
+        form.action = action
+        form.method = method
+        form.fields = fields
+        form.submit_hooks = list(hooks)
+        return form
 
     def field_named(self, name: str) -> Field:
         for f in self.fields:

@@ -91,7 +91,7 @@ class BrowserSession:
 
     # -- pages -------------------------------------------------------------
 
-    def new_page(self, origin: Origin, *, is_iframe: bool = False, bad_tls: bool = False) -> Page:
+    def new_page(self, origin: Origin, is_iframe: bool = False, bad_tls: bool = False) -> Page:
         """A new page, its id `page-N` unique within the session (the nonce
         store's key)."""
         self._page_count += 1

@@ -157,23 +157,22 @@ def site_vault_entry(profile: SiteProfile, seed: int) -> VaultEntry:
 
 
 def build_login_page(session: BrowserSession, profile: SiteProfile) -> tuple[Page, str]:
-    """Create the site's login page inside a session; returns (page, form_id)."""
+    """Create the site's login page inside a session; returns (page, form_id).
+    The form is built in one step: its two field names are literals, so only
+    the shape's method is checked, and it is the new page's only form."""
     shape = LOGIN_SHAPES.get(profile.category)  # None: a fido2 site, which has no form
     page = session.new_page(
-        profile.origin,
-        is_iframe=shape is not None and shape.in_iframe,
-        bad_tls=profile.option("bad_tls") == "1",
+        profile.origin, shape is not None and shape.in_iframe, profile.option("bad_tls") == "1"
     )
     if shape is None:
         return page, ""
-    form = Form(
+    page.forms["login"] = Form.trusted(
         "login",
         profile.login_action,
         shape.method,
         [Field("username", FieldKind.TEXT), Field("password", FieldKind.PASSWORD)],
+        shape.hooks,
     )
-    form.submit_hooks.extend(shape.hooks)
-    page.add_form(form)
     return page, "login"
 
 

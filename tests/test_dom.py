@@ -156,6 +156,24 @@ def test_hook_order_decides_what_capture_sees():
     assert early_sink.log == ["NONCE"]
 
 
+@pytest.mark.parametrize(
+    "kind, arguments, missing",
+    [
+        (HookKind.COPY_FIELD, {"field_name": "password"}, "target"),
+        (HookKind.COPY_FIELD, {"target": "pw_hash"}, "field_name"),
+        (HookKind.SHA256_FIELD, {}, "field_name"),
+        (HookKind.BASE64_FIELD, {}, "field_name"),
+        (HookKind.SWAP_VALUE, {"replacement": "real"}, "match"),
+        (HookKind.SWAP_VALUE, {"match": "NONCE"}, "replacement"),
+        (HookKind.CAPTURE_FIELDS, {"field_name": "password"}, "sink"),
+    ],
+)
+def test_hook_without_an_argument_its_kind_reads_is_refused(kind, arguments, missing):
+    # a copy with no target would send the password under a field named "None"
+    with pytest.raises(ValueError, match=f"a {kind.value} hook needs a {missing}$"):
+        SubmitHook(kind, **arguments)
+
+
 def test_hook_repr_never_shows_replacement():
     hook = SubmitHook(HookKind.SWAP_VALUE, match="NONCE", replacement="s3cr3t")
     assert "s3cr3t" not in repr(hook)
@@ -171,10 +189,28 @@ def test_form_rejects_duplicate_field_names():
         Form("f", ACTION, fields=[Field("a"), Field("a")])
 
 
+def test_form_keeps_its_own_field_list():
+    fields = [Field("a")]
+    form = Form("f", ACTION, "POST", fields)
+    fields.append(Field("a"))  # the caller's list, not the form's: names stay unique
+    assert [f.name for f in form.fields] == ["a"]
+
+
 @pytest.mark.parametrize("method", ["DELETE", "PUT", "post", ""])
 def test_form_rejects_unsupported_method(method):
     with pytest.raises(ValueError, match="unsupported form method"):
         Form("f", ACTION, method=method)
+    with pytest.raises(ValueError, match="unsupported form method"):
+        Form.trusted("f", ACTION, method, [], ())
+
+
+def test_trusted_form_owns_its_fields_and_starts_a_fresh_hook_list():
+    fields = [Field("username"), Field("password", FieldKind.PASSWORD)]
+    hooks = (SubmitHook(HookKind.BASE64_FIELD, "password"),)
+    first, second = (Form.trusted("login", ACTION, "GET", fields, hooks) for _ in range(2))
+    assert (first.form_id, first.action, first.method, first.fields) == ("login", ACTION, "GET", fields)
+    assert first.fields is fields  # the caller made it for this form
+    assert first.submit_hooks == list(hooks) and first.submit_hooks is not second.submit_hooks
 
 
 def test_form_field_lookup():

@@ -9,6 +9,7 @@ secret. Importing the CLI loads neither `dataclasses` nor `inspect`, and no
 """
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -354,11 +355,24 @@ def check_trusted_factories(monkeypatch) -> Counter:
     and the channel of the action under that page's TLS; each server response
     against `WebResponseRecord(*r)` and its request's id; each flow
     `BrowserSession._run` returns against `FlowResult(*f)`, the request it was
-    given, which `build_request` built, and its wire and response records.
+    given, which `build_request` built, and its wire and response records;
+    and each login form `Form.trusted` builds against `Form(...)` given the
+    same fields, with the same hooks on a list of its own.
     Returns how many of each were checked."""
     counts: Counter = Counter()
     built: dict[int, WebRequestRecord] = {}
     build, serve, run = dom.build_request, sites.ServerFarm.serve, session.BrowserSession._run
+    trusted = dom.Form.trusted
+
+    def checked_form(cls, form_id, action, method, fields, hooks):
+        form = trusted(form_id, action, method, fields, hooks)
+        checked = dom.Form(form_id, action, method, fields)
+        checked.submit_hooks.extend(hooks)
+        for name in dom.Form.__slots__:
+            assert getattr(form, name) == getattr(checked, name), name
+        assert form.fields is fields and type(form.submit_hooks) is list
+        counts["form"] += 1
+        return form
 
     def checked_build(page, method, action, entries, request_id):
         request = build(page, method, action, entries, request_id)
@@ -392,6 +406,7 @@ def check_trusted_factories(monkeypatch) -> Counter:
         monkeypatch.setattr(module, "build_request", checked_build)
     monkeypatch.setattr(sites.ServerFarm, "serve", checked_serve)
     monkeypatch.setattr(session.BrowserSession, "_run", checked_run)
+    monkeypatch.setattr(dom.Form, "trusted", classmethod(checked_form))
     return counts
 
 
@@ -410,7 +425,7 @@ def test_every_compat_flow_is_built_as_checked(monkeypatch, tmp_path, defense):
         argv = ["compat", "--seed", "7", "--defense", defense, "--out", str(tmp_path / "out")]
         assert cli.main(argv + extra) == 0
     logins = 2 * (len(sites.build_fixture_corpus()) + len(LOGIN_SHAPES) + 1)  # baseline, then defended
-    assert counts == {"request": logins, "response": logins, "flow": logins, "cancelled": 0}
+    assert counts == {"form": logins, "request": logins, "response": logins, "flow": logins, "cancelled": 0}
 
 
 @pytest.mark.parametrize(
@@ -421,7 +436,7 @@ def test_every_matrix_and_fido2_demo_flow_is_built_as_checked(monkeypatch, tmp_p
     assert cli.main(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
     assert counts["flow"] > 0 and counts["response"] > 0
     if argv == ["matrix"]:  # every plan, the cancelling listeners' among them
-        assert counts["cancelled"] > 0
+        assert counts["cancelled"] > 0 and counts["form"] > 0
 
 
 def test_every_idle_flow_is_built_as_checked(monkeypatch):
@@ -447,13 +462,16 @@ def test_every_idle_flow_is_built_as_checked(monkeypatch):
                 result = browser.submit(page, form_id)
                 assert (result.verdict == "auth_ok") is (typed == "idle-password")
     logins = len(legs) * len(profiles) * 2
-    assert counts == {"request": logins, "response": logins, "flow": logins, "cancelled": 0}
+    assert counts == {"form": logins, "request": logins, "response": logins, "flow": logins, "cancelled": 0}
 
 
-def _record_builds(path: Path) -> set[tuple[str, str, str]]:
-    """(module, function, record) of each `tuple.__new__(<record>, …)` call in
-    a module; `cls` and `type(self)` name the enclosing class."""
-    found: set[tuple[str, str, str]] = set()
+def _trusted_builds(path: Path) -> set[tuple[str, str, str, str]]:
+    """(idiom, module, function, class) of each build in a module that skips
+    a checked constructor: `tuple.__new__(<record>, …)` (idiom "tuple"), and
+    `<Class>.__new__(<Class>)` or a call of the factory `<Class>.trusted(…)`
+    that wraps it (idiom "slots"); `cls` and `type(self)` name the enclosing
+    class."""
+    found: set[tuple[str, str, str, str]] = set()
 
     def visit(node: ast.AST, scope: tuple[str, ...], owner: Optional[str]) -> None:
         for child in ast.iter_child_nodes(node):
@@ -462,35 +480,64 @@ def _record_builds(path: Path) -> set[tuple[str, str, str]]:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + (child.name,), owner)
             else:
-                if isinstance(child, ast.Call) and ast.unparse(child.func) == "tuple.__new__":
-                    record = ast.unparse(child.args[0])
-                    record = owner if record in ("cls", "type(self)") else record
-                    found.add((path.stem, ".".join(scope), record))
+                func = child.func if isinstance(child, ast.Call) else None
+                if isinstance(func, ast.Attribute) and func.attr in ("__new__", "trusted"):
+                    on = ast.unparse(func.value)
+                    built = ast.unparse(child.args[0]) if func.attr == "__new__" else on
+                    built = owner if built in ("cls", "type(self)") else built
+                    idiom = "tuple" if on == "tuple" else "slots"
+                    found.add((idiom, path.stem, ".".join(scope), built))
                 visit(child, scope, owner)
 
     tree = ast.parse(path.read_text(encoding="utf-8"))
     visit(tree, (), None)
-    calls = sum(isinstance(n, ast.Call) and ast.unparse(n.func) == "tuple.__new__" for n in ast.walk(tree))
-    uses = sum(isinstance(n, ast.Attribute) and ast.unparse(n) == "tuple.__new__" for n in ast.walk(tree))
-    assert uses == calls, f"{path.name} names tuple.__new__ other than in a call"
+    for name in ("__new__", "trusted"):
+        calls = sum(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == name
+            for n in ast.walk(tree)
+        )
+        uses = sum(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(tree))
+        assert uses == calls, f"{path.name} names .{name} other than in a call"
     return found
+
+
+def _readme_table(header: str) -> set[tuple[str, str, str]]:
+    """(module, function, class) of each row of the README table under `header`."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(header) + 2
+    listed: set[tuple[str, str, str]] = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        module, built, functions = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        listed |= {(module, function, built) for function in re.findall(r"[\w.]+", functions)}
+    return listed
+
+
+def _src_builds(idiom: str) -> set[tuple[str, str, str]]:
+    sources = sorted(Path(http_model.__file__).parent.glob("*.py"))
+    return {build[1:] for path in sources for build in _trusted_builds(path) if build[0] == idiom}
 
 
 def test_every_tuple_new_record_build_is_in_the_readme_table():
     """A record built without its checks is one the README lists: trusted
     construction cannot spread unseen."""
-    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    start = lines.index("| module | record | built with `tuple.__new__` in |") + 2
-    listed: set[tuple[str, str, str]] = set()
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        module, record, functions = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
-        listed |= {(module, function, record) for function in re.findall(r"[\w.]+", functions)}
-    sources = sorted(Path(http_model.__file__).parent.glob("*.py"))
-    found = set().union(*(_record_builds(path) for path in sources))
+    listed = _readme_table("| module | record | built with `tuple.__new__` in |")
+    found = _src_builds("tuple")
     assert len(listed) >= 25  # the table was read
     assert sorted(found - listed) == [] and sorted(listed - found) == []
+
+
+def test_every_slot_class_trusted_build_is_in_the_readme_table():
+    """So is each slotted object built without its `__init__`, and each call
+    of the factory that builds it."""
+    listed = _readme_table("| module | class | built without `__init__` in |")
+    found = _src_builds("slots")
+    assert listed  # the table was read
+    assert sorted(found - listed) == [] and sorted(listed - found) == []
+    for module, _, name in found:
+        cls = vars(importlib.import_module(f"noncepipe.{module}"))[name]
+        assert "__slots__" in vars(cls) and not issubclass(cls, tuple), name
 
 
 def test_forged_challenge_copy_is_checked():

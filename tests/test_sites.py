@@ -6,12 +6,13 @@ import hashlib
 import pytest
 
 from noncepipe import http_model, sites
-from noncepipe.dom import FieldKind, HookKind, ScriptHandle, SetFormAction, SubmitHook
+from noncepipe.dom import Field, FieldKind, Form, HookKind, ScriptHandle, SetFormAction, SubmitHook
 from noncepipe.dom import attach_script, script_mutate, submit_form
 from noncepipe.extensions import ExtensionManifest, Permission
 from noncepipe.fido2 import MalformedPayload
 from noncepipe.http_model import (
     URLENCODED,
+    ChannelSecurity,
     Origin,
     RequestBody,
     Url,
@@ -184,6 +185,66 @@ def test_build_page_bad_tls_option():
     p = profile(options=(("bad_tls", "1"),))
     page, _ = build_login_page(session_for(p), p)
     assert page.tls_overrides  # channel downgraded for the page origin
+
+
+def _checked_login_form(profile_: SiteProfile) -> Form:
+    """The login form as the checked constructor builds it."""
+    shape = LOGIN_SHAPES[profile_.category]
+    fields = [Field("username", FieldKind.TEXT), Field("password", FieldKind.PASSWORD)]
+    form = Form("login", profile_.login_action, shape.method, fields)
+    form.submit_hooks.extend(shape.hooks)
+    return form
+
+
+def _form_state(form: Form) -> tuple:
+    fields = [(f.name, f.kind, f.value) for f in form.fields]
+    return form.form_id, form.action, form.method, fields, form.submit_hooks
+
+
+# every login shape, a bad-TLS site and a fido2 site
+DIFFERENTIAL_PROFILES = [
+    profile(category, Origin("https", f"{category.replace('_', '-')}.example", 443), site_id=category)
+    for category in LOGIN_SHAPES
+] + [
+    profile("plain_post", Origin("https", "tls.example", 443), (("bad_tls", "1"),), "tls"),
+    profile("fido2", Origin("https", "sso.example", 443), site_id="sso"),
+]
+
+
+@pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
+def test_login_page_equals_its_checked_build(mode):
+    """The one-step page build gives what `Form(...)`, `Field(...)` and
+    `Page.add_form` would: the same form field for field, the shape's hooks
+    in order on a list of the page's own, and no field shared."""
+    session = BrowserSession(3, mode, [], ServerFarm(1).serve)
+    pages = []
+    for p in DIFFERENTIAL_PROFILES:
+        for _ in range(2):  # two pages of each site
+            page, form_id = build_login_page(session, p)
+            pages.append(page)
+            shape = LOGIN_SHAPES.get(p.category)
+            assert page.origin is p.origin
+            assert page.is_iframe is (shape is not None and shape.in_iframe)
+            bad_tls = {p.origin: ChannelSecurity.BAD_TLS} if p.option("bad_tls") == "1" else {}
+            assert page.tls_overrides == bad_tls
+            if shape is None:
+                assert (form_id, page.forms) == ("", {})
+                continue
+            assert form_id == "login" and list(page.forms) == ["login"]
+            form = page.form(form_id)
+            assert _form_state(form) == _form_state(_checked_login_form(p))  # hooks: a list, in order
+    hook_lists = [form.submit_hooks for page in pages for form in page.forms.values()]
+    fields = [f for page in pages for form in page.forms.values() for f in form.fields]
+    assert len({id(h) for h in hook_lists}) == len(hook_lists) == 2 * len(LOGIN_SHAPES) + 2
+    assert len({id(f) for f in fields}) == len(fields) == 2 * len(hook_lists)
+    assert len({page.page_id for page in pages}) == len(pages)
+
+
+def test_login_page_build_checks_the_shape_method(monkeypatch):
+    monkeypatch.setitem(LOGIN_SHAPES, "plain_post", LoginShape("PUT"))
+    p = profile()
+    with pytest.raises(ValueError, match="unsupported form method 'PUT'"):
+        build_login_page(session_for(p), p)
 
 
 def test_pages_of_one_profile_share_its_login_action():
