@@ -19,11 +19,11 @@ or off.
 from noncepipe.adversaries import (
     REFLECTION_VARIANTS,
     AttackScenario,
-    _World,
     evaluate_matrix,
     run_scenario,
 )
 from noncepipe.pipeline import DefenseMode
+from noncepipe.sites import World
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
     for plan, variant in enumerate(REFLECTION_VARIANTS):
         for pinning in (False, True):
             scenario = AttackScenario(variant, "reflection", mode, 42, plan)
-            outcome = run_scenario(scenario, _World(mode, pinning=pinning))
+            outcome = run_scenario(scenario, World(mode, pinning=pinning))
             state = "LEAKED" if outcome.secret_leaked else "blocked"
             print(
                 f"  variant={variant:<9} pinning={'on ' if pinning else 'off'}"

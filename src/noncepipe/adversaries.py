@@ -69,6 +69,7 @@ from .pipeline import (
     Redirect,
     Stage,
     StageView,
+    VaultEntry,
 )
 from .rng import derive_seed, substream
 from .session import BrowserSession, FlowResult
@@ -77,6 +78,7 @@ from .sites import (
     REFLECT_PATH,
     ServerFarm,
     SiteProfile,
+    World,
     build_login_page,
     site_vault_entry,
 )
@@ -92,9 +94,12 @@ __all__ = [
     "MatrixReport",
     "PASSWORD_ADVERSARIES",
     "REFLECTION_VARIANTS",
+    "RP_SITE",
     "evaluate_matrix",
     "find_leaks",
     "load_expected_matrix",
+    "out_of_band_begin",
+    "out_of_band_finish",
     "run_fido2_scenario",
     "run_scenario",
 ]
@@ -200,8 +205,8 @@ def find_leaks(
 
 class _Attacker:
     """Runs a program: a tuple of (move, *args) steps, each a `_MOVES` key and
-    hashable args, so programs compare, hash and print. The victim's own
-    actions are moves too. It holds what the steps act on and what they make."""
+    hashable args, so programs compare, hash and print. It opens the victim's login,
+    whose own actions are moves too, and holds what the steps act on and make."""
 
     __slots__ = (
         "session", "profile", "page", "form_id", "captured", "rp", "seed",
@@ -209,14 +214,13 @@ class _Attacker:
     )
 
     def __init__(
-        self, session: BrowserSession, profile: SiteProfile, page, form_id: str,
-        captured: list[str], rp: Optional[RelyingParty] = None, seed: int = 0,
+        self, world: World, profile: SiteProfile, entry: Optional[VaultEntry], seed: int,
+        rp: Optional[RelyingParty] = None,
     ) -> None:
-        self.session = session
+        self.page, self.form_id = world.open(profile, entry, seed, "victim")
+        self.session = world.session
         self.profile = profile
-        self.page = page
-        self.form_id = form_id
-        self.captured = captured
+        self.captured: list[str] = []  # its server's log, or what its FIDO2 moves keep
         self.rp = rp
         self.seed = seed
         self.script: Optional[ScriptHandle] = None
@@ -374,7 +378,7 @@ class _Attacker:
         protects responses that cross the browser. Its challenge is the
         attacker's, so the relying party's witness list skips it."""
         witness, self.rp.witness = self.rp.witness, None
-        begin = _out_of_band_begin(self.session, self.profile.origin, AUTHENTICATION, "victim")
+        begin = out_of_band_begin(self.session, self.profile.origin, AUTHENTICATION, "victim")
         self.rp.witness = witness
         self.begin = Fido2Request.from_json(begin)
 
@@ -397,7 +401,7 @@ class _Attacker:
         the victim when a login finish is accepted."""
         if not self.captured:
             return
-        verdict = _out_of_band_finish(self.session, self.profile.origin, self.captured[-1])
+        verdict = out_of_band_finish(self.session, self.profile.origin, self.captured[-1])
         self.notes.append(f"attacker_finish={verdict}")
         if kind == AUTHENTICATION and verdict == "accepted":
             self.logged_in = True
@@ -445,7 +449,7 @@ _BLOCKERS = {
 }
 
 
-def _out_of_band_finish(session: BrowserSession, origin: Origin, payload_json: str) -> str:
+def out_of_band_finish(session: BrowserSession, origin: Origin, payload_json: str) -> str:
     """Submit a finish to the session's server from the attacker's own machine."""
     url = Url(origin.scheme, origin.host, origin.port, FINISH_PATH)
     entries = ((FINISH_FIELD, payload_json),)
@@ -453,7 +457,7 @@ def _out_of_band_finish(session: BrowserSession, origin: Origin, payload_json: s
     return verdict
 
 
-def _out_of_band_begin(session: BrowserSession, origin: Origin, kind: str, username: str) -> str:
+def out_of_band_begin(session: BrowserSession, origin: Origin, kind: str, username: str) -> str:
     """Fetch a begin payload from the session's server directly; header
     stripping never happens here."""
     url = Url(origin.scheme, origin.host, origin.port, BEGIN_PATH)
@@ -597,21 +601,12 @@ _TARGETS = {
 }
 
 
-class _World:
-    """A matrix cell's farm, capture sink and victim session in the cell's
-    mode, with submit-URL pinning on or off; a scenario resets what it owns."""
-
-    def __init__(self, mode: DefenseMode, *, pinning: bool = True) -> None:
-        self.capture_sink: list[str] = []
-        self.farm = ServerFarm()  # no relying party, so its seed is never drawn from
-        self.farm.add_capture_origin(CAPTURE_ORIGIN, self.capture_sink)
-        # each scenario's reset gives it its seed, vault and name
-        self.session = BrowserSession(0, mode, (), self.farm.serve, pinning_enabled=pinning)
-
-
-def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> AttackOutcome:
-    """One attacked login, in its cell's world or a new one: build the page,
-    run the program, scan what the attacker saw."""
+def run_scenario(scenario: AttackScenario, world: Optional[World] = None) -> AttackOutcome:
+    """One attacked login, in a world of the scenario's mode (its cell's, or a
+    new one): open the page, run the program, scan what the attacker saw."""
+    world = world or World(scenario.defense_mode)
+    if world.mode is not scenario.defense_mode:
+        raise ValueError(f"a {scenario.defense_mode.value} scenario in a {world.mode.value} world")
     if scenario.adversary == "reflection":  # its plan's forum, and no other site
         if scenario.site_category != AttackScenario._field_defaults["site_category"]:
             raise ValueError(f"reflection attacks its forum, not a {scenario.site_category!r} site")
@@ -621,13 +616,9 @@ def run_scenario(scenario: AttackScenario, world: Optional[_World] = None) -> At
     if profile is None:
         raise ValueError(f"not a login site category: {scenario.site_category!r}")
     entry = site_vault_entry(profile, scenario.seed)
-    world = world or _World(scenario.defense_mode)
     world.farm.add_site(profile, entry.password)  # the digests are this scenario's
-    world.capture_sink.clear()
-    session = world.session
-    session.reset(scenario.seed, [entry], name="victim")
-    page, form_id = build_login_page(session, profile)
-    attacker = _Attacker(session, profile, page, form_id, world.capture_sink)
+    attacker = _Attacker(world, profile, entry, scenario.seed)
+    world.farm.add_capture_origin(CAPTURE_ORIGIN, attacker.captured)
     attacker.run(_program(scenario.adversary, scenario.strategy_index))
     leaked_digests, leaked = find_leaks([entry.password], attacker.observations())
     return AttackOutcome(
@@ -717,7 +708,7 @@ def evaluate_matrix(
     for mode in modes:
         defense = mode.value
         for adversary in PASSWORD_ADVERSARIES:
-            world = _World(mode)
+            world = World(mode)
             leaks = 0
             for index in range(strategies_per_cell):
                 scenario = AttackScenario(
@@ -738,46 +729,26 @@ def evaluate_matrix(
 # ---------------------------------------------------------------------------
 
 
-# the FIDO2 site every ceremony runs on
-_RP_SITE = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
-
-
-def _fido2_setup(
-    defense_on: bool, seed: int, name: str, secrets: Optional[list[str]] = None
-) -> tuple[BrowserSession, object, RelyingParty]:
-    """A design5 session called `name` on the rp.example login page, served by
-    a new farm, and the site's relying party. `secrets`, when given, becomes
-    the witness list of both the relying party and the session's authenticator."""
-    farm = ServerFarm(seed)
-    state = farm.add_site(_RP_SITE, "unused-password", fido2_defense=defense_on)
-    assert state.rp is not None
-    state.rp.witness = secrets
-    session = BrowserSession(seed, DefenseMode.DESIGN5_API_LATE, [], farm.serve, name=name)
-    session.device.witness = secrets
-    page, _ = build_login_page(session, _RP_SITE)
-    return session, page, state.rp
-
-
-def _fido2_attack(program: Sequence[tuple], defense_on: bool, seed: int, secrets: list[str]):
-    """Run a FIDO2 program on its own `_fido2_setup`, its real secrets going to `secrets`."""
-    session, page, rp = _fido2_setup(defense_on, seed, "victim", secrets)
-    attacker = _Attacker(session, _RP_SITE, page, "", [], rp, seed)
-    attacker.run(program)
-    return attacker
+# the FIDO2 site every ceremony runs on, honest or attacked
+RP_SITE = SiteProfile("rp", "fido2", Origin("https", "rp.example", 443))
 
 
 def run_fido2_scenario(adversary: str, *, defense_on: bool, seed: int) -> AttackOutcome:
-    """One adversary's registration and login hijacks: plans 0 and 1, each on
-    its own relying party, and one leak scan over both. It registers when the
+    """One adversary's registration and login hijacks: plans 0 and 1, each in a world
+    of its own relying party, and one leak scan over both. It registers when the
     victim's account holds its key, and logs in when its login finish is accepted."""
     if adversary not in FIDO2_ADVERSARIES:
         raise ValueError(f"unknown FIDO2 adversary {adversary!r}")
     secrets: list[str] = []
-    ceremony_seeds = (derive_seed(seed, "fido2", kind) for kind in (REGISTRATION, AUTHENTICATION))
-    attackers = [
-        _fido2_attack(_program(adversary, plan), defense_on, ceremony_seed, secrets)
-        for plan, ceremony_seed in enumerate(ceremony_seeds)
-    ]
+    attackers = []
+    for plan, kind in enumerate((REGISTRATION, AUTHENTICATION)):
+        ceremony_seed = derive_seed(seed, "fido2", kind)
+        world = World(DefenseMode.DESIGN5_API_LATE, ServerFarm(ceremony_seed))
+        rp = world.farm.add_site(RP_SITE, "", fido2_defense=defense_on).rp
+        attacker = _Attacker(world, RP_SITE, None, ceremony_seed, rp)
+        rp.witness = world.session.device.witness = secrets
+        attacker.run(_program(adversary, plan))
+        attackers.append(attacker)
     observations = [text for attacker in attackers for text in attacker.observations()]
     leaked_digests, leaked = find_leaks(secrets, observations)
     defense = FIDO2_DEFENSES[defense_on]

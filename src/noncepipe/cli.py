@@ -27,13 +27,14 @@ from .adversaries import (
     run_fido2_scenario,
     run_scenario,
 )
-from .adversaries import _World, _fido2_setup, _out_of_band_begin, _out_of_band_finish
+from .adversaries import RP_SITE, out_of_band_begin, out_of_band_finish
 from .fido2 import AUTHENTICATION, REGISTRATION, AuthenticatorDevice, Fido2Request
 from .http_model import Origin
 from .pipeline import DefenseMode
 from .rng import derive_seed, substream
 from .session import BrowserSession
-from .sites import LOGIN_CATEGORIES, build_fixture_corpus, compat_evaluate, parse_corpus
+from .sites import LOGIN_CATEGORIES, ServerFarm, World, build_fixture_corpus, compat_evaluate
+from .sites import parse_corpus
 from .tsv import OptionTable, TsvFormatError, parse_options, read_rows
 
 __all__ = ["EXIT_DATA", "EXIT_MISMATCH", "EXIT_OK", "EXIT_USAGE", "console_main", "main"]
@@ -192,7 +193,7 @@ def _run_scenario_row(
     mode = DEFENSE_TOKENS[defense]
     category = options.get("category", "plain_post")
     scenario = AttackScenario(name, adversary, mode, seed, plan, category)
-    return run_scenario(scenario, _World(mode, pinning=options.get("pinning", "on") == "on"))
+    return run_scenario(scenario, World(mode, pinning=options.get("pinning", "on") == "on"))
 
 
 def _scenario_report(outcomes: list[AttackOutcome], seed: int) -> tuple[str, dict]:
@@ -262,23 +263,25 @@ def _honest_fido2_flows(
 ) -> tuple[dict[str, str], Optional[str]]:
     """Register then authenticate with no attacker present. With `replay`,
     clone the authenticator in between and return the clone's verdict too."""
-    session, page, _ = _fido2_setup(defense_on, seed, "demo")
-    _, register = session.fido2_ceremony(page, page.origin, REGISTRATION, "alice")
-    clone = session.device.clone("cloned-device", substream(seed, "clone")) if replay else None
-    _, authenticate = session.fido2_ceremony(page, page.origin, AUTHENTICATION, "alice")
+    world = World(DefenseMode.DESIGN5_API_LATE, ServerFarm(seed))
+    world.farm.add_site(RP_SITE, "", fido2_defense=defense_on)
+    page, _ = world.open(RP_SITE, None, seed, "demo")
+    _, register = world.session.fido2_ceremony(page, page.origin, REGISTRATION, "alice")
+    clone = world.session.device.clone("cloned-device", substream(seed, "clone")) if replay else None
+    _, authenticate = world.session.fido2_ceremony(page, page.origin, AUTHENTICATION, "alice")
     honest = {
         "register": register.verdict or "cancelled",
         "authenticate": authenticate.verdict or "cancelled",
     }
-    return honest, None if clone is None else _replay_demo(session, page.origin, clone)
+    return honest, None if clone is None else _replay_demo(world.session, page.origin, clone)
 
 
 def _replay_demo(session: BrowserSession, origin: Origin, clone: AuthenticatorDevice) -> str:
     """The clone, taken before the last login, reuses a stale counter; the
     server notices."""
-    request_json = _out_of_band_begin(session, origin, AUTHENTICATION, "alice")
+    request_json = out_of_band_begin(session, origin, AUTHENTICATION, "alice")
     stale = clone.get_assertion(Fido2Request.from_json(request_json))
-    return _out_of_band_finish(session, origin, stale.to_json())
+    return out_of_band_finish(session, origin, stale.to_json())
 
 
 def cmd_fido2_demo(args: argparse.Namespace) -> int:

@@ -41,6 +41,7 @@ __all__ = [
     "ServerFarm",
     "SiteProfile",
     "UnknownEndpoint",
+    "World",
     "build_fixture_corpus",
     "build_login_page",
     "compat_evaluate",
@@ -310,6 +311,33 @@ class ServerFarm:
         return tuple.__new__(WebResponseRecord, (request.request_id, 404, (), b"not found")), "not_found"
 
 
+class World:
+    """A server farm, which other worlds may share, and the one session it serves,
+    in one mode, pinning on or off. Every login starts with `open`: the first builds
+    the session, its FIDO2 side drawn from its seed and name; later ones reset it."""
+
+    def __init__(
+        self, mode: DefenseMode, farm: Optional[ServerFarm] = None, *, pinning: bool = True
+    ) -> None:
+        self.mode = mode
+        self.farm = ServerFarm() if farm is None else farm
+        self.pinning = pinning
+        self.session: Optional[BrowserSession] = None
+
+    def open(
+        self, profile: SiteProfile, entry: Optional[VaultEntry], seed: int, name: str
+    ) -> tuple[Page, str]:
+        """Start a login (streams from seed and name, the entry its vault) and build its page."""
+        vault = () if entry is None else (entry,)
+        if self.session is None:
+            self.session = BrowserSession(
+                seed, self.mode, vault, self.farm.serve, name=name, pinning_enabled=self.pinning
+            )
+        else:
+            self.session.reset(seed, vault, name=name)
+        return build_login_page(self.session, profile)
+
+
 # ---------------------------------------------------------------------------
 # corpus
 # ---------------------------------------------------------------------------
@@ -487,14 +515,13 @@ class CompatReport(NamedTuple):
 
 
 def _login_once(
-    session: BrowserSession, profile: SiteProfile, entry: VaultEntry, seed: int
+    world: World, profile: SiteProfile, entry: VaultEntry, seed: int
 ) -> tuple[Optional[bytes], Optional[str], Optional[int]]:
-    """One login in a leg's session, reset for it; returns the bytes the credentials
-    rode in (a POST's body, a GET's query), verdict, refusing check."""
-    session.reset(seed, [entry], name=f"compat-{profile.site_id}-{session.defense_mode.value}")
-    page, form_id = build_login_page(session, profile)
-    session.autofill(page, form_id)
-    result = session.submit(page, form_id)
+    """One login in a leg's world; returns the bytes the credentials rode in
+    (a POST's body, a GET's query), verdict, refusing check."""
+    page, form_id = world.open(profile, entry, seed, f"compat-{profile.site_id}-{world.mode.value}")
+    world.session.autofill(page, form_id)
+    result = world.session.submit(page, form_id)
     wire = result.wire
     if wire is not None and wire.method == "GET":
         sent = urlencode_entries(wire.url.query).encode("utf-8")
@@ -511,14 +538,12 @@ def compat_evaluate(
     """Dual-run differential: baseline vs defended, per site. The report
     of the built-in fixture corpus says so.
 
-    One farm serves every site, and one session per leg, reset for each login.
-    Sites with empty or shorter-than-4-character passwords are flagged and
-    excluded from percentages rather than evaluated.
+    One farm serves every site and both legs' worlds, and each login opens
+    its leg's world. Sites with empty or shorter-than-4-character passwords
+    are flagged and excluded from percentages rather than evaluated.
     """
     farm = ServerFarm(seed)
-    baseline, defended = (
-        BrowserSession(seed, mode, (), farm.serve) for mode in (DefenseMode.BASELINE, defense)
-    )
+    baseline, defended = (World(mode, farm) for mode in (DefenseMode.BASELINE, defense))
     records: list[CompatRecord] = []
     for profile in profiles:
         entry = site_vault_entry(profile, seed)

@@ -15,7 +15,6 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from noncepipe.adversaries import (
     REFLECTION_VARIANTS,
     AttackScenario,
-    _World,
     evaluate_matrix,
     load_expected_matrix,
     run_scenario,
@@ -64,6 +63,7 @@ from noncepipe.session import BrowserSession
 from noncepipe.sites import (
     ServerFarm,
     SiteProfile,
+    World,
     build_fixture_corpus,
     build_login_page,
     compat_evaluate,
@@ -326,7 +326,7 @@ def test_criterion_4_reflection_vs_pinning():
         notes = set()
         for mode in NONCE_MODES:
             scenario = AttackScenario(variant, "reflection", mode, SEED, REFLECTION_VARIANTS.index(variant))
-            outcome = run_scenario(scenario, _World(mode, pinning=pinning))
+            outcome = run_scenario(scenario, World(mode, pinning=pinning))
             notes.add(outcome.notes)
             if outcome.secret_leaked is not should_leak:
                 problems.append(

@@ -15,9 +15,10 @@ from noncepipe.adversaries import (
     _MOVES,
     _REFLECT_URL,
     ATTACKER_EXTENSION_ID,
-    _World,
+    CAPTURE_ORIGIN,
+    RP_SITE,
+    _Attacker,
     _decoded,
-    _fido2_attack,
     _program,
     DEFAULT_STRATEGIES,
     FIDO2_ADVERSARIES,
@@ -45,7 +46,7 @@ from noncepipe.pipeline import (
 )
 from noncepipe.rng import derive_seed
 from noncepipe.session import BrowserSession
-from noncepipe.sites import LOGIN_CATEGORIES, build_login_page, generate_password
+from noncepipe.sites import LOGIN_CATEGORIES, ServerFarm, World, build_login_page, generate_password
 
 SRC = Path(__file__).parent.parent / "src"
 EXPECTED = load_expected_matrix(SRC / "noncepipe" / "golden" / "matrix.json")
@@ -301,9 +302,21 @@ def run_plans(mode, adversary, category, world_for):
 @pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
 def test_a_reused_world_attacks_as_a_fresh_one(mode, adversary):
     for category in LOGIN_CATEGORIES:
-        world = _World(mode)
+        world = World(mode)
         reused = run_plans(mode, adversary, category, lambda: world)
         assert reused == run_plans(mode, adversary, category, lambda: None), category
+
+
+def test_a_scenario_refuses_a_world_of_another_mode():
+    """The outcome is labelled with the scenario's mode, so it must run in it:
+    in a baseline world this design5 scenario would leak under a design5 label."""
+    scenario = AttackScenario("x", "dom_exfiltrator", DefenseMode.DESIGN5_API_LATE, 7, 0)
+    world = World(DefenseMode.BASELINE)
+    with pytest.raises(ValueError, match="design5_api_late scenario in a baseline world"):
+        run_scenario(scenario, world)
+    assert world.session is None  # refused before its login started
+    assert run_scenario(scenario, World(DefenseMode.DESIGN5_API_LATE)).secret_leaked is False
+    assert run_scenario(scenario._replace(defense_mode=DefenseMode.BASELINE), world).secret_leaked
 
 
 def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
@@ -312,11 +325,11 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
     assert _program("webrequest_exfiltrator", plan)[-3:] == (
         ("listen", Stage.ON_BEFORE_REQUEST, "redirect"), ("autofill",), ("submit",)
     )
-    world = _World(mode)
+    world = World(mode)
     run_scenario(AttackScenario("r", "webrequest_exfiltrator", mode, 3, plan), world)
     host = world.session.host
     assert ATTACKER_EXTENSION_ID in host.extensions
-    assert any("/steal" in text for text in world.capture_sink)
+    assert any("/steal" in text for text in world.farm._captures[CAPTURE_ORIGIN])
 
     # what the next scenario's session holds once reset, before its page
     states = []
@@ -333,7 +346,7 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
         ))
         return build_login_page(session, profile)
 
-    monkeypatch.setattr("noncepipe.adversaries.build_login_page", state_then_page)
+    monkeypatch.setattr("noncepipe.sites.build_login_page", state_then_page)
     nxt = AttackScenario("n", "webrequest_exfiltrator", mode, 4)
     assert run_scenario(nxt, world) == run_scenario(nxt)
     assert world.session.host is host
@@ -345,7 +358,8 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
         {},
         (0, 0),
     )
-    assert world.capture_sink == []  # plan 0 blocks nothing, so nothing was captured
+    # plan 0 blocks nothing, so nothing was captured
+    assert world.farm._captures[CAPTURE_ORIGIN] == []
 
 
 @pytest.mark.parametrize("category", ["plain_post", "reflecting"])
@@ -353,7 +367,7 @@ def test_a_reused_world_keeps_nothing_of_a_redirecting_attack(monkeypatch):
 def test_extension_observations_are_every_views_strings_in_delivery_order(mode, category):
     # observations build the strings once per run of views sharing a hop's
     # url, headers and form; the list must be each view's strings in turn
-    world = _World(mode)
+    world = World(mode)
     for index in range(PLAN_COUNTS["webrequest_exfiltrator"]):
         scenario = AttackScenario(f"{index}", "webrequest_exfiltrator", mode, index, index, category)
         run_scenario(scenario, world)
@@ -368,9 +382,9 @@ def test_a_reinstalled_attacker_gets_the_listener_ids_of_a_fresh_host():
         registry = world.session.host.registry
         return [(r.listener_id, r.extension_id) for st in Stage for r in registry.at(st)]
 
-    fresh = _World(mode)
+    fresh = World(mode)
     run_scenario(AttackScenario("0", "webrequest_exfiltrator", mode, 3, 0), fresh)
-    reused = _World(mode)
+    reused = World(mode)
     for plan in (5, 1, 0):  # fewer stages, then a blocker, then every stage
         run_scenario(AttackScenario(f"{plan}", "webrequest_exfiltrator", mode, 3, plan), reused)
     assert listener_ids(reused) == listener_ids(fresh)
@@ -477,7 +491,7 @@ def test_matrix_leak_counts_agree_with_verdicts():
 
 def reflection(variant: str, pinning: bool, mode=DefenseMode.DESIGN5_API_LATE):
     scenario = AttackScenario(variant, "reflection", mode, 11, REFLECTION_VARIANTS.index(variant))
-    return run_scenario(scenario, _World(mode, pinning=pinning))
+    return run_scenario(scenario, World(mode, pinning=pinning))
 
 
 def test_reflection_retarget_without_pinning_leaks():
@@ -518,11 +532,11 @@ def test_reflection_notes_are_named_by_variant_and_pinning():
 def test_a_reused_world_reflects_as_a_fresh_one():
     mode = DefenseMode.DESIGN4_API_EARLY
     for pinning in (False, True):
-        world = _World(mode, pinning=pinning)
+        world = World(mode, pinning=pinning)
         for plan, variant in (*enumerate(REFLECTION_VARIANTS), (0, "retarget")):
             scenario = AttackScenario(variant, "reflection", mode, 11 + plan, plan)
             assert run_scenario(scenario, world) == run_scenario(
-                scenario, _World(mode, pinning=pinning)
+                scenario, World(mode, pinning=pinning)
             ), (variant, pinning)
 
 
@@ -581,6 +595,32 @@ def test_fido2_adversary_roster():
         assert run_fido2_scenario("fido2_dom", defense_on=defense_on, seed=5).defense == defense
 
 
+def fido2_attack(program, defense_on, seed, secrets):
+    """Run one FIDO2 program as `run_fido2_scenario` runs each plan: in a
+    design5 world of its own relying party, its real secrets witnessed into
+    `secrets`."""
+    world = World(DefenseMode.DESIGN5_API_LATE, ServerFarm(seed))
+    rp = world.farm.add_site(RP_SITE, "", fido2_defense=defense_on).rp
+    attacker = _Attacker(world, RP_SITE, None, seed, rp)
+    rp.witness = world.session.device.witness = secrets
+    attacker.run(program)
+    return attacker
+
+
+@pytest.mark.parametrize("defense_on", [False, True])
+@pytest.mark.parametrize("adversary", FIDO2_ADVERSARIES)
+def test_the_fido2_helper_runs_each_plan_as_the_scenario_does(adversary, defense_on):
+    outcome = run_fido2_scenario(adversary, defense_on=defense_on, seed=7)
+    secrets: list[str] = []
+    attackers = [
+        fido2_attack(_program(adversary, plan), defense_on, derive_seed(7, "fido2", kind), secrets)
+        for plan, kind in enumerate((REGISTRATION, AUTHENTICATION))
+    ]
+    assert outcome.notes == tuple(note for attacker in attackers for note in attacker.notes)
+    assert outcome.attacker_login == any(attacker.logged_in for attacker in attackers)
+    assert outcome.attacker_registered == any(attacker.registered for attacker in attackers)
+
+
 # ROADMAP item 11: a page-initiated WebAuthn get, with no begin of the
 # victim's pending, signs the attacker's own challenge; one more program,
 # run by the same runner
@@ -595,7 +635,7 @@ PAGE_INITIATED_GET = (
 
 @pytest.mark.parametrize("seed", [7, 8])
 def test_a_page_initiated_get_logs_in_on_a_legacy_rp(seed):
-    attacker = _fido2_attack(PAGE_INITIATED_GET, False, seed, [])
+    attacker = fido2_attack(PAGE_INITIATED_GET, False, seed, [])
     assert attacker.notes == ["honest_registration=accepted", "attacker_finish=accepted"]
     assert attacker.logged_in is True
 
@@ -603,7 +643,7 @@ def test_a_page_initiated_get_logs_in_on_a_legacy_rp(seed):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
 @pytest.mark.parametrize("seed", [7, 8])
 def test_a_page_initiated_get_is_refused_on_a_header_channel_rp(seed):
-    attacker = _fido2_attack(PAGE_INITIATED_GET, True, seed, [])
+    attacker = fido2_attack(PAGE_INITIATED_GET, True, seed, [])
     assert attacker.notes[0] == "honest_registration=accepted"
     assert attacker.notes[1].startswith("attacker_finish=rejected")
     assert attacker.logged_in is False
@@ -614,7 +654,7 @@ def test_fido2_attackers_own_begin_is_no_secret_of_the_victim(seed):
     """The relying party's witness is off for the attacker's out-of-band
     begin: the challenge it opened for itself is no secret it could leak."""
     secrets: list[str] = []
-    attacker = _fido2_attack(_program("fido2_dom", 1), True, seed, secrets)
+    attacker = fido2_attack(_program("fido2_dom", 1), True, seed, secrets)
     challenge = base64.urlsafe_b64encode(attacker.begin.challenge).decode("ascii").rstrip("=")
     assert secrets  # the victim's registration and login were witnessed
     assert challenge not in secrets

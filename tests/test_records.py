@@ -542,7 +542,8 @@ def test_every_slot_class_trusted_build_is_in_the_readme_table():
 
 def test_forged_challenge_copy_is_checked():
     page = SimpleNamespace(webauthn=SimpleNamespace(get=None))
-    attacker = _Attacker(None, None, page, "", [])
+    world = SimpleNamespace(open=lambda profile, entry, seed, name: (page, ""), session=None)
+    attacker = _Attacker(world, None, None, 0)
     attacker.script = ScriptHandle("xss-payload")
     attacker.begin = SimpleNamespace(challenge=b"short")  # the request copy must catch it
     attacker.run((("override_get",),))

@@ -1,11 +1,14 @@
 """Site harness: page construction, digest-only servers, the compat survey."""
 
+import ast
 import base64
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from noncepipe import http_model, sites
+from noncepipe.adversaries import CAPTURE_ORIGIN
 from noncepipe.dom import Field, FieldKind, Form, HookKind, ScriptHandle, SetFormAction, SubmitHook
 from noncepipe.dom import attach_script, script_mutate, submit_form
 from noncepipe.extensions import ExtensionManifest, Permission
@@ -35,6 +38,7 @@ from noncepipe.sites import (
     ServerFarm,
     SiteProfile,
     UnknownEndpoint,
+    World,
     build_fixture_corpus,
     build_login_page,
     compat_evaluate,
@@ -698,35 +702,98 @@ def test_compat_reads_a_get_logins_credentials_from_its_url():
     assert defended.password_on_wire is False
 
 
-# the seven-row corpus the CI workflow runs, one row per login category
-CI_CORPUS = (
-    "plain_post\thttps://plain.example\t-\n"
-    "hashes_password\thttps://hash.example\t-\n"
-    "transforms_password\thttps://transform.example\t-\n"
-    "get_submit\thttps://get.example\t-\n"
-    "iframe_login\thttps://iframe.example\t-\n"
-    "http_submit\thttps://http.example\t-\n"
-    "reflecting\thttps://reflect.example\treflect=username\n"
-)
+# the corpus the CI workflow runs
+CI_CORPUS = Path(__file__).parent / "golden" / "ci_corpus.tsv"
 
 
 @pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
-def test_compat_records_equal_those_of_a_fresh_world_per_login(mode, tmp_path, monkeypatch):
-    path = tmp_path / "corpus.tsv"
-    path.write_text(CI_CORPUS, encoding="utf-8")
-    corpora = [build_fixture_corpus(), parse_corpus(path)]
-    reused = [compat_evaluate(corpus, 7, mode).records for corpus in corpora]
+def test_compat_records_equal_those_of_a_fresh_world_per_login(mode):
+    """A run's two worlds share one farm and reset their sessions for every
+    login; a run of one site builds a new farm and both worlds for it."""
+    for corpus in (build_fixture_corpus(), parse_corpus(CI_CORPUS)):
+        fresh = [record for p in corpus for record in compat_evaluate([p], 7, mode).records]
+        assert compat_evaluate(corpus, 7, mode).records == fresh
 
-    login_once = sites._login_once
 
-    def fresh_world(session, profile_, entry, seed):
-        farm = ServerFarm(seed)
-        farm.add_site(profile_, entry.password)
-        fresh = BrowserSession(seed, session.defense_mode, [entry], farm.serve)
-        return login_once(fresh, profile_, entry, seed)
+@pytest.mark.parametrize("mode", list(DefenseMode), ids=lambda m: m.value)
+def test_a_site_on_the_attackers_capture_origin_is_served_as_that_site(mode):
+    """compat's worlds register no capture origin: a corpus row on the attack
+    harness's capture origin logs in like any plain site."""
+    (site,) = [p for p in parse_corpus(CI_CORPUS) if p.origin == CAPTURE_ORIGIN]
+    (record,) = compat_evaluate([site], 7, mode).records
+    assert (record.category, record.classification) == ("plain_post", "compatible")
+    assert (record.verdict_baseline, record.verdict_defended) == ("auth_ok", "auth_ok")
 
-    monkeypatch.setattr(sites, "_login_once", fresh_world)
-    assert [compat_evaluate(corpus, 7, mode).records for corpus in corpora] == reused
+
+def test_a_world_builds_its_session_at_its_first_login_and_resets_it_after():
+    farm = ServerFarm(7)
+    site = profile()
+    entry = site_vault_entry(site, 7)
+    farm.add_site(site, entry.password)
+    world = World(DefenseMode.DESIGN4_API_EARLY, farm, pinning=False)
+    assert world.session is None
+    page, form_id = world.open(site, entry, 7, "first")
+    session = world.session
+    assert (session.defense_mode, session.manager.pinning_enabled) == (world.mode, False)
+    assert (page.page_id, form_id, session.manager.vault) == ("page-1", "login", [entry])
+    # its FIDO2 side is drawn from the first login's seed and name
+    alone = BrowserSession(7, world.mode, [entry], farm.serve, name="first")
+    assert session.device.rng.randbytes(16) == alone.device.rng.randbytes(16)
+    world.session.autofill(page, form_id)
+    assert world.session.submit(page, form_id).verdict == "auth_ok"
+
+    page, _ = world.open(site, None, 8, "second")
+    assert world.session is session
+    assert (page.page_id, session.manager.vault) == ("page-1", [])
+
+
+def _session_builds_and_resets(source: str) -> list[tuple[str, str]]:
+    """(enclosing class or function path, call) for every `BrowserSession(...)`
+    and every `.reset(...)` call in a module's source."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "BrowserSession" or (name == "reset" and isinstance(func, ast.Attribute)):
+                    found.append((scope, name))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_world_builds_or_resets_a_session():
+    """`World.open` is how every login starts: outside `World` nothing builds a
+    `BrowserSession`, and nothing but its `__init__` resets one."""
+    package = Path(sites.__file__).parent
+    found = {
+        (path.stem, scope, call)
+        for path in sorted(package.glob("*.py"))
+        for scope, call in _session_builds_and_resets(path.read_text(encoding="utf-8"))
+    }
+    allowed = {
+        ("sites", "World.open", "BrowserSession"),
+        ("sites", "World.open", "reset"),
+        ("session", "BrowserSession.__init__", "reset"),
+    }
+    assert found == allowed
+
+
+def test_the_session_scan_sees_a_hand_built_session_and_a_reset():
+    source = (
+        "def compat_evaluate(seed, mode, farm):\n"
+        "    session = BrowserSession(seed, mode, (), farm.serve)\n"
+        "    session.reset(seed, [])\n"
+    )
+    assert _session_builds_and_resets(source) == [
+        ("compat_evaluate", "BrowserSession"), ("compat_evaluate", "reset")
+    ]
 
 
 def test_login_and_reflect_paths_are_the_served_endpoints():
